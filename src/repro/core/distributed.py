@@ -17,40 +17,33 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.chain.block import Block, BlockHeader, ChainRecord
 from repro.chain.chain import Blockchain, ChainError
-from repro.chain.consensus import make_genesis
 from repro.chain.pow import MiningModel
 from repro.chain.validation import BlockValidator
 from repro.core.lightclient import HeaderChain
 from repro.crypto.keys import KeyPair
-from repro.network.config import NetworkConfig
-from repro.network.gossip import GossipNetwork, build_topology
+from repro.network.gossip import GossipNetwork
 from repro.network.latency import DEFAULT_LATENCY, LatencyModel
 from repro.network.messages import Message, MessageKind
 from repro.network.node import Node
 from repro.network.simulator import Simulator
 from repro.store import ChainStore, HeaderStore
 
-__all__ = ["DistributedChain", "LightReplicaNode", "ReplicaNode"]
+__all__ = ["DistributedChain", "FleetControlPlane", "LightReplicaNode", "ReplicaNode"]
 
 #: Semantic record check a replica applies before accepting a block.
 RecordCheck = Callable[[ChainRecord], bool]
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit value, so
-#: the legacy fleet-shape kwargs can warn only when actually used.
-_UNSET = object()
 
 
 def _interleave(full_names: List[str], light_names: List[str]) -> List[str]:
     """Ring order for the fleet: light nodes spread between full nodes.
 
     Keeps ring-based topologies from forming long light-only arcs, and
-    is deterministic (no rng draw) so adding ``light_count=0`` changes
-    nothing for existing deployments.
+    is deterministic (no rng draw) so a fleet without light nodes keeps
+    its full-node order.
     """
     if not light_names:
         return list(full_names)
@@ -66,87 +59,6 @@ def _interleave(full_names: List[str], light_names: List[str]) -> List[str]:
         cursor += len(take)
     merged.extend(light_names[cursor:])
     return merged
-
-
-def _resolve_fleet_shape(
-    engine: str,
-    spec,
-    shares: Optional[Mapping[str, float]],
-    topology_kind,
-    network,
-    light_count,
-    store_dir,
-    store_snapshot_interval,
-):
-    """Reconcile ``spec=`` with the legacy per-kwarg fleet shape.
-
-    Exactly one spelling may describe the fleet: a
-    :class:`~repro.shard.spec.FleetSpec` (the canonical one, shared with
-    the sharded engine) or the historical kwargs, which now warn once
-    per process via :mod:`repro.compat`.  Returns the resolved
-    ``(shares, config, light_count, store_dir, snapshot_interval)``.
-    """
-    from repro.compat import warn_deprecated
-    from repro.shard.spec import FleetSpec
-
-    legacy = {
-        "topology_kind": topology_kind,
-        "network": network,
-        "light_count": light_count,
-        "store_dir": store_dir,
-        "store_snapshot_interval": store_snapshot_interval,
-    }
-    passed = [name for name, value in legacy.items() if value is not _UNSET]
-    if spec is not None:
-        if not isinstance(spec, FleetSpec):
-            raise TypeError(
-                f"spec must be a FleetSpec, got {type(spec).__name__}"
-            )
-        if passed:
-            raise ValueError(
-                f"{engine} got both spec= and legacy fleet kwargs "
-                f"({', '.join(passed)}); describe the fleet once"
-            )
-        if spec.shards != 1:
-            raise ValueError(
-                f"{engine} is single-process; run spec.shards={spec.shards} "
-                "through repro.shard.ShardedSimulator, or pass "
-                "spec.unsharded()"
-            )
-        if shares is None:
-            shares = spec.equal_shares()
-        elif set(shares) != set(spec.full_names()):
-            raise ValueError(
-                "shares must cover exactly spec.full_names() "
-                f"({spec.full_nodes} providers)"
-            )
-        return (
-            shares,
-            spec.network,
-            spec.light_nodes,
-            spec.store_dir,
-            spec.store_snapshot_interval,
-        )
-    if shares is None:
-        raise TypeError(f"{engine} needs shares= or spec=")
-    for name in passed:
-        warn_deprecated(
-            f"{engine}({name}=)",
-            f"{engine}(spec=FleetSpec(...))",
-            extra="FleetSpec carries the whole fleet shape in one object.",
-        )
-    if network is not _UNSET and network is not None:
-        config = network
-    else:
-        kind = topology_kind if topology_kind is not _UNSET else "complete"
-        config = NetworkConfig(topology=kind)
-    return (
-        shares,
-        config,
-        light_count if light_count is not _UNSET else 0,
-        store_dir if store_dir is not _UNSET else None,
-        store_snapshot_interval if store_snapshot_interval is not _UNSET else 512,
-    )
 
 
 class ReplicaNode(Node):
@@ -477,14 +389,219 @@ class LightReplicaNode(Node):
         return tip.header_hash()
 
 
+
+
+#: ``(total difficulty, name, head id)`` of one alive full replica.
+Candidate = Tuple[int, str, bytes]
+
+
+def heaviest(candidates: Iterable[Optional[Candidate]]) -> Optional[Candidate]:
+    """The fleet's reference replica: most work, lowest name on a tie.
+
+    Every ranking of replicas — a world over the ones it owns, a sharded
+    coordinator over one candidate per shard — goes through here, so a
+    fleet picks the same winner however it is partitioned.
+    """
+    return min(
+        (candidate for candidate in candidates if candidate is not None),
+        key=lambda candidate: (-candidate[0], candidate[1]),
+        default=None,
+    )
+
+
 @dataclass
 class _PendingRecords:
-    """Records a byzantine miner wants to sneak into its blocks."""
+    """Records waiting for a miner to include them."""
 
     records: List[ChainRecord]
 
 
-class DistributedChain:
+class FleetControlPlane:
+    """Driving a fleet, wherever its nodes live.
+
+    PoW winner sampling, the honest mempool and the byzantine queues,
+    the mining round, the convergence checks and the finalize pass are
+    the same whether the fleet is one in-process world
+    (:class:`DistributedChain`) or shards behind epoch barriers
+    (:class:`~repro.shard.engine.ShardedSimulator`).  An engine builds
+    its world(s) from ``self._blueprint`` and supplies the clock
+    (``_clock``: ``now``/``advance_for``), the three ways the control
+    plane reaches a world (``_mine``, ``_candidates``, ``_reconcile``)
+    and the public ``settle``/``heads``/``light_heads``/``crash``/
+    ``restart``/``close``.
+
+    ``spec`` carries counts; the keys of ``shares``, when given, *are*
+    the full-node names (in fleet order) and must number
+    ``spec.full_nodes``.  Without ``shares`` the fleet uses
+    ``spec.full_names()`` at equal hashpower.
+    """
+
+    def __init__(
+        self,
+        spec: Optional["FleetSpec"],
+        shares: Optional[Mapping[str, float]],
+        record_check: Optional[RecordCheck],
+        byzantine: Optional[Set[str]],
+        difficulty: int,
+        mean_block_time: float,
+        latency: LatencyModel,
+        confirmation_depth: int,
+        seed: int,
+        telemetry_enabled: bool = False,
+    ) -> None:
+        # repro.shard builds on this module's node classes, so its
+        # pieces are imported at construction, not at module load.
+        from repro.shard.engine import _Blueprint
+        from repro.shard.plan import build_plan, derive_shard_seeds
+        from repro.shard.spec import FleetSpec
+
+        if spec is None:
+            if shares is None:
+                raise TypeError(f"{type(self).__name__} needs shares= or spec=")
+            spec = FleetSpec(full_nodes=len(shares))
+        elif not isinstance(spec, FleetSpec):
+            raise TypeError(f"spec must be a FleetSpec, got {type(spec).__name__}")
+        if shares is None:
+            shares = spec.equal_shares()
+        elif len(shares) != spec.full_nodes:
+            raise ValueError(
+                "shares names the fleet's full nodes, so it needs "
+                f"spec.full_nodes={spec.full_nodes} keys, got {len(shares)} "
+                "(they stand in for spec.full_names())"
+            )
+        full_names = tuple(shares)
+        clashes = set(full_names) & set(spec.light_names())
+        if clashes:
+            raise ValueError(
+                f"full-node names taken by light replicas: {sorted(clashes)}"
+            )
+        self.byzantine = set(byzantine or ())
+        unknown = self.byzantine - set(full_names)
+        if unknown:
+            raise ValueError(f"byzantine names not in the fleet: {sorted(unknown)}")
+        #: The :class:`~repro.shard.spec.FleetSpec` this fleet runs.
+        self.spec = spec
+        # Seeded results hang on this draw order: topology seed, network
+        # seed, model seed.  One shard uses the network seed as is
+        # (derive_shard_seeds' k=1 case), so the one-shard sharded fleet
+        # and the unsharded one draw the same streams.
+        rng = random.Random(seed)
+        topo_seed = rng.randrange(2**31)
+        net_seed = rng.randrange(2**31)
+        model_seed = rng.randrange(2**31)
+        self._plan = build_plan(
+            spec, _interleave(list(full_names), spec.light_names())
+        )
+        self._blueprint = _Blueprint(
+            spec=spec,
+            full_names=full_names,
+            assignments=self._plan.assignments,
+            topo_seed=topo_seed,
+            shard_seeds=tuple(derive_shard_seeds(net_seed, spec.shards)),
+            difficulty=difficulty,
+            confirmation_depth=confirmation_depth,
+            latency=latency,
+            record_check=record_check,
+            byzantine=frozenset(self.byzantine),
+            telemetry_enabled=telemetry_enabled,
+        )
+        self.model = MiningModel.from_shares(
+            shares,
+            difficulty=difficulty,
+            mean_block_time=mean_block_time,
+            rng=random.Random(model_seed),
+        )
+        self._difficulty = difficulty
+        self._honest_mempool = _PendingRecords([])
+        self._byzantine_queue: Dict[str, _PendingRecords] = {
+            name: _PendingRecords([]) for name in self.byzantine
+        }
+        self.blocks_mined = 0
+
+    # -- record feeds -------------------------------------------------------
+
+    def submit_record(self, record: ChainRecord) -> None:
+        """Queue an honest record for inclusion by the next honest miner."""
+        self._honest_mempool.records.append(record)
+
+    def inject_byzantine_record(self, miner: str, record: ChainRecord) -> None:
+        """Queue a (typically invalid) record for a byzantine miner."""
+        if miner not in self.byzantine:
+            raise ValueError(f"{miner} is not byzantine")
+        self._byzantine_queue[miner].records.append(record)
+
+    # -- mining drive --------------------------------------------------------
+
+    def step(self) -> Optional[Block]:
+        """One mining round: advance time, mine on the winner's head.
+
+        The winner (wherever it lives) assembles a block on *its own*
+        head and announces it.  A byzantine winner includes its queued
+        records regardless of validity, an honest one the shared
+        mempool.  Returns None when the sampled winner is crashed — its
+        hashpower is offline, so the round produces no block and its
+        records stay queued (time still advances and in-flight gossip
+        still settles).
+        """
+        outcome = self.model.next_block()
+        self._clock.advance_for(outcome.interval)
+        pending = self._byzantine_queue.get(outcome.winner, self._honest_mempool)
+        block = self._mine(outcome.winner, tuple(pending.records))
+        if block is None:
+            return None
+        pending.records = []
+        self.blocks_mined += 1
+        return block
+
+    def run_blocks(self, count: int) -> List[Optional[Block]]:
+        """Mine ``count`` rounds (entries are None for crashed winners)."""
+        return [self.step() for _ in range(count)]
+
+    # -- convergence ---------------------------------------------------------
+
+    def _heaviest(self) -> Optional[Candidate]:
+        return heaviest(self._candidates())
+
+    def finalize(self) -> None:
+        """Settle gossip, then close residual gaps by direct resync.
+
+        Bounded-fanout relays do not guarantee every broadcast reaches
+        every node; convergence is restored the way real networks do it
+        — each straggler pulls the fleet's heaviest chain through the
+        normal validated resync path.  After full nodes agree, light
+        clients resync their header chains.
+        """
+        self.settle()
+        best = self._heaviest()
+        if best is not None:
+            self._reconcile(best[1])
+
+    def converged(self, among: Optional[Set[str]] = None) -> bool:
+        """True if (the given) full replicas agree on the canonical head."""
+        heads = self.heads()
+        names = among if among is not None else set(heads)
+        return len({heads[name] for name in names}) == 1
+
+    def light_converged(self) -> bool:
+        """True if all light clients agree with the heaviest full head."""
+        tips = set(self.light_heads().values())
+        if not tips:
+            return True
+        if len(tips) != 1:
+            return False
+        best = self._heaviest()
+        return best is None or tips == {best[2]}
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+
+class DistributedChain(FleetControlPlane):
     """A network of chain replicas driven by the PoW competition.
 
     Each sampled mining round: the simulator advances by the block
@@ -493,6 +610,13 @@ class DistributedChain:
     inject their queued records regardless of validity; honest replicas
     with a semantic record check reject such blocks and keep mining the
     clean branch.
+
+    The whole fleet is one in-process world
+    (:class:`~repro.shard.engine.ShardState`) driven directly: its
+    simulator, overlay and nodes are plain attributes here, and nothing
+    is sliced into epochs or framed.  A store-backed fleet
+    (``spec.store_dir``) holds open block logs — ``close()`` it, or use
+    it as a context manager.
     """
 
     def __init__(
@@ -502,174 +626,68 @@ class DistributedChain:
         byzantine: Optional[Set[str]] = None,
         difficulty: int = 1000,
         mean_block_time: float = 15.35,
-        topology_kind: str = _UNSET,  # deprecated: pass spec=
         latency: LatencyModel = DEFAULT_LATENCY,
         confirmation_depth: int = 6,
         seed: int = 0,
-        network: Optional[NetworkConfig] = _UNSET,  # deprecated: pass spec=
-        light_count: int = _UNSET,  # deprecated: pass spec=
-        store_dir: Optional[str] = _UNSET,  # deprecated: pass spec=
-        store_snapshot_interval: int = _UNSET,  # deprecated: pass spec=
         spec: Optional["FleetSpec"] = None,
     ) -> None:
-        shares, config, light_count, store_dir, store_snapshot_interval = (
-            _resolve_fleet_shape(
-                "DistributedChain", spec, shares, topology_kind, network,
-                light_count, store_dir, store_snapshot_interval,
-            )
-        )
-        #: The :class:`~repro.shard.spec.FleetSpec` this fleet was built
-        #: from, when one was given (legacy kwarg construction leaves it
-        #: None — those shapes may use arbitrary provider names).
-        self.spec = spec
-        rng = random.Random(seed)
-        self.simulator = Simulator()
-        names = list(shares)
-        light_names = [f"light-{i}" for i in range(light_count)]
-        self.network = GossipNetwork(
-            self.simulator,
-            build_topology(
-                _interleave(names, light_names),
-                config.topology,
-                degree=config.degree,
-                rng=random.Random(rng.randrange(2**31)),
-            ),
-            latency=latency,
-            rng=random.Random(rng.randrange(2**31)),
-            config=config,
-        )
-        genesis = make_genesis(difficulty=difficulty)
-        self.byzantine = set(byzantine or ())
-        #: With ``store_dir`` set, every replica persists to its own
-        #: subdirectory and restarts recover from disk.  Persistence
-        #: draws no randomness and schedules no events, so the fleet's
-        #: trajectory is bit-identical with or without it.
-        self.store_dir = Path(store_dir) if store_dir is not None else None
-        self.replicas: Dict[str, ReplicaNode] = {}
-        for name in names:
-            # Byzantine replicas skip the semantic check on their own
-            # copy (they will happily build on forged records).
-            check = None if name in self.byzantine else record_check
-            store = (
-                ChainStore(
-                    self.store_dir / name,
-                    snapshot_interval=store_snapshot_interval,
-                )
-                if self.store_dir is not None
-                else None
-            )
-            replica = ReplicaNode(
-                name, genesis, record_check=check,
-                confirmation_depth=confirmation_depth,
-                store=store,
-            )
-            self.replicas[name] = replica
-            self.network.attach(replica)
-        self.light_replicas: Dict[str, LightReplicaNode] = {}
-        for name in light_names:
-            header_store = (
-                HeaderStore(self.store_dir / name)
-                if self.store_dir is not None
-                else None
-            )
-            light = LightReplicaNode(name, genesis, store=header_store)
-            light.set_servers(list(self.replicas.values()))
-            self.light_replicas[name] = light
-            self.network.attach(light)
-        self.model = MiningModel.from_shares(
-            shares, difficulty=difficulty, mean_block_time=mean_block_time,
-            rng=random.Random(rng.randrange(2**31)),
-        )
-        self._difficulty = difficulty
-        self._byzantine_queue: Dict[str, _PendingRecords] = {
-            name: _PendingRecords([]) for name in self.byzantine
-        }
-        self._honest_mempool: List[ChainRecord] = []
-        self.blocks_mined = 0
+        from repro.shard.engine import ShardState  # see FleetControlPlane
 
-    # -- record feeds -------------------------------------------------------
+        if getattr(spec, "shards", 1) != 1:
+            raise ValueError(
+                f"DistributedChain is single-process; run spec.shards="
+                f"{spec.shards} through repro.shard.ShardedSimulator, or "
+                "pass spec.unsharded()"
+            )
+        super().__init__(
+            spec, shares, record_check, byzantine, difficulty,
+            mean_block_time, latency, confirmation_depth, seed,
+        )
+        self.world = ShardState(self._blueprint, 0)
+        self.simulator: Simulator = self.world.simulator
+        self.network: GossipNetwork = self.world.network
+        self.replicas: Dict[str, ReplicaNode] = self.world.replicas
+        self.light_replicas: Dict[str, LightReplicaNode] = self.world.light_replicas
+        self._clock = self.simulator
 
-    def submit_record(self, record: ChainRecord) -> None:
-        """Queue an honest record for inclusion by the next honest miner."""
-        self._honest_mempool.append(record)
+    # -- the control plane's reach into the world ---------------------------
 
-    def inject_byzantine_record(self, miner: str, record: ChainRecord) -> None:
-        """Queue a (typically invalid) record for a byzantine miner."""
-        if miner not in self.byzantine:
-            raise ValueError(f"{miner} is not byzantine")
-        self._byzantine_queue[miner].records.append(record)
+    def _mine(self, winner: str, records: Tuple[ChainRecord, ...]) -> Optional[Block]:
+        return self.world.mine(winner, records, self._difficulty)
+
+    def _candidates(self) -> Tuple[Optional[Candidate]]:
+        return (self.world.heaviest_candidate(),)
+
+    def _reconcile(self, winner: str) -> None:
+        self.world.reconcile(self.replicas[winner], winner)
 
     # -- drive ---------------------------------------------------------------
 
     def crash(self, name: str) -> None:
-        """Crash a replica: it stops receiving blocks and cannot mine."""
-        self.replicas[name].crash()
+        """Crash a fleet member (full or light): no receives, no mining."""
+        self.world.crash(name)
 
     def restart(self, name: str) -> None:
-        """Restart a replica; it resyncs its chain from reachable peers."""
-        self.replicas[name].restart()
-
-    def step(self) -> Optional[Block]:
-        """One mining round: advance time, mine on the winner's head.
-
-        Returns None when the sampled winner is crashed — its hashpower
-        is offline, so that round produces no block (time still
-        advances and in-flight gossip still settles).
-        """
-        outcome = self.model.next_block()
-        self.simulator.advance_until(self.simulator.now + outcome.interval)
-        winner = self.replicas[outcome.winner]
-        if winner.crashed:
-            return None
-        if outcome.winner in self.byzantine:
-            queued = self._byzantine_queue[outcome.winner]
-            records = tuple(queued.records)
-            queued.records = []
-        else:
-            records = tuple(self._honest_mempool)
-            self._honest_mempool = []
-        block = winner.assemble_block(
-            timestamp=self.simulator.now, records=records,
-            difficulty=self._difficulty,
-        )
-        winner.receive_block(block)
-        winner.broadcast(MessageKind.BLOCK_ANNOUNCE, block)
-        self.blocks_mined += 1
-        return block
-
-    def run_blocks(self, count: int) -> List[Optional[Block]]:
-        """Mine ``count`` rounds (entries are None for crashed winners)."""
-        return [self.step() for _ in range(count)]
+        """Restart a member; it recovers and resyncs from reachable peers."""
+        self.world.restart(name)
 
     def settle(self) -> None:
         """Deliver all in-flight gossip."""
         self.simulator.advance()
 
+    def close(self) -> None:
+        """Release every replica's store handles (safe to call twice)."""
+        self.world.close()
+
     # -- inspection ------------------------------------------------------------
 
     def heads(self) -> Dict[str, bytes]:
         """Each replica's canonical head id."""
-        return {name: replica.head_id() for name, replica in self.replicas.items()}
-
-    def converged(self, among: Optional[Set[str]] = None) -> bool:
-        """True if (the given) replicas agree on the canonical head."""
-        names = among if among is not None else set(self.replicas)
-        head_ids = {self.replicas[name].head_id() for name in names}
-        return len(head_ids) == 1
+        return self.world.heads()
 
     def light_heads(self) -> Dict[str, bytes]:
         """Each light client's best header id."""
-        return {name: light.tip_id() for name, light in self.light_replicas.items()}
-
-    def light_converged(self) -> bool:
-        """True if all light clients agree with the heaviest full head."""
-        if not self.light_replicas:
-            return True
-        tips = {light.tip_id() for light in self.light_replicas.values()}
-        if len(tips) != 1:
-            return False
-        heaviest = self._heaviest_replica()
-        return heaviest is None or tips == {heaviest.head_id()}
+        return self.world.light_heads()
 
     def query_service(self, name: str, **kwargs):
         """A :class:`~repro.query.service.QueryService` over one replica.
@@ -680,7 +698,12 @@ class DistributedChain:
         defaults to the fleet's heaviest alive replica, so responses
         report how far this node lags the canonical chain — e.g. mid
         resync after a restart — and the batch scheduler defaults to
-        the fleet simulator.
+        the fleet simulator.  The service reads the replica's store, so
+        use it before the fleet is closed::
+
+            with DistributedChain(spec=FleetSpec(2, store_dir=d)) as fleet:
+                fleet.run_blocks(8)
+                fleet.query_service("provider-0").persist_index()
         """
         from repro.query.service import QueryService  # noqa: PLC0415 - cycle
 
@@ -696,40 +719,8 @@ class DistributedChain:
 
     def _heaviest_replica(self) -> Optional[ReplicaNode]:
         """The alive replica with the heaviest chain (name-ordered ties)."""
-        best: Optional[ReplicaNode] = None
-        for name in sorted(self.replicas):
-            replica = self.replicas[name]
-            if replica.crashed:
-                continue
-            if (
-                best is None
-                or replica.chain.total_difficulty() > best.chain.total_difficulty()
-            ):
-                best = replica
-        return best
-
-    def finalize(self) -> None:
-        """Settle gossip, then close residual gaps by direct resync.
-
-        Bounded-fanout relays do not guarantee every broadcast reaches
-        every node; convergence is restored the way real networks do it
-        — each straggler pulls the heaviest chain from a peer.  After
-        full nodes agree, light clients resync their header chains.
-        """
-        self.settle()
-        heaviest = self._heaviest_replica()
-        if heaviest is None:
-            return
-        for name in sorted(self.replicas):
-            replica = self.replicas[name]
-            if replica is heaviest or replica.crashed:
-                continue
-            if replica.head_id() != heaviest.head_id():
-                replica.resync_from(heaviest)
-        for name in sorted(self.light_replicas):
-            light = self.light_replicas[name]
-            if not light.crashed:
-                light.resync()
+        best = self._heaviest()
+        return self.replicas[best[1]] if best is not None else None
 
     def honest_names(self) -> Set[str]:
         """Replicas not marked byzantine."""

@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.chain.block import ChainRecord, RecordKind
 from repro.chain.consensus import MinedEvent, MiningSimulation
 from repro.chain.pow import PAPER_DIFFICULTY, PAPER_MEAN_BLOCK_TIME
-from repro.compat import warn_deprecated
 from repro.contracts.gas import DEFAULT_GAS_SCHEDULE
 from repro.contracts.smartcrowd_contract import SmartCrowdContract
 from repro.contracts.state import InsufficientFunds
@@ -246,15 +245,6 @@ class SmartCrowdPlatform:
             time = self.now
         heapq.heappush(self._actions, (time, next(self._action_seq), action))
 
-    def schedule(self, at_time: float, action: Callable[[], None]) -> None:
-        """Deprecated spelling of :meth:`schedule_at` (warns once)."""
-        warn_deprecated(
-            "SmartCrowdPlatform.schedule",
-            "SmartCrowdPlatform.schedule_at",
-            extra="(the argument is an absolute time, matching Simulator.schedule_at)",
-        )
-        self.schedule_at(at_time, action)
-
     def _process_actions(self, up_to: float) -> None:
         while self._actions and self._actions[0][0] <= up_to + 1e-12:
             fire_time, _, action = heapq.heappop(self._actions)
@@ -270,14 +260,6 @@ class SmartCrowdPlatform:
         mined events themselves are kept in :attr:`last_mined_events`
         (or subscribe via ``platform.mining.add_listener``).
         """
-        self.last_mined_events = self._advance(deadline)
-        return len(self.last_mined_events)
-
-    def advance_for(self, duration: float) -> int:
-        """Advance by ``duration`` seconds; returns blocks mined."""
-        return self.advance_until(self.now + duration)
-
-    def _advance(self, deadline: float) -> List[MinedEvent]:
         events: List[MinedEvent] = []
         while True:
             outcome = self.mining.model.next_block()
@@ -286,34 +268,15 @@ class SmartCrowdPlatform:
                 self._process_actions(deadline)
                 self.mining.clock = deadline
                 self.runtime.advance_time(max(self.runtime.block_time, deadline))
-                return events
+                self.last_mined_events = events
+                return len(events)
             self._process_actions(block_time)
             self.runtime.advance_time(max(self.runtime.block_time, block_time))
             events.append(self.mining.apply_outcome(outcome))
 
-    def run_until(self, deadline: float) -> List[MinedEvent]:
-        """Deprecated spelling of :meth:`advance_until` (warns once).
-
-        Kept with its historical return type — the list of mined
-        events — so existing callers keep working.
-        """
-        warn_deprecated(
-            "SmartCrowdPlatform.run_until",
-            "SmartCrowdPlatform.advance_until",
-            extra="(advance_until returns the count; events are in last_mined_events)",
-        )
-        self.last_mined_events = self._advance(deadline)
-        return self.last_mined_events
-
-    def run_for(self, duration: float) -> List[MinedEvent]:
-        """Deprecated spelling of :meth:`advance_for` (warns once)."""
-        warn_deprecated(
-            "SmartCrowdPlatform.run_for",
-            "SmartCrowdPlatform.advance_for",
-            extra="(advance_for returns the count; events are in last_mined_events)",
-        )
-        self.last_mined_events = self._advance(self.now + duration)
-        return self.last_mined_events
+    def advance_for(self, duration: float) -> int:
+        """Advance by ``duration`` seconds; returns blocks mined."""
+        return self.advance_until(self.now + duration)
 
     # -- Phase #1: release announcement ---------------------------------------
 

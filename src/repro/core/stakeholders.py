@@ -33,7 +33,6 @@ import random
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.compat import warn_deprecated
 from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.mempool import Mempool
 from repro.chain.pow import MiningModel
@@ -67,13 +66,8 @@ __all__ = [
     "DecentralizedDeployment",
 ]
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit value, so
-#: the legacy persistence kwargs can warn only when actually used.
-_UNSET = object()
-
-
-def _resolve_deployment_shape(spec, store_dir, store_snapshot_interval):
-    """Reconcile ``spec=`` with the legacy persistence kwargs.
+def _persistence_from(spec) -> Tuple[Optional[str], int]:
+    """``(store_dir, snapshot_interval)`` a deployment takes from ``spec``.
 
     The deployment's fleet shape is fixed by ``provider_shares`` /
     ``detectors`` / ``consumers`` (named stakeholders on a complete
@@ -81,50 +75,25 @@ def _resolve_deployment_shape(spec, store_dir, store_snapshot_interval):
     its persistence knobs here — and must not ask for light replicas or
     sharding, which the stakeholder workflow does not model.
     """
-    from repro.shard.spec import FleetSpec
+    from repro.shard.spec import FleetSpec  # repro.shard builds on repro.core
 
-    passed = [
-        name
-        for name, value in (
-            ("store_dir", store_dir),
-            ("store_snapshot_interval", store_snapshot_interval),
+    if spec is None:
+        return None, 512
+    if not isinstance(spec, FleetSpec):
+        raise TypeError(f"spec must be a FleetSpec, got {type(spec).__name__}")
+    if spec.light_nodes:
+        raise ValueError(
+            "DecentralizedDeployment has no light replicas; use "
+            "DistributedChain or ShardedSimulator for "
+            f"spec.light_nodes={spec.light_nodes}"
         )
-        if value is not _UNSET
-    ]
-    if spec is not None:
-        if not isinstance(spec, FleetSpec):
-            raise TypeError(
-                f"spec must be a FleetSpec, got {type(spec).__name__}"
-            )
-        if passed:
-            raise ValueError(
-                "DecentralizedDeployment got both spec= and legacy "
-                f"persistence kwargs ({', '.join(passed)}); describe the "
-                "fleet once"
-            )
-        if spec.light_nodes:
-            raise ValueError(
-                "DecentralizedDeployment has no light replicas; use "
-                "DistributedChain or ShardedSimulator for "
-                f"spec.light_nodes={spec.light_nodes}"
-            )
-        if spec.shards != 1:
-            raise ValueError(
-                "DecentralizedDeployment is single-process; run "
-                f"spec.shards={spec.shards} through "
-                "repro.shard.ShardedSimulator, or pass spec.unsharded()"
-            )
-        return spec.store_dir, spec.store_snapshot_interval
-    for name in passed:
-        warn_deprecated(
-            f"DecentralizedDeployment({name}=)",
-            "DecentralizedDeployment(spec=FleetSpec(...))",
-            extra="FleetSpec carries the whole fleet shape in one object.",
+    if spec.shards != 1:
+        raise ValueError(
+            "DecentralizedDeployment is single-process; run "
+            f"spec.shards={spec.shards} through "
+            "repro.shard.ShardedSimulator, or pass spec.unsharded()"
         )
-    return (
-        store_dir if store_dir is not _UNSET else None,
-        store_snapshot_interval if store_snapshot_interval is not _UNSET else 512,
-    )
+    return spec.store_dir, spec.store_snapshot_interval
 
 
 class SystemDirectory:
@@ -556,13 +525,9 @@ class DecentralizedDeployment:
         seed: int = 0,
         retry_policy=None,
         telemetry: Optional[Telemetry] = None,
-        store_dir=_UNSET,  # deprecated: pass spec=
-        store_snapshot_interval: int = _UNSET,  # deprecated: pass spec=
         spec=None,
     ) -> None:
-        store_dir, store_snapshot_interval = _resolve_deployment_shape(
-            spec, store_dir, store_snapshot_interval,
-        )
+        store_dir, store_snapshot_interval = _persistence_from(spec)
         self.spec = spec
         rng = random.Random(seed)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -730,13 +695,6 @@ class DecentralizedDeployment:
                 )
             self._fire_confirmations()
 
-    def run_for(self, duration: float) -> int:
-        """Deprecated spelling of :meth:`advance_for` (warns once)."""
-        warn_deprecated(
-            "DecentralizedDeployment.run_for", "DecentralizedDeployment.advance_for"
-        )
-        return self.advance_for(duration)
-
     def _fire_confirmations(self) -> None:
         """Trigger contracts for records the observer sees as confirmed."""
         observer = self._alive_observer()
@@ -797,6 +755,12 @@ class DecentralizedDeployment:
     def restart(self, name: str) -> None:
         """Restart a crashed stakeholder; its recovery hooks run."""
         self.network.restart_node(name)
+
+    def close(self) -> None:
+        """Release every provider's store handle (safe to call twice)."""
+        for provider in self.providers.values():
+            if provider.store is not None:
+                provider.store.close()
 
     # -- views ---------------------------------------------------------------
 

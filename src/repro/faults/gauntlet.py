@@ -37,6 +37,7 @@ from repro.faults.invariants import (
 )
 from repro.faults.plan import ChaosPlan
 from repro.faults.retry import RetryPolicy
+from repro.shard.spec import FleetSpec
 from repro.store import fsck
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -465,72 +466,73 @@ def run_disk_fault_gauntlet(
     )
     try:
         shares = {f"provider-{i}": 0.2 for i in range(1, 6)}
-        fleet = DistributedChain(
-            shares,
-            mean_block_time=5.0,
-            seed=seed,
+        spec = FleetSpec(
+            full_nodes=len(shares),
             store_dir=str(root),
             store_snapshot_interval=snapshot_interval,
         )
-        names = sorted(shares)
-        victim = names[seed % len(names)]
-        reference = next(name for name in names if name != victim)
+        with DistributedChain(
+            shares, mean_block_time=5.0, seed=seed, spec=spec
+        ) as fleet:
+            names = sorted(shares)
+            victim = names[seed % len(names)]
+            reference = next(name for name in names if name != victim)
 
-        plan = ChaosPlan().crash(victim, at=150.0)
-        if scenario == "torn_write":
-            plan.torn_write(victim, at=170.0)
-        elif scenario == "bit_flip":
-            plan.bit_flip(victim, at=170.0)
-        else:
-            plan.drop_snapshot(victim, at=170.0)
-        plan.restart(victim, at=230.0)
-        injector = FaultInjector(
-            fleet.simulator, fleet.network, plan, rng=random.Random(seed + 11)
-        )
-        injector.arm()
+            plan = ChaosPlan().crash(victim, at=150.0)
+            if scenario == "torn_write":
+                plan.torn_write(victim, at=170.0)
+            elif scenario == "bit_flip":
+                plan.bit_flip(victim, at=170.0)
+            else:
+                plan.drop_snapshot(victim, at=170.0)
+            plan.restart(victim, at=230.0)
+            injector = FaultInjector(
+                fleet.simulator, fleet.network, plan, rng=random.Random(seed + 11)
+            )
+            injector.arm()
 
-        victim_node = fleet.replicas[victim]
-        assert victim_node.store is not None
-        probe: Dict[str, object] = {}
+            victim_node = fleet.replicas[victim]
+            assert victim_node.store is not None
+            probe: Dict[str, object] = {}
 
-        def _probe_down_store() -> None:
-            # What an operator's fsck would see on the dead node's disk.
-            report = fsck(victim_node.store.path)
-            probe["ok"] = report.ok
-            probe["kinds"] = sorted({issue.kind for issue in report.issues})
+            def _probe_down_store() -> None:
+                # What an operator's fsck would see on the dead node's disk.
+                report = fsck(victim_node.store.path)
+                probe["ok"] = report.ok
+                probe["kinds"] = sorted({issue.kind for issue in report.issues})
 
-        fleet.simulator.schedule_at(200.0, _probe_down_store)
+            fleet.simulator.schedule_at(200.0, _probe_down_store)
 
-        while fleet.simulator.now < 420.0:
-            fleet.step()
-        fleet.finalize()
+            while fleet.simulator.now < 420.0:
+                fleet.step()
+            fleet.finalize()
 
-        machine = LedgerStateMachine()
-        state, nonces = machine.replay(fleet.replicas[victim].chain)
-        replay = victim_node.store.replay_ledger()
-        ledger_match = (
-            replay.state.snapshot() == state.snapshot()
-            and replay.nonces == nonces
-        )
-        return DiskGauntletResult(
-            seed=seed,
-            scenario=scenario,
-            victim=victim,
-            blocks_mined=fleet.blocks_mined,
-            faults_applied=injector.faults_applied,
-            fault_log=list(injector.log),
-            corruption_detected=probe.get("ok") is False,
-            corruption_kinds=list(probe.get("kinds", [])),
-            store_recoveries=victim_node.store_recoveries,
-            chain_match=(
-                confirmed_chain_bytes(fleet.replicas[victim].chain)
-                == confirmed_chain_bytes(fleet.replicas[reference].chain)
-                != b""
-            ),
-            ledger_match=ledger_match,
-            fsck_clean_after=fsck(victim_node.store.path).ok,
-            converged=fleet.converged(),
-        )
+            machine = LedgerStateMachine()
+            state, nonces = machine.replay(fleet.replicas[victim].chain)
+            replay = victim_node.store.replay_ledger()
+            ledger_match = (
+                replay.state.snapshot() == state.snapshot()
+                and replay.nonces == nonces
+            )
+            return DiskGauntletResult(
+                seed=seed,
+                scenario=scenario,
+                victim=victim,
+                blocks_mined=fleet.blocks_mined,
+                faults_applied=injector.faults_applied,
+                fault_log=list(injector.log),
+                corruption_detected=probe.get("ok") is False,
+                corruption_kinds=list(probe.get("kinds", [])),
+                store_recoveries=victim_node.store_recoveries,
+                chain_match=(
+                    confirmed_chain_bytes(fleet.replicas[victim].chain)
+                    == confirmed_chain_bytes(fleet.replicas[reference].chain)
+                    != b""
+                ),
+                ledger_match=ledger_match,
+                fsck_clean_after=fsck(victim_node.store.path).ok,
+                converged=fleet.converged(),
+            )
     finally:
         if cleanup:
             shutil.rmtree(root, ignore_errors=True)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, List, Optional
 
-from repro.compat import warn_deprecated
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["Simulator", "ScheduledEvent"]
@@ -179,15 +178,3 @@ class Simulator:
     def advance_for(self, duration: float) -> int:
         """Fire all events within the next ``duration`` seconds."""
         return self.advance_until(self._now + duration)
-
-    # -- deprecated spellings (pre-unification) -----------------------------
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Deprecated spelling of :meth:`advance` (warns once)."""
-        warn_deprecated("Simulator.run", "Simulator.advance")
-        return self.advance(max_events)
-
-    def run_until(self, deadline: float) -> int:
-        """Deprecated spelling of :meth:`advance_until` (warns once)."""
-        warn_deprecated("Simulator.run_until", "Simulator.advance_until")
-        return self.advance_until(deadline)

@@ -8,10 +8,16 @@ overlay graph, and replica/light-replica nodes for the members it owns.
 Shards advance in lock-step *epochs*: all shards run to the same
 deadline, then cross-shard inv/getdata/payload traffic — flattened to
 length-prefixed frames (:mod:`repro.shard.frames`) — is exchanged at
-the barrier and scheduled into its destination shard.  The control
-plane (PoW winner sampling, the honest mempool, crash/restart and disk
-faults, scheduled callbacks) stays on the coordinator, exactly where
-:class:`~repro.core.distributed.DistributedChain` keeps it.
+the barrier and scheduled into its destination shard.
+
+:class:`ShardState` is the only code that builds or reconciles a fleet:
+:class:`~repro.core.distributed.DistributedChain` is one such world
+driven in process with direct access, and the control plane (PoW winner
+sampling, record feeds, the mining round, the finalize pass) is
+:class:`~repro.core.distributed.FleetControlPlane` for both engines.
+The coordinator reaches its worlds through one generic dispatch —
+"call this method on these shards, in shard order" — that the serial
+oracle and the worker loop share.
 
 Determinism contract, in decreasing strength:
 
@@ -24,8 +30,8 @@ Determinism contract, in decreasing strength:
    *parity oracle* the test suite holds every parallel run against.
 2. A one-shard fleet is bit-identical to the unsharded engine:
    ``ShardedSimulator(spec.unsharded())`` reproduces
-   ``DistributedChain`` draw-for-draw (same rng consumption order,
-   same construction order, same mining loop).
+   ``DistributedChain`` draw-for-draw — same world, same control plane;
+   only the epoch barriers and the dispatch sit between them.
 3. The shard *count* is part of the experiment configuration, like the
    topology: runs with different shard counts are each internally
    deterministic but not bit-identical to each other, because barrier
@@ -34,7 +40,7 @@ Determinism contract, in decreasing strength:
 Worker processes are persistent (one round-trip per epoch, not per
 event) and rebuild their shards from a small picklable blueprint — no
 topology graphs or node objects ever cross the process boundary, only
-command tuples and frame bytes.
+``(verb, arguments per shard)`` commands and their results.
 """
 
 from __future__ import annotations
@@ -45,18 +51,31 @@ import multiprocessing
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from types import SimpleNamespace
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.chain.block import Block, ChainRecord
-from repro.chain.chain import Blockchain
 from repro.chain.consensus import make_genesis
-from repro.chain.pow import MiningModel
-from repro.chain.serialization import decode_block, encode_block, export_chain, import_chain
+from repro.chain.serialization import export_chain, import_chain
 from repro.core.distributed import (
+    Candidate,
+    FleetControlPlane,
     LightReplicaNode,
     RecordCheck,
     ReplicaNode,
     _interleave,
+    heaviest,
 )
 from repro.faults.invariants import confirmed_chain_bytes
 from repro.network.gossip import GossipNetwork, build_topology
@@ -69,7 +88,7 @@ from repro.shard.frames import (
     decode_frames,
     encode_frames,
 )
-from repro.shard.plan import ShardPlan, build_plan, derive_shard_seeds
+from repro.shard.plan import ShardPlan
 from repro.shard.spec import FleetSpec
 from repro.store import ChainStore, HeaderStore
 from repro.store.faultinject import (
@@ -82,9 +101,25 @@ from repro.telemetry import Telemetry
 
 __all__ = ["ShardGateway", "ShardState", "ShardedSimulator"]
 
-#: Disk-fault kinds :meth:`ShardedSimulator.inject_store_fault` accepts,
+#: Disk faults :meth:`ShardedSimulator.inject_store_fault` accepts,
 #: mirroring :class:`repro.faults.plan.FaultKind`'s disk faults.
-_STORE_FAULTS = ("torn_write", "bit_flip", "drop_snapshot", "drop_index")
+_STORE_FAULTS = {
+    "torn_write": tear_frame,
+    "bit_flip": flip_bit,
+    "drop_snapshot": drop_snapshots,
+    "drop_index": drop_index_file,
+}
+
+#: The per-member counters :meth:`ShardState.counters` reports.
+_LIFECYCLE_COUNTERS = ("crash_count", "restart_count", "store_recoveries")
+_REPLICA_COUNTERS = (
+    "blocks_accepted",
+    "blocks_rejected",
+    "resyncs_performed",
+    "blocks_resynced",
+    *_LIFECYCLE_COUNTERS,
+)
+_LIGHT_COUNTERS = ("headers_accepted", "header_resyncs", *_LIFECYCLE_COUNTERS)
 
 #: Settle rounds before declaring the boundary traffic non-quiescent.
 #: Dedup guarantees each content item crosses each link at most once,
@@ -196,18 +231,9 @@ class ShardGateway:
         return {dst: encode_frames(frames) for dst, frames in grouped.items()}
 
 
-class _ChainDonor:
-    """The minimal peer shape :meth:`ReplicaNode.resync_from` reads."""
-
-    __slots__ = ("chain",)
-
-    def __init__(self, chain: Blockchain) -> None:
-        self.chain = chain
-
-
 @dataclass(frozen=True)
 class _Blueprint:
-    """Everything a worker needs to rebuild its shards, picklably.
+    """Everything needed to build a fleet's worlds, picklably.
 
     Topology graphs and node objects never cross the process boundary:
     each worker re-derives them from the spec and the seeds, which is
@@ -216,6 +242,8 @@ class _Blueprint:
     """
 
     spec: FleetSpec
+    #: Full-node names in fleet order (the spec only carries the count).
+    full_names: Tuple[str, ...]
     assignments: Tuple[Tuple[str, ...], ...]
     topo_seed: int
     shard_seeds: Tuple[int, ...]
@@ -228,12 +256,15 @@ class _Blueprint:
 
 
 class ShardState:
-    """One shard's complete world: simulator, overlay, replicas.
+    """One complete world: simulator, overlay, replicas.
 
-    Construction mirrors :class:`~repro.core.distributed.
-    DistributedChain` exactly — full replicas first (fleet order), then
-    light replicas — so a one-shard fleet is the unsharded engine,
-    object for object and rng draw for rng draw.
+    The only place a fleet is built or reconciled.  Full replicas are
+    constructed first (fleet order), then light replicas; that order,
+    like the rng draw order in
+    :class:`~repro.core.distributed.FleetControlPlane`, is part of the
+    seeded-results contract.  A world owning the whole fleet is what
+    :class:`~repro.core.distributed.DistributedChain` drives directly;
+    one of several routes boundary traffic through its gateway.
     """
 
     def __init__(self, blueprint: _Blueprint, index: int) -> None:
@@ -242,7 +273,7 @@ class ShardState:
         self.confirmation_depth = blueprint.confirmation_depth
         self.telemetry = Telemetry() if blueprint.telemetry_enabled else None
         self.simulator = Simulator(telemetry=self.telemetry)
-        ring_order = _interleave(spec.full_names(), spec.light_names())
+        ring_order = _interleave(list(blueprint.full_names), spec.light_names())
         config = spec.network
         # Every shard builds the same full overlay graph from the same
         # seed; edges whose far end lives elsewhere route through the
@@ -271,12 +302,17 @@ class ShardState:
         if plan.shards > 1:
             self.network.remote_gateway = self.gateway
         genesis = make_genesis(difficulty=blueprint.difficulty)
-        self._genesis = genesis
+        # With a store_dir every member persists to its own
+        # subdirectory and restarts recover from disk.  Persistence
+        # draws no randomness and schedules no events, so the fleet's
+        # trajectory is bit-identical with or without it.
         store_dir = Path(spec.store_dir) if spec.store_dir is not None else None
-        full_set = frozenset(spec.full_names())
+        full_set = frozenset(blueprint.full_names)
         members = plan.members(index)
         self.replicas: Dict[str, ReplicaNode] = {}
         for name in (n for n in members if n in full_set):
+            # Byzantine replicas skip the semantic check on their own
+            # copy (they will happily build on forged records).
             check = None if name in blueprint.byzantine else blueprint.record_check
             store = (
                 ChainStore(
@@ -373,8 +409,11 @@ class ShardState:
 
     def mine(
         self, winner: str, records: Tuple[ChainRecord, ...], difficulty: int
-    ) -> Optional[bytes]:
-        """The sampled winner extends its own head and announces."""
+    ) -> Optional[Block]:
+        """The sampled winner extends its own head and announces.
+
+        None when the winner is crashed: its hashpower is offline.
+        """
         replica = self.replicas[winner]
         if replica.crashed:
             return None
@@ -383,7 +422,7 @@ class ShardState:
         )
         replica.receive_block(block)
         replica.broadcast(MessageKind.BLOCK_ANNOUNCE, block)
-        return encode_block(block)
+        return block
 
     def _node(self, name: str):
         node = self.replicas.get(name) or self.light_replicas.get(name)
@@ -392,67 +431,43 @@ class ShardState:
         return node
 
     def crash(self, name: str) -> None:
+        """Crash a member (full or light): no receives, no mining."""
         self._node(name).crash()
 
     def restart(self, name: str) -> None:
+        """Restart a member; its recovery hooks run."""
         self._node(name).restart()
 
     def store_fault(self, name: str, kind: str, params: Dict[str, Any]) -> None:
         """Corrupt a (crashed) member's durable store in place."""
-        node = self._node(name)
-        store = getattr(node, "store", None)
+        store = self._node(name).store
         if store is None:
             raise ValueError(f"{name!r} has no durable store attached")
-        if kind == "torn_write":
-            tear_frame(store, **params)
-        elif kind == "bit_flip":
-            flip_bit(store, **params)
-        elif kind == "drop_snapshot":
-            drop_snapshots(store, **params)
-        elif kind == "drop_index":
-            drop_index_file(store)
-        else:
-            raise ValueError(f"unknown store fault {kind!r} (use {_STORE_FAULTS})")
+        _STORE_FAULTS[kind](store, **params)
 
     # -- reconciliation ----------------------------------------------------
 
-    def heaviest_candidate(self) -> Optional[Tuple[int, str, bytes]]:
-        """(total difficulty, name, head id) of the best alive replica.
-
-        Name-sorted with strictly-heavier replacement — the same
-        tie-break :meth:`DistributedChain._heaviest_replica` applies, so
-        the coordinator's global pick over per-shard candidates matches
-        what the unsharded engine would have picked over the whole fleet.
-        """
-        best: Optional[ReplicaNode] = None
-        for name in sorted(self.replicas):
-            replica = self.replicas[name]
-            if replica.crashed:
-                continue
-            if (
-                best is None
-                or replica.chain.total_difficulty() > best.chain.total_difficulty()
-            ):
-                best = replica
-        if best is None:
-            return None
-        return best.chain.total_difficulty(), best.name, best.head_id()
+    def heaviest_candidate(self) -> Optional[Candidate]:
+        """(total difficulty, name, head id) of the best alive replica."""
+        return heaviest(
+            (replica.chain.total_difficulty(), name, replica.head_id())
+            for name, replica in self.replicas.items()
+            if not replica.crashed
+        )
 
     def export_replica_chain(self, name: str) -> bytes:
         """The named replica's canonical chain, serialized."""
         return export_chain(self.replicas[name].chain)
 
-    def adopt(self, chain_blob: bytes, winner: str) -> None:
-        """Close residual gaps against the fleet-wide heaviest chain.
+    def reconcile(self, donor, winner: str) -> None:
+        """Finalize's resync pass against the fleet's heaviest chain.
 
-        Mirrors :meth:`DistributedChain.finalize`'s resync pass, with
-        the donor being the *imported* winner chain rather than a live
-        peer object — byte-identical content, so the walk, the adopted
-        blocks, and the resync counters all come out the same.
+        ``donor`` is anything :meth:`ReplicaNode.resync_from` can read
+        a ``.chain`` off — the live ``winner`` replica when it lives in
+        this world, an imported copy otherwise.  Stragglers pull the
+        gap through the normal validated path; light replicas then
+        resync from their in-world servers.
         """
-        donor = _ChainDonor(
-            import_chain(chain_blob, confirmation_depth=self.confirmation_depth)
-        )
         winner_head = donor.chain.head.block_id
         for name in sorted(self.replicas):
             replica = self.replicas[name]
@@ -465,7 +480,42 @@ class ShardState:
             if not light.crashed:
                 light.resync()
 
+    def adopt(self, chain_blob: bytes, winner: str) -> None:
+        """:meth:`reconcile` against a serialized winner chain.
+
+        Byte-identical content to the live replica, so the walk, the
+        adopted blocks, and the resync counters all come out the same.
+        """
+        chain = import_chain(chain_blob, confirmation_depth=self.confirmation_depth)
+        self.reconcile(SimpleNamespace(chain=chain), winner)
+
     # -- inspection --------------------------------------------------------
+
+    def heads(self) -> Dict[str, bytes]:
+        """Each full replica's canonical head id."""
+        return {name: replica.head_id() for name, replica in self.replicas.items()}
+
+    def light_heads(self) -> Dict[str, bytes]:
+        """Each light replica's best header id."""
+        return {name: light.tip_id() for name, light in self.light_replicas.items()}
+
+    def chain_bytes(self) -> Dict[str, bytes]:
+        """Each full replica's confirmed chain, serialized."""
+        return {
+            name: confirmed_chain_bytes(replica.chain)
+            for name, replica in self.replicas.items()
+        }
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        """Per-member accept/reject/resync/lifecycle counters."""
+        return {
+            name: {field: getattr(node, field) for field in fields}
+            for nodes, fields in (
+                (self.replicas, _REPLICA_COUNTERS),
+                (self.light_replicas, _LIGHT_COUNTERS),
+            )
+            for name, node in nodes.items()
+        }
 
     def snapshot(self, fields: Tuple[str, ...]) -> Dict[str, Any]:
         """The requested views only, as picklable primitives.
@@ -475,138 +525,73 @@ class ShardState:
         every replica's confirmed chain — a 100k-node bench run must be
         able to poll heads without paying for the latter.
         """
-        result: Dict[str, Any] = {}
-        for field in fields:
-            if field == "heads":
-                result[field] = {
-                    name: replica.head_id()
-                    for name, replica in self.replicas.items()
-                }
-            elif field == "light_heads":
-                result[field] = {
-                    name: light.tip_id()
-                    for name, light in self.light_replicas.items()
-                }
-            elif field == "chain_bytes":
-                result[field] = {
-                    name: confirmed_chain_bytes(replica.chain)
-                    for name, replica in self.replicas.items()
-                }
-            elif field == "candidate":
-                result[field] = self.heaviest_candidate()
-            elif field == "summary":
-                result[field] = self.network.summary()
-            elif field == "counters":
-                counters: Dict[str, Dict[str, int]] = {}
-                for name, replica in self.replicas.items():
-                    counters[name] = {
-                        "blocks_accepted": replica.blocks_accepted,
-                        "blocks_rejected": replica.blocks_rejected,
-                        "resyncs_performed": replica.resyncs_performed,
-                        "blocks_resynced": replica.blocks_resynced,
-                        "crash_count": replica.crash_count,
-                        "restart_count": replica.restart_count,
-                        "store_recoveries": replica.store_recoveries,
-                    }
-                for name, light in self.light_replicas.items():
-                    counters[name] = {
-                        "headers_accepted": light.headers_accepted,
-                        "header_resyncs": light.header_resyncs,
-                        "crash_count": light.crash_count,
-                        "restart_count": light.restart_count,
-                        "store_recoveries": light.store_recoveries,
-                    }
-                result[field] = counters
-            else:
-                raise ValueError(f"unknown snapshot field {field!r}")
-        return result
+        views = {
+            "heads": self.heads,
+            "light_heads": self.light_heads,
+            "chain_bytes": self.chain_bytes,
+            "summary": self.network.summary,
+            "counters": self.counters,
+        }
+        unknown = [field for field in fields if field not in views]
+        if unknown:
+            raise ValueError(f"unknown snapshot fields {unknown}")
+        return {field: views[field]() for field in fields}
 
     def telemetry_payload(self) -> Optional[Dict[str, Any]]:
         return self.telemetry.snapshot_payload() if self.telemetry else None
 
     def close(self) -> None:
+        """Release every member's store handles (idempotent)."""
         for node in (*self.replicas.values(), *self.light_replicas.values()):
-            store = getattr(node, "store", None)
-            if store is not None:
-                close = getattr(store, "close", None)
-                if close is not None:
-                    close()
+            if node.store is not None:
+                node.store.close()
 
 
-def _build_states(blueprint: _Blueprint, owned: Tuple[int, ...]) -> Dict[int, ShardState]:
+def _build_states(blueprint: _Blueprint, owned: Iterable[int]) -> Dict[int, ShardState]:
     return {index: ShardState(blueprint, index) for index in owned}
 
 
+def _dispatch(
+    states: Mapping[int, ShardState], verb: str, per_shard: Mapping[int, Tuple]
+) -> Dict[int, Any]:
+    """Call ``verb(*args)`` on each named shard, in ascending shard order.
+
+    The whole coordinator-to-world protocol: the serial executor and the
+    worker loop both answer a request by calling this, so a world verb
+    is spelled once — as a :class:`ShardState` method.
+    """
+    method = None if verb.startswith("_") else getattr(ShardState, verb, None)
+    if not callable(method):
+        raise ValueError(f"unknown shard verb {verb!r}")
+    return {
+        index: method(states[index], *per_shard[index])
+        for index in sorted(per_shard)
+    }
+
+
 def _shard_worker(conn, blueprint: _Blueprint, owned: Tuple[int, ...]) -> None:
-    """Persistent worker: owns a set of shards, serves command tuples."""
+    """Persistent worker: owns a set of shards, answers dispatch requests.
+
+    A request is ``(verb, {shard: args})``, a reply ``("ok", {shard:
+    result})`` or ``("error", description)``; ``None`` (or a closed
+    pipe) ends the loop.
+    """
     states = _build_states(blueprint, owned)
     try:
         while True:
-            command = conn.recv()
-            op = command[0]
-            if op == "stop":
-                for state in states.values():
-                    state.close()
-                conn.send(("ok", None))
+            request = conn.recv()
+            if request is None:
                 return
             try:
-                if op == "epoch":
-                    _, target = command
-                    result = {
-                        index: states[index].run_epoch(target)
-                        for index in sorted(states)
-                    }
-                elif op == "settle":
-                    result = {
-                        index: states[index].settle_round()
-                        for index in sorted(states)
-                    }
-                elif op == "collect":
-                    _, fields = command
-                    result = {
-                        index: states[index].snapshot(fields)
-                        for index in sorted(states)
-                    }
-                elif op == "inject":
-                    _, barrier_time, per_shard = command
-                    for index in sorted(per_shard):
-                        states[index].inject(per_shard[index], barrier_time)
-                    result = None
-                elif op == "mine":
-                    _, index, winner, records, difficulty = command
-                    result = states[index].mine(winner, records, difficulty)
-                elif op == "crash":
-                    _, index, name = command
-                    states[index].crash(name)
-                    result = None
-                elif op == "restart":
-                    _, index, name = command
-                    states[index].restart(name)
-                    result = None
-                elif op == "store_fault":
-                    _, index, name, kind, params = command
-                    states[index].store_fault(name, kind, params)
-                    result = None
-                elif op == "export":
-                    _, index, name = command
-                    result = states[index].export_replica_chain(name)
-                elif op == "adopt":
-                    _, blob, winner = command
-                    for index in sorted(states):
-                        states[index].adopt(blob, winner)
-                    result = None
-                elif op == "telemetry":
-                    result = {
-                        index: states[index].telemetry_payload()
-                        for index in sorted(states)
-                    }
-                else:
-                    raise ValueError(f"unknown worker command {op!r}")
-                conn.send(("ok", result))
+                reply = ("ok", _dispatch(states, *request))
             except Exception as exc:  # ship the failure, keep serving
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+                reply = ("error", f"{type(exc).__name__}: {exc}")
+            conn.send(reply)
     except (EOFError, KeyboardInterrupt):
         pass
+    finally:
+        for state in states.values():
+            state.close()
 
 
 class _SerialExecutor:
@@ -617,70 +602,10 @@ class _SerialExecutor:
     """
 
     def __init__(self, blueprint: _Blueprint) -> None:
-        self.states = _build_states(
-            blueprint, tuple(range(blueprint.spec.shards))
-        )
+        self.states = _build_states(blueprint, range(blueprint.spec.shards))
 
-    def run_epoch(self, target: float) -> Tuple[int, Dict[int, Dict[int, bytes]]]:
-        fired = 0
-        outboxes: Dict[int, Dict[int, bytes]] = {}
-        for index in sorted(self.states):
-            count, frames = self.states[index].run_epoch(target)
-            fired += count
-            if frames:
-                outboxes[index] = frames
-        return fired, outboxes
-
-    def settle_round(self) -> Tuple[int, float, Dict[int, Dict[int, bytes]]]:
-        fired = 0
-        latest = 0.0
-        outboxes: Dict[int, Dict[int, bytes]] = {}
-        for index in sorted(self.states):
-            count, now, frames = self.states[index].settle_round()
-            fired += count
-            latest = max(latest, now)
-            if frames:
-                outboxes[index] = frames
-        return fired, latest, outboxes
-
-    def inject(self, routed: Dict[int, bytes], barrier_time: Optional[float]) -> None:
-        for index in sorted(routed):
-            self.states[index].inject(routed[index], barrier_time)
-
-    def mine(
-        self, index: int, winner: str, records: Tuple[ChainRecord, ...], difficulty: int
-    ) -> Optional[bytes]:
-        return self.states[index].mine(winner, records, difficulty)
-
-    def crash(self, index: int, name: str) -> None:
-        self.states[index].crash(name)
-
-    def restart(self, index: int, name: str) -> None:
-        self.states[index].restart(name)
-
-    def store_fault(
-        self, index: int, name: str, kind: str, params: Dict[str, Any]
-    ) -> None:
-        self.states[index].store_fault(name, kind, params)
-
-    def export_chain(self, index: int, name: str) -> bytes:
-        return self.states[index].export_replica_chain(name)
-
-    def adopt(self, blob: bytes, winner: str) -> None:
-        for index in sorted(self.states):
-            self.states[index].adopt(blob, winner)
-
-    def collect(self, fields: Tuple[str, ...]) -> Dict[int, Dict[str, Any]]:
-        return {
-            index: self.states[index].snapshot(fields)
-            for index in sorted(self.states)
-        }
-
-    def telemetry_payloads(self) -> Dict[int, Optional[Dict[str, Any]]]:
-        return {
-            index: self.states[index].telemetry_payload()
-            for index in sorted(self.states)
-        }
+    def call(self, verb: str, per_shard: Mapping[int, Tuple]) -> Dict[int, Any]:
+        return _dispatch(self.states, verb, per_shard)
 
     def close(self) -> None:
         for state in self.states.values():
@@ -696,13 +621,12 @@ class _ProcessExecutor:
         except ValueError:  # pragma: no cover - non-POSIX fallback
             context = multiprocessing.get_context()
         shards = blueprint.spec.shards
-        self._owner: Dict[int, int] = {
-            shard: shard % workers for shard in range(shards)
-        }
+        self._owned: List[Tuple[int, ...]] = [
+            tuple(range(worker, shards, workers)) for worker in range(workers)
+        ]
         self._pipes = []
         self._procs = []
-        for worker in range(workers):
-            owned = tuple(s for s in range(shards) if s % workers == worker)
+        for owned in self._owned:
             parent_conn, child_conn = context.Pipe()
             proc = context.Process(
                 target=_shard_worker,
@@ -714,96 +638,55 @@ class _ProcessExecutor:
             self._pipes.append(parent_conn)
             self._procs.append(proc)
 
-    def _gather(self, results: List[Any]) -> List[Any]:
-        unwrapped = []
-        for status, value in results:
-            if status != "ok":
-                raise RuntimeError(f"shard worker failed: {value}")
-            unwrapped.append(value)
-        return unwrapped
+    def _died(self, worker: int) -> RuntimeError:
+        proc = self._procs[worker]
+        proc.join(timeout=5)
+        return RuntimeError(
+            f"shard worker {worker} (shards {list(self._owned[worker])}) died "
+            f"with exit code {proc.exitcode}"
+        )
 
-    def _broadcast(self, command: Tuple) -> List[Any]:
-        for pipe in self._pipes:
-            pipe.send(command)
-        return self._gather([pipe.recv() for pipe in self._pipes])
-
-    def _send_owner(self, shard: int, command: Tuple) -> Any:
-        pipe = self._pipes[self._owner[shard]]
-        pipe.send(command)
-        return self._gather([pipe.recv()])[0]
-
-    def _merge_shard_maps(self, per_worker: List[Dict[int, Any]]) -> Dict[int, Any]:
+    def call(self, verb: str, per_shard: Mapping[int, Tuple]) -> Dict[int, Any]:
+        workers = len(self._pipes)
+        requests: Dict[int, Dict[int, Tuple]] = {}
+        for shard, args in per_shard.items():
+            requests.setdefault(shard % workers, {})[shard] = args
+        failure: Optional[RuntimeError] = None
+        asked = []
+        for worker, mapping in requests.items():
+            try:
+                self._pipes[worker].send((verb, mapping))
+                asked.append(worker)
+            except OSError:
+                failure = failure or self._died(worker)
+        # Every reply is read before any failure is raised, so a worker
+        # that shipped an error stays in step with the ones that did not.
         merged: Dict[int, Any] = {}
-        for mapping in per_worker:
-            merged.update(mapping)
-        return merged
-
-    def run_epoch(self, target: float) -> Tuple[int, Dict[int, Dict[int, bytes]]]:
-        merged = self._merge_shard_maps(self._broadcast(("epoch", target)))
-        fired = sum(count for count, _ in merged.values())
-        outboxes = {
-            index: frames for index, (count, frames) in merged.items() if frames
-        }
-        return fired, outboxes
-
-    def settle_round(self) -> Tuple[int, float, Dict[int, Dict[int, bytes]]]:
-        merged = self._merge_shard_maps(self._broadcast(("settle",)))
-        fired = sum(count for count, _, _ in merged.values())
-        latest = max(now for _, now, _ in merged.values())
-        outboxes = {
-            index: frames for index, (_, _, frames) in merged.items() if frames
-        }
-        return fired, latest, outboxes
-
-    def inject(self, routed: Dict[int, bytes], barrier_time: Optional[float]) -> None:
-        per_worker: Dict[int, Dict[int, bytes]] = {}
-        for shard, blob in routed.items():
-            per_worker.setdefault(self._owner[shard], {})[shard] = blob
-        pending = []
-        for worker, mapping in per_worker.items():
-            self._pipes[worker].send(("inject", barrier_time, mapping))
-            pending.append(self._pipes[worker])
-        self._gather([pipe.recv() for pipe in pending])
-
-    def mine(
-        self, index: int, winner: str, records: Tuple[ChainRecord, ...], difficulty: int
-    ) -> Optional[bytes]:
-        return self._send_owner(index, ("mine", index, winner, records, difficulty))
-
-    def crash(self, index: int, name: str) -> None:
-        self._send_owner(index, ("crash", index, name))
-
-    def restart(self, index: int, name: str) -> None:
-        self._send_owner(index, ("restart", index, name))
-
-    def store_fault(
-        self, index: int, name: str, kind: str, params: Dict[str, Any]
-    ) -> None:
-        self._send_owner(index, ("store_fault", index, name, kind, params))
-
-    def export_chain(self, index: int, name: str) -> bytes:
-        return self._send_owner(index, ("export", index, name))
-
-    def adopt(self, blob: bytes, winner: str) -> None:
-        self._broadcast(("adopt", blob, winner))
-
-    def collect(self, fields: Tuple[str, ...]) -> Dict[int, Dict[str, Any]]:
-        return self._merge_shard_maps(self._broadcast(("collect", fields)))
-
-    def telemetry_payloads(self) -> Dict[int, Optional[Dict[str, Any]]]:
-        return self._merge_shard_maps(self._broadcast(("telemetry",)))
+        for worker in asked:
+            try:
+                status, value = self._pipes[worker].recv()
+            except (EOFError, OSError):
+                failure = failure or self._died(worker)
+                continue
+            if status == "ok":
+                merged.update(value)
+            else:
+                failure = failure or RuntimeError(f"shard worker failed: {value}")
+        if failure is not None:
+            raise failure
+        return dict(sorted(merged.items()))
 
     def close(self) -> None:
         for pipe, proc in zip(self._pipes, self._procs):
             try:
-                pipe.send(("stop",))
-                pipe.recv()
-            except (BrokenPipeError, EOFError, OSError):
-                pass
+                pipe.send(None)
+            except OSError:
+                pass  # already gone
             pipe.close()
             proc.join(timeout=10)
             if proc.is_alive():  # pragma: no cover - hung worker backstop
                 proc.terminate()
+                proc.join()
 
 
 class _ControlEvent:
@@ -826,21 +709,18 @@ class _ControlEvent:
         return (self.time, self.seq) < (other.time, other.seq)
 
 
-@dataclass
-class _PendingRecords:
-    records: List[ChainRecord]
-
-
-class ShardedSimulator:
+class ShardedSimulator(FleetControlPlane):
     """A partitioned fleet behind the canonical time-control surface.
 
     Drives a :class:`FleetSpec` fleet the way :class:`DistributedChain`
-    drives an unsharded one — ``step``/``run_blocks`` for the mining
-    loop, ``submit_record``/``inject_byzantine_record`` for the record
-    feeds, ``crash``/``restart``/``inject_store_fault`` for the chaos
-    plane, ``finalize`` for convergence — plus the unified clock verbs
-    (``advance``/``advance_until``/``advance_for``, ``schedule``/
-    ``schedule_at``) so experiments and chaos plans stay engine-agnostic.
+    drives an unsharded one — the shared
+    :class:`~repro.core.distributed.FleetControlPlane` (``step``/
+    ``run_blocks``, ``submit_record``/``inject_byzantine_record``,
+    ``finalize``, ``converged``/``light_converged``), ``crash``/
+    ``restart``/``inject_store_fault`` for the chaos plane — plus the
+    unified clock verbs (``advance``/``advance_until``/``advance_for``,
+    ``schedule``/``schedule_at``) so experiments and chaos plans stay
+    engine-agnostic.
 
     ``jobs`` picks the execution strategy only: 1 runs every shard in
     this process (the parity oracle), >1 spreads shards over that many
@@ -866,73 +746,42 @@ class ShardedSimulator:
         barrier_interval: float = 0.25,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if not isinstance(spec, FleetSpec):
-            raise TypeError(f"spec must be a FleetSpec, got {type(spec).__name__}")
         if barrier_interval <= 0:
             raise ValueError("barrier_interval must be > 0")
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.spec = spec
-        full_names = spec.full_names()
-        if shares is None:
-            shares = spec.equal_shares()
-        elif set(shares) != set(full_names):
-            raise ValueError(
-                "shares must name exactly the spec's full nodes "
-                f"({len(full_names)} providers)"
-            )
-        self.byzantine = set(byzantine or ())
-        unknown = self.byzantine - set(full_names)
-        if unknown:
-            raise ValueError(f"byzantine names not in the fleet: {sorted(unknown)}")
-        # Master rng consumption order matches DistributedChain exactly:
-        # topology seed, network seed, model seed.  With one shard the
-        # network seed is used directly (derive_shard_seeds' k=1 case),
-        # so the unsharded anchor holds draw for draw.
-        rng = random.Random(seed)
-        topo_seed = rng.randrange(2**31)
-        net_base = rng.randrange(2**31)
-        model_seed = rng.randrange(2**31)
-        ring_order = _interleave(full_names, spec.light_names())
-        self._plan = build_plan(spec, ring_order)
-        blueprint = _Blueprint(
-            spec=spec,
-            assignments=self._plan.assignments,
-            topo_seed=topo_seed,
-            shard_seeds=tuple(derive_shard_seeds(net_base, spec.shards)),
-            difficulty=difficulty,
-            confirmation_depth=confirmation_depth,
-            latency=latency,
-            record_check=record_check,
-            byzantine=frozenset(self.byzantine),
+        super().__init__(
+            spec, shares, record_check, byzantine, difficulty,
+            mean_block_time, latency, confirmation_depth, seed,
             telemetry_enabled=telemetry is not None and telemetry.enabled,
         )
-        self.model = MiningModel.from_shares(
-            shares,
-            difficulty=difficulty,
-            mean_block_time=mean_block_time,
-            rng=random.Random(model_seed),
-        )
-        workers = min(jobs, spec.shards)
+        workers = min(jobs, self.spec.shards)
         self.jobs = workers
         if workers > 1:
-            self._executor = _ProcessExecutor(blueprint, workers)
+            self._executor = _ProcessExecutor(self._blueprint, workers)
         else:
-            self._executor = _SerialExecutor(blueprint)
+            self._executor = _SerialExecutor(self._blueprint)
         self.telemetry = telemetry
         self._telemetry_merged = False
-        self._difficulty = difficulty
         self._barrier_interval = barrier_interval
         self._now = 0.0
+        self._clock = self
         self._control_heap: List[_ControlEvent] = []
         self._control_seq = itertools.count()
-        self._crashed: Set[str] = set()
-        self._honest_mempool: List[ChainRecord] = []
-        self._byzantine_queue: Dict[str, _PendingRecords] = {
-            name: _PendingRecords([]) for name in self.byzantine
-        }
-        self.blocks_mined = 0
         self._closed = False
+
+    # -- reaching the worlds ------------------------------------------------
+
+    def _on_every_shard(self, verb: str, *args: Any) -> Dict[int, Any]:
+        """``verb(*args)`` on every shard; results keyed and ordered by shard."""
+        return self._executor.call(
+            verb, {shard: args for shard in range(self.spec.shards)}
+        )
+
+    def _on_owner(self, name: str, verb: str, *args: Any) -> Any:
+        """``verb(*args)`` on the shard owning ``name`` (KeyError if none)."""
+        shard = self._plan.shard_of(name)
+        return self._executor.call(verb, {shard: args})[shard]
 
     # -- the canonical time-control surface --------------------------------
 
@@ -1006,140 +855,92 @@ class ShardedSimulator:
         return fired
 
     def _epoch(self, target: float) -> int:
-        fired, outboxes = self._executor.run_epoch(target)
-        routed = self._route(outboxes)
-        if routed:
-            self._executor.inject(routed, target)
-        return fired
+        results = self._on_every_shard("run_epoch", target)
+        self._exchange({src: frames for src, (_, frames) in results.items()}, target)
+        return sum(fired for fired, _ in results.values())
 
-    @staticmethod
-    def _route(outboxes: Dict[int, Dict[int, bytes]]) -> Dict[int, bytes]:
-        """Merge per-source frame blobs per destination, source-ordered.
+    def _exchange(
+        self, outboxes: Dict[int, Dict[int, bytes]], barrier_time: Optional[float]
+    ) -> bool:
+        """Route a barrier's outbound frames into their destination shards.
 
-        Framed blobs concatenate losslessly, and concatenating in shard
-        index order makes barrier injection order independent of which
+        Framed blobs concatenate losslessly, and concatenating in source
+        shard order makes barrier injection order independent of which
         worker answered first — the heart of the jobs-parity guarantee.
+        Returns whether anything crossed.
         """
         routed: Dict[int, List[bytes]] = {}
         for src in sorted(outboxes):
             for dst in sorted(outboxes[src]):
                 routed.setdefault(dst, []).append(outboxes[src][dst])
-        return {dst: b"".join(blobs) for dst, blobs in routed.items()}
+        if not routed:
+            return False
+        self._executor.call(
+            "inject",
+            {dst: (b"".join(blobs), barrier_time) for dst, blobs in routed.items()},
+        )
+        return True
 
     def _settle(self) -> int:
         fired = 0
         for _ in range(_MAX_SETTLE_ROUNDS):
-            count, latest, outboxes = self._executor.settle_round()
-            fired += count
+            results = self._on_every_shard("settle_round")
+            fired += sum(count for count, _, _ in results.values())
             # Like an unsharded settle(), the fleet clock lands on the
             # last delivered event, so a subsequent step() advances
             # from quiescence, not from the pre-settle barrier.
-            self._now = max(self._now, latest)
-            routed = self._route(outboxes)
-            if not routed:
+            self._now = max(self._now, *(now for _, now, _ in results.values()))
+            outboxes = {src: frames for src, (_, _, frames) in results.items()}
+            if not self._exchange(outboxes, None):
                 return fired
-            self._executor.inject(routed, None)
         raise RuntimeError("cross-shard traffic failed to quiesce")
-
-    # -- record feeds -------------------------------------------------------
-
-    def submit_record(self, record: ChainRecord) -> None:
-        """Queue an honest record for the next honest winner's block."""
-        self._honest_mempool.append(record)
-
-    def inject_byzantine_record(self, miner: str, record: ChainRecord) -> None:
-        """Queue a (typically invalid) record for a byzantine miner."""
-        if miner not in self.byzantine:
-            raise ValueError(f"{miner} is not byzantine")
-        self._byzantine_queue[miner].records.append(record)
-
-    # -- mining drive --------------------------------------------------------
-
-    def step(self) -> Optional[Block]:
-        """One mining round, identical in shape to the unsharded engine:
-        advance all shards by the sampled interval, then the winner
-        (wherever it lives) extends its own head and announces."""
-        outcome = self.model.next_block()
-        self.advance_until(self._now + outcome.interval)
-        if outcome.winner in self._crashed:
-            return None
-        if outcome.winner in self.byzantine:
-            queued = self._byzantine_queue[outcome.winner]
-            records = tuple(queued.records)
-            queued.records = []
-        else:
-            records = tuple(self._honest_mempool)
-            self._honest_mempool = []
-        blob = self._executor.mine(
-            self._plan.shard_of(outcome.winner), outcome.winner, records, self._difficulty
-        )
-        if blob is None:  # pragma: no cover - crash state is coordinator-owned
-            return None
-        self.blocks_mined += 1
-        return decode_block(blob)
-
-    def run_blocks(self, count: int) -> List[Optional[Block]]:
-        """Mine ``count`` rounds (entries are None for crashed winners)."""
-        return [self.step() for _ in range(count)]
 
     def settle(self) -> None:
         """Deliver all in-flight gossip, cross-shard frames included."""
         self._settle()
 
+    # -- the control plane's reach into the worlds --------------------------
+
+    def _mine(self, winner: str, records: Tuple[ChainRecord, ...]) -> Optional[Block]:
+        return self._on_owner(winner, "mine", winner, records, self._difficulty)
+
+    def _candidates(self) -> Iterable[Optional[Candidate]]:
+        return self._on_every_shard("heaviest_candidate").values()
+
+    def _reconcile(self, winner: str) -> None:
+        # The winner exports its canonical chain once; every shard
+        # adopts it through the normal validated resync path.
+        blob = self._on_owner(winner, "export_replica_chain", winner)
+        self._on_every_shard("adopt", blob, winner)
+
     # -- chaos plane ---------------------------------------------------------
 
     def crash(self, name: str) -> None:
         """Crash a fleet member (full or light) wherever it lives."""
-        self._crashed.add(name)
-        self._executor.crash(self._plan.shard_of(name), name)
+        self._on_owner(name, "crash", name)
 
     def restart(self, name: str) -> None:
         """Restart a crashed member; its in-shard recovery hooks run."""
-        self._crashed.discard(name)
-        self._executor.restart(self._plan.shard_of(name), name)
+        self._on_owner(name, "restart", name)
 
     def inject_store_fault(self, name: str, kind: str, **params: Any) -> None:
         """Corrupt a member's durable store (``torn_write``/``bit_flip``/
         ``drop_snapshot``/``drop_index``), as disk damage behind a dead
         process; the harm surfaces at the restart's store recovery."""
         if kind not in _STORE_FAULTS:
-            raise ValueError(f"unknown store fault {kind!r} (use {_STORE_FAULTS})")
-        self._executor.store_fault(self._plan.shard_of(name), name, kind, params)
+            raise ValueError(
+                f"unknown store fault {kind!r} (use {tuple(_STORE_FAULTS)})"
+            )
+        self._on_owner(name, "store_fault", name, kind, params)
 
     # -- convergence ---------------------------------------------------------
 
     def finalize(self) -> None:
-        """Settle, then converge the fleet on its heaviest chain.
-
-        Cross-shard frames are drained to quiescence; the globally
-        heaviest alive replica (difficulty-then-name, the unsharded
-        tie-break) exports its canonical chain once; every shard adopts
-        it through the normal validated resync path; light replicas
-        then resync from their in-shard servers.
-        """
-        self._settle()
-        best = self._global_heaviest()
-        if best is None:
-            self._merge_telemetry()
-            return
-        _, winner, _ = best
-        blob = self._executor.export_chain(self._plan.shard_of(winner), winner)
-        self._executor.adopt(blob, winner)
+        """Settle cross-shard frames to quiescence, converge the fleet on
+        its heaviest chain (:meth:`FleetControlPlane.finalize`), and
+        merge the shards' telemetry."""
+        super().finalize()
         self._merge_telemetry()
-
-    def _global_heaviest(self) -> Optional[Tuple[int, str, bytes]]:
-        best: Optional[Tuple[int, str, bytes]] = None
-        for _, snapshot in sorted(self._executor.collect(("candidate",)).items()):
-            candidate = snapshot["candidate"]
-            if candidate is None:
-                continue
-            if (
-                best is None
-                or candidate[0] > best[0]
-                or (candidate[0] == best[0] and candidate[1] < best[1])
-            ):
-                best = tuple(candidate)
-        return best
 
     def _merge_telemetry(self) -> None:
         if self.telemetry is None or not self.telemetry.enabled:
@@ -1147,7 +948,7 @@ class ShardedSimulator:
         if self._telemetry_merged:
             return
         self._telemetry_merged = True
-        for _, payload in sorted(self._executor.telemetry_payloads().items()):
+        for payload in self._on_every_shard("telemetry_payload").values():
             if payload is not None:
                 self.telemetry.merge_payload(payload)
 
@@ -1156,7 +957,7 @@ class ShardedSimulator:
     def _gather(self, field: str) -> Dict[str, Any]:
         """Merge one per-member view across shards, shard-ordered."""
         merged: Dict[str, Any] = {}
-        for _, snapshot in sorted(self._executor.collect((field,)).items()):
+        for snapshot in self._on_every_shard("snapshot", (field,)).values():
             merged.update(snapshot[field])
         return merged
 
@@ -1177,31 +978,14 @@ class ShardedSimulator:
         """Per-member accept/reject/resync/lifecycle counters."""
         return self._gather("counters")
 
-    def converged(self, among: Optional[Set[str]] = None) -> bool:
-        """True if (the given) full replicas agree on one head."""
-        heads = self.heads()
-        names = among if among is not None else set(heads)
-        return len({heads[name] for name in names}) == 1
-
-    def light_converged(self) -> bool:
-        """True if all light tips match the heaviest full head."""
-        tips = set(self.light_heads().values())
-        if not tips:
-            return True
-        if len(tips) != 1:
-            return False
-        best = self._global_heaviest()
-        return best is None or tips == {best[2]}
-
     def export_canonical(self) -> bytes:
         """The heaviest alive replica's canonical chain, serialized —
         feed to :func:`repro.chain.serialization.import_chain` or a
         :class:`~repro.chain.ledger.LedgerStateMachine` replay."""
-        best = self._global_heaviest()
+        best = self._heaviest()
         if best is None:
             raise RuntimeError("no alive replica to export from")
-        _, winner, _ = best
-        return self._executor.export_chain(self._plan.shard_of(winner), winner)
+        return self._on_owner(best[1], "export_replica_chain", best[1])
 
     def summary(self) -> Dict[str, float]:
         """Fleet-wide transport counters (shard summaries merged)."""
@@ -1218,9 +1002,9 @@ class ShardedSimulator:
         """Per-shard transport counters, for imbalance inspection."""
         return {
             index: snapshot["summary"]
-            for index, snapshot in sorted(
-                self._executor.collect(("summary",)).items()
-            )
+            for index, snapshot in self._on_every_shard(
+                "snapshot", ("summary",)
+            ).items()
         }
 
     @property
@@ -1237,11 +1021,7 @@ class ShardedSimulator:
         if self._closed:
             return
         self._closed = True
-        self._merge_telemetry()
-        self._executor.close()
-
-    def __enter__(self) -> "ShardedSimulator":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        try:
+            self._merge_telemetry()
+        finally:  # a dead worker must not keep the live ones from stopping
+            self._executor.close()

@@ -91,9 +91,9 @@ def build_plan(spec: FleetSpec, ring_order: Sequence[str]) -> ShardPlan:
     else:
         assignments = _contiguous_assignments(ring_order, spec.shards)
     plan = ShardPlan(assignments=assignments)
-    full_names = set(spec.full_names())
+    light_names = set(spec.light_names())
     for index in range(plan.shards):
-        if not any(name in full_names for name in plan.members(index)):
+        if not any(name not in light_names for name in plan.members(index)):
             raise ValueError(
                 f"{spec.shard_strategy!r} plan leaves shard {index} with no "
                 "full node; lower the shard count or rebalance the fleet"

@@ -7,14 +7,19 @@ shards the fleet is partitioned into.  :class:`FleetSpec` is the one
 object every engine consumes:
 
 * :class:`~repro.core.distributed.DistributedChain` (``spec=``),
-* :class:`~repro.core.stakeholders.DecentralizedDeployment` (``spec=``),
+* :class:`~repro.core.stakeholders.DecentralizedDeployment` (``spec=``,
+  persistence fields only),
 * :class:`~repro.shard.engine.ShardedSimulator` (its only required
   argument).
 
-The old per-engine kwarg spellings (``topology_kind=``, ``network=``,
-``light_count=``, ``store_dir=``, ``store_snapshot_interval=``) keep
-working through warn-once deprecation shims (:mod:`repro.compat`),
-mirroring the ``advance``/``advance_until`` unification.
+The spec carries *counts*, not identities.  An engine's ``shares``
+mapping, when given, names the full nodes — its keys, in order, are the
+fleet's full-node names and must number ``full_nodes`` — and without it
+the fleet runs :meth:`FleetSpec.full_names` at equal hashpower.  Light
+replicas are always :meth:`FleetSpec.light_names`.  That rule lives in
+one place, :class:`~repro.core.distributed.FleetControlPlane`, which
+both fleet engines share along with the one world class
+(:class:`~repro.shard.engine.ShardState`) they build from it.
 """
 
 from __future__ import annotations
@@ -91,7 +96,8 @@ class FleetSpec:
         return self.light_nodes / self.nodes
 
     def full_names(self) -> List[str]:
-        """The canonical full-node names (``provider-i``)."""
+        """The default full-node names (``provider-i``), used when an
+        engine is given no ``shares`` to name them."""
         return [f"provider-{i}" for i in range(self.full_nodes)]
 
     def light_names(self) -> List[str]:
@@ -99,7 +105,7 @@ class FleetSpec:
         return [f"light-{i}" for i in range(self.light_nodes)]
 
     def equal_shares(self) -> Dict[str, float]:
-        """Uniform hashpower over the canonical full-node names."""
+        """Uniform hashpower over the default full-node names."""
         return {name: 1.0 for name in self.full_names()}
 
     # -- construction helpers ---------------------------------------------

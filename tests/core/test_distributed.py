@@ -6,7 +6,9 @@ from repro.chain.block import ChainRecord, RecordKind
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.distributed import DistributedChain
 from repro.crypto.hashing import hash_fields
+from repro.network.config import NetworkConfig
 from repro.network.latency import ConstantLatency
+from repro.shard import FleetSpec
 
 
 def _record(tag: str, payload: bytes = b"ok") -> ChainRecord:
@@ -59,7 +61,7 @@ class TestConvergence:
         # orphan buffer must still converge all replicas.
         net = DistributedChain(
             PAPER_HASHPOWER_SHARES,
-            topology_kind="ring",
+            spec=FleetSpec(full_nodes=5, network=NetworkConfig(topology="ring")),
             latency=ConstantLatency(2.0),
             seed=3,
         )

@@ -114,6 +114,19 @@ class TestScheduling:
         platform.advance_until(500.0)
         assert platform.now == pytest.approx(500.0)
 
+    def test_advance_for_returns_the_mined_count(self):
+        platform = _platform(seed=6)
+        count = platform.advance_for(200.0)
+        assert count == len(platform.last_mined_events)
+        assert count >= 1
+
+    def test_schedule_at_fires_an_action_at_its_absolute_time(self):
+        platform = _platform(seed=9)
+        fired = []
+        platform.schedule_at(40.0, lambda: fired.append(platform.now))
+        platform.advance_until(80.0)
+        assert fired == [pytest.approx(40.0)]
+
     def test_deterministic_given_seed(self):
         results = []
         for _ in range(2):

@@ -7,6 +7,7 @@ import pytest
 from repro.core.distributed import DistributedChain
 from repro.experiments.fleet_scale import fleet_split, run_fleet_scale
 from repro.network.config import NetworkConfig
+from repro.shard import FleetSpec
 
 
 class TestFleetSplit:
@@ -90,8 +91,11 @@ class TestLightFleetMechanics:
     def test_light_clients_track_reorgs(self):
         net = DistributedChain(
             {f"p{i}": 1.0 for i in range(6)},
-            network=NetworkConfig.large_fleet(degree=4, fanout=2),
-            light_count=12,
+            spec=FleetSpec(
+                full_nodes=6,
+                light_nodes=12,
+                network=NetworkConfig.large_fleet(degree=4, fanout=2),
+            ),
             seed=21,
         )
         net.run_blocks(10)
@@ -107,8 +111,11 @@ class TestLightFleetMechanics:
     def test_crashed_light_client_resyncs_on_restart(self):
         net = DistributedChain(
             {f"p{i}": 1.0 for i in range(5)},
-            network=NetworkConfig(topology="complete", mode="inv"),
-            light_count=3,
+            spec=FleetSpec(
+                full_nodes=5,
+                light_nodes=3,
+                network=NetworkConfig(topology="complete", mode="inv"),
+            ),
             seed=22,
         )
         net.run_blocks(3)
@@ -125,8 +132,11 @@ class TestLightFleetMechanics:
     def test_seen_capacity_bounds_dedup_state(self):
         net = DistributedChain(
             {f"p{i}": 1.0 for i in range(4)},
-            network=NetworkConfig(
-                topology="complete", mode="inv", seen_capacity=3
+            spec=FleetSpec(
+                full_nodes=4,
+                network=NetworkConfig(
+                    topology="complete", mode="inv", seen_capacity=3
+                ),
             ),
             seed=23,
         )

@@ -5,6 +5,8 @@ One run is ~0.5 s, so every scenario gets an unmarked smoke test; the
 (``pytest -q -m chaos`` or ``scripts/run_chaos.sh``).
 """
 
+from contextlib import closing
+
 import pytest
 
 from repro.faults.gauntlet import (
@@ -54,9 +56,9 @@ class TestDiskGauntletQuick:
         assert victim_dir.is_dir()
         # The kept store is post-heal: clean, and non-trivially long.
         assert fsck(victim_dir).ok
-        reopened = ChainStore(victim_dir)
-        assert len(reopened) > 1
-        assert reopened.last_recovery.clean
+        with closing(ChainStore(victim_dir)) as reopened:
+            assert len(reopened) > 1
+            assert reopened.last_recovery.clean
 
 
 @pytest.mark.chaos

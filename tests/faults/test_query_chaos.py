@@ -10,7 +10,7 @@ deliver per-request failures, never poison the simulator.
 
 from __future__ import annotations
 
-import tempfile
+from contextlib import ExitStack
 
 import pytest
 
@@ -18,6 +18,7 @@ from repro.core.distributed import DistributedChain
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import DISK_FAULTS, ChaosPlan, FaultKind
 from repro.query import QueryRequest
+from repro.shard import FleetSpec
 from repro.store import INDEX_FILE_NAME
 from repro.store.fsck import fsck
 
@@ -57,18 +58,26 @@ class TestDropIndexPlan:
             plan.validate()
 
 
-def _store_fleet(seed=21, blocks=10):
-    fleet = DistributedChain(
-        {"a": 0.5, "b": 0.5}, seed=seed, store_dir=tempfile.mkdtemp()
-    )
-    fleet.run_blocks(blocks)
-    fleet.finalize()
-    return fleet
+@pytest.fixture
+def store_fleet(tmp_path):
+    """Builder of settled two-replica store-backed fleets, closed on exit."""
+    with ExitStack() as stack:
+
+        def build(seed, blocks=10):
+            spec = FleetSpec(full_nodes=2, store_dir=str(tmp_path / f"fleet-{seed}"))
+            fleet = stack.enter_context(
+                DistributedChain({"a": 0.5, "b": 0.5}, seed=seed, spec=spec)
+            )
+            fleet.run_blocks(blocks)
+            fleet.finalize()
+            return fleet
+
+        yield build
 
 
 class TestDropIndexInjection:
-    def test_restart_without_the_fault_warm_starts(self):
-        fleet = _store_fleet(seed=23)
+    def test_restart_without_the_fault_warm_starts(self, store_fleet):
+        fleet = store_fleet(seed=23)
         svc = fleet.query_service("a")
         assert svc.cold_starts == 1  # construction built from genesis
         svc.persist_index()
@@ -80,8 +89,8 @@ class TestDropIndexInjection:
         assert svc.warm_starts == 1 and svc.cold_starts == 1
         assert svc.serve(QueryRequest.head()).ok
 
-    def test_dropped_index_forces_a_cold_rebuild(self):
-        fleet = _store_fleet(seed=29)
+    def test_dropped_index_forces_a_cold_rebuild(self, store_fleet):
+        fleet = store_fleet(seed=29)
         svc = fleet.query_service("a")
         svc.persist_index()
         store = fleet.replicas["a"].store
@@ -107,8 +116,8 @@ class TestDropIndexInjection:
         assert head.ok
         assert head.result["number"] == fleet.replicas["a"].chain.head.height
 
-    def test_reports_identical_after_cold_fallback(self):
-        fleet = _store_fleet(seed=31)
+    def test_reports_identical_after_cold_fallback(self, store_fleet):
+        fleet = store_fleet(seed=31)
         svc = fleet.query_service("a")
         before = svc.serve(QueryRequest.get_reports(limit=1024)).result["rows"]
         svc.persist_index()
@@ -126,8 +135,8 @@ class TestDropIndexInjection:
 
 
 class TestDeferredBatchMidOutage:
-    def test_batch_fired_against_crashed_node_fails_cleanly(self):
-        fleet = _store_fleet(seed=37)
+    def test_batch_fired_against_crashed_node_fails_cleanly(self, store_fleet):
+        fleet = store_fleet(seed=37)
         svc = fleet.query_service("a")
         pending = fleet.simulator  # readable alias for the clock below
         batch = svc.submit_batch(

@@ -96,6 +96,14 @@ class TestControl:
         sim.advance()
         assert fired == [1, 5]
 
+    def test_every_advance_verb_returns_the_events_fired(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        assert sim.advance_for(1.5) == 1
+        assert sim.advance_until(3.0) == 1
+        assert sim.advance() == 0
+
     def test_schedule_at_absolute_time(self):
         sim = Simulator(start_time=10.0)
         seen = []

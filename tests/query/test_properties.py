@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import tempfile
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -185,9 +185,10 @@ class TestRestartFromDisk:
             for block in chain.iter_canonical():
                 store.append(block)
             store.close()
-            recovered = ChainStore(path).load_chain(
-                confirmation_depth=chain.confirmation_depth
-            )
+            with closing(ChainStore(path)) as reopened:
+                recovered = reopened.load_chain(
+                    confirmation_depth=chain.confirmation_depth
+                )
         node.chain = recovered
         after = svc.serve(QueryRequest.head()).result
         assert after == before

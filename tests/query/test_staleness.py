@@ -23,6 +23,7 @@ from repro.query import (
     QueryService,
     StalenessBound,
 )
+from repro.shard import FleetSpec
 from repro.telemetry import Telemetry
 
 from tests.query.conftest import build_mixed_chain, extend_mixed
@@ -121,17 +122,15 @@ class TestMaxStaleness:
 
 
 class TestLightReplica:
-    def _fleet(self, seed=5, blocks=12):
-        directory = tempfile.mkdtemp()
-        fleet = DistributedChain(
-            {"a": 0.5, "b": 0.5}, seed=seed, light_count=1, store_dir=directory
-        )
-        fleet.run_blocks(blocks)
-        fleet.finalize()
-        return fleet
+    @pytest.fixture
+    def fleet(self, tmp_path):
+        spec = FleetSpec(full_nodes=2, light_nodes=1, store_dir=str(tmp_path))
+        with DistributedChain({"a": 0.5, "b": 0.5}, seed=5, spec=spec) as fleet:
+            fleet.run_blocks(12)
+            fleet.finalize()
+            yield fleet
 
-    def test_light_replica_serves_header_surface(self):
-        fleet = self._fleet()
+    def test_light_replica_serves_header_surface(self, fleet):
         svc = fleet.query_service("light-0")
         head = svc.serve(QueryRequest.head())
         assert head.ok and head.staleness.height_lag == 0
@@ -141,8 +140,7 @@ class TestLightReplica:
         by_hash = svc.serve(QueryRequest.get_block(head.result["hash"]))
         assert by_hash.ok and by_hash.result["hash"] == head.result["hash"]
 
-    def test_light_replica_rejects_full_surface(self):
-        fleet = self._fleet()
+    def test_light_replica_rejects_full_surface(self, fleet):
         svc = fleet.query_service("light-0")
         for request in (
             QueryRequest.get_reports(),
@@ -192,8 +190,7 @@ class TestLightReplica:
         response = svc.serve(QueryRequest.head())
         assert not response.ok and "no headers" in response.error
 
-    def test_persist_index_refused_for_light_replica(self):
-        fleet = self._fleet()
+    def test_persist_index_refused_for_light_replica(self, fleet):
         with tempfile.TemporaryDirectory() as directory:
             svc = fleet.query_service("light-0", index_dir=directory)
             with pytest.raises(QueryError, match="light"):
@@ -201,39 +198,37 @@ class TestLightReplica:
 
 
 class TestFleetStaleness:
-    def test_replica_mid_outage_lags_the_heaviest(self):
+    def test_replica_mid_outage_lags_the_heaviest(self, tmp_path):
         """Crash a replica, grow the fleet past it, and read its lag
         the moment it restarts — before resync closes the gap."""
-        directory = tempfile.mkdtemp()
-        fleet = DistributedChain(
-            {"a": 0.5, "b": 0.5}, seed=11, store_dir=directory
-        )
-        fleet.run_blocks(10)
-        fleet.finalize()
-        # Pin the canonical reference to b's chain object: it stays
-        # readable even while b itself is down below.
-        svc = fleet.query_service("a", canonical=fleet.replicas["b"].chain)
-        height_before = fleet.replicas["a"].chain.head.height
-        fleet.crash("a")
-        with pytest.raises(QueryError, match="down"):
-            svc.serve(QueryRequest.head())
-        grown = 0
-        while fleet.replicas["b"].chain.head.height < height_before + 3:
-            fleet.step()
-            grown += 1
-            assert grown < 200  # the 50/50 split must land b blocks
-        # Crash b too, so a's restart recovery finds no alive peer to
-        # resync from: it comes back serving exactly what its durable
-        # store could vouch for, behind the canonical chain.
-        fleet.crash("b")
-        fleet.replicas["a"].restart()
-        response = svc.serve(QueryRequest.head())
-        assert response.ok
-        assert response.staleness.height_lag >= 3
-        rejected = svc.serve(QueryRequest.head(), max_staleness=2)
-        assert not rejected.ok and "stale read rejected" in rejected.error
-        # Heal: bring b back and let the fleet converge.
-        fleet.restart("b")
-        fleet.finalize()
-        healed = svc.serve(QueryRequest.head(), max_staleness=0)
-        assert healed.ok and healed.staleness.is_fresh
+        spec = FleetSpec(full_nodes=2, store_dir=str(tmp_path))
+        with DistributedChain({"a": 0.5, "b": 0.5}, seed=11, spec=spec) as fleet:
+            fleet.run_blocks(10)
+            fleet.finalize()
+            # Pin the canonical reference to b's chain object: it stays
+            # readable even while b itself is down below.
+            svc = fleet.query_service("a", canonical=fleet.replicas["b"].chain)
+            height_before = fleet.replicas["a"].chain.head.height
+            fleet.crash("a")
+            with pytest.raises(QueryError, match="down"):
+                svc.serve(QueryRequest.head())
+            grown = 0
+            while fleet.replicas["b"].chain.head.height < height_before + 3:
+                fleet.step()
+                grown += 1
+                assert grown < 200  # the 50/50 split must land b blocks
+            # Crash b too, so a's restart recovery finds no alive peer to
+            # resync from: it comes back serving exactly what its durable
+            # store could vouch for, behind the canonical chain.
+            fleet.crash("b")
+            fleet.replicas["a"].restart()
+            response = svc.serve(QueryRequest.head())
+            assert response.ok
+            assert response.staleness.height_lag >= 3
+            rejected = svc.serve(QueryRequest.head(), max_staleness=2)
+            assert not rejected.ok and "stale read rejected" in rejected.error
+            # Heal: bring b back and let the fleet converge.
+            fleet.restart("b")
+            fleet.finalize()
+            healed = svc.serve(QueryRequest.head(), max_staleness=0)
+            assert healed.ok and healed.staleness.is_fresh

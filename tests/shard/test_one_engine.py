@@ -1,0 +1,178 @@
+"""One world, one control plane: what every fleet engine must agree on.
+
+``DistributedChain`` (one in-process world, driven directly) and
+``ShardedSimulator`` (worlds behind epoch barriers, serial or in worker
+processes) share the world class and the control plane, so validation,
+the chaos verbs, full-node naming and persistence behave the same on
+all three — each case below runs once per engine.  The dispatch tests
+pin the one coordinator-to-world protocol the sharded engine has left.
+"""
+
+import pytest
+
+from repro.chain.block import ChainRecord, RecordKind
+from repro.core.distributed import DistributedChain
+from repro.crypto.hashing import hash_fields
+from repro.network.config import NetworkConfig
+from repro.shard import FleetSpec, ShardedSimulator
+
+ENGINES = {
+    "distributed": lambda spec, **kw: DistributedChain(spec=spec, **kw),
+    "sharded-serial": lambda spec, **kw: ShardedSimulator(
+        spec.with_shards(2), jobs=1, **kw
+    ),
+    "sharded-workers": lambda spec, **kw: ShardedSimulator(
+        spec.with_shards(2), jobs=2, **kw
+    ),
+}
+
+engines = pytest.mark.parametrize("build", ENGINES.values(), ids=ENGINES.keys())
+
+#: Full-node names that are not ``spec.full_names()``.
+SHARES = {"alice": 3.0, "bob": 2.0, "carol": 1.0, "dave": 1.0}
+
+
+def _spec(**overrides):
+    base = dict(full_nodes=4, light_nodes=4, network=NetworkConfig.large_fleet())
+    base.update(overrides)
+    return FleetSpec(**base)
+
+
+def _counters(fleet):
+    if isinstance(fleet, DistributedChain):
+        return fleet.world.counters()
+    return fleet.replica_counters()
+
+
+@engines
+class TestSharedSurface:
+    def test_light_members_crash_and_restart(self, build):
+        with build(_spec(), seed=3) as fleet:
+            fleet.run_blocks(2)
+            fleet.crash("light-0")
+            fleet.run_blocks(3)
+            fleet.restart("light-0")
+            fleet.finalize()
+            light = _counters(fleet)["light-0"]
+            assert (light["crash_count"], light["restart_count"]) == (1, 1)
+            assert fleet.light_converged()
+
+    def test_unknown_byzantine_names_are_rejected(self, build):
+        with pytest.raises(ValueError, match="byzantine names not in the fleet"):
+            build(_spec(), byzantine={"nobody"})
+
+    def test_crashing_an_unknown_name_changes_nothing(self, build):
+        with build(_spec(), seed=3) as fleet:
+            with pytest.raises(KeyError):
+                fleet.crash("typo")
+            with pytest.raises(KeyError):
+                fleet.restart("typo")
+            # Nobody is down: every sampled winner still mines.
+            assert None not in fleet.run_blocks(4)
+            assert fleet.blocks_mined == 4
+
+    def test_crashed_winner_leaves_its_records_queued(self, build):
+        record = ChainRecord(
+            kind=RecordKind.INITIAL_REPORT,
+            record_id=hash_fields("one-engine", "queued"),
+            payload=b"queued",
+        )
+        with build(_spec(), shares=SHARES, seed=5) as fleet:
+            fleet.submit_record(record)
+            for name in SHARES:
+                fleet.crash(name)
+            assert fleet.run_blocks(2) == [None, None]
+            assert fleet.blocks_mined == 0
+            for name in SHARES:
+                fleet.restart(name)
+            (block,) = fleet.run_blocks(1)
+            assert block.records == (record,)
+
+
+def _crash_restart_run(build, store_dir, seed):
+    spec = _spec(store_dir=store_dir, store_snapshot_interval=4)
+    with build(spec, shares=SHARES, seed=seed) as fleet:
+        fleet.run_blocks(4)
+        fleet.crash("bob")
+        fleet.run_blocks(4)
+        fleet.restart("bob")
+        fleet.run_blocks(2)
+        fleet.finalize()
+        return {
+            "heads": fleet.heads(),
+            "light_heads": fleet.light_heads(),
+            "blocks_mined": fleet.blocks_mined,
+            "bob_recoveries": _counters(fleet)["bob"]["store_recoveries"],
+        }
+
+
+@engines
+class TestNamedSharesWithAStore:
+    def test_builds_restarts_from_disk_and_matches_the_storeless_run(
+        self, build, tmp_path
+    ):
+        durable = _crash_restart_run(build, str(tmp_path / "fleet"), seed=2)
+        volatile = _crash_restart_run(build, None, seed=2)
+        assert list(durable["heads"]) == list(SHARES)
+        assert durable.pop("bob_recoveries") == 1
+        assert volatile.pop("bob_recoveries") == 0
+        # Persistence draws no randomness: the trajectories are one.
+        assert durable == volatile
+        assert (tmp_path / "fleet" / "bob" / "blocks.log").exists()
+        assert (tmp_path / "fleet" / "light-0").is_dir()
+
+    def test_shares_must_number_the_spec(self, build):
+        with pytest.raises(ValueError, match="full nodes"):
+            build(_spec(), shares={"alice": 1.0})
+        with pytest.raises(ValueError, match="light replicas"):
+            build(_spec(), shares=dict.fromkeys(("a", "b", "c", "light-1"), 1.0))
+
+
+class TestDistributedChainLifetime:
+    def test_close_releases_every_store_handle(self, tmp_path):
+        spec = _spec(store_dir=str(tmp_path))
+        with DistributedChain(spec=spec, seed=1) as fleet:
+            fleet.run_blocks(3)
+            nodes = [*fleet.replicas.values(), *fleet.light_replicas.values()]
+            assert all(node.store._handle is not None for node in nodes)
+        assert all(node.store._handle is None for node in nodes)
+        fleet.close()  # idempotent
+
+
+class TestDispatch:
+    def test_unknown_verb_is_a_descriptive_error_on_both_executors(self):
+        with ShardedSimulator(_spec(shards=2), seed=1, jobs=1) as serial:
+            with pytest.raises(ValueError, match="unknown shard verb 'set_on_fire'"):
+                serial._executor.call("set_on_fire", {0: ()})
+            with pytest.raises(ValueError, match="unknown shard verb '_node'"):
+                serial._executor.call("_node", {0: ("provider-0",)})
+        with ShardedSimulator(_spec(shards=2), seed=1, jobs=2) as workers:
+            with pytest.raises(RuntimeError, match="unknown shard verb 'set_on_fire'"):
+                workers._executor.call("set_on_fire", {0: (), 1: ()})
+            # The workers shipped the failure and kept serving, in step.
+            workers.run_blocks(2)
+            workers.finalize()
+            assert len(workers.heads()) == 4
+
+    def test_results_come_back_in_shard_order(self):
+        with ShardedSimulator(_spec(shards=2), seed=1, jobs=2) as fleet:
+            reply = fleet._executor.call("heads", {1: (), 0: ()})
+            assert list(reply) == [0, 1]
+
+    def test_a_killed_worker_surfaces_by_name_and_is_reaped(self):
+        fleet = ShardedSimulator(_spec(shards=2), seed=1, jobs=2)
+        procs = fleet._executor._procs
+        try:
+            fleet.run_blocks(1)
+            procs[1].kill()
+            with pytest.raises(
+                RuntimeError,
+                match=r"shard worker 1 \(shards \[1\]\) died with exit code -9",
+            ):
+                fleet.run_blocks(1)
+        finally:
+            fleet.close()
+        for proc in procs:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
+            assert proc.exitcode is not None

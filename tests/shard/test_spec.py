@@ -1,27 +1,17 @@
 """FleetSpec: one fleet-shape object, consumed by every engine.
 
-Covers the frozen dataclass's validation and derived shape, plus the
-API-migration contract: ``DistributedChain`` and
-``DecentralizedDeployment`` accept ``spec=``, reject mixed spellings,
-and keep the legacy kwargs working behind warn-once deprecation shims.
+Covers the frozen dataclass's validation and derived shape, plus how
+``DistributedChain`` and ``DecentralizedDeployment`` consume ``spec=``:
+the spec carries counts, ``shares`` keys (when given) are the full-node
+names, and the pre-``FleetSpec`` kwargs are gone.
 """
-
-import warnings
 
 import pytest
 
-from repro.compat import _reset_warned
 from repro.core.distributed import DistributedChain
 from repro.core.stakeholders import DecentralizedDeployment
 from repro.network.config import NetworkConfig
 from repro.shard import FleetSpec
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    _reset_warned()
-    yield
-    _reset_warned()
 
 
 class TestValidation:
@@ -84,26 +74,23 @@ class TestDerivedShape:
 
 
 class TestDistributedChainAdoption:
-    def test_spec_matches_legacy_construction_bit_for_bit(self):
+    def test_spec_matches_explicit_shares_bit_for_bit(self):
         spec = FleetSpec(
             full_nodes=4, light_nodes=3, network=NetworkConfig.large_fleet()
         )
         via_spec = DistributedChain(spec=spec, seed=7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_kwargs = DistributedChain(
-                {name: 1.0 for name in spec.full_names()},
-                network=spec.network,
-                light_count=3,
-                seed=7,
-            )
+        via_shares = DistributedChain(spec.equal_shares(), spec=spec, seed=7)
         via_spec.run_blocks(6)
         via_spec.settle()
-        via_kwargs.run_blocks(6)
-        via_kwargs.settle()
-        assert via_spec.heads() == via_kwargs.heads()
+        via_shares.run_blocks(6)
+        via_shares.settle()
+        assert via_spec.heads() == via_shares.heads()
         assert via_spec.spec is spec
-        assert via_kwargs.spec is None
+
+    def test_shares_alone_imply_an_all_full_complete_fleet(self):
+        net = DistributedChain({"a": 0.5, "b": 0.5}, seed=1)
+        assert net.spec == FleetSpec(full_nodes=2)
+        assert list(net.replicas) == ["a", "b"]
 
     def test_custom_shares_must_cover_the_spec(self):
         spec = FleetSpec(full_nodes=3)
@@ -113,8 +100,16 @@ class TestDistributedChainAdoption:
         with pytest.raises(ValueError, match="full_names"):
             DistributedChain({"alice": 1.0}, spec=spec)
 
+    def test_shares_keys_are_the_full_node_names(self):
+        spec = FleetSpec(full_nodes=2, light_nodes=1)
+        net = DistributedChain({"alice": 3.0, "bob": 1.0}, spec=spec, seed=1)
+        assert list(net.replicas) == ["alice", "bob"]
+        with pytest.raises(ValueError, match="light replicas"):
+            DistributedChain({"alice": 1.0, "light-0": 1.0}, spec=spec)
+
     def test_rejects_mixed_spellings(self):
-        with pytest.raises(ValueError, match="light_count"):
+        # The pre-FleetSpec fleet kwargs no longer exist at all.
+        with pytest.raises(TypeError, match="light_count"):
             DistributedChain(spec=FleetSpec(full_nodes=2), light_count=1)
 
     def test_rejects_a_sharded_spec(self):
@@ -140,6 +135,7 @@ class TestDeploymentAdoption:
         assert deployment.spec is spec
         for provider in deployment.providers.values():
             assert provider.store is not None
+        deployment.close()
 
     def test_rejects_lights_and_shards(self):
         with pytest.raises(ValueError, match="light replicas"):
@@ -152,37 +148,11 @@ class TestDeploymentAdoption:
             )
 
     def test_rejects_mixed_spellings(self, tmp_path):
-        with pytest.raises(ValueError, match="store_dir"):
+        # The pre-FleetSpec persistence kwargs no longer exist at all.
+        with pytest.raises(TypeError, match="store_dir"):
             DecentralizedDeployment(
                 {"p1": 1.0},
                 [],
                 spec=FleetSpec(full_nodes=1),
                 store_dir=str(tmp_path),
             )
-
-
-class TestDeprecationShims:
-    def test_legacy_fleet_kwarg_warns_once(self):
-        shares = {"p1": 1.0}
-        with pytest.warns(DeprecationWarning, match="DistributedChain"):
-            DistributedChain(shares, topology_kind="ring")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            DistributedChain(shares, topology_kind="ring")
-
-    def test_each_spelling_warns_separately(self):
-        shares = {"p1": 1.0}
-        with pytest.warns(DeprecationWarning, match="light_count"):
-            DistributedChain(shares, light_count=1)
-        with pytest.warns(DeprecationWarning, match="network"):
-            DistributedChain(shares, network=NetworkConfig())
-
-    def test_deployment_store_kwargs_warn(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="store_dir"):
-            DecentralizedDeployment({"p1": 1.0}, [], store_dir=str(tmp_path))
-
-    def test_spec_path_stays_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            DistributedChain(spec=FleetSpec(full_nodes=2), seed=3)
-            DecentralizedDeployment({"p1": 1.0}, [], spec=FleetSpec(full_nodes=1))

@@ -62,7 +62,8 @@ class TestRoundTrip:
         write_jsonl(telemetry, buffer)
         path = str(tmp_path / "run.jsonl")
         write_jsonl(telemetry, path)
-        assert buffer.getvalue() == open(path).read()
+        with open(path) as written:
+            assert buffer.getvalue() == written.read()
 
     def test_summarize_accepts_run_record(self):
         buffer = io.StringIO()

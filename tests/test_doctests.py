@@ -31,3 +31,24 @@ def test_readme_quickstart_executes():
     consumer = ConsumerClient(platform.mining.chain)
     assert consumer.lookup("smart-camera", "2.4.1").vulnerability_count == 3
     assert consumer.should_deploy("smart-camera", "2.4.1") is False
+
+
+def test_readme_fleet_snippet_executes():
+    # The README's "Fleets" block, verbatim.
+    from repro.core.distributed import DistributedChain
+    from repro.shard import FleetSpec, ShardedSimulator
+
+    spec = FleetSpec.for_fleet(200)
+    with DistributedChain(spec=spec, seed=7) as fleet:
+        fleet.run_blocks(5)
+        fleet.finalize()
+        assert fleet.converged() and fleet.light_converged()
+
+    with ShardedSimulator(spec.with_shards(2), seed=7, jobs=2) as sharded:
+        sharded.run_blocks(5)
+        sharded.finalize()
+        assert sharded.converged()
+
+    shares = {"acme": 0.6, "globex": 0.4}
+    named = DistributedChain(shares, spec=FleetSpec(full_nodes=2, light_nodes=3))
+    assert list(named.replicas) == ["acme", "globex"]

@@ -274,32 +274,39 @@ class TestNodeBoundShim:
     a KeyError from a stale chain object.
     """
 
-    def _fleet(self, tmp_path, seed=0):
+    @pytest.fixture
+    def stored_fleet(self, tmp_path):
+        """A settled store-backed fleet and one confirmed record."""
         from repro.chain.block import ChainRecord, RecordKind
         from repro.core.distributed import DistributedChain
         from repro.crypto.hashing import hash_fields
         from repro.network.latency import ConstantLatency
+        from repro.shard import FleetSpec
 
-        fleet = DistributedChain(
-            PAPER_HASHPOWER_SHARES,
-            latency=ConstantLatency(0.05),
-            seed=seed,
-            confirmation_depth=4,
+        spec = FleetSpec(
+            full_nodes=len(PAPER_HASHPOWER_SHARES),
             store_dir=str(tmp_path / "stores"),
             store_snapshot_interval=4,
         )
-        record = ChainRecord(
-            kind=RecordKind.INITIAL_REPORT,
-            record_id=hash_fields("rpc-node-bound", seed),
-            payload=b"rpc-record",
-        )
-        fleet.submit_record(record)
-        fleet.run_blocks(8)
-        fleet.finalize()
-        return fleet, record
+        with DistributedChain(
+            PAPER_HASHPOWER_SHARES,
+            latency=ConstantLatency(0.05),
+            seed=0,
+            confirmation_depth=4,
+            spec=spec,
+        ) as fleet:
+            record = ChainRecord(
+                kind=RecordKind.INITIAL_REPORT,
+                record_id=hash_fields("rpc-node-bound", 0),
+                payload=b"rpc-record",
+            )
+            fleet.submit_record(record)
+            fleet.run_blocks(8)
+            fleet.finalize()
+            yield fleet, record
 
-    def test_receipt_survives_restart_from_disk(self, tmp_path):
-        fleet, record = self._fleet(tmp_path)
+    def test_receipt_survives_restart_from_disk(self, stored_fleet):
+        fleet, record = stored_fleet
         node = fleet.replicas["provider-2"]
         w3 = Web3Shim.connect_node(node)
         before = w3.eth.get_transaction_receipt(record.record_id)
@@ -318,8 +325,8 @@ class TestNodeBoundShim:
         assert after["transactionHash"] == before["transactionHash"]
         assert after["status"] == 1
 
-    def test_crashed_node_raises_not_keyerror(self, tmp_path):
-        fleet, record = self._fleet(tmp_path)
+    def test_crashed_node_raises_not_keyerror(self, stored_fleet):
+        fleet, record = stored_fleet
         node = fleet.replicas["provider-2"]
         w3 = Web3Shim.connect_node(node)
         fleet.crash("provider-2")
@@ -334,11 +341,11 @@ class TestNodeBoundShim:
         assert w3.is_connected()
         assert w3.eth.get_transaction_receipt(record.record_id)["status"] == 1
 
-    def test_empty_store_restart_answers_unknown_not_keyerror(self, tmp_path):
+    def test_empty_store_restart_answers_unknown_not_keyerror(self, stored_fleet):
         # Wipe the victim's log while it is down: it restarts from an
         # empty store (genesis) and resyncs.  Queries fired mid-window
         # must stay documented errors, never KeyError.
-        fleet, record = self._fleet(tmp_path)
+        fleet, record = stored_fleet
         node = fleet.replicas["provider-2"]
         w3 = Web3Shim.connect_node(node)
         fleet.crash("provider-2")
@@ -352,28 +359,29 @@ class TestNodeBoundShim:
         with pytest.raises(RpcError, match="not found on the canonical chain"):
             w3.eth.get_transaction(b"\x00" * 32)
 
-    def test_node_without_mempool_is_a_documented_error(self, tmp_path):
-        fleet, _ = self._fleet(tmp_path)
+    def test_node_without_mempool_is_a_documented_error(self, stored_fleet):
+        fleet, _ = stored_fleet
         node = fleet.replicas["provider-1"]  # ReplicaNode: no mempool
         w3 = Web3Shim.connect_node(node)
         with pytest.raises(RpcError, match="no mempool attached"):
             w3.eth.get_pending_transactions()
 
-    def test_light_client_cannot_be_connected(self, tmp_path):
+    def test_light_client_cannot_be_connected(self):
         from repro.core.distributed import DistributedChain
         from repro.network.latency import ConstantLatency
+        from repro.shard import FleetSpec
 
         fleet = DistributedChain(
             PAPER_HASHPOWER_SHARES,
             latency=ConstantLatency(0.05),
             seed=0,
-            light_count=1,
+            spec=FleetSpec(full_nodes=len(PAPER_HASHPOWER_SHARES), light_nodes=1),
         )
         with pytest.raises(RpcError, match="light clients cannot"):
             Web3Shim.connect_node(fleet.light_replicas["light-0"])
 
-    def test_deploy_without_runtime_is_documented(self, tmp_path):
-        fleet, _ = self._fleet(tmp_path)
+    def test_deploy_without_runtime_is_documented(self, stored_fleet):
+        fleet, _ = stored_fleet
         w3 = Web3Shim.connect_node(fleet.replicas["provider-1"])
         with pytest.raises(RpcError):
             w3.eth.deploy_contract(None, "0x" + "00" * 20)

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Substrate perf-trajectory lane: time the hot paths (header hashing,
-# PoW nonce search, batch economics settlement, Merkle build, gossip
+# PoW nonce search, batch economics settlement, Merkle build, ECDSA
+# keygen/sign/verify — recorded under "ecdsa", never gated — gossip
 # round, one mini end-to-end experiment, serial-vs-parallel runner) and
 # record the baseline to BENCH_substrate.json so future PRs measure
 # regressions against it.

@@ -14,6 +14,7 @@ the paper's fixed difficulty this coincides with longest-chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.chain.block import (
@@ -137,6 +138,16 @@ class Blockchain:
             block = self._blocks[block.header.prev_block_id]
         return iter(reversed(chain))
 
+    def iter_confirmed(self) -> Iterator[Block]:
+        """Iterate confirmed canonical blocks from genesis upward.
+
+        The blocks :meth:`is_confirmed` accepts — canonical, at least
+        ``confirmation_depth`` below the head — from one walk of the
+        chain rather than one walk per block asked about.
+        """
+        confirmed = self.head.height - self.confirmation_depth + 1
+        return islice(self.iter_canonical(), max(confirmed, 0))
+
     def total_difficulty(self, block_id: Optional[bytes] = None) -> int:
         """Cumulative difficulty from genesis to ``block_id`` (default head)."""
         return self._total_difficulty[block_id or self._head_id]
@@ -240,9 +251,7 @@ class Blockchain:
     ) -> List[ChainRecord]:
         """All confirmed canonical records, optionally filtered by kind."""
         results: List[ChainRecord] = []
-        for block in self.iter_canonical():
-            if not self.is_confirmed(block.block_id):
-                continue
+        for block in self.iter_confirmed():
             for record in block.records:
                 if kind is None or record.kind == kind:
                     results.append(record)

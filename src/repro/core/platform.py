@@ -396,7 +396,7 @@ class SmartCrowdPlatform:
         self.releases[sra.sra_id] = case
 
         # Decentralized SRA verification, then on-chain recording.
-        if not sra.verify(keys.public):
+        if not sra.verify_registered(self.registry):
             raise RuntimeError("provider produced an invalid SRA")
         self.mining.submit(
             ChainRecord(

@@ -9,7 +9,9 @@ An insuranced SRA is the unit of accountability:
 link) and insurance; the signature makes the SRA unforgeable.  The
 decentralized verification of §V-A — recompute ``Δ_id``, check the
 signature, check ``U_h`` against the downloaded artifact — is
-:meth:`SignedSRA.verify` / :meth:`SignedSRA.verify_artifact`.
+:meth:`SignedSRA.verify` (against a key in hand) or
+:meth:`SignedSRA.verify_registered` (against the identity registry), and
+:meth:`SignedSRA.verify_artifact`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.codec import pack, unpack
+from repro.core.registry import IdentityRegistry
 from repro.crypto.ecdsa import Signature
 from repro.crypto.hashing import hash_fields, sha3_256
 from repro.crypto.keys import KeyPair, PublicKey
@@ -76,6 +79,17 @@ class SignedSRA:
         if expected_id != self.claimed_id:
             return False
         return provider_key.verify(expected_id, self.signature)
+
+    def verify_registered(self, registry: IdentityRegistry) -> bool:
+        """:meth:`verify` against the registered key of the named provider.
+
+        What a replica does on receiving Δ: an unknown ``P_i`` fails, and
+        the signature check goes through the deployment's registry, so
+        one announcement is verified once however many replicas relay it.
+        """
+        return self.body.sra_id() == self.claimed_id and registry.verify(
+            self.body.provider_id, self.claimed_id, self.signature
+        )
 
     def verify_artifact(self, image: bytes) -> bool:
         """Check U_h against a downloaded artifact.

@@ -137,6 +137,8 @@ class ProviderStakeholder(ReplicaNode):
         self.known_sras: Dict[bytes, SignedSRA] = {}
         #: report id -> accepted initial report (needed to check R*).
         self.known_initials: Dict[bytes, InitialReport] = {}
+        #: H_{R*} committed in an accepted R† -> that R† (matches R* to it).
+        self._initial_by_commitment: Dict[bytes, InitialReport] = {}
         self.rejected_messages = 0
         self.records_resubmitted = 0
         self.mempool_records_revalidated = 0
@@ -149,8 +151,7 @@ class ProviderStakeholder(ReplicaNode):
 
     def _on_sra(self, _node: Node, message: Message) -> None:
         sra: SignedSRA = message.payload
-        provider_key = self.registry.public_key(sra.body.provider_id)
-        if provider_key is None or not sra.verify(provider_key):
+        if not sra.verify_registered(self.registry):
             self.rejected_messages += 1
             return
         if sra.sra_id in self.known_sras:
@@ -172,7 +173,7 @@ class ProviderStakeholder(ReplicaNode):
         if not self.verifier.verify_initial(report).ok:
             self.rejected_messages += 1
             return
-        self.known_initials[report.report_id] = report
+        self._remember_initial(report)
         self.mempool.add(
             ChainRecord(
                 kind=RecordKind.INITIAL_REPORT,
@@ -181,20 +182,18 @@ class ProviderStakeholder(ReplicaNode):
             )
         )
 
+    def _remember_initial(self, report: InitialReport) -> None:
+        self.known_initials[report.report_id] = report
+        # First R† wins, as the scan over known_initials' order did.
+        self._initial_by_commitment.setdefault(report.detailed_hash, report)
+
     def _on_detailed(self, _node: Node, message: Message) -> None:
         report: DetailedReport = message.payload
         sra = self.known_sras.get(report.sra_id)
         if sra is None:
             self.rejected_messages += 1
             return
-        initial = next(
-            (
-                candidate
-                for candidate in self.known_initials.values()
-                if candidate.detailed_hash == report.body_hash()
-            ),
-            None,
-        )
+        initial = self._initial_by_commitment.get(report.body_hash())
         if initial is None:
             self.rejected_messages += 1
             return
@@ -262,8 +261,7 @@ class ProviderStakeholder(ReplicaNode):
                     record.kind == RecordKind.INITIAL_REPORT
                     and record.record_id not in self.known_initials
                 ):
-                    initial = InitialReport.from_payload(record.payload)
-                    self.known_initials[initial.report_id] = initial
+                    self._remember_initial(InitialReport.from_payload(record.payload))
         mined = [
             record_id
             for record_id in self.mempool.pending_ids()
@@ -698,13 +696,10 @@ class DecentralizedDeployment:
     def _fire_confirmations(self) -> None:
         """Trigger contracts for records the observer sees as confirmed."""
         observer = self._alive_observer()
-        chain = observer.chain
         self.runtime.advance_time(
             max(self.runtime.block_time, self.simulator.now)
         )
-        for block in chain.iter_canonical():
-            if not chain.is_confirmed(block.block_id):
-                continue
+        for block in observer.chain.iter_confirmed():
             for record in block.records:
                 if record.record_id in self._triggered:
                     continue

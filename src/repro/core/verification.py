@@ -73,15 +73,16 @@ class ReportVerifier:
 
     def verify_initial(self, report: InitialReport) -> Verdict:
         """Integrity + authenticity checks for an initial report."""
-        detector_key = self.registry.public_key(report.detector_id)
-        if detector_key is None:
+        if report.detector_id not in self.registry:
             return Verdict.drop(VerdictCode.UNKNOWN_DETECTOR)
         expected_id = InitialReport.compute_id(
             report.sra_id, report.detector_id, report.detailed_hash, report.wallet
         )
         if expected_id != report.report_id:
             return Verdict.drop(VerdictCode.BAD_IDENTIFIER)
-        if not detector_key.verify(report.report_id, report.signature):
+        if not self.registry.verify(
+            report.detector_id, report.report_id, report.signature
+        ):
             return Verdict.drop(VerdictCode.BAD_SIGNATURE)
         return Verdict.accept()
 
@@ -99,15 +100,16 @@ class ReportVerifier:
         Order follows Algorithm 1: identifier, signature, commitment
         cross-check (``H_{R*} == H(R*)``), then ``AutoVerif``.
         """
-        detector_key = self.registry.public_key(report.detector_id)
-        if detector_key is None:
+        if report.detector_id not in self.registry:
             return Verdict.drop(VerdictCode.UNKNOWN_DETECTOR)
         expected_id = DetailedReport.compute_id(
             report.sra_id, report.detector_id, report.wallet, report.descriptions
         )
         if expected_id != report.report_id:
             return Verdict.drop(VerdictCode.BAD_IDENTIFIER)
-        if not detector_key.verify(report.report_id, report.signature):
+        if not self.registry.verify(
+            report.detector_id, report.report_id, report.signature
+        ):
             return Verdict.drop(VerdictCode.BAD_SIGNATURE)
         if detailed_report_hash(report) != initial.detailed_hash:
             return Verdict.drop(VerdictCode.COMMITMENT_MISMATCH)

@@ -6,7 +6,8 @@ function SHA-3 ... using secp256k1 curve").  No third-party crypto
 library is available offline, so the curve arithmetic is implemented
 here directly:
 
-* Jacobian-coordinate point arithmetic for speed.
+* Jacobian-coordinate point arithmetic, a fixed-base table for ``G`` and
+  a fixed 4-bit window for every other point (docs/PERFORMANCE.md).
 * RFC 6979 deterministic nonces, so signing is reproducible and never
   leaks the key through a bad RNG.
 * Low-``s`` normalization (as Ethereum does) so signatures are
@@ -18,10 +19,11 @@ This module operates on 32-byte message *digests*; callers hash first
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = [
     "CURVE",
@@ -142,6 +144,95 @@ def _jac_add(p1: _JacPoint, p2: _JacPoint, p: int) -> _JacPoint:
     return (x3, y3, z3)
 
 
+def _jac_add_affine(p1: _JacPoint, p2: Tuple[int, int], p: int) -> _JacPoint:
+    """Mixed addition: Jacobian ``p1`` plus affine ``p2`` (``Z2 == 1``)."""
+    x1, y1, z1 = p1
+    x2, y2 = p2
+    if z1 == 0:
+        return (x2, y2, 1)
+    z1_sq = (z1 * z1) % p
+    h = (x2 * z1_sq - x1) % p
+    r = (y2 * z1_sq * z1 - y1) % p
+    if h == 0:
+        if r != 0:
+            return _JAC_INFINITY
+        return _jac_double(p1, p)
+    h_sq = (h * h) % p
+    h_cu = (h_sq * h) % p
+    v = (x1 * h_sq) % p
+    x3 = (r * r - h_cu - 2 * v) % p
+    y3 = (r * (v - x3) - y1 * h_cu) % p
+    z3 = (h * z1) % p
+    return (x3, y3, z3)
+
+
+# --- scalar multiplication -----------------------------------------------
+#
+# Both multiplications read the scalar four bits at a time.  The base
+# point is fixed, so every ``j * 16^i * G`` is tabulated once per process
+# and ``k * G`` is at most 64 mixed additions with no doubling at all;
+# an arbitrary point gets a 15-entry table of its own small multiples
+# and pays four doublings and at most one addition per window.
+
+_WINDOW_BITS = 4
+_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _base_table(curve: CurveParams) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """``table[i][j - 1] == j * 16^i * G`` in affine form, built on first use.
+
+    64 rows of 15 points for a 256-bit order (~180 KB, ~30 ms); a pure
+    function of ``curve``, so sharing it process-wide shares no state.
+    """
+    p = curve.p
+    rows = []
+    anchor = curve.g
+    for _ in range(0, curve.n.bit_length(), _WINDOW_BITS):
+        row = []
+        multiple = _JAC_INFINITY
+        for _ in range(_WINDOW_MASK):
+            multiple = _jac_add_affine(multiple, anchor, p)
+            row.append(_from_jacobian(multiple, p))
+        rows.append(tuple(row))
+        anchor = _from_jacobian(_jac_add_affine(multiple, anchor, p), p)
+    return tuple(rows)
+
+
+def _base_mult(k: int, curve: CurveParams) -> _JacPoint:
+    """``k * G`` for ``0 <= k < n`` from the fixed-base table."""
+    p = curve.p
+    accumulator = _JAC_INFINITY
+    for row in _base_table(curve):
+        if not k:
+            break
+        digit = k & _WINDOW_MASK
+        if digit:
+            accumulator = _jac_add_affine(accumulator, row[digit - 1], p)
+        k >>= _WINDOW_BITS
+    return accumulator
+
+
+def _window_mult(k: int, point: Tuple[int, int], curve: CurveParams) -> _JacPoint:
+    """``k * point`` for ``0 <= k < n`` and any affine ``point``."""
+    p = curve.p
+    multiples: List[_JacPoint] = [_JAC_INFINITY, _to_jacobian(point)]
+    for j in range(2, _WINDOW_MASK + 1):
+        if j % 2:
+            multiples.append(_jac_add_affine(multiples[j - 1], point, p))
+        else:
+            multiples.append(_jac_double(multiples[j // 2], p))
+    accumulator = _JAC_INFINITY
+    top = (k.bit_length() + _WINDOW_BITS - 1) // _WINDOW_BITS * _WINDOW_BITS
+    for shift in range(top - _WINDOW_BITS, -1, -_WINDOW_BITS):
+        for _ in range(_WINDOW_BITS):
+            accumulator = _jac_double(accumulator, p)
+        digit = (k >> shift) & _WINDOW_MASK
+        if digit:
+            accumulator = _jac_add(accumulator, multiples[digit], p)
+    return accumulator
+
+
 def point_add(
     p1: Optional[Tuple[int, int]],
     p2: Optional[Tuple[int, int]],
@@ -157,18 +248,14 @@ def scalar_mult(
     point: Optional[Tuple[int, int]],
     curve: CurveParams = CURVE,
 ) -> Optional[Tuple[int, int]]:
-    """Compute ``k * point`` using double-and-add in Jacobian coordinates."""
-    if point is None or k % curve.n == 0:
+    """Compute ``k * point``: table lookups for the base point, a fixed
+    4-bit window for any other."""
+    if point is None:
         return None
     k %= curve.n
-    accumulator = _JAC_INFINITY
-    addend = _to_jacobian(point)
-    while k:
-        if k & 1:
-            accumulator = _jac_add(accumulator, addend, curve.p)
-        addend = _jac_double(addend, curve.p)
-        k >>= 1
-    return _from_jacobian(accumulator, curve.p)
+    if point == curve.g:
+        return _from_jacobian(_base_mult(k, curve), curve.p)
+    return _from_jacobian(_window_mult(k, point, curve), curve.p)
 
 
 def is_on_curve(point: Optional[Tuple[int, int]], curve: CurveParams = CURVE) -> bool:
@@ -293,10 +380,11 @@ def verify(
     s_inv = _inv_mod(s, curve.n)
     u1 = (z * s_inv) % curve.n
     u2 = (r * s_inv) % curve.n
-    point = point_add(
-        scalar_mult(u1, curve.g, curve),
-        scalar_mult(u2, public_key, curve),
-        curve,
+    point = _from_jacobian(
+        _jac_add(
+            _base_mult(u1, curve), _window_mult(u2, public_key, curve), curve.p
+        ),
+        curve.p,
     )
     if point is None:
         return False

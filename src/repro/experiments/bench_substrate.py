@@ -2,7 +2,7 @@
 
 ``scripts/run_bench.sh`` (or ``python -m repro.experiments.bench_substrate``)
 times the hot paths every experiment leans on — header hashing, PoW
-nonce search, Merkle construction, a gossip round, and one mini
+nonce search, Merkle construction, ECDSA, a gossip round, and one mini
 end-to-end mining experiment — and writes ``BENCH_substrate.json`` so
 future PRs measure against a recorded baseline instead of folklore.
 
@@ -618,6 +618,35 @@ def run_suite(
         "per_build_ms": merkle_seconds / merkle_builds * 1e3,
     }
 
+    # -- ECDSA over secp256k1 ----------------------------------------------
+    # Recorded, not gated: the end-to-end number these feed is the
+    # ``lifecycle`` workload of ``bench/``.  Signing first builds the
+    # process-wide G table, so the timed runs see it warm.
+    ecdsa_ops = max(10, int(100 * scale))
+    digests = [hash_fields("bench-ecdsa", index) for index in range(ecdsa_ops)]
+    signer = KeyPair.from_seed(b"bench-ecdsa")
+    signatures = [signer.sign(digest) for digest in digests]
+
+    def _verify_all() -> None:
+        for digest, signature in zip(digests, signatures):
+            if not signer.verify(digest, signature):
+                raise AssertionError("ecdsa probe: an honest signature failed")
+
+    keygen_seconds = _best_of(
+        repeats, lambda: [KeyPair.from_seed(digest) for digest in digests]
+    )
+    sign_seconds = _best_of(
+        repeats, lambda: [signer.sign(digest) for digest in digests]
+    )
+    verify_seconds = _best_of(repeats, _verify_all)
+    results["ecdsa"] = {
+        "iterations": ecdsa_ops,
+        "seconds": keygen_seconds + sign_seconds + verify_seconds,
+        "keygen_us": keygen_seconds / ecdsa_ops * 1e6,
+        "sign_us": sign_seconds / ecdsa_ops * 1e6,
+        "verify_us": verify_seconds / ecdsa_ops * 1e6,
+    }
+
     # -- gossip round ------------------------------------------------------
     node_count = 8 if quick else 16
     gossip_seconds = _best_of(repeats, lambda: _gossip_round(node_count))
@@ -1116,6 +1145,15 @@ def to_table(payload: Dict[str, Any]) -> ResultTable:
             f"{entry['iterations']}x256 leaves",
             entry["seconds"],
             f"{entry['per_build_ms']:.2f} ms/build",
+        )
+    if "ecdsa" in rows:
+        entry = rows["ecdsa"]
+        table.add_row(
+            "ecdsa secp256k1",
+            f"{entry['iterations']} x keygen/sign/verify",
+            entry["seconds"],
+            f"sign {entry['sign_us']:.0f} us, verify {entry['verify_us']:.0f} us, "
+            f"keygen {entry['keygen_us']:.0f} us",
         )
     if "gossip_round" in rows:
         entry = rows["gossip_round"]

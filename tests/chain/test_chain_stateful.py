@@ -3,7 +3,10 @@
 Drives the chain with random block insertions (extending arbitrary
 known blocks at arbitrary difficulties) and checks it against a simple
 reference model after every step: the head is always a maximal-total-
-difficulty tip, and switches only on strict improvement.
+difficulty tip, and switches only on strict improvement.  The confirmed
+walk (``iter_confirmed`` / ``confirmed_records``) is checked against the
+per-block ``is_confirmed`` filter it replaced, at depths 0, 1, 3, 6 and
+deeper than the chain.
 """
 
 import random as _random
@@ -12,9 +15,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.chain.block import Block
+from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.chain import Blockchain
 from repro.chain.consensus import make_genesis
+from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import KeyPair
 
 MINER = KeyPair.from_seed(b"stateful-miner").address
@@ -46,7 +50,14 @@ class ChainMachine(RuleBasedStateMachine):
         block = Block.assemble(
             prev_block_id=parent.block_id,
             height=parent_height + 1,
-            records=(),
+            records=tuple(
+                ChainRecord(
+                    kind=kind,
+                    record_id=hash_fields("stateful", self._counter, kind.value),
+                    payload=b"",
+                )
+                for kind in (RecordKind.SRA, RecordKind.INITIAL_REPORT)[: self._counter % 3]
+            ),
             timestamp=parent_ts + 1.0 + self._counter * 1e-6,
             difficulty=difficulty,
             miner=MINER,
@@ -61,6 +72,10 @@ class ChainMachine(RuleBasedStateMachine):
             assert moved
         else:
             assert not moved
+
+    @rule(depth=st.sampled_from((0, 1, 3, 6, 1000)))
+    def change_confirmation_depth(self, depth: int) -> None:
+        self.chain.confirmation_depth = depth
 
     @invariant()
     def head_matches_model(self) -> None:
@@ -87,6 +102,25 @@ class ChainMachine(RuleBasedStateMachine):
         head_height = self.chain.head.height
         for block in self.chain.iter_canonical():
             assert self.chain.confirmations(block.block_id) == head_height - block.height
+
+    @invariant()
+    def confirmed_walk_equals_per_block_filter(self) -> None:
+        if not hasattr(self, "chain"):
+            return
+        chain = self.chain
+        expected = [
+            block
+            for block in chain.iter_canonical()
+            if chain.is_confirmed(block.block_id)
+        ]
+        assert list(chain.iter_confirmed()) == expected
+        for kind in (None, RecordKind.SRA, RecordKind.DETAILED_REPORT):
+            assert chain.confirmed_records(kind) == [
+                record
+                for block in expected
+                for record in block.records
+                if kind is None or record.kind == kind
+            ]
 
 
 TestChainStateful = ChainMachine.TestCase

@@ -29,6 +29,7 @@ def test_quick_suite_runs_every_probe(suite):
         "economics_batch",
         "ledger_validate",
         "merkle_build_256",
+        "ecdsa",
         "gossip_round",
         "mini_experiment",
         "store_replay",
@@ -68,6 +69,15 @@ def test_query_warm_start_probe_shape(suite):
     assert entry["warm_start_identical_to_cold"]
     assert entry["warm_start_seconds"] > 0
     assert entry["cold_rebuild_seconds"] > 0
+
+
+def test_ecdsa_probe_shape(suite):
+    # Recorded, never gated: the probe itself raises if an honest
+    # signature fails, tier-1 checks all three timings were taken.
+    entry = suite["benchmarks"]["ecdsa"]
+    assert entry["iterations"] >= 10
+    assert min(entry["keygen_us"], entry["sign_us"], entry["verify_us"]) > 0
+    assert "ecdsa secp256k1" in to_table(suite).render()
 
 
 def test_economics_batch_is_faster_than_scalar(suite):

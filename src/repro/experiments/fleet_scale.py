@@ -39,6 +39,7 @@ from repro.experiments.runner import (
 )
 from repro.network.config import NetworkConfig
 from repro.shard import FleetSpec, ShardedSimulator
+from repro.shard.spec import fleet_split
 from repro.telemetry import Telemetry
 
 __all__ = ["FleetScaleResult", "fleet_split", "run_fleet_scale"]
@@ -52,19 +53,6 @@ DEFAULT_NODE_COUNTS = (50, 200, 1000)
 #: through :class:`~repro.shard.engine.ShardedSimulator` instead.
 #: Empty by default — the bench lane opts in (they dominate wall-clock).
 DEFAULT_SHARD_POINTS: Tuple[Tuple[int, int], ...] = ()
-
-
-def fleet_split(node_count: int) -> Tuple[int, int]:
-    """(full, light) node split for a fleet of ``node_count``.
-
-    Small fleets (the paper's regime) are all full nodes; large fleets
-    keep a small full-node backbone (2%, floor 10) and let the rest
-    participate header-only, per §V-B.
-    """
-    if node_count <= 25:
-        return node_count, 0
-    full = max(10, node_count // 50)
-    return full, node_count - full
 
 
 def _fleet_trial(args: Tuple[int, int, str, int, int]) -> Dict[str, float]:

@@ -145,10 +145,8 @@ class GossipNetwork(GossipNetworkApi):
     message loss, duplication, delay spikes, node crashes, and explicit
     partitions for fault-injection tests (:mod:`repro.faults`).
 
-    Topology/relay knobs arrive through one
-    :class:`~repro.network.config.NetworkConfig` (``config``); the bare
-    ``loss_rate`` kwarg is kept for the small-fleet call sites that
-    predate it.
+    Topology/relay knobs and the initial ``loss_rate`` arrive through
+    one :class:`~repro.network.config.NetworkConfig` (``config``).
     """
 
     def __init__(
@@ -156,20 +154,17 @@ class GossipNetwork(GossipNetworkApi):
         simulator: Simulator,
         topology: nx.Graph,
         latency: LatencyModel = DEFAULT_LATENCY,
-        loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,
         telemetry: Optional[Telemetry] = None,
         config: Optional[NetworkConfig] = None,
     ) -> None:
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss rate must be in [0, 1)")
         self.config = config if config is not None else NetworkConfig()
         self.simulator = simulator
         self.topology = topology
         self.latency = latency
-        #: Per-transmission loss probability; an explicit kwarg wins
-        #: over the config's value so legacy call sites keep working.
-        self.loss_rate = loss_rate if loss_rate > 0.0 else self.config.loss_rate
+        #: Per-transmission loss probability; starts at the config's
+        #: value, reassigned by the fault injector mid-run.
+        self.loss_rate = self.config.loss_rate
         #: Probability a transmitted copy is delivered twice (link-level
         #: duplication fault; the second copy is suppressed by dedup).
         self.duplication_rate = 0.0

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.network.config import NetworkConfig
 
-__all__ = ["FleetSpec"]
+__all__ = ["FleetSpec", "fleet_split"]
 
 #: Shard-assignment strategies understood by :mod:`repro.shard.plan`.
 _STRATEGIES = ("topology", "consistent_hash")
@@ -121,14 +121,11 @@ class FleetSpec:
     ) -> "FleetSpec":
         """The scale-out split for a fleet of ``node_count`` nodes.
 
-        Mirrors :func:`~repro.experiments.fleet_scale.fleet_split`:
-        small fleets (the paper's regime) are all full nodes, large
-        fleets keep a 2% full-node backbone (floor 10) and let the rest
-        participate header-only.  ``network`` defaults to
+        Counts come from :func:`fleet_split`; ``network`` defaults to
         :meth:`NetworkConfig.large_fleet` once the fleet outgrows the
         paper's LAN.
         """
-        full, light = _fleet_split(node_count)
+        full, light = fleet_split(node_count)
         if network is None:
             network = (
                 NetworkConfig.large_fleet() if light else NetworkConfig()
@@ -153,8 +150,13 @@ class FleetSpec:
         return replace(self, shards=1)
 
 
-def _fleet_split(node_count: int) -> Tuple[int, int]:
-    """(full, light) split — the 2%-backbone heuristic from fleet_scale."""
+def fleet_split(node_count: int) -> Tuple[int, int]:
+    """(full, light) node split for a fleet of ``node_count``.
+
+    Small fleets (the paper's regime) are all full nodes; large fleets
+    keep a small full-node backbone (2%, floor 10) and let the rest
+    participate header-only, per §V-B.
+    """
     if node_count < 1:
         raise ValueError("a fleet needs at least one node")
     if node_count <= 25:

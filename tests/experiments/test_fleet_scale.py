@@ -22,6 +22,10 @@ class TestFleetSplit:
         full, light = fleet_split(200)
         assert full == 10 and light == 190
 
+    def test_empty_fleet_rejected(self):
+        with pytest.raises(ValueError):
+            fleet_split(0)
+
 
 class TestConvergenceInvariants:
     def test_inv_fleet_converges(self):

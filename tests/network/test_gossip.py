@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.network.config import NetworkConfig
 from repro.network.gossip import GossipNetwork, build_topology
 from repro.network.latency import ConstantLatency
 from repro.network.messages import Message, MessageKind
@@ -17,8 +18,8 @@ def _network(kind="complete", loss=0.0, seed=0):
     sim = Simulator()
     topo = build_topology(NAMES, kind, degree=4, rng=random.Random(seed))
     net = GossipNetwork(
-        sim, topo, latency=ConstantLatency(0.01), loss_rate=loss,
-        rng=random.Random(seed),
+        sim, topo, latency=ConstantLatency(0.01), rng=random.Random(seed),
+        config=NetworkConfig(loss_rate=loss),
     )
     nodes = [Node(name) for name in NAMES]
     net.attach_all(nodes)
@@ -123,7 +124,7 @@ class TestFaults:
         sim = Simulator()
         topo = build_topology(NAMES, "complete")
         with pytest.raises(ValueError):
-            GossipNetwork(sim, topo, loss_rate=1.0)
+            GossipNetwork(sim, topo, config=NetworkConfig(loss_rate=1.0))
 
 
 class TestRelayFilter:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import List
 
 import pytest
@@ -15,16 +14,21 @@ from repro.crypto.keys import KeyPair
 
 MINER = KeyPair.from_seed(b"store-test-miner").address
 
+#: Stores and bare logs the running test opened through :func:`opened`.
+_OPENED: list = []
 
-def pytest_collection_modifyitems(items) -> None:
-    # The store's own unit tests open bare logs ad hoc and let the
-    # reference count close them when the test returns (a bare store
-    # sits in no cycle, so that is deterministic).  Everywhere else an
-    # unclosed handle is an error (pyproject's filterwarnings).
-    here = Path(__file__).parent
-    for item in items:
-        if here in item.path.parents:
-            item.add_marker(pytest.mark.filterwarnings("ignore::ResourceWarning"))
+
+def opened(store):
+    """Register ``store`` to be closed when the running test ends."""
+    _OPENED.append(store)
+    return store
+
+
+@pytest.fixture(autouse=True)
+def _close_opened():
+    yield
+    while _OPENED:
+        _OPENED.pop().close()
 
 
 def make_record(label: str, index: int, payload: bytes = b"") -> ChainRecord:

@@ -9,11 +9,11 @@ from repro.chain.serialization import encode_block
 from repro.store import ChainStore, StoreError, drop_snapshots, flip_bit, tear_frame
 from repro.telemetry import Telemetry
 
-from tests.store.conftest import build_chain, extend_chain
+from tests.store.conftest import build_chain, extend_chain, opened
 
 
 def _filled_store(tmp_path, chain, **kwargs):
-    store = ChainStore(tmp_path / "replica", **kwargs)
+    store = opened(ChainStore(tmp_path / "replica", **kwargs))
     for block in chain.iter_canonical():
         store.append(block)
     return store
@@ -26,7 +26,7 @@ class TestAppendAndReload:
         assert store.is_linear
         store.close()
 
-        reopened = ChainStore(tmp_path / "replica")
+        reopened = opened(ChainStore(tmp_path / "replica"))
         assert reopened.last_recovery.clean
         loaded = reopened.load_chain(confirmation_depth=2)
         assert loaded is not None
@@ -44,12 +44,12 @@ class TestAppendAndReload:
         assert store.log_path.stat().st_size == size_before
 
     def test_first_append_must_be_genesis(self, tmp_path, chain):
-        store = ChainStore(tmp_path / "replica")
+        store = opened(ChainStore(tmp_path / "replica"))
         with pytest.raises(StoreError, match="genesis"):
             store.append(chain.head)
 
     def test_unparented_block_is_rejected(self, tmp_path, chain):
-        store = ChainStore(tmp_path / "replica")
+        store = opened(ChainStore(tmp_path / "replica"))
         store.append(chain.genesis)
         orphan = chain.block_at_height(5)
         with pytest.raises(StoreError, match="no logged parent"):
@@ -81,7 +81,7 @@ class TestAppendAndReload:
                 store.append(block)
         assert not store.is_linear
         store.close()
-        reopened = ChainStore(tmp_path / "replica")
+        reopened = opened(ChainStore(tmp_path / "replica"))
         loaded = reopened.load_chain(confirmation_depth=2)
         assert loaded.head.block_id == fork.head.block_id  # heavier branch
         assert loaded.get_block(chain.head.block_id) is not None
@@ -124,7 +124,7 @@ class TestCrashRecovery:
             )
 
     def test_torn_write_mid_genesis_empties_the_store(self, tmp_path, chain):
-        store = ChainStore(tmp_path / "replica")
+        store = opened(ChainStore(tmp_path / "replica"))
         store.append(chain.genesis)
         tear_frame(store, frame_index=0)
         store.reopen()
@@ -154,7 +154,7 @@ class TestCrashRecovery:
 class TestSnapshotsAndLedgerReplay:
     def test_snapshot_cadence_follows_confirmed_heights(self, tmp_path):
         chain = build_chain(0, confirmation_depth=2)
-        store = ChainStore(tmp_path / "replica", snapshot_interval=4)
+        store = opened(ChainStore(tmp_path / "replica", snapshot_interval=4))
         store.append(chain.genesis)
         written = []
         for _ in range(14):
@@ -168,13 +168,13 @@ class TestSnapshotsAndLedgerReplay:
 
     def test_replay_matches_full_ledger_replay(self, tmp_path):
         chain = build_chain(20, confirmation_depth=2)
-        store = ChainStore(tmp_path / "replica", snapshot_interval=4)
+        store = opened(ChainStore(tmp_path / "replica", snapshot_interval=4))
         for block in chain.iter_canonical():
             store.append(block)
             store.maybe_snapshot(chain)
         store.close()
 
-        reopened = ChainStore(tmp_path / "replica", snapshot_interval=4)
+        reopened = opened(ChainStore(tmp_path / "replica", snapshot_interval=4))
         replay = reopened.replay_ledger()
         state, nonces = LedgerStateMachine().replay(chain)
         assert replay.snapshot_hit
@@ -187,7 +187,7 @@ class TestSnapshotsAndLedgerReplay:
 
     def test_lost_snapshots_fall_back_to_genesis_replay(self, tmp_path):
         chain = build_chain(20, confirmation_depth=2)
-        store = ChainStore(tmp_path / "replica", snapshot_interval=4)
+        store = opened(ChainStore(tmp_path / "replica", snapshot_interval=4))
         for block in chain.iter_canonical():
             store.append(block)
             store.maybe_snapshot(chain)
@@ -204,7 +204,7 @@ class TestSnapshotsAndLedgerReplay:
     def test_stale_survivor_anchors_an_older_replay(self, tmp_path):
         # Grow incrementally so several snapshot generations accumulate.
         chain = build_chain(0, confirmation_depth=2)
-        store = ChainStore(tmp_path / "replica", snapshot_interval=4)
+        store = opened(ChainStore(tmp_path / "replica", snapshot_interval=4))
         store.append(chain.genesis)
         for _ in range(20):
             store.append(extend_chain(chain, 1)[0])
@@ -224,7 +224,7 @@ class TestSnapshotsAndLedgerReplay:
         for height in range(1, 4):
             fork.add_block(chain.block_at_height(height))
         extend_chain(fork, 6, label="fork")
-        store = ChainStore(tmp_path / "replica", snapshot_interval=4)
+        store = opened(ChainStore(tmp_path / "replica", snapshot_interval=4))
         for block in chain.iter_canonical():
             store.append(block)
         for block in fork.iter_canonical():
@@ -237,7 +237,7 @@ class TestSnapshotsAndLedgerReplay:
         assert replay.state.snapshot() == state.snapshot()
 
     def test_empty_store_cannot_replay(self, tmp_path):
-        store = ChainStore(tmp_path / "replica")
+        store = opened(ChainStore(tmp_path / "replica"))
         with pytest.raises(StoreError, match="empty store"):
             store.replay_ledger()
 

@@ -17,12 +17,12 @@ from repro.store import (
 from repro.store.fsck import EXIT_CLEAN, EXIT_CORRUPT, EXIT_UNUSABLE, fsck
 from repro.store.__main__ import main
 
-from tests.store.conftest import build_chain
+from tests.store.conftest import build_chain, opened
 
 
 def _chain_store(tmp_path, blocks=12, snapshot_interval=4):
     chain = build_chain(blocks, confirmation_depth=2)
-    store = ChainStore(tmp_path / "replica", snapshot_interval=snapshot_interval)
+    store = opened(ChainStore(tmp_path / "replica", snapshot_interval=snapshot_interval))
     for block in chain.iter_canonical():
         store.append(block)
         store.maybe_snapshot(chain)
@@ -97,7 +97,7 @@ class TestChainStoreFsck:
         other = build_chain(12, label="other", confirmation_depth=2)
         store.log_path.unlink()
         store.meta_path.unlink()
-        rebuilt = ChainStore(store.path, snapshot_interval=4)
+        rebuilt = opened(ChainStore(store.path, snapshot_interval=4))
         for block in other.iter_canonical():
             rebuilt.append(block)
         report = fsck(store.path)
@@ -133,7 +133,7 @@ class TestChainStoreFsck:
 class TestHeaderStoreFsck:
     def test_clean_and_torn(self, tmp_path):
         chain = build_chain(8)
-        store = HeaderStore(tmp_path / "light")
+        store = opened(HeaderStore(tmp_path / "light"))
         for block in chain.iter_canonical():
             store.append(block.header)
         assert fsck(store.path).ok
@@ -144,7 +144,7 @@ class TestHeaderStoreFsck:
 
     def test_shuffled_header_is_a_bad_frame(self, tmp_path):
         chain = build_chain(8)
-        store = HeaderStore(tmp_path / "light")
+        store = opened(HeaderStore(tmp_path / "light"))
         for block in chain.iter_canonical():
             store.append(block.header)
         # Swap two intact frames: checksums pass, linkage must not.

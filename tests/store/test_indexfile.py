@@ -27,12 +27,12 @@ from repro.store.frames import StoreCorruption, frame_bytes
 from repro.store.fsck import EXIT_CLEAN, EXIT_CORRUPT, fsck
 from repro.store.indexfile import _MAGIC
 
-from tests.store.conftest import build_chain, extend_chain
+from tests.store.conftest import build_chain, extend_chain, opened
 
 
 def _chain_store(tmp_path, blocks=12, snapshot_interval=4):
     chain = build_chain(blocks, confirmation_depth=2)
-    store = ChainStore(tmp_path / "replica", snapshot_interval=snapshot_interval)
+    store = opened(ChainStore(tmp_path / "replica", snapshot_interval=snapshot_interval))
     for block in chain.iter_canonical():
         store.append(block)
         store.maybe_snapshot(chain)
@@ -247,7 +247,7 @@ class TestSnapshotDebris:
         debris = store.snapshots.path / "ledger-999999999999.snap"
         debris.write_bytes(b"")
         store.mark_stale()
-        reopened = ChainStore(store.path, snapshot_interval=4)
+        reopened = opened(ChainStore(store.path, snapshot_interval=4))
         assert reopened.load_chain().head.block_id == chain.head.block_id
 
     def test_prune_reaps_debris(self, tmp_path):
@@ -261,7 +261,7 @@ class TestSnapshotDebris:
 
     def test_debris_does_not_consume_retention_budget(self, tmp_path):
         chain = build_chain(0, confirmation_depth=2)
-        store = ChainStore(tmp_path / "replica", snapshot_interval=1)
+        store = opened(ChainStore(tmp_path / "replica", snapshot_interval=1))
         store.append(chain.head)
         debris = store.snapshots.path / "ledger-999999999998.snap"
         debris.write_bytes(b"")
@@ -289,6 +289,6 @@ class TestDropIndexFault:
         store, chain = _chain_store(tmp_path)
         _write_index(store, chain)
         drop_index_file(store)
-        reopened = ChainStore(store.path, snapshot_interval=4)
+        reopened = opened(ChainStore(store.path, snapshot_interval=4))
         assert reopened.load_chain().head.block_id == chain.head.block_id
         assert fsck(store.path).ok

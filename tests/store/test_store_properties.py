@@ -11,7 +11,7 @@ Two claims the durability layer stakes its correctness on:
 
 import io
 import tempfile
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -53,14 +53,14 @@ class TestRoundTrip:
         chain = build_chain(blocks, records_per_block=records)
         with _fresh_store_dir() as path:
             _fill(path, chain)
-            reopened = ChainStore(path)
-            assert reopened.last_recovery.clean
-            loaded = reopened.load_chain(confirmation_depth=2)
-            assert [encode_block(b) for b in loaded.iter_canonical()] == [
-                encode_block(b) for b in chain.iter_canonical()
-            ]
-            replay = reopened.replay_ledger()
-            assert replay.height == chain.height
+            with closing(ChainStore(path)) as reopened:
+                assert reopened.last_recovery.clean
+                loaded = reopened.load_chain(confirmation_depth=2)
+                assert [encode_block(b) for b in loaded.iter_canonical()] == [
+                    encode_block(b) for b in chain.iter_canonical()
+                ]
+                replay = reopened.replay_ledger()
+                assert replay.height == chain.height
 
     @settings(max_examples=40, deadline=None)
     @given(payloads=st.lists(st.binary(max_size=200), max_size=8))
@@ -119,20 +119,20 @@ class TestCorruptionIsAlwaysDetected:
             )
             (path / "blocks.log").write_bytes(original[:cut])
 
-            reopened = ChainStore(path)
-            recovery = reopened.last_recovery
-            surviving = reopened.log_path.read_bytes()
-            assert original.startswith(surviving)
-            if recovery.clean:
-                # Clean reopen ⇒ the cut landed exactly on a frame edge.
-                assert surviving == original[:cut]
-            else:
-                assert recovery.tail_bytes_truncated > 0
-            # Every surviving block is the original block, bit for bit.
-            for index in range(len(reopened)):
-                assert encode_block(reopened.block_at(index)) == encode_block(
-                    chain.block_at_height(index)
-                )
+            with closing(ChainStore(path)) as reopened:
+                recovery = reopened.last_recovery
+                surviving = reopened.log_path.read_bytes()
+                assert original.startswith(surviving)
+                if recovery.clean:
+                    # Clean reopen ⇒ the cut landed exactly on a frame edge.
+                    assert surviving == original[:cut]
+                else:
+                    assert recovery.tail_bytes_truncated > 0
+                # Every surviving block is the original block, bit for bit.
+                for index in range(len(reopened)):
+                    assert encode_block(reopened.block_at(index)) == encode_block(
+                        chain.block_at_height(index)
+                    )
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -158,17 +158,18 @@ class TestCorruptionIsAlwaysDetected:
                 reopened = ChainStore(path)
             except (StoreError, CodecError):
                 return  # rejected outright: acceptable
-            # CRC-32 catches every single-byte error, so the reopen can
-            # never be clean — and never yields a different chain.
-            assert not reopened.last_recovery.clean
-            kept = len(reopened)
-            assert kept < len(original_ids)
-            for index in range(kept):
-                assert reopened.block_at(index).block_id == original_ids[index]
-            # The flipped byte sits past everything that was kept.
-            span_end = sum(
-                FRAME_HEADER_BYTES
-                + len(encode_block(chain.block_at_height(i)))
-                for i in range(kept)
-            )
-            assert span_end <= offset
+            with closing(reopened):
+                # CRC-32 catches every single-byte error, so the reopen can
+                # never be clean — and never yields a different chain.
+                assert not reopened.last_recovery.clean
+                kept = len(reopened)
+                assert kept < len(original_ids)
+                for index in range(kept):
+                    assert reopened.block_at(index).block_id == original_ids[index]
+                # The flipped byte sits past everything that was kept.
+                span_end = sum(
+                    FRAME_HEADER_BYTES
+                    + len(encode_block(chain.block_at_height(i)))
+                    for i in range(kept)
+                )
+                assert span_end <= offset

@@ -73,13 +73,26 @@ class TestMining:
         assert telemetry.counter("retarget.blocks", winner="a").value == 10
 
     def test_exhausted_search_counted(self):
-        from repro.experiments.bench_substrate import _bench_block
+        from benchmarks.substrate import _bench_block
 
         telemetry = Telemetry()
         assert mine_block(_bench_block(), max_attempts=50,
                           telemetry=telemetry) is None
         assert telemetry.counter("pow.searches", outcome="exhausted").value == 1
         assert telemetry.counter("pow.nonce_attempts").value == 50
+
+    def test_found_search_records_attempts_and_outcome(self):
+        from benchmarks.substrate import _bench_block
+
+        telemetry = Telemetry()
+        mined = mine_block(_bench_block(difficulty=64), max_attempts=100_000,
+                           telemetry=telemetry)
+        assert mined is not None
+        attempts = telemetry.counter("pow.nonce_attempts").value
+        assert attempts == mined.header.nonce + 1
+        assert telemetry.counter("pow.searches", outcome="found").value == 1
+        histogram = telemetry.histogram("pow.attempts_per_search")
+        assert histogram.count == 1 and histogram.max == attempts
 
 
 class _Bounty(Contract):

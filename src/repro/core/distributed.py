@@ -61,6 +61,31 @@ def _interleave(full_names: List[str], light_names: List[str]) -> List[str]:
     return merged
 
 
+def heaviest_alive_neighbour(node: Node) -> Optional["ReplicaNode"]:
+    """``node``'s alive overlay neighbour holding the heaviest full chain.
+
+    The one walk behind a replica's resync and a detector's SPV-style
+    catch-up.  Neighbours that are crashed, unattached, or hold no full
+    chain (light replicas, detectors, consumers) are skipped; None when
+    nobody qualifies — e.g. on a sparse overlay whose edge members have
+    no full-node neighbour.
+    """
+    network = node.network
+    if network is None or not hasattr(network, "neighbors"):
+        return None
+    best = None
+    for peer_name in network.neighbors(node.name):
+        try:
+            peer = network.node(peer_name)
+        except KeyError:
+            continue
+        if getattr(peer, "crashed", False) or getattr(peer, "chain", None) is None:
+            continue
+        if best is None or peer.chain.total_difficulty() > best.chain.total_difficulty():
+            best = peer
+    return best
+
+
 class ReplicaNode(Node):
     """A provider node holding a full chain replica.
 
@@ -127,7 +152,7 @@ class ReplicaNode(Node):
             # the gap from the heaviest reachable peer instead — the
             # same headers-first walk used after a restart.
             if block.height > self.chain.height + 1 and not self._resyncing:
-                peer = self._best_peer()
+                peer = heaviest_alive_neighbour(self)
                 if (
                     peer is not None
                     and peer.chain.total_difficulty() > self.chain.total_difficulty()
@@ -185,7 +210,7 @@ class ReplicaNode(Node):
         """
         if self.store is not None:
             self._recover_from_store()
-        peer = self._best_peer()
+        peer = heaviest_alive_neighbour(self)
         if peer is not None:
             self.resync_from(peer)
 
@@ -207,26 +232,6 @@ class ReplicaNode(Node):
         self.chain = chain
         self._orphans = {}
         self.store_recoveries += 1
-
-    def _best_peer(self) -> Optional["ReplicaNode"]:
-        """The reachable, alive neighbor with the heaviest chain."""
-        network = self.network
-        if network is None or not hasattr(network, "neighbors"):
-            return None
-        best: Optional[ReplicaNode] = None
-        for peer_name in network.neighbors(self.name):
-            try:
-                peer = network.node(peer_name)
-            except KeyError:
-                continue
-            if getattr(peer, "crashed", False):
-                continue
-            peer_chain = getattr(peer, "chain", None)
-            if peer_chain is None:
-                continue
-            if best is None or peer_chain.total_difficulty() > best.chain.total_difficulty():
-                best = peer
-        return best
 
     def resync_from(self, peer: "ReplicaNode") -> int:
         """Adopt the peer's canonical chain, headers first.
@@ -273,6 +278,18 @@ class ReplicaNode(Node):
             difficulty=difficulty if difficulty is not None else head.header.difficulty,
             miner=self.address,
         )
+
+    def mine(
+        self,
+        timestamp: float,
+        records: tuple = (),
+        difficulty: Optional[int] = None,
+    ) -> Block:
+        """Extend this replica's own head with ``records`` and announce it."""
+        block = self.assemble_block(timestamp, records, difficulty)
+        self.receive_block(block)
+        self.broadcast(MessageKind.BLOCK_ANNOUNCE, block)
+        return block
 
     def head_id(self) -> bytes:
         """This replica's canonical head id."""
@@ -425,10 +442,11 @@ class FleetControlPlane:
     (:class:`DistributedChain`) or shards behind epoch barriers
     (:class:`~repro.shard.engine.ShardedSimulator`).  An engine builds
     its world(s) from ``self._blueprint`` and supplies the clock
-    (``_clock``: ``now``/``advance_for``), the three ways the control
+    (``_clock``: ``now``/``advance_until``), the three ways the control
     plane reaches a world (``_mine``, ``_candidates``, ``_reconcile``)
     and the public ``settle``/``heads``/``light_heads``/``crash``/
-    ``restart``/``close``.
+    ``restart``/``close``; a front-end with work to do per block (the
+    paper workflow's confirmation triggers) overrides ``_on_block``.
 
     ``spec`` carries counts; the keys of ``shares``, when given, *are*
     the full-node names (in fleet order) and must number
@@ -544,14 +562,38 @@ class FleetControlPlane:
         still settles).
         """
         outcome = self.model.next_block()
-        self._clock.advance_for(outcome.interval)
-        pending = self._byzantine_queue.get(outcome.winner, self._honest_mempool)
-        block = self._mine(outcome.winner, tuple(pending.records))
+        return self._round(outcome.winner, self._clock.now + outcome.interval)
+
+    def mine_until(self, deadline: float) -> int:
+        """Mining rounds up to ``deadline`` on the fleet clock.
+
+        A sampled block that would land after the deadline is never
+        found: the clock advances to the deadline and the drive stops.
+        Returns the blocks mined.
+        """
+        mined = 0
+        while True:
+            outcome = self.model.next_block()
+            when = self._clock.now + outcome.interval
+            if when > deadline:
+                self._clock.advance_until(deadline)
+                return mined
+            if self._round(outcome.winner, when) is not None:
+                mined += 1
+
+    def _round(self, winner: str, when: float) -> Optional[Block]:
+        self._clock.advance_until(when)
+        pending = self._byzantine_queue.get(winner, self._honest_mempool)
+        block = self._mine(winner, tuple(pending.records))
         if block is None:
             return None
         pending.records = []
         self.blocks_mined += 1
+        self._on_block(winner, block)
         return block
+
+    def _on_block(self, winner: str, block: Block) -> None:
+        """Hook: ``winner`` just mined and announced ``block``."""
 
     def run_blocks(self, count: int) -> List[Optional[Block]]:
         """Mine ``count`` rounds (entries are None for crashed winners)."""
@@ -577,10 +619,15 @@ class FleetControlPlane:
             self._reconcile(best[1])
 
     def converged(self, among: Optional[Set[str]] = None) -> bool:
-        """True if (the given) full replicas agree on the canonical head."""
-        heads = self.heads()
-        names = among if among is not None else set(heads)
-        return len({heads[name] for name in names}) == 1
+        """True if the alive (or the given) full replicas share one head.
+
+        A crashed replica's head is frozen where it died and says
+        nothing about the fleet; name it in ``among`` to compare it
+        anyway.
+        """
+        heads = self.heads(alive=among is None)
+        names = among if among is not None else heads
+        return len({heads[name] for name in names}) <= 1
 
     def light_converged(self) -> bool:
         """True if all light clients agree with the heaviest full head."""
@@ -631,11 +678,9 @@ class DistributedChain(FleetControlPlane):
         seed: int = 0,
         spec: Optional["FleetSpec"] = None,
     ) -> None:
-        from repro.shard.engine import ShardState  # see FleetControlPlane
-
         if getattr(spec, "shards", 1) != 1:
             raise ValueError(
-                f"DistributedChain is single-process; run spec.shards="
+                f"{type(self).__name__} is single-process; run spec.shards="
                 f"{spec.shards} through repro.shard.ShardedSimulator, or "
                 "pass spec.unsharded()"
             )
@@ -643,7 +688,7 @@ class DistributedChain(FleetControlPlane):
             spec, shares, record_check, byzantine, difficulty,
             mean_block_time, latency, confirmation_depth, seed,
         )
-        self.world = ShardState(self._blueprint, 0)
+        self.world = self._build_world()
         self.simulator: Simulator = self.world.simulator
         self.network: GossipNetwork = self.world.network
         self.replicas: Dict[str, ReplicaNode] = self.world.replicas
@@ -651,6 +696,11 @@ class DistributedChain(FleetControlPlane):
         self._clock = self.simulator
 
     # -- the control plane's reach into the world ---------------------------
+
+    def _build_world(self) -> "ShardState":
+        from repro.shard.engine import ShardState  # see FleetControlPlane
+
+        return ShardState(self._blueprint, 0)
 
     def _mine(self, winner: str, records: Tuple[ChainRecord, ...]) -> Optional[Block]:
         return self.world.mine(winner, records, self._difficulty)
@@ -681,9 +731,9 @@ class DistributedChain(FleetControlPlane):
 
     # -- inspection ------------------------------------------------------------
 
-    def heads(self) -> Dict[str, bytes]:
-        """Each replica's canonical head id."""
-        return self.world.heads()
+    def heads(self, alive: bool = False) -> Dict[str, bytes]:
+        """Each (or, with ``alive``, each non-crashed) replica's head id."""
+        return self.world.heads(alive)
 
     def light_heads(self) -> Dict[str, bytes]:
         """Each light client's best header id."""

@@ -23,23 +23,31 @@ nodes, and every step is a message —
 Contract state is global (it *is* the replicated on-chain state);
 confirmation triggers fire once, driven by a designated honest
 observer replica — the same substitution the platform documents.
-Record fees are omitted here: the economics are validated end-to-end
-by the platform; this front-end validates the decentralized dataflow.
+
+The fleet itself is not built here: :class:`DecentralizedDeployment` is
+the one-world engine (:class:`~repro.core.distributed.DistributedChain`)
+plus the workflow, so overlay, stores, light members, crash/restart,
+``finalize`` and ``query_service`` are the engine's.  What still
+differs from the platform: record fees are omitted here — the
+economics are validated end-to-end by the platform; this front-end
+validates the decentralized dataflow.
 """
 
 from __future__ import annotations
 
 import random
-from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.mempool import Mempool
-from repro.chain.pow import MiningModel
 from repro.contracts.smartcrowd_contract import SmartCrowdContract
 from repro.contracts.vm import ContractRuntime
 from repro.core.consumer import ConsumerClient, SecurityReference
-from repro.core.distributed import ReplicaNode
+from repro.core.distributed import (
+    DistributedChain,
+    ReplicaNode,
+    heaviest_alive_neighbour,
+)
 from repro.core.registry import IdentityRegistry
 from repro.core.reports import DetailedReport, InitialReport, build_report_pair
 from repro.core.sra import SignedSRA, make_sra
@@ -48,13 +56,10 @@ from repro.crypto.keys import KeyPair
 from repro.detection.autoverif import AutoVerifEngine
 from repro.detection.detector import Detector
 from repro.detection.iot_system import IoTSystem
-from repro.network.gossip import GossipNetwork, build_topology
 from repro.network.latency import DEFAULT_LATENCY, LatencyModel
 from repro.network.messages import Message, MessageKind
 from repro.network.node import Node
 from repro.network.simulator import Simulator
-from repro.chain.consensus import make_genesis
-from repro.store import ChainStore
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.units import to_wei
 
@@ -65,35 +70,6 @@ __all__ = [
     "ConsumerStakeholder",
     "DecentralizedDeployment",
 ]
-
-def _persistence_from(spec) -> Tuple[Optional[str], int]:
-    """``(store_dir, snapshot_interval)`` a deployment takes from ``spec``.
-
-    The deployment's fleet shape is fixed by ``provider_shares`` /
-    ``detectors`` / ``consumers`` (named stakeholders on a complete
-    overlay), so a :class:`~repro.shard.spec.FleetSpec` contributes only
-    its persistence knobs here — and must not ask for light replicas or
-    sharding, which the stakeholder workflow does not model.
-    """
-    from repro.shard.spec import FleetSpec  # repro.shard builds on repro.core
-
-    if spec is None:
-        return None, 512
-    if not isinstance(spec, FleetSpec):
-        raise TypeError(f"spec must be a FleetSpec, got {type(spec).__name__}")
-    if spec.light_nodes:
-        raise ValueError(
-            "DecentralizedDeployment has no light replicas; use "
-            "DistributedChain or ShardedSimulator for "
-            f"spec.light_nodes={spec.light_nodes}"
-        )
-    if spec.shards != 1:
-        raise ValueError(
-            "DecentralizedDeployment is single-process; run "
-            f"spec.shards={spec.shards} through "
-            "repro.shard.ShardedSimulator, or pass spec.unsharded()"
-        )
-    return spec.store_dir, spec.store_snapshot_interval
 
 
 class SystemDirectory:
@@ -219,15 +195,17 @@ class ProviderStakeholder(ReplicaNode):
 
     # -- mining ----------------------------------------------------------------
 
-    def mine(self, timestamp: float, difficulty: int) -> Block:
-        """Assemble a block from this provider's own mempool and head."""
-        records = self.mempool.select(
-            exclude=self.chain.record_ids_on_canonical()
-        )
-        block = self.assemble_block(timestamp, records, difficulty)
-        self.receive_block(block)
-        self.mempool.prune(record.record_id for record in records)
-        self.broadcast(MessageKind.BLOCK_ANNOUNCE, block)
+    def mine(
+        self,
+        timestamp: float,
+        records: tuple = (),
+        difficulty: Optional[int] = None,
+    ) -> Block:
+        """Mine on this provider's head: whatever the control plane fed,
+        then its own verified mempool (pruned once the block is out)."""
+        own = self.mempool.select(exclude=self.chain.record_ids_on_canonical())
+        block = super().mine(timestamp, (*records, *own), difficulty)
+        self.mempool.prune(record.record_id for record in own)
         return block
 
     # -- fault recovery ---------------------------------------------------------
@@ -319,6 +297,8 @@ class DetectorStakeholder(Node):
         self.detailed_retries = 0
         self.submissions_deferred = 0
         self.reports_abandoned = 0
+        #: catch-up polls that found no alive full-chain neighbour
+        self.catch_ups_unserved = 0
         self.on(MessageKind.SRA_ANNOUNCE, self._on_sra)
         self.on(MessageKind.BLOCK_ANNOUNCE, self._on_block)
 
@@ -452,25 +432,13 @@ class DetectorStakeholder(Node):
         or dropped) would otherwise leave ``_record_heights`` stale and
         stall phase II forever.
         """
-        network = self.network
-        if network is None or not hasattr(network, "neighbors"):
+        peer = heaviest_alive_neighbour(self)
+        if peer is None:
+            # Nobody to poll: down, partitioned away, or (on a sparse
+            # overlay) no provider among this detector's neighbours.
+            self.catch_ups_unserved += 1
             return False
-        best = None
-        for peer_name in network.neighbors(self.name):
-            try:
-                peer = network.node(peer_name)
-            except KeyError:
-                continue
-            if getattr(peer, "crashed", False):
-                continue
-            chain = getattr(peer, "chain", None)
-            if chain is None:
-                continue
-            if best is None or chain.total_difficulty() > best.total_difficulty():
-                best = chain
-        if best is None:
-            return False
-        for block in best.iter_canonical():
+        for block in peer.chain.iter_canonical():
             self._max_height_seen = max(self._max_height_seen, block.height)
             for record in block.records:
                 self._record_heights.setdefault(record.record_id, block.height)
@@ -507,8 +475,17 @@ class ConsumerStakeholder(Node):
         return self.responses[-1] if self.responses else None
 
 
-class DecentralizedDeployment:
-    """The whole §IV-B workflow as message traffic over a gossip overlay."""
+class DecentralizedDeployment(DistributedChain):
+    """The whole §IV-B workflow as message traffic over a gossip overlay.
+
+    One fleet world with the paper's cast in it: ``provider_shares``
+    names the full members (each a :class:`ProviderStakeholder` mining
+    its own verified mempool), detectors and consumers ride the overlay
+    without a replica, and ``spec`` shapes the rest like any other fleet
+    (overlay and relay mode, header-only light members, persistence).
+    Driving (:meth:`advance_for`), the chaos verbs, ``finalize``,
+    ``query_service`` and ``close``/``with`` are the engine's.
+    """
 
     def __init__(
         self,
@@ -525,64 +502,35 @@ class DecentralizedDeployment:
         telemetry: Optional[Telemetry] = None,
         spec=None,
     ) -> None:
-        store_dir, store_snapshot_interval = _persistence_from(spec)
-        self.spec = spec
-        rng = random.Random(seed)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.simulator = Simulator(telemetry=self.telemetry)
-        if self.telemetry.enabled:
-            # Trace events are stamped on the simulation clock, not
-            # wall time, so traces line up with the chaos plan.
-            self.telemetry.bind_clock(self.simulator)
         self.directory = SystemDirectory()
         self.registry = IdentityRegistry()
         self.confirmation_depth = confirmation_depth
         self.detection_window = detection_window
-
-        genesis = make_genesis(difficulty=difficulty)
-        names = (
-            list(provider_shares)
-            + [detector.detector_id for detector in detectors]
-            + list(consumers)
+        self._seed = seed
+        self._edge_names = (
+            *(engine.detector_id for engine in detectors), *consumers
         )
-        self.network = GossipNetwork(
-            self.simulator,
-            build_topology(names, "complete"),
-            latency=latency,
-            rng=random.Random(rng.randrange(2**31)),
-            telemetry=self.telemetry,
-        )
-
         # On-chain world state (contracts + balances), shared by design.
         self.runtime = ContractRuntime(telemetry=self.telemetry)
         self._authority = KeyPair.from_seed(f"dd-authority:{seed}".encode())
         self.runtime.state.mint(self._authority.address, to_wei(1_000_000))
 
-        #: With ``store_dir`` set, every provider persists its replica
-        #: to ``store_dir/<name>`` and restarts recover from disk.
-        self.store_dir = Path(store_dir) if store_dir is not None else None
-        self.providers: Dict[str, ProviderStakeholder] = {}
-        for name in provider_shares:
-            keys = KeyPair.from_seed(f"dd-provider:{name}:{seed}".encode())
-            self.registry.register(name, keys.public)
-            store = (
-                ChainStore(
-                    self.store_dir / name,
-                    snapshot_interval=store_snapshot_interval,
-                    telemetry=self.telemetry,
-                )
-                if self.store_dir is not None
-                else None
-            )
-            provider = ProviderStakeholder(
-                name, genesis, self.registry, self.directory, keys=keys,
-                store=store,
-            )
-            provider.chain.confirmation_depth = confirmation_depth
-            provider.mempool.telemetry = self.telemetry
-            self.providers[name] = provider
-            self.network.attach(provider)
-            self.runtime.state.mint(keys.address, to_wei(100_000))
+        super().__init__(
+            provider_shares,
+            difficulty=difficulty,
+            mean_block_time=mean_block_time,
+            latency=latency,
+            confirmation_depth=confirmation_depth,
+            seed=seed,
+            spec=spec,
+        )
+        self.model.telemetry = self.telemetry
+        if self.telemetry.enabled:
+            # Trace events are stamped on the simulation clock, not
+            # wall time, so traces line up with the chaos plan.
+            self.telemetry.bind_clock(self.simulator)
+        self.providers: Dict[str, ProviderStakeholder] = self.replicas
 
         self.detectors: Dict[str, DetectorStakeholder] = {}
         for engine in detectors:
@@ -604,18 +552,32 @@ class DecentralizedDeployment:
             self.consumers[name] = consumer
             self.network.attach(consumer)
 
-        self.model = MiningModel.from_shares(
-            provider_shares, difficulty=difficulty,
-            mean_block_time=mean_block_time,
-            rng=random.Random(rng.randrange(2**31)),
-            telemetry=self.telemetry,
-        )
-        self._difficulty = difficulty
         #: Δ_id -> deployed contract address.
         self.contracts: Dict[bytes, "SmartCrowdContract"] = {}
         #: the honest replica whose view fires confirmation triggers.
         self._observer = next(iter(self.providers.values()))
         self._triggered: Set[bytes] = set()
+
+    def _build_world(self):
+        from repro.shard.engine import ShardState  # see FleetControlPlane
+
+        return ShardState(
+            self._blueprint, 0,
+            make_full=self._make_provider,
+            edge_names=self._edge_names,
+            telemetry=self.telemetry,
+        )
+
+    def _make_provider(self, name: str, genesis: Block, store) -> ProviderStakeholder:
+        keys = KeyPair.from_seed(f"dd-provider:{name}:{self._seed}".encode())
+        self.registry.register(name, keys.public)
+        self.runtime.state.mint(keys.address, to_wei(100_000))
+        provider = ProviderStakeholder(
+            name, genesis, self.registry, self.directory, keys=keys, store=store
+        )
+        provider.chain.confirmation_depth = self.confirmation_depth
+        provider.mempool.telemetry = self.telemetry
+        return provider
 
     # -- phase 1 ------------------------------------------------------------
 
@@ -667,31 +629,19 @@ class DecentralizedDeployment:
         shared with :class:`~repro.core.platform.SmartCrowdPlatform`
         and :class:`~repro.network.simulator.Simulator`.
         """
-        deadline = self.simulator.now + duration
-        mined = 0
-        while True:
-            outcome = self.model.next_block()
-            when = self.simulator.now + outcome.interval
-            if when > deadline:
-                self.simulator.advance_until(deadline)
-                self._fire_confirmations()
-                return mined
-            self.simulator.advance_until(when)
-            winner = self.providers[outcome.winner]
-            if winner.crashed:
-                # The sampled winner's hashpower is offline: its block is
-                # simply never found.  Time still advances.
-                continue
-            block = winner.mine(when, self._difficulty)
-            mined += 1
-            if self.telemetry.enabled:
-                self.telemetry.event(
-                    "block.mined",
-                    miner=outcome.winner,
-                    height=block.height,
-                    records=len(block.records),
-                )
-            self._fire_confirmations()
+        mined = self.mine_until(self.simulator.now + duration)
+        self._fire_confirmations()
+        return mined
+
+    def _on_block(self, winner: str, block: Block) -> None:
+        if self.telemetry.enabled:
+            self.telemetry.event(
+                "block.mined",
+                miner=winner,
+                height=block.height,
+                records=len(block.records),
+            )
+        self._fire_confirmations()
 
     def _fire_confirmations(self) -> None:
         """Trigger contracts for records the observer sees as confirmed."""
@@ -741,32 +691,11 @@ class DecentralizedDeployment:
                 return provider
         return self._observer  # everyone down: fall back to the default
 
-    # -- fault control --------------------------------------------------------
-
-    def crash(self, name: str) -> None:
-        """Crash a stakeholder process (provider or detector) by name."""
-        self.network.crash_node(name)
-
-    def restart(self, name: str) -> None:
-        """Restart a crashed stakeholder; its recovery hooks run."""
-        self.network.restart_node(name)
-
-    def close(self) -> None:
-        """Release every provider's store handle (safe to call twice)."""
-        for provider in self.providers.values():
-            if provider.store is not None:
-                provider.store.close()
-
     # -- views ---------------------------------------------------------------
 
     def detector_balance(self, detector_id: str) -> int:
         """A detector's on-chain earnings, wei."""
         return self.runtime.state.balance(self.detectors[detector_id].keys.address)
-
-    def converged(self) -> bool:
-        """True if all alive provider replicas share one head."""
-        heads = {p.head_id() for p in self.providers.values() if not p.crashed}
-        return len(heads) <= 1
 
     def summary(self) -> Dict[str, object]:
         """Network transport stats merged with deployment counters."""

@@ -479,12 +479,8 @@ def run_disk_fault_gauntlet(
             reference = next(name for name in names if name != victim)
 
             plan = ChaosPlan().crash(victim, at=150.0)
-            if scenario == "torn_write":
-                plan.torn_write(victim, at=170.0)
-            elif scenario == "bit_flip":
-                plan.bit_flip(victim, at=170.0)
-            else:
-                plan.drop_snapshot(victim, at=170.0)
+            # Each scenario is named after the plan verb that injects it.
+            getattr(plan, scenario)(victim, at=170.0)
             plan.restart(victim, at=230.0)
             injector = FaultInjector(
                 fleet.simulator, fleet.network, plan, rng=random.Random(seed + 11)

@@ -20,12 +20,7 @@ from typing import List, Optional, Tuple
 from repro.faults.plan import DISK_FAULTS, ChaosPlan, FaultEvent, FaultKind
 from repro.network.gossip import GossipNetwork
 from repro.network.simulator import Simulator
-from repro.store.faultinject import (
-    drop_index_file,
-    drop_snapshots,
-    flip_bit,
-    tear_frame,
-)
+from repro.store.faultinject import STORE_FAULTS
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["FaultInjector"]
@@ -121,35 +116,16 @@ class FaultInjector:
         corruption happens *behind* a dead process, and the damage only
         surfaces when the restart's store recovery scans the log.
         """
-        params = event.params
+        fault = STORE_FAULTS[event.kind.value]
         for name in event.targets[0]:
-            node = self.network.node(name)
-            store = getattr(node, "store", None)
+            store = getattr(self.network.node(name), "store", None)
             if store is None:
                 raise ValueError(
                     f"{event.kind.value} targets {name!r}, which has no "
                     "durable store attached"
                 )
-            if event.kind is FaultKind.TORN_WRITE:
-                tear_frame(
-                    store,
-                    frame_index=params[0] if params else -1,
-                    keep_bytes=params[1] if len(params) > 1 else -1,
-                )
-            elif event.kind is FaultKind.BIT_FLIP:
-                flip_bit(
-                    store,
-                    frame_index=params[0] if params else -1,
-                    bit=params[1] if len(params) > 1 else -1,
-                )
-            elif event.kind is FaultKind.DROP_SNAPSHOT:
-                drop_snapshots(
-                    store, keep_oldest=params[0] if params else 0
-                )
-            elif event.kind is FaultKind.DROP_INDEX:
-                drop_index_file(store)
-            else:  # pragma: no cover - DISK_FAULTS is exhaustive
-                raise ValueError(f"unknown disk fault {event.kind!r}")
+            # Plan params are the fault's arguments in positional order.
+            fault(store, *event.params)
 
     # -- views ---------------------------------------------------------------
 

@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.store.faultinject import STORE_FAULTS
+
 __all__ = ["ChaosPlan", "DISK_FAULTS", "FaultEvent", "FaultKind"]
 
 
@@ -38,15 +40,9 @@ class FaultKind(enum.Enum):
     DROP_INDEX = "drop_index"
 
 
-#: Fault kinds that modify a node's on-disk store.
-DISK_FAULTS = frozenset(
-    {
-        FaultKind.TORN_WRITE,
-        FaultKind.BIT_FLIP,
-        FaultKind.DROP_SNAPSHOT,
-        FaultKind.DROP_INDEX,
-    }
-)
+#: Fault kinds that modify a node's on-disk store: the ones the store's
+#: own fault table can apply.
+DISK_FAULTS = frozenset(FaultKind(name) for name in STORE_FAULTS)
 
 
 @dataclass(frozen=True)

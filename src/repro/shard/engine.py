@@ -91,24 +91,10 @@ from repro.shard.frames import (
 from repro.shard.plan import ShardPlan
 from repro.shard.spec import FleetSpec
 from repro.store import ChainStore, HeaderStore
-from repro.store.faultinject import (
-    drop_index_file,
-    drop_snapshots,
-    flip_bit,
-    tear_frame,
-)
+from repro.store.faultinject import STORE_FAULTS
 from repro.telemetry import Telemetry
 
 __all__ = ["ShardGateway", "ShardState", "ShardedSimulator"]
-
-#: Disk faults :meth:`ShardedSimulator.inject_store_fault` accepts,
-#: mirroring :class:`repro.faults.plan.FaultKind`'s disk faults.
-_STORE_FAULTS = {
-    "torn_write": tear_frame,
-    "bit_flip": flip_bit,
-    "drop_snapshot": drop_snapshots,
-    "drop_index": drop_index_file,
-}
 
 #: The per-member counters :meth:`ShardState.counters` reports.
 _LIFECYCLE_COUNTERS = ("crash_count", "restart_count", "store_recoveries")
@@ -265,15 +251,38 @@ class ShardState:
     seeded-results contract.  A world owning the whole fleet is what
     :class:`~repro.core.distributed.DistributedChain` drives directly;
     one of several routes boundary traffic through its gateway.
+
+    ``make_full(name, genesis, store)`` builds a full member (default: a
+    plain :class:`~repro.core.distributed.ReplicaNode` under the
+    blueprint's record check); whatever it returns is stored, attached,
+    mined on, crashed, restarted, reconciled and closed like any other.
+    ``edge_names`` reserves overlay positions for members that hold no
+    replica.  ``telemetry`` is the caller's own sink (an in-process
+    world only; worker-built worlds make theirs and ship it back).
     """
 
-    def __init__(self, blueprint: _Blueprint, index: int) -> None:
+    def __init__(
+        self,
+        blueprint: _Blueprint,
+        index: int,
+        make_full: Optional[Callable[..., ReplicaNode]] = None,
+        edge_names: Tuple[str, ...] = (),
+        telemetry: Optional[Telemetry] = None,
+    ) -> None:
         spec = blueprint.spec
         self.index = index
         self.confirmation_depth = blueprint.confirmation_depth
-        self.telemetry = Telemetry() if blueprint.telemetry_enabled else None
-        self.simulator = Simulator(telemetry=self.telemetry)
-        ring_order = _interleave(list(blueprint.full_names), spec.light_names())
+        if telemetry is None and blueprint.telemetry_enabled:
+            telemetry = Telemetry()
+        self.telemetry = telemetry
+        self.simulator = Simulator(telemetry=telemetry)
+        # ``edge_names`` sit on the overlay after the fleet's own ring
+        # but hold no replica; whoever builds those nodes attaches them
+        # to ``self.network``.
+        ring_order = [
+            *_interleave(list(blueprint.full_names), spec.light_names()),
+            *edge_names,
+        ]
         config = spec.network
         # Every shard builds the same full overlay graph from the same
         # seed; edges whose far end lives elsewhere route through the
@@ -290,7 +299,7 @@ class ShardState:
             latency=blueprint.latency,
             rng=random.Random(blueprint.shard_seeds[index]),
             config=config,
-            telemetry=self.telemetry,
+            telemetry=telemetry,
         )
         plan = ShardPlan(assignments=blueprint.assignments)
         owners = {
@@ -302,6 +311,20 @@ class ShardState:
         if plan.shards > 1:
             self.network.remote_gateway = self.gateway
         genesis = make_genesis(difficulty=blueprint.difficulty)
+        if make_full is None:
+
+            def make_full(name, genesis, store):
+                # Byzantine replicas skip the semantic check on their
+                # own copy (they will happily build on forged records).
+                check = None if name in blueprint.byzantine else blueprint.record_check
+                return ReplicaNode(
+                    name,
+                    genesis,
+                    record_check=check,
+                    confirmation_depth=blueprint.confirmation_depth,
+                    store=store,
+                )
+
         # With a store_dir every member persists to its own
         # subdirectory and restarts recover from disk.  Persistence
         # draws no randomness and schedules no events, so the fleet's
@@ -311,24 +334,16 @@ class ShardState:
         members = plan.members(index)
         self.replicas: Dict[str, ReplicaNode] = {}
         for name in (n for n in members if n in full_set):
-            # Byzantine replicas skip the semantic check on their own
-            # copy (they will happily build on forged records).
-            check = None if name in blueprint.byzantine else blueprint.record_check
             store = (
                 ChainStore(
                     store_dir / name,
                     snapshot_interval=spec.store_snapshot_interval,
+                    telemetry=telemetry,
                 )
                 if store_dir is not None
                 else None
             )
-            replica = ReplicaNode(
-                name,
-                genesis,
-                record_check=check,
-                confirmation_depth=blueprint.confirmation_depth,
-                store=store,
-            )
+            replica = make_full(name, genesis, store)
             self.replicas[name] = replica
             self.network.attach(replica)
         self.light_replicas: Dict[str, LightReplicaNode] = {}
@@ -417,18 +432,13 @@ class ShardState:
         replica = self.replicas[winner]
         if replica.crashed:
             return None
-        block = replica.assemble_block(
-            timestamp=self.simulator.now, records=records, difficulty=difficulty
-        )
-        replica.receive_block(block)
-        replica.broadcast(MessageKind.BLOCK_ANNOUNCE, block)
-        return block
+        return replica.mine(self.simulator.now, records, difficulty)
 
     def _node(self, name: str):
-        node = self.replicas.get(name) or self.light_replicas.get(name)
-        if node is None:
-            raise KeyError(f"shard {self.index} does not own {name!r}")
-        return node
+        try:
+            return self.network.node(name)
+        except KeyError:
+            raise KeyError(f"shard {self.index} does not own {name!r}") from None
 
     def crash(self, name: str) -> None:
         """Crash a member (full or light): no receives, no mining."""
@@ -440,10 +450,10 @@ class ShardState:
 
     def store_fault(self, name: str, kind: str, params: Dict[str, Any]) -> None:
         """Corrupt a (crashed) member's durable store in place."""
-        store = self._node(name).store
+        store = getattr(self._node(name), "store", None)
         if store is None:
             raise ValueError(f"{name!r} has no durable store attached")
-        _STORE_FAULTS[kind](store, **params)
+        STORE_FAULTS[kind](store, **params)
 
     # -- reconciliation ----------------------------------------------------
 
@@ -491,9 +501,13 @@ class ShardState:
 
     # -- inspection --------------------------------------------------------
 
-    def heads(self) -> Dict[str, bytes]:
-        """Each full replica's canonical head id."""
-        return {name: replica.head_id() for name, replica in self.replicas.items()}
+    def heads(self, alive: bool = False) -> Dict[str, bytes]:
+        """Each (or, with ``alive``, each non-crashed) full replica's head id."""
+        return {
+            name: replica.head_id()
+            for name, replica in self.replicas.items()
+            if not (alive and replica.crashed)
+        }
 
     def light_heads(self) -> Dict[str, bytes]:
         """Each light replica's best header id."""
@@ -527,6 +541,7 @@ class ShardState:
         """
         views = {
             "heads": self.heads,
+            "alive_heads": lambda: self.heads(alive=True),
             "light_heads": self.light_heads,
             "chain_bytes": self.chain_bytes,
             "summary": self.network.summary,
@@ -927,9 +942,9 @@ class ShardedSimulator(FleetControlPlane):
         """Corrupt a member's durable store (``torn_write``/``bit_flip``/
         ``drop_snapshot``/``drop_index``), as disk damage behind a dead
         process; the harm surfaces at the restart's store recovery."""
-        if kind not in _STORE_FAULTS:
+        if kind not in STORE_FAULTS:
             raise ValueError(
-                f"unknown store fault {kind!r} (use {tuple(_STORE_FAULTS)})"
+                f"unknown store fault {kind!r} (use {tuple(STORE_FAULTS)})"
             )
         self._on_owner(name, "store_fault", name, kind, params)
 
@@ -961,9 +976,10 @@ class ShardedSimulator(FleetControlPlane):
             merged.update(snapshot[field])
         return merged
 
-    def heads(self) -> Dict[str, bytes]:
-        """Each full replica's canonical head id, fleet-wide."""
-        return self._gather("heads")
+    def heads(self, alive: bool = False) -> Dict[str, bytes]:
+        """Each (or, with ``alive``, each non-crashed) full replica's
+        canonical head id, fleet-wide."""
+        return self._gather("alive_heads" if alive else "heads")
 
     def light_heads(self) -> Dict[str, bytes]:
         """Each light replica's best header id, fleet-wide."""

@@ -7,8 +7,7 @@ shards the fleet is partitioned into.  :class:`FleetSpec` is the one
 object every engine consumes:
 
 * :class:`~repro.core.distributed.DistributedChain` (``spec=``),
-* :class:`~repro.core.stakeholders.DecentralizedDeployment` (``spec=``,
-  persistence fields only),
+* :class:`~repro.core.stakeholders.DecentralizedDeployment` (``spec=``),
 * :class:`~repro.shard.engine.ShardedSimulator` (its only required
   argument).
 
@@ -18,7 +17,7 @@ fleet's full-node names and must number ``full_nodes`` — and without it
 the fleet runs :meth:`FleetSpec.full_names` at equal hashpower.  Light
 replicas are always :meth:`FleetSpec.light_names`.  That rule lives in
 one place, :class:`~repro.core.distributed.FleetControlPlane`, which
-both fleet engines share along with the one world class
+all three share along with the one world class
 (:class:`~repro.shard.engine.ShardState`) they build from it.
 """
 

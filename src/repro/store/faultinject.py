@@ -6,9 +6,10 @@ stale snapshot directory — while the owning node is down.  They mark
 the store *stale* so any use before :meth:`reopen` is an error; the
 recovery scan on reopen is what detects and repairs the damage.
 
-Used by :class:`~repro.faults.injector.FaultInjector` for the
-TORN_WRITE / BIT_FLIP / DROP_SNAPSHOT fault kinds, and directly by
-tests.
+:data:`STORE_FAULTS` names them the way
+:class:`~repro.faults.plan.FaultKind` does; it is the one table behind
+:class:`~repro.faults.injector.FaultInjector` (positional plan params)
+and :meth:`~repro.shard.engine.ShardState.store_fault` (keywords).
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from __future__ import annotations
 from repro.store.frames import FRAME_HEADER_BYTES, StoreError
 from repro.store.indexfile import INDEX_FILE_NAME
 
-__all__ = ["drop_index_file", "drop_snapshots", "flip_bit", "tear_frame"]
+__all__ = [
+    "STORE_FAULTS",
+    "drop_index_file",
+    "drop_snapshots",
+    "flip_bit",
+    "tear_frame",
+]
 
 
 def _resolve_frame(store, frame_index: int) -> int:
@@ -108,3 +115,13 @@ def drop_index_file(store) -> bool:
     path.unlink(missing_ok=True)
     store.mark_stale()
     return existed
+
+
+#: Disk-fault name (a :class:`~repro.faults.plan.FaultKind` value) ->
+#: ``fault(store, ...)``; arguments left out take the function's default.
+STORE_FAULTS = {
+    "torn_write": tear_frame,
+    "bit_flip": flip_bit,
+    "drop_snapshot": drop_snapshots,
+    "drop_index": drop_index_file,
+}

@@ -109,3 +109,13 @@ class TestInjection:
         text = injector.describe_log()
         assert "crash a" in text
         assert "restart a" in text
+
+    def test_disk_fault_on_a_storeless_node_is_an_error(self, rig):
+        simulator, network = rig
+        plan = ChaosPlan().crash("a", at=1.0).bit_flip("a", at=2.0)
+        FaultInjector(simulator, network, plan).arm()
+        with pytest.raises(
+            ValueError,
+            match="bit_flip targets 'a', which has no durable store attached",
+        ):
+            simulator.advance()

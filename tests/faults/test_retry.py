@@ -8,7 +8,9 @@ from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.stakeholders import DecentralizedDeployment
 from repro.detection import build_detector_fleet, build_system
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.network.config import NetworkConfig
 from repro.network.latency import ConstantLatency
+from repro.shard import FleetSpec
 
 
 class TestRetryPolicy:
@@ -126,3 +128,47 @@ class TestDetectorRetries:
         assert detector.retry_policy is None
         assert detector.initial_retries == 0
         assert detector.detailed_retries == 0
+
+    def test_detector_without_a_provider_neighbour_says_so_and_is_still_paid(self):
+        """On a sparse overlay some detectors peer with no provider, so
+        the SPV-style catch-up has nobody to poll: it reports that
+        (False, counted) instead of pretending to have polled, and the
+        two-phase submission still completes over relayed gossip."""
+        deployment = DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES,
+            build_detector_fleet(per_thread_hit=1.0, seed=19),
+            seed=19,
+            retry_policy=RetryPolicy(
+                deadline=60.0, base_backoff=30.0, jitter=0.0, max_attempts=8
+            ),
+            spec=FleetSpec(
+                full_nodes=5, network=NetworkConfig(topology="ring_random")
+            ),
+        )
+        providers = set(deployment.providers)
+        unserved = {
+            name
+            for name in deployment.detectors
+            if not providers & set(deployment.network.neighbors(name))
+        }
+        assert unserved and unserved != set(deployment.detectors)
+
+        system = build_system("sparse", vulnerability_count=2,
+                              rng=random.Random(6))
+        sra = deployment.announce("provider-1", system)
+        deployment.advance_for(900.0)
+
+        for name, detector in deployment.detectors.items():
+            if name in unserved:
+                assert detector._catch_up() is False
+                assert detector.catch_ups_unserved > 1  # deadline checks + ours
+            else:
+                assert detector._catch_up() is True
+                assert detector.catch_ups_unserved == 0
+        contract = deployment.contracts[sra.sra_id]
+        assert contract.awarded_vulnerabilities() == {
+            flaw.key for flaw in system.ground_truth
+        }
+        assert contract.total_paid_wei() == sum(
+            deployment.detector_balance(d) for d in deployment.detectors
+        )

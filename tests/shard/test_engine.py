@@ -148,6 +148,14 @@ class TestMiningDrive:
             with pytest.raises(ValueError, match="unknown store fault"):
                 fleet.inject_store_fault("provider-0", "set_on_fire")
 
+    def test_store_fault_needs_a_durable_store(self):
+        with ShardedSimulator(_spec(), seed=5) as fleet:
+            fleet.crash("provider-0")
+            with pytest.raises(
+                ValueError, match="'provider-0' has no durable store attached"
+            ):
+                fleet.inject_store_fault("provider-0", "bit_flip")
+
     def test_export_canonical_round_trips(self):
         from repro.chain.serialization import import_chain
 

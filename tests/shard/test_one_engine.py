@@ -1,17 +1,22 @@
 """One world, one control plane: what every fleet engine must agree on.
 
-``DistributedChain`` (one in-process world, driven directly) and
+``DistributedChain`` (one in-process world, driven directly),
 ``ShardedSimulator`` (worlds behind epoch barriers, serial or in worker
-processes) share the world class and the control plane, so validation,
-the chaos verbs, full-node naming and persistence behave the same on
-all three — each case below runs once per engine.  The dispatch tests
-pin the one coordinator-to-world protocol the sharded engine has left.
+processes) and ``DecentralizedDeployment`` (the one-world engine with
+the paper's stakeholders as its members) share the world class and the
+control plane, so validation, the chaos verbs, full-node naming and
+persistence behave the same on all four — each case below runs once per
+engine.  The record-feed cases run on the chain-only engines: a
+deployment's providers mine their own verified mempools and it has no
+``byzantine=``.  The dispatch tests pin the one coordinator-to-world
+protocol the sharded engine has left.
 """
 
 import pytest
 
 from repro.chain.block import ChainRecord, RecordKind
 from repro.core.distributed import DistributedChain
+from repro.core.stakeholders import DecentralizedDeployment
 from repro.crypto.hashing import hash_fields
 from repro.network.config import NetworkConfig
 from repro.shard import FleetSpec, ShardedSimulator
@@ -24,9 +29,16 @@ ENGINES = {
     "sharded-workers": lambda spec, **kw: ShardedSimulator(
         spec.with_shards(2), jobs=2, **kw
     ),
+    "deployment": lambda spec, shares=None, **kw: DecentralizedDeployment(
+        shares if shares is not None else spec.equal_shares(), [], spec=spec, **kw
+    ),
 }
+CHAIN_ONLY = [name for name in ENGINES if name != "deployment"]
 
 engines = pytest.mark.parametrize("build", ENGINES.values(), ids=ENGINES.keys())
+chain_engines = pytest.mark.parametrize(
+    "build", [ENGINES[name] for name in CHAIN_ONLY], ids=CHAIN_ONLY
+)
 
 #: Full-node names that are not ``spec.full_names()``.
 SHARES = {"alice": 3.0, "bob": 2.0, "carol": 1.0, "dave": 1.0}
@@ -44,8 +56,8 @@ def _counters(fleet):
     return fleet.replica_counters()
 
 
-@engines
 class TestSharedSurface:
+    @engines
     def test_light_members_crash_and_restart(self, build):
         with build(_spec(), seed=3) as fleet:
             fleet.run_blocks(2)
@@ -57,10 +69,12 @@ class TestSharedSurface:
             assert (light["crash_count"], light["restart_count"]) == (1, 1)
             assert fleet.light_converged()
 
+    @chain_engines
     def test_unknown_byzantine_names_are_rejected(self, build):
         with pytest.raises(ValueError, match="byzantine names not in the fleet"):
             build(_spec(), byzantine={"nobody"})
 
+    @engines
     def test_crashing_an_unknown_name_changes_nothing(self, build):
         with build(_spec(), seed=3) as fleet:
             with pytest.raises(KeyError):
@@ -71,6 +85,24 @@ class TestSharedSurface:
             assert None not in fleet.run_blocks(4)
             assert fleet.blocks_mined == 4
 
+    @engines
+    def test_converged_is_about_the_alive_replicas(self, build):
+        with build(_spec(), seed=3) as fleet:
+            fleet.run_blocks(2)
+            fleet.crash("provider-0")
+            while fleet.blocks_mined < 5:
+                fleet.step()
+            fleet.finalize()
+            # provider-0's head is frozen where it died; that says
+            # nothing about the fleet unless the caller asks.
+            assert fleet.converged()
+            assert set(fleet.heads(alive=True)) == set(fleet.heads()) - {"provider-0"}
+            assert not fleet.converged(among=set(fleet.heads()))
+            fleet.restart("provider-0")
+            fleet.finalize()
+            assert fleet.converged(among=set(fleet.heads()))
+
+    @chain_engines
     def test_crashed_winner_leaves_its_records_queued(self, build):
         record = ChainRecord(
             kind=RecordKind.INITIAL_REPORT,
@@ -128,15 +160,22 @@ class TestNamedSharesWithAStore:
             build(_spec(), shares=dict.fromkeys(("a", "b", "c", "light-1"), 1.0))
 
 
+def _close_releases_every_store_handle(build, tmp_path):
+    spec = _spec(store_dir=str(tmp_path))
+    with build(spec, seed=1) as fleet:
+        fleet.run_blocks(3)
+        nodes = [*fleet.replicas.values(), *fleet.light_replicas.values()]
+        assert all(node.store._handle is not None for node in nodes)
+    assert all(node.store._handle is None for node in nodes)
+    fleet.close()  # idempotent
+
+
 class TestDistributedChainLifetime:
     def test_close_releases_every_store_handle(self, tmp_path):
-        spec = _spec(store_dir=str(tmp_path))
-        with DistributedChain(spec=spec, seed=1) as fleet:
-            fleet.run_blocks(3)
-            nodes = [*fleet.replicas.values(), *fleet.light_replicas.values()]
-            assert all(node.store._handle is not None for node in nodes)
-        assert all(node.store._handle is None for node in nodes)
-        fleet.close()  # idempotent
+        _close_releases_every_store_handle(ENGINES["distributed"], tmp_path)
+
+    def test_a_deployment_closes_the_same_way(self, tmp_path):
+        _close_releases_every_store_handle(ENGINES["deployment"], tmp_path)
 
 
 class TestDispatch:

@@ -128,24 +128,27 @@ class TestDistributedChainAdoption:
 class TestDeploymentAdoption:
     def test_spec_supplies_persistence(self, tmp_path):
         spec = FleetSpec(full_nodes=2, store_dir=str(tmp_path / "fleet"))
-        deployment = DecentralizedDeployment(
-            {"p1": 0.5, "p2": 0.5}, [], spec=spec
-        )
-        assert deployment.store_dir == tmp_path / "fleet"
-        assert deployment.spec is spec
-        for provider in deployment.providers.values():
-            assert provider.store is not None
-        deployment.close()
+        with DecentralizedDeployment({"p1": 0.5, "p2": 0.5}, [], spec=spec) as deployment:
+            assert deployment.spec is spec
+            for name, provider in deployment.providers.items():
+                assert provider.store.path == tmp_path / "fleet" / name
 
-    def test_rejects_lights_and_shards(self):
-        with pytest.raises(ValueError, match="light replicas"):
+    def test_shards_rejected_with_the_shared_message(self):
+        with pytest.raises(
+            ValueError, match="DecentralizedDeployment is single-process"
+        ):
             DecentralizedDeployment(
-                {"p1": 1.0}, [], spec=FleetSpec(full_nodes=1, light_nodes=2)
+                {"p1": 1.0, "p2": 1.0}, [], spec=FleetSpec(full_nodes=2, shards=2)
             )
-        with pytest.raises(ValueError, match="single-process"):
-            DecentralizedDeployment(
-                {"p1": 1.0}, [], spec=FleetSpec(full_nodes=2, shards=2)
-            )
+
+    def test_lights_accepted_and_converge(self):
+        deployment = DecentralizedDeployment(
+            {"p1": 1.0, "p2": 1.0}, [], spec=FleetSpec(full_nodes=2, light_nodes=3)
+        )
+        assert list(deployment.light_replicas) == ["light-0", "light-1", "light-2"]
+        assert deployment.advance_for(120.0) > 0
+        deployment.finalize()
+        assert deployment.converged() and deployment.light_converged()
 
     def test_rejects_mixed_spellings(self, tmp_path):
         # The pre-FleetSpec persistence kwargs no longer exist at all.

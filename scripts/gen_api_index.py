@@ -23,8 +23,7 @@ PACKAGES = [
     ("repro.adversary", "Attack library and majority analysis"),
     ("repro.analysis", "Theoretical analysis (§VI-B)"),
     ("repro.economics", "Vectorized Eq. 7–10 accounting"),
-    ("repro.workloads", "Experimental presets"),
-    ("repro.experiments", "Table/figure runners"),
+    ("repro.experiments", "Table/figure runners, the registry, the §VII rig"),
     ("repro.faults", "Fault injection and chaos harness"),
     ("repro.store", "Durable chain store (crash-safe persistence)"),
     ("repro.query", "Query-serving read path (indices, snapshots, batching)"),

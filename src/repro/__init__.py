@@ -18,8 +18,8 @@ Subpackages
                       Algorithm 1, incentives, the platform orchestrator
 ``repro.adversary``   attack library + 51%/double-spend analysis
 ``repro.analysis``    closed forms of SVI-B (DC_T, balances, VPB)
-``repro.workloads``   the SVII experimental setup as reusable presets
-``repro.experiments`` one runner per paper table/figure
+``repro.experiments`` one registry row per paper table/figure
+                      (``python -m repro.experiments fig6``) + the SVII rig
 ``repro.query``       consumer read path: materialized indices, snapshot
                       caching, batched query serving
 ``repro.shard``       sharded fleet simulation: FleetSpec, barrier-

@@ -40,11 +40,6 @@ from repro.chain.serialization import (
     export_chain,
     import_chain,
 )
-from repro.chain.retarget import (
-    RetargetingMiner,
-    epoch_adjust,
-    homestead_adjust,
-)
 from repro.chain.validation import BlockValidator, ValidationResult
 
 __all__ = [
@@ -69,7 +64,6 @@ __all__ = [
     "PAPER_MEAN_BLOCK_TIME",
     "RecordKind",
     "RecordLocation",
-    "RetargetingMiner",
     "SignedTransaction",
     "ValidationResult",
     "apply_block",
@@ -78,9 +72,7 @@ __all__ = [
     "decode_block",
     "difficulty_to_target",
     "encode_block",
-    "epoch_adjust",
     "export_chain",
-    "homestead_adjust",
     "import_chain",
     "make_genesis",
     "make_transaction",

@@ -107,17 +107,6 @@ class ContractRuntime(ContractRuntimeApi):
             raise ValueError("block time cannot move backwards")
         self.block_time = block_time
 
-    def _charge_gas(self, sender: Address, operation: str) -> Receipt:
-        fee = self.gas.fee_wei(operation)
-        self.state.transfer(sender, self.fee_collector, fee)
-        return Receipt(
-            success=True,
-            contract=BURN_ADDRESS,
-            operation=operation,
-            gas_used=self.gas.gas_for(operation),
-            fee_wei=fee,
-        )
-
     def deploy(
         self,
         contract: Contract,

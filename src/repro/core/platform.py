@@ -605,9 +605,6 @@ class SmartCrowdPlatform:
         if stats is not None:
             stats.fees_paid_wei += record.fee
 
-    def _stats_for_address(self, address: Address) -> Optional[DetectorStats]:
-        return self._stats_by_address.get(address)
-
     def _on_record_confirmed(self, record: ChainRecord) -> None:
         if record.kind == RecordKind.INITIAL_REPORT:
             self._confirm_initial(record)

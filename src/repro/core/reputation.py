@@ -47,10 +47,6 @@ class ProviderReputation:
     mean_insurance_ether: float
     score: float
 
-    @property
-    def clean_releases(self) -> int:
-        return self.releases - self.vulnerable_releases
-
 
 class ReputationEngine:
     """Computes provider reputations from public chain state."""

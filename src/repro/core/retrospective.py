@@ -100,10 +100,6 @@ class RetrospectiveMonitor:
             self._deployments.remove(deployment)
             del self._notified[deployment]
 
-    def deployments_of(self, consumer_id: str) -> List[Deployment]:
-        """All active deployments registered by one consumer."""
-        return [d for d in self._deployments if d.consumer_id == consumer_id]
-
     # -- chain scanning ------------------------------------------------------
 
     def _confirmed_flaws_by_release(

@@ -1,10 +1,13 @@
-"""Run every experiment: ``python -m repro.experiments [--jobs N]``.
+"""Run experiments: ``python -m repro.experiments [NAME ...] [--jobs N]``.
 
-Regenerates all paper tables/figures plus the reproduction's own
-analyses (ablations, capability curves), printing each in order.
-``--jobs`` fans every trial-shaped experiment out over worker
-processes via :mod:`repro.experiments.runner`; results are
-bit-identical to the serial run — only wall-clock time changes.
+With no ``NAME`` the whole suite runs: every paper table/figure plus
+the reproduction's own analyses (ablations, capability curves),
+printed in registry order.  ``NAME`` is a key of
+:data:`repro.experiments.runner.EXPERIMENTS` (``fig6``, ``table1``,
+...); an unknown one exits 2 and lists them.  ``--jobs`` fans every
+trial-shaped experiment out over worker processes via
+:mod:`repro.experiments.runner`; results are bit-identical to the
+serial run — only wall-clock time changes.
 
 ``--checkpoint PATH`` journals every completed trial to a JSONL file
 keyed by ``(experiment, master_seed, trial_index, input_digest)``;
@@ -26,69 +29,8 @@ import sys
 import time
 from typing import Optional
 
+from repro.experiments import EXPERIMENTS
 from repro.telemetry import Telemetry, summarize_run
-
-from repro.experiments import (
-    run_costs,
-    run_fig3a,
-    run_fig3b,
-    run_fig4a,
-    run_fig4b,
-    run_fig5a,
-    run_fig5b,
-    run_fig6,
-    run_table1,
-)
-from repro.experiments.ablations import (
-    ablate_escrow,
-    ablate_report_fee,
-    ablate_two_phase,
-)
-from repro.experiments.capability_curve import (
-    run_capability_curve,
-    run_fleet_composition,
-)
-from repro.experiments.chaos import run_chaos_gauntlet
-from repro.experiments.fleet_scale import run_fleet_scale
-from repro.experiments.forks import run_fork_rate
-from repro.experiments.latency import run_payout_latency
-
-def _run_fleet_scale_suite(jobs=None, checkpoint=None, telemetry=None):
-    """Fleet sweep at suite-friendly sizes (the bench lane runs 1000)."""
-    return run_fleet_scale(
-        node_counts=(50, 200),
-        blocks=6,
-        jobs=jobs,
-        checkpoint=checkpoint,
-        telemetry=telemetry,
-    )
-
-
-#: (label, runner, supported keywords).  Every trial-shaped experiment
-#: goes through :func:`repro.experiments.runner.run_trials`, so it takes
-#: ``jobs`` (uniform fan-out) and ``checkpoint`` (sweep journaling);
-#: the closed-form analyses take neither.
-RUNNERS = [
-    ("Table I", run_table1, {"jobs", "checkpoint"}),
-    ("Fig. 3(a)", run_fig3a, {"jobs", "checkpoint"}),
-    ("Fig. 3(b)", run_fig3b, {"jobs", "checkpoint"}),
-    ("Fig. 4(a)", run_fig4a, {"jobs", "checkpoint"}),
-    ("Fig. 4(b)", run_fig4b, {"jobs", "checkpoint"}),
-    ("Fig. 5(a)", run_fig5a, set()),
-    ("Fig. 5(b)", run_fig5b, {"jobs", "checkpoint", "telemetry"}),
-    ("Fig. 6", run_fig6, {"jobs", "checkpoint"}),
-    ("§VII costs", run_costs, {"jobs", "checkpoint"}),
-    ("Ablation: two-phase", ablate_two_phase, {"jobs", "checkpoint"}),
-    ("Ablation: escrow", ablate_escrow, set()),
-    ("Ablation: report fee", ablate_report_fee, set()),
-    ("Eq. 11 capability curve", run_capability_curve, {"jobs", "checkpoint"}),
-    ("§VIII fleet composition", run_fleet_composition, set()),
-    ("Payout latency", run_payout_latency, {"jobs", "checkpoint"}),
-    ("Fork rate", run_fork_rate, {"jobs", "checkpoint"}),
-    # Modest sizes for the full-suite run; the bench lane covers 1000.
-    ("Fleet scale-out", _run_fleet_scale_suite, {"jobs", "checkpoint", "telemetry"}),
-    ("Chaos gauntlet", run_chaos_gauntlet, {"jobs", "telemetry"}),
-]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,6 +38,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="regenerate every paper table/figure and reproduction analysis",
+    )
+    parser.add_argument(
+        "names",
+        nargs="*",
+        metavar="NAME",
+        help="experiments to run (default: all): " + " ".join(EXPERIMENTS),
     )
     parser.add_argument(
         "--jobs",
@@ -135,8 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    """Run all experiments; returns a process exit code."""
+    """Run the named experiments (default all); returns an exit code."""
     args = build_parser().parse_args(argv)
+    unknown = [name for name in args.names if name not in EXPERIMENTS]
+    if unknown:
+        print(
+            f"unknown experiment {' '.join(unknown)}; choose from: "
+            + " ".join(EXPERIMENTS),
+            file=sys.stderr,
+        )
+        return 2
     if args.report is not None:
         print(summarize_run(args.report))
         return 0
@@ -149,21 +105,16 @@ def main(argv: Optional[list] = None) -> int:
         open(args.checkpoint, "w").close()
     telemetry = Telemetry() if args.telemetry is not None else None
     started = time.time()
-    for label, runner, supported in RUNNERS:
-        print(f"--- {label} " + "-" * max(0, 60 - len(label)))
-        kwargs = {}
-        if "jobs" in supported:
-            kwargs["jobs"] = args.jobs
-        if "checkpoint" in supported and args.checkpoint is not None:
-            kwargs["checkpoint"] = args.checkpoint
-        if telemetry is not None and "telemetry" in supported:
-            kwargs["telemetry"] = telemetry
-        result = runner(**kwargs)
+    for row in map(EXPERIMENTS.get, args.names or EXPERIMENTS):
+        print(f"--- {row.label} " + "-" * max(0, 60 - len(row.label)))
+        result = row.run(
+            jobs=args.jobs, checkpoint=args.checkpoint, telemetry=telemetry
+        )
         result.to_table().print()
     if telemetry is not None:
         lines = telemetry.export_jsonl(args.telemetry)
         print(f"telemetry: {lines} JSONL lines -> {args.telemetry}")
-    print(f"all experiments completed in {time.time() - started:.1f}s")
+    print(f"completed in {time.time() - started:.1f}s")
     return 0
 
 

@@ -19,19 +19,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.chain.block import ChainRecord, RecordKind
 from repro.chain.mempool import Mempool
 from repro.contracts.gas import DEFAULT_GAS_SCHEDULE
 from repro.crypto.hashing import hash_fields
 from repro.experiments.harness import ResultTable
-from repro.experiments.runner import (
-    SweepCheckpoint,
-    derive_seeds,
-    run_trials,
-    sweep_checkpoint,
-)
+from repro.experiments.runner import Sweep, experiment
 
 __all__ = [
     "TwoPhaseAblation",
@@ -111,13 +106,12 @@ def _two_phase_trial(args: Tuple[int, int, int, float]) -> Tuple[int, int]:
     return win_with, win_without
 
 
+@experiment("two_phase", "Ablation: two-phase", seed=0)
 def ablate_two_phase(
+    sweep: Sweep,
     trials: int = 200,
     victim_fee_wei: int = DEFAULT_GAS_SCHEDULE.fee_wei("submit_detailed_report"),
     thief_fee_multiplier: float = 4.0,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
 ) -> TwoPhaseAblation:
     """Race a plagiarist against a victim on the real mempool.
 
@@ -134,16 +128,10 @@ def ablate_two_phase(
     Each trial runs under its own seed derived from ``seed``, so
     ``jobs`` parallelism cannot change the outcome.
     """
-    trial_seeds = derive_seeds(seed, trials)
-    outcomes = run_trials(
+    outcomes = sweep.map(
         _two_phase_trial,
-        [
-            (trial_seed, trial, victim_fee_wei, thief_fee_multiplier)
-            for trial, trial_seed in enumerate(trial_seeds)
-        ],
-        jobs=jobs,
+        [(trial, victim_fee_wei, thief_fee_multiplier) for trial in range(trials)],
         chunksize=16,
-        checkpoint=sweep_checkpoint(checkpoint, "two_phase", seed),
     )
     return TwoPhaseAblation(
         trials=trials,
@@ -179,10 +167,11 @@ class EscrowAblation:
         return table
 
 
+@experiment("escrow", "Ablation: escrow", seed=1)
 def ablate_escrow(
+    sweep: Sweep,
     dishonest_fractions: Tuple[float, ...] = (0.0, 0.2, 0.5, 0.8),
     awards_per_point: int = 500,
-    seed: int = 1,
 ) -> EscrowAblation:
     """Monte-Carlo payout success under both payment schemes.
 
@@ -190,7 +179,7 @@ def ablate_escrow(
     award pays.  Without it, a dishonest provider simply ignores the
     invoice (§IV-B "repudiating incentives and punishments").
     """
-    rng = random.Random(seed)
+    rng = random.Random(sweep.seed)
     rates: Dict[float, Tuple[float, float]] = {}
     for fraction in dishonest_fractions:
         paid_without = 0
@@ -225,7 +214,9 @@ class FeeAblation:
         return table
 
 
+@experiment("report_fee", "Ablation: report fee")
 def ablate_report_fee(
+    sweep: Sweep,
     budget_ether: float = 10.0,
     fees_ether: Tuple[float, ...] = (0.011, 0.005, 0.001, 0.0001, 0.0),
 ) -> FeeAblation:
@@ -235,14 +226,3 @@ def ablate_report_fee(
         junk = budget_ether / fee if fee > 0 else float("inf")
         points.append((fee, junk))
     return FeeAblation(points=points)
-
-
-def main() -> None:
-    """CLI entry point."""
-    ablate_two_phase().to_table().print()
-    ablate_escrow().to_table().print()
-    ablate_report_fee().to_table().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.analysis.capability import race_rhos, total_detection_capability
 from repro.detection.detector import DetectionCapability
@@ -28,12 +28,7 @@ from repro.detection.modes import (
 )
 from repro.detection.vulnerability import CATEGORIES
 from repro.experiments.harness import ResultTable
-from repro.experiments.runner import (
-    SweepCheckpoint,
-    derive_seeds,
-    run_trials,
-    sweep_checkpoint,
-)
+from repro.experiments.runner import Sweep, experiment
 
 __all__ = ["CapabilityCurveResult", "CompositionResult", "run_capability_curve", "run_fleet_composition"]
 
@@ -81,31 +76,21 @@ def _capability_point_trial(args: Tuple[int, int, float, int]) -> List[float]:
     return [theory, found / scans]
 
 
+@experiment("capability_curve", "Eq. 11 capability curve", seed=0)
 def run_capability_curve(
+    sweep: Sweep,
     max_detectors: int = 8,
     per_thread_hit: float = 0.45,
     scans: int = 2000,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
 ) -> CapabilityCurveResult:
     """DC_T for fleets of 1..max detectors (threads 1..m).
 
-    Each fleet size is an independent seed-pure trial
-    (:func:`derive_seeds`) fanned out via ``jobs`` worker processes;
-    ``checkpoint`` journals completed sizes for resume, and any ``jobs``
+    Each fleet size is an independent seed-pure trial, so any ``jobs``
     value produces identical points.
     """
     sizes = list(range(1, max_detectors + 1))
-    trial_seeds = derive_seeds(seed, len(sizes))
-    outcomes = run_trials(
-        _capability_point_trial,
-        [
-            (trial_seed, m, per_thread_hit, scans)
-            for trial_seed, m in zip(trial_seeds, sizes)
-        ],
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "capability_curve", seed),
+    outcomes = sweep.map(
+        _capability_point_trial, [(m, per_thread_hit, scans) for m in sizes]
     )
     points: Dict[int, Tuple[float, float]] = {
         m: (float(theory), float(simulated))
@@ -146,14 +131,15 @@ class CompositionResult:
         return table
 
 
+@experiment("fleet_composition", "§VIII fleet composition", seed=1)
 def run_fleet_composition(
+    sweep: Sweep,
     fleet_size: int = 9,
     threads: int = 4,
     per_thread_hit: float = 0.6,
-    seed: int = 1,
 ) -> CompositionResult:
     """Coverage of all-static / all-dynamic / all-fuzzing / mixed fleets."""
-    rng = random.Random(seed)
+    rng = random.Random(sweep.seed)
     compositions: Dict[str, List[ModalDetector]] = {}
     for mode in DetectionMode:
         compositions[f"all-{mode.value}"] = [
@@ -167,7 +153,7 @@ def run_fleet_composition(
         ]
     compositions["mixed"] = build_mixed_fleet(
         per_mode=fleet_size // 3, threads=threads,
-        per_thread_hit=per_thread_hit, seed=seed,
+        per_thread_hit=per_thread_hit, seed=sweep.seed,
     )
 
     per_category: Dict[str, Dict[str, float]] = {}
@@ -177,13 +163,3 @@ def run_fleet_composition(
         per_category[label] = coverage
         mean_coverage[label] = sum(coverage.values()) / len(coverage)
     return CompositionResult(mean_coverage=mean_coverage, per_category=per_category)
-
-
-def main() -> None:
-    """CLI entry point."""
-    run_capability_curve().to_table().print()
-    run_fleet_composition().to_table().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -11,10 +11,10 @@ published report landed on the canonical chain exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.harness import ResultTable
-from repro.experiments.runner import run_trials
+from repro.experiments.runner import Sweep, experiment
 from repro.faults.gauntlet import GauntletConfig, GauntletResult, run_gauntlet
 from repro.telemetry import Telemetry
 
@@ -91,29 +91,32 @@ def _gauntlet_trial(args: Tuple[int, float, float, bool]):
     return result, telemetry.snapshot_payload()
 
 
+@experiment("chaos", "Chaos gauntlet")
 def run_chaos_gauntlet(
+    sweep: Sweep,
     seeds: Tuple[int, ...] = (0, 1, 2),
     chaos_duration: float = 1800.0,
     settle_time: float = 900.0,
-    jobs: Optional[int] = None,
-    telemetry: Optional[Telemetry] = None,
 ) -> ChaosGauntletResult:
     """The ≥3-seed acceptance sweep at the paper-scale configuration.
 
     Each seed is an independent deterministic run, so ``jobs`` fans the
     sweep out one-gauntlet-per-process; results are merged in seed
-    order and are identical to the serial sweep.
+    order and are identical to the serial sweep.  Nothing is journaled:
+    a trial's result is the gauntlet report itself, not JSON.
 
     An enabled ``telemetry`` composes with ``jobs``: each trial records
     into a worker-local telemetry whose snapshot is merged back in seed
     order, so the combined metrics and trace are identical to a serial
     instrumented sweep.
     """
-    instrumented = telemetry is not None and telemetry.enabled
-    outcomes = run_trials(
+    telemetry = sweep.telemetry
+    instrumented = telemetry is not None
+    outcomes = sweep.map(
         _gauntlet_trial,
         [(seed, chaos_duration, settle_time, instrumented) for seed in seeds],
-        jobs=jobs,
+        seeded=False,
+        journal=False,
     )
     if not instrumented:
         return ChaosGauntletResult(runs=outcomes)
@@ -122,12 +125,3 @@ def run_chaos_gauntlet(
         telemetry.merge_payload(payload)
         runs.append(result)
     return ChaosGauntletResult(runs=runs)
-
-
-def main() -> None:
-    """CLI entry point."""
-    run_chaos_gauntlet().to_table().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -9,19 +9,13 @@ reads the costs off the receipts and fee transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple
 
 from repro.contracts.gas import PAPER_REPORT_COST_WEI, PAPER_SRA_COST_WEI
 from repro.detection.corpus import ReleaseCorpus, ReleaseCorpusConfig
-from repro.experiments.harness import Comparison, ResultTable
-from repro.experiments.runner import (
-    SweepCheckpoint,
-    derive_seeds,
-    run_trials,
-    sweep_checkpoint,
-)
+from repro.experiments.harness import Comparison, ResultTable, paper_setup
+from repro.experiments.runner import Sweep, experiment
 from repro.units import from_wei
-from repro.workloads.scenarios import paper_setup
 
 __all__ = ["CostResult", "run_costs"]
 
@@ -98,25 +92,15 @@ def _costs_release_trial(args: Tuple[int, int]) -> Dict[str, int]:
     }
 
 
-def run_costs(
-    releases: int = 3,
-    seed: int = 9,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
-) -> CostResult:
+@experiment("costs", "§VII costs", seed=9)
+def run_costs(sweep: Sweep, releases: int = 3) -> CostResult:
     """Deploy real SRAs with vulnerable releases, read costs off receipts.
 
-    Each release deploys on its own seed-pure platform
-    (:func:`derive_seeds`); wei tallies sum in release order, so any
-    ``jobs`` fan-out matches the serial loop and ``checkpoint`` journals
-    finished releases for resume.
+    Each release deploys on its own seed-pure platform; wei tallies sum
+    in release order, so any ``jobs`` fan-out matches the serial loop.
     """
-    trial_seeds = derive_seeds(seed, releases)
-    outcomes = run_trials(
-        _costs_release_trial,
-        [(trial_seed, index) for index, trial_seed in enumerate(trial_seeds)],
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "costs", seed),
+    outcomes = sweep.map(
+        _costs_release_trial, [(index,) for index in range(releases)]
     )
     punishment_wei = sum(outcome["punishment_wei"] for outcome in outcomes)
     vulnerable = sum(outcome["vulnerable"] for outcome in outcomes)
@@ -124,19 +108,10 @@ def run_costs(
     reports = sum(outcome["reports"] for outcome in outcomes)
 
     # SRA cost: the deployment-gas share of the provider's punishment tally.
-    insurance = from_wei(paper_setup(seed=seed).config.params.insurance_wei)
+    insurance = from_wei(paper_setup(seed=sweep.seed).config.params.insurance_wei)
     total_punishment = from_wei(punishment_wei)
     sra_cost = (total_punishment - vulnerable * insurance) / releases
 
     # Report cost: total fees paid by detectors / reports submitted.
     report_cost = from_wei(fees_wei) / reports if reports else 0.0
     return CostResult(sra_cost_ether=sra_cost, report_cost_ether=report_cost)
-
-
-def main() -> None:
-    """CLI entry point."""
-    run_costs().to_table().print()
-
-
-if __name__ == "__main__":
-    main()

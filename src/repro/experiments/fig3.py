@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.chain.consensus import MiningSimulation
 from repro.chain.pow import (
@@ -25,12 +25,7 @@ from repro.chain.pow import (
 )
 from repro.crypto.keys import KeyPair
 from repro.experiments.harness import ResultTable, summarize
-from repro.experiments.runner import (
-    SweepCheckpoint,
-    derive_seeds,
-    run_trials,
-    sweep_checkpoint,
-)
+from repro.experiments.runner import Sweep, experiment
 
 __all__ = ["Fig3aResult", "Fig3bResult", "run_fig3a", "run_fig3b"]
 
@@ -73,8 +68,8 @@ class Fig3aResult:
 def _fig3a_trial(args: Tuple[int, int]) -> Dict[str, int]:
     """One mining trial: win counts over a seed-pure chunk of blocks.
 
-    Module-level and seed-driven so :func:`repro.experiments.runner.run_trials`
-    can fan chunks out across processes with bit-identical results.
+    Module-level and seed-driven so the sweep can fan chunks out across
+    processes with bit-identical results.
     """
     trial_seed, blocks = args
     addresses = {
@@ -88,28 +83,21 @@ def _fig3a_trial(args: Tuple[int, int]) -> Dict[str, int]:
     return dict(simulation.blocks_won())
 
 
+@experiment("fig3a", "Fig. 3(a)", seed=0)
 def run_fig3a(
+    sweep: Sweep,
     blocks: int = 2000,
     block_reward_ether: float = 5.0,
-    seed: int = 0,
     trials: int = 8,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
 ) -> Fig3aResult:
     """Mine ``blocks`` blocks; rewards per block are constant ν.
 
-    The mining is split into ``trials`` independently seeded chunks
-    (:func:`derive_seeds`) fanned out via ``jobs`` worker processes;
+    The mining is split into ``trials`` independently seeded chunks;
     win counts sum across chunks, and any ``jobs`` value produces the
-    same totals.  ``checkpoint`` journals completed chunks for resume.
+    same totals.
     """
-    chunks = _chunk_sizes(blocks, trials)
-    trial_seeds = derive_seeds(seed, len(chunks))
-    outcomes = run_trials(
-        _fig3a_trial,
-        list(zip(trial_seeds, chunks)),
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "fig3a", seed),
+    outcomes = sweep.map(
+        _fig3a_trial, [(chunk,) for chunk in _chunk_sizes(blocks, trials)]
     )
     blocks_won = {name: 0 for name in PAPER_HASHPOWER_SHARES}
     for won in outcomes:
@@ -169,37 +157,17 @@ def _fig3b_trial(args: Tuple[int, int]) -> List[float]:
     return list(model.sample_intervals(count))
 
 
-def run_fig3b(
-    blocks: int = 2000,
-    seed: int = 1,
-    trials: int = 8,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
-) -> Fig3bResult:
+@experiment("fig3b", "Fig. 3(b)", seed=1)
+def run_fig3b(sweep: Sweep, blocks: int = 2000, trials: int = 8) -> Fig3bResult:
     """Sample 2000 block intervals at the paper's difficulty.
 
-    Sampling is chunked into ``trials`` seed-pure workers and fanned out
-    via ``jobs`` processes; intervals concatenate in chunk order, so any
-    ``jobs`` value yields the identical distribution.
+    Sampling is chunked into ``trials`` seed-pure workers; intervals
+    concatenate in chunk order, so any ``jobs`` value yields the
+    identical distribution.
     """
-    chunks = _chunk_sizes(blocks, trials)
-    trial_seeds = derive_seeds(seed, len(chunks))
-    outcomes = run_trials(
-        _fig3b_trial,
-        list(zip(trial_seeds, chunks)),
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "fig3b", seed),
+    outcomes = sweep.map(
+        _fig3b_trial, [(chunk,) for chunk in _chunk_sizes(blocks, trials)]
     )
     return Fig3bResult(
         intervals=tuple(interval for chunk in outcomes for interval in chunk)
     )
-
-
-def main() -> None:
-    """CLI entry point."""
-    run_fig3a().to_table().print()
-    run_fig3b().to_table().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple
 
 from repro.analysis.balance import provider_punishment_ether
 from repro.core.incentives import IncentiveParameters
 from repro.economics.batch import punishment_curve_ether
 from repro.detection.corpus import ReleaseCorpus, ReleaseCorpusConfig
 from repro.detection.iot_system import build_system
-from repro.experiments.harness import ResultTable
-from repro.experiments.runner import SweepCheckpoint, run_trials, sweep_checkpoint
+from repro.experiments.harness import ResultTable, paper_setup
+from repro.experiments.runner import Sweep, experiment
 from repro.units import from_wei
-from repro.workloads.scenarios import paper_setup
 
 __all__ = ["Fig4aResult", "Fig4bResult", "run_fig4a", "run_fig4b"]
 
@@ -106,24 +105,18 @@ def _fig4a_trial(args: Tuple[int, float, float]) -> Dict[str, Any]:
     return {"series": series, "shares": dict(setup.shares)}
 
 
+@experiment("fig4a", "Fig. 4(a)", seed=3)
 def run_fig4a(
-    duration: float = 1800.0,
-    release_period: float = 600.0,
-    seed: int = 3,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
+    sweep: Sweep, duration: float = 1800.0, release_period: float = 600.0
 ) -> Fig4aResult:
     """Run the full platform for ``duration`` with periodic releases.
 
-    A single-trial sweep: the whole run is one seed-pure worker fanned
-    through :func:`run_trials`, so it shares the uniform ``--jobs`` and
-    checkpoint/resume plumbing (one long platform run resumes for free).
+    A single-trial sweep: the whole run is one seed-pure worker, so it
+    shares the uniform checkpoint/resume plumbing (one long platform
+    run resumes for free).
     """
-    (outcome,) = run_trials(
-        _fig4a_trial,
-        [(seed, duration, release_period)],
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "fig4a", seed),
+    (outcome,) = sweep.map(
+        _fig4a_trial, [(sweep.seed, duration, release_period)], seeded=False
     )
     series = {
         name: [(float(t), float(value)) for t, value in points]
@@ -209,48 +202,37 @@ def _fig4b_spot_trial(args: Tuple[int, int, float, int]) -> float:
     return from_wei(platform.punishments_wei[provider]) / spot_releases
 
 
+@experiment("fig4b", "Fig. 4(b)", seed=4)
 def run_fig4b(
+    sweep: Sweep,
     insurances: Tuple[int, ...] = (500, 1000, 1500),
     vp_grid: Tuple[float, ...] = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10),
     spot_releases: int = 8,
-    seed: int = 4,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
 ) -> Fig4bResult:
     """Closed-form sweep plus one simulated spot check.
 
     Each insurance curve and the spot check are independent seed-pure
-    workers fanned out via ``jobs``; passing a checkpoint *path* (not an
-    instance) journals both sub-sweeps under distinct experiment tags.
+    workers; passing a checkpoint *path* (not an instance) journals the
+    two sub-sweeps under distinct experiment tags.
     """
     spot_vp = 0.5
     spot_insurance = 1000
-    curve_outcomes = run_trials(
+    curve_outcomes = sweep.map(
         _fig4b_curve_trial,
         [(insurance, tuple(vp_grid)) for insurance in insurances],
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "fig4b.curves", seed),
+        tag="fig4b.curves",
+        seeded=False,
     )
     curves: Dict[int, List[Tuple[float, float]]] = {
         insurance: [(float(vp), float(punishment)) for vp, punishment in outcome]
         for insurance, outcome in zip(insurances, curve_outcomes)
     }
-    (measured,) = run_trials(
+    (measured,) = sweep.map(
         _fig4b_spot_trial,
-        [(seed, spot_insurance, spot_vp, spot_releases)],
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "fig4b.spot", seed),
+        [(sweep.seed, spot_insurance, spot_vp, spot_releases)],
+        tag="fig4b.spot",
+        seeded=False,
     )
     return Fig4bResult(
         curves=curves, spot_check=(spot_insurance, spot_vp, measured)
     )
-
-
-def main() -> None:
-    """CLI entry point."""
-    run_fig4a().to_table().print()
-    run_fig4b().to_table().print()
-
-
-if __name__ == "__main__":
-    main()

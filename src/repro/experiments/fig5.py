@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.analysis.vpb import vpb_closed_form
 from repro.chain.consensus import MiningSimulation
@@ -26,15 +26,8 @@ from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.incentives import IncentiveParameters
 from repro.crypto.keys import KeyPair
 from repro.economics.batch import provider_balance_curves_ether
-from repro.experiments.harness import ResultTable
-from repro.experiments.runner import (
-    SweepCheckpoint,
-    derive_seeds,
-    run_trials,
-    sweep_checkpoint,
-)
-from repro.telemetry import Telemetry
-from repro.workloads.scenarios import provider_zeta
+from repro.experiments.harness import ResultTable, provider_zeta
+from repro.experiments.runner import Sweep, experiment
 
 __all__ = ["Fig5aResult", "Fig5bResult", "run_fig5a", "run_fig5b", "PAPER_VPB_REFERENCE"]
 
@@ -70,7 +63,9 @@ class Fig5aResult:
         return table
 
 
+@experiment("fig5a", "Fig. 5(a)")
 def run_fig5a(
+    sweep: Sweep,
     windows: Tuple[float, ...] = (600.0, 1200.0, 1800.0),
     insurance_ether: float = 1000.0,
     omega_per_block: float = 2.0,
@@ -135,8 +130,8 @@ class Fig5bResult:
 def _fig5b_trial(args: Tuple[int, str, float]) -> int:
     """One mining-income trial: blocks ``provider`` wins in ``window``.
 
-    Module-level and seed-driven so :func:`repro.experiments.runner.run_trials`
-    can fan trials out across processes with bit-identical results.
+    Module-level and seed-driven so the sweep can fan trials out across
+    processes with bit-identical results.
     """
     trial_seed, provider, window = args
     addresses = {
@@ -152,27 +147,21 @@ def _fig5b_trial(args: Tuple[int, str, float]) -> int:
     return sum(1 for event in events if event.miner_name == provider)
 
 
+@experiment("fig5b", "Fig. 5(b)", seed=5)
 def run_fig5b(
+    sweep: Sweep,
     provider: str = "provider-3",
     window: float = 600.0,
     insurance_ether: float = 1000.0,
     trials: int = 80,
-    seed: int = 5,
     omega_per_block: float = 2.0,
-    jobs: Optional[int] = None,
-    telemetry: Optional[Telemetry] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
 ) -> Fig5bResult:
     """Measure mining income per window; subtract the expected punishment.
 
-    ``jobs`` fans the mining trials out over worker processes; per-trial
-    seeds are pre-derived from ``seed`` exactly as the serial loop drew
-    them, so any ``jobs`` value produces the same balances.
-    ``checkpoint`` journals completed trials for resume.
-
-    ``telemetry`` records per-trial win counts and a run summary event.
-    Instrumentation happens after the trials return, so it composes
-    with ``jobs`` and never perturbs the seeded trial streams.
+    Per-trial seeds are pre-derived from ``seed``, so any ``jobs`` value
+    produces the same balances.  ``telemetry`` records per-trial win
+    counts and a run summary event; instrumentation happens after the
+    trials return, so it never perturbs the seeded trial streams.
     """
     params = IncentiveParameters()
     zeta = provider_zeta(provider)
@@ -187,22 +176,15 @@ def run_fig5b(
         6,
     )
     vps = (round(vpb - 0.01, 6), vpb, round(vpb + 0.01, 6))
-    # Trial seeds follow the runner's shared derivation discipline
-    # (identical values to the historical inline randrange loop).
-    trial_seeds = derive_seeds(seed, trials)
-    wins = run_trials(
-        _fig5b_trial,
-        [(trial_seed, provider, window) for trial_seed in trial_seeds],
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "fig5b", seed),
-    )
+    wins = sweep.map(_fig5b_trial, [(provider, window)] * trials)
     # Batch balance assembly: one vectorized pass over the trial axis,
     # bit-identical to the per-trial income/punishment arithmetic.
     balances = provider_balance_curves_ether(
         params, wins, vps, insurance_ether, omega_per_block
     )
     result = Fig5bResult(provider=provider, vpb=vpb, balances=balances)
-    if telemetry is not None and telemetry.enabled:
+    telemetry = sweep.telemetry
+    if telemetry is not None:
         wins_histogram = telemetry.histogram("fig5b.blocks_won")
         for won in wins:
             wins_histogram.observe(won)
@@ -215,13 +197,3 @@ def run_fig5b(
             mean_balance_at_vpb=round(result.mean_balance(vpb), 4),
         )
     return result
-
-
-def main() -> None:
-    """CLI entry point."""
-    run_fig5a().to_table().print()
-    run_fig5b().to_table().print()
-
-
-if __name__ == "__main__":
-    main()

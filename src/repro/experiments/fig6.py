@@ -24,21 +24,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple
 
 from repro.analysis.vpb import vpb_closed_form
 from repro.core.incentives import IncentiveParameters
 from repro.detection.iot_system import build_system
 from repro.economics.batch import incentive_grid_ether
-from repro.experiments.harness import ResultTable
-from repro.experiments.runner import (
-    SweepCheckpoint,
-    derive_seeds,
-    run_trials,
-    sweep_checkpoint,
-)
+from repro.experiments.harness import ResultTable, paper_setup, provider_zeta
+from repro.experiments.runner import Sweep, experiment
 from repro.units import from_wei
-from repro.workloads.scenarios import paper_setup, provider_zeta
 
 __all__ = ["Fig6Result", "run_fig6"]
 
@@ -160,14 +154,13 @@ def _fig6_release_trial(args: Tuple[int, int, str, int]) -> Dict[str, Dict[str, 
     return {"incentives_wei": incentives_wei, "fees_wei": fees_wei, "reports": reports}
 
 
+@experiment("fig6", "Fig. 6", seed=6)
 def run_fig6(
+    sweep: Sweep,
     provider: str = "provider-3",
     samples: int = 30,
     releases_per_window: int = 11,
     mean_vulnerabilities: int = 4,
-    seed: int = 6,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
 ) -> Fig6Result:
     """Full-platform measurement of detector incentives and costs.
 
@@ -176,10 +169,8 @@ def run_fig6(
     band (ΔVP·I·releases·ξ_i with I = 1000).
 
     Each of the ``samples`` vulnerable releases runs on its own
-    seed-pure platform (:func:`derive_seeds`), so the sweep fans out
-    over ``jobs`` processes, journals per-release tallies to
-    ``checkpoint``, and sums them in release order — identical for any
-    ``jobs`` value.
+    seed-pure platform and the per-release tallies sum in release
+    order — identical for any ``jobs`` value.
     """
     params = IncentiveParameters()
     vpb = round(
@@ -194,15 +185,9 @@ def run_fig6(
     )
     vps = (round(vpb - 0.01, 6), vpb, round(vpb + 0.01, 6))
 
-    trial_seeds = derive_seeds(seed, samples)
-    outcomes = run_trials(
+    outcomes = sweep.map(
         _fig6_release_trial,
-        [
-            (trial_seed, index, provider, mean_vulnerabilities)
-            for index, trial_seed in enumerate(trial_seeds)
-        ],
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "fig6", seed),
+        [(index, provider, mean_vulnerabilities) for index in range(samples)],
     )
 
     incentives_wei: Dict[str, int] = {}
@@ -237,12 +222,3 @@ def run_fig6(
         samples=samples,
         releases_per_window=releases_per_window,
     )
-
-
-def main() -> None:
-    """CLI entry point."""
-    run_fig6().to_table().print()
-
-
-if __name__ == "__main__":
-    main()

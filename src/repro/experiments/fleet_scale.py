@@ -12,12 +12,12 @@ measures what the overlay costs as the fleet grows to 1000 nodes:
 * ``flood`` mode — the paper's complete-mesh full-payload flooding,
   run over the same fleet composition as the baseline.
 
-Each (mode, node count) point is one seed-pure trial through
-:func:`~repro.experiments.runner.run_trials`, so the sweep fans out
-over worker processes with bit-identical results and journals to a
-checkpoint.  Trials record messages sent, bytes on the wire, simulator
-events, frame mix, and the convergence invariants (all full nodes on
-one heaviest head; all light clients on the matching header chain);
+Each (mode, node count) point is one seed-pure trial of the sweep
+(:class:`~repro.experiments.runner.Sweep`), so it fans out over worker
+processes with bit-identical results and journals to a checkpoint.
+Trials record messages sent, bytes on the wire, simulator events,
+frame mix, and the convergence invariants (all full nodes on one
+heaviest head; all light clients on the matching header chain);
 wall-clock is measured *around* the sweep, never inside a trial, so
 results stay identical across ``--jobs``.
 """
@@ -26,34 +26,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple
 
 from repro.chain.serialization import import_chain
 from repro.core.distributed import DistributedChain
 from repro.experiments.harness import ResultTable
-from repro.experiments.runner import (
-    SweepCheckpoint,
-    derive_seeds,
-    run_trials,
-    sweep_checkpoint,
-)
+from repro.experiments.runner import Sweep, experiment
 from repro.network.config import NetworkConfig
 from repro.shard import FleetSpec, ShardedSimulator
 from repro.shard.spec import fleet_split
-from repro.telemetry import Telemetry
 
 __all__ = ["FleetScaleResult", "fleet_split", "run_fleet_scale"]
-
-#: Node counts from the issue's scale-out target: the paper's LAN
-#: order of magnitude, a mid-size deployment, and the 1000-node fleet.
-DEFAULT_NODE_COUNTS = (50, 200, 1000)
-
-#: The sharded lane's (node count, shard count) points: past ~1000
-#: nodes one event loop is the bottleneck, so the 10k/100k points run
-#: through :class:`~repro.shard.engine.ShardedSimulator` instead.
-#: Empty by default — the bench lane opts in (they dominate wall-clock).
-DEFAULT_SHARD_POINTS: Tuple[Tuple[int, int], ...] = ()
-
 
 def _fleet_trial(args: Tuple[int, int, str, int, int]) -> Dict[str, float]:
     """One (mode, node count) point: mine, converge, read the meters."""
@@ -72,7 +55,7 @@ def _fleet_trial(args: Tuple[int, int, str, int, int]) -> Dict[str, float]:
         shards=shards if mode == "shard" else 1,
     )
     if mode == "shard":
-        # ``jobs=1`` inside the trial: run_trials already fans trials
+        # ``jobs=1`` inside the trial: the sweep already fans trials
         # out over processes, and the serial executor is the parity
         # oracle — identical bits at any outer ``jobs``.
         net = ShardedSimulator(spec, seed=trial_seed, jobs=1)
@@ -178,58 +161,40 @@ class FleetScaleResult:
                     f"{self.flood_to_inv_message_ratio(count):.1f}x the messages"
                     " of inv-pull at equal convergence"
                 )
-        table.add_note(
-            f"{self.blocks} blocks mined per point;"
-            f" sweep wall-clock {self.elapsed_seconds:.1f}s"
-        )
+        table.add_note(f"{self.blocks} blocks mined per point")
         return table
 
 
+@experiment("fleet_scale", "Fleet scale-out", seed=40)
 def run_fleet_scale(
-    node_counts: Tuple[int, ...] = DEFAULT_NODE_COUNTS,
-    blocks: int = 8,
+    sweep: Sweep,
+    node_counts: Tuple[int, ...] = (50, 200),
+    blocks: int = 6,
     flood_baseline: bool = True,
-    seed: int = 40,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
-    telemetry: Optional[Telemetry] = None,
-    shard_points: Tuple[Tuple[int, int], ...] = DEFAULT_SHARD_POINTS,
 ) -> FleetScaleResult:
     """Sweep fleet sizes under inv-pull (and optionally flood) gossip.
 
     Each point is an independent seed-pure trial, so any ``jobs`` value
-    produces identical points and ``checkpoint`` journals completed
-    points for resume.  ``flood_baseline=False`` skips the quadratic
-    complete-mesh baseline (it dominates the sweep's wall-clock at 1000
-    nodes).  ``shard_points`` adds (node count, shard count) trials
-    through the sharded engine — the 10k/100k lane one event loop
-    cannot hold; their table rows are labelled ``shard<K>``.  An armed
-    ``telemetry`` gets one gauge per point.
+    produces identical points.  The defaults are suite-friendly sizes;
+    the bench lane runs the 1000-node and sharded 10k/100k points
+    through :func:`_fleet_trial` directly.  ``flood_baseline=False``
+    skips the quadratic complete-mesh baseline (it dominates the
+    sweep's wall-clock at 1000 nodes).  An armed ``telemetry`` gets one
+    gauge per point.
     """
-    inputs = []
-    for node_count in node_counts:
-        inputs.append((node_count, "inv", 1))
-        if flood_baseline:
-            inputs.append((node_count, "flood", 1))
-    for node_count, shards in shard_points:
-        inputs.append((node_count, "shard", shards))
-    trial_seeds = derive_seeds(seed, len(inputs))
+    modes = ("inv", "flood") if flood_baseline else ("inv",)
+    items = [
+        (node_count, mode, blocks, 1) for node_count in node_counts for mode in modes
+    ]
     started = time.perf_counter()
-    outcomes = run_trials(
-        _fleet_trial,
-        [
-            (trial_seed, node_count, mode, blocks, shards)
-            for trial_seed, (node_count, mode, shards) in zip(trial_seeds, inputs)
-        ],
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "fleet_scale", seed),
-    )
+    outcomes = sweep.map(_fleet_trial, items)
     elapsed = time.perf_counter() - started
     points = {
-        (mode if shards == 1 else f"shard{shards}", node_count): outcome
-        for (node_count, mode, shards), outcome in zip(inputs, outcomes)
+        (mode, node_count): outcome
+        for (node_count, mode, _, _), outcome in zip(items, outcomes)
     }
-    if telemetry is not None and telemetry.enabled:
+    telemetry = sweep.telemetry
+    if telemetry is not None:
         for (mode, node_count), point in sorted(points.items()):
             labels = {"mode": mode, "nodes": str(node_count)}
             telemetry.gauge("fleet.messages_sent", **labels).set(
@@ -241,12 +206,3 @@ def run_fleet_scale(
             )
         telemetry.gauge("fleet.sweep_wall_clock_seconds").set(elapsed)
     return FleetScaleResult(points=points, blocks=blocks, elapsed_seconds=elapsed)
-
-
-def main() -> None:
-    """CLI entry point (modest sizes; the bench lane runs 1000 nodes)."""
-    run_fleet_scale(node_counts=(50, 200), blocks=6).to_table().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -13,17 +13,12 @@ sweep shows how the margin erodes as the network slows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.distributed import DistributedChain
 from repro.experiments.harness import ResultTable
-from repro.experiments.runner import (
-    SweepCheckpoint,
-    derive_seeds,
-    run_trials,
-    sweep_checkpoint,
-)
+from repro.experiments.runner import Sweep, experiment
 from repro.network.latency import ConstantLatency
 
 __all__ = ["ForkRateResult", "run_fork_rate"]
@@ -97,42 +92,23 @@ def _fork_rate_trial(args: Tuple[int, float, int, float]) -> List[float]:
     return [mined, height, orphan_rate]
 
 
+@experiment("forks", "Fork rate", seed=10)
 def run_fork_rate(
+    sweep: Sweep,
     ratios: Tuple[float, ...] = (0.005, 0.05, 0.2, 0.5),
     blocks: int = 300,
     block_time: float = 15.35,
-    seed: int = 10,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
 ) -> ForkRateResult:
     """Measure orphan rates over a delay sweep.
 
-    Each ratio is an independent seed-pure trial (:func:`derive_seeds`)
-    fanned out via ``jobs`` worker processes; any ``jobs`` value
-    produces identical points, and ``checkpoint`` journals completed
-    ratios for resume.
+    Each ratio is an independent seed-pure trial, so any ``jobs`` value
+    produces identical points.
     """
-    trial_seeds = derive_seeds(seed, len(ratios))
-    outcomes = run_trials(
-        _fork_rate_trial,
-        [
-            (trial_seed, ratio, blocks, block_time)
-            for trial_seed, ratio in zip(trial_seeds, ratios)
-        ],
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "forks", seed),
+    outcomes = sweep.map(
+        _fork_rate_trial, [(ratio, blocks, block_time) for ratio in ratios]
     )
     points: Dict[float, Tuple[int, int, float]] = {
         ratio: (int(mined), int(height), float(rate))
         for ratio, (mined, height, rate) in zip(ratios, outcomes)
     }
     return ForkRateResult(points=points, block_time=block_time)
-
-
-def main() -> None:
-    """CLI entry point."""
-    run_fork_rate().to_table().print()
-
-
-if __name__ == "__main__":
-    main()

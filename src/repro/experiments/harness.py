@@ -1,9 +1,15 @@
-"""Shared experiment harness: result tables and comparison rows.
+"""Shared experiment harness: result tables, comparison rows, the §VII rig.
 
 Every experiment runner returns structured results *and* can render a
 paper-style table via :class:`ResultTable`, with the paper's reported
 value alongside the measured one so EXPERIMENTS.md rows are generated,
 not transcribed.
+
+:func:`paper_setup` is the paper's §VII experimental setup: five
+provider nodes at the top-5 Ethereum computation proportions, eight
+detectors with 1-8 threads, 5-ether block rewards, 15.35 s mean block
+time, 1000-ether insurances, 10-minute windows.  The platform
+experiments build from it so the configuration lives in one place.
 """
 
 from __future__ import annotations
@@ -12,7 +18,20 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["ResultTable", "Comparison", "summarize"]
+from repro.chain.pow import PAPER_HASHPOWER_SHARES
+from repro.core.incentives import IncentiveParameters
+from repro.core.platform import PlatformConfig, SmartCrowdPlatform
+from repro.detection.detector import Detector, build_detector_fleet
+from repro.units import to_wei
+
+__all__ = [
+    "Comparison",
+    "PaperSetup",
+    "ResultTable",
+    "paper_setup",
+    "provider_zeta",
+    "summarize",
+]
 
 
 @dataclass
@@ -92,3 +111,55 @@ def summarize(samples: Sequence[float]) -> Dict[str, float]:
         "min": min(data),
         "max": max(data),
     }
+
+
+@dataclass
+class PaperSetup:
+    """Everything needed to instantiate the paper's experiment rig."""
+
+    shares: Dict[str, float]
+    detectors: List[Detector]
+    config: PlatformConfig
+
+    def build_platform(self) -> SmartCrowdPlatform:
+        """A fresh platform instance with this configuration."""
+        return SmartCrowdPlatform(self.shares, self.detectors, self.config)
+
+
+def provider_zeta(provider_name: str, shares: Optional[Dict[str, float]] = None) -> float:
+    """ζ_i — a provider's normalized share of the private network's
+    hashpower (the 5 nodes *are* the whole network, §VII)."""
+    shares = shares if shares is not None else PAPER_HASHPOWER_SHARES
+    total = sum(shares.values())
+    return shares[provider_name] / total
+
+
+def paper_setup(
+    seed: int = 0,
+    detection_window: float = 600.0,
+    insurance_ether: int = 1000,
+    bounty_ether: int = 250,
+    mean_vulnerabilities: float = 3.0,
+) -> PaperSetup:
+    """Build the §VII rig.
+
+    ``bounty_ether`` (μ) defaults to insurance / (mean flaws + 1) so a
+    typical vulnerable release distributes most of its forfeited
+    insurance as bounties, matching the Eq. 9 reading that the
+    punishment is paid out to detectors.
+    """
+    params = IncentiveParameters(
+        bounty_wei=to_wei(bounty_ether),
+        insurance_wei=to_wei(insurance_ether),
+        sra_period=detection_window,
+    )
+    config = PlatformConfig(
+        params=params,
+        detection_window=detection_window,
+        seed=seed,
+    )
+    return PaperSetup(
+        shares=dict(PAPER_HASHPOWER_SHARES),
+        detectors=build_detector_fleet(seed=seed),
+        config=config,
+    )

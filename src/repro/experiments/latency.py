@@ -13,18 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.contracts.vm import ContractRuntime
 from repro.detection.iot_system import build_system
-from repro.experiments.harness import ResultTable, summarize
-from repro.experiments.runner import (
-    SweepCheckpoint,
-    derive_seeds,
-    run_trials,
-    sweep_checkpoint,
-)
-from repro.workloads.scenarios import paper_setup
+from repro.experiments.harness import ResultTable, paper_setup, summarize
+from repro.experiments.runner import Sweep, experiment
 
 __all__ = ["LatencyResult", "run_payout_latency"]
 
@@ -106,49 +100,29 @@ def _latency_release_trial(args: Tuple[int, int, int]) -> Dict[str, List[float]]
     return {"announce_to_pay": announce_to_pay, "confirm_to_pay": confirm_to_pay}
 
 
+@experiment("latency", "Payout latency", seed=8)
 def run_payout_latency(
-    releases: int = 10,
-    flaws_per_release: int = 3,
-    seed: int = 8,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
+    sweep: Sweep, releases: int = 10, flaws_per_release: int = 3
 ) -> LatencyResult:
     """Measure payout latency over a campaign of vulnerable releases.
 
-    Each release runs on its own seed-pure platform
-    (:func:`derive_seeds`) and the latency samples concatenate in
-    release order, so fanning out over ``jobs`` processes is
-    bit-identical to the serial loop; ``checkpoint`` journals finished
-    releases for resume.
+    Each release runs on its own seed-pure platform and the latency
+    samples concatenate in release order, so fanning out over ``jobs``
+    processes is bit-identical to the serial loop.
     """
-    trial_seeds = derive_seeds(seed, releases)
-    outcomes = run_trials(
+    outcomes = sweep.map(
         _latency_release_trial,
-        [
-            (trial_seed, index, flaws_per_release)
-            for index, trial_seed in enumerate(trial_seeds)
-        ],
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "latency", seed),
+        [(index, flaws_per_release) for index in range(releases)],
     )
     announce_to_pay: List[float] = []
     confirm_to_pay: List[float] = []
     for outcome in outcomes:
         announce_to_pay.extend(float(value) for value in outcome["announce_to_pay"])
         confirm_to_pay.extend(float(value) for value in outcome["confirm_to_pay"])
-    config = paper_setup(seed=seed).config
+    config = paper_setup(seed=sweep.seed).config
     return LatencyResult(
         announce_to_pay=announce_to_pay,
         confirm_to_pay=confirm_to_pay,
         confirmation_depth=config.confirmation_depth,
         mean_block_time=config.mean_block_time,
     )
-
-
-def main() -> None:
-    """CLI entry point."""
-    run_payout_latency().to_table().print()
-
-
-if __name__ == "__main__":
-    main()

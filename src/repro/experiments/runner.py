@@ -34,11 +34,22 @@ sweep resumes from where it died.  Journaled results round-trip
 through JSON, so checkpointable workers must return JSON-native
 values (numbers, strings, lists, string-keyed dicts) — every worker
 in :mod:`repro.experiments` does.
+
+The experiment registry
+-----------------------
+
+An experiment is one body plus one row.  :class:`Sweep` is the whole
+sweep idiom (derive one seed per trial, prepend it, :func:`run_trials`
+under the ``(tag, seed)`` journal) and :func:`experiment` registers a
+body in :data:`EXPERIMENTS`; the CLI, the EXPERIMENTS.md generator and
+the drift and shape tests each loop over that mapping.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -51,6 +62,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Tuple,
     TypeVar,
@@ -58,9 +70,13 @@ from typing import (
 )
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
+    "Sweep",
     "SweepCheckpoint",
     "default_jobs",
     "derive_seeds",
+    "experiment",
     "input_digest",
     "run_trials",
     "sweep_checkpoint",
@@ -281,3 +297,105 @@ def run_trials(
         for index, result in zip(pending, fresh):
             results[index] = checkpoint.record(index, digests[index], result)
     return results
+
+
+class Sweep:
+    """One experiment run's sweep plumbing: seed, fan-out, journal, sink.
+
+    ``telemetry`` is ``None`` unless an *enabled* sink was passed, so a
+    body instruments under a plain ``is not None`` check.
+    """
+
+    def __init__(
+        self,
+        tag: str,
+        seed: Optional[int],
+        jobs: Optional[int] = None,
+        checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
+        telemetry: Any = None,
+    ) -> None:
+        self.tag = tag
+        self.seed = seed
+        self.jobs = jobs
+        self.checkpoint = checkpoint
+        self.telemetry = telemetry if telemetry else None
+
+    def map(
+        self,
+        trial: Callable[[Any], R],
+        items: Iterable[Tuple],
+        tag: Optional[str] = None,
+        seeded: bool = True,
+        journal: bool = True,
+        chunksize: int = 1,
+    ) -> List[R]:
+        """``trial`` over ``items`` in input order, at any ``jobs``.
+
+        ``seeded`` prepends one :func:`derive_seeds` seed to each item
+        (an item that already carries its seed passes ``False``);
+        ``journal`` keys the checkpoint by ``(tag, seed)`` — ``tag``
+        names a sub-sweep of an experiment that runs more than one —
+        and is ``False`` for trials whose results are not JSON-native.
+        """
+        inputs = list(items)
+        if seeded:
+            seeds = derive_seeds(self.seed, len(inputs))
+            inputs = [(seed, *item) for seed, item in zip(seeds, inputs)]
+        return run_trials(
+            trial,
+            inputs,
+            jobs=self.jobs,
+            chunksize=chunksize,
+            checkpoint=sweep_checkpoint(self.checkpoint, tag or self.tag, self.seed)
+            if journal
+            else None,
+        )
+
+
+class Experiment(NamedTuple):
+    """One row of :data:`EXPERIMENTS`: CLI name, table label, runner."""
+
+    name: str
+    label: str
+    run: Callable[..., Any]
+
+
+#: Every experiment, in suite order (the order the modules register).
+EXPERIMENTS: Dict[str, Experiment] = {}
+
+_UNIFORM = ("seed", "jobs", "checkpoint", "telemetry")
+
+
+def experiment(
+    name: str, label: str, seed: Optional[int] = None
+) -> Callable[[Callable[..., R]], Callable[..., R]]:
+    """Register ``body(sweep, **own_params)`` as the experiment ``name``.
+
+    Returns the public runner: the body's own parameters plus the four
+    uniform keywords ``seed`` (default: this row's master seed),
+    ``jobs``, ``checkpoint`` and ``telemetry``, which reach the body as
+    its :class:`Sweep`.  A closed-form body accepts and ignores them.
+    """
+
+    def register(body: Callable[..., R]) -> Callable[..., R]:
+        @functools.wraps(body)
+        def run(
+            *args: Any,
+            seed: Optional[int] = seed,
+            jobs: Optional[int] = None,
+            checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
+            telemetry: Any = None,
+            **own: Any,
+        ) -> R:
+            return body(Sweep(name, seed, jobs, checkpoint, telemetry), *args, **own)
+
+        signature = inspect.signature(body)
+        defaults = inspect.signature(run, follow_wrapped=False).parameters
+        run.__signature__ = signature.replace(
+            parameters=list(signature.parameters.values())[1:]
+            + [defaults[keyword] for keyword in _UNIFORM]
+        )
+        EXPERIMENTS[name] = Experiment(name, label, run)
+        return run
+
+    return register

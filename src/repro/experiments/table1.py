@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.detection.services import (
     PAPER_SERVICE_PROFILES,
@@ -18,12 +18,7 @@ from repro.detection.services import (
 from repro.economics.batch import jaccard_counts
 from repro.detection.vulnerability import Severity
 from repro.experiments.harness import ResultTable
-from repro.experiments.runner import (
-    SweepCheckpoint,
-    derive_seeds,
-    run_trials,
-    sweep_checkpoint,
-)
+from repro.experiments.runner import Sweep, experiment
 
 __all__ = ["Table1Result", "run_table1", "PAPER_TABLE1"]
 
@@ -106,33 +101,21 @@ def _table1_scan_trial(args: Tuple[int, int, int, str]) -> Dict[str, object]:
     }
 
 
-def run_table1(
-    seed: int = 7,
-    jobs: Optional[int] = None,
-    checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
-) -> Table1Result:
+@experiment("table1", "Table I", seed=7)
+def run_table1(sweep: Sweep) -> Table1Result:
     """Scan both apps with every service profile.
 
-    Each (app, service) scan is an independent seed-pure trial
-    (:func:`derive_seeds`) fanned out via ``jobs``; counts and the
-    pairwise Jaccard overlaps are assembled in scan order, so any
-    ``jobs`` value produces identical results.
+    Each (app, service) scan is an independent seed-pure trial; counts
+    and the pairwise Jaccard overlaps are assembled in scan order, so
+    any ``jobs`` value produces identical results.
     """
-    services = list(PAPER_SERVICE_PROFILES)
-    items = [
-        (app_index, service_name)
-        for app_index in (0, 1)
-        for service_name in services
-    ]
-    trial_seeds = derive_seeds(seed, len(items))
-    outcomes = run_trials(
+    outcomes = sweep.map(
         _table1_scan_trial,
         [
-            (trial_seed, seed, app_index, service_name)
-            for trial_seed, (app_index, service_name) in zip(trial_seeds, items)
+            (sweep.seed, app_index, service_name)
+            for app_index in (0, 1)
+            for service_name in PAPER_SERVICE_PROFILES
         ],
-        jobs=jobs,
-        checkpoint=sweep_checkpoint(checkpoint, "table1", seed),
     )
 
     counts: Dict[str, Dict[str, Tuple[int, int, int]]] = {}
@@ -161,12 +144,3 @@ def run_table1(
                 matrix[(first["service"], scans[j]["service"])] = intersection / union
         overlaps[app_name] = matrix
     return Table1Result(counts=counts, overlaps=overlaps)
-
-
-def main() -> None:
-    """CLI entry point."""
-    run_table1().to_table().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -137,10 +137,6 @@ class ShardGateway:
         owner = self._owners.get(name)
         return owner is not None and owner != self.index
 
-    def owner_of(self, name: str) -> int:
-        """The shard index owning ``name``."""
-        return self._owners[name]
-
     def send_payload(
         self,
         src: str,

@@ -431,10 +431,6 @@ class ChainStore(_FrameLog):
         """True when the log is a single parent-to-child chain."""
         return self._linear
 
-    @property
-    def tip_entry(self) -> Optional[_Entry]:
-        return self._entries[-1] if self._entries else None
-
     def append(self, block: Block) -> bool:
         """Log a block (idempotent by id); returns True if written."""
         if block.block_id in self._by_id:

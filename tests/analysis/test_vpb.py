@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.balance import provider_balance_ether
 from repro.analysis.vpb import vpb_closed_form, vpb_numeric
 from repro.core.incentives import IncentiveParameters
-from repro.workloads.scenarios import provider_zeta
+from repro.experiments.harness import provider_zeta
 
 PARAMS = IncentiveParameters()
 

@@ -8,6 +8,7 @@ from repro.core.distributed import DistributedChain
 from repro.experiments.fleet_scale import fleet_split, run_fleet_scale
 from repro.network.config import NetworkConfig
 from repro.shard import FleetSpec
+from repro.telemetry import Telemetry
 
 
 class TestFleetSplit:
@@ -73,6 +74,27 @@ class TestDeterminism:
         first = run_fleet_scale(node_counts=(50,), blocks=4, seed=9)
         second = run_fleet_scale(node_counts=(50,), blocks=4, seed=9)
         assert first.points == second.points
+
+    def test_table_is_a_function_of_the_seed(self):
+        # Wall-clock lives on the result and in the gauge, never in the
+        # rendered table — the suite's output diffs clean run to run.
+        telemetry = Telemetry()
+        first = run_fleet_scale(node_counts=(50,), blocks=3, seed=2, telemetry=telemetry)
+        second = run_fleet_scale(node_counts=(50,), blocks=3, seed=2)
+        assert first.to_table().render() == second.to_table().render()
+        assert "wall-clock" not in first.to_table().render()
+        assert first.to_table().notes[-1] == "3 blocks mined per point"
+        assert first.elapsed_seconds > 0
+        gauge = telemetry.gauge("fleet.sweep_wall_clock_seconds")
+        assert gauge.value == first.elapsed_seconds
+
+    def test_defaults_are_the_suite_sizes(self):
+        import inspect
+
+        parameters = inspect.signature(run_fleet_scale).parameters
+        assert parameters["node_counts"].default == (50, 200)
+        assert parameters["blocks"].default == 6
+        assert "shard_points" not in parameters
 
     def test_jobs_parity(self):
         serial = run_fleet_scale(node_counts=(50, 80), blocks=4, seed=9)

@@ -15,13 +15,17 @@ import repro.experiments.runner as runner_module
 from repro.experiments.ablations import ablate_two_phase
 from repro.experiments.fig5 import run_fig5b
 from repro.experiments.runner import (
+    EXPERIMENTS,
+    Sweep,
     SweepCheckpoint,
     default_jobs,
     derive_seeds,
+    experiment,
     input_digest,
     run_trials,
     sweep_checkpoint,
 )
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 
 def _square(value):
@@ -312,6 +316,123 @@ class TestSweepCheckpointFactory:
     def test_instance_passes_through(self, tmp_path):
         instance = SweepCheckpoint(str(tmp_path / "c.jsonl"), "exp", 5)
         assert sweep_checkpoint(instance, "other", 9) is instance
+
+
+def _echo(args):
+    """The trial input itself, as the journal would store it."""
+    return list(args)
+
+
+#: Journal of ``run_fork_rate(ratios=(0.005, 0.5), blocks=40,
+#: checkpoint=...)`` as written by the commit before the registry
+#: (hand-written ``derive_seeds`` + ``run_trials`` + ``sweep_checkpoint``).
+PARENT_FORKS_JOURNAL = (
+    '{"experiment": "forks", "input_digest": "d212092168ac82ec", '
+    '"master_seed": 10, "result": [40, 40, 0.0], "trial_index": 0}\n'
+    '{"experiment": "forks", "input_digest": "d39c70a3e095dae5", '
+    '"master_seed": 10, "result": [40, 28, 0.3], "trial_index": 1}\n'
+)
+
+
+class TestSweep:
+    ITEMS = [(0, "a", 1.5), (1, "b", 2.5), (2, "c", 3.5)]
+
+    def test_map_is_the_hand_written_idiom(self, tmp_path):
+        by_hand_path = tmp_path / "hand.jsonl"
+        sweep_path = tmp_path / "sweep.jsonl"
+        seeds = derive_seeds(9, len(self.ITEMS))
+        by_hand = run_trials(
+            _echo,
+            [(seed, *item) for seed, item in zip(seeds, self.ITEMS)],
+            jobs=2,
+            checkpoint=sweep_checkpoint(str(by_hand_path), "exp", 9),
+        )
+        mapped = Sweep("exp", 9, jobs=2, checkpoint=str(sweep_path)).map(
+            _echo, self.ITEMS
+        )
+        # Same inputs reached the trial, same lines reached the journal.
+        assert mapped == by_hand
+        assert [row[0] for row in mapped] == seeds
+        assert sweep_path.read_text() == by_hand_path.read_text()
+
+    def test_unseeded_items_pass_through_untouched(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        mapped = Sweep("exp", 9, checkpoint=str(path)).map(
+            _echo, self.ITEMS, seeded=False
+        )
+        assert mapped == [list(item) for item in self.ITEMS]
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [row["input_digest"] for row in rows] == [
+            input_digest(item) for item in self.ITEMS
+        ]
+
+    def test_journal_false_writes_nothing_and_keeps_objects(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        sweep = Sweep("exp", 9, checkpoint=str(path))
+        results = sweep.map(tuple, [(1, "a"), (2, "b")], seeded=False, journal=False)
+        # Tuples survive: nothing round-tripped through JSON.
+        assert results == [(1, "a"), (2, "b")]
+        assert not path.exists()
+
+    def test_sub_tags_key_two_sweeps_of_one_experiment_apart(self, tmp_path):
+        from repro.experiments.fig4 import run_fig4b
+
+        path = tmp_path / "sweep.jsonl"
+        first = run_fig4b(spot_releases=2, checkpoint=str(path))
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [row["experiment"] for row in rows] == ["fig4b.curves"] * 3 + [
+            "fig4b.spot"
+        ]
+        assert {row["master_seed"] for row in rows} == {4}
+        resumed = run_fig4b(spot_releases=2, checkpoint=str(path))
+        assert resumed.curves == first.curves
+        assert resumed.spot_check == first.spot_check
+        assert len(path.read_text().splitlines()) == 4  # nothing recomputed
+
+    def test_chunksize_and_serial_agree(self):
+        items = [(index,) for index in range(40)]
+        assert Sweep("exp", 1, jobs=2).map(_echo, items, chunksize=16) == Sweep(
+            "exp", 1
+        ).map(_echo, items)
+
+    def test_only_an_enabled_telemetry_reaches_the_body(self):
+        armed = Telemetry()
+        assert Sweep("exp", 1, telemetry=armed).telemetry is armed
+        assert Sweep("exp", 1, telemetry=NULL_TELEMETRY).telemetry is None
+        assert Sweep("exp", 1).telemetry is None
+
+    def test_parent_journal_resumes_under_the_registry(self, tmp_path, monkeypatch):
+        import repro.experiments.forks as forks
+
+        path = tmp_path / "sweep.jsonl"
+        path.write_text(PARENT_FORKS_JOURNAL)
+
+        def _must_not_run(args):
+            raise AssertionError(f"journaled trial recomputed: {args}")
+
+        monkeypatch.setattr(forks, "_fork_rate_trial", _must_not_run)
+        resumed = forks.run_fork_rate(
+            ratios=(0.005, 0.5), blocks=40, checkpoint=str(path)
+        )
+        assert resumed.points == {0.005: (40, 40, 0.0), 0.5: (40, 28, 0.3)}
+        assert path.read_text() == PARENT_FORKS_JOURNAL
+
+
+class TestExperimentDecorator:
+    def test_registers_a_row_and_returns_the_runner(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "EXPERIMENTS", {})
+
+        @experiment("toy", "Toy row", seed=3)
+        def run_toy(sweep, scale=2):
+            """Echo what the sweep was built from."""
+            return sweep.tag, sweep.seed, sweep.jobs, sweep.checkpoint, scale
+
+        assert list(runner_module.EXPERIMENTS) == ["toy"]
+        row = runner_module.EXPERIMENTS["toy"]
+        assert (row.name, row.label, row.run) == ("toy", "Toy row", run_toy)
+        assert run_toy() == ("toy", 3, None, None, 2)
+        assert run_toy(5, seed=8, jobs=2, checkpoint="p") == ("toy", 8, 2, "p", 5)
+        assert "toy" not in EXPERIMENTS  # the real registry was untouched
 
 
 class TestBitIdenticalExperiments:

@@ -1,8 +1,16 @@
-"""Tests for the experiment CLI flags (``--jobs``/``--checkpoint``/
-``--resume``/``--telemetry``/``--report``)."""
+"""Tests for the experiment CLI: the ``NAME`` arguments, the flags
+(``--jobs``/``--checkpoint``/``--resume``/``--telemetry``/``--report``)
+and the registry rows it loops over."""
 
-from repro.experiments.__main__ import RUNNERS, build_parser, main
+import inspect
+
+import pytest
+
+from repro.experiments import EXPERIMENTS
+from repro.experiments.__main__ import build_parser, main
 from repro.telemetry import Telemetry
+
+UNIFORM = ("seed", "jobs", "checkpoint", "telemetry")
 
 
 class TestParser:
@@ -30,28 +38,75 @@ class TestParser:
         assert args.telemetry == "run.jsonl"
         assert args.report == "old.jsonl"
 
-    def test_supported_kwargs_are_known(self):
-        for _, _, supported in RUNNERS:
-            assert supported <= {"jobs", "checkpoint", "telemetry"}
+    def test_names_are_positional(self):
+        args = build_parser().parse_args(["fig6", "table1", "--jobs", "2"])
+        assert args.names == ["fig6", "table1"]
+        assert build_parser().parse_args([]).names == []
 
-    def test_trial_shaped_runners_take_jobs_and_checkpoint(self):
-        # Every runner that fans out must expose the uniform pair; the
-        # chaos gauntlet journals nothing (its trials are its output).
-        by_label = {label: supported for label, _, supported in RUNNERS}
-        assert by_label["Fork rate"] == {"jobs", "checkpoint"}
-        assert by_label["Fig. 6"] == {"jobs", "checkpoint"}
-        assert "telemetry" in by_label["Fig. 5(b)"]
-        assert by_label["Chaos gauntlet"] == {"jobs", "telemetry"}
-        # Closed-form analyses take neither.
-        assert by_label["Fig. 5(a)"] == set()
 
-    def test_every_supported_kwarg_is_accepted_by_its_runner(self):
-        import inspect
+class TestRegistryRows:
+    def test_suite_order_is_the_papers_then_the_analyses(self):
+        assert list(EXPERIMENTS) == [
+            "table1", "fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b",
+            "fig6", "costs", "two_phase", "escrow", "report_fee",
+            "capability_curve", "fleet_composition", "latency", "forks",
+            "fleet_scale", "chaos",
+        ]
+        assert all(row.name == name for name, row in EXPERIMENTS.items())
 
-        for label, runner, supported in RUNNERS:
-            parameters = inspect.signature(runner).parameters
-            for keyword in supported:
-                assert keyword in parameters, (label, keyword)
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_runner_takes_the_four_uniform_keywords(self, name):
+        # Same four on every row, keyword-only, after the row's own
+        # parameters — which is what lets the CLI pass them blindly.
+        parameters = inspect.signature(EXPERIMENTS[name].run).parameters
+        assert tuple(parameters)[-4:] == UNIFORM
+        for keyword in UNIFORM:
+            assert parameters[keyword].kind is inspect.Parameter.KEYWORD_ONLY
+        assert "sweep" not in parameters
+
+    def test_signature_shows_own_parameters_and_the_row_seed(self):
+        parameters = inspect.signature(EXPERIMENTS["fig6"].run).parameters
+        assert tuple(parameters) == (
+            "provider", "samples", "releases_per_window", "mean_vulnerabilities",
+        ) + UNIFORM
+        assert parameters["samples"].default == 30
+        assert parameters["seed"].default == 6
+        assert parameters["jobs"].default is None
+        # A closed-form row has no master seed and ignores all four.
+        fee = EXPERIMENTS["report_fee"].run
+        assert inspect.signature(fee).parameters["seed"].default is None
+        assert fee(jobs=2, checkpoint=None, telemetry=Telemetry()) == fee()
+
+    def test_runner_keeps_the_bodys_name_and_docstring(self):
+        run = EXPERIMENTS["forks"].run
+        assert run.__name__ == "run_fork_rate"
+        assert run.__doc__.startswith("Measure orphan rates")
+
+    def test_seed_keyword_reaches_the_body(self):
+        run = EXPERIMENTS["escrow"].run
+        assert run(seed=1) == run()
+        assert run(seed=2).payout_rates != run().payout_rates
+
+
+class TestNames:
+    def test_one_name_prints_one_table(self, capsys):
+        assert main(["fig3b"]) == 0
+        out = capsys.readouterr().out
+        headers = [line for line in out.splitlines() if line.startswith("--- ")]
+        assert len(headers) == 1 and headers[0].startswith("--- Fig. 3(b) ")
+        assert "mean block time" in out
+
+    def test_names_run_in_the_order_given(self, capsys):
+        assert main(["report_fee", "fig5a"]) == 0
+        out = capsys.readouterr().out
+        assert out.index("--- Ablation: report fee") < out.index("--- Fig. 5(a)")
+
+    def test_unknown_name_exits_2_and_lists_the_rows(self, capsys):
+        assert main(["fig3b", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert "unknown experiment nope" in captured.err
+        assert all(name in captured.err for name in EXPERIMENTS)
 
 
 class TestResumeFlag:
@@ -61,13 +116,13 @@ class TestResumeFlag:
         assert "--resume requires --checkpoint" in capsys.readouterr().err
 
     def test_fresh_run_truncates_stale_journal(self, tmp_path, monkeypatch):
-        # Stub the runner table so main() exercises only the journal
+        # Stub the registry so main() exercises only the journal
         # handling, not the full experiment suite.
         import repro.experiments.__main__ as cli
 
         path = tmp_path / "sweep.jsonl"
         path.write_text('{"experiment": "stale"}\n')
-        monkeypatch.setattr(cli, "RUNNERS", [])
+        monkeypatch.setattr(cli, "EXPERIMENTS", {})
         exit_code = main(["--checkpoint", str(path)])
         assert exit_code == 0
         assert path.read_text() == ""
@@ -77,7 +132,7 @@ class TestResumeFlag:
 
         path = tmp_path / "sweep.jsonl"
         path.write_text('{"experiment": "fig3a"}\n')
-        monkeypatch.setattr(cli, "RUNNERS", [])
+        monkeypatch.setattr(cli, "EXPERIMENTS", {})
         exit_code = main(["--checkpoint", str(path), "--resume"])
         assert exit_code == 0
         assert path.read_text() == '{"experiment": "fig3a"}\n'

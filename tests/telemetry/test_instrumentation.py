@@ -8,7 +8,6 @@ the RNGs or the wall clock inside simulation logic.
 import random
 
 from repro.chain.pow import MiningModel, mine_block
-from repro.chain.retarget import RetargetingMiner
 from repro.contracts.contract import Contract, ContractError
 from repro.contracts.vm import ContractRuntime
 from repro.contracts.state import BURN_ADDRESS
@@ -60,17 +59,6 @@ class TestMining:
                                    telemetry=Telemetry())
         for _ in range(50):
             assert plain.next_block() == instrumented.next_block()
-
-    def test_retargeting_miner_metrics(self):
-        telemetry = Telemetry()
-        miner = RetargetingMiner(
-            {"a": 1.0}, initial_difficulty=2048,
-            rng=random.Random(1), telemetry=telemetry,
-        )
-        miner.run_blocks(10)
-        assert telemetry.histogram("retarget.interval_seconds").count == 10
-        assert telemetry.histogram("retarget.difficulty").count == 10
-        assert telemetry.counter("retarget.blocks", winner="a").value == 10
 
     def test_exhausted_search_counted(self):
         from benchmarks.substrate import _bench_block

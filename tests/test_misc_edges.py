@@ -1,10 +1,7 @@
 """Edge cases across modules that the focused suites don't reach."""
 
-import random
-
 import pytest
 
-from repro.chain.retarget import RetargetingMiner
 from repro.contracts.explorer import Explorer
 from repro.contracts.vm import ContractRuntime
 from repro.crypto.keys import KeyPair
@@ -40,25 +37,6 @@ class TestNodeEdges:
 
     def test_default_keys_derived_from_name(self):
         assert Node("stable").keys.address == Node("stable").keys.address
-
-
-class TestRetargetEdges:
-    def test_recent_mean_before_mining_raises(self):
-        miner = RetargetingMiner({"solo": 10.0}, initial_difficulty=100)
-        with pytest.raises(ValueError):
-            miner.recent_mean_interval()
-
-    def test_epoch_buffer_flushes_on_boundary(self):
-        miner = RetargetingMiner(
-            {"solo": 10.0}, initial_difficulty=1000, scheme="epoch",
-            epoch_length=4, rng=random.Random(0),
-        )
-        miner.run_blocks(4)
-        # After exactly one epoch, the buffer is empty and difficulty
-        # has been retargeted at least once.
-        assert miner.history[-1].difficulty == 1000  # recorded pre-adjust
-        miner.run_blocks(1)
-        assert miner.history[-1].difficulty != 1000 or miner.difficulty != 1000
 
 
 class TestExplorerEdges:

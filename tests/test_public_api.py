@@ -23,7 +23,6 @@ PACKAGES = [
     "repro.network",
     "repro.store",
     "repro.telemetry",
-    "repro.workloads",
 ]
 
 
@@ -54,12 +53,10 @@ def test_public_items_documented(package_name):
             )
 
 
-def test_experiments_main_runners_importable():
-    from repro.experiments.__main__ import RUNNERS
-
-    labels = [label for label, _, _ in RUNNERS]
-    assert "Table I" in labels
-    assert all(callable(runner) for _, runner, _ in RUNNERS)
-    # The trial-sweep experiments advertise --jobs fan-out.
-    parallel = {label for label, _, supports_jobs in RUNNERS if supports_jobs}
-    assert {"Fig. 5(b)", "Ablation: two-phase", "Chaos gauntlet"} <= parallel
+def test_experiment_registry_rows_are_the_exported_runners():
+    package = importlib.import_module("repro.experiments")
+    exported = {getattr(package, name) for name in package.__all__ if name[0].islower()}
+    assert "Table I" in [row.label for row in package.EXPERIMENTS.values()]
+    for row in package.EXPERIMENTS.values():
+        assert row.run in exported, f"{row.name}: runner not in __all__"
+        assert row.run.__doc__

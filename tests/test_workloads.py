@@ -4,7 +4,7 @@ import pytest
 
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.units import to_wei
-from repro.workloads import paper_setup, provider_zeta
+from repro.experiments.harness import paper_setup, provider_zeta
 
 
 class TestProviderZeta:

@@ -44,7 +44,7 @@ def main() -> None:
     platform.advance_until(3 * window + 700.0)
     platform.finish_pending()
 
-    consumer = ConsumerClient(platform.mining.chain)
+    consumer = ConsumerClient(platform.chain)
     print("\nconsumer view of each version:")
     for version in ("1.0.0", "1.1.0", "1.2.0"):
         reference = consumer.lookup("door-hub", version)

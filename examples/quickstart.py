@@ -48,7 +48,7 @@ def main() -> None:
                   f"earned {from_wei(stats.incentives_wei):.0f} ETH "
                   f"(fees {from_wei(stats.fees_paid_wei):.3f} ETH)")
 
-    consumer = ConsumerClient(platform.mining.chain)
+    consumer = ConsumerClient(platform.chain)
     reference = consumer.lookup("smart-camera", "2.4.1")
     print(f"\nconsumer reference: {reference.vulnerability_count} confirmed "
           f"vulnerabilities on chain")

@@ -52,7 +52,7 @@ def main() -> None:
 
     print(f"{'provider':<12}{'culture VP':>11}{'releases':>9}{'vulnerable':>11}"
           f"{'punished ETH':>13}{'mined ETH':>11}")
-    engine = ReputationEngine(platform.mining.chain)
+    engine = ReputationEngine(platform.chain)
     for provider, vp in CULTURES.items():
         reputation = engine.score_provider(provider)
         print(f"{provider:<12}{vp:>11.2f}{reputation.releases:>9}"

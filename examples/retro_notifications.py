@@ -45,7 +45,7 @@ def main() -> None:
     platform.advance_for(900.0)
     platform.finish_pending()
 
-    consumer = ConsumerClient(platform.mining.chain)
+    consumer = ConsumerClient(platform.chain)
     reference = consumer.lookup("thermostat", "4.2.0")
     case1 = platform.release_case(sra1.sra_id)
     print(f"round 1: confirmed flaws = {reference.vulnerability_count}, "
@@ -53,7 +53,7 @@ def main() -> None:
     print(f"consumer deploys? {consumer.should_deploy('thermostat', '4.2.0')}  "
           f"(ground truth: {len(firmware.ground_truth)} latent flaws!)")
 
-    monitor = RetrospectiveMonitor(platform.mining.chain)
+    monitor = RetrospectiveMonitor(platform.chain)
     monitor.register_deployment("alice-home", "thermostat", "4.2.0")
     print(f"alice deploys and registers; notifications so far: "
           f"{len(monitor.poll())}")

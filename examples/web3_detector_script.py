@@ -30,7 +30,8 @@ def main() -> None:
     platform.finish_pending()
 
     # --- the operator's script starts here
-    w3 = Web3Shim.connect(platform)
+    # ... pointed at one provider's node, as web3 is at one RPC endpoint.
+    w3 = Web3Shim.connect_node(platform.replicas["provider-1"], platform.runtime)
     assert w3.is_connected()
 
     print(f"node synced to block #{w3.eth.block_number}")
@@ -43,12 +44,10 @@ def main() -> None:
     print(f"\nSRA {tx['hash'][:18]}… in block #{tx['blockNumber']} "
           f"({tx['confirmations']} confirmations)")
 
-    # Finality, receipt-style — and anything still waiting to be mined?
+    # Finality, receipt-style.
     receipt = w3.eth.get_transaction_receipt(sra.sra_id)
     print(f"receipt: status={receipt['status']} "
           f"block #{receipt['blockNumber']} idx {receipt['transactionIndex']}")
-    pending = w3.eth.get_pending_transactions()
-    print(f"{len(pending)} records pending in the mempool")
 
     # Which bounties were paid, and to whom?
     print("\nBountyPaid log scan:")

@@ -15,7 +15,8 @@ Subpackages
 ``repro.network``     discrete-event P2P gossip simulation
 ``repro.detection``   IoT systems, detectors, scanners, AutoVerif
 ``repro.core``        the paper's contribution: SRAs, two-phase reports,
-                      Algorithm 1, incentives, the platform orchestrator
+                      Algorithm 1, incentives; the fleet engine and the
+                      workflow's two front-ends (platform, deployment)
 ``repro.adversary``   attack library + 51%/double-spend analysis
 ``repro.analysis``    closed forms of SVI-B (DC_T, balances, VPB)
 ``repro.experiments`` one registry row per paper table/figure
@@ -36,6 +37,10 @@ Quickstart
 >>> system = build_system("smart-camera", vulnerability_count=2)
 >>> sra = platform.announce_release("provider-1", system)
 >>> _ = platform.advance_for(1200.0)
+>>> platform.chain.locate_record(sra.sra_id) is not None  # every provider's replica agrees
+True
+>>> platform.converged()
+True
 """
 
 from repro.core import (

@@ -64,12 +64,12 @@ def main(argv=None) -> int:
     platform.finish_pending()
 
     explorer = Explorer(platform.runtime)
-    consumer = ConsumerClient(platform.mining.chain)
+    consumer = ConsumerClient(platform.chain)
 
     print(f"campaign: {args.releases} releases, VP={args.vp}, "
           f"insurance={args.insurance} ETH, seed={args.seed}")
     print(f"simulated time: {platform.now / 60:.0f} min, "
-          f"blocks mined: {sum(platform.blocks_mined.values())}")
+          f"blocks mined: {platform.blocks_mined}")
     print(f"observed vulnerable fraction: "
           f"{explorer.vulnerable_release_fraction():.2f}\n")
 

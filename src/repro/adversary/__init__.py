@@ -21,7 +21,6 @@ from repro.adversary.collusion import (
 )
 from repro.adversary.majority import (
     ForkRaceResult,
-    katz_success_probability,
     rosenfeld_success_probability,
     simulate_fork_race,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ForkRaceResult",
     "build_colluding_block",
     "forge_report",
-    "katz_success_probability",
     "plagiarize_report",
     "rosenfeld_success_probability",
     "run_collusion_race",

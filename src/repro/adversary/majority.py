@@ -16,16 +16,9 @@ from typing import Optional
 
 __all__ = [
     "rosenfeld_success_probability",
-    "katz_success_probability",
     "simulate_fork_race",
     "ForkRaceResult",
 ]
-
-
-def _poisson_pmf(mean: float, k: int) -> float:
-    return math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1)) if mean > 0 else (
-        1.0 if k == 0 else 0.0
-    )
 
 
 def rosenfeld_success_probability(q: float, z: int) -> float:
@@ -54,24 +47,6 @@ def rosenfeld_success_probability(q: float, z: int) -> float:
         )
         probability -= pmf * (1.0 - (q / p) ** (z - k))
     return max(0.0, min(1.0, probability))
-
-
-def katz_success_probability(q: float, z: int) -> float:
-    """Nakamoto's Poisson-approximated variant (Bitcoin paper, §11).
-
-    Provided as a cross-check for :func:`rosenfeld_success_probability`;
-    the two agree to a few percent for small q.
-    """
-    if not 0.0 <= q < 1.0:
-        raise ValueError("attacker share q must be in [0, 1)")
-    p = 1.0 - q
-    if q >= p or z == 0:
-        return 1.0
-    lam = z * (q / p)
-    total = 1.0
-    for k in range(z + 1):
-        total -= _poisson_pmf(lam, k) * (1.0 - (q / p) ** (z - k))
-    return max(0.0, min(1.0, total))
 
 
 @dataclass(frozen=True)

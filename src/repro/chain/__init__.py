@@ -19,7 +19,7 @@ from repro.chain.chain import (
     DEFAULT_CONFIRMATION_DEPTH,
     RecordLocation,
 )
-from repro.chain.consensus import MinedEvent, MiningSimulation, make_genesis
+from repro.chain.consensus import make_genesis
 from repro.chain.mempool import Mempool
 from repro.chain.merkle import MerkleProof, MerkleTree, compute_merkle_root
 from repro.chain.pow import (
@@ -56,9 +56,7 @@ __all__ = [
     "Mempool",
     "MerkleProof",
     "MerkleTree",
-    "MinedEvent",
     "MiningModel",
-    "MiningSimulation",
     "PAPER_DIFFICULTY",
     "PAPER_HASHPOWER_SHARES",
     "PAPER_MEAN_BLOCK_TIME",

@@ -1,39 +1,22 @@
-"""PoW consensus driver: the mining competition among IoT providers.
+"""The genesis block every SmartCrowd replica starts from.
 
-Couples the stochastic :class:`~repro.chain.pow.MiningModel` with a
-shared :class:`~repro.chain.chain.Blockchain` and
-:class:`~repro.chain.mempool.Mempool`.  Each step samples which
-provider wins the next block and after how long, assembles the block
-from pending records, and appends it — the provider-side half of
-Phase #3 ("Fault-tolerant verification and storage").
-
-The simulation uses a *logical shared chain*: with an honest majority
-and no partitions, all provider replicas converge to the same canonical
-chain, so the economics experiments may track one copy.  Fork/reorg
-behaviour is exercised separately in :mod:`repro.adversary` and the
-network-level tests.
+The PoW competition itself — winner sampling, the pending pool, the
+deadline-bounded drive — is the fleet engine's
+(:class:`~repro.core.distributed.FleetControlPlane`); the economics
+experiments run it on the zero-latency, one-world fleet of
+:class:`~repro.core.platform.SmartCrowdPlatform`, where with an honest
+majority and no partitions every provider replica holds the same
+canonical chain.  Fork/reorg behaviour is exercised in
+:mod:`repro.adversary` and the network-level tests.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
-
-from repro.chain.block import Block, ChainRecord, GENESIS_PARENT
-from repro.chain.chain import Blockchain, DEFAULT_CONFIRMATION_DEPTH
-from repro.chain.mempool import Mempool
-from repro.chain.pow import (
-    PAPER_DIFFICULTY,
-    PAPER_MEAN_BLOCK_TIME,
-    MiningModel,
-)
+from repro.chain.block import Block, GENESIS_PARENT
+from repro.chain.pow import PAPER_DIFFICULTY
 from repro.crypto.keys import Address
 
-__all__ = ["make_genesis", "MinedEvent", "MiningSimulation"]
-
-#: Hook invoked when a block is appended: (event) -> None.
-BlockListener = Callable[["MinedEvent"], None]
+__all__ = ["make_genesis"]
 
 
 def make_genesis(timestamp: float = 0.0, difficulty: int = PAPER_DIFFICULTY) -> Block:
@@ -51,146 +34,3 @@ def make_genesis(timestamp: float = 0.0, difficulty: int = PAPER_DIFFICULTY) -> 
         difficulty=difficulty,
         miner=Address(b"\x00" * 20),
     )
-
-
-@dataclass(frozen=True)
-class MinedEvent:
-    """One mined block plus its competition context."""
-
-    block: Block
-    miner_name: str
-    interval: float
-    time: float
-    fees_collected: int
-
-    @property
-    def omega(self) -> int:
-        """ω — number of records aggregated into this block."""
-        return self.block.omega
-
-
-@dataclass
-class MiningSimulation:
-    """Drives the PoW competition over simulated time.
-
-    Parameters mirror the paper's private-chain setup: provider
-    hashpower shares, difficulty 0xf00000, mean block time 15.35 s.
-    Use :meth:`run_for` / :meth:`run_blocks` for the Fig. 3/4 sweeps.
-    """
-
-    model: MiningModel
-    miners: Mapping[str, Address]
-    chain: Blockchain = field(default_factory=lambda: Blockchain(make_genesis()))
-    mempool: Mempool = field(default_factory=Mempool)
-    max_records_per_block: Optional[int] = None
-    clock: float = 0.0
-    listeners: List[BlockListener] = field(default_factory=list)
-
-    @classmethod
-    def from_shares(
-        cls,
-        shares: Mapping[str, float],
-        miner_addresses: Mapping[str, Address],
-        difficulty: int = PAPER_DIFFICULTY,
-        mean_block_time: float = PAPER_MEAN_BLOCK_TIME,
-        confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH,
-        rng: Optional[random.Random] = None,
-    ) -> "MiningSimulation":
-        """Build a simulation from hashpower shares (paper's Fig. 3 setup)."""
-        missing = set(shares) - set(miner_addresses)
-        if missing:
-            raise ValueError(f"no address for miners: {sorted(missing)}")
-        model = MiningModel.from_shares(
-            shares, difficulty=difficulty, mean_block_time=mean_block_time, rng=rng
-        )
-        genesis = make_genesis(difficulty=difficulty)
-        return cls(
-            model=model,
-            miners=dict(miner_addresses),
-            chain=Blockchain(genesis, confirmation_depth=confirmation_depth),
-        )
-
-    def add_listener(self, listener: BlockListener) -> None:
-        """Register a callback fired after each appended block."""
-        self.listeners.append(listener)
-
-    def submit(self, record: ChainRecord) -> bool:
-        """Queue a record for mining (returns False on duplicate)."""
-        if self.chain.locate_record(record.record_id) is not None:
-            return False
-        return self.mempool.add(record)
-
-    def step(self) -> MinedEvent:
-        """Advance one block: sample winner, assemble, append."""
-        outcome = self.model.next_block()
-        return self.apply_outcome(outcome)
-
-    def apply_outcome(self, outcome) -> MinedEvent:
-        """Advance the clock and append the block for a sampled outcome."""
-        self.clock += outcome.interval
-        miner_address = self.miners[outcome.winner]
-        records = self.mempool.select(
-            limit=self.max_records_per_block,
-            exclude=self.chain.record_ids_on_canonical(),
-        )
-        block = Block.assemble(
-            prev_block_id=self.chain.head.block_id,
-            height=self.chain.height + 1,
-            records=records,
-            timestamp=self.clock,
-            difficulty=self.model.difficulty,
-            miner=miner_address,
-        )
-        self.chain.add_block(block)
-        self.mempool.prune(record.record_id for record in records)
-        event = MinedEvent(
-            block=block,
-            miner_name=outcome.winner,
-            interval=outcome.interval,
-            time=self.clock,
-            fees_collected=block.total_fees(),
-        )
-        for listener in self.listeners:
-            listener(event)
-        return event
-
-    def run_blocks(self, count: int) -> List[MinedEvent]:
-        """Mine exactly ``count`` blocks (Fig. 3(b) measures 2000)."""
-        return [self.step() for _ in range(count)]
-
-    def run_for(self, duration: float) -> List[MinedEvent]:
-        """Mine until simulated time advances by ``duration`` seconds.
-
-        The block whose discovery crosses the deadline is *not*
-        included (it would have been found after the window closed).
-        """
-        deadline = self.clock + duration
-        events: List[MinedEvent] = []
-        while True:
-            outcome = self.model.next_block()
-            if self.clock + outcome.interval > deadline:
-                self.clock = deadline
-                return events
-            events.append(self.apply_outcome(outcome))
-
-    def blocks_won(self) -> Dict[str, int]:
-        """χ per miner: canonical blocks each provider has created (Eq. 8)."""
-        by_address: Dict[Address, str] = {
-            address: name for name, address in self.miners.items()
-        }
-        counts: Dict[str, int] = {name: 0 for name in self.miners}
-        for block in self.chain.iter_canonical():
-            if block.height == 0:
-                continue
-            name = by_address.get(block.header.miner)
-            if name is not None:
-                counts[name] += 1
-        return counts
-
-    def observed_block_times(self) -> Tuple[float, ...]:
-        """Inter-block times along the canonical chain (Fig. 3(b))."""
-        blocks = list(self.chain.iter_canonical())
-        return tuple(
-            later.header.timestamp - earlier.header.timestamp
-            for earlier, later in zip(blocks, blocks[1:])
-        )

@@ -2,8 +2,8 @@
 
 Insuranced SRAs (Eq. 1-2), two-phase detection reports (Eq. 3-5),
 Algorithm 1 report verification, the incentive scheme (Eq. 7-10), the
-platform orchestrator running all four phases of §IV-B, and the
-consumer reference client.
+fleet engine with the two front-ends that run all four phases of §IV-B
+on it, and the consumer reference client.
 """
 
 from repro.core.consumer import (
@@ -53,6 +53,7 @@ from repro.core.stakeholders import (
     SystemDirectory,
 )
 from repro.core.verification import ReportVerifier, Verdict, VerdictCode
+from repro.core.workflow import WorkflowChain
 
 __all__ = [
     "ConsumerClient",
@@ -86,6 +87,7 @@ __all__ = [
     "SystemDirectory",
     "Verdict",
     "VerdictCode",
+    "WorkflowChain",
     "build_report_pair",
     "detailed_report_hash",
     "detector_cost",

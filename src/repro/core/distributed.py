@@ -1,9 +1,10 @@
 """Distributed chain replicas — Phase #3 with real replication.
 
-The economics experiments use a logical shared chain (honest majority,
-no partitions ⇒ all replicas converge, see
-:mod:`repro.chain.consensus`).  This module implements the replication
-itself: every provider is a :class:`ReplicaNode` holding its *own*
+This module implements the replication itself (the economics
+experiments run it at zero latency — honest majority, no partitions ⇒
+all replicas hold one chain — as
+:class:`~repro.core.platform.SmartCrowdPlatform`): every provider is a
+:class:`ReplicaNode` holding its *own*
 :class:`~repro.chain.chain.Blockchain` copy, mining on its own head,
 validating every received block (structure + semantic record hook),
 buffering out-of-order arrivals, and reorging when a heavier branch
@@ -16,7 +17,6 @@ partitions, byzantine miners, and fork races.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.chain.block import Block, BlockHeader, ChainRecord
@@ -426,13 +426,6 @@ def heaviest(candidates: Iterable[Optional[Candidate]]) -> Optional[Candidate]:
     )
 
 
-@dataclass
-class _PendingRecords:
-    """Records waiting for a miner to include them."""
-
-    records: List[ChainRecord]
-
-
 class FleetControlPlane:
     """Driving a fleet, wherever its nodes live.
 
@@ -530,23 +523,34 @@ class FleetControlPlane:
             rng=random.Random(model_seed),
         )
         self._difficulty = difficulty
-        self._honest_mempool = _PendingRecords([])
-        self._byzantine_queue: Dict[str, _PendingRecords] = {
-            name: _PendingRecords([]) for name in self.byzantine
+        #: The honest miners' shared pool, by record id: an id queues once.
+        self._honest_pool: Dict[bytes, ChainRecord] = {}
+        #: Byzantine queues carry invalid content on purpose: unchecked.
+        self._byzantine_queue: Dict[str, List[ChainRecord]] = {
+            name: [] for name in self.byzantine
         }
         self.blocks_mined = 0
 
     # -- record feeds -------------------------------------------------------
 
-    def submit_record(self, record: ChainRecord) -> None:
-        """Queue an honest record for inclusion by the next honest miner."""
-        self._honest_mempool.records.append(record)
+    def submit_record(self, record: ChainRecord) -> bool:
+        """Queue an honest record for inclusion by the next honest miner.
+
+        False when its id is already pending.  An id that is already on
+        the winner's canonical chain is left out of its block when the
+        round comes (:meth:`ShardState.mine`), as any miner's own
+        mempool selection does.
+        """
+        if record.record_id in self._honest_pool:
+            return False
+        self._honest_pool[record.record_id] = record
+        return True
 
     def inject_byzantine_record(self, miner: str, record: ChainRecord) -> None:
         """Queue a (typically invalid) record for a byzantine miner."""
         if miner not in self.byzantine:
             raise ValueError(f"{miner} is not byzantine")
-        self._byzantine_queue[miner].records.append(record)
+        self._byzantine_queue[miner].append(record)
 
     # -- mining drive --------------------------------------------------------
 
@@ -583,11 +587,13 @@ class FleetControlPlane:
 
     def _round(self, winner: str, when: float) -> Optional[Block]:
         self._clock.advance_until(when)
-        pending = self._byzantine_queue.get(winner, self._honest_mempool)
-        block = self._mine(winner, tuple(pending.records))
+        queue = self._byzantine_queue.get(winner)
+        block = self._mine(
+            winner, tuple(self._honest_pool.values() if queue is None else queue)
+        )
         if block is None:
             return None
-        pending.records = []
+        (self._honest_pool if queue is None else queue).clear()
         self.blocks_mined += 1
         self._on_block(winner, block)
         return block
@@ -697,10 +703,12 @@ class DistributedChain(FleetControlPlane):
 
     # -- the control plane's reach into the world ---------------------------
 
-    def _build_world(self) -> "ShardState":
+    def _build_world(self, **members) -> "ShardState":
+        """The fleet's one world; a front-end seating its own cast
+        overrides this to pass :class:`ShardState`'s ``members``."""
         from repro.shard.engine import ShardState  # see FleetControlPlane
 
-        return ShardState(self._blueprint, 0)
+        return ShardState(self._blueprint, 0, **members)
 
     def _mine(self, winner: str, records: Tuple[ChainRecord, ...]) -> Optional[Block]:
         return self.world.mine(winner, records, self._difficulty)

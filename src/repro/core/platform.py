@@ -18,36 +18,42 @@ simulated time:
   transaction fees ψ·ω, clean releases are refunded and vulnerable
   ones forfeited (§V-D).
 
-The master clock is the mining process; scheduled actions (releases,
-report submissions, contract closes) fire between blocks in timestamp
-order, so runs are exactly reproducible for a given seed.
+The platform is a front-end of the one fleet engine.  Its world is the
+zero-latency, one-world fleet
+(:class:`~repro.core.distributed.DistributedChain`, every provider a
+full replica); its clock and action queue are the world's simulator,
+its PoW drive and pending pool the control plane's, and the contract
+side of the workflow :class:`~repro.core.workflow.WorkflowChain`'s.
+What is the platform's own is the paper's economics: central
+Algorithm-1 verification (the honest-majority substitution, DESIGN.md),
+per-detector tallies, block rewards and record fees, the window close
+and re-detection.  Scheduled actions (releases, report submissions,
+contract closes) fire between blocks in timestamp order, so runs are
+exactly reproducible for a given seed.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.chain.block import ChainRecord, RecordKind
-from repro.chain.consensus import MinedEvent, MiningSimulation
+from repro.chain.block import Block, ChainRecord, RecordKind
+from repro.chain.chain import Blockchain
 from repro.chain.pow import PAPER_DIFFICULTY, PAPER_MEAN_BLOCK_TIME
-from repro.contracts.gas import DEFAULT_GAS_SCHEDULE
-from repro.contracts.smartcrowd_contract import SmartCrowdContract
+from repro.contracts.contract import Receipt
 from repro.contracts.state import InsufficientFunds
-from repro.contracts.vm import ContractRuntime
 from repro.core.incentives import IncentiveParameters
 from repro.economics.batch import crosscheck_detectors, crosscheck_providers
 from repro.core.registry import IdentityRegistry
 from repro.core.reports import DetailedReport, InitialReport, build_report_pair
 from repro.core.sra import SignedSRA, make_sra
 from repro.core.verification import ReportVerifier, VerdictCode
+from repro.core.workflow import WorkflowChain
 from repro.crypto.keys import Address, KeyPair
 from repro.detection.autoverif import AutoVerifEngine
 from repro.detection.detector import Detector
 from repro.detection.iot_system import IoTSystem
+from repro.network.latency import ConstantLatency
 from repro.units import to_wei
 
 __all__ = [
@@ -132,7 +138,7 @@ class EconomicsSummary:
     provider_punishments_wei: Dict[str, int]
 
 
-class SmartCrowdPlatform:
+class SmartCrowdPlatform(WorkflowChain):
     """A running SmartCrowd deployment over simulated time."""
 
     def __init__(
@@ -143,43 +149,41 @@ class SmartCrowdPlatform:
         autoverif: Optional[AutoVerifEngine] = None,
     ) -> None:
         self.config = config if config is not None else PlatformConfig()
-        self._rng = random.Random(self.config.seed)
+        seed = self.config.seed
 
         # Identities: long-lived keys for every entity (§V-A).
         self.registry = IdentityRegistry()
         self.provider_keys: Dict[str, KeyPair] = {}
         for name in provider_shares:
-            keys = KeyPair.from_seed(f"provider:{name}:{self.config.seed}".encode())
+            keys = KeyPair.from_seed(f"provider:{name}:{seed}".encode())
             self.provider_keys[name] = keys
             self.registry.register(name, keys.public)
         self.detectors: Dict[str, Detector] = {d.detector_id: d for d in detectors}
         self.detector_keys: Dict[str, KeyPair] = {}
         for detector_id in self.detectors:
-            keys = KeyPair.from_seed(f"detector:{detector_id}:{self.config.seed}".encode())
+            keys = KeyPair.from_seed(f"detector:{detector_id}:{seed}".encode())
             self.detector_keys[detector_id] = keys
             self.registry.register(detector_id, keys.public)
 
-        # The consensus trigger authority (§V-D substitution; DESIGN.md).
-        self._authority = KeyPair.from_seed(f"authority:{self.config.seed}".encode())
-
-        # Contract runtime over the shared world state.
-        self.runtime = ContractRuntime(gas_schedule=DEFAULT_GAS_SCHEDULE)
-        for name, keys in self.provider_keys.items():
-            self.runtime.state.mint(keys.address, self.config.provider_funding_wei)
-        for detector_id, keys in self.detector_keys.items():
-            self.runtime.state.mint(keys.address, self.config.detector_funding_wei)
-        self.runtime.state.mint(self._authority.address, to_wei(10_000_000))
-
-        # PoW mining competition among providers.
-        addresses = {name: keys.address for name, keys in self.provider_keys.items()}
-        self.mining = MiningSimulation.from_shares(
+        # The fleet: every provider a full replica on the default
+        # overlay, links that cost no time — the honest-majority,
+        # no-partition case the economics experiments assume.
+        super().__init__(
             provider_shares,
-            addresses,
+            authority=KeyPair.from_seed(f"authority:{seed}".encode()),
+            authority_funding_wei=to_wei(10_000_000),
+            detection_window=self.config.detection_window,
             difficulty=self.config.difficulty,
             mean_block_time=self.config.mean_block_time,
+            latency=ConstantLatency(0.0),
             confirmation_depth=self.config.confirmation_depth,
-            rng=random.Random(self._rng.randrange(2**31)),
+            seed=seed,
         )
+        for name, keys in self.provider_keys.items():
+            self.replicas[name].keys = keys  # it mines to the provider's account
+            self.runtime.state.mint(keys.address, self.config.provider_funding_wei)
+        for keys in self.detector_keys.values():
+            self.runtime.state.mint(keys.address, self.config.detector_funding_wei)
 
         # Provider-side verification (honest majority): Algorithm 1.
         self.verifier = ReportVerifier(
@@ -187,18 +191,10 @@ class SmartCrowdPlatform:
             autoverif if autoverif is not None else AutoVerifEngine(),
         )
 
-        # Scheduled actions between blocks.
-        self._actions: List[Tuple[float, int, Callable[[], None]]] = []
-        #: Events mined by the most recent advance_until/advance_for call.
-        self.last_mined_events: List[MinedEvent] = []
-        self._action_seq = itertools.count()
-        self._action_time: float = 0.0
-
         # Release and report bookkeeping.
         self.releases: Dict[bytes, ReleaseCase] = {}
         self._initial_by_id: Dict[bytes, InitialReport] = {}
         self._detailed_by_id: Dict[bytes, DetailedReport] = {}
-        self._confirmed_heights: Set[int] = set()
         self.detector_stats: Dict[str, DetectorStats] = {
             detector_id: DetectorStats() for detector_id in self.detectors
         }
@@ -217,66 +213,42 @@ class SmartCrowdPlatform:
         self.fee_income_wei: Dict[str, int] = {name: 0 for name in provider_shares}
         #: Per-provider count of fee-bearing records collected (ω of Eq. 8).
         self.fee_records_collected: Dict[str, int] = {name: 0 for name in provider_shares}
-        self.blocks_mined: Dict[str, int] = {name: 0 for name in provider_shares}
-
-        self.mining.add_listener(self._on_block)
+        #: Per-provider count of blocks created (χ of Eq. 8).
+        self.blocks_won: Dict[str, int] = {name: 0 for name in provider_shares}
+        self._block_listeners: List[Callable[[Block], None]] = []
 
     # -- clock & scheduling --------------------------------------------------
 
     @property
     def now(self) -> float:
-        """Current simulated time.
+        """Current simulated time: the fleet clock.
 
-        The mining clock is the base; while actions are being processed
-        between blocks, the firing action's own timestamp is current
-        (so e.g. a contract deployed by an announce action carries the
-        announce time, and close-window arithmetic is deterministic).
+        While a scheduled action fires it is that action's own
+        timestamp (so e.g. a contract deployed by an announce action
+        carries the announce time, and close-window arithmetic is
+        deterministic).
         """
-        return max(self.mining.clock, self._action_time)
+        return self.simulator.now
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
-        """Queue an action to fire at absolute ``time`` (between blocks).
+    @property
+    def chain(self) -> Blockchain:
+        """The reference replica's chain — the one every alive provider
+        holds whenever the platform is not mid-block."""
+        return self._observer().chain
 
-        Unified time-control surface: absolute scheduling is
-        ``schedule_at`` here exactly as on
-        :class:`~repro.network.simulator.Simulator`.
-        """
-        if time < self.now - 1e-9:
-            time = self.now
-        heapq.heappush(self._actions, (time, next(self._action_seq), action))
+    def schedule_at(self, time: float, action: Callable[..., None], *args) -> None:
+        """Queue ``action(*args)`` to fire at absolute ``time`` (between
+        blocks); a time already past fires at ``now``."""
+        self.simulator.schedule_at(max(time, self.now), self._fire, action, args)
 
-    def _process_actions(self, up_to: float) -> None:
-        while self._actions and self._actions[0][0] <= up_to + 1e-12:
-            fire_time, _, action = heapq.heappop(self._actions)
-            self._action_time = max(self._action_time, fire_time)
-            self.runtime.advance_time(max(self.runtime.block_time, self._action_time))
-            action()
+    def _fire(self, action: Callable[..., None], args: tuple) -> None:
+        # Contract calls an action makes carry the action's timestamp.
+        self.runtime.advance_time(max(self.runtime.block_time, self.now))
+        action(*args)
 
-    def advance_until(self, deadline: float) -> int:
-        """Advance simulated time to ``deadline``, mining as we go.
-
-        Returns the number of blocks mined, matching
-        :meth:`Simulator.advance_until`'s count-of-work convention; the
-        mined events themselves are kept in :attr:`last_mined_events`
-        (or subscribe via ``platform.mining.add_listener``).
-        """
-        events: List[MinedEvent] = []
-        while True:
-            outcome = self.mining.model.next_block()
-            block_time = self.mining.clock + outcome.interval
-            if block_time > deadline:
-                self._process_actions(deadline)
-                self.mining.clock = deadline
-                self.runtime.advance_time(max(self.runtime.block_time, deadline))
-                self.last_mined_events = events
-                return len(events)
-            self._process_actions(block_time)
-            self.runtime.advance_time(max(self.runtime.block_time, block_time))
-            events.append(self.mining.apply_outcome(outcome))
-
-    def advance_for(self, duration: float) -> int:
-        """Advance by ``duration`` seconds; returns blocks mined."""
-        return self.advance_until(self.now + duration)
+    def add_block_listener(self, listener: Callable[[Block], None]) -> None:
+        """Call ``listener(block)`` after each block's settlement."""
+        self._block_listeners.append(listener)
 
     # -- Phase #1: release announcement ---------------------------------------
 
@@ -302,7 +274,7 @@ class SmartCrowdPlatform:
         keys = self.provider_keys[provider_name]
         sra = make_sra(provider_name, keys, system, insurance, bounty)
         when = at_time if at_time is not None else self.now
-        self.schedule_at(when, lambda: self._do_announce(provider_name, sra, system))
+        self.schedule_at(when, self._do_announce, provider_name, sra, system)
         return sra
 
     def reopen_release(
@@ -325,7 +297,7 @@ class SmartCrowdPlatform:
             raise ValueError("unknown release")
         if not case.closed:
             raise ValueError("previous round is still open")
-        previous_contract = self.runtime.get_contract(case.contract_address)
+        previous_contract = self.contracts[sra_id]
         excluded = (
             previous_contract.awarded_vulnerabilities()
             | previous_contract.excluded_keys
@@ -349,11 +321,8 @@ class SmartCrowdPlatform:
         )
         when = at_time if at_time is not None else self.now
         self.schedule_at(
-            when,
-            lambda: self._do_announce(
-                case.provider_name, sra, case.system,
-                excluded_keys=excluded, round_number=next_round,
-            ),
+            when, self._do_announce,
+            case.provider_name, sra, case.system, excluded, next_round,
         )
         return sra
 
@@ -368,21 +337,7 @@ class SmartCrowdPlatform:
         if sra.sra_id in self.releases:
             raise RuntimeError("duplicate SRA announcement")
         keys = self.provider_keys[provider_name]
-        contract = SmartCrowdContract(
-            sra_id=sra.sra_id,
-            provider=keys.address,
-            bounty_per_vulnerability_wei=sra.body.bounty_wei,
-            detection_window=self.config.detection_window,
-            trigger_authority=self._authority.address,
-            excluded_keys=excluded_keys,
-        )
-        receipt = self.runtime.deploy(
-            contract, keys.address, value_wei=sra.body.insurance_wei
-        )
-        if not receipt.success:
-            raise RuntimeError(
-                f"SRA deployment failed for {provider_name}: {receipt.error}"
-            )
+        receipt = self._escrow(sra, keys.address, excluded_keys)
         self.punishments_wei[provider_name] += receipt.fee_wei
 
         case = ReleaseCase(
@@ -398,7 +353,7 @@ class SmartCrowdPlatform:
         # Decentralized SRA verification, then on-chain recording.
         if not sra.verify_registered(self.registry):
             raise RuntimeError("provider produced an invalid SRA")
-        self.mining.submit(
+        self.submit_record(
             ChainRecord(
                 kind=RecordKind.SRA,
                 record_id=sra.sra_id,
@@ -410,7 +365,7 @@ class SmartCrowdPlatform:
 
         self._start_detection(case)
         close_at = self.now + self.config.detection_window + 1e-6
-        self.schedule_at(close_at, lambda: self._close_release(case))
+        self.schedule_at(close_at, self._close_release, case)
 
     # -- Phase #2: distributed detection --------------------------------------
 
@@ -427,15 +382,8 @@ class SmartCrowdPlatform:
                 if submit_at > case.announced_at + self.config.detection_window:
                     continue  # found too late to be payable
                 self.schedule_at(
-                    submit_at,
-                    self._make_submitter(case, detector_id, finding),
+                    submit_at, self._submit_initial, case, detector_id, finding
                 )
-
-    def _make_submitter(self, case: ReleaseCase, detector_id: str, finding):
-        def _submit() -> None:
-            self._submit_initial(case, detector_id, finding)
-
-        return _submit
 
     def _submit_initial(self, case: ReleaseCase, detector_id: str, finding) -> None:
         """Build the (R†, R*) pair for one finding and submit R†."""
@@ -466,7 +414,7 @@ class SmartCrowdPlatform:
         if self.runtime.state.balance(keys.address) < record.fee:
             stats.reports_dropped += 1
             return
-        if self.mining.submit(record):
+        if self.submit_record(record):
             self._initial_by_id[initial.report_id] = initial
             self._detailed_by_id[initial.report_id] = detailed
             stats.initial_reports_submitted += 1
@@ -486,8 +434,9 @@ class SmartCrowdPlatform:
             stats.reports_dropped += 1
             self.dropped_reports.append((detailed.report_id, verdict.code))
             if verdict.code == VerdictCode.AUTOVERIF_FAILED:
+                # ... and its contract's filter records the detector.
                 self.isolated_detectors.add(detailed.detector_id)
-                self._isolate_detector(case, detailed)
+                self._award_detailed(detailed, False)
             return
         record = ChainRecord(
             kind=RecordKind.DETAILED_REPORT,
@@ -499,102 +448,33 @@ class SmartCrowdPlatform:
         if self.runtime.state.balance(detailed.wallet) < record.fee:
             stats.reports_dropped += 1
             return
-        if self.mining.submit(record):
+        if self.submit_record(record):
             stats.detailed_reports_submitted += 1
-
-    def _isolate_detector(self, case: ReleaseCase, detailed: DetailedReport) -> None:
-        """Record a failed-AutoVerif detector in the contract's filter."""
-        self.runtime.call(
-            case.contract_address,
-            "award_detailed_report",
-            self._authority.address,
-            0,
-            "confirm_report",
-            detailed.detector_id,
-            detailed.wallet,
-            detailed.body_hash(),
-            detailed.vulnerability_keys(),
-            False,
-        )
 
     # -- Phase #3/#4: block events, confirmation triggers ----------------------
 
-    def _on_block(self, event: MinedEvent) -> None:
-        miner_name = event.miner_name
-        miner_address = self.mining.miners[miner_name]
-        self.blocks_mined[miner_name] += 1
+    def _on_block(self, winner: str, block: Block) -> None:
+        miner_address = self.provider_keys[winner].address
+        self.blocks_won[winner] += 1
 
         # Mint the block reward ν and collect record fees ψ·ω (Eq. 8).
         self.runtime.state.mint(miner_address, self.config.params.block_reward_wei)
-        fee_records = [
-            record
-            for record in event.block.records
-            if record.fee and record.sender is not None
-        ]
-        if fee_records:
-            self._settle_fees(fee_records, miner_name, miner_address)
+        for record in block.records:
+            if record.fee and record.sender is not None:
+                self._settle_fee_record(record, winner, miner_address)
 
         # Gas of authority-triggered contract calls flows to this miner.
         self.runtime.fee_collector = miner_address
-        self.runtime.advance_time(max(self.runtime.block_time, event.time))
-
-        # Fire confirmation triggers for the block that just became final.
-        confirmed_height = event.block.height - self.config.confirmation_depth
-        if confirmed_height <= 0:
-            return
-        if confirmed_height in self._confirmed_heights:
-            return
-        self._confirmed_heights.add(confirmed_height)
-        confirmed_block = self.mining.chain.block_at_height(confirmed_height)
-        if confirmed_block is None:
-            return
-        for record in confirmed_block.records:
-            self._on_record_confirmed(record)
-
-    def _settle_fees(
-        self,
-        fee_records: Sequence[ChainRecord],
-        miner_name: str,
-        miner_address: Address,
-    ) -> None:
-        """Collect a block's record fees for the miner, batched by sender.
-
-        Equivalent to transferring each record's fee in block order:
-        fee-bearing senders are never *credited* during settlement (only
-        the miner receives), so each sender's total settles in one
-        transfer.  A sender that cannot cover its total falls back to
-        the per-record greedy semantics (drop exactly the records the
-        sequential loop would drop), and a block whose miner is itself a
-        fee sender takes the per-record path outright — its balance
-        changes mid-settlement.
-        """
-        state = self.runtime.state
-        if any(record.sender == miner_address for record in fee_records):
-            for record in fee_records:
-                self._settle_fee_record(record, miner_name, miner_address)
-            return
-        totals: Dict[Address, int] = {}
-        for record in fee_records:
-            totals[record.sender] = totals.get(record.sender, 0) + record.fee
-        for sender, total in totals.items():
-            if state.balance(sender) >= total:
-                state.transfer(sender, miner_address, total)
-                self.fee_income_wei[miner_name] += total
-                self.fee_records_collected[miner_name] += sum(
-                    1 for record in fee_records if record.sender == sender
-                )
-                stats = self._stats_by_address.get(sender)
-                if stats is not None:
-                    stats.fees_paid_wei += total
-            else:
-                for record in fee_records:
-                    if record.sender == sender:
-                        self._settle_fee_record(record, miner_name, miner_address)
+        # The winner alone holds the new block (its announcement is in
+        # flight), so the observer read here is the winner's replica.
+        self._fire_confirmations()
+        for listener in self._block_listeners:
+            listener(block)
 
     def _settle_fee_record(
         self, record: ChainRecord, miner_name: str, miner_address: Address
     ) -> None:
-        """Transfer one record's fee (the pre-batch sequential step)."""
+        """Transfer one record's fee to the block's miner."""
         try:
             self.runtime.state.transfer(record.sender, miner_address, record.fee)
         except InsufficientFunds:
@@ -605,63 +485,21 @@ class SmartCrowdPlatform:
         if stats is not None:
             stats.fees_paid_wei += record.fee
 
-    def _on_record_confirmed(self, record: ChainRecord) -> None:
-        if record.kind == RecordKind.INITIAL_REPORT:
-            self._confirm_initial(record)
-        elif record.kind == RecordKind.DETAILED_REPORT:
-            self._confirm_detailed(record)
-        # SRA confirmation needs no trigger: the contract escrowed at deploy.
-
-    def _confirm_initial(self, record: ChainRecord) -> None:
-        initial = InitialReport.from_payload(record.payload)
-        case = self.releases.get(initial.sra_id)
-        if case is None:
-            return
-        receipt = self.runtime.call(
-            case.contract_address,
-            "confirm_initial_report",
-            self._authority.address,
-            0,
-            "confirm_report",
-            initial.detector_id,
-            initial.wallet,
-            initial.detailed_hash,
-        )
+    def _on_initial_confirmed(self, report: InitialReport, receipt: Receipt) -> None:
         if receipt.success and receipt.return_value:
             # Commitment registered: the detector publishes R* now.
-            self.schedule_at(self.now, lambda: self._submit_detailed(initial.report_id))
+            self.schedule_at(self.now, self._submit_detailed, report.report_id)
 
-    def _confirm_detailed(self, record: ChainRecord) -> None:
-        detailed = DetailedReport.from_payload(record.payload)
-        case = self.releases.get(detailed.sra_id)
-        if case is None:
+    def _on_detailed_awarded(self, report: DetailedReport, receipt: Receipt) -> None:
+        if not (receipt.success and receipt.return_value):
             return
-        before = self.runtime.state.balance(detailed.wallet)
-        receipt = self.runtime.call(
-            case.contract_address,
-            "award_detailed_report",
-            self._authority.address,
-            0,
-            "confirm_report",
-            detailed.detector_id,
-            detailed.wallet,
-            detailed.body_hash(),
-            detailed.vulnerability_keys(),
-            True,
-        )
-        if not receipt.success:
-            return
-        paid = receipt.return_value or 0
-        if paid > 0:
-            stats = self.detector_stats.get(detailed.detector_id)
-            if stats is not None:
-                stats.bounties_won += len(
-                    [e for e in receipt.events if e.name == "BountyPaid"]
-                )
-                stats.incentives_wei += paid
-            case.awarded_counts[detailed.detector_id] = case.awarded_counts.get(
-                detailed.detector_id, 0
-            ) + len([e for e in receipt.events if e.name == "BountyPaid"])
+        bounties = sum(1 for event in receipt.events if event.name == "BountyPaid")
+        stats = self.detector_stats.get(report.detector_id)
+        if stats is not None:
+            stats.bounties_won += bounties
+            stats.incentives_wei += receipt.return_value
+        awarded = self.releases[report.sra_id].awarded_counts
+        awarded[report.detector_id] = awarded.get(report.detector_id, 0) + bounties
 
     def _close_release(self, case: ReleaseCase) -> None:
         """End of detection window: refund (clean) or forfeit (vulnerable)."""
@@ -677,7 +515,9 @@ class SmartCrowdPlatform:
         if not receipt.success:
             # Window may not have expired on the runtime clock yet
             # (block times are stochastic); retry shortly after.
-            self.schedule_at(self.now + self.config.mean_block_time, lambda: self._close_release(case))
+            self.schedule_at(
+                self.now + self.config.mean_block_time, self._close_release, case
+            )
             return
         case.closed = True
         case.refunded_wei = receipt.return_value or 0
@@ -697,7 +537,7 @@ class SmartCrowdPlatform:
     def provider_incentives_wei(self, provider_name: str) -> int:
         """Eq. 8 income actually accrued: χ·ν + collected fees."""
         return (
-            self.blocks_mined[provider_name] * self.config.params.block_reward_wei
+            self.blocks_won[provider_name] * self.config.params.block_reward_wei
             + self.fee_income_wei[provider_name]
         )
 
@@ -727,8 +567,8 @@ class SmartCrowdPlatform:
         ]
         incentives, costs = crosscheck_detectors(params, counts, rhos)
 
-        providers = sorted(self.blocks_mined)
-        chis = [self.blocks_mined[p] for p in providers]
+        providers = sorted(self.blocks_won)
+        chis = [self.blocks_won[p] for p in providers]
         omegas = [self.fee_records_collected[p] for p in providers]
         awarded: Dict[str, List[float]] = {p: [] for p in providers}
         deployed: Dict[str, int] = {p: 0 for p in providers}

@@ -1,10 +1,10 @@
 """Message-driven stakeholders: the §IV-B workflow as actual traffic.
 
 :class:`~repro.core.platform.SmartCrowdPlatform` drives the four phases
-with a scheduler, which is ideal for economics but hides the
-*decentralized process* property (§III-B).  This module is the
-faithful front-end: providers, detectors, and consumers are gossip
-nodes, and every step is a message —
+from a scheduler over central verification, which is ideal for
+economics but hides the *decentralized process* property (§III-B).
+This module is the faithful front-end: providers, detectors, and
+consumers are gossip nodes, and every step is a message —
 
 * a provider broadcasts its signed SRA (``SRA_ANNOUNCE``); every
   relaying node verifies it before forwarding (§V-A);
@@ -20,17 +20,16 @@ nodes, and every step is a message —
 * consumers unicast ``CONSUMER_QUERY`` to any provider and get the
   chain-derived reference back.
 
-Contract state is global (it *is* the replicated on-chain state);
-confirmation triggers fire once, driven by a designated honest
-observer replica — the same substitution the platform documents.
-
-The fleet itself is not built here: :class:`DecentralizedDeployment` is
-the one-world engine (:class:`~repro.core.distributed.DistributedChain`)
-plus the workflow, so overlay, stores, light members, crash/restart,
-``finalize`` and ``query_service`` are the engine's.  What still
-differs from the platform: record fees are omitted here — the
-economics are validated end-to-end by the platform; this front-end
-validates the decentralized dataflow.
+Neither the fleet nor the contract side is built here:
+:class:`DecentralizedDeployment` is the one-world engine
+(:class:`~repro.core.distributed.DistributedChain`) plus
+:class:`~repro.core.workflow.WorkflowChain`'s escrow and confirmation
+triggers — fired once, from a designated honest observer replica — so
+overlay, stores, light members, crash/restart, ``finalize`` and
+``query_service`` are the engine's.  What still differs from the
+platform: block rewards, record fees, the window close and
+re-detection are the platform's — the economics are validated
+end-to-end there; this front-end validates the decentralized dataflow.
 """
 
 from __future__ import annotations
@@ -40,18 +39,13 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.mempool import Mempool
-from repro.contracts.smartcrowd_contract import SmartCrowdContract
-from repro.contracts.vm import ContractRuntime
 from repro.core.consumer import ConsumerClient, SecurityReference
-from repro.core.distributed import (
-    DistributedChain,
-    ReplicaNode,
-    heaviest_alive_neighbour,
-)
+from repro.core.distributed import ReplicaNode, heaviest_alive_neighbour
 from repro.core.registry import IdentityRegistry
 from repro.core.reports import DetailedReport, InitialReport, build_report_pair
 from repro.core.sra import SignedSRA, make_sra
 from repro.core.verification import ReportVerifier
+from repro.core.workflow import WorkflowChain
 from repro.crypto.keys import KeyPair
 from repro.detection.autoverif import AutoVerifEngine
 from repro.detection.detector import Detector
@@ -475,7 +469,7 @@ class ConsumerStakeholder(Node):
         return self.responses[-1] if self.responses else None
 
 
-class DecentralizedDeployment(DistributedChain):
+class DecentralizedDeployment(WorkflowChain):
     """The whole §IV-B workflow as message traffic over a gossip overlay.
 
     One fleet world with the paper's cast in it: ``provider_shares``
@@ -506,18 +500,16 @@ class DecentralizedDeployment(DistributedChain):
         self.directory = SystemDirectory()
         self.registry = IdentityRegistry()
         self.confirmation_depth = confirmation_depth
-        self.detection_window = detection_window
         self._seed = seed
         self._edge_names = (
             *(engine.detector_id for engine in detectors), *consumers
         )
-        # On-chain world state (contracts + balances), shared by design.
-        self.runtime = ContractRuntime(telemetry=self.telemetry)
-        self._authority = KeyPair.from_seed(f"dd-authority:{seed}".encode())
-        self.runtime.state.mint(self._authority.address, to_wei(1_000_000))
-
         super().__init__(
             provider_shares,
+            authority=KeyPair.from_seed(f"dd-authority:{seed}".encode()),
+            authority_funding_wei=to_wei(1_000_000),
+            detection_window=detection_window,
+            telemetry=self.telemetry,
             difficulty=difficulty,
             mean_block_time=mean_block_time,
             latency=latency,
@@ -552,17 +544,8 @@ class DecentralizedDeployment(DistributedChain):
             self.consumers[name] = consumer
             self.network.attach(consumer)
 
-        #: Δ_id -> deployed contract address.
-        self.contracts: Dict[bytes, "SmartCrowdContract"] = {}
-        #: the honest replica whose view fires confirmation triggers.
-        self._observer = next(iter(self.providers.values()))
-        self._triggered: Set[bytes] = set()
-
     def _build_world(self):
-        from repro.shard.engine import ShardState  # see FleetControlPlane
-
-        return ShardState(
-            self._blueprint, 0,
+        return super()._build_world(
             make_full=self._make_provider,
             edge_names=self._edge_names,
             telemetry=self.telemetry,
@@ -595,18 +578,7 @@ class DecentralizedDeployment(DistributedChain):
             provider_name, provider.keys, system,
             to_wei(insurance_ether), to_wei(bounty_ether),
         )
-        contract = SmartCrowdContract(
-            sra_id=sra.sra_id,
-            provider=provider.keys.address,
-            bounty_per_vulnerability_wei=to_wei(bounty_ether),
-            detection_window=self.detection_window,
-            trigger_authority=self._authority.address,
-        )
-        receipt = self.runtime.deploy(
-            contract, provider.keys.address, value_wei=to_wei(insurance_ether)
-        )
-        assert receipt.success, receipt.error
-        self.contracts[sra.sra_id] = contract
+        self._escrow(sra, provider.keys.address)
         provider.deliver(
             Message.wrap(MessageKind.SRA_ANNOUNCE, sra, provider_name)
         )
@@ -622,17 +594,6 @@ class DecentralizedDeployment(DistributedChain):
 
     # -- consensus drive ---------------------------------------------------------
 
-    def advance_for(self, duration: float) -> int:
-        """Advance simulated time, mining and delivering as we go.
-
-        Returns blocks mined — the unified time-control convention
-        shared with :class:`~repro.core.platform.SmartCrowdPlatform`
-        and :class:`~repro.network.simulator.Simulator`.
-        """
-        mined = self.mine_until(self.simulator.now + duration)
-        self._fire_confirmations()
-        return mined
-
     def _on_block(self, winner: str, block: Block) -> None:
         if self.telemetry.enabled:
             self.telemetry.event(
@@ -643,53 +604,11 @@ class DecentralizedDeployment(DistributedChain):
             )
         self._fire_confirmations()
 
-    def _fire_confirmations(self) -> None:
-        """Trigger contracts for records the observer sees as confirmed."""
-        observer = self._alive_observer()
-        self.runtime.advance_time(
-            max(self.runtime.block_time, self.simulator.now)
-        )
-        for block in observer.chain.iter_confirmed():
-            for record in block.records:
-                if record.record_id in self._triggered:
-                    continue
-                self._triggered.add(record.record_id)
-                self._trigger(record)
-
-    def _trigger(self, record: ChainRecord) -> None:
-        if record.kind == RecordKind.INITIAL_REPORT:
-            report = InitialReport.from_payload(record.payload)
-            contract = self.contracts.get(report.sra_id)
-            if contract is not None:
-                self.runtime.call(
-                    contract.address, "confirm_initial_report",
-                    self._authority.address, 0, "confirm_report",
-                    report.detector_id, report.wallet, report.detailed_hash,
-                )
-        elif record.kind == RecordKind.DETAILED_REPORT:
-            report = DetailedReport.from_payload(record.payload)
-            contract = self.contracts.get(report.sra_id)
-            if contract is not None:
-                self.runtime.call(
-                    contract.address, "award_detailed_report",
-                    self._authority.address, 0, "confirm_report",
-                    report.detector_id, report.wallet, report.body_hash(),
-                    report.vulnerability_keys(), True,
-                )
-
-    def _alive_observer(self) -> ProviderStakeholder:
-        """The designated observer, or any alive replica if it crashed.
-
-        Confirmation triggers only need *some* honest replica's view;
-        the ``_triggered`` set keeps them once-only regardless of which
-        replica's chain fires them.
-        """
-        if not self._observer.crashed:
-            return self._observer
-        for provider in self.providers.values():
-            if not provider.crashed:
-                return provider
-        return self._observer  # everyone down: fall back to the default
+    def _observer(self) -> ProviderStakeholder:
+        """The designated observer (the first provider), or any alive
+        replica while it is down."""
+        providers = self.providers.values()
+        return next((p for p in providers if not p.crashed), next(iter(providers)))
 
     # -- views ---------------------------------------------------------------
 

@@ -14,7 +14,6 @@ from repro.crypto.ecdsa import (
     CURVE,
     EcdsaError,
     Signature,
-    recover_candidates,
     sign,
     verify,
 )
@@ -29,7 +28,6 @@ from repro.crypto.keys import (
     KeyPair,
     PrivateKey,
     PublicKey,
-    Wallet,
 )
 
 __all__ = [
@@ -40,10 +38,8 @@ __all__ = [
     "PrivateKey",
     "PublicKey",
     "Signature",
-    "Wallet",
     "hash_fields",
     "hexdigest_fields",
-    "recover_candidates",
     "sha3_256",
     "sha3_hex",
     "sign",

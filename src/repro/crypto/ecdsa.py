@@ -34,7 +34,6 @@ __all__ = [
     "point_add",
     "sign",
     "verify",
-    "recover_candidates",
 ]
 
 
@@ -389,42 +388,3 @@ def verify(
     if point is None:
         return False
     return point[0] % curve.n == r
-
-
-def recover_candidates(
-    digest: bytes,
-    signature: Signature,
-    curve: CurveParams = CURVE,
-) -> Tuple[Tuple[int, int], ...]:
-    """Recover the candidate public keys that could have produced ``signature``.
-
-    ECDSA public-key recovery (as used by Ethereum's ``ecrecover``).
-    Returns up to two candidate keys; callers disambiguate with a
-    recovery id or by comparing addresses.
-    """
-    _check_digest(digest)
-    r, s = signature.r, signature.s
-    if not (1 <= r < curve.n and 1 <= s < curve.n):
-        raise EcdsaError("signature scalars out of range")
-    z = _bits_to_int(digest, curve.n) % curve.n
-    candidates = []
-    for j in range(curve.h + 1):
-        x = r + j * curve.n
-        if x >= curve.p:
-            continue
-        # Solve y^2 = x^3 + 7 (p ≡ 3 mod 4 so sqrt is a power).
-        y_sq = (pow(x, 3, curve.p) + curve.a * x + curve.b) % curve.p
-        y = pow(y_sq, (curve.p + 1) // 4, curve.p)
-        if (y * y) % curve.p != y_sq:
-            continue
-        for y_candidate in ((y, curve.p - y) if y != 0 else (y,)):
-            point_r = (x, y_candidate)
-            r_inv = _inv_mod(r, curve.n)
-            # Q = r^-1 (s*R - z*G)
-            sr = scalar_mult(s, point_r, curve)
-            zg = scalar_mult(z, curve.g, curve)
-            neg_zg = None if zg is None else (zg[0], (-zg[1]) % curve.p)
-            q_point = scalar_mult(r_inv, point_add(sr, neg_zg, curve), curve)
-            if q_point is not None and verify(q_point, digest, signature, curve):
-                candidates.append(q_point)
-    return tuple(candidates)

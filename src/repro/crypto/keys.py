@@ -18,7 +18,7 @@ from repro.crypto import ecdsa
 from repro.crypto.ecdsa import CURVE, EcdsaError, Signature
 from repro.crypto.hashing import sha3_256
 
-__all__ = ["Address", "PrivateKey", "PublicKey", "KeyPair", "Wallet"]
+__all__ = ["Address", "PrivateKey", "PublicKey", "KeyPair"]
 
 
 @dataclass(frozen=True, order=True)
@@ -155,31 +155,3 @@ class KeyPair:
     def verify(self, digest: bytes, signature: Signature) -> bool:
         """Verify with the public key."""
         return self.public.verify(digest, signature)
-
-
-@dataclass(frozen=True)
-class Wallet:
-    """A payee wallet: a keypair plus a human label.
-
-    ``W_D`` in the paper's report structures (Eq. 3, Eq. 5) is the payee
-    address of the detector's wallet — payouts from the SmartCrowd
-    contract are credited to :attr:`address`.
-    """
-
-    keys: KeyPair
-    label: str = ""
-
-    @classmethod
-    def create(cls, label: str = "", seed: Optional[bytes] = None) -> "Wallet":
-        """Create a wallet, deterministically if ``seed`` is given."""
-        keys = KeyPair.from_seed(seed) if seed is not None else KeyPair.generate()
-        return cls(keys=keys, label=label)
-
-    @property
-    def address(self) -> Address:
-        """The payee address."""
-        return self.keys.address
-
-    def sign(self, digest: bytes) -> Signature:
-        """Sign a digest with the wallet's key."""
-        return self.keys.sign(digest)

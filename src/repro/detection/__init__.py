@@ -8,7 +8,6 @@ wordings (§VIII).
 """
 
 from repro.detection.artifacts import (
-    ArtifactDetector,
     MarkerStaticAnalyzer,
     build_marked_system,
     embed_vulnerability_markers,
@@ -56,7 +55,6 @@ from repro.detection.vulnerability import (
 )
 
 __all__ = [
-    "ArtifactDetector",
     "AutoVerifEngine",
     "Detection",
     "DetectionCapability",

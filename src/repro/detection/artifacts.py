@@ -21,12 +21,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.detection.detector import DetectionCapability, Detector
 from repro.detection.iot_system import IoTSystem
 from repro.detection.vulnerability import Severity, Vulnerability
 
 __all__ = [
-    "ArtifactDetector",
     "MarkerStaticAnalyzer",
     "build_marked_system",
     "embed_vulnerability_markers",
@@ -165,51 +163,3 @@ class MarkerStaticAnalyzer:
     def analyze_release(self, system: IoTSystem) -> List[Vulnerability]:
         """Convenience: download from U_l (the system's image) and scan."""
         return self.analyze(system.image, system.name)
-
-
-class ArtifactDetector(Detector):
-    """A platform detector whose findings come from scanning real bytes.
-
-    Drop-in for :class:`~repro.detection.detector.Detector` in a
-    :class:`~repro.core.platform.SmartCrowdPlatform` fleet, but instead
-    of sampling the simulator's ground truth it runs
-    :class:`MarkerStaticAnalyzer` over the release image — so its
-    findings exist because the bytes contain them.  Only meaningful for
-    releases built with :func:`build_marked_system`; unmarked images
-    scan clean.
-    """
-
-    def __init__(
-        self,
-        detector_id: str,
-        threads: int = 4,
-        crack_rate: float = 1.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        rng = rng if rng is not None else random.Random(hash(detector_id) & 0xFFFF)
-        super().__init__(
-            detector_id,
-            DetectionCapability(threads=threads, per_thread_hit=0.99),
-            rng=rng,
-        )
-        self.analyzer = MarkerStaticAnalyzer(
-            crack_rate=crack_rate, rng=random.Random(rng.randrange(2**31))
-        )
-
-    def scan(self, system: IoTSystem):
-        """Scan the downloaded image bytes; race times from capability."""
-        from repro.detection.descriptions import describe
-        from repro.detection.detector import Detection
-
-        self.scans_performed += 1
-        findings = []
-        for vulnerability in self.analyzer.analyze_release(system):
-            findings.append(
-                Detection(
-                    vulnerability=vulnerability,
-                    found_after=self.capability.sample_find_time(self._rng),
-                    description=describe(vulnerability, system.name, self._rng),
-                )
-            )
-        findings.sort(key=lambda detection: detection.found_after)
-        return findings

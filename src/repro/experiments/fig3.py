@@ -17,13 +17,11 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.chain.consensus import MiningSimulation
 from repro.chain.pow import (
     PAPER_HASHPOWER_SHARES,
     PAPER_MEAN_BLOCK_TIME,
     MiningModel,
 )
-from repro.crypto.keys import KeyPair
 from repro.experiments.harness import ResultTable, summarize
 from repro.experiments.runner import Sweep, experiment
 
@@ -72,15 +70,13 @@ def _fig3a_trial(args: Tuple[int, int]) -> Dict[str, int]:
     processes with bit-identical results.
     """
     trial_seed, blocks = args
-    addresses = {
-        name: KeyPair.from_seed(f"fig3:{name}".encode()).address
-        for name in PAPER_HASHPOWER_SHARES
-    }
-    simulation = MiningSimulation.from_shares(
-        PAPER_HASHPOWER_SHARES, addresses, rng=random.Random(trial_seed)
+    model = MiningModel.from_shares(
+        PAPER_HASHPOWER_SHARES, rng=random.Random(trial_seed)
     )
-    simulation.run_blocks(blocks)
-    return dict(simulation.blocks_won())
+    won = dict.fromkeys(PAPER_HASHPOWER_SHARES, 0)
+    for _ in range(blocks):
+        won[model.next_block().winner] += 1
+    return won
 
 
 @experiment("fig3a", "Fig. 3(a)", seed=0)

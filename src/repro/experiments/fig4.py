@@ -94,13 +94,13 @@ def _fig4a_trial(args: Tuple[int, float, float]) -> Dict[str, Any]:
 
     series: Dict[str, List[List[float]]] = {name: [] for name in setup.shares}
 
-    def _sample(event) -> None:
+    def _sample(_block) -> None:
         for name in setup.shares:
             series[name].append(
-                [event.time, from_wei(platform.provider_incentives_wei(name))]
+                [platform.now, from_wei(platform.provider_incentives_wei(name))]
             )
 
-    platform.mining.add_listener(_sample)
+    platform.add_block_listener(_sample)
     platform.advance_until(duration)
     return {"series": series, "shares": dict(setup.shares)}
 

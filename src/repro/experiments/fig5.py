@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis.vpb import vpb_closed_form
-from repro.chain.consensus import MiningSimulation
-from repro.chain.pow import PAPER_HASHPOWER_SHARES
+from repro.chain.pow import PAPER_HASHPOWER_SHARES, MiningModel
 from repro.core.incentives import IncentiveParameters
-from repro.crypto.keys import KeyPair
 from repro.economics.batch import provider_balance_curves_ether
 from repro.experiments.harness import ResultTable, provider_zeta
 from repro.experiments.runner import Sweep, experiment
@@ -134,17 +132,16 @@ def _fig5b_trial(args: Tuple[int, str, float]) -> int:
     processes with bit-identical results.
     """
     trial_seed, provider, window = args
-    addresses = {
-        name: KeyPair.from_seed(f"fig5:{name}".encode()).address
-        for name in PAPER_HASHPOWER_SHARES
-    }
-    simulation = MiningSimulation.from_shares(
-        PAPER_HASHPOWER_SHARES,
-        addresses,
-        rng=random.Random(trial_seed),
+    model = MiningModel.from_shares(
+        PAPER_HASHPOWER_SHARES, rng=random.Random(trial_seed)
     )
-    events = simulation.run_for(window)
-    return sum(1 for event in events if event.miner_name == provider)
+    clock, won = 0.0, 0
+    while True:
+        outcome = model.next_block()
+        clock += outcome.interval
+        if clock > window:
+            return won  # found after the window closed
+        won += outcome.winner == provider
 
 
 @experiment("fig5b", "Fig. 5(b)", seed=5)

@@ -15,9 +15,7 @@ from repro.faults.gauntlet import (
     GauntletConfig,
     GauntletResult,
     run_disk_fault_gauntlet,
-    run_disk_fault_suite,
     run_gauntlet,
-    run_many,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
@@ -46,7 +44,5 @@ __all__ = [
     "RetryPolicy",
     "confirmed_chain_bytes",
     "run_disk_fault_gauntlet",
-    "run_disk_fault_suite",
     "run_gauntlet",
-    "run_many",
 ]

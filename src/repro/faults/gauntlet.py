@@ -47,9 +47,7 @@ __all__ = [
     "GauntletConfig",
     "GauntletResult",
     "run_disk_fault_gauntlet",
-    "run_disk_fault_suite",
     "run_gauntlet",
-    "run_many",
 ]
 
 
@@ -343,14 +341,6 @@ def run_gauntlet(
     )
 
 
-def run_many(seeds: Tuple[int, ...] = (0, 1, 2), **overrides) -> List[GauntletResult]:
-    """Run the gauntlet across seeds (the ≥3-seed acceptance sweep)."""
-    results = []
-    for seed in seeds:
-        results.append(run_gauntlet(GauntletConfig(seed=seed, **overrides)))
-    return results
-
-
 # -- disk-fault gauntlet ------------------------------------------------------
 
 #: The three on-disk corruption shapes the store must survive.
@@ -532,15 +522,3 @@ def run_disk_fault_gauntlet(
     finally:
         if cleanup:
             shutil.rmtree(root, ignore_errors=True)
-
-
-def run_disk_fault_suite(
-    seeds: Tuple[int, ...] = (0, 1, 2),
-    scenarios: Tuple[str, ...] = DISK_SCENARIOS,
-) -> List[DiskGauntletResult]:
-    """The acceptance sweep: every disk scenario under every seed."""
-    results = []
-    for scenario in scenarios:
-        for seed in seeds:
-            results.append(run_disk_fault_gauntlet(scenario, seed=seed))
-    return results

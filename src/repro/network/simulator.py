@@ -145,11 +145,13 @@ class Simulator:
     def advance(self, max_events: Optional[int] = None) -> int:
         """Run to quiescence (or ``max_events``); returns events fired.
 
-        Part of the unified time-control surface shared with
-        :class:`~repro.core.platform.SmartCrowdPlatform`:
+        Part of the unified time-control surface:
         ``schedule``/``schedule_at`` queue work,
         ``advance``/``advance_until``/``advance_for`` move the clock and
-        return the count of work items processed.
+        return the count of work items processed — events here, blocks
+        mined on the workflow front-ends
+        (:class:`~repro.core.workflow.WorkflowChain`), whose scheduled
+        actions sit in this very queue.
         """
         fired = 0
         while self.step():

@@ -311,23 +311,6 @@ class QueryService:
             subscribe(self._on_node_lifecycle)
 
     @classmethod
-    def connect(
-        cls, platform, simulator: Optional[Simulator] = None, **kwargs: Any
-    ) -> "QueryService":
-        """Attach to a :class:`~repro.core.platform.SmartCrowdPlatform`.
-
-        The platform itself carries the unified ``now``/``schedule_at``
-        clock surface, so it doubles as the async-batch scheduler
-        unless an explicit ``simulator`` is handed in.
-        """
-        return cls(
-            chain=platform.mining.chain,
-            runtime=platform.runtime,
-            simulator=simulator if simulator is not None else platform,
-            **kwargs,
-        )
-
-    @classmethod
     def connect_node(
         cls,
         node,

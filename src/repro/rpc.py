@@ -5,8 +5,8 @@ API and a python module library of Web3" (§VII).  This module
 reproduces that programming surface in-process: a :class:`Web3Shim`
 fronts a chain + contract runtime with the ``w3.eth``-shaped calls the
 paper's scripts would make — balances, blocks, transaction receipts,
-contract deploy/call — so code written against the prototype's glue
-layer ports to the simulator nearly verbatim.
+event logs — so code written against the prototype's glue layer ports
+to the simulator nearly verbatim.
 
 Method names follow web3.py (``get_balance``, ``block_number``,
 ``get_block``); values use the same conventions (wei amounts, ``0x``
@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Optional, Union
 from repro.chain.block import Block
 from repro.chain.chain import Blockchain, ChainError
 from repro.chain.mempool import Mempool
-from repro.contracts.contract import Contract, Receipt
 from repro.contracts.vm import ContractRuntime
 from repro.crypto.keys import Address
 from repro.hexargs import parse_hex
@@ -47,9 +46,6 @@ class Eth:
 
     chain: Optional[Blockchain]
     runtime: Optional[ContractRuntime]
-    #: The node's pending-record pool, when the shim fronts a live node
-    #: (``Web3Shim.connect``); pending lookups need it.
-    mempool: Optional[Mempool] = None
     #: A live replica node (``Web3Shim.connect_node``).  When set, every
     #: call re-resolves ``chain``/``mempool`` from the node's *current*
     #: attributes — a restart-from-disk swaps the node's chain object
@@ -95,15 +91,13 @@ class Eth:
         return self._index
 
     def _live_mempool(self) -> Optional[Mempool]:
-        if self.node is not None:
-            if getattr(self.node, "crashed", False):
-                name = getattr(self.node, "name", "node")
-                raise RpcError(
-                    f"{name} is down (crashed or mid-recovery); "
-                    "retry once it has restarted"
-                )
-            return getattr(self.node, "mempool", None)
-        return self.mempool
+        """The bound node's pending pool (a provider has one), if any."""
+        if getattr(self.node, "crashed", False):
+            raise RpcError(
+                f"{getattr(self.node, 'name', 'node')} is down (crashed or "
+                "mid-recovery); retry once it has restarted"
+            )
+        return getattr(self.node, "mempool", None)
 
     def _require_runtime(self) -> ContractRuntime:
         if self.runtime is None:
@@ -223,8 +217,9 @@ class Eth:
     def get_pending_transactions(self) -> List[Dict[str, Any]]:
         """Records waiting in the mempool (web3's pending filter).
 
-        Needs a node-attached shim (``Web3Shim.connect``): a bare
-        chain-reader has no mempool to inspect.
+        Needs a shim bound to a node that keeps a pool
+        (``Web3Shim.connect_node`` on a provider): a bare chain-reader
+        has no mempool to inspect.
         """
         pool = self._require_mempool()
         return [
@@ -237,26 +232,12 @@ class Eth:
             for record in pool.select()
         ]
 
-    def pending_transaction(self, record_id: Union[str, bytes]) -> Dict[str, Any]:
-        """One pending record by id; RpcError if absent from the pool."""
-        pool = self._require_mempool()
-        raw = self._record_id(record_id)
-        record = pool.get(raw)
-        if record is None:
-            raise RpcError(f"transaction {_hex(raw)} is not pending in the mempool")
-        return {
-            "hash": _hex(raw),
-            "kind": record.kind.value,
-            "fee": record.fee,
-            "from": record.sender.hex() if record.sender else None,
-        }
-
     def _require_mempool(self) -> Mempool:
         mempool = self._live_mempool()
         if mempool is None:
             raise RpcError(
-                "no mempool attached: connect the shim to a node "
-                "(Web3Shim.connect / connect_node) to query pending "
+                "no mempool attached: connect the shim to a node that "
+                "keeps one (Web3Shim.connect_node) to query pending "
                 "transactions"
             )
         return mempool
@@ -282,29 +263,6 @@ class Eth:
             return account
         return Address(parse_hex(account, "address", length=20, error=RpcError))
 
-    # -- contract interaction ------------------------------------------------
-
-    def deploy_contract(
-        self, contract: Contract, sender: Address, value_wei: int = 0
-    ) -> Receipt:
-        """Deploy a contract (web3's ``contract.constructor().transact()``)."""
-        return self._require_runtime().deploy(contract, sender, value_wei=value_wei)
-
-    def call_contract(
-        self,
-        address: Union[Address, str],
-        method: str,
-        sender: Address,
-        *args: Any,
-        value_wei: int = 0,
-        **kwargs: Any,
-    ) -> Receipt:
-        """Invoke a contract function (web3's ``fn(...).transact()``)."""
-        address = self._address(address)
-        return self._require_runtime().call(
-            address, method, sender, value_wei, None, *args, **kwargs
-        )
-
     def get_logs(self, event_name: Optional[str] = None) -> List[Dict[str, Any]]:
         """Event logs, optionally filtered by name (web3's ``get_logs``)."""
         runtime = self._require_runtime()
@@ -328,26 +286,18 @@ class Web3Shim:
     """Top-level handle, mirroring ``web3.Web3``."""
 
     def __init__(
-        self,
-        chain: Optional[Blockchain],
-        runtime: Optional[ContractRuntime],
-        mempool: Optional[Mempool] = None,
+        self, chain: Optional[Blockchain], runtime: Optional[ContractRuntime]
     ) -> None:
-        self.eth = Eth(chain=chain, runtime=runtime, mempool=mempool)
-
-    @classmethod
-    def connect(cls, platform) -> "Web3Shim":
-        """Attach to a running :class:`~repro.core.platform.SmartCrowdPlatform`."""
-        return cls(platform.mining.chain, platform.runtime, platform.mining.mempool)
+        self.eth = Eth(chain=chain, runtime=runtime)
 
     @classmethod
     def connect_node(cls, node, runtime: Optional[ContractRuntime] = None) -> "Web3Shim":
         """Attach to a live replica node (provider, fleet member...).
 
-        Unlike :meth:`connect`, the binding is *by node, not by object*:
-        a restart-from-disk replaces ``node.chain`` wholesale, and this
-        shim follows the swap instead of serving stale blocks and
-        phantom receipts from the pre-crash object.  Queries against a
+        The binding is *by node, not by object*: a restart-from-disk
+        replaces ``node.chain`` wholesale, and this shim follows the
+        swap instead of serving stale blocks and phantom receipts from
+        the pre-crash object.  Queries against a
         crashed or mid-recovery node raise :class:`RpcError` rather
         than reading a corpse.
         """

@@ -268,6 +268,7 @@ class ShardState:
         spec = blueprint.spec
         self.index = index
         self.confirmation_depth = blueprint.confirmation_depth
+        self._byzantine = blueprint.byzantine
         if telemetry is None and blueprint.telemetry_enabled:
             telemetry = Telemetry()
         self.telemetry = telemetry
@@ -423,11 +424,17 @@ class ShardState:
     ) -> Optional[Block]:
         """The sampled winner extends its own head and announces.
 
-        None when the winner is crashed: its hashpower is offline.
+        None when the winner is crashed: its hashpower is offline.  An
+        honest winner leaves out ids already on its canonical chain (its
+        own replica would reject the block); a byzantine one mines what
+        it was fed.
         """
         replica = self.replicas[winner]
         if replica.crashed:
             return None
+        if winner not in self._byzantine:
+            located = replica.chain.locate_record
+            records = tuple(r for r in records if located(r.record_id) is None)
         return replica.mine(self.simulator.now, records, difficulty)
 
     def _node(self, name: str):

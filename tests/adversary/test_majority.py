@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.adversary.majority import (
-    katz_success_probability,
     rosenfeld_success_probability,
     simulate_fork_race,
 )
@@ -36,21 +35,11 @@ class TestClosedForms:
             5.914e-4, rel=0.05
         )
 
-    def test_katz_within_factor_three_of_rosenfeld(self):
-        # Nakamoto's Poisson approximation underestimates at small q;
-        # it stays within a small constant factor of the exact value.
-        for z in (3, 6):
-            exact = rosenfeld_success_probability(0.1, z)
-            approx = katz_success_probability(0.1, z)
-            assert exact / 3 < approx < exact * 3
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             rosenfeld_success_probability(1.0, 6)
         with pytest.raises(ValueError):
             rosenfeld_success_probability(0.3, -1)
-        with pytest.raises(ValueError):
-            katz_success_probability(-0.1, 6)
 
 
 class TestSimulation:

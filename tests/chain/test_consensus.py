@@ -1,37 +1,12 @@
-"""Tests for the mining simulation driver."""
+"""Tests for the genesis block.
 
-import random
-import statistics
+The PoW drive is the fleet control plane's: its deadline,
+monotonic-clock, records-flow and duplicate-submission cases live in
+``tests/shard/test_one_engine.py::TestDriveAndHonestPool``, run on every
+engine.
+"""
 
-import pytest
-
-from repro.chain.block import ChainRecord, RecordKind
-from repro.chain.consensus import MiningSimulation, make_genesis
-from repro.chain.pow import PAPER_HASHPOWER_SHARES, PAPER_MEAN_BLOCK_TIME
-from repro.crypto.hashing import hash_fields
-from repro.crypto.keys import KeyPair
-
-
-def _addresses():
-    return {
-        name: KeyPair.from_seed(f"consensus:{name}".encode()).address
-        for name in PAPER_HASHPOWER_SHARES
-    }
-
-
-def _simulation(seed: int = 0) -> MiningSimulation:
-    return MiningSimulation.from_shares(
-        PAPER_HASHPOWER_SHARES, _addresses(), rng=random.Random(seed)
-    )
-
-
-def _record(tag: str, fee: int = 0) -> ChainRecord:
-    return ChainRecord(
-        kind=RecordKind.TRANSACTION,
-        record_id=hash_fields("cons", tag),
-        payload=tag.encode(),
-        fee=fee,
-    )
+from repro.chain.consensus import make_genesis
 
 
 class TestGenesis:
@@ -40,75 +15,3 @@ class TestGenesis:
 
     def test_genesis_has_no_records(self):
         assert make_genesis().omega == 0
-
-
-class TestSimulation:
-    def test_missing_address_rejected(self):
-        with pytest.raises(ValueError):
-            MiningSimulation.from_shares(PAPER_HASHPOWER_SHARES, {})
-
-    def test_run_blocks_count(self):
-        simulation = _simulation()
-        events = simulation.run_blocks(25)
-        assert len(events) == 25
-        assert simulation.chain.height == 25
-
-    def test_clock_advances_monotonically(self):
-        simulation = _simulation()
-        events = simulation.run_blocks(20)
-        times = [event.time for event in events]
-        assert times == sorted(times)
-        assert simulation.clock == times[-1]
-
-    def test_run_for_respects_deadline(self):
-        simulation = _simulation(seed=1)
-        simulation.run_for(300.0)
-        assert simulation.clock == pytest.approx(300.0)
-        assert simulation.chain.head.header.timestamp <= 300.0
-
-    def test_records_flow_into_blocks(self):
-        simulation = _simulation(seed=2)
-        record = _record("payload", fee=3)
-        assert simulation.submit(record)
-        event = simulation.step()
-        assert event.block.find_record(record.record_id) == record
-        assert event.fees_collected == 3
-        assert len(simulation.mempool) == 0
-
-    def test_duplicate_submission_rejected_after_mining(self):
-        simulation = _simulation(seed=3)
-        record = _record("once")
-        simulation.submit(record)
-        simulation.step()
-        assert not simulation.submit(record)
-
-    def test_blocks_won_sums_to_total(self):
-        simulation = _simulation(seed=4)
-        simulation.run_blocks(60)
-        assert sum(simulation.blocks_won().values()) == 60
-
-    def test_listener_fired_per_block(self):
-        simulation = _simulation(seed=5)
-        seen = []
-        simulation.add_listener(lambda event: seen.append(event.block.height))
-        simulation.run_blocks(5)
-        assert seen == [1, 2, 3, 4, 5]
-
-    def test_observed_block_times_match_intervals(self):
-        simulation = _simulation(seed=6)
-        events = simulation.run_blocks(30)
-        observed = simulation.observed_block_times()
-        # First observed gap includes genesis->first block.
-        assert len(observed) == 30
-        assert statistics.fmean(observed) == pytest.approx(
-            statistics.fmean([event.interval for event in events]), rel=1e-9
-        )
-
-    def test_max_records_per_block_enforced(self):
-        simulation = _simulation(seed=7)
-        simulation.max_records_per_block = 2
-        for index in range(5):
-            simulation.submit(_record(f"r{index}"))
-        event = simulation.step()
-        assert event.omega == 2
-        assert len(simulation.mempool) == 3

@@ -25,7 +25,7 @@ def settled():
     platform.announce_release("provider-3", clean)
     platform.advance_for(900.0)
     platform.finish_pending()
-    return platform, ConsumerClient(platform.mining.chain), vulnerable
+    return platform, ConsumerClient(platform.chain), vulnerable
 
 
 class TestLookup:

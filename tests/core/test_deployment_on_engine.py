@@ -184,3 +184,20 @@ class TestEngineVerbsComeWithTheWorld:
         best = deployment.providers[deployment._heaviest()[1]].chain.height
         served = deployment.providers["provider-1"].chain.height
         assert lagging.ok and lagging.staleness.height_lag == best - served >= 1
+
+
+class TestEscrow:
+    def test_an_unaffordable_insurance_is_an_error_and_announces_nothing(self):
+        """A failed deploy used to be an ``assert``: under ``python -O``
+        the SRA was gossiped with no contract behind it."""
+        deployment = DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES, build_detector_fleet(seed=0), seed=0
+        )
+        system = build_system("too-dear", vulnerability_count=1)
+        with pytest.raises(RuntimeError, match="SRA deployment failed for provider-1"):
+            deployment.announce("provider-1", system, insurance_ether=10**6)
+        assert deployment.contracts == {}
+        assert deployment.network.summary()["messages_sent"] == 0
+        assert deployment.providers["provider-1"].known_sras == {}
+        deployment.advance_for(60.0)
+        assert all(detector.scans == 0 for detector in deployment.detectors.values())

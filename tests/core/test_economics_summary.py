@@ -1,10 +1,8 @@
 """Platform-level tests for the batch economics rewiring.
 
-Two contracts are pinned here: :meth:`SmartCrowdPlatform.economics_summary`
-settles the whole population through the vectorized engine with the
-scalar oracle auditing every value, and the grouped per-block fee
-settlement leaves the ledger in exactly the state the sequential
-per-record loop produced.
+:meth:`SmartCrowdPlatform.economics_summary` settles the whole
+population through the vectorized engine with the scalar oracle
+auditing every value.
 """
 
 import random
@@ -43,8 +41,8 @@ class TestEconomicsSummary:
         platform, summary = settled
         assert set(summary.detector_incentives_wei) == set(platform.detector_stats)
         assert set(summary.detector_costs_wei) == set(platform.detector_stats)
-        assert set(summary.provider_incentives_wei) == set(platform.blocks_mined)
-        assert set(summary.provider_punishments_wei) == set(platform.blocks_mined)
+        assert set(summary.provider_incentives_wei) == set(platform.blocks_won)
+        assert set(summary.provider_punishments_wei) == set(platform.blocks_won)
 
     def test_detector_incentives_equal_scalar_equation(self, settled):
         platform, summary = settled
@@ -57,10 +55,10 @@ class TestEconomicsSummary:
 
     def test_provider_incentives_equal_scalar_equation(self, settled):
         platform, summary = settled
-        for provider in platform.blocks_mined:
+        for provider in platform.blocks_won:
             assert summary.provider_incentives_wei[provider] == provider_incentive(
                 platform.config.params,
-                platform.blocks_mined[provider],
+                platform.blocks_won[provider],
                 platform.fee_records_collected[provider],
             )
 
@@ -87,50 +85,3 @@ class TestEconomicsSummary:
         params = platform.config.params
         for provider in awarded_by:
             assert summary.provider_punishments_wei[provider] > params.deployment_cost_wei
-
-
-class TestBatchedFeeSettlementEquivalence:
-    def test_grouped_settlement_matches_per_record_loop(self):
-        """Same seeds, one platform forced onto the sequential per-record
-        path: every fee counter, detector stat, and account balance must
-        come out identical to the grouped-by-sender settlement."""
-        batched = _ran_platform(seed=72)
-
-        sequential = SmartCrowdPlatform(
-            PAPER_HASHPOWER_SHARES,
-            build_detector_fleet(seed=72),
-            PlatformConfig(seed=72, detection_window=600.0),
-        )
-
-        def per_record(fee_records, miner_name, miner_address):
-            for record in fee_records:
-                sequential._settle_fee_record(record, miner_name, miner_address)
-
-        sequential._settle_fees = per_record
-        for index, provider in enumerate(("provider-1", "provider-3")):
-            system = build_system(
-                f"econ-sys-{index}", vulnerability_count=3, rng=random.Random(72 + index)
-            )
-            sequential.announce_release(provider, system, at_time=index * 50.0)
-        sequential.advance_for(1200.0)
-        sequential.finish_pending()
-
-        assert batched.fee_income_wei == sequential.fee_income_wei
-        assert batched.fee_records_collected == sequential.fee_records_collected
-        for detector_id in batched.detector_stats:
-            assert (
-                batched.detector_stats[detector_id].fees_paid_wei
-                == sequential.detector_stats[detector_id].fees_paid_wei
-            )
-            assert batched.detector_balance(detector_id) == sequential.detector_balance(
-                detector_id
-            )
-        for provider in batched.fee_income_wei:
-            assert batched.provider_balance(provider) == sequential.provider_balance(
-                provider
-            )
-        # The fee settlement path must not perturb the seeded streams:
-        # both runs mined the same chain.
-        assert (
-            batched.mining.chain.head.block_id == sequential.mining.chain.head.block_id
-        )

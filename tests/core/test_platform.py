@@ -72,16 +72,16 @@ class TestLifecycle:
 
     def test_sras_recorded_on_chain(self, settled_platform):
         platform, sra_vuln, sra_clean, _ = settled_platform
-        chain = platform.mining.chain
+        chain = platform.chain
         assert chain.locate_record(sra_vuln.sra_id) is not None
         assert chain.locate_record(sra_clean.sra_id) is not None
 
     def test_providers_earn_mining_income(self, settled_platform):
         platform, _, _, _ = settled_platform
-        total_blocks = sum(platform.blocks_mined.values())
-        assert total_blocks > 0
+        total_blocks = sum(platform.blocks_won.values())
+        assert total_blocks == platform.blocks_mined > 0
         total_income = sum(
-            platform.provider_incentives_wei(name) for name in platform.blocks_mined
+            platform.provider_incentives_wei(name) for name in platform.blocks_won
         )
         assert total_income >= total_blocks * platform.config.params.block_reward_wei
 
@@ -117,7 +117,7 @@ class TestScheduling:
     def test_advance_for_returns_the_mined_count(self):
         platform = _platform(seed=6)
         count = platform.advance_for(200.0)
-        assert count == len(platform.last_mined_events)
+        assert count == platform.blocks_mined == platform.chain.height
         assert count >= 1
 
     def test_schedule_at_fires_an_action_at_its_absolute_time(self):

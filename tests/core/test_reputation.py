@@ -41,7 +41,7 @@ def settled():
     )
     platform.advance_for(2100.0)
     platform.finish_pending()
-    return platform, ReputationEngine(platform.mining.chain)
+    return platform, ReputationEngine(platform.chain)
 
 
 class TestScores:

@@ -35,7 +35,7 @@ class TestMonitorBasics:
 
     def test_deployed_consumer_notified(self, settled):
         platform, system = settled
-        monitor = RetrospectiveMonitor(platform.mining.chain)
+        monitor = RetrospectiveMonitor(platform.chain)
         monitor.register_deployment("alice", "hub", "1.0.0")
         notifications = monitor.poll()
         assert notifications
@@ -45,7 +45,7 @@ class TestMonitorBasics:
 
     def test_notifications_not_repeated(self, settled):
         platform, _ = settled
-        monitor = RetrospectiveMonitor(platform.mining.chain)
+        monitor = RetrospectiveMonitor(platform.chain)
         monitor.register_deployment("alice", "hub", "1.0.0")
         first = monitor.poll()
         second = monitor.poll()
@@ -54,20 +54,20 @@ class TestMonitorBasics:
 
     def test_unaffected_consumer_not_notified(self, settled):
         platform, _ = settled
-        monitor = RetrospectiveMonitor(platform.mining.chain)
+        monitor = RetrospectiveMonitor(platform.chain)
         monitor.register_deployment("bob", "other-device", "9.9.9")
         assert monitor.poll() == []
 
     def test_unregister_stops_notifications(self, settled):
         platform, _ = settled
-        monitor = RetrospectiveMonitor(platform.mining.chain)
+        monitor = RetrospectiveMonitor(platform.chain)
         deployment = monitor.register_deployment("carol", "hub", "1.0.0")
         monitor.unregister_deployment(deployment)
         assert monitor.poll() == []
 
     def test_multiple_consumers_each_notified(self, settled):
         platform, _ = settled
-        monitor = RetrospectiveMonitor(platform.mining.chain)
+        monitor = RetrospectiveMonitor(platform.chain)
         monitor.register_deployment("alice", "hub", "1.0.0")
         monitor.register_deployment("bob", "hub", "1.0.0")
         notifications = monitor.poll()
@@ -129,7 +129,7 @@ class TestReDetectionRound:
 
     def test_retrospective_notification_after_round2(self, platform_and_sras):
         platform, _, _, system = platform_and_sras
-        monitor = RetrospectiveMonitor(platform.mining.chain)
+        monitor = RetrospectiveMonitor(platform.chain)
         # Consumer deployed after the clean round 1.
         monitor.register_deployment("dave", "cam", "3.0.0")
         notifications = monitor.poll()
@@ -140,7 +140,7 @@ class TestReDetectionRound:
 
     def test_consumer_reference_aggregates_rounds(self, platform_and_sras):
         platform, _, _, _ = platform_and_sras
-        client = ConsumerClient(platform.mining.chain)
+        client = ConsumerClient(platform.chain)
         reference = client.lookup("cam", "3.0.0")
         assert reference is not None
         assert reference.vulnerability_count > 0
@@ -174,7 +174,7 @@ class TestIncrementalScanParity:
 
     def test_incremental_scan_matches_full_rescan_at_every_poll(self):
         platform = _platform(build_detector_fleet(seed=56), seed=56)
-        monitor = RetrospectiveMonitor(platform.mining.chain)
+        monitor = RetrospectiveMonitor(platform.chain)
         monitor.register_deployment("erin", "hub-a", "1.0.0")
         monitor.register_deployment("erin", "hub-b", "1.0.0")
         for index, name in enumerate(("hub-a", "hub-b", "hub-c")):
@@ -198,7 +198,7 @@ class TestIncrementalScanParity:
 
     def test_incremental_notifications_match_fresh_monitor(self):
         platform = _platform(build_detector_fleet(seed=57), seed=57)
-        polling = RetrospectiveMonitor(platform.mining.chain)
+        polling = RetrospectiveMonitor(platform.chain)
         polling.register_deployment("frank", "cam-x", "2.0.0")
         system = build_system("cam-x", "2.0.0", vulnerability_count=3, rng=random.Random(70))
         platform.announce_release("provider-1", system)
@@ -209,7 +209,7 @@ class TestIncrementalScanParity:
         platform.finish_pending()
         collected.extend(polling.poll())
 
-        fresh = RetrospectiveMonitor(platform.mining.chain)
+        fresh = RetrospectiveMonitor(platform.chain)
         fresh.register_deployment("frank", "cam-x", "2.0.0")
         single = fresh.poll()
         assert sorted(n.vulnerability_key for n in collected) == sorted(
@@ -222,7 +222,7 @@ class TestIncrementalScanParity:
         platform.announce_release("provider-3", system)
         platform.advance_for(900.0)
         platform.finish_pending()
-        monitor = RetrospectiveMonitor(platform.mining.chain)
+        monitor = RetrospectiveMonitor(platform.chain)
         monitor.register_deployment("gus", "lock-y", "1.0.0")
         first = monitor.poll()
         # Simulate the scan boundary being rewritten (the reorg guard):

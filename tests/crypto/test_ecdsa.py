@@ -132,19 +132,3 @@ class TestSignatureEncoding:
     def test_from_bytes_rejects_wrong_length(self):
         with pytest.raises(EcdsaError):
             Signature.from_bytes(b"\x00" * 63)
-
-
-class TestRecovery:
-    def test_recovers_signing_key(self):
-        signature = ecdsa.sign(PRIV, DIGEST)
-        candidates = ecdsa.recover_candidates(DIGEST, signature)
-        assert PUB in candidates
-
-    def test_recovery_rejects_out_of_range(self):
-        with pytest.raises(EcdsaError):
-            ecdsa.recover_candidates(DIGEST, Signature(0, 1))
-
-    def test_recovered_candidates_all_verify(self):
-        signature = ecdsa.sign(PRIV, DIGEST)
-        for candidate in ecdsa.recover_candidates(DIGEST, signature):
-            assert ecdsa.verify(candidate, DIGEST, signature)

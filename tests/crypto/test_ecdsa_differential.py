@@ -272,9 +272,3 @@ class TestVerifyAgainstTextbook:
         signature = ecdsa.sign(private, digest)
         assert oracle_verify(public_key, digest, signature.r, signature.s)
         assert ecdsa.verify(public_key, digest, signature)
-
-    def test_recovery_matches_oracle_key(self):
-        private = 0x1234567890ABCDEF
-        digest = sha3_256(b"recover")
-        signature = ecdsa.sign(private, digest)
-        assert oracle_mult(private, G) in ecdsa.recover_candidates(digest, signature)

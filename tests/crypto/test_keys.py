@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.ecdsa import EcdsaError
 from repro.crypto.hashing import hash_fields
-from repro.crypto.keys import Address, KeyPair, PrivateKey, PublicKey, Wallet
+from repro.crypto.keys import Address, KeyPair, PrivateKey, PublicKey
 
 
 class TestAddress:
@@ -93,16 +93,3 @@ class TestKeyPair:
         b = KeyPair.from_seed(b"b")
         digest = hash_fields("m")
         assert not b.verify(digest, a.sign(digest))
-
-
-class TestWallet:
-    def test_create_with_seed_deterministic(self):
-        assert Wallet.create(seed=b"w").address == Wallet.create(seed=b"w").address
-
-    def test_label_preserved(self):
-        assert Wallet.create("payee", seed=b"w").label == "payee"
-
-    def test_sign_uses_keys(self):
-        wallet = Wallet.create(seed=b"w")
-        digest = hash_fields("pay me")
-        assert wallet.keys.verify(digest, wallet.sign(digest))

@@ -12,7 +12,7 @@ from repro.detection.artifacts import (
     embed_vulnerability_markers,
     extract_markers,
 )
-from repro.detection.iot_system import build_system, repackage_with_malware
+from repro.detection.iot_system import repackage_with_malware
 from repro.detection.vulnerability import sample_vulnerabilities
 
 
@@ -105,43 +105,3 @@ class TestAnalyzer:
         analyzer = MarkerStaticAnalyzer()
         truth = {f.key for f in system.ground_truth}
         assert all(f.key in truth for f in analyzer.analyze_release(system))
-
-
-class TestArtifactDetectorOnPlatform:
-    def test_byte_scanning_detector_earns_bounties(self):
-        """The whole pipeline driven by literal artifact bytes."""
-        from repro.chain.pow import PAPER_HASHPOWER_SHARES
-        from repro.core import PlatformConfig, SmartCrowdPlatform
-        from repro.detection.artifacts import ArtifactDetector
-
-        fleet = [
-            ArtifactDetector(f"scanner-{i}", threads=i * 2, crack_rate=0.9,
-                             rng=random.Random(100 + i))
-            for i in (1, 2, 3)
-        ]
-        platform = SmartCrowdPlatform(
-            PAPER_HASHPOWER_SHARES, fleet, PlatformConfig(seed=101)
-        )
-        system = build_marked_system(
-            "marked-cam", vulnerability_count=3, rng=random.Random(16)
-        )
-        platform.announce_release("provider-1", system)
-        platform.advance_for(900.0)
-        platform.finish_pending()
-
-        earned = sum(s.incentives_wei for s in platform.detector_stats.values())
-        assert earned > 0
-        case = next(iter(platform.releases.values()))
-        contract = platform.runtime.get_contract(case.contract_address)
-        truth = {flaw.key for flaw in system.ground_truth}
-        assert contract.awarded_vulnerabilities() <= truth
-
-    def test_unmarked_release_scans_clean(self):
-        from repro.detection.artifacts import ArtifactDetector
-        from repro.detection.iot_system import build_system
-
-        detector = ArtifactDetector("scanner-x", rng=random.Random(17))
-        plain = build_system("plain-sys", vulnerability_count=3,
-                             rng=random.Random(18))
-        # Flaws exist in ground truth but not in the bytes: nothing found.
-        assert detector.scan(plain) == []

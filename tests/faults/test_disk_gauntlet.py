@@ -12,7 +12,6 @@ import pytest
 from repro.faults.gauntlet import (
     DISK_SCENARIOS,
     run_disk_fault_gauntlet,
-    run_disk_fault_suite,
 )
 from repro.store import ChainStore
 from repro.store.fsck import fsck
@@ -66,7 +65,11 @@ class TestDiskGauntletAcceptance:
     """ISSUE acceptance: disk-fault set × three seeds, byte-for-byte."""
 
     def test_three_seed_sweep(self):
-        results = run_disk_fault_suite(seeds=(0, 1, 2))
+        results = [
+            run_disk_fault_gauntlet(scenario, seed=seed)
+            for scenario in DISK_SCENARIOS
+            for seed in (0, 1, 2)
+        ]
         assert len(results) == len(DISK_SCENARIOS) * 3
         for result in results:
             result.assert_ok()

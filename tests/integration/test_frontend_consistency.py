@@ -1,12 +1,14 @@
 """Consistency between the two front-ends.
 
 The scheduler-driven platform and the message-driven deployment run
-the same protocol over the same substrate.  Their stochastic paths
-differ (different RNG consumption), so outcomes are not bit-identical —
-but the protocol-level facts must agree: bounties come only from
-ground truth, each flaw pays once, money is conserved, and the
-consumer-visible reference converges to the same confirmed-flaw set
-semantics.
+the same protocol on the same fleet engine and share one
+escrow-and-confirmation path (``repro.core.workflow``).  Their
+stochastic paths differ (different key seeds, different RNG
+consumption), so outcomes are not bit-identical — but the
+protocol-level facts must agree: bounties come only from ground truth,
+each flaw pays once, money is conserved, and the consumer-visible
+reference converges to the same confirmed-flaw set semantics.  With
+detectors that miss nothing, the awards themselves agree.
 """
 
 import random
@@ -81,7 +83,7 @@ class TestProtocolLevelAgreement:
 
     def test_consumer_reference_available_in_both(self, both_frontends):
         platform, deployment, _, system = both_frontends
-        platform_ref = ConsumerClient(platform.mining.chain).lookup(
+        platform_ref = ConsumerClient(platform.chain).lookup(
             system.name, system.version
         )
         observer = next(iter(deployment.providers.values()))
@@ -90,3 +92,36 @@ class TestProtocolLevelAgreement:
         )
         assert platform_ref is not None and platform_ref.vulnerability_count > 0
         assert deployment_ref is not None and deployment_ref.vulnerability_count > 0
+
+
+class TestSameReleaseSameAwards:
+    def test_detectors_that_miss_nothing_are_paid_the_same_in_both(self):
+        """``per_thread_hit=1.0``: who wins each race differs, what is
+        awarded cannot — every flaw once, at the same bounty."""
+        system = build_system("same-sys", vulnerability_count=3, rng=random.Random(8))
+        detectors = dict(thread_counts=(2, 5, 8), per_thread_hit=1.0, seed=98)
+
+        platform = SmartCrowdPlatform(
+            PAPER_HASHPOWER_SHARES,
+            build_detector_fleet(**detectors),
+            PlatformConfig(seed=98),
+        )
+        platform_sra = platform.announce_release(
+            "provider-1", system, insurance_wei=to_wei(1000), bounty_wei=to_wei(250)
+        )
+        platform.advance_for(900.0)
+        platform.finish_pending()
+
+        deployment = DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES, build_detector_fleet(**detectors), seed=98
+        )
+        deployment_sra = deployment.announce(
+            "provider-1", system, insurance_ether=1000, bounty_ether=250
+        )
+        deployment.advance_for(900.0)
+
+        ours = platform.contracts[platform_sra.sra_id]
+        theirs = deployment.contracts[deployment_sra.sra_id]
+        truth = {flaw.key for flaw in system.ground_truth}
+        assert ours.awarded_vulnerabilities() == theirs.awarded_vulnerabilities() == truth
+        assert ours.total_paid_wei() == theirs.total_paid_wei() == 3 * to_wei(250)

@@ -155,7 +155,7 @@ class TestConsumerProtection:
         platform.advance_until(4 * 600.0 + 600.0)
         platform.finish_pending()
 
-        consumer = ConsumerClient(platform.mining.chain)
+        consumer = ConsumerClient(platform.chain)
         for system in systems:
             decision = consumer.should_deploy(system.name, system.version)
             if system.is_vulnerable:

@@ -164,7 +164,7 @@ class TestLogPaging:
         system = build_system("camera-x", vulnerability_count=2)
         platform.announce_release("provider-1", system)
         platform.advance_for(1500.0)
-        return QueryService.connect(platform)
+        return platform.query_service("provider-1", runtime=platform.runtime)
 
     def test_log_pages_chain_to_full_listing(self):
         svc = self._event_service()

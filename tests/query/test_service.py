@@ -195,10 +195,10 @@ class TestBinding:
             build_detector_fleet(),
             PlatformConfig(seed=5),
         )
-        svc = QueryService.connect(platform)
+        svc = platform.query_service("provider-1", runtime=platform.runtime)
         response = svc.serve(QueryRequest.head())
         assert response.ok
-        assert response.result["number"] == platform.mining.chain.head.height
+        assert response.result["number"] == platform.chain.head.height
 
     def test_connect_defaults_to_platform_clock(self):
         from repro.core import PlatformConfig, SmartCrowdPlatform
@@ -210,10 +210,10 @@ class TestBinding:
             build_detector_fleet(),
             PlatformConfig(seed=5),
         )
-        # The platform's unified now/schedule_at surface is the
-        # scheduler when no explicit simulator is handed in.
-        svc = QueryService.connect(platform)
-        height_at_submit = platform.mining.chain.head.height
+        # The fleet's simulator — the platform's own clock and action
+        # queue — is the scheduler when no explicit one is handed in.
+        svc = platform.query_service("provider-1", runtime=platform.runtime)
+        height_at_submit = platform.chain.head.height
         pending = svc.submit_batch([QueryRequest.head()], delay=30.0)
         assert not pending.done
         platform.advance_for(60.0)
@@ -221,7 +221,7 @@ class TestBinding:
         # The batch observed the chain at fire time (t=30), somewhere
         # between submission and the end of the advance.
         served = pending.responses[0].result["number"]
-        assert height_at_submit <= served <= platform.mining.chain.head.height
+        assert height_at_submit <= served <= platform.chain.head.height
 
 
 class TestExplorerOnEventIndex:
@@ -244,7 +244,7 @@ class TestExplorerOnEventIndex:
         from repro.contracts.explorer import Explorer
 
         platform = self._platform_with_history()
-        svc = QueryService.connect(platform)
+        svc = platform.query_service("provider-1", runtime=platform.runtime)
         explorer = Explorer(platform.runtime, query=svc)
         assert explorer._events is svc.events
         # Statements agree with a fresh, privately-indexed explorer.

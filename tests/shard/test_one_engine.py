@@ -56,6 +56,14 @@ def _counters(fleet):
     return fleet.replica_counters()
 
 
+def _record(tag: str) -> ChainRecord:
+    return ChainRecord(
+        kind=RecordKind.INITIAL_REPORT,
+        record_id=hash_fields("one-engine", tag),
+        payload=tag.encode(),
+    )
+
+
 class TestSharedSurface:
     @engines
     def test_light_members_crash_and_restart(self, build):
@@ -104,11 +112,7 @@ class TestSharedSurface:
 
     @chain_engines
     def test_crashed_winner_leaves_its_records_queued(self, build):
-        record = ChainRecord(
-            kind=RecordKind.INITIAL_REPORT,
-            record_id=hash_fields("one-engine", "queued"),
-            payload=b"queued",
-        )
+        record = _record("queued")
         with build(_spec(), shares=SHARES, seed=5) as fleet:
             fleet.submit_record(record)
             for name in SHARES:
@@ -119,6 +123,73 @@ class TestSharedSurface:
                 fleet.restart(name)
             (block,) = fleet.run_blocks(1)
             assert block.records == (record,)
+
+
+@chain_engines
+class TestDriveAndHonestPool:
+    """The control plane's deadline-bounded drive and the honest pool
+    every honest miner draws from."""
+
+    def test_mine_until_stops_at_the_deadline(self, build):
+        with build(_spec(), seed=1) as fleet:
+            mined = fleet.mine_until(300.0)
+            assert fleet._clock.now == pytest.approx(300.0)
+            assert mined == fleet.blocks_mined >= 1
+            # The block that would have crossed the deadline is never found.
+            assert fleet.step().header.timestamp > 300.0
+
+    def test_block_times_never_go_backwards(self, build):
+        with build(_spec(), seed=0) as fleet:
+            times = [block.header.timestamp for block in fleet.run_blocks(12)]
+            assert times == sorted(times)
+            assert fleet._clock.now == times[-1]
+
+    def test_submitted_records_flow_into_the_next_block(self, build):
+        with build(_spec(), seed=2) as fleet:
+            first, second = _record("first"), _record("second")
+            assert fleet.submit_record(first) and fleet.submit_record(second)
+            assert fleet.step().records == (first, second)
+            assert fleet.step().records == ()  # the pool emptied
+
+    def test_a_pending_id_is_refused(self, build):
+        # Two copies in one block fail every replica's validation, the
+        # winner's own included: the round and the record were lost.
+        with build(_spec(), seed=3) as fleet:
+            record = _record("once")
+            assert fleet.submit_record(record)
+            assert not fleet.submit_record(record)
+            block = fleet.step()
+            assert block.records == (record,)
+            fleet.finalize()
+            assert set(fleet.heads().values()) == {block.block_id}
+
+    def test_a_canonical_id_is_left_out_of_the_block(self, build):
+        # Resubmitting what is already mined used to burn the round: a
+        # block on no chain, blocks_mined one ahead of every height.
+        with build(_spec(), seed=3) as fleet:
+            record, fresh = _record("once"), _record("fresh")
+            fleet.submit_record(record)
+            fleet.step()
+            fleet.settle()
+            assert fleet.submit_record(record)  # no longer pending ...
+            fleet.submit_record(fresh)
+            block = fleet.step()
+            assert block.records == (fresh,)  # ... but never mined twice
+            fleet.finalize()
+            assert (block.height, fleet.blocks_mined) == (2, 2)
+            assert set(fleet.heads().values()) == {block.block_id}
+
+    def test_a_byzantine_queue_is_not_filtered(self, build):
+        # Byzantine queues carry invalid content on purpose: the same id
+        # twice goes into the block as fed (and honest replicas reject it).
+        with build(_spec(), shares=SHARES, byzantine={"alice"}, seed=0) as fleet:
+            record = _record("forged")
+            fleet.inject_byzantine_record("alice", record)
+            fleet.inject_byzantine_record("alice", record)
+            block = None
+            while block is None or block.records == ():
+                block = fleet.step()
+            assert block.records == (record, record)
 
 
 def _crash_restart_run(build, store_dir, seed):

@@ -28,7 +28,7 @@ def test_readme_quickstart_executes():
     platform.advance_for(1500.0)
     platform.finish_pending()
 
-    consumer = ConsumerClient(platform.mining.chain)
+    consumer = ConsumerClient(platform.chain)
     assert consumer.lookup("smart-camera", "2.4.1").vulnerability_count == 3
     assert consumer.should_deploy("smart-camera", "2.4.1") is False
 

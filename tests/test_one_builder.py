@@ -1,10 +1,11 @@
-"""One fleet builder, pinned structurally.
+"""One fleet builder, one event queue, one workflow — pinned structurally.
 
 ``repro/shard/engine.py::ShardState`` is the only code under ``src/``
 that makes a simulator, an overlay graph or a gossip network, and the
 PoW sampler is made in three named places.  A front-end that wants a
 fleet asks the engine for one; this walk fails the day a module starts
-assembling its own.
+assembling its own — or starts keeping its own event heap, or spelling
+out the contract side of the §IV-B workflow a second time.
 """
 
 import ast
@@ -19,9 +20,21 @@ BUILDERS = {
     "Simulator": {"shard/engine.py"},
     "MiningModel.from_shares": {
         "core/distributed.py",
-        "chain/consensus.py",
         "experiments/fig3.py",
+        "experiments/fig5.py",
     },
+}
+
+#: The modules that may keep an event heap: the simulator's queue and
+#: the sharded coordinator's barrier-time controls.
+HEAP_OWNERS = {"network/simulator.py", "shard/engine.py"}
+
+#: The escrow deploy and the authority's two trigger calls: what both
+#: workflow front-ends inherit from one module under ``core/``.
+WORKFLOW_SPELLINGS = {
+    "SmartCrowdContract(",
+    '"confirm_initial_report"',
+    '"award_detailed_report"',
 }
 
 
@@ -37,13 +50,18 @@ def _spellings(node: ast.Call) -> set:
     return {func.attr, f"{owner_name}.{func.attr}"}
 
 
-def _calls():
+def _nodes():
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call):
-                for callee in _spellings(node) & BUILDERS.keys():
-                    yield module, callee, node.lineno
+            yield module, node
+
+
+def _calls():
+    for module, node in _nodes():
+        if isinstance(node, ast.Call):
+            for callee in _spellings(node) & BUILDERS.keys():
+                yield module, callee, node.lineno
 
 
 def test_only_the_engine_builds_a_fleet():
@@ -63,3 +81,32 @@ def test_the_walk_sees_the_builders_it_guards():
     for callee, modules in BUILDERS.items():
         for module in modules:
             assert (module, callee) in seen, f"{module} no longer calls {callee}("
+
+
+def test_only_the_simulators_keep_an_event_heap():
+    importers = {
+        module
+        for module, node in _nodes()
+        if (isinstance(node, ast.Import) and any(a.name == "heapq" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "heapq")
+    }
+    assert importers == HEAP_OWNERS, (
+        "scheduled work goes on the world's Simulator "
+        f"(world.simulator.schedule_at); heapq is imported by {sorted(importers)}"
+    )
+
+
+def test_the_contract_side_of_the_workflow_is_written_once():
+    found = {spelling: set() for spelling in WORKFLOW_SPELLINGS}
+    for module, node in _nodes():
+        if not module.startswith("core/"):
+            continue
+        if isinstance(node, ast.Call) and "SmartCrowdContract" in _spellings(node):
+            found["SmartCrowdContract("].add(module)
+        elif isinstance(node, ast.Constant) and f'"{node.value}"' in found:
+            found[f'"{node.value}"'].add(module)
+    modules = set().union(*found.values())
+    assert all(len(where) == 1 for where in found.values()) and len(modules) == 1, (
+        "the escrow deploy and the two authority calls live in one module "
+        f"both front-ends inherit (core/workflow.py), found: {found}"
+    )

@@ -22,7 +22,18 @@ def connected():
     sra = platform.announce_release("provider-1", system, insurance_wei=to_wei(1000))
     platform.advance_for(900.0)
     platform.finish_pending()
-    return platform, Web3Shim.connect(platform), sra
+    shim = Web3Shim.connect_node(platform.replicas["provider-1"], platform.runtime)
+    return platform, shim, sra
+
+
+@pytest.fixture
+def provider_shim():
+    """A shim bound to a node that keeps a pending pool of its own."""
+    from repro.core.stakeholders import DecentralizedDeployment
+
+    deployment = DecentralizedDeployment(PAPER_HASHPOWER_SHARES, [], seed=95)
+    provider = deployment.providers["provider-1"]
+    return provider, Web3Shim.connect_node(provider, deployment.runtime)
 
 
 class TestChainReads:
@@ -32,7 +43,7 @@ class TestChainReads:
 
     def test_block_number_matches_chain(self, connected):
         platform, w3, _ = connected
-        assert w3.eth.block_number == platform.mining.chain.height
+        assert w3.eth.block_number == platform.chain.height
 
     def test_get_block_latest_and_earliest(self, connected):
         _, w3, _ = connected
@@ -102,31 +113,6 @@ class TestAccountsAndLogs:
         assert len(w3.eth.get_logs()) >= len(paid)
 
 
-class TestContractInteraction:
-    def test_deploy_and_call_roundtrip(self, connected):
-        platform, w3, _ = connected
-        from repro.contracts.smartcrowd_contract import SmartCrowdContract
-
-        provider = platform.provider_keys["provider-3"]
-        contract = SmartCrowdContract(
-            sra_id=b"\x66" * 32,
-            provider=provider.address,
-            bounty_per_vulnerability_wei=to_wei(10),
-            detection_window=600.0,
-            trigger_authority=provider.address,
-        )
-        receipt = w3.eth.deploy_contract(
-            contract, provider.address, value_wei=to_wei(100)
-        )
-        assert receipt.success
-        assert w3.eth.get_balance(receipt.contract) == to_wei(100)
-        call = w3.eth.call_contract(
-            receipt.contract.hex(), "confirm_initial_report", provider.address,
-            "det-x", provider.address, b"\x01" * 32,
-        )
-        assert call.success and call.return_value is True
-
-
 class TestErrorPaths:
     def test_malformed_transaction_hex(self, connected):
         _, w3, _ = connected
@@ -167,14 +153,9 @@ class TestErrorPaths:
         platform, _, _ = connected
         from repro.rpc import Web3Shim as Shim
 
-        bare = Shim(platform.mining.chain, platform.runtime)
+        bare = Shim(platform.chain, platform.runtime)
         with pytest.raises(RpcError, match="no mempool attached"):
             bare.eth.get_pending_transactions()
-
-    def test_pending_transaction_not_in_pool(self, connected):
-        _, w3, _ = connected
-        with pytest.raises(RpcError, match="not pending"):
-            w3.eth.pending_transaction(b"\x02" * 32)
 
     def test_get_block_rejects_bools(self, connected):
         # bool subclasses int: get_block(True) used to silently serve
@@ -190,15 +171,6 @@ class TestErrorPaths:
         _, w3, _ = connected
         with pytest.raises(RpcError, match="negative"):
             w3.eth.get_block(-1)
-
-    def test_call_contract_malformed_address_is_rpc_error(self, connected):
-        # Used to leak the bare ValueError from Address.from_hex.
-        platform, w3, _ = connected
-        sender = platform.provider_keys["provider-1"].address
-        with pytest.raises(RpcError, match="malformed address"):
-            w3.eth.call_contract("0xnothex", "confirm_initial_report", sender)
-        with pytest.raises(RpcError, match="malformed address"):
-            w3.eth.call_contract("0x1234", "confirm_initial_report", sender)
 
 
 class TestReceiptsAndCounts:
@@ -227,7 +199,7 @@ class TestReceiptsAndCounts:
         # get_transaction_count is index-backed now; the historical
         # full-chain scan stays here as the parity oracle.
         platform, w3, _ = connected
-        chain = platform.mining.chain
+        chain = platform.chain
         accounts = [keys.address for keys in platform.detector_keys.values()]
         accounts += [keys.address for keys in platform.provider_keys.values()]
         for address in accounts:
@@ -238,31 +210,31 @@ class TestReceiptsAndCounts:
                         scanned += 1
             assert w3.eth.get_transaction_count(address) == scanned
 
-    def test_pending_transactions_shape(self, connected):
-        _, w3, _ = connected
-        pending = w3.eth.get_pending_transactions()
-        assert isinstance(pending, list)
-        for entry in pending:
-            assert set(entry) == {"hash", "kind", "fee", "from"}
+    def test_pending_transactions_shape(self, provider_shim):
+        provider, w3 = provider_shim
+        provider.mempool.add(_probe_record())
+        (entry,) = w3.eth.get_pending_transactions()
+        assert set(entry) == {"hash", "kind", "fee", "from"}
 
-    def test_pending_record_visible_before_mining(self, connected):
-        platform, w3, _ = connected
-        from repro.chain.block import ChainRecord, RecordKind
-        from repro.crypto.hashing import hash_fields
+    def test_pending_record_visible_before_mining(self, provider_shim):
+        provider, w3 = provider_shim
+        record = _probe_record()
+        provider.mempool.add(record)
+        hashes = [entry["hash"] for entry in w3.eth.get_pending_transactions()]
+        assert hashes == ["0x" + record.record_id.hex()]
+        with pytest.raises(RpcError, match="pending in the mempool"):
+            w3.eth.get_transaction_receipt(record.record_id)
 
-        record = ChainRecord(
-            kind=RecordKind.TRANSACTION,
-            record_id=hash_fields("rpc-pending-probe"),
-            payload=b"probe",
-        )
-        platform.mining.mempool.add(record)
-        try:
-            entry = w3.eth.pending_transaction(record.record_id)
-            assert entry["hash"] == "0x" + record.record_id.hex()
-            with pytest.raises(RpcError, match="pending in the mempool"):
-                w3.eth.get_transaction_receipt(record.record_id)
-        finally:
-            platform.mining.mempool.remove(record.record_id)
+
+def _probe_record():
+    from repro.chain.block import ChainRecord, RecordKind
+    from repro.crypto.hashing import hash_fields
+
+    return ChainRecord(
+        kind=RecordKind.TRANSACTION,
+        record_id=hash_fields("rpc-pending-probe"),
+        payload=b"probe",
+    )
 
 
 class TestNodeBoundShim:
@@ -380,8 +352,8 @@ class TestNodeBoundShim:
         with pytest.raises(RpcError, match="light clients cannot"):
             Web3Shim.connect_node(fleet.light_replicas["light-0"])
 
-    def test_deploy_without_runtime_is_documented(self, stored_fleet):
+    def test_balance_without_runtime_is_documented(self, stored_fleet):
         fleet, _ = stored_fleet
         w3 = Web3Shim.connect_node(fleet.replicas["provider-1"])
-        with pytest.raises(RpcError):
-            w3.eth.deploy_contract(None, "0x" + "00" * 20)
+        with pytest.raises(RpcError, match="no contract runtime attached"):
+            w3.eth.get_balance("0x" + "00" * 20)

@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Retrospective detection: flaws found *after* you deployed.
+"""A re-detection round: flaws found *after* a release looked clean.
 
-A consumer deploys a thermostat firmware that round-1 detection called
-clean (the fleet online at the time was weak).  Months later the strong
-fleet comes online, the vendor opens a re-detection round with a fresh
-insurance, the missed flaws surface — and the retrospective monitor
-alerts every registered deployment.  Detectors are only paid for *new*
-discoveries; flaws already bought in earlier rounds are excluded.
+A thermostat firmware passes round-1 detection (the fleet online at the
+time was weak), so its insurance is refunded and the public reference
+says "deploy".  Later the strong fleet comes online, the vendor reopens
+detection with a fresh insurance, and the missed flaws surface in the
+same public reference every consumer reads.  Detectors are only paid
+for *new* discoveries; flaws already bought in earlier rounds are
+excluded.
 """
 
 import random
 
 from repro import PlatformConfig, SmartCrowdPlatform, from_wei, to_wei
 from repro.chain import PAPER_HASHPOWER_SHARES
-from repro.core import ConsumerClient, RetrospectiveMonitor
+from repro.core import ConsumerClient
 from repro.detection import (
     DetectionCapability,
     Detector,
@@ -53,11 +54,6 @@ def main() -> None:
     print(f"consumer deploys? {consumer.should_deploy('thermostat', '4.2.0')}  "
           f"(ground truth: {len(firmware.ground_truth)} latent flaws!)")
 
-    monitor = RetrospectiveMonitor(platform.chain)
-    monitor.register_deployment("alice-home", "thermostat", "4.2.0")
-    print(f"alice deploys and registers; notifications so far: "
-          f"{len(monitor.poll())}")
-
     # The modern fleet joins; the vendor reopens detection.
     for detector in strong:
         platform.isolated_detectors.discard(detector.detector_id)
@@ -69,17 +65,10 @@ def main() -> None:
     case2 = platform.release_case(sra2.sra_id)
     print(f"round 2: bounties paid = {sum(case2.awarded_counts.values())}, "
           f"insurance refunded = {from_wei(case2.refunded_wei):.0f} ETH")
-
-    notifications = monitor.poll()
-    print(f"\nalice is notified of {len(notifications)} newly confirmed flaws:")
-    for notification in notifications:
-        print(f"  [{notification.description.severity.value:>6}] "
-              f"{notification.description.wording} "
-              f"(found by {notification.detected_by})")
-    print(f"\nre-polling sends nothing new: {monitor.poll() == []}")
     reference = consumer.lookup("thermostat", "4.2.0")
     print(f"public reference now shows {reference.vulnerability_count} flaws; "
           f"deploy? {consumer.should_deploy('thermostat', '4.2.0')}")
+    assert case2.round == 2 and reference.vulnerability_count > 0
 
 
 if __name__ == "__main__":

@@ -5,16 +5,20 @@ anytime" (§II); serialization is what makes that operational: full
 nodes export blocks to light clients, archives, and auditors, and any
 party can re-validate a dump offline.  Encoding is the repo's framed
 codec (length-prefixed, delimiter-safe); deserialization re-derives
-every identifier rather than trusting the dump.
+every identifier rather than trusting the dump, and is *canonical*: a
+decoder accepts only the bytes its encoder writes (fixed integer
+widths, the ``repr`` spelling of the timestamp, a dump that is one
+linked chain), so a block has one byte form and everything else is a
+:class:`~repro.codec.CodecError`.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.codec import CodecError, pack, unpack
+from repro.codec import CodecError, pack, unpack, unpack_all
 from repro.chain.block import Block, BlockHeader, ChainRecord, RecordKind
-from repro.chain.chain import Blockchain
+from repro.chain.chain import Blockchain, ChainError
 from repro.chain.fastpath import pack_header_fields
 from repro.crypto.keys import Address
 
@@ -25,6 +29,7 @@ __all__ = [
     "decode_header",
     "encode_block",
     "decode_block",
+    "decode_block_header",
     "export_chain",
     "import_chain",
 ]
@@ -44,13 +49,18 @@ def encode_record(record: ChainRecord) -> bytes:
 def decode_record(data: bytes) -> ChainRecord:
     """Parse one chain record."""
     kind, record_id, payload, fee, sender = unpack(data, 5)
-    return ChainRecord(
-        kind=RecordKind(kind.decode()),
-        record_id=record_id,
-        payload=payload,
-        fee=int.from_bytes(fee, "big"),
-        sender=Address(sender) if sender else None,
-    )
+    if len(fee) != 16:
+        raise CodecError("record fee is not a 16-byte integer")
+    try:
+        return ChainRecord(
+            kind=RecordKind(kind.decode()),
+            record_id=record_id,
+            payload=payload,
+            fee=int.from_bytes(fee, "big"),
+            sender=Address(sender) if sender else None,
+        )
+    except ValueError as error:
+        raise CodecError(f"malformed record: {error}") from error
 
 
 def _header_wire_bytes(header: BlockHeader) -> bytes:
@@ -88,26 +98,41 @@ def encode_header(header: BlockHeader) -> bytes:
     return _header_wire_bytes(header)
 
 
+def _header_from_fields(fields: List[bytes]) -> BlockHeader:
+    """Build a header from its seven wire fields, canonical spellings only."""
+    prev_block_id, merkle_root, timestamp, nonce, height, difficulty, miner = fields
+    try:
+        header = BlockHeader(
+            prev_block_id=prev_block_id,
+            merkle_root=merkle_root,
+            timestamp=float(timestamp.decode()),
+            nonce=int.from_bytes(nonce, "big"),
+            height=int.from_bytes(height, "big"),
+            difficulty=int.from_bytes(difficulty, "big"),
+            miner=Address(miner),
+        )
+    except ValueError as error:
+        raise CodecError(f"malformed header: {error}") from error
+    if (len(nonce), len(height), len(difficulty)) != (16, 8, 32) or (
+        repr(header.timestamp).encode() != timestamp
+    ):
+        raise CodecError("header field is not in its canonical encoding")
+    return header
+
+
 def decode_header(data: bytes) -> BlockHeader:
     """Parse a bare block header; the hash is re-derived, never trusted."""
-    (
-        prev_block_id,
-        merkle_root,
-        timestamp,
-        nonce,
-        height,
-        difficulty,
-        miner,
-    ) = unpack(data, 7)
-    return BlockHeader(
-        prev_block_id=prev_block_id,
-        merkle_root=merkle_root,
-        timestamp=float(timestamp.decode()),
-        nonce=int.from_bytes(nonce, "big"),
-        height=int.from_bytes(height, "big"),
-        difficulty=int.from_bytes(difficulty, "big"),
-        miner=Address(miner),
-    )
+    return _header_from_fields(unpack(data, 7))
+
+
+def decode_block_header(data: bytes) -> BlockHeader:
+    """Parse only the header of an :func:`encode_block` payload.
+
+    A log scan needs every frame's block id (one hash over the header)
+    without paying for record decoding and Merkle verification — those
+    run when the block itself is read.
+    """
+    return _header_from_fields(unpack(data, 8)[:7])
 
 
 def encode_block(block: Block) -> bytes:
@@ -122,34 +147,13 @@ def encode_block(block: Block) -> bytes:
 
 def decode_block(data: bytes) -> Block:
     """Parse a block; the header hash is re-derived, never trusted."""
-    (
-        prev_block_id,
-        merkle_root,
-        timestamp,
-        nonce,
-        height,
-        difficulty,
-        miner,
-        records_blob,
-    ) = unpack(data, 8)
-    header = BlockHeader(
-        prev_block_id=prev_block_id,
-        merkle_root=merkle_root,
-        timestamp=float(timestamp.decode()),
-        nonce=int.from_bytes(nonce, "big"),
-        height=int.from_bytes(height, "big"),
-        difficulty=int.from_bytes(difficulty, "big"),
-        miner=Address(miner),
+    fields = unpack(data, 8)
+    header = _header_from_fields(fields[:7])
+    block = Block(
+        header=header,
+        records=tuple(decode_record(blob) for blob in unpack_all(fields[7])),
     )
-    # Record count is discovered by scanning the framed blob.
-    records: List[ChainRecord] = []
-    offset = 0
-    while offset < len(records_blob):
-        length = int.from_bytes(records_blob[offset : offset + 4], "big")
-        records.append(decode_record(records_blob[offset + 4 : offset + 4 + length]))
-        offset += 4 + length
-    block = Block(header=header, records=tuple(records))
-    if block.merkle_tree().root != merkle_root:
+    if block.merkle_tree().root != header.merkle_root:
         raise CodecError("block records do not match the header's merkle root")
     return block
 
@@ -167,17 +171,18 @@ def import_chain(
     Raises :class:`~repro.codec.CodecError` for a dump whose blocks do
     not link (tampered or truncated exports).
     """
-    blocks: List[Block] = []
-    offset = 0
-    while offset < len(data):
-        length = int.from_bytes(data[offset : offset + 4], "big")
-        blocks.append(decode_block(data[offset + 4 : offset + 4 + length]))
-        offset += 4 + length
+    blocks = [decode_block(blob) for blob in unpack_all(data)]
     if not blocks:
         raise CodecError("empty chain dump")
-    chain = Blockchain(blocks[0], confirmation_depth=confirmation_depth)
-    for block in blocks[1:]:
-        if block.header.prev_block_id not in chain:
-            raise CodecError("dumped blocks do not link")
-        chain.add_block(block)
+    try:
+        chain = Blockchain(blocks[0], confirmation_depth=confirmation_depth)
+        for block in blocks[1:]:
+            # One canonical chain, genesis first: each block extends the
+            # head and moves it, which is all export_chain ever writes.
+            if block.header.prev_block_id != chain.head.block_id or (
+                not chain.add_block(block)
+            ):
+                raise CodecError("dumped blocks do not link")
+    except ChainError as error:
+        raise CodecError(f"dumped blocks do not link: {error}") from error
     return chain

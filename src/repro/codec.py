@@ -4,17 +4,24 @@ Chain-record payloads embed raw hashes, signatures, and addresses —
 arbitrary bytes that may contain any delimiter — so all payload
 encodings use explicit length framing (4-byte big-endian per field)
 rather than separators.
+
+:func:`unpack_all` is the only walker of that framing in the package,
+and it is strict: a byte string is the framing of at most one field
+list, so ``pack(unpack_all(x)) == x`` whenever the parse succeeds.
+:class:`CodecError` is the root of every error a decoder of outside
+bytes raises (``repro.shard.frames.FrameError`` and
+``repro.store.frames.StoreCorruption`` subclass it).
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-__all__ = ["pack", "unpack", "CodecError"]
+__all__ = ["pack", "unpack", "unpack_all", "CodecError"]
 
 
 class CodecError(ValueError):
-    """Raised for malformed framed payloads."""
+    """Raised for bytes that are not what an encoder of this package writes."""
 
 
 def pack(fields: Sequence[bytes]) -> bytes:
@@ -28,20 +35,26 @@ def pack(fields: Sequence[bytes]) -> bytes:
     return b"".join(parts)
 
 
-def unpack(payload: bytes, expected: int) -> List[bytes]:
-    """Parse a framed payload into exactly ``expected`` fields."""
+def unpack_all(payload: bytes) -> List[bytes]:
+    """Parse a framed payload into its fields, however many there are."""
     fields: List[bytes] = []
+    append = fields.append
     offset = 0
     size = len(payload)
     while offset < size:
-        if offset + 4 > size:
+        start = offset + 4
+        if start > size:
             raise CodecError("truncated length prefix")
-        length = int.from_bytes(payload[offset : offset + 4], "big")
-        offset += 4
-        if offset + length > size:
+        offset = start + int.from_bytes(payload[offset:start], "big")
+        if offset > size:
             raise CodecError("field overruns payload")
-        fields.append(payload[offset : offset + length])
-        offset += length
+        append(payload[start:offset])
+    return fields
+
+
+def unpack(payload: bytes, expected: int) -> List[bytes]:
+    """Parse a framed payload into exactly ``expected`` fields."""
+    fields = unpack_all(payload)
     if len(fields) != expected:
         raise CodecError(f"expected {expected} fields, found {len(fields)}")
     return fields

@@ -32,12 +32,6 @@ from repro.core.platform import (
     SmartCrowdPlatform,
 )
 from repro.core.registry import IdentityRegistry
-from repro.core.reputation import ProviderReputation, ReputationEngine
-from repro.core.retrospective import (
-    Deployment,
-    RetrospectiveMonitor,
-    SecurityNotification,
-)
 from repro.core.reports import (
     DetailedReport,
     InitialReport,
@@ -59,7 +53,6 @@ __all__ = [
     "ConsumerClient",
     "ConsumerStakeholder",
     "DecentralizedDeployment",
-    "Deployment",
     "DetailedReport",
     "DetectorStakeholder",
     "DetectorStats",
@@ -70,17 +63,13 @@ __all__ = [
     "InitialReport",
     "LightClient",
     "PlatformConfig",
-    "ProviderReputation",
     "ProviderStakeholder",
     "ProviderTrackRecord",
     "RecordProof",
     "ReleaseCase",
     "ReplicaNode",
     "ReportVerifier",
-    "ReputationEngine",
-    "RetrospectiveMonitor",
     "SRA",
-    "SecurityNotification",
     "SecurityReference",
     "SignedSRA",
     "SmartCrowdPlatform",

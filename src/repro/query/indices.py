@@ -9,10 +9,9 @@ workload.  :class:`ChainIndex` maintains the answers *incrementally*:
 * canonical-path indices (height → block id, sender → record count,
   record id → location) advanced one block at a time as the head moves;
 * confirmed-report indices (reports by system / vendor / severity /
-  detector, SRAs by release) advanced at the confirmation boundary,
-  mirroring the retrospective-monitor cursor pattern — confirmed blocks
-  are stable under the 6-deep rule, so each refresh decodes only the
-  newly confirmed payloads.
+  detector, SRAs by release) advanced at the confirmation boundary —
+  confirmed blocks are stable under the 6-deep rule, so each refresh
+  decodes only the newly confirmed payloads.
 
 Both cursors carry a reorg guard: if the block a cursor last stopped at
 is no longer canonical, every derived structure is rebuilt from genesis

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.chain.chain import Blockchain
-from repro.codec import CodecError, pack, unpack
+from repro.codec import CodecError, pack, unpack, unpack_all
 from repro.core.reports import DetailedReport
 from repro.crypto.keys import Address
 from repro.detection.vulnerability import Severity
@@ -59,21 +59,6 @@ _REPORT_ROW = struct.Struct(">32s32sQ5I2H")
 _SENDER_ROW = struct.Struct(">20sQ")
 _LOCATION_ROW = struct.Struct(">32sQI")
 _HEIGHT_ROW = struct.Struct("32s")
-
-
-def _fields(blob: bytes) -> Iterator[bytes]:
-    """Walk a :func:`repro.codec.pack` blob without knowing the count."""
-    offset = 0
-    size = len(blob)
-    while offset < size:
-        if offset + 4 > size:
-            raise CodecError("truncated length prefix in index state")
-        length = int.from_bytes(blob[offset : offset + 4], "big")
-        offset += 4
-        if offset + length > size:
-            raise CodecError("field overruns index state blob")
-        yield blob[offset : offset + length]
-        offset += length
 
 
 def _split_wei(value: int) -> Tuple[int, int]:
@@ -353,9 +338,9 @@ def decode_index_state(body: bytes) -> IndexState:
     locations: List[Tuple[bytes, int, int]] = list(
         _LOCATION_ROW.iter_unpack(location_blob)
     )
-    table = _decode_table(table_blob)
     severity_cache: Dict[int, Severity] = {}
     try:
+        table = _decode_table(table_blob)
         sras = [
             SraEntry(
                 sra_id,
@@ -467,22 +452,22 @@ def decode_index_state(body: bytes) -> IndexState:
             len(reports),
             "by-SRA",
         )
-    except IndexError as error:
-        raise CodecError(f"index entry references a missing string: {error}")
-    except ValueError as error:
-        if isinstance(error, CodecError):
-            raise
-        raise CodecError(f"malformed index entry: {error}")
-    pending: List[Tuple[int, int, DetailedReport]] = []
-    for blob in _fields(pending_blob):
-        height_bytes, position_bytes, payload = unpack(blob, 3)
-        pending.append(
-            (
-                int.from_bytes(height_bytes, "big"),
-                int.from_bytes(position_bytes, "big"),
-                DetailedReport.from_payload(payload),
+        pending: List[Tuple[int, int, DetailedReport]] = []
+        for blob in unpack_all(pending_blob):
+            height_bytes, position_bytes, payload = unpack(blob, 3)
+            pending.append(
+                (
+                    int.from_bytes(height_bytes, "big"),
+                    int.from_bytes(position_bytes, "big"),
+                    DetailedReport.from_payload(payload),
+                )
             )
-        )
+    except CodecError:
+        raise
+    except (IndexError, ValueError) as error:
+        # A reference past the string table, a non-UTF-8 string, an
+        # unknown severity, a report payload that does not parse.
+        raise CodecError(f"malformed index entry: {error}") from error
     return IndexState(
         height_ids=height_ids,
         sender_counts=sender_counts,
@@ -533,7 +518,7 @@ def load_index(
         if not path.is_file() or path.stat().st_size == 0:
             return None
         info = read_index_file(path)
-    except (StoreError, CodecError, OSError):
+    except (CodecError, OSError):
         return None
     if info.version != INDEX_FORMAT_VERSION:
         return None
@@ -546,7 +531,7 @@ def load_index(
         return None
     try:
         state = decode_index_state(info.body)
-    except (CodecError, ValueError):
+    except CodecError:
         return None
     if not state.height_ids or state.tip_block_id != info.tip_block_id:
         return None

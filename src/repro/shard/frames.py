@@ -7,7 +7,9 @@ framed codec (:mod:`repro.codec`: 4-byte big-endian length prefixes,
 delimiter-safe) and re-materialized on the far side.  The serial
 ``jobs=1`` oracle round-trips frames through the same codec, so the
 bytes on the (virtual) wire are identical whether shards run in one
-process or many.
+process or many.  Decoding is canonical — a frame has one byte form —
+and raises :class:`FrameError` (under :class:`repro.codec.CodecError`)
+for anything else.
 
 Three frame types mirror the inv-pull relay's three wire exchanges:
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, List, Tuple
 
-from repro.codec import CodecError, pack, unpack
+from repro.codec import CodecError, pack, unpack, unpack_all
 from repro.chain.block import Block, BlockHeader
 from repro.chain.serialization import (
     decode_block,
@@ -120,7 +122,7 @@ def _encode_body(payload: Any) -> Tuple[int, bytes]:
 
 
 def _decode_body(flags: int, body: bytes) -> Any:
-    if flags == _BODY_NONE:
+    if flags == _BODY_NONE and not body:
         return None
     if flags == _BODY_BLOCK:
         return decode_block(body)
@@ -128,7 +130,7 @@ def _decode_body(flags: int, body: bytes) -> Any:
         return decode_header(body)
     if flags == _BODY_BYTES:
         return body
-    raise FrameError(f"unknown payload encoding {flags}")
+    raise FrameError(f"unknown or inconsistent payload encoding {flags}")
 
 
 def encode_frame(frame: CrossShardFrame) -> bytes:
@@ -164,20 +166,24 @@ def decode_frame(data: bytes) -> CrossShardFrame:
         flags,
         body,
     ) = unpack(data, 10)
-    if len(flags) != 1:
-        raise FrameError("malformed frame flags")
-    return CrossShardFrame(
-        kind=FrameKind(kind.decode()),
-        src=src.decode(),
-        dst=dst.decode(),
-        message_kind=MessageKind(message_kind.decode()),
-        origin=origin.decode(),
-        dedup_key=dedup_key,
-        arrival=struct.unpack(">d", arrival)[0],
-        seq=int.from_bytes(seq, "big"),
-        wants_headers=bool(flags[0] & 8),
-        payload=_decode_body(flags[0] & 7, body),
-    )
+    if len(flags) != 1 or flags[0] > 15 or len(seq) != 8 or len(arrival) != 8:
+        raise FrameError("malformed frame flags, sequence or arrival width")
+    payload = _decode_body(flags[0] & 7, body)
+    try:
+        return CrossShardFrame(
+            kind=FrameKind(kind.decode()),
+            src=src.decode(),
+            dst=dst.decode(),
+            message_kind=MessageKind(message_kind.decode()),
+            origin=origin.decode(),
+            dedup_key=dedup_key,
+            arrival=struct.unpack(">d", arrival)[0],
+            seq=int.from_bytes(seq, "big"),
+            wants_headers=bool(flags[0] & 8),
+            payload=payload,
+        )
+    except ValueError as error:
+        raise FrameError(f"malformed frame: {error}") from error
 
 
 def encode_frames(frames: List[CrossShardFrame]) -> bytes:
@@ -187,16 +193,4 @@ def encode_frames(frames: List[CrossShardFrame]) -> bytes:
 
 def decode_frames(blob: bytes) -> List[CrossShardFrame]:
     """Parse a barrier blob back into frames (order preserved)."""
-    frames: List[CrossShardFrame] = []
-    offset = 0
-    size = len(blob)
-    while offset < size:
-        if offset + 4 > size:
-            raise FrameError("truncated frame length prefix")
-        length = int.from_bytes(blob[offset : offset + 4], "big")
-        offset += 4
-        if offset + length > size:
-            raise FrameError("frame overruns blob")
-        frames.append(decode_frame(blob[offset : offset + length]))
-        offset += length
-    return frames
+    return [decode_frame(data) for data in unpack_all(blob)]

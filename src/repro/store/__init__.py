@@ -11,9 +11,13 @@ reference" consumers can trust (§V-C); this package is where
   chains recover in bounded RAM;
 * :class:`HeaderStore` — the headers-only analogue for
   :class:`~repro.core.distributed.LightReplicaNode`;
-* crash-safety on open: checksums verified, torn tails truncated,
-  corrupt snapshots skipped in favour of older ones
-  (:class:`StoreRecovery` reports what was repaired);
+* crash-safety on open: one :class:`FrameScan` pass verifies every
+  checksum and the log's link rule, the tail from the first torn,
+  bit-flipped or undecodable frame is truncated, corrupt snapshots are
+  skipped in favour of older ones (:class:`StoreRecovery` reports what
+  was repaired).  Bytes that fail any of it raise
+  :class:`StoreCorruption`, under :class:`repro.codec.CodecError`;
+  :class:`StoreError` means the store was misused;
 * :func:`fsck` / ``python -m repro.store fsck`` — a non-mutating
   verifier with meaningful exit codes;
 * :mod:`~repro.store.faultinject` — the disk-fault primitives (torn
@@ -28,10 +32,9 @@ from repro.store.faultinject import (
 )
 from repro.store.frames import (
     FrameInfo,
-    ScanResult,
+    FrameScan,
     StoreCorruption,
     StoreError,
-    scan_frames,
 )
 from repro.store.fsck import FsckIssue, FsckReport, fsck
 from repro.store.indexfile import (
@@ -52,6 +55,7 @@ from repro.store.store import (
 __all__ = [
     "ChainStore",
     "FrameInfo",
+    "FrameScan",
     "FsckIssue",
     "FsckReport",
     "HeaderStore",
@@ -60,7 +64,6 @@ __all__ = [
     "IndexFileInfo",
     "LedgerReplay",
     "LedgerSnapshot",
-    "ScanResult",
     "SnapshotStore",
     "StoreCorruption",
     "StoreError",
@@ -70,7 +73,6 @@ __all__ = [
     "flip_bit",
     "fsck",
     "read_index_file",
-    "scan_frames",
     "tear_frame",
     "write_index_file",
 ]

@@ -27,7 +27,7 @@ __all__ = [
 
 
 def _resolve_frame(store, frame_index: int) -> int:
-    count = store.frame_count()
+    count = len(store)
     if count == 0:
         raise StoreError("cannot corrupt an empty store")
     index = frame_index if frame_index >= 0 else count + frame_index

@@ -1,34 +1,39 @@
 """Checksummed length-prefixed frames — the on-disk unit of the store.
 
-Every durable artifact (block log, header log, ledger snapshot) is a
-sequence of *frames*: an 8-byte header (4-byte big-endian payload
-length, 4-byte CRC-32 of the payload) followed by the payload bytes.
-The frame layer is what makes the store *crash-safe* rather than merely
-persistent: a torn write leaves a frame whose length overruns the file,
-and a bit flip breaks the checksum — both are detected by
-:func:`scan_frames` on open, never silently decoded.
+Every durable artifact (block log, header log, ledger snapshot, serving
+index) is a sequence of *frames*: an 8-byte header (4-byte big-endian
+payload length, 4-byte CRC-32 of the payload) followed by the payload
+bytes.  The frame layer is what makes the store *crash-safe* rather
+than merely persistent: a torn write leaves a frame whose length
+overruns the file, and a bit flip breaks the checksum — both end a
+:class:`FrameScan` on open, never silently decoded.
 
 The payload encodings themselves reuse the repo's framed codec
 (:mod:`repro.codec`), so the injectivity discipline of the wire format
-extends to disk.
+extends to disk, and :class:`StoreCorruption` sits under the codec's
+error root: bytes that fail their checksum and bytes that pass it but
+do not decode are the same event to a reader.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, List, Optional
+from dataclasses import dataclass
+from pathlib import Path
+from typing import BinaryIO, Iterator, Optional, Tuple, Union
+
+from repro.codec import CodecError
 
 __all__ = [
     "FRAME_HEADER_BYTES",
     "FrameInfo",
+    "FrameScan",
     "MAX_FRAME_BYTES",
-    "ScanResult",
     "StoreCorruption",
     "StoreError",
     "frame_bytes",
     "read_frame",
-    "scan_frames",
+    "read_single_frame",
     "write_frame",
 ]
 
@@ -41,11 +46,11 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class StoreError(ValueError):
-    """Raised for misused or structurally invalid stores."""
+    """Raised for a misused store: closed, stale, or the wrong chain's."""
 
 
-class StoreCorruption(StoreError):
-    """Raised when on-disk bytes fail checksum or framing validation."""
+class StoreCorruption(CodecError):
+    """Raised when on-disk bytes fail checksum, framing or structure."""
 
 
 @dataclass(frozen=True)
@@ -59,33 +64,6 @@ class FrameInfo:
     def end(self) -> int:
         """File offset one past this frame's last byte."""
         return self.offset + FRAME_HEADER_BYTES + self.length
-
-
-@dataclass
-class ScanResult:
-    """Outcome of a full verification pass over a log file.
-
-    ``good_end`` is the offset of the first byte that cannot be
-    trusted; recovery truncates there.  ``corruption`` is None for a
-    clean file, else a human-readable reason anchored at
-    ``corrupt_offset``.
-    """
-
-    frames: List[FrameInfo] = field(default_factory=list)
-    good_end: int = 0
-    file_size: int = 0
-    corruption: Optional[str] = None
-    corrupt_offset: Optional[int] = None
-
-    @property
-    def clean(self) -> bool:
-        """True when every byte of the file is a verified frame."""
-        return self.corruption is None
-
-    @property
-    def tail_bytes(self) -> int:
-        """Unreadable bytes past the last good frame."""
-        return self.file_size - self.good_end
 
 
 def frame_bytes(payload: bytes) -> bytes:
@@ -111,81 +89,92 @@ def write_frame(handle: BinaryIO, payload: bytes) -> FrameInfo:
     return FrameInfo(offset=offset, length=len(payload))
 
 
-def read_frame(handle: BinaryIO, info: FrameInfo) -> bytes:
-    """Read one frame's payload, re-verifying its checksum."""
-    handle.seek(info.offset)
+def _read_verified(handle: BinaryIO, offset: int) -> bytes:
+    """Parse the frame ``handle`` is positioned at (file offset ``offset``).
+
+    The only parser of the frame header.  A frame is refused for one of
+    four reasons: its header is torn, its length is implausible, its
+    payload overruns the file, or its checksum does not match.
+    """
     header = handle.read(FRAME_HEADER_BYTES)
     if len(header) != FRAME_HEADER_BYTES:
         raise StoreCorruption(
-            f"frame header at offset {info.offset} is torn"
+            f"torn frame header: {len(header)} trailing bytes"
         )
     length = int.from_bytes(header[:4], "big")
-    expected_crc = int.from_bytes(header[4:], "big")
-    if length != info.length:
+    if length > MAX_FRAME_BYTES:
         raise StoreCorruption(
-            f"frame at offset {info.offset} changed length on disk "
-            f"({length} != indexed {info.length}); reopen the store"
+            f"implausible frame length {length} (bit-flipped header?)"
         )
     payload = handle.read(length)
-    if len(payload) != length or zlib.crc32(payload) != expected_crc:
+    if len(payload) != length:
         raise StoreCorruption(
-            f"frame at offset {info.offset} fails its checksum"
+            f"frame payload overruns the file by "
+            f"{length - len(payload)} bytes (torn write)"
+        )
+    if zlib.crc32(payload) != int.from_bytes(header[4:], "big"):
+        raise StoreCorruption(f"checksum mismatch at offset {offset}")
+    return payload
+
+
+def read_frame(handle: BinaryIO, info: FrameInfo) -> bytes:
+    """Read one frame's payload, re-verifying its checksum."""
+    handle.seek(info.offset)
+    payload = _read_verified(handle, info.offset)
+    if len(payload) != info.length:
+        raise StoreCorruption(
+            f"frame at offset {info.offset} changed length on disk "
+            f"({len(payload)} != indexed {info.length}); reopen the store"
         )
     return payload
 
 
-def scan_frames(
-    handle: BinaryIO,
-    on_payload: Optional[Callable[[int, int, bytes], None]] = None,
-) -> ScanResult:
-    """Verify every frame in ``handle`` front to back.
+def read_single_frame(path: Union[str, Path]) -> bytes:
+    """The payload of a file that is exactly one frame (snapshots, indexes)."""
+    with open(path, "rb") as handle:
+        payload = _read_verified(handle, 0)
+        if handle.read(1):
+            raise StoreCorruption("expected exactly one frame")
+    return payload
 
-    Stops at the first frame that is torn (header or payload overruns
-    the file), implausible (length above :data:`MAX_FRAME_BYTES`), or
-    checksum-broken; everything before that point is good, everything
-    after is untrusted.  ``on_payload(index, offset, payload)`` lets a
-    caller build its index in the same single pass that verifies the
-    checksums.
+
+class FrameScan:
+    """Iterate a log's verified frames front to back as ``(offset, payload)``.
+
+    The walk stops at the first frame that is torn, implausible or
+    checksum-broken, or that the consumer :meth:`reject`\\ s because its
+    payload does not decode; everything before that point is good,
+    everything after is untrusted.  Afterwards ``good_end`` is the
+    offset of the first byte that cannot be trusted (recovery truncates
+    there) and ``corruption`` says why, or is None for a clean file.
     """
-    handle.seek(0, 2)
-    size = handle.tell()
-    handle.seek(0)
-    result = ScanResult(file_size=size)
-    offset = 0
-    while offset < size:
-        if offset + FRAME_HEADER_BYTES > size:
-            result.corruption = (
-                f"torn frame header: {size - offset} trailing bytes"
-            )
-            result.corrupt_offset = offset
-            break
-        header = handle.read(FRAME_HEADER_BYTES)
-        length = int.from_bytes(header[:4], "big")
-        expected_crc = int.from_bytes(header[4:], "big")
-        if length > MAX_FRAME_BYTES:
-            result.corruption = (
-                f"implausible frame length {length} (bit-flipped header?)"
-            )
-            result.corrupt_offset = offset
-            break
-        if offset + FRAME_HEADER_BYTES + length > size:
-            result.corruption = (
-                f"frame payload overruns the file by "
-                f"{offset + FRAME_HEADER_BYTES + length - size} bytes "
-                "(torn write)"
-            )
-            result.corrupt_offset = offset
-            break
-        payload = handle.read(length)
-        if zlib.crc32(payload) != expected_crc:
-            result.corruption = f"checksum mismatch at offset {offset}"
-            result.corrupt_offset = offset
-            break
-        if on_payload is not None:
-            on_payload(len(result.frames), offset, payload)
-        result.frames.append(FrameInfo(offset=offset, length=length))
-        offset += FRAME_HEADER_BYTES + length
-    result.good_end = (
-        result.frames[-1].end if result.frames else 0
-    )
-    return result
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self._handle = handle
+        handle.seek(0, 2)
+        self.file_size = handle.tell()
+        self.good_end = 0
+        self.corruption: Optional[str] = None
+
+    def __iter__(self) -> Iterator[Tuple[int, bytes]]:
+        handle = self._handle
+        handle.seek(0)
+        while self.good_end < self.file_size:
+            try:
+                payload = _read_verified(handle, self.good_end)
+            except StoreCorruption as error:
+                self.corruption = str(error)
+                return
+            yield self.good_end, payload
+            if self.corruption is not None:
+                return
+            self.good_end += FRAME_HEADER_BYTES + len(payload)
+
+    def reject(self, reason: str) -> None:
+        """End the walk at the frame just yielded: it is CRC-valid but wrong."""
+        self.corruption = reason
+
+    @property
+    def tail_bytes(self) -> int:
+        """Unreadable bytes past the last good frame."""
+        return self.file_size - self.good_end

@@ -22,17 +22,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.chain.block import GENESIS_PARENT
 from repro.chain.serialization import decode_block, decode_header
 from repro.codec import CodecError
-from repro.store.frames import StoreError, scan_frames
+from repro.store.frames import StoreError
 from repro.store.indexfile import (
     INDEX_FILE_NAME,
     INDEX_FORMAT_VERSION,
     read_index_file,
 )
-from repro.store.snapshot import LedgerSnapshot
-from repro.store.store import ChainStore, HeaderStore
+from repro.store.snapshot import SnapshotStore
+from repro.store.store import ChainStore, HeaderStore, index_frames
 
 __all__ = ["FsckIssue", "FsckReport", "fsck"]
 
@@ -102,36 +101,17 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def _check_chain_frames(log_path: Path, report: FsckReport) -> Dict[bytes, int]:
-    """Verify block frames; returns block_id -> height for good frames."""
-    heights: Dict[bytes, int] = {}
+def _check_log(log_path: Path, store_class, decode, report: FsckReport):
+    """Verify a log's frames under the store's own link rule.
 
-    def check_payload(index: int, offset: int, payload: bytes) -> None:
-        block = decode_block(payload)  # full decode: Merkle re-derived
-        if index == 0:
-            if (
-                block.height != 0
-                or block.header.prev_block_id != GENESIS_PARENT
-            ):
-                raise StoreError("frame 0 is not a genesis block")
-        elif block.header.prev_block_id not in heights:
-            raise StoreError(
-                f"frame {index} references an unknown parent"
-            )
-        if block.block_id in heights:
-            raise StoreError(f"frame {index} duplicates an earlier block")
-        heights[block.block_id] = block.height
-
+    ``decode`` is the *full* payload decode (a block's Merkle root is
+    re-derived), where recovery only peeks at the header.  Returns the
+    side tables built from the good frames.
+    """
+    links = store_class.LINKS()
     with open(log_path, "rb") as handle:
-        try:
-            scan = scan_frames(handle, on_payload=check_payload)
-        except (CodecError, StoreError) as error:
-            report.frames_ok = len(heights)
-            report.issues.append(
-                FsckIssue("bad-frame", f"frame {len(heights)}: {error}")
-            )
-            return heights
-    report.frames_ok = len(scan.frames)
+        frames, scan = index_frames(handle, links, decode)
+    report.frames_ok = len(frames)
     if scan.corruption is not None:
         report.issues.append(
             FsckIssue(
@@ -140,12 +120,10 @@ def _check_chain_frames(log_path: Path, report: FsckReport) -> Dict[bytes, int]:
                 f"offset {scan.good_end} are unreadable",
             )
         )
-    return heights
+    return links
 
 
-def _check_snapshots(
-    store_path: Path, heights: Dict[bytes, int], report: FsckReport
-) -> None:
+def _check_snapshots(store_path: Path, links, report: FsckReport) -> None:
     snap_dir = store_path / ChainStore.SNAPSHOT_DIR
     best_valid: Optional[int] = None
     if snap_dir.is_dir():
@@ -161,22 +139,13 @@ def _check_snapshots(
             except OSError:
                 continue
             try:
-                with open(file, "rb") as handle:
-                    scan = scan_frames(handle)
-                if scan.corruption is not None or len(scan.frames) != 1:
-                    raise StoreError(
-                        scan.corruption or "expected exactly one frame"
-                    )
-                with open(file, "rb") as handle:
-                    handle.seek(scan.frames[0].offset + 8)
-                    payload = handle.read(scan.frames[0].length)
-                snapshot = LedgerSnapshot.from_bytes(payload)
-            except (StoreError, CodecError, OSError) as error:
+                snapshot = SnapshotStore.load_file(file)
+            except (CodecError, OSError) as error:
                 report.issues.append(
                     FsckIssue("snapshot-corrupt", f"{file.name}: {error}")
                 )
                 continue
-            if heights.get(snapshot.block_id) != snapshot.height:
+            if links.height_of(snapshot.block_id) != snapshot.height:
                 report.issues.append(
                     FsckIssue(
                         "snapshot-stale",
@@ -212,9 +181,7 @@ def _check_snapshots(
             )
 
 
-def _check_index(
-    store_path: Path, heights: Dict[bytes, int], report: FsckReport
-) -> None:
+def _check_index(store_path: Path, links, report: FsckReport) -> None:
     """Verify the optional serving-index sidecar (``index.snap``).
 
     Absent or zero-length (never-written debris) is clean.  An index
@@ -232,7 +199,7 @@ def _check_index(
     report.index_ok = False
     try:
         info = read_index_file(index_path)
-    except (StoreError, CodecError, OSError) as error:
+    except (CodecError, OSError) as error:
         report.issues.append(
             FsckIssue("index-corrupt", f"{index_path.name}: {error}")
         )
@@ -246,7 +213,7 @@ def _check_index(
             )
         )
         return
-    if heights.get(info.tip_block_id) != info.tip_height:
+    if links.height_of(info.tip_block_id) != info.tip_height:
         report.issues.append(
             FsckIssue(
                 "index-stale",
@@ -257,38 +224,6 @@ def _check_index(
         )
         return
     report.index_ok = True
-
-
-def _check_header_frames(log_path: Path, report: FsckReport) -> None:
-    ids: List[bytes] = []
-
-    def check_payload(index: int, offset: int, payload: bytes) -> None:
-        header = decode_header(payload)
-        if index == 0:
-            if header.height != 0 or header.prev_block_id != GENESIS_PARENT:
-                raise StoreError("frame 0 is not a genesis header")
-        elif header.height != index or header.prev_block_id != ids[-1]:
-            raise StoreError(f"frame {index} breaks the header link")
-        ids.append(header.header_hash())
-
-    with open(log_path, "rb") as handle:
-        try:
-            scan = scan_frames(handle, on_payload=check_payload)
-        except (CodecError, StoreError) as error:
-            report.frames_ok = len(ids)
-            report.issues.append(
-                FsckIssue("bad-frame", f"frame {len(ids)}: {error}")
-            )
-            return
-    report.frames_ok = len(scan.frames)
-    if scan.corruption is not None:
-        report.issues.append(
-            FsckIssue(
-                "torn-tail" if "torn" in scan.corruption else "bad-frame",
-                f"{scan.corruption}; {scan.tail_bytes} byte(s) after "
-                f"offset {scan.good_end} are unreadable",
-            )
-        )
 
 
 def fsck(path) -> FsckReport:
@@ -304,13 +239,15 @@ def fsck(path) -> FsckReport:
         raise StoreError(f"{store_path} is not a directory")
     if chain_log.exists():
         report = FsckReport(path=str(store_path), kind="chain")
-        heights = _check_chain_frames(chain_log, report)
-        _check_snapshots(store_path, heights, report)
-        _check_index(store_path, heights, report)
+        links = _check_log(
+            chain_log, ChainStore, lambda p: decode_block(p).header, report
+        )
+        _check_snapshots(store_path, links, report)
+        _check_index(store_path, links, report)
         return report
     if header_log.exists():
         report = FsckReport(path=str(store_path), kind="header")
-        _check_header_frames(header_log, report)
+        _check_log(header_log, HeaderStore, decode_header, report)
         return report
     raise StoreError(
         f"{store_path} holds neither {ChainStore.LOG_NAME} nor "

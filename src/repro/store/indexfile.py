@@ -25,12 +25,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.codec import CodecError, pack, unpack
-from repro.store.frames import (
-    FRAME_HEADER_BYTES,
-    StoreCorruption,
-    frame_bytes,
-    scan_frames,
-)
+from repro.store.frames import StoreCorruption, frame_bytes, read_single_frame
 
 __all__ = [
     "INDEX_FILE_NAME",
@@ -90,27 +85,18 @@ def write_index_file(
 def read_index_file(path: Union[str, Path]) -> IndexFileInfo:
     """Read and verify one ``index.snap`` envelope.
 
-    Raises :class:`~repro.store.frames.StoreCorruption` for torn or
-    bit-flipped files and :class:`~repro.codec.CodecError` for a
-    structurally invalid payload.  Version compatibility is the
-    *caller's* decision — an unknown version still decodes here so
-    ``fsck`` can report it precisely.
+    Raises :class:`~repro.codec.CodecError`:
+    :class:`~repro.store.frames.StoreCorruption` for a torn or
+    bit-flipped file, the root for a structurally invalid payload.
+    Version compatibility is the *caller's* decision — an unknown
+    version still decodes here so ``fsck`` can report it precisely.
     """
-    file = Path(path)
-    with open(file, "rb") as handle:
-        scan = scan_frames(handle)
-        if scan.corruption is not None or len(scan.frames) != 1:
-            raise StoreCorruption(
-                f"index file {file.name}: "
-                f"{scan.corruption or 'expected exactly one frame'}"
-            )
-        handle.seek(scan.frames[0].offset + FRAME_HEADER_BYTES)
-        payload = handle.read(scan.frames[0].length)
+    payload = read_single_frame(path)
     magic, version, tip_height, tip_block_id, body = unpack(payload, 5)
     if magic != _MAGIC:
         raise CodecError(f"bad index magic {magic!r}")
-    if len(tip_block_id) != 32:
-        raise CodecError("index tip block id must be 32 bytes")
+    if (len(version), len(tip_height), len(tip_block_id)) != (2, 8, 32):
+        raise CodecError("index envelope field has the wrong width")
     return IndexFileInfo(
         version=int.from_bytes(version, "big"),
         tip_height=int.from_bytes(tip_height, "big"),

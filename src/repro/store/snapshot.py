@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.codec import CodecError, pack, unpack
+from repro.codec import CodecError, pack, unpack, unpack_all
 from repro.contracts.state import WorldState
 from repro.crypto.keys import Address
-from repro.store.frames import StoreCorruption, frame_bytes, scan_frames
+from repro.store.frames import frame_bytes, read_single_frame
 
 __all__ = ["LedgerSnapshot", "SnapshotStore"]
 
@@ -49,13 +49,11 @@ def _encode_accounts(table: Dict[Address, int]) -> bytes:
 
 def _decode_accounts(blob: bytes) -> Dict[Address, int]:
     table: Dict[Address, int] = {}
-    offset = 0
-    while offset < len(blob):
-        length = int.from_bytes(blob[offset : offset + 4], "big")
-        entry = blob[offset + 4 : offset + 4 + length]
+    for entry in unpack_all(blob):
         address, amount = unpack(entry, 2)
+        if len(address) != 20:
+            raise CodecError("snapshot account address must be 20 bytes")
         table[Address(address)] = int.from_bytes(amount, "big")
-        offset += 4 + length
     return table
 
 
@@ -96,13 +94,18 @@ class LedgerSnapshot:
             raise CodecError(f"bad snapshot magic {magic!r}")
         if len(block_id) != 32:
             raise CodecError("snapshot block id must be 32 bytes")
-        return cls(
+        snapshot = cls(
             height=int.from_bytes(height, "big"),
             block_id=block_id,
             balances=_decode_accounts(balances),
             nonces=_decode_accounts(nonces),
             minted=int.from_bytes(minted, "big"),
         )
+        # Sorted accounts, minimal integers, fixed widths: one re-encode
+        # checks them all, and a snapshot is read a few times per open.
+        if snapshot.to_bytes() != data:
+            raise CodecError("snapshot is not in its canonical encoding")
+        return snapshot
 
     def restore_state(self) -> Tuple[WorldState, Dict[Address, int]]:
         """Materialize a private (WorldState, nonces) pair."""
@@ -198,23 +201,15 @@ class SnapshotStore:
             except OSError:
                 continue
 
-    def load_file(self, file: Path) -> LedgerSnapshot:
+    @staticmethod
+    def load_file(file: Path) -> LedgerSnapshot:
         """Read and verify one snapshot file.
 
-        Raises :class:`~repro.store.frames.StoreCorruption` for torn or
-        bit-flipped files and :class:`~repro.codec.CodecError` for
-        structurally invalid payloads.
+        Raises :class:`~repro.codec.CodecError`:
+        :class:`~repro.store.frames.StoreCorruption` for a torn or
+        bit-flipped file, the root for a payload that does not decode.
         """
-        with open(file, "rb") as handle:
-            scan = scan_frames(handle)
-            if scan.corruption is not None or len(scan.frames) != 1:
-                raise StoreCorruption(
-                    f"snapshot {file.name}: "
-                    f"{scan.corruption or 'expected exactly one frame'}"
-                )
-            handle.seek(scan.frames[0].offset + 8)
-            payload = handle.read(scan.frames[0].length)
-        return LedgerSnapshot.from_bytes(payload)
+        return LedgerSnapshot.from_bytes(read_single_frame(file))
 
     def latest_valid(
         self,
@@ -230,7 +225,7 @@ class SnapshotStore:
         for file in self.files():
             try:
                 snapshot = self.load_file(file)
-            except (StoreCorruption, CodecError, OSError):
+            except (CodecError, OSError):
                 continue
             if max_height is not None and snapshot.height > max_height:
                 continue

@@ -29,30 +29,31 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.chain.block import Block, BlockHeader, GENESIS_PARENT
 from repro.chain.chain import Blockchain, ChainError
 from repro.chain.ledger import DEFAULT_BLOCK_REWARD_WEI, apply_block
 from repro.chain.serialization import (
     decode_block,
+    decode_block_header,
     decode_header,
     encode_block,
     encode_header,
 )
-from repro.codec import CodecError, unpack
+from repro.codec import CodecError
 from repro.contracts.state import WorldState
 from repro.core.lightclient import HeaderChain
 from repro.crypto.keys import Address
 from repro.store.frames import (
     FRAME_HEADER_BYTES,
     FrameInfo,
+    FrameScan,
     StoreCorruption,
     StoreError,
     read_frame,
-    scan_frames,
     write_frame,
 )
 from repro.store.snapshot import LedgerSnapshot, SnapshotStore
@@ -106,37 +107,95 @@ class LedgerReplay:
         return self.snapshot_height is not None
 
 
-@dataclass
-class _Entry:
-    """In-memory index entry: one verified block frame."""
-
-    info: FrameInfo
-    block_id: bytes
-    height: int
-    prev_id: bytes
+def _require_genesis(header: BlockHeader, what: str) -> None:
+    if header.height != 0 or header.prev_block_id != GENESIS_PARENT:
+        raise StoreCorruption(f"frame 0 is not a genesis {what}")
 
 
-def _header_from_block_payload(payload: bytes) -> BlockHeader:
-    """Decode just the header of an ``encode_block`` payload.
+class _BlockLinks:
+    """Side tables of a block log, and the rule its next frame must meet.
 
-    The open-time scan needs every frame's block id (one hash over the
-    header) without paying for record decoding and Merkle verification
-    — those run lazily when the block itself is read.
+    Blocks are logged parent-before-child, side branches included, so a
+    frame is acceptable when it is new and its parent is already there.
     """
-    fields = unpack(payload, 8)
-    return BlockHeader(
-        prev_block_id=fields[0],
-        merkle_root=fields[1],
-        timestamp=float(fields[2].decode()),
-        nonce=int.from_bytes(fields[3], "big"),
-        height=int.from_bytes(fields[4], "big"),
-        difficulty=int.from_bytes(fields[5], "big"),
-        miner=Address(fields[6]),
-    )
+
+    def __init__(self) -> None:
+        self.ids: List[bytes] = []
+        self.heights: List[int] = []
+        self.by_id: Dict[bytes, int] = {}
+        self.linear = True
+
+    def add(self, header: BlockHeader) -> None:
+        index = len(self.ids)
+        block_id = header.header_hash()
+        if block_id in self.by_id:
+            raise StoreCorruption(f"duplicate block frame {block_id.hex()[:12]}")
+        if index == 0:
+            _require_genesis(header, "block")
+        elif header.prev_block_id not in self.by_id:
+            raise StoreCorruption(
+                f"frame {index} references an unknown parent "
+                "(parent-before-child order violated)"
+            )
+        elif (
+            header.prev_block_id != self.ids[-1]
+            or header.height != self.heights[-1] + 1
+        ):
+            self.linear = False
+        self.by_id[block_id] = index
+        self.ids.append(block_id)
+        self.heights.append(header.height)
+
+    def height_of(self, block_id: bytes) -> Optional[int]:
+        """Height the log holds ``block_id`` at, or None."""
+        index = self.by_id.get(block_id)
+        return None if index is None else self.heights[index]
+
+
+class _HeaderLinks:
+    """Side table of a header log: frame index == height, one linear chain."""
+
+    def __init__(self) -> None:
+        self.ids: List[bytes] = []
+
+    def add(self, header: BlockHeader) -> None:
+        index = len(self.ids)
+        if index == 0:
+            _require_genesis(header, "header")
+        elif header.height != index or header.prev_block_id != self.ids[-1]:
+            raise StoreCorruption(f"header frame {index} breaks the chain link")
+        self.ids.append(header.header_hash())
+
+
+def index_frames(
+    handle: BinaryIO, links, decode: Callable[[bytes], BlockHeader]
+) -> Tuple[List[FrameInfo], FrameScan]:
+    """Walk a log once: verify each frame, decode its header, link it.
+
+    A frame whose checksum holds but whose payload does not decode or
+    does not link ends the trusted prefix exactly as a checksum failure
+    does — the scan stops there and says why.  ``decode`` is how much of
+    the payload to check: recovery peeks at the header, fsck decodes the
+    whole block.
+    """
+    frames: List[FrameInfo] = []
+    scan = FrameScan(handle)
+    for offset, payload in scan:
+        try:
+            links.add(decode(payload))
+        except CodecError as error:
+            scan.reject(f"undecodable frame {len(frames)}: {error}")
+        else:
+            frames.append(FrameInfo(offset=offset, length=len(payload)))
+    return frames, scan
 
 
 class _FrameLog:
-    """Shared machinery: a verified, indexed, truncate-on-open log."""
+    """Shared machinery: a verified, indexed, truncate-on-open log.
+
+    It owns the list of verified frames; a subclass names its side
+    tables (``LINKS``) and how to peek a payload's header (``_peek``).
+    """
 
     LOG_NAME = "log"
 
@@ -156,48 +215,27 @@ class _FrameLog:
 
     # -- open / recover ----------------------------------------------------
 
-    def _index_payload(self, index: int, offset: int, payload: bytes) -> None:
-        raise NotImplementedError
-
-    def _reset_index(self) -> None:
-        raise NotImplementedError
-
     def _open(self) -> None:
-        self._reset_index()
+        self._links = self.LINKS()
         self._handle = open(self.log_path, "a+b")
-        recovery = StoreRecovery()
         try:
-            scan = scan_frames(self._handle, on_payload=self._index_payload)
-        except (CodecError, StoreError) as error:
-            # A frame passed its CRC but failed structural decode during
-            # indexing — treat everything from there on as untrusted.
-            self._handle.seek(0)
-            partial = scan_frames(self._handle)
-            keep = len(self._indexed_frames())
-            good_end = (
-                partial.frames[keep - 1].end if keep else 0
+            self._frames, scan = index_frames(
+                self._handle, self._links, self._peek
             )
-            recovery.corruption = f"undecodable frame {keep}: {error}"
-            self._truncate_to(good_end, partial.file_size, recovery)
+            recovery = StoreRecovery(
+                frames_kept=len(self._frames), corruption=scan.corruption
+            )
+            if scan.corruption is not None:
+                self._truncate_to(scan, recovery)
             self.last_recovery = recovery
             self._finish_recovery(recovery)
-            return
-        recovery.frames_kept = len(scan.frames)
-        if scan.corruption is not None:
-            recovery.corruption = scan.corruption
-            self._truncate_to(scan.good_end, scan.file_size, recovery)
-        self.last_recovery = recovery
-        self._finish_recovery(recovery)
+        except BaseException:
+            self.close()
+            raise
 
-    def _indexed_frames(self) -> List[FrameInfo]:
-        raise NotImplementedError
-
-    def _truncate_to(
-        self, good_end: int, file_size: int, recovery: StoreRecovery
-    ) -> None:
-        recovery.tail_bytes_truncated = file_size - good_end
-        recovery.frames_kept = len(self._indexed_frames())
-        self._handle.truncate(good_end)
+    def _truncate_to(self, scan: FrameScan, recovery: StoreRecovery) -> None:
+        recovery.tail_bytes_truncated = scan.tail_bytes
+        self._handle.truncate(scan.good_end)
         self._handle.flush()
         self.tail_bytes_truncated_total += recovery.tail_bytes_truncated
         if self.telemetry.enabled:
@@ -253,21 +291,21 @@ class _FrameLog:
         """Flag that on-disk bytes changed behind the index."""
         self._stale = True
 
-    def frame_count(self) -> int:
-        return len(self._indexed_frames())
+    def __len__(self) -> int:
+        return len(self._frames)
 
     def frame_span(self, index: int) -> Tuple[int, int]:
         """(file offset, total bytes incl. header) of frame ``index``."""
-        info = self._indexed_frames()[index]
+        info = self._frames[index]
         return info.offset, FRAME_HEADER_BYTES + info.length
 
-    def _append_payload(self, payload: bytes) -> FrameInfo:
+    def _append_payload(self, payload: bytes) -> None:
         self._require_fresh()
-        return write_frame(self._handle, payload)
+        self._frames.append(write_frame(self._handle, payload))
 
     def _read_payload(self, index: int) -> bytes:
         self._require_fresh()
-        return read_frame(self._handle, self._indexed_frames()[index])
+        return read_frame(self._handle, self._frames[index])
 
 
 class ChainStore(_FrameLog):
@@ -280,6 +318,8 @@ class ChainStore(_FrameLog):
     """
 
     LOG_NAME = "blocks.log"
+    LINKS = _BlockLinks
+    _peek = staticmethod(decode_block_header)
     SNAPSHOT_DIR = "snapshots"
     META_NAME = "meta.json"
 
@@ -297,9 +337,6 @@ class ChainStore(_FrameLog):
         self.snapshot_interval = snapshot_interval
         self.block_reward_wei = block_reward_wei
         self.genesis_allocations = dict(genesis_allocations or {})
-        self._entries: List[_Entry] = []
-        self._by_id: Dict[bytes, int] = {}
-        self._linear = True
         #: Incremental ledger cursor for cheap periodic snapshots:
         #: (height, block_id, state, nonces) at the last snapshotted
         #: point, advanced by replaying only the blocks in between.
@@ -312,45 +349,8 @@ class ChainStore(_FrameLog):
         )
         self._heal_manifest(self.last_recovery)
 
-    # -- index -------------------------------------------------------------
-
-    def _reset_index(self) -> None:
-        self._entries = []
-        self._by_id = {}
-        self._linear = True
-        self._ledger_cursor = None
-
-    def _indexed_frames(self) -> List[FrameInfo]:
-        return [entry.info for entry in self._entries]
-
-    def _index_payload(self, index: int, offset: int, payload: bytes) -> None:
-        header = _header_from_block_payload(payload)
-        block_id = header.header_hash()
-        if block_id in self._by_id:
-            raise StoreError(f"duplicate block frame {block_id.hex()[:12]}")
-        if index == 0:
-            if header.height != 0 or header.prev_block_id != GENESIS_PARENT:
-                raise StoreError("frame 0 is not a genesis block")
-        elif header.prev_block_id not in self._by_id:
-            raise StoreError(
-                f"frame {index} references an unknown parent "
-                "(parent-before-child order violated)"
-            )
-        if self._entries and (
-            header.prev_block_id != self._entries[-1].block_id
-            or header.height != self._entries[-1].height + 1
-        ):
-            self._linear = False
-        entry = _Entry(
-            info=FrameInfo(offset=offset, length=len(payload)),
-            block_id=block_id,
-            height=header.height,
-            prev_id=header.prev_block_id,
-        )
-        self._by_id[block_id] = index
-        self._entries.append(entry)
-
     def _finish_recovery(self, recovery: StoreRecovery) -> None:
+        self._ledger_cursor = None
         # snapshots attribute exists only after __init__ finishes; the
         # first open defers manifest healing to the constructor.
         if hasattr(self, "snapshots"):
@@ -385,15 +385,14 @@ class ChainStore(_FrameLog):
         for file in self.snapshots.files():
             try:
                 snapshot = self.snapshots.load_file(file)
-            except (StoreError, CodecError, OSError):
+            except (CodecError, OSError):
                 continue
             if self._snapshot_matches_log(snapshot):
                 heights.append(snapshot.height)
         return heights
 
     def _snapshot_matches_log(self, snapshot: LedgerSnapshot) -> bool:
-        index = self._by_id.get(snapshot.block_id)
-        return index is not None and self._entries[index].height == snapshot.height
+        return self._links.height_of(snapshot.block_id) == snapshot.height
 
     def _heal_manifest(self, recovery: StoreRecovery) -> None:
         """Reconcile the manifest with the snapshots actually on disk.
@@ -420,47 +419,43 @@ class ChainStore(_FrameLog):
 
     # -- appends -----------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, block_id: bytes) -> bool:
-        return block_id in self._by_id
+        return block_id in self._links.by_id
 
     @property
     def is_linear(self) -> bool:
         """True when the log is a single parent-to-child chain."""
-        return self._linear
+        return self._links.linear
 
     def append(self, block: Block) -> bool:
         """Log a block (idempotent by id); returns True if written."""
-        if block.block_id in self._by_id:
+        if block.block_id in self._links.by_id:
             return False
-        if not self._entries:
+        if not self._frames:
             if (
                 block.height != 0
                 or block.header.prev_block_id != GENESIS_PARENT
             ):
                 raise StoreError("first appended block must be a genesis")
-        elif block.header.prev_block_id not in self._by_id:
+        elif block.header.prev_block_id not in self._links.by_id:
             raise StoreError(
                 f"block {block.block_id.hex()[:12]} has no logged parent"
             )
-        payload = encode_block(block)
-        info = self._append_payload(payload)
-        self._index_payload(len(self._entries), info.offset, payload)
+        self._append_payload(encode_block(block))
+        self._links.add(block.header)
         if self.telemetry.enabled:
             self.telemetry.counter("store.blocks_appended").inc()
         return True
 
     def ensure_genesis(self, genesis: Block) -> None:
         """Seed an empty store, or assert it belongs to this chain."""
-        if not self._entries:
+        if not self._frames:
             self.append(genesis)
             return
-        if self._entries[0].block_id != genesis.block_id:
+        if self._links.ids[0] != genesis.block_id:
             raise StoreError(
                 "store belongs to a different chain "
-                f"(genesis {self._entries[0].block_id.hex()[:12]} != "
+                f"(genesis {self._links.ids[0].hex()[:12]} != "
                 f"{genesis.block_id.hex()[:12]})"
             )
 
@@ -470,7 +465,7 @@ class ChainStore(_FrameLog):
         """Decode frame ``index`` (CRC re-verified, Merkle re-derived)."""
         payload = self._read_payload(index)
         block = decode_block(payload)
-        if block.block_id != self._entries[index].block_id:
+        if block.block_id != self._links.ids[index]:
             raise StoreCorruption(
                 f"frame {index} decoded to an unexpected block id"
             )
@@ -478,7 +473,7 @@ class ChainStore(_FrameLog):
 
     def iter_blocks(self, start: int = 0) -> Iterator[Block]:
         """Stream decoded blocks from frame ``start`` onward."""
-        for index in range(start, len(self._entries)):
+        for index in range(start, len(self._frames)):
             yield self.block_at(index)
 
     def load_chain(
@@ -492,7 +487,7 @@ class ChainStore(_FrameLog):
         either way, since every surviving frame is decoded and
         re-verified.
         """
-        if not self._entries:
+        if not self._frames:
             return None
         chain = Blockchain(
             self.block_at(0), confirmation_depth=confirmation_depth
@@ -609,16 +604,16 @@ class ChainStore(_FrameLog):
         length.  A forky log falls back to rebuilding the block DAG to
         find the canonical path first.
         """
-        if not self._entries:
+        if not self._frames:
             raise StoreError("cannot replay the ledger of an empty store")
-        if self._linear:
+        if self._links.linear:
             snapshot = self.snapshots.latest_valid(
                 is_usable=self._snapshot_matches_log,
-                max_height=self._entries[-1].height,
+                max_height=self._links.heights[-1],
             )
             if snapshot is not None:
                 state, nonces = snapshot.restore_state()
-                start = self._by_id[snapshot.block_id] + 1
+                start = self._links.by_id[snapshot.block_id] + 1
                 snapshot_height: Optional[int] = snapshot.height
             else:
                 state, nonces = self._genesis_ledger()
@@ -631,7 +626,7 @@ class ChainStore(_FrameLog):
             result = LedgerReplay(
                 state=state,
                 nonces=nonces,
-                height=self._entries[-1].height,
+                height=self._links.heights[-1],
                 snapshot_height=snapshot_height,
                 frames_replayed=replayed,
             )
@@ -682,45 +677,23 @@ class HeaderStore(_FrameLog):
     """
 
     LOG_NAME = "headers.log"
-
-    def __init__(self, path, telemetry: Optional[Telemetry] = None) -> None:
-        self._infos: List[FrameInfo] = []
-        self._ids: List[bytes] = []
-        super().__init__(path, telemetry)
-
-    def _reset_index(self) -> None:
-        self._infos = []
-        self._ids = []
-
-    def _indexed_frames(self) -> List[FrameInfo]:
-        return self._infos
-
-    def _index_payload(self, index: int, offset: int, payload: bytes) -> None:
-        header = decode_header(payload)
-        if index == 0:
-            if header.height != 0 or header.prev_block_id != GENESIS_PARENT:
-                raise StoreError("frame 0 is not a genesis header")
-        elif (
-            header.height != index
-            or header.prev_block_id != self._ids[-1]
-        ):
-            raise StoreError(f"header frame {index} breaks the chain link")
-        self._infos.append(FrameInfo(offset=offset, length=len(payload)))
-        self._ids.append(header.header_hash())
-
-    def __len__(self) -> int:
-        return len(self._infos)
+    LINKS = _HeaderLinks
+    _peek = staticmethod(decode_header)
 
     def tip_id(self) -> Optional[bytes]:
-        return self._ids[-1] if self._ids else None
+        ids = self._links.ids
+        return ids[-1] if ids else None
 
     def append(self, header: BlockHeader) -> bool:
         """Log a header extending the stored tip (idempotent at tip)."""
-        if self._ids and header.header_hash() == self._ids[-1]:
+        if header.header_hash() == self.tip_id():
             return False
-        payload = encode_header(header)
-        info = self._append_payload(payload)
-        self._index_payload(len(self._infos), info.offset, payload)
+        self._require_fresh()
+        try:
+            self._links.add(header)
+        except StoreCorruption as error:
+            raise StoreError(str(error)) from error
+        self._append_payload(encode_header(header))
         if self.telemetry.enabled:
             self.telemetry.counter("store.headers_appended").inc()
         return True
@@ -728,21 +701,20 @@ class HeaderStore(_FrameLog):
     def truncate(self, height: int) -> int:
         """Drop frames at or above ``height`` (light-side reorg)."""
         self._require_fresh()
-        if height >= len(self._infos):
+        if height >= len(self._frames):
             return 0
-        dropped = len(self._infos) - height
-        offset = self._infos[height].offset
-        self._handle.truncate(offset)
+        dropped = len(self._frames) - height
+        self._handle.truncate(self._frames[height].offset)
         self._handle.flush()
-        del self._infos[height:]
-        del self._ids[height:]
+        del self._frames[height:]
+        del self._links.ids[height:]
         return dropped
 
     def ensure_genesis(self, header: BlockHeader) -> None:
         """Seed an empty store, or assert it matches this chain."""
-        if not self._ids:
+        if not self._frames:
             self.append(header)
-        elif self._ids[0] != header.header_hash():
+        elif self._links.ids[0] != header.header_hash():
             raise StoreError("header store belongs to a different chain")
 
     def header_at(self, index: int) -> BlockHeader:
@@ -753,7 +725,7 @@ class HeaderStore(_FrameLog):
         """Rebuild the in-memory header chain from the log."""
         headers = HeaderChain()
         replayed = 0
-        for index in range(len(self._infos)):
+        for index in range(len(self._frames)):
             if not headers.accept(self.header_at(index)):
                 break
             replayed += 1

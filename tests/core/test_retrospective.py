@@ -1,16 +1,11 @@
-"""Tests for retrospective detection and re-detection rounds."""
+"""Tests for re-detection rounds (`SmartCrowdPlatform.reopen_release`)."""
 
 import random
 
 import pytest
 
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
-from repro.core import (
-    ConsumerClient,
-    PlatformConfig,
-    RetrospectiveMonitor,
-    SmartCrowdPlatform,
-)
+from repro.core import ConsumerClient, PlatformConfig, SmartCrowdPlatform
 from repro.detection import DetectionCapability, Detector, build_detector_fleet, build_system
 from repro.units import to_wei
 
@@ -21,58 +16,6 @@ def _platform(detectors, seed=51):
         detectors,
         PlatformConfig(seed=seed, detection_window=600.0),
     )
-
-
-class TestMonitorBasics:
-    @pytest.fixture(scope="class")
-    def settled(self):
-        platform = _platform(build_detector_fleet(seed=51))
-        system = build_system("hub", "1.0.0", vulnerability_count=2, rng=random.Random(1))
-        platform.announce_release("provider-1", system)
-        platform.advance_for(900.0)
-        platform.finish_pending()
-        return platform, system
-
-    def test_deployed_consumer_notified(self, settled):
-        platform, system = settled
-        monitor = RetrospectiveMonitor(platform.chain)
-        monitor.register_deployment("alice", "hub", "1.0.0")
-        notifications = monitor.poll()
-        assert notifications
-        assert all(n.consumer_id == "alice" for n in notifications)
-        keys = {n.vulnerability_key for n in notifications}
-        assert keys <= {flaw.key for flaw in system.ground_truth}
-
-    def test_notifications_not_repeated(self, settled):
-        platform, _ = settled
-        monitor = RetrospectiveMonitor(platform.chain)
-        monitor.register_deployment("alice", "hub", "1.0.0")
-        first = monitor.poll()
-        second = monitor.poll()
-        assert first
-        assert second == []
-
-    def test_unaffected_consumer_not_notified(self, settled):
-        platform, _ = settled
-        monitor = RetrospectiveMonitor(platform.chain)
-        monitor.register_deployment("bob", "other-device", "9.9.9")
-        assert monitor.poll() == []
-
-    def test_unregister_stops_notifications(self, settled):
-        platform, _ = settled
-        monitor = RetrospectiveMonitor(platform.chain)
-        deployment = monitor.register_deployment("carol", "hub", "1.0.0")
-        monitor.unregister_deployment(deployment)
-        assert monitor.poll() == []
-
-    def test_multiple_consumers_each_notified(self, settled):
-        platform, _ = settled
-        monitor = RetrospectiveMonitor(platform.chain)
-        monitor.register_deployment("alice", "hub", "1.0.0")
-        monitor.register_deployment("bob", "hub", "1.0.0")
-        notifications = monitor.poll()
-        consumers = {n.consumer_id for n in notifications}
-        assert consumers == {"alice", "bob"}
 
 
 class TestReDetectionRound:
@@ -127,17 +70,6 @@ class TestReDetectionRound:
         assert case2.refunded_wei == 0  # flaws found this time
         assert sum(case2.awarded_counts.values()) > 0
 
-    def test_retrospective_notification_after_round2(self, platform_and_sras):
-        platform, _, _, system = platform_and_sras
-        monitor = RetrospectiveMonitor(platform.chain)
-        # Consumer deployed after the clean round 1.
-        monitor.register_deployment("dave", "cam", "3.0.0")
-        notifications = monitor.poll()
-        assert notifications
-        assert {n.vulnerability_key for n in notifications} <= {
-            flaw.key for flaw in system.ground_truth
-        }
-
     def test_consumer_reference_aggregates_rounds(self, platform_and_sras):
         platform, _, _, _ = platform_and_sras
         client = ConsumerClient(platform.chain)
@@ -157,86 +89,6 @@ class TestReDetectionRound:
         platform = _platform(build_detector_fleet(seed=54), seed=54)
         with pytest.raises(ValueError):
             platform.reopen_release(b"\x00" * 32)
-
-
-class TestIncrementalScanParity:
-    """The incremental chain scan must equal the full-rescan oracle."""
-
-    def _sorted_flaws(self, flaws):
-        return {
-            release: sorted(
-                (description.canonical, detector_id)
-                for description, detector_id in entries
-            )
-            for release, entries in flaws.items()
-            if entries
-        }
-
-    def test_incremental_scan_matches_full_rescan_at_every_poll(self):
-        platform = _platform(build_detector_fleet(seed=56), seed=56)
-        monitor = RetrospectiveMonitor(platform.chain)
-        monitor.register_deployment("erin", "hub-a", "1.0.0")
-        monitor.register_deployment("erin", "hub-b", "1.0.0")
-        for index, name in enumerate(("hub-a", "hub-b", "hub-c")):
-            system = build_system(
-                name, "1.0.0", vulnerability_count=2, rng=random.Random(60 + index)
-            )
-            platform.announce_release("provider-2", system, at_time=index * 400.0)
-        # Poll mid-run repeatedly so the scan advances in many small
-        # batches, then compare the cache against the oracle each time.
-        for _ in range(8):
-            platform.advance_for(250.0)
-            monitor.poll()
-            assert self._sorted_flaws(monitor._flaws) == self._sorted_flaws(
-                monitor._confirmed_flaws_by_release()
-            )
-        platform.finish_pending()
-        monitor.poll()
-        assert self._sorted_flaws(monitor._flaws) == self._sorted_flaws(
-            monitor._confirmed_flaws_by_release()
-        )
-
-    def test_incremental_notifications_match_fresh_monitor(self):
-        platform = _platform(build_detector_fleet(seed=57), seed=57)
-        polling = RetrospectiveMonitor(platform.chain)
-        polling.register_deployment("frank", "cam-x", "2.0.0")
-        system = build_system("cam-x", "2.0.0", vulnerability_count=3, rng=random.Random(70))
-        platform.announce_release("provider-1", system)
-        collected = []
-        for _ in range(6):
-            platform.advance_for(200.0)
-            collected.extend(polling.poll())
-        platform.finish_pending()
-        collected.extend(polling.poll())
-
-        fresh = RetrospectiveMonitor(platform.chain)
-        fresh.register_deployment("frank", "cam-x", "2.0.0")
-        single = fresh.poll()
-        assert sorted(n.vulnerability_key for n in collected) == sorted(
-            n.vulnerability_key for n in single
-        )
-
-    def test_boundary_mismatch_triggers_full_rebuild(self):
-        platform = _platform(build_detector_fleet(seed=58), seed=58)
-        system = build_system("lock-y", "1.0.0", vulnerability_count=2, rng=random.Random(80))
-        platform.announce_release("provider-3", system)
-        platform.advance_for(900.0)
-        platform.finish_pending()
-        monitor = RetrospectiveMonitor(platform.chain)
-        monitor.register_deployment("gus", "lock-y", "1.0.0")
-        first = monitor.poll()
-        # Simulate the scan boundary being rewritten (the reorg guard):
-        # the monitor must rebuild from genesis and reach the same state.
-        monitor._scanned_block_id = b"\xde\xad" * 16
-        before = self._sorted_flaws(monitor._flaws)
-        monitor.poll()
-        assert self._sorted_flaws(monitor._flaws) == before
-        assert self._sorted_flaws(monitor._flaws) == self._sorted_flaws(
-            monitor._confirmed_flaws_by_release()
-        )
-        # Dedup state survives the rebuild: nothing is re-notified.
-        assert first
-        assert monitor.poll() == []
 
 
 class TestExcludedKeysNotRepaid:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chain.block import Block, BlockHeader
+from repro.codec import CodecError, pack, unpack
 from repro.chain.consensus import make_genesis
 from repro.network.messages import Message, MessageKind
 from repro.shard import (
@@ -99,9 +100,56 @@ class TestErrors:
 
     def test_truncated_blob(self):
         blob = encode_frames([_frame()])
-        with pytest.raises(FrameError):
+        with pytest.raises(CodecError):
             decode_frames(blob[:-3])
 
     def test_truncated_length_prefix(self):
-        with pytest.raises(FrameError, match="length prefix"):
+        with pytest.raises(CodecError, match="length prefix"):
             decode_frames(b"\x00\x00")
+
+
+def _with_field(index: int, value: bytes) -> bytes:
+    fields = unpack(encode_frame(_frame()), 10)
+    fields[index] = value
+    return pack(fields)
+
+
+class TestOnlyFrameErrorsLeaveTheDecoder:
+    """Hostile frame bytes raise FrameError, never a bare built-in."""
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [
+            pytest.param(0, b"no-such-frame-kind", id="unknown-frame-kind"),
+            pytest.param(3, b"no-such-message-kind", id="unknown-message-kind"),
+            pytest.param(1, b"\xff\xfe", id="name-not-utf8"),
+            pytest.param(6, b"abc", id="three-byte-arrival"),
+            pytest.param(7, b"\x07", id="one-byte-seq"),
+        ],
+    )
+    def test_malformed_field(self, index, value):
+        with pytest.raises(FrameError, match="malformed"):
+            decode_frame(_with_field(index, value))
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [
+            pytest.param(8, b"\x10", id="flag-bit-no-encoder-sets"),
+            pytest.param(8, b"\x04", id="unknown-body-encoding"),
+            pytest.param(9, b"body", id="body-on-a-frame-that-carries-none"),
+        ],
+    )
+    def test_a_second_spelling_of_a_frame_rejected(self, index, value):
+        with pytest.raises(FrameError):
+            decode_frame(_with_field(index, value))
+
+    def test_a_block_body_that_does_not_decode_is_a_codec_error(self):
+        fields = unpack(
+            encode_frame(
+                _frame(kind=FrameKind.PAYLOAD, payload=make_genesis(difficulty=50))
+            ),
+            10,
+        )
+        fields[9] = fields[9][:-1]
+        with pytest.raises(CodecError):
+            decode_frame(pack(fields))

@@ -9,6 +9,7 @@ import pytest
 from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.chain import Blockchain
 from repro.chain.consensus import make_genesis
+from repro.codec import unpack_all
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import KeyPair
 
@@ -29,6 +30,13 @@ def _close_opened():
     yield
     while _OPENED:
         _OPENED.pop().close()
+
+
+def bump_last_prefix(framed: bytes, bump: int) -> bytes:
+    """Make the last field's length prefix claim ``bump`` more bytes."""
+    last = unpack_all(framed)[-1]
+    cut = len(framed) - len(last) - 4
+    return framed[:cut] + (len(last) + bump).to_bytes(4, "big") + framed[cut + 4 :]
 
 
 def make_record(label: str, index: int, payload: bytes = b"") -> ChainRecord:

@@ -8,11 +8,11 @@ from repro.store.frames import (
     FRAME_HEADER_BYTES,
     MAX_FRAME_BYTES,
     FrameInfo,
+    FrameScan,
     StoreCorruption,
     StoreError,
     frame_bytes,
     read_frame,
-    scan_frames,
     write_frame,
 )
 
@@ -22,6 +22,13 @@ def _log(*payloads: bytes) -> io.BytesIO:
     for payload in payloads:
         write_frame(handle, payload)
     return handle
+
+
+def _scan(handle):
+    """Run a scan to its end: (the scan, the FrameInfo of each frame seen)."""
+    scan = FrameScan(handle)
+    frames = [FrameInfo(offset, len(payload)) for offset, payload in scan]
+    return scan, frames
 
 
 class TestRoundTrip:
@@ -34,18 +41,18 @@ class TestRoundTrip:
 
     def test_empty_payload_is_a_valid_frame(self):
         handle = _log(b"")
-        scan = scan_frames(handle)
-        assert scan.clean
-        assert scan.frames == [FrameInfo(offset=0, length=0)]
+        scan, frames = _scan(handle)
+        assert scan.corruption is None
+        assert frames == [FrameInfo(offset=0, length=0)]
 
     def test_frames_append_back_to_back(self):
         handle = _log(b"one", b"twotwo", b"three")
-        scan = scan_frames(handle)
-        assert scan.clean
-        assert [info.length for info in scan.frames] == [3, 6, 5]
+        scan, frames = _scan(handle)
+        assert scan.corruption is None
+        assert [info.length for info in frames] == [3, 6, 5]
         assert scan.good_end == scan.file_size
         assert scan.tail_bytes == 0
-        for info, expected in zip(scan.frames, (b"one", b"twotwo", b"three")):
+        for info, expected in zip(frames, (b"one", b"twotwo", b"three")):
             assert read_frame(handle, info) == expected
 
     def test_oversize_payload_is_rejected_at_write(self):
@@ -58,56 +65,66 @@ class TestScanDetectsCorruption:
         handle = _log(b"good")
         handle.seek(0, 2)
         handle.write(b"\x00\x01\x02")  # 3 bytes: not even a header
-        scan = scan_frames(handle)
-        assert not scan.clean
+        scan, frames = _scan(handle)
         assert "torn frame header" in scan.corruption
-        assert len(scan.frames) == 1
+        assert len(frames) == 1
         assert scan.tail_bytes == 3
 
     def test_torn_payload_overruns_file(self):
         handle = _log(b"good", b"this frame will be cut")
         data = handle.getvalue()
         cut = io.BytesIO(data[:-5])
-        scan = scan_frames(cut)
-        assert not scan.clean
+        scan, frames = _scan(cut)
         assert "torn write" in scan.corruption
-        assert len(scan.frames) == 1
+        assert "by 5 bytes" in scan.corruption
+        assert len(frames) == 1
         assert scan.good_end == FRAME_HEADER_BYTES + 4
 
     def test_implausible_length_reads_as_corruption(self):
         handle = io.BytesIO()
         handle.write((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"\x00" * 4)
-        scan = scan_frames(handle)
-        assert not scan.clean
+        scan, frames = _scan(handle)
         assert "implausible frame length" in scan.corruption
-        assert scan.frames == []
+        assert frames == []
         assert scan.good_end == 0
 
     def test_flipped_payload_bit_fails_checksum(self):
         handle = _log(b"good", b"target payload")
         data = bytearray(handle.getvalue())
         data[FRAME_HEADER_BYTES + 4 + FRAME_HEADER_BYTES + 3] ^= 0x10
-        scan = scan_frames(io.BytesIO(bytes(data)))
-        assert not scan.clean
+        scan, frames = _scan(io.BytesIO(bytes(data)))
         assert "checksum mismatch" in scan.corruption
-        assert len(scan.frames) == 1
+        assert len(frames) == 1
 
     def test_scan_stops_at_first_bad_frame(self):
         handle = _log(b"a", b"b", b"c")
         data = bytearray(handle.getvalue())
         second_offset = FRAME_HEADER_BYTES + 1
         data[second_offset + FRAME_HEADER_BYTES] ^= 0xFF  # break frame 1
-        scan = scan_frames(io.BytesIO(bytes(data)))
-        assert len(scan.frames) == 1  # frame 2 is untrusted even if intact
-        assert scan.corrupt_offset == second_offset
+        scan, frames = _scan(io.BytesIO(bytes(data)))
+        assert len(frames) == 1  # frame 2 is untrusted even if intact
+        assert scan.good_end == second_offset
 
-    def test_on_payload_sees_only_verified_frames(self):
+    def test_the_consumer_sees_only_verified_frames(self):
         handle = _log(b"a", b"bb")
         handle.seek(0, 2)
         handle.write(b"junk")
+        seen = [payload for _, payload in FrameScan(handle)]
+        assert seen == [b"a", b"bb"]
+
+    def test_a_rejected_frame_ends_the_walk_at_its_own_offset(self):
+        handle = _log(b"a", b"bb", b"ccc")
+        scan = FrameScan(handle)
         seen = []
-        scan_frames(handle, on_payload=lambda i, off, p: seen.append((i, p)))
-        assert seen == [(0, b"a"), (1, b"bb")]
+        for offset, payload in scan:
+            if payload == b"bb":
+                scan.reject("frame 1 does not decode")
+            else:
+                seen.append(payload)
+        assert seen == [b"a"]  # frame 2 is never offered
+        assert scan.corruption == "frame 1 does not decode"
+        assert scan.good_end == FRAME_HEADER_BYTES + 1
+        assert scan.tail_bytes == 2 * FRAME_HEADER_BYTES + 5
 
 
 class TestReadFrameReVerifies:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.chain.serialization import encode_block, encode_header
+from repro.codec import pack, unpack
 from repro.store import (
     ChainStore,
     HeaderStore,
@@ -14,6 +16,7 @@ from repro.store import (
     flip_bit,
     tear_frame,
 )
+from repro.store.frames import frame_bytes
 from repro.store.fsck import EXIT_CLEAN, EXIT_CORRUPT, EXIT_UNUSABLE, fsck
 from repro.store.__main__ import main
 
@@ -157,6 +160,55 @@ class TestHeaderStoreFsck:
         report = fsck(store.path)
         assert "bad-frame" in _issue_kinds(report)
         assert report.frames_ok == 3
+
+
+class TestCrcValidFrameThatDoesNotDecode:
+    """A frame that passes its checksum but is not a block is corruption.
+
+    Frame 1's timestamp field is ``b"notafloat"`` under a correct CRC:
+    the store truncates it on open and fsck reports it, neither raises.
+    """
+
+    CHAIN = build_chain(2)
+
+    @pytest.fixture(params=["blocks.log", "headers.log"])
+    def poisoned(self, request, tmp_path):
+        path = tmp_path / "store"
+        if request.param == "blocks.log":
+            store_class, first = ChainStore, self.CHAIN.genesis
+            fields = unpack(encode_block(self.CHAIN.block_at_height(1)), 8)
+        else:
+            store_class, first = HeaderStore, self.CHAIN.genesis.header
+            fields = unpack(encode_header(self.CHAIN.block_at_height(1).header), 7)
+        store = store_class(path)
+        store.append(first)
+        store.close()
+        good = (path / request.param).read_bytes()
+        fields[2] = b"notafloat"
+        (path / request.param).write_bytes(good + frame_bytes(pack(fields)))
+        return store_class, path, good
+
+    def test_fsck_reports_a_bad_frame(self, poisoned, capsys):
+        _, path, good = poisoned
+        report = fsck(path)
+        assert _issue_kinds(report) == {"bad-frame"}
+        assert report.frames_ok == 1
+        assert "frame 1" in report.issues[0].detail
+        assert f"offset {len(good)}" in report.issues[0].detail
+        assert report.exit_code == EXIT_CORRUPT
+        assert main(["fsck", str(path)]) == EXIT_CORRUPT
+        assert "bad-frame" in capsys.readouterr().out
+
+    def test_open_keeps_the_good_prefix_and_truncates_the_rest(self, poisoned):
+        store_class, path, good = poisoned
+        store = opened(store_class(path))
+        assert len(store) == 1
+        recovery = store.last_recovery
+        assert recovery.frames_kept == 1
+        assert "undecodable frame 1" in recovery.corruption
+        assert recovery.tail_bytes_truncated > 0
+        assert store.log_path.read_bytes() == good
+        assert fsck(path).ok
 
 
 class TestUnusablePaths:

@@ -1,12 +1,19 @@
 """Property tests: arbitrary chains survive the store, corruption never does.
 
-Two claims the durability layer stakes its correctness on:
+Three claims the framing layer stakes its correctness on:
 
 * round-trip — any chain of well-formed blocks written through
   :class:`ChainStore` is byte-identical after a cold reopen + replay;
-* rejection — any torn truncation or single-byte corruption of the log
-  is *detected* (truncated to a byte-identical good prefix, or surfaced
-  as an error), never mis-decoded into a different chain.
+* rejection — any torn truncation or single-byte corruption of a CRC
+  framing (``blocks.log``, ``headers.log``, ``ledger-*.snap``,
+  ``index.snap``) is *detected* (truncated to a byte-identical good
+  prefix, or surfaced as :class:`StoreCorruption`), never mis-decoded
+  into a different value;
+* one error, one byte form — hostile bytes into a plain framing
+  (``unpack_all``, a block, a chain dump, a barrier blob, a snapshot
+  body, an index-state body) either decode or raise the
+  :class:`CodecError` family, and what decodes re-encodes to the same
+  bytes.
 """
 
 import io
@@ -14,16 +21,49 @@ import tempfile
 from contextlib import closing, contextmanager
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.serialization import encode_block
+from repro.chain.serialization import (
+    decode_block,
+    encode_block,
+    encode_header,
+    export_chain,
+    import_chain,
+)
+from repro.codec import CodecError, pack, unpack, unpack_all
 from repro.crypto.keys import Address
-from repro.codec import CodecError
-from repro.store import ChainStore, LedgerSnapshot, StoreError
-from repro.store.frames import FRAME_HEADER_BYTES, scan_frames, write_frame
+from repro.network.messages import MessageKind
+from repro.query.indices import ChainIndex
+from repro.query.persistence import decode_index_state, encode_index_state
+from repro.shard.frames import (
+    CrossShardFrame,
+    FrameKind,
+    decode_frames,
+    encode_frames,
+)
+from repro.store import (
+    ChainStore,
+    HeaderStore,
+    LedgerSnapshot,
+    SnapshotStore,
+    StoreCorruption,
+    read_index_file,
+    write_index_file,
+)
+from repro.store.frames import FRAME_HEADER_BYTES, FrameScan, write_frame
 
-from tests.store.conftest import build_chain
+from tests.query.conftest import build_mixed_chain
+from tests.store.conftest import build_chain, bump_last_prefix
+
+#: log file -> (store class, what a block contributes, its encoder, the read).
+LOGS = {
+    "blocks.log": (ChainStore, lambda b: b, encode_block, ChainStore.block_at),
+    "headers.log": (
+        HeaderStore, lambda b: b.header, encode_header, HeaderStore.header_at,
+    ),
+}
 
 
 @contextmanager
@@ -35,12 +75,31 @@ def _fresh_store_dir():
         yield Path(root) / "replica"
 
 
-def _fill(path, chain):
-    store = ChainStore(path)
+def _fill(path, chain, log="blocks.log"):
+    store_class, item_of, _, _ = LOGS[log]
+    store = store_class(path)
     for block in chain.iter_canonical():
-        store.append(block)
+        store.append(item_of(block))
     store.close()
     return store.log_path.read_bytes()
+
+
+@st.composite
+def _hostile(draw, original: bytes):
+    """``(how, bytes)``: one way outside bytes differ from an encoder's."""
+    how = draw(st.sampled_from(["cut", "flip", "stray", "bump", "binary"]))
+    if how == "cut":
+        return how, original[: draw(st.integers(0, len(original) - 1))]
+    if how == "flip":
+        bit = draw(st.integers(0, len(original) * 8 - 1))
+        mutated = bytearray(original)
+        mutated[bit // 8] ^= 1 << (bit % 8)
+        return how, bytes(mutated)
+    if how == "stray":
+        return how, original + draw(st.binary(min_size=1, max_size=3))
+    if how == "bump":
+        return how, bump_last_prefix(original, draw(st.sampled_from([1, 77, 1000])))
+    return how, draw(st.binary(max_size=300))
 
 
 class TestRoundTrip:
@@ -68,10 +127,9 @@ class TestRoundTrip:
         handle = io.BytesIO()
         for payload in payloads:
             write_frame(handle, payload)
-        seen = []
-        scan = scan_frames(handle, on_payload=lambda i, off, p: seen.append(p))
-        assert scan.clean
-        assert seen == payloads
+        scan = FrameScan(handle)
+        assert [payload for _, payload in scan] == payloads
+        assert scan.corruption is None
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -88,9 +146,10 @@ class TestRoundTrip:
             st.integers(min_value=0, max_value=2**32),
             max_size=5,
         ),
+        data=st.data(),
     )
     def test_ledger_snapshot_round_trips(
-        self, height, block_id, minted, balances, nonces
+        self, height, block_id, minted, balances, nonces, data
     ):
         snapshot = LedgerSnapshot(
             height=height,
@@ -99,7 +158,37 @@ class TestRoundTrip:
             nonces=nonces,
             minted=minted,
         )
-        assert LedgerSnapshot.from_bytes(snapshot.to_bytes()) == snapshot
+        encoded = snapshot.to_bytes()
+        assert LedgerSnapshot.from_bytes(encoded) == snapshot
+        _, hostile = data.draw(_hostile(encoded))
+        try:
+            decoded = LedgerSnapshot.from_bytes(hostile)
+        except CodecError:
+            return
+        assert decoded.to_bytes() == hostile
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        blocks=st.integers(min_value=1, max_value=4),
+        records=st.integers(min_value=0, max_value=3),
+        data=st.data(),
+    )
+    def test_any_chain_has_one_byte_form(self, blocks, records, data):
+        chain = build_chain(blocks, records_per_block=records)
+        dump = export_chain(chain)
+        assert export_chain(import_chain(dump)) == dump
+        for encoded in unpack_all(dump):
+            assert encode_block(decode_block(encoded)) == encoded
+        for original, decode, encode in (
+            (dump, import_chain, export_chain),
+            (unpack_all(dump)[-1], decode_block, encode_block),
+        ):
+            _, hostile = data.draw(_hostile(original))
+            try:
+                value = decode(hostile)
+            except CodecError:
+                continue
+            assert encode(value) == hostile
 
 
 class TestCorruptionIsAlwaysDetected:
@@ -107,19 +196,21 @@ class TestCorruptionIsAlwaysDetected:
     # slow part, and the corruption space being explored is byte offsets.
     CHAIN = build_chain(4)
 
+    @pytest.mark.parametrize("log", LOGS)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_any_truncation_keeps_only_a_byte_identical_prefix(self, data):
+    def test_any_truncation_keeps_only_a_byte_identical_prefix(self, log, data):
         chain = self.CHAIN
+        store_class, item_of, encode, read = LOGS[log]
         with _fresh_store_dir() as path:
-            original = _fill(path, chain)
+            original = _fill(path, chain, log)
             cut = data.draw(
                 st.integers(min_value=0, max_value=len(original) - 1),
                 label="cut",
             )
-            (path / "blocks.log").write_bytes(original[:cut])
+            (path / log).write_bytes(original[:cut])
 
-            with closing(ChainStore(path)) as reopened:
+            with closing(store_class(path)) as reopened:
                 recovery = reopened.last_recovery
                 surviving = reopened.log_path.read_bytes()
                 assert original.startswith(surviving)
@@ -128,21 +219,23 @@ class TestCorruptionIsAlwaysDetected:
                     assert surviving == original[:cut]
                 else:
                     assert recovery.tail_bytes_truncated > 0
-                # Every surviving block is the original block, bit for bit.
+                # Every surviving frame is the original frame, bit for bit.
                 for index in range(len(reopened)):
-                    assert encode_block(reopened.block_at(index)) == encode_block(
-                        chain.block_at_height(index)
+                    assert encode(read(reopened, index)) == encode(
+                        item_of(chain.block_at_height(index))
                     )
 
+    @pytest.mark.parametrize("log", LOGS)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_any_single_byte_corruption_is_rejected_never_misdecoded(
-        self, data
+        self, log, data
     ):
         chain = self.CHAIN
-        original_ids = [block.block_id for block in chain.iter_canonical()]
+        store_class, item_of, encode, read = LOGS[log]
+        frames = [encode(item_of(block)) for block in chain.iter_canonical()]
         with _fresh_store_dir() as path:
-            original = _fill(path, chain)
+            original = _fill(path, chain, log)
             offset = data.draw(
                 st.integers(min_value=0, max_value=len(original) - 1),
                 label="offset",
@@ -152,24 +245,198 @@ class TestCorruptionIsAlwaysDetected:
             )
             mutated = bytearray(original)
             mutated[offset] ^= delta
-            (path / "blocks.log").write_bytes(bytes(mutated))
+            (path / log).write_bytes(bytes(mutated))
 
-            try:
-                reopened = ChainStore(path)
-            except (StoreError, CodecError):
-                return  # rejected outright: acceptable
-            with closing(reopened):
+            # Opening never raises on corrupt bytes: it truncates.
+            with closing(store_class(path)) as reopened:
                 # CRC-32 catches every single-byte error, so the reopen can
                 # never be clean — and never yields a different chain.
                 assert not reopened.last_recovery.clean
                 kept = len(reopened)
-                assert kept < len(original_ids)
+                assert kept < len(frames)
                 for index in range(kept):
-                    assert reopened.block_at(index).block_id == original_ids[index]
+                    assert encode(read(reopened, index)) == frames[index]
                 # The flipped byte sits past everything that was kept.
                 span_end = sum(
-                    FRAME_HEADER_BYTES
-                    + len(encode_block(chain.block_at_height(i)))
-                    for i in range(kept)
+                    FRAME_HEADER_BYTES + len(frame) for frame in frames[:kept]
                 )
                 assert span_end <= offset
+
+
+def _sample_snapshot() -> LedgerSnapshot:
+    chain = TestCorruptionIsAlwaysDetected.CHAIN
+    return LedgerSnapshot(
+        height=chain.height,
+        block_id=chain.head.block_id,
+        balances={Address(b"\x02" * 20): 5, Address(b"\x01" * 20): 7 * 10**20},
+        nonces={Address(b"\x02" * 20): 3},
+        minted=7 * 10**20 + 5,
+    )
+
+
+def _write_snapshot(directory: Path) -> Path:
+    return SnapshotStore(directory).write(_sample_snapshot())
+
+
+def _write_index(directory: Path) -> Path:
+    chain = TestCorruptionIsAlwaysDetected.CHAIN
+    return write_index_file(
+        directory / "index.snap", chain.height, chain.head.block_id, b"body" * 9
+    )
+
+
+class TestSingleFrameFilesAreAlwaysDetected:
+    """``ledger-*.snap`` and ``index.snap``: one frame, all or nothing."""
+
+    FILES = {
+        "ledger.snap": (_write_snapshot, SnapshotStore.load_file),
+        "index.snap": (_write_index, read_index_file),
+    }
+
+    @pytest.mark.parametrize("name", FILES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation_or_single_byte_corruption_is_store_corruption(
+        self, name, data
+    ):
+        write, read = self.FILES[name]
+        with tempfile.TemporaryDirectory(prefix="frame-prop-") as root:
+            file = write(Path(root))
+            pristine = read(file)
+            original = file.read_bytes()
+            offset = data.draw(st.integers(0, len(original) - 1), label="offset")
+            delta = data.draw(st.integers(0, 255), label="xor (0 = cut here)")
+            if delta:
+                mutated = bytearray(original)
+                mutated[offset] ^= delta
+                file.write_bytes(bytes(mutated))
+            else:
+                file.write_bytes(original[:offset])
+            with pytest.raises(StoreCorruption):
+                read(file)
+            file.write_bytes(original)
+            assert read(file) == pristine
+
+
+def _barrier_blob() -> bytes:
+    genesis = TestCorruptionIsAlwaysDetected.CHAIN.genesis
+    head = TestCorruptionIsAlwaysDetected.CHAIN.head
+    common = dict(
+        src="provider-0", dst="light-3", origin="provider-0",
+        message_kind=MessageKind.BLOCK_ANNOUNCE, dedup_key=b"\x01" * 16,
+    )
+    return encode_frames(
+        [
+            CrossShardFrame(kind=FrameKind.INV, arrival=1.25, seq=0, **common),
+            CrossShardFrame(
+                kind=FrameKind.GETDATA, arrival=1.5, seq=1, wants_headers=True,
+                **common,
+            ),
+            CrossShardFrame(
+                kind=FrameKind.PAYLOAD, arrival=2.0, seq=2, payload=head, **common
+            ),
+            CrossShardFrame(
+                kind=FrameKind.PAYLOAD, arrival=2.5, seq=3, payload=genesis.header,
+                **common,
+            ),
+            CrossShardFrame(
+                kind=FrameKind.PAYLOAD, arrival=3.0, seq=4, payload=b"raw", **common
+            ),
+        ]
+    )
+
+
+class TestPlainFramings:
+    """No CRC here: the decoder itself is the only check on outside bytes."""
+
+    #: name -> (an encoder's output, decode, encode, canonical to the value).
+    #: The index-state body is canonical at its framing only: a flipped
+    #: string reference decodes to another well-formed state whose string
+    #: table the encoder would order differently.  Its integrity is the
+    #: CRC envelope and the tip check of ``index.snap``; re-encoding on
+    #: every warm start to compare would cost what the warm start saves.
+    FRAMINGS = {
+        "unpack_all": (pack([b"", b"abc", b"\x00" * 7]), unpack_all, pack, True),
+        "block": (
+            encode_block(build_chain(1, records_per_block=3).head),
+            decode_block, encode_block, True,
+        ),
+        "chain-dump": (
+            export_chain(TestCorruptionIsAlwaysDetected.CHAIN),
+            import_chain, export_chain, True,
+        ),
+        "barrier-blob": (_barrier_blob(), decode_frames, encode_frames, True),
+        "snapshot": (
+            _sample_snapshot().to_bytes(),
+            LedgerSnapshot.from_bytes, LedgerSnapshot.to_bytes, True,
+        ),
+        "index-state": (
+            encode_index_state(
+                ChainIndex(build_mixed_chain(seed=11, blocks=8)[0]).dump_state()
+            ),
+            decode_index_state, encode_index_state, False,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", FRAMINGS)
+    def test_an_encoders_output_round_trips(self, name):
+        original, decode, encode, _ = self.FRAMINGS[name]
+        assert encode(decode(original)) == original
+
+    @pytest.mark.parametrize("name", FRAMINGS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_hostile_bytes_decode_canonically_or_raise_the_codec_family(
+        self, name, data
+    ):
+        original, decode, encode, value_canonical = self.FRAMINGS[name]
+        how, hostile = data.draw(_hostile(original))
+        try:
+            # Anything but the codec family (struct.error, IndexError,
+            # UnicodeDecodeError, a bare ValueError) fails the test.
+            value = decode(hostile)
+        except CodecError:
+            return
+        if value_canonical or how != "flip":
+            assert encode(value) == hostile
+
+
+class TestSnapshotDecodeIsCanonical:
+    BODY = _sample_snapshot().to_bytes()
+
+    def _with_balances(self, table: bytes) -> bytes:
+        fields = unpack(self.BODY, 6)
+        fields[4] = table
+        return pack(fields)
+
+    @pytest.mark.parametrize("bump", [1, 77, 1000])
+    def test_lying_last_account_prefix_rejected(self, bump):
+        table = bump_last_prefix(unpack(self.BODY, 6)[4], bump)
+        with pytest.raises(CodecError, match="overruns"):
+            LedgerSnapshot.from_bytes(self._with_balances(table))
+
+    @pytest.mark.parametrize("stray", [b"\x00", b"\x00\x00", b"\x00\x00\x00"])
+    def test_stray_tail_rejected(self, stray):
+        with pytest.raises(CodecError):
+            LedgerSnapshot.from_bytes(self.BODY + stray)
+        with pytest.raises(CodecError):
+            LedgerSnapshot.from_bytes(
+                self._with_balances(unpack(self.BODY, 6)[4] + stray)
+            )
+
+    def test_short_address_is_a_codec_error(self):
+        table = pack([pack([b"short", b"\x01"])])
+        with pytest.raises(CodecError, match="20 bytes"):
+            LedgerSnapshot.from_bytes(self._with_balances(table))
+
+    def test_unsorted_accounts_rejected(self):
+        entries = unpack_all(unpack(self.BODY, 6)[4])
+        assert len(entries) == 2
+        with pytest.raises(CodecError, match="canonical"):
+            LedgerSnapshot.from_bytes(self._with_balances(pack(entries[::-1])))
+
+    def test_padded_integer_rejected(self):
+        address, amount = unpack(unpack_all(unpack(self.BODY, 6)[4])[0], 2)
+        padded = pack([pack([address, b"\x00" + amount])])
+        with pytest.raises(CodecError, match="canonical"):
+            LedgerSnapshot.from_bytes(self._with_balances(padded))

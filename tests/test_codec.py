@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.codec import CodecError, pack, unpack
+from repro.codec import CodecError, pack, unpack, unpack_all
 
 
 class TestPackUnpack:
@@ -45,3 +45,32 @@ class TestPackUnpack:
         shifted = fields[1:] + fields[:1]
         if shifted != fields:
             assert pack(fields) != pack(shifted)
+
+
+class TestTheOneWalker:
+    """``unpack_all`` is strict: a byte string frames at most one field list."""
+
+    def test_walks_without_knowing_the_count(self):
+        fields = [b"", b"abc", b"\x00" * 5]
+        assert unpack_all(pack(fields)) == fields
+        assert unpack_all(b"") == []
+
+    @pytest.mark.parametrize("bump", [1, 77, 1000])
+    def test_lying_last_prefix_rejected(self, bump):
+        payload = pack([b"first", b"last"])
+        lying = payload[:-8] + (4 + bump).to_bytes(4, "big") + payload[-4:]
+        with pytest.raises(CodecError, match="overruns"):
+            unpack_all(lying)
+
+    @pytest.mark.parametrize("stray", [b"\x00", b"\x00\x00", b"\x00\x00\x00"])
+    def test_stray_tail_rejected(self, stray):
+        with pytest.raises(CodecError, match="length prefix"):
+            unpack_all(pack([b"whole"]) + stray)
+
+    @given(st.binary(max_size=64))
+    def test_property_decode_is_canonical(self, data):
+        try:
+            fields = unpack_all(data)
+        except CodecError:
+            return
+        assert pack(fields) == data

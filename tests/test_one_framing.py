@@ -1,0 +1,126 @@
+"""One framing layer — pinned structurally.
+
+``repro/codec.py::unpack_all`` is the only loop under ``src/`` that
+walks a ``u32 length ‖ bytes`` sequence, ``repro/store/frames.py`` the
+only module that computes a frame checksum, and ``CodecError`` the one
+root a reader of outside bytes catches.  This walk fails the day a
+module grows its own walker (three of the six that used to exist did
+not check the last prefix), its own CRC header parser, or a handler
+that has to name two error roots again.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: Modules that may slice a length out of a buffer inside a loop.
+WALKERS = {
+    "codec.py",  # the u32 walker
+    "detection/artifacts.py",  # u16 marker scan of a firmware image, not a framing
+}
+CHECKSUMMERS = {"store/frames.py"}
+
+#: Names of the callback scanner and the per-read index hook it needed.
+DELETED_NAMES = ("_indexed_frames", "on_payload")
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        yield path.relative_to(SRC).as_posix(), text, ast.parse(text, filename=str(path))
+
+
+def _is_call(node, owner: str, name: str) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+        and getattr(node.func.value, "id", None) == owner
+    )
+
+
+def _length_reads_in_loops():
+    """``int.from_bytes(buffer[a:b], ...)`` anywhere inside a while/for."""
+    for module, _, tree in _modules():
+        for loop in ast.walk(tree):
+            if not isinstance(loop, (ast.While, ast.For)):
+                continue
+            for node in ast.walk(loop):
+                if (
+                    _is_call(node, "int", "from_bytes")
+                    and node.args
+                    and isinstance(node.args[0], ast.Subscript)
+                    and isinstance(node.args[0].slice, ast.Slice)
+                ):
+                    yield module, node.lineno
+
+
+def _checksum_calls():
+    for module, _, tree in _modules():
+        for node in ast.walk(tree):
+            if _is_call(node, "zlib", "crc32"):
+                yield module, node.lineno
+
+
+def test_only_the_codec_walks_length_prefixes():
+    strays = sorted(
+        {
+            f"src/repro/{module}:{line}"
+            for module, line in _length_reads_in_loops()
+            if module not in WALKERS
+        }
+    )
+    assert not strays, (
+        "a u32 length ‖ bytes sequence is walked by repro.codec.unpack_all "
+        "only (it is strict; a hand-written loop usually is not):\n  "
+        + "\n  ".join(strays)
+    )
+
+
+def test_only_the_frame_module_checksums():
+    strays = [
+        f"src/repro/{module}:{line}"
+        for module, line in _checksum_calls()
+        if module not in CHECKSUMMERS
+    ]
+    assert not strays, (
+        "the CRC frame header is parsed by repro/store/frames.py only "
+        "(FrameScan, read_frame, read_single_frame):\n  " + "\n  ".join(strays)
+    )
+
+
+def test_the_walk_sees_what_it_guards():
+    assert {module for module, _ in _length_reads_in_loops()} == WALKERS
+    assert {module for module, _ in _checksum_calls()} == CHECKSUMMERS
+
+
+def test_no_handler_names_two_error_roots():
+    strays = []
+    for module, _, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {
+                    getattr(name, "id", getattr(name, "attr", None))
+                    for name in ast.walk(node.type)
+                }
+                if {"CodecError", "StoreError"} <= caught:
+                    strays.append(f"src/repro/{module}:{node.lineno}")
+    assert not strays, (
+        "bytes that do not decode raise CodecError (StoreCorruption and "
+        "FrameError sit under it); StoreError is misuse and is not caught "
+        "beside it:\n  " + "\n  ".join(strays)
+    )
+
+
+def test_the_callback_scanner_stays_deleted():
+    strays = [
+        f"src/repro/{module}: {name}"
+        for module, text, _ in _modules()
+        for name in DELETED_NAMES
+        if name in text
+    ]
+    assert not strays, (
+        "FrameScan is an iterator that knows where it stopped; the store "
+        "owns its FrameInfo list:\n  " + "\n  ".join(strays)
+    )

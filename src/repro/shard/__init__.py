@@ -5,7 +5,7 @@ loop: a :class:`FleetSpec` describes the fleet once, a
 :class:`ShardPlan` partitions it (topology-aware slices or consistent
 hashing), and :class:`ShardedSimulator` runs each shard's simulator
 independently between deterministic epoch barriers, exchanging
-cross-shard inv/getdata/payload traffic as length-prefixed frames
+cross-shard inv/getdata/payload traffic as barrier blobs of frame rows
 (:mod:`repro.shard.frames`).  ``jobs=1`` is the always-live parity
 oracle: parallel runs are seed-for-seed bit-identical to it, and a
 one-shard fleet is bit-identical to
@@ -17,9 +17,7 @@ from repro.shard.frames import (
     CrossShardFrame,
     FrameError,
     FrameKind,
-    decode_frame,
     decode_frames,
-    encode_frame,
     encode_frames,
 )
 from repro.shard.plan import ShardPlan, build_plan, derive_shard_seeds
@@ -35,9 +33,7 @@ __all__ = [
     "ShardState",
     "ShardedSimulator",
     "build_plan",
-    "decode_frame",
     "decode_frames",
     "derive_shard_seeds",
-    "encode_frame",
     "encode_frames",
 ]

@@ -7,8 +7,8 @@ Simulator`, :class:`~repro.network.gossip.GossipNetwork` over the full
 overlay graph, and replica/light-replica nodes for the members it owns.
 Shards advance in lock-step *epochs*: all shards run to the same
 deadline, then cross-shard inv/getdata/payload traffic — flattened to
-length-prefixed frames (:mod:`repro.shard.frames`) — is exchanged at
-the barrier and scheduled into its destination shard.
+one table of frame rows per shard pair (:mod:`repro.shard.frames`) — is
+exchanged at the barrier and scheduled into its destination shard.
 
 :class:`ShardState` is the only code that builds or reconciles a fleet:
 :class:`~repro.core.distributed.DistributedChain` is one such world
@@ -64,6 +64,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+import networkx as nx
 
 from repro.chain.block import Block, ChainRecord
 from repro.chain.consensus import make_genesis
@@ -148,16 +150,16 @@ class ShardGateway:
         """Queue a payload frame (flood push or a served pull)."""
         self.outbox.append(
             CrossShardFrame(
-                kind=FrameKind.PAYLOAD,
-                src=src,
-                dst=dst,
-                message_kind=message.kind,
-                origin=message.origin,
-                dedup_key=message.dedup_key,
-                arrival=arrival,
-                seq=next(self._seq),
-                wants_headers=reduce_for_delivery,
-                payload=message.payload,
+                FrameKind.PAYLOAD,
+                src,
+                dst,
+                message.kind,
+                message.origin,
+                message.dedup_key,
+                arrival,
+                next(self._seq),
+                reduce_for_delivery,
+                message.payload,
             )
         )
 
@@ -166,14 +168,14 @@ class ShardGateway:
         self.content[message.dedup_key] = message
         self.outbox.append(
             CrossShardFrame(
-                kind=FrameKind.INV,
-                src=src,
-                dst=dst,
-                message_kind=message.kind,
-                origin=message.origin,
-                dedup_key=message.dedup_key,
-                arrival=arrival,
-                seq=next(self._seq),
+                FrameKind.INV,
+                src,
+                dst,
+                message.kind,
+                message.origin,
+                message.dedup_key,
+                arrival,
+                next(self._seq),
             )
         )
 
@@ -190,15 +192,15 @@ class ShardGateway:
         """Queue the pull back to an announcing shard."""
         self.outbox.append(
             CrossShardFrame(
-                kind=FrameKind.GETDATA,
-                src=src,
-                dst=dst,
-                message_kind=message_kind,
-                origin=origin,
-                dedup_key=dedup_key,
-                arrival=arrival,
-                seq=next(self._seq),
-                wants_headers=wants_headers,
+                FrameKind.GETDATA,
+                src,
+                dst,
+                message_kind,
+                origin,
+                dedup_key,
+                arrival,
+                next(self._seq),
+                wants_headers,
             )
         )
 
@@ -255,6 +257,9 @@ class ShardState:
     ``edge_names`` reserves overlay positions for members that hold no
     replica.  ``telemetry`` is the caller's own sink (an in-process
     world only; worker-built worlds make theirs and ship it back).
+    ``overlay`` is the graph another world of the same blueprint built
+    (``network.topology``): a world only reads it, so one per process
+    serves them all.
     """
 
     def __init__(
@@ -264,6 +269,7 @@ class ShardState:
         make_full: Optional[Callable[..., ReplicaNode]] = None,
         edge_names: Tuple[str, ...] = (),
         telemetry: Optional[Telemetry] = None,
+        overlay: Optional[nx.Graph] = None,
     ) -> None:
         spec = blueprint.spec
         self.index = index
@@ -273,26 +279,26 @@ class ShardState:
             telemetry = Telemetry()
         self.telemetry = telemetry
         self.simulator = Simulator(telemetry=telemetry)
-        # ``edge_names`` sit on the overlay after the fleet's own ring
-        # but hold no replica; whoever builds those nodes attaches them
-        # to ``self.network``.
-        ring_order = [
-            *_interleave(list(blueprint.full_names), spec.light_names()),
-            *edge_names,
-        ]
         config = spec.network
-        # Every shard builds the same full overlay graph from the same
-        # seed; edges whose far end lives elsewhere route through the
-        # gateway instead of the local event queue.
-        topology = build_topology(
-            ring_order,
-            config.topology,
-            degree=config.degree,
-            rng=random.Random(blueprint.topo_seed),
-        )
+        if overlay is None:
+            # Every shard sees the same full overlay graph (a pure
+            # function of the seed); edges whose far end lives elsewhere
+            # route through the gateway instead of the local event
+            # queue.  ``edge_names`` sit on it after the fleet's own
+            # ring but hold no replica; whoever builds those nodes
+            # attaches them to ``self.network``.
+            overlay = build_topology(
+                [
+                    *_interleave(list(blueprint.full_names), spec.light_names()),
+                    *edge_names,
+                ],
+                config.topology,
+                degree=config.degree,
+                rng=random.Random(blueprint.topo_seed),
+            )
         self.network = GossipNetwork(
             self.simulator,
-            topology,
+            overlay,
             latency=blueprint.latency,
             rng=random.Random(blueprint.shard_seeds[index]),
             config=config,
@@ -566,7 +572,13 @@ class ShardState:
 
 
 def _build_states(blueprint: _Blueprint, owned: Iterable[int]) -> Dict[int, ShardState]:
-    return {index: ShardState(blueprint, index) for index in owned}
+    """One process's worlds, sharing the overlay graph the first one built."""
+    states: Dict[int, ShardState] = {}
+    overlay = None
+    for index in owned:
+        states[index] = ShardState(blueprint, index, overlay=overlay)
+        overlay = states[index].network.topology
+    return states
 
 
 def _dispatch(

@@ -1,15 +1,38 @@
-"""Cross-shard traffic as length-prefixed wire frames.
+"""Cross-shard traffic as barrier blobs: a table of fixed-width frame rows.
 
 Shards exchange gossip only at epoch barriers, and only as *bytes* —
 worker processes share no Python objects — so every inv, getdata, and
-payload crossing a shard boundary is flattened through the repo's
-framed codec (:mod:`repro.codec`: 4-byte big-endian length prefixes,
-delimiter-safe) and re-materialized on the far side.  The serial
-``jobs=1`` oracle round-trips frames through the same codec, so the
-bytes on the (virtual) wire are identical whether shards run in one
-process or many.  Decoding is canonical — a frame has one byte form —
-and raises :class:`FrameError` (under :class:`repro.codec.CodecError`)
-for anything else.
+payload crossing a shard boundary is flattened into the barrier's blob
+and re-materialized on the far side.  The serial ``jobs=1`` oracle
+round-trips its frames through the same codec, so the bytes on the
+(virtual) wire are identical whether shards run in one process or many.
+
+The wire, written down once.  One :func:`encode_frames` call writes one
+*table*, ``pack([rows, atoms])`` in the repo's framed codec
+(:mod:`repro.codec`); a barrier blob is zero or more tables end to end
+(the router concatenates per-source blobs), so it is a plain framing of
+an even number of fields and stays self-delimiting.
+
+``atoms``
+    One ``pack`` of the table's distinct byte strings — node names
+    (UTF-8), dedup keys, encoded bodies — in the order the rows first
+    use them.
+``rows``
+    One 39-byte record per frame (:data:`_ROW`, big-endian): frame kind
+    ``u8`` · message kind ``u8`` · flags ``u8`` (body encoding in bits
+    0–2, ``wants_headers`` in bit 3) · five ``u32`` references into
+    ``atoms`` for src, dst, origin, dedup key and body (``0xFFFFFFFF``:
+    no body) · ``seq`` ``u64`` · ``arrival`` ``f64``.
+
+A body is encoded once per payload object per table and decoded — block
+Merkle root and header hash re-derived, never trusted — once per
+(atom, encoding) per table, however many rows carry it.  Decoding is
+canonical: a table has one byte form (atoms pairwise distinct and in
+exactly first-use order, every one referenced, kind bytes and flags in
+range, a body present iff an encoding names it, finite arrivals, rows a
+whole non-zero number of records), so ``encode_frames(decode_frames(x))
+== x`` for every table ``x`` that decodes, and everything else raises
+:class:`FrameError` (under :class:`repro.codec.CodecError`).
 
 Three frame types mirror the inv-pull relay's three wire exchanges:
 
@@ -28,11 +51,12 @@ Three frame types mirror the inv-pull relay's three wire exchanges:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, List, Tuple
+from itertools import chain
+from math import isfinite
+from typing import Any, Dict, List, NamedTuple, Tuple
 
-from repro.codec import CodecError, pack, unpack, unpack_all
+from repro.codec import CodecError, pack, unpack_all
 from repro.chain.block import Block, BlockHeader
 from repro.chain.serialization import (
     decode_block,
@@ -46,9 +70,7 @@ __all__ = [
     "CrossShardFrame",
     "FrameError",
     "FrameKind",
-    "decode_frame",
     "decode_frames",
-    "encode_frame",
     "encode_frames",
 ]
 
@@ -65,15 +87,28 @@ class FrameKind(Enum):
     PAYLOAD = "payload"
 
 
-#: Payload body encodings (the frame's ``flags`` field).
+#: Payload body encodings (bits 0–2 of a row's ``flags``).
 _BODY_NONE = 0
 _BODY_BLOCK = 1
 _BODY_HEADER = 2
 _BODY_BYTES = 3
+_WANTS_HEADERS = 8
+
+#: One frame: kinds, flags, five atom references, seq, arrival.
+_ROW = struct.Struct(">BBBIIIIIQd")
+#: The same record read for its five atom references only.
+_REFS = struct.Struct(">3x5I16x")
+_NO_BODY = 0xFFFFFFFF
+
+#: A kind's wire byte is its position in its enum.
+_FRAME_KINDS = tuple(FrameKind)
+_MESSAGE_KINDS = tuple(MessageKind)
+_KIND_BYTES = {
+    kind: byte for kinds in (_FRAME_KINDS, _MESSAGE_KINDS) for byte, kind in enumerate(kinds)
+}
 
 
-@dataclass(frozen=True)
-class CrossShardFrame:
+class CrossShardFrame(NamedTuple):
     """One unit of boundary traffic, scheduled for a future arrival.
 
     ``src``/``dst`` are node names (the link's endpoints); ``arrival``
@@ -107,8 +142,6 @@ class CrossShardFrame:
 
 
 def _encode_body(payload: Any) -> Tuple[int, bytes]:
-    if payload is None:
-        return _BODY_NONE, b""
     if isinstance(payload, Block):
         return _BODY_BLOCK, encode_block(payload)
     if isinstance(payload, BlockHeader):
@@ -121,76 +154,109 @@ def _encode_body(payload: Any) -> Tuple[int, bytes]:
     )
 
 
-def _decode_body(flags: int, body: bytes) -> Any:
-    if flags == _BODY_NONE and not body:
-        return None
-    if flags == _BODY_BLOCK:
+def _decode_body(encoding: int, body: bytes) -> Any:
+    if encoding == _BODY_BLOCK:
         return decode_block(body)
-    if flags == _BODY_HEADER:
+    if encoding == _BODY_HEADER:
         return decode_header(body)
-    if flags == _BODY_BYTES:
+    if encoding == _BODY_BYTES:
         return body
-    raise FrameError(f"unknown or inconsistent payload encoding {flags}")
-
-
-def encode_frame(frame: CrossShardFrame) -> bytes:
-    """Flatten one frame to its framed wire form."""
-    body_flags, body = _encode_body(frame.payload)
-    return pack(
-        [
-            frame.kind.value.encode(),
-            frame.src.encode(),
-            frame.dst.encode(),
-            frame.message_kind.value.encode(),
-            frame.origin.encode(),
-            frame.dedup_key,
-            struct.pack(">d", frame.arrival),
-            frame.seq.to_bytes(8, "big"),
-            bytes([body_flags | (8 if frame.wants_headers else 0)]),
-            body,
-        ]
-    )
-
-
-def decode_frame(data: bytes) -> CrossShardFrame:
-    """Parse one frame; payload identity is re-derived, never trusted."""
-    (
-        kind,
-        src,
-        dst,
-        message_kind,
-        origin,
-        dedup_key,
-        arrival,
-        seq,
-        flags,
-        body,
-    ) = unpack(data, 10)
-    if len(flags) != 1 or flags[0] > 15 or len(seq) != 8 or len(arrival) != 8:
-        raise FrameError("malformed frame flags, sequence or arrival width")
-    payload = _decode_body(flags[0] & 7, body)
-    try:
-        return CrossShardFrame(
-            kind=FrameKind(kind.decode()),
-            src=src.decode(),
-            dst=dst.decode(),
-            message_kind=MessageKind(message_kind.decode()),
-            origin=origin.decode(),
-            dedup_key=dedup_key,
-            arrival=struct.unpack(">d", arrival)[0],
-            seq=int.from_bytes(seq, "big"),
-            wants_headers=bool(flags[0] & 8),
-            payload=payload,
-        )
-    except ValueError as error:
-        raise FrameError(f"malformed frame: {error}") from error
+    raise FrameError(f"unknown payload encoding {encoding}")
 
 
 def encode_frames(frames: List[CrossShardFrame]) -> bytes:
-    """One blob per (epoch, destination shard) — the barrier unit."""
-    return pack([encode_frame(frame) for frame in frames])
+    """One table per (epoch, source, destination shard) — the barrier unit."""
+    if not frames:
+        return b""
+    # A reference is an atom's position, assigned at first use: the
+    # order the decoder insists on.
+    atoms: Dict[bytes, int] = {}
+    ref = atoms.setdefault
+    bodies: Dict[int, Tuple[int, bytes]] = {}
+    rows: List[bytes] = []
+    for (
+        kind, src, dst, message_kind, origin, dedup_key, arrival, seq,
+        wants_headers, payload,
+    ) in frames:
+        flags = _WANTS_HEADERS if wants_headers else 0
+        src = ref(src.encode(), len(atoms))
+        dst = ref(dst.encode(), len(atoms))
+        origin = ref(origin.encode(), len(atoms))
+        dedup_key = ref(dedup_key, len(atoms))
+        body = _NO_BODY
+        if payload is not None:
+            # Encoded once per payload object, however many rows carry it.
+            if id(payload) not in bodies:
+                bodies[id(payload)] = _encode_body(payload)
+            encoding, encoded = bodies[id(payload)]
+            flags |= encoding
+            body = ref(encoded, len(atoms))
+        if not isfinite(arrival):
+            raise FrameError(f"cannot transport a frame arriving at {arrival}")
+        try:
+            rows.append(
+                _ROW.pack(
+                    _KIND_BYTES[kind], _KIND_BYTES[message_kind], flags,
+                    src, dst, origin, dedup_key, body, seq, arrival,
+                )
+            )
+        except struct.error as error:
+            raise FrameError(f"cannot transport frame seq={seq}: {error}") from error
+    return pack([b"".join(rows), pack(list(atoms))])
+
+
+def _decode_table(rows: bytes, atoms: List[bytes]) -> List[CrossShardFrame]:
+    if not rows or len(rows) % _ROW.size:
+        raise FrameError("rows are not a whole, non-zero number of frame records")
+    used = dict.fromkeys(chain.from_iterable(_REFS.iter_unpack(rows)))
+    used.pop(_NO_BODY, None)
+    if list(used) != list(range(len(atoms))) or len(set(atoms)) != len(atoms):
+        raise FrameError(
+            "atom table is not the rows' distinct byte strings in first-use order"
+        )
+    payloads: Dict[Tuple[int, int], Any] = {}
+    frames = []
+    try:
+        for (
+            kind, message_kind, flags, src, dst, origin, dedup_key, body, seq,
+            arrival,
+        ) in _ROW.iter_unpack(rows):
+            encoding = flags & 7
+            if flags > 15 or (body == _NO_BODY) != (encoding == _BODY_NONE):
+                raise FrameError(f"malformed frame flags {flags}")
+            if not isfinite(arrival):
+                raise FrameError(f"malformed frame: arrives at {arrival}")
+            payload = None
+            if body != _NO_BODY:
+                # Decoded (and verified) once per table, not once per row.
+                if (body, encoding) not in payloads:
+                    payloads[body, encoding] = _decode_body(encoding, atoms[body])
+                payload = payloads[body, encoding]
+            frames.append(
+                CrossShardFrame(
+                    _FRAME_KINDS[kind],
+                    atoms[src].decode(),
+                    atoms[dst].decode(),
+                    _MESSAGE_KINDS[message_kind],
+                    atoms[origin].decode(),
+                    atoms[dedup_key],
+                    arrival,
+                    seq,
+                    flags >= _WANTS_HEADERS,
+                    payload,
+                )
+            )
+    except (IndexError, UnicodeDecodeError) as error:
+        raise FrameError(f"malformed frame: {error}") from error
+    return frames
 
 
 def decode_frames(blob: bytes) -> List[CrossShardFrame]:
     """Parse a barrier blob back into frames (order preserved)."""
-    return [decode_frame(data) for data in unpack_all(blob)]
+    fields = unpack_all(blob)
+    if len(fields) % 2:
+        raise FrameError("a barrier blob is (rows, atoms) pairs")
+    frames: List[CrossShardFrame] = []
+    for rows, atoms in zip(fields[::2], fields[1::2]):
+        frames.extend(_decode_table(rows, unpack_all(atoms)))
+    return frames

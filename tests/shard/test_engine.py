@@ -8,6 +8,7 @@ asserts it is bit-identical to what these tests pin down.
 import pytest
 
 from repro.chain.block import Block
+from repro.core.distributed import DistributedChain
 from repro.network.config import NetworkConfig
 from repro.shard import FleetSpec, ShardedSimulator
 from repro.telemetry import Telemetry
@@ -59,6 +60,51 @@ class TestConstruction:
             assert owned == sorted(
                 fleet.spec.full_names() + fleet.spec.light_names()
             )
+
+
+class TestOneOverlayPerProcess:
+    """Serial shards share the graph object; nothing may write to it."""
+
+    def test_shards_share_one_graph_and_keep_their_own_cuts(self):
+        with ShardedSimulator(_spec(), jobs=1) as fleet:
+            first, second = (state.network for state in fleet.shard_states.values())
+            assert first.topology is second.topology
+            a, b = next(iter(first.topology.edges))
+            first.cut_link(a, b)
+            first.partition(["provider-0"], fleet.spec.light_names())
+            assert b not in first.neighbors(a)
+            assert b in second.neighbors(a)
+            assert len(first.neighbors("provider-0")) < len(second.neighbors("provider-0"))
+            assert set(second.neighbors("provider-0")) == set(
+                second.topology.neighbors("provider-0")
+            )
+
+    def test_a_chaos_run_leaves_the_edge_set_alone(self):
+        with ShardedSimulator(_spec(), seed=3, jobs=1) as fleet:
+            graph = next(iter(fleet.shard_states.values())).network.topology
+            before = sorted(map(sorted, graph.edges))
+            for state in fleet.shard_states.values():
+                state.network.partition(fleet.spec.full_names()[:3], fleet.spec.light_names())
+            fleet.run_blocks(2)
+            fleet.crash("provider-1")
+            fleet.run_blocks(2)
+            for state in fleet.shard_states.values():
+                state.network.heal_all()
+            fleet.restart("provider-1")
+            fleet.run_blocks(2)
+            fleet.finalize()
+            assert sorted(map(sorted, graph.edges)) == before
+            assert sorted(graph.nodes) == sorted(
+                fleet.spec.full_names() + fleet.spec.light_names()
+            )
+
+    def test_a_one_world_fleet_still_builds_its_own(self):
+        spec = _spec(shards=1)
+        one, other = DistributedChain(spec=spec), DistributedChain(spec=spec)
+        assert one.network.topology is not other.network.topology
+        assert sorted(map(sorted, one.network.topology.edges)) == sorted(
+            map(sorted, other.network.topology.edges)
+        )
 
 
 class TestTimeControl:

@@ -61,6 +61,17 @@ def _interleave(full_names: List[str], light_names: List[str]) -> List[str]:
     return merged
 
 
+def heaviest_alive(servers: Iterable["ReplicaNode"]) -> Optional["ReplicaNode"]:
+    """The non-crashed server holding the most work; first-listed on a tie."""
+    best, most = None, -1
+    for server in servers:
+        if not server.crashed:
+            work = server.chain.total_difficulty()
+            if work > most:
+                best, most = server, work
+    return best
+
+
 def heaviest_alive_neighbour(node: Node) -> Optional["ReplicaNode"]:
     """``node``'s alive overlay neighbour holding the heaviest full chain.
 
@@ -73,17 +84,15 @@ def heaviest_alive_neighbour(node: Node) -> Optional["ReplicaNode"]:
     network = node.network
     if network is None or not hasattr(network, "neighbors"):
         return None
-    best = None
+    peers = []
     for peer_name in network.neighbors(node.name):
         try:
             peer = network.node(peer_name)
         except KeyError:
             continue
-        if getattr(peer, "crashed", False) or getattr(peer, "chain", None) is None:
-            continue
-        if best is None or peer.chain.total_difficulty() > best.chain.total_difficulty():
-            best = peer
-    return best
+        if getattr(peer, "chain", None) is not None:
+            peers.append(peer)
+    return heaviest_alive(peers)
 
 
 class ReplicaNode(Node):
@@ -367,25 +376,14 @@ class LightReplicaNode(Node):
             return  # duplicate of something already stored
         self.resync()
 
-    def resync(self) -> int:
-        """Headers-first pull from the heaviest alive server."""
-        server = self._best_server()
+    def resync(self, server: Optional[ReplicaNode] = None) -> int:
+        """Headers-first pull from ``server`` (default: the heaviest alive one)."""
         if server is None:
-            return 0
+            server = heaviest_alive(self._servers)
+            if server is None:
+                return 0
         self.header_resyncs += 1
         return self.headers.sync_from(server.chain)
-
-    def _best_server(self) -> Optional[ReplicaNode]:
-        best: Optional[ReplicaNode] = None
-        for server in self._servers:
-            if server.crashed:
-                continue
-            if (
-                best is None
-                or server.chain.total_difficulty() > best.chain.total_difficulty()
-            ):
-                best = server
-        return best
 
     def on_restarted(self) -> None:
         """Recover after a crash: local header log first, then servers."""

@@ -258,11 +258,10 @@ class GossipNetwork(GossipNetworkApi):
 
     def neighbors(self, name: str) -> List[str]:
         """Current (non-partitioned) neighbors of a node."""
-        return [
-            peer
-            for peer in self.topology.neighbors(name)
-            if not self._is_cut(name, peer)
-        ]
+        peers = self.topology.neighbors(name)
+        if not self._cut_links:
+            return list(peers)
+        return [peer for peer in peers if not self._is_cut(name, peer)]
 
     # -- fault injection -----------------------------------------------------
 
@@ -303,7 +302,8 @@ class GossipNetwork(GossipNetworkApi):
         return [name for name, node in self._nodes.items() if not node.crashed]
 
     def _is_cut(self, a: str, b: str) -> bool:
-        return (min(a, b), max(a, b)) in self._cut_links
+        cuts = self._cut_links  # empty on every run that injects no partition
+        return bool(cuts) and (min(a, b), max(a, b)) in cuts
 
     # -- transport -----------------------------------------------------------
 

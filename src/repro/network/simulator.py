@@ -3,45 +3,57 @@
 SmartCrowd's announcements and reports "are disseminated among all
 stakeholders" (§IV-B) over a peer-to-peer network.  The reproduction
 replaces the prototype's LAN with a deterministic discrete-event
-simulator: events are (time, sequence, callback) triples on a heap;
-ties break by insertion order so runs are exactly reproducible for a
-given seed.
+simulator: events are ``(time, sequence, handle)`` tuples on a heap,
+compared by ``tuple``'s own comparison — the sequence number is unique,
+so nothing after it is ever looked at; ties break by insertion order so
+runs are exactly reproducible for a given seed.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["Simulator", "ScheduledEvent"]
 
+_FOREVER = float("inf")
 
-@dataclass(order=True)
+
 class ScheduledEvent:
-    """One pending event; ordering is (time, seq) for determinism."""
+    """Handle to one scheduled event; the queue orders by (time, seq).
 
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Owner hook so the simulator can count cancelled shells in O(1)
-    #: and compact its heap; cleared once the event leaves the queue.
-    _on_cancel: Optional[Callable[[], None]] = field(
-        default=None, compare=False, repr=False
-    )
+    The callback and its arguments are kept as given and called as
+    ``callback(*args, **kwargs)``.  A cancelled event is a tombstone
+    (``callback`` is None) that the dispatch loop skips.
+    """
+
+    __slots__ = ("time", "seq", "callback", "args", "kwargs", "_owner")
+
+    def __init__(self, time, seq, callback, args, kwargs, owner) -> None:
+        self.time: float = time
+        self.seq: int = seq
+        self.callback: Optional[Callable[..., None]] = callback
+        self.args: Tuple[Any, ...] = args
+        self.kwargs: dict = kwargs
+        #: The simulator while the event is queued (so it can count
+        #: tombstones in O(1) and compact its heap); None once it left.
+        self._owner: Optional["Simulator"] = owner
+
+    @property
+    def cancelled(self) -> bool:
+        """True once :meth:`cancel` was called."""
+        return self.callback is None
 
     def cancel(self) -> None:
-        """Mark the event so the simulator skips it (idempotent)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._on_cancel is not None:
-            self._on_cancel()
+        """Unschedule (idempotent; a no-op once the event has fired)."""
+        self.callback = None
+        owner, self._owner = self._owner, None
+        if owner is not None:
+            owner._note_cancelled()
 
 
 class Simulator:
@@ -54,12 +66,12 @@ class Simulator:
         self, start_time: float = 0.0, telemetry: Optional[Telemetry] = None
     ) -> None:
         self._now = start_time
-        self._queue: List[ScheduledEvent] = []
+        self._queue: List[Tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self._processed = 0
-        #: Cancelled shells still sitting in the heap.  Tracked so
-        #: ``pending`` is O(1) and so long chaos runs (which cancel
-        #: retry timers constantly) don't leak dead heap entries.
+        #: Tombstones still sitting in the heap.  Tracked so ``pending``
+        #: is O(1) and a caller that cancels most of what it schedules
+        #: does not leak dead heap entries.
         self._cancelled = 0
         #: Observability hook; mutable so a deployment can arm it after
         #: construction.  Disabled dispatch pays one truthiness check.
@@ -80,67 +92,84 @@ class Simulator:
         """Number of live (non-cancelled) events still queued — O(1)."""
         return len(self._queue) - self._cancelled
 
+    def next_time(self) -> Optional[float]:
+        """Due time of the earliest live event (None when idle); sheds
+        cancelled heads on the way, so a peek never reports a tombstone."""
+        queue = self._queue
+        while queue and queue[0][2].callback is None:
+            heappop(queue)
+            self._cancelled -= 1
+        return queue[0][0] if queue else None
+
     def _note_cancelled(self) -> None:
-        """Event-cancel hook: count the shell; compact if they dominate."""
+        """Event-cancel hook: count the tombstone; compact if they dominate."""
         self._cancelled += 1
         if self._cancelled * 2 > len(self._queue):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled shells and re-heapify the survivors."""
-        self._queue = [event for event in self._queue if not event.cancelled]
-        heapq.heapify(self._queue)
-        self._cancelled = 0
+            # In place: a running drain loop holds this very list.
+            self._queue[:] = [e for e in self._queue if e[2].callback is not None]
+            heapify(self._queue)
+            self._cancelled = 0
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any, **kwargs: Any
     ) -> ScheduledEvent:
-        """Schedule ``callback(*args, **kwargs)`` after ``delay`` seconds."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
-        bound: Callable[[], None]
-        if args or kwargs:
-            bound = lambda: callback(*args, **kwargs)  # noqa: E731
-        else:
-            bound = callback
-        event = ScheduledEvent(
-            time=self._now + delay,
-            seq=next(self._seq),
-            callback=bound,
-            _on_cancel=self._note_cancelled,
-        )
-        heapq.heappush(self._queue, event)
-        return event
+        """Schedule ``callback(*args, **kwargs)`` after ``delay`` seconds,
+        i.e. at ``now + delay`` — a ``ValueError`` if that is before ``now``."""
+        return self._push(self._now + delay, callback, args, kwargs)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any, **kwargs: Any
     ) -> ScheduledEvent:
-        """Schedule at an absolute simulated time."""
-        return self.schedule(time - self._now, callback, *args, **kwargs)
+        """Schedule at an absolute simulated time; it is stored as given,
+        so the callback sees ``now == time`` exactly."""
+        return self._push(time, callback, args, kwargs)
 
-    def step(self) -> bool:
-        """Fire the next event; returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            event._on_cancel = None  # left the queue: late cancels are no-ops
-            if event.cancelled:
+    def _push(self, time, callback, args, kwargs) -> ScheduledEvent:
+        """Queue one event: a finite time not in the past, or ``ValueError``."""
+        if not self._now <= time < _FOREVER:  # false for NaN too
+            raise ValueError(
+                f"cannot schedule into the past or at a non-finite time ({time!r})"
+            )
+        event = ScheduledEvent(time, next(self._seq), callback, args, kwargs, self)
+        heappush(self._queue, (time, event.seq, event))
+        return event
+
+    def _drain(self, deadline: float, limit: Optional[int]) -> int:
+        """Fire queued events due by ``deadline``, at most ``limit`` of them.
+
+        The one dispatch loop behind every verb below: pop in (time,
+        seq) order, skip tombstones, set ``now``, call, count.
+        """
+        queue = self._queue
+        fired = 0
+        while queue and fired != limit and queue[0][0] <= deadline:
+            time, _, event = heappop(queue)
+            event._owner = None  # left the queue: late cancels are no-ops
+            callback = event.callback
+            if callback is None:
                 self._cancelled -= 1
                 continue
-            self._now = event.time
+            self._now = time
             telemetry = self.telemetry
             if telemetry.enabled:
                 started = perf_counter()
-                event.callback()
+                callback(*event.args, **event.kwargs)
                 telemetry.histogram("sim.dispatch_seconds").observe(
                     perf_counter() - started
                 )
                 telemetry.counter("sim.events_processed").inc()
                 telemetry.gauge("sim.queue_depth").set(self.pending)
+            elif event.kwargs:
+                callback(*event.args, **event.kwargs)
             else:
-                event.callback()
+                callback(*event.args)
             self._processed += 1
-            return True
-        return False
+            fired += 1
+        return fired
+
+    def step(self) -> bool:
+        """Fire the next event; returns False when the queue is empty."""
+        return self._drain(_FOREVER, 1) == 1
 
     def advance(self, max_events: Optional[int] = None) -> int:
         """Run to quiescence (or ``max_events``); returns events fired.
@@ -153,27 +182,11 @@ class Simulator:
         (:class:`~repro.core.workflow.WorkflowChain`), whose scheduled
         actions sit in this very queue.
         """
-        fired = 0
-        while self.step():
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                break
-        return fired
+        return self._drain(_FOREVER, max_events)
 
     def advance_until(self, deadline: float) -> int:
         """Fire all events with time <= ``deadline``; advance ``now`` to it."""
-        fired = 0
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                head._on_cancel = None
-                self._cancelled -= 1
-                continue
-            if head.time > deadline:
-                break
-            self.step()
-            fired += 1
+        fired = self._drain(deadline, None)
         self._now = max(self._now, deadline)
         return fired
 

@@ -45,7 +45,6 @@ topology graphs or node objects ever cross the process boundary, only
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import multiprocessing
 import random
@@ -78,12 +77,13 @@ from repro.core.distributed import (
     ReplicaNode,
     _interleave,
     heaviest,
+    heaviest_alive,
 )
 from repro.faults.invariants import confirmed_chain_bytes
 from repro.network.gossip import GossipNetwork, build_topology
 from repro.network.latency import DEFAULT_LATENCY, LatencyModel
 from repro.network.messages import Message, MessageKind
-from repro.network.simulator import Simulator
+from repro.network.simulator import ScheduledEvent, Simulator
 from repro.shard.frames import (
     CrossShardFrame,
     FrameKind,
@@ -485,7 +485,7 @@ class ShardState:
         a ``.chain`` off — the live ``winner`` replica when it lives in
         this world, an imported copy otherwise.  Stragglers pull the
         gap through the normal validated path; light replicas then
-        resync from their in-world servers.
+        resync from the heaviest alive in-world server.
         """
         winner_head = donor.chain.head.block_id
         for name in sorted(self.replicas):
@@ -494,10 +494,13 @@ class ShardState:
                 continue
             if replica.head_id() != winner_head:
                 replica.resync_from(donor)
+        # Nothing in this pass changes a server, so the ranking every
+        # light replica would make for itself is made once.
+        server = heaviest_alive(self.replicas.values())
         for name in sorted(self.light_replicas):
             light = self.light_replicas[name]
-            if not light.crashed:
-                light.resync()
+            if server is not None and not light.crashed:
+                light.resync(server)
 
     def adopt(self, chain_blob: bytes, winner: str) -> None:
         """:meth:`reconcile` against a serialized winner chain.
@@ -719,26 +722,6 @@ class _ProcessExecutor:
                 proc.join()
 
 
-class _ControlEvent:
-    """A coordinator-scheduled callback, fired at an epoch boundary."""
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int, callback, args) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Unschedule (idempotent)."""
-        self.cancelled = True
-
-    def __lt__(self, other: "_ControlEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
 class ShardedSimulator(FleetControlPlane):
     """A partitioned fleet behind the canonical time-control surface.
 
@@ -796,8 +779,9 @@ class ShardedSimulator(FleetControlPlane):
         self._barrier_interval = barrier_interval
         self._now = 0.0
         self._clock = self
-        self._control_heap: List[_ControlEvent] = []
-        self._control_seq = itertools.count()
+        #: Coordinator-scheduled callbacks wait on a queue of their own
+        #: kind; its clock is walked to every barrier that has one due.
+        self._controls = Simulator()
         self._closed = False
 
     # -- reaching the worlds ------------------------------------------------
@@ -820,39 +804,28 @@ class ShardedSimulator(FleetControlPlane):
         """The fleet clock (every shard agrees at barriers)."""
         return self._now
 
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> _ControlEvent:
+    def schedule(
+        self, delay: float, callback: Callable[..., None], *args: Any
+    ) -> ScheduledEvent:
         """Run ``callback(*args)`` after ``delay`` fleet seconds."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
-    ) -> _ControlEvent:
+    ) -> ScheduledEvent:
         """Run ``callback(*args)`` at an absolute fleet time.
 
         The callback fires on the coordinator at an epoch boundary cut
         exactly at ``time`` — typically to drive the control plane
         (``crash``/``restart``/``inject_store_fault``/``submit_record``).
         """
-        if time < self._now:
+        if time < self._now:  # the control clock may trail the fleet's
             raise ValueError("cannot schedule into the past")
-        event = _ControlEvent(time, next(self._control_seq), callback, args)
-        heapq.heappush(self._control_heap, event)
-        return event
-
-    def _next_control_time(self) -> Optional[float]:
-        heap = self._control_heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        return heap[0].time if heap else None
+        return self._controls.schedule_at(time, callback, *args)
 
     def _fire_controls(self) -> None:
-        heap = self._control_heap
-        while heap and (heap[0].cancelled or heap[0].time <= self._now):
-            event = heapq.heappop(heap)
-            if not event.cancelled:
-                event.callback(*event.args)
+        if self._controls.pending:
+            self._controls.advance_until(self._now)
 
     def advance_until(self, deadline: float) -> int:
         """Run every shard to ``deadline`` in barrier-separated epochs."""
@@ -860,7 +833,7 @@ class ShardedSimulator(FleetControlPlane):
         deadline = max(deadline, self._now)
         while True:
             target = min(deadline, self._now + self._barrier_interval)
-            next_control = self._next_control_time()
+            next_control = self._controls.next_time()
             if next_control is not None and next_control < target:
                 target = max(next_control, self._now)
             fired += self._epoch(target)

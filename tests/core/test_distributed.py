@@ -3,8 +3,10 @@
 import pytest
 
 from repro.chain.block import ChainRecord, RecordKind
+from repro.chain.chain import Blockchain
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
-from repro.core.distributed import DistributedChain
+from repro.core.distributed import DistributedChain, LightReplicaNode
+from repro.core.lightclient import HeaderChain
 from repro.crypto.hashing import hash_fields
 from repro.network.config import NetworkConfig
 from repro.network.latency import ConstantLatency
@@ -137,3 +139,129 @@ class TestByzantine:
         net = DistributedChain(PAPER_HASHPOWER_SHARES, seed=8)
         with pytest.raises(ValueError):
             net.inject_byzantine_record("provider-1", _forged("x"))
+
+
+class TestFinalizeRanksTheServersOnce:
+    """``ShardState.reconcile`` ranks the world's alive servers once per
+    pass and hands the winner to every light replica; the ranking each
+    light replica used to make for itself is the oracle, kept here."""
+
+    @staticmethod
+    def _lagging_fleet(seed: int) -> DistributedChain:
+        """10 full + 30 light, two blocks mined while eight light
+        replicas and one full one are cut off, then healed."""
+        fleet = DistributedChain(spec=FleetSpec.for_fleet(40), seed=seed)
+        assert (len(fleet.replicas), len(fleet.light_replicas)) == (10, 30)
+        cut_off = [*list(fleet.light_replicas)[:8], list(fleet.replicas)[-1]]
+        rest = [n for n in (*fleet.replicas, *fleet.light_replicas) if n not in cut_off]
+        fleet.network.partition(cut_off, rest)
+        fleet.run_blocks(2)
+        fleet.settle()
+        fleet.network.heal_all()
+        assert len(set(fleet.light_heads().values())) > 1  # someone lags
+        return fleet
+
+    @staticmethod
+    def _rank_per_node(monkeypatch) -> None:
+        """Every ``light.resync(...)`` ranks its own servers again."""
+        passed_in = LightReplicaNode.resync
+
+        def best_server(light):
+            best = None
+            for server in light._servers:
+                if server.crashed:
+                    continue
+                if (
+                    best is None
+                    or server.chain.total_difficulty() > best.chain.total_difficulty()
+                ):
+                    best = server
+            return best
+
+        monkeypatch.setattr(
+            LightReplicaNode,
+            "resync",
+            lambda light, server=None: passed_in(light, best_server(light)),
+        )
+
+    @staticmethod
+    def _light_view(fleet):
+        return fleet.light_heads(), {
+            name: (light.header_resyncs, light.headers_accepted, len(light.headers))
+            for name, light in fleet.light_replicas.items()
+        }
+
+    def test_one_finalize_asks_each_server_for_its_work_twice_at_most(self, monkeypatch):
+        fleet = self._lagging_fleet(seed=5)
+        calls = []
+        counted = Blockchain.total_difficulty
+        monkeypatch.setattr(
+            Blockchain,
+            "total_difficulty",
+            lambda chain, block_id=None: calls.append(1) or counted(chain, block_id),
+        )
+        fleet.finalize()
+        # One ranking for the donor, one for the light replicas' server;
+        # per light replica it was 30 × (10 to 19) more.
+        assert len(calls) <= 2 * len(fleet.replicas) + 2
+        assert fleet.converged() and fleet.light_converged()
+        assert all(l.header_resyncs >= 1 for l in fleet.light_replicas.values())
+
+    @pytest.mark.parametrize("crashed", [(), (0,), (0, 1, 4)])
+    def test_same_result_as_every_light_replica_ranking_for_itself(
+        self, monkeypatch, crashed
+    ):
+        def finalized(per_node: bool):
+            fleet = self._lagging_fleet(seed=5)
+            for index in crashed:
+                fleet.crash(list(fleet.replicas)[index])
+            pulled_from = []
+            sync_from = HeaderChain.sync_from
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    HeaderChain,
+                    "sync_from",
+                    lambda headers, chain: pulled_from.append(chain)
+                    or sync_from(headers, chain),
+                )
+                if per_node:
+                    self._rank_per_node(patch)
+                fleet.finalize()
+            servers = {id(r.chain): name for name, r in fleet.replicas.items()}
+            return self._light_view(fleet), [servers[id(c)] for c in pulled_from]
+
+        view, servers = finalized(per_node=False)
+        assert (view, servers) == finalized(per_node=True)
+        # Nine servers tie on the two blocks: the first-listed one that
+        # is alive serves all thirty light replicas.
+        names = FleetSpec.for_fleet(40).full_names()
+        first_alive = next(n for i, n in enumerate(names) if i not in crashed)
+        assert servers == [first_alive] * 30
+
+    def test_with_every_server_crashed_the_pass_is_a_no_op(self, monkeypatch):
+        def reconciled(per_node: bool):
+            fleet = self._lagging_fleet(seed=5)
+            donor_name = next(iter(fleet.replicas))
+            for name in fleet.replicas:
+                fleet.crash(name)
+            before = self._light_view(fleet)
+            with monkeypatch.context() as patch:
+                if per_node:
+                    self._rank_per_node(patch)
+                fleet.world.reconcile(fleet.replicas[donor_name], donor_name)
+            return before, self._light_view(fleet)
+
+        before, after = reconciled(per_node=False)
+        assert before == after
+        assert (before, after) == reconciled(per_node=True)
+
+    def test_resync_without_a_server_still_ranks(self):
+        fleet = self._lagging_fleet(seed=5)
+        fleet.crash(next(iter(fleet.replicas)))
+        lagging = next(
+            light
+            for light in fleet.light_replicas.values()
+            if len(light.headers) == 1
+        )
+        assert lagging.resync() == 2
+        assert lagging.header_resyncs == 1

@@ -127,6 +127,80 @@ class TestFaults:
             GossipNetwork(sim, topo, config=NetworkConfig(loss_rate=1.0))
 
 
+class TestCutLookup:
+    """``_is_cut``/``neighbors`` answer at once while nothing is cut —
+    a state they observe, so it must switch itself off and on again."""
+
+    @staticmethod
+    def _matches_the_set_lookup(net, cut):
+        for a in NAMES:
+            for b in NAMES:
+                assert net._is_cut(a, b) == ((min(a, b), max(a, b)) in cut), (a, b)
+            assert net.neighbors(a) == [
+                peer
+                for peer in net.topology.neighbors(a)
+                if (min(a, peer), max(a, peer)) not in cut
+            ]
+
+    @pytest.mark.parametrize("kind", ["complete", "ring"])
+    def test_equals_the_set_lookup_through_cut_and_heal(self, kind):
+        sim, net, nodes = _network(kind)
+        cut = set()
+        self._matches_the_set_lookup(net, cut)
+        net.cut_link(NAMES[1], NAMES[0])
+        cut.add((NAMES[0], NAMES[1]))
+        self._matches_the_set_lookup(net, cut)
+        net.partition(NAMES[:3], NAMES[3:])
+        cut |= {
+            (min(a, b), max(a, b))
+            for a in NAMES[:3]
+            for b in NAMES[3:]
+            if net.topology.has_edge(a, b)
+        }
+        self._matches_the_set_lookup(net, cut)
+        net.heal_link(NAMES[0], NAMES[1])
+        cut.discard((NAMES[0], NAMES[1]))
+        self._matches_the_set_lookup(net, cut)
+        net.heal_all()
+        self._matches_the_set_lookup(net, set())
+        net.cut_link(NAMES[2], NAMES[3])
+        self._matches_the_set_lookup(net, {(NAMES[2], NAMES[3])})
+        net.heal_link(NAMES[3], NAMES[2])
+        self._matches_the_set_lookup(net, set())
+
+    def test_a_partition_chaos_run_is_the_one_the_plain_lookup_gives(self, monkeypatch):
+        from repro.faults.gauntlet import GauntletConfig, run_gauntlet
+
+        config = GauntletConfig(seed=7, chaos_duration=600.0, settle_time=450.0,
+                                burst_start=60.0, burst_end=200.0)
+
+        def outcome():
+            result = run_gauntlet(config)
+            assert any("partition" in entry for _, entry in result.fault_log)
+            return (
+                result.ok, result.blocks_mined, result.confirmed_reports,
+                result.fault_log, result.invariants.render(), result.network,
+            )
+
+        early_out = outcome()
+        monkeypatch.setattr(
+            GossipNetwork,
+            "_is_cut",
+            lambda net, a, b: (min(a, b), max(a, b)) in net._cut_links,
+        )
+        monkeypatch.setattr(
+            GossipNetwork,
+            "neighbors",
+            lambda net, name: [
+                peer
+                for peer in net.topology.neighbors(name)
+                if not net._is_cut(name, peer)
+            ],
+        )
+        assert early_out == outcome()
+        assert early_out[0] and early_out[5]["messages_sent"] > 0
+
+
 class TestRelayFilter:
     def test_filter_stops_forwarding_but_delivers_locally(self):
         sim, net, nodes = _network("ring")

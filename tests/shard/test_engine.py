@@ -154,6 +154,52 @@ class TestTimeControl:
             with pytest.raises(ValueError, match="past"):
                 fleet.schedule(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")])
+    def test_cannot_schedule_at_a_non_finite_time(self, when):
+        with ShardedSimulator(_spec(), seed=3) as fleet:
+            with pytest.raises(ValueError):
+                fleet.schedule(when, lambda: None)
+            with pytest.raises(ValueError):
+                fleet.schedule_at(when, lambda: None)
+            fleet.advance_until(1.0)
+            assert fleet.now == 1.0
+
+    def test_the_barrier_is_cut_at_the_exact_due_time(self):
+        # 0.7 + (2.9 - 0.7) != 2.9: the control queue stores 2.9 itself.
+        seen = []
+        with ShardedSimulator(_spec(), seed=3) as fleet:
+            fleet.advance_until(0.7)
+            fleet.schedule_at(2.9, lambda: seen.append(fleet.now))
+            fleet.advance_until(4.0)
+            assert seen == [2.9]
+            for state in fleet.shard_states.values():
+                assert state.simulator.now == 4.0
+
+    def test_a_control_scheduling_a_control_due_now_fires_in_the_same_pass(self):
+        seen = []
+        with ShardedSimulator(_spec(), seed=3) as fleet:
+
+            def first():
+                seen.append(("first", fleet.now))
+                fleet.schedule(0.0, lambda: seen.append(("second", fleet.now)))
+
+            fleet.schedule_at(0.6, first)
+            fleet.advance_until(0.6)
+            assert seen == [("first", 0.6), ("second", 0.6)]
+
+    def test_controls_scheduled_while_the_control_clock_trails_the_fleet(self):
+        # Nothing was pending through the first second, so the control
+        # queue's own clock was never walked; the fleet's is what counts.
+        seen = []
+        with ShardedSimulator(_spec(), seed=3) as fleet:
+            fleet.advance_until(1.0)
+            with pytest.raises(ValueError, match="past"):
+                fleet.schedule_at(0.9, seen.append, "early")
+            fleet.schedule_at(1.0, seen.append, "now")
+            fleet.schedule(0.3, lambda: seen.append(fleet.now))
+            fleet.advance_until(2.0)
+            assert seen == ["now", 1.3]
+
 
 class TestMiningDrive:
     def test_blocks_mine_and_the_fleet_converges(self):

@@ -11,6 +11,8 @@ out the contract side of the §IV-B workflow a second time.
 import ast
 import pathlib
 
+from repro.network.simulator import ScheduledEvent
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: callable (as written at the call site) -> modules allowed to call it.
@@ -25,9 +27,9 @@ BUILDERS = {
     },
 }
 
-#: The modules that may keep an event heap: the simulator's queue and
-#: the sharded coordinator's barrier-time controls.
-HEAP_OWNERS = {"network/simulator.py", "shard/engine.py"}
+#: The one module that keeps an event heap.  The sharded coordinator's
+#: barrier-time controls wait on a ``Simulator`` too.
+HEAP_OWNERS = {"network/simulator.py"}
 
 #: The escrow deploy and the authority's two trigger calls: what both
 #: workflow front-ends inherit from one module under ``core/``.
@@ -93,6 +95,19 @@ def test_only_the_simulators_keep_an_event_heap():
     assert importers == HEAP_OWNERS, (
         "scheduled work goes on the world's Simulator "
         f"(world.simulator.schedule_at); heapq is imported by {sorted(importers)}"
+    )
+    # The heap compares plain (time, seq, ...) tuples in C: no class on
+    # the event path orders itself in Python.
+    ordered = [
+        f"src/repro/{module}: {node.name}"
+        for module, node in _nodes()
+        if module.startswith(("network/", "shard/"))
+        and isinstance(node, ast.FunctionDef)
+        and node.name == "__lt__"
+    ]
+    assert not ordered, f"__lt__ defined on the event path: {ordered}"
+    assert "__lt__" not in vars(ScheduledEvent), (
+        "a generated __lt__ (dataclass(order=True)) is still a Python __lt__"
     )
 
 

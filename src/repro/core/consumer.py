@@ -6,21 +6,38 @@ They can deploy IoT systems only if no (or less) vulnerability is
 discovered" (§IV-A).  The client here reads *only* what a consumer
 could read — confirmed chain records — never the simulation's ground
 truth, so tests can check that the public view converges to the truth.
+
+It does not scan the chain: every answer is a fold over the one
+decoded view of the confirmed history,
+:class:`~repro.query.indices.ChainIndex`, reached through a
+:class:`~repro.query.service.QueryService` — the owner of which chain
+and index are live — so a confirmed payload is decoded once however
+many consumers ask, and a reference says as of which head it was read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.chain.block import RecordKind
-from repro.chain.chain import Blockchain
-from repro.core.reports import DetailedReport
-from repro.core.sra import SignedSRA
-from repro.detection.descriptions import VulnerabilityDescription, deduplicate
 from repro.detection.vulnerability import Severity
 
-__all__ = ["SecurityReference", "ProviderTrackRecord", "ConsumerClient"]
+if TYPE_CHECKING:  # repro.query imports repro.core (reports, sra)
+    from repro.chain.chain import Blockchain
+    from repro.query.service import QueryService, StalenessBound
+
+__all__ = ["Finding", "SecurityReference", "ProviderTrackRecord", "ConsumerClient"]
+
+
+class Finding(NamedTuple):
+    """One confirmed vulnerability of a release: its key and severity.
+
+    The category and each detector's free-text wording stay on chain,
+    in the R* payload that first reported the key.
+    """
+
+    canonical: str
+    severity: Severity
 
 
 @dataclass(frozen=True)
@@ -30,8 +47,10 @@ class SecurityReference:
     system_name: str
     system_version: str
     provider_id: str
-    sra_confirmed: bool
-    vulnerabilities: Tuple[VulnerabilityDescription, ...]
+    #: Distinct confirmed findings, first report of each key, chain order.
+    vulnerabilities: Tuple[Finding, ...]
+    #: The head this was read at and how far it lags the canonical one.
+    staleness: "StalenessBound"
 
     @property
     def vulnerability_count(self) -> int:
@@ -46,8 +65,8 @@ class SecurityReference:
     def counts_by_severity(self) -> Dict[Severity, int]:
         """High/medium/low tallies for display."""
         counts = {severity: 0 for severity in Severity}
-        for description in self.vulnerabilities:
-            counts[description.severity] += 1
+        for finding in self.vulnerabilities:
+            counts[finding.severity] += 1
         return counts
 
 
@@ -72,19 +91,24 @@ class ConsumerClient:
     """Reads the public chain to answer deploy-or-not questions."""
 
     def __init__(self, chain: Blockchain) -> None:
-        self.chain = chain
+        from repro.query.service import QueryService  # noqa: PLC0415 - cycle
 
-    def _confirmed_sras(self) -> List[SignedSRA]:
-        return [
-            SignedSRA.from_payload(record.payload)
-            for record in self.chain.confirmed_records(RecordKind.SRA)
-        ]
+        self.service: QueryService = QueryService(chain=chain)
 
-    def _confirmed_detailed_reports(self) -> List[DetailedReport]:
-        return [
-            DetailedReport.from_payload(record.payload)
-            for record in self.chain.confirmed_records(RecordKind.DETAILED_REPORT)
-        ]
+    @classmethod
+    def connect_node(cls, node, canonical: Optional[object] = None) -> "ConsumerClient":
+        """A client reading through a live replica node.
+
+        Bound as :meth:`QueryService.connect_node` binds: a restart
+        that swaps ``node.chain`` is followed, a crashed node raises
+        :class:`~repro.query.service.QueryError`, and references carry
+        the node's lag behind ``canonical``.
+        """
+        from repro.query.service import QueryService  # noqa: PLC0415 - cycle
+
+        client = cls.__new__(cls)
+        client.service = QueryService.connect_node(node, canonical=canonical)
+        return client
 
     def lookup(
         self, system_name: str, system_version: str
@@ -97,25 +121,24 @@ class ConsumerClient:
         for the same version, and its findings belong to the same
         reference.
         """
-        matching = [
-            candidate
-            for candidate in self._confirmed_sras()
-            if candidate.body.system_name == system_name
-            and candidate.body.system_version == system_version
-        ]
-        if not matching:
+        index, staleness = self.service.live_view()
+        sras = index.sras(system=system_name, version=system_version)
+        if not sras:
             return None
-        sra_ids = {sra.sra_id for sra in matching}
-        descriptions: List[VulnerabilityDescription] = []
-        for report in self._confirmed_detailed_reports():
-            if report.sra_id in sra_ids:
-                descriptions.extend(report.descriptions)
+        reports = [
+            report for sra in sras for report in index.reports(sra_id=sra.sra_id)
+        ]
+        reports.sort(key=lambda report: report.location)  # chain order: first wins
+        findings: Dict[str, Finding] = {}
+        for report in reports:
+            for key, severity in zip(report.vulnerability_keys, report.severities):
+                findings.setdefault(key, Finding(key, severity))
         return SecurityReference(
             system_name=system_name,
             system_version=system_version,
-            provider_id=matching[0].body.provider_id,
-            sra_confirmed=True,
-            vulnerabilities=tuple(deduplicate(descriptions)),
+            provider_id=sras[0].provider_id,
+            vulnerabilities=tuple(findings.values()),
+            staleness=staleness,
         )
 
     def should_deploy(
@@ -133,21 +156,21 @@ class ConsumerClient:
 
     def provider_track_record(self, provider_id: str) -> ProviderTrackRecord:
         """Accountability summary over all of a provider's releases."""
-        sras = [s for s in self._confirmed_sras() if s.body.provider_id == provider_id]
-        reports = self._confirmed_detailed_reports()
-        vulnerable = 0
-        total_flaws = 0
-        for sra in sras:
-            keys = set()
-            for report in reports:
-                if report.sra_id == sra.sra_id:
-                    keys.update(report.vulnerability_keys())
-            if keys:
-                vulnerable += 1
-                total_flaws += len(keys)
+        index, _ = self.service.live_view()
+        sras = index.sras(provider=provider_id)
+        flaws: List[int] = [
+            len(
+                {
+                    key
+                    for report in index.reports(sra_id=sra.sra_id)
+                    for key in report.vulnerability_keys
+                }
+            )
+            for sra in sras
+        ]
         return ProviderTrackRecord(
             provider_id=provider_id,
             releases=len(sras),
-            vulnerable_releases=vulnerable,
-            total_confirmed_vulnerabilities=total_flaws,
+            vulnerable_releases=sum(1 for count in flaws if count),
+            total_confirmed_vulnerabilities=sum(flaws),
         )

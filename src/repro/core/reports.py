@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.codec import pack, unpack
+from repro.codec import CodecError, pack, unpack
 from repro.crypto.ecdsa import Signature
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import Address, KeyPair
@@ -85,21 +85,26 @@ class DetailedReport:
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "DetailedReport":
-        """Parse the chain-record form."""
+        """Parse the chain-record form; any bad bytes raise :class:`CodecError`."""
         sra_id, detector, wallet, des_blob, report_id, signature = unpack(payload, 6)
-        descriptions = tuple(
-            VulnerabilityDescription.from_wire(part)
-            for part in des_blob.decode().split("\x1e")
-            if part
-        )
-        return cls(
-            sra_id=sra_id,
-            detector_id=detector.decode(),
-            wallet=Address(wallet),
-            descriptions=descriptions,
-            report_id=report_id,
-            signature=Signature.from_bytes(signature),
-        )
+        try:
+            descriptions = tuple(
+                VulnerabilityDescription.from_wire(part)
+                for part in des_blob.decode().split("\x1e")
+                if part
+            )
+            return cls(
+                sra_id=sra_id,
+                detector_id=detector.decode(),
+                wallet=Address(wallet),
+                descriptions=descriptions,
+                report_id=report_id,
+                signature=Signature.from_bytes(signature),
+            )
+        except ValueError as error:
+            # Not UTF-8, a description missing a field, an unknown
+            # severity, a wrong-width wallet, a short signature.
+            raise CodecError(f"malformed detailed report payload: {error}") from error
 
 
 def detailed_report_hash(report: DetailedReport) -> bytes:
@@ -151,18 +156,22 @@ class InitialReport:
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "InitialReport":
-        """Parse the chain-record form."""
+        """Parse the chain-record form; any bad bytes raise :class:`CodecError`."""
         sra_id, detector, detailed_hash, wallet, report_id, signature = unpack(
             payload, 6
         )
-        return cls(
-            sra_id=sra_id,
-            detector_id=detector.decode(),
-            detailed_hash=detailed_hash,
-            wallet=Address(wallet),
-            report_id=report_id,
-            signature=Signature.from_bytes(signature),
-        )
+        try:
+            return cls(
+                sra_id=sra_id,
+                detector_id=detector.decode(),
+                detailed_hash=detailed_hash,
+                wallet=Address(wallet),
+                report_id=report_id,
+                signature=Signature.from_bytes(signature),
+            )
+        except ValueError as error:
+            # Not UTF-8, a wrong-width wallet, a short signature.
+            raise CodecError(f"malformed initial report payload: {error}") from error
 
 
 def build_report_pair(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.codec import pack, unpack
+from repro.codec import CodecError, pack, unpack
 from repro.core.registry import IdentityRegistry
 from repro.crypto.ecdsa import Signature
 from repro.crypto.hashing import hash_fields, sha3_256
@@ -118,7 +118,7 @@ class SignedSRA:
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "SignedSRA":
-        """Parse the chain-record form."""
+        """Parse the chain-record form; any bad bytes raise :class:`CodecError`."""
         (
             provider_id,
             system_name,
@@ -130,20 +130,24 @@ class SignedSRA:
             claimed_id,
             signature,
         ) = unpack(payload, 9)
-        body = SRA(
-            provider_id=provider_id.decode(),
-            system_name=system_name.decode(),
-            system_version=system_version.decode(),
-            artifact_hash=artifact_hash,
-            download_link=download_link.decode(),
-            insurance_wei=int(insurance),
-            bounty_wei=int(bounty),
-        )
-        return cls(
-            body=body,
-            claimed_id=claimed_id,
-            signature=Signature.from_bytes(signature),
-        )
+        try:
+            body = SRA(
+                provider_id=provider_id.decode(),
+                system_name=system_name.decode(),
+                system_version=system_version.decode(),
+                artifact_hash=artifact_hash,
+                download_link=download_link.decode(),
+                insurance_wei=int(insurance),
+                bounty_wei=int(bounty),
+            )
+            return cls(
+                body=body,
+                claimed_id=claimed_id,
+                signature=Signature.from_bytes(signature),
+            )
+        except ValueError as error:
+            # Not UTF-8, a non-integer wei amount, a short signature.
+            raise CodecError(f"malformed SRA payload: {error}") from error
 
 
 def make_sra(

@@ -112,6 +112,12 @@ class ProviderStakeholder(ReplicaNode):
         self.rejected_messages = 0
         self.records_resubmitted = 0
         self.mempool_records_revalidated = 0
+        #: What references measure their lag against (the deployment
+        #: points it at the fleet's heaviest replica); None: this chain.
+        self.canonical: Optional[object] = None
+        #: The one reader every ``CONSUMER_QUERY`` goes through, built
+        #: on the first query: a provider nobody asks keeps no index.
+        self.reader: Optional[ConsumerClient] = None
         self.on(MessageKind.SRA_ANNOUNCE, self._on_sra)
         self.on(MessageKind.INITIAL_REPORT, self._on_initial)
         self.on(MessageKind.DETAILED_REPORT, self._on_detailed)
@@ -184,7 +190,9 @@ class ProviderStakeholder(ReplicaNode):
 
     def _on_consumer_query(self, _node: Node, message: Message) -> None:
         name, version, reply_to = message.payload
-        reference = ConsumerClient(self.chain).lookup(name, version)
+        if self.reader is None:
+            self.reader = ConsumerClient.connect_node(self, self.canonical)
+        reference = self.reader.lookup(name, version)
         self.send(reply_to, MessageKind.CONSUMER_RESPONSE, reference)
 
     # -- mining ----------------------------------------------------------------
@@ -560,6 +568,7 @@ class DecentralizedDeployment(WorkflowChain):
         )
         provider.chain.confirmation_depth = self.confirmation_depth
         provider.mempool.telemetry = self.telemetry
+        provider.canonical = self._heaviest_replica
         return provider
 
     # -- phase 1 ------------------------------------------------------------

@@ -10,10 +10,11 @@ bare ``ValueError`` in some paths and a typed error in others.
 
 :func:`parse_hex` is the one validator: optional ``0x``/``0X`` prefix,
 at least one digit, even length, hex digits only (mixed case fine), and
-an optional exact byte length.  Callers pass their own error type so
-the RPC layer raises :class:`~repro.rpc.RpcError` and the query layer
-:class:`~repro.query.service.QueryError`, both carrying the offending
-value verbatim.
+an optional exact byte length.  Callers pass their own error type —
+the query layer :class:`~repro.query.service.QueryError`, and the RPC
+facade its subclass :class:`~repro.rpc.RpcError` for the one id it
+parses itself (a receipt's) — always carrying the offending value
+verbatim.
 """
 
 from __future__ import annotations

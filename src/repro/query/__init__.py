@@ -2,13 +2,13 @@
 
 The paper's consumers "query the report chain before deploying a
 system" (§V, §VII); this package serves that traffic at volume.
-:class:`ChainIndex` materializes report/nonce/height/location lookups
+:class:`ChainIndex` materializes report/nonce/height lookups
 incrementally at block confirmation (reorg-guard rebuild),
 :class:`SnapshotCache` freezes block/ledger views per head, and
 :class:`QueryService` batches mixed requests with deterministic
-scheduling under the simulator clock.  ``repro.rpc`` routes its hot
-reads through the same indices, so existing ``Web3Shim`` call sites
-get the fast path transparently.
+scheduling under the simulator clock.  ``repro.rpc`` and
+``repro.core.consumer`` are shapes over a :class:`QueryService`, not
+read paths of their own.
 
 Beyond one process: :mod:`repro.query.persistence` gives the index a
 durable home next to the block log (warm-start restarts replay only

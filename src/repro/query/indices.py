@@ -6,12 +6,17 @@ every canonical block per nonce lookup, every confirmed payload per
 report filter — is O(chain) per call and quadratic over a consumer
 workload.  :class:`ChainIndex` maintains the answers *incrementally*:
 
-* canonical-path indices (height → block id, sender → record count,
-  record id → location) advanced one block at a time as the head moves;
+* canonical-path indices (height → block id, sender → record count)
+  advanced one block at a time as the head moves — *where* a record
+  lives is the chain's own ``locate_record`` map, kept current by
+  every ``add_block``, and is not copied here;
 * confirmed-report indices (reports by system / vendor / severity /
   detector, SRAs by release) advanced at the confirmation boundary —
   confirmed blocks are stable under the 6-deep rule, so each refresh
-  decodes only the newly confirmed payloads.
+  decodes only the newly confirmed payloads.  This is the one place a
+  confirmed payload is decoded for reading: a payload that does not
+  decode (block acceptance checks PoW and the Merkle root, not record
+  payloads) is skipped and counted, never raised at a reader.
 
 Both cursors carry a reorg guard: if the block a cursor last stopped at
 is no longer canonical, every derived structure is rebuilt from genesis
@@ -31,7 +36,8 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.chain.block import Block, ChainRecord, RecordKind
-from repro.chain.chain import Blockchain, ChainError, RecordLocation
+from repro.chain.chain import Blockchain, ChainError
+from repro.codec import CodecError
 from repro.contracts.contract import ContractEvent
 from repro.core.reports import DetailedReport
 from repro.core.sra import SignedSRA
@@ -106,9 +112,6 @@ class IndexState:
 
     height_ids: List[bytes]
     sender_counts: Dict[Address, int]
-    #: (record_id, height, index_in_block); the block id is recovered
-    #: from ``height_ids`` so each location costs 44 bytes, not 76.
-    locations: List[Tuple[bytes, int, int]]
     confirmed_height: int
     confirmed_block_id: Optional[bytes]
     sras: List[SraEntry]
@@ -185,16 +188,14 @@ class ChainIndex:
     def _reset(self) -> None:
         self._height_ids: List[bytes] = []
         self._sender_counts: Dict[Address, int] = {}
-        #: record_id -> (height, index_in_block); the block id is
-        #: recoverable from ``_height_ids``, so the hot indexing path
-        #: stores a plain tuple and :meth:`locate_record` materializes
-        #: the :class:`RecordLocation` on demand.
-        self._locations: Dict[bytes, Tuple[int, int]] = {}
         self._reset_confirmed()
 
     def _reset_confirmed(self) -> None:
         self._confirmed_height = -1
         self._confirmed_block_id: Optional[bytes] = None
+        #: Confirmed SRA / R* records this view skipped because their
+        #: payload did not decode (a warm start counts its delta only).
+        self.undecodable = 0
         self._sras: Dict[bytes, SraEntry] = {}
         self._sras_in_order: List[SraEntry] = []
         self._sras_by_release: Dict[Tuple[str, str], List[int]] = {}
@@ -221,10 +222,6 @@ class ChainIndex:
         return IndexState(
             height_ids=list(self._height_ids),
             sender_counts=dict(self._sender_counts),
-            locations=[
-                (record_id, height, index_in_block)
-                for record_id, (height, index_in_block) in self._locations.items()
-            ],
             confirmed_height=self._confirmed_height,
             confirmed_block_id=self._confirmed_block_id,
             sras=list(self._sras_in_order),
@@ -251,15 +248,6 @@ class ChainIndex:
         self._reset()
         self._height_ids = list(state.height_ids)
         self._sender_counts = dict(state.sender_counts)
-        tip = len(state.height_ids)
-        self._locations = {
-            record_id: (height, index_in_block)
-            for record_id, height, index_in_block in state.locations
-        }
-        # max() over the (height, index) tuples compares heights first,
-        # so this is one C-level pass, not a per-entry genexpr.
-        if self._locations and max(self._locations.values())[0] >= tip:
-            raise ValueError("location names a height beyond the index tip")
         self._confirmed_height = state.confirmed_height
         self._confirmed_block_id = state.confirmed_block_id
         self._sras_in_order = list(state.sras)
@@ -318,12 +306,11 @@ class ChainIndex:
     def _apply_canonical(self, block: Block) -> None:
         self.blocks_indexed += 1
         self._height_ids.append(block.block_id)
-        for position, record in enumerate(block.records):
+        for record in block.records:
             if record.sender is not None:
                 self._sender_counts[record.sender] = (
                     self._sender_counts.get(record.sender, 0) + 1
                 )
-            self._locations[record.record_id] = (block.height, position)
 
     def _advance_confirmed(self) -> None:
         confirmed_height = self.chain.head.height - self.chain.confirmation_depth
@@ -345,31 +332,44 @@ class ChainIndex:
         self, height: int, position: int, record: ChainRecord
     ) -> None:
         if record.kind == RecordKind.SRA:
-            sra = SignedSRA.from_payload(record.payload)
-            entry = SraEntry(
-                sra_id=sra.sra_id,
-                provider_id=sra.body.provider_id,
-                system_name=sra.body.system_name,
-                system_version=sra.body.system_version,
-                insurance_wei=sra.body.insurance_wei,
-                bounty_wei=sra.body.bounty_wei,
-                height=height,
-                index_in_block=position,
-            )
-            index = len(self._sras_in_order)
-            self._sras_in_order.append(entry)
-            self._sras[entry.sra_id] = entry
-            self._sras_by_release.setdefault(entry.release_key, []).append(index)
-            self._sras_by_provider.setdefault(entry.provider_id, []).append(index)
-            if self._pending_reports:
-                # A report can only be parked while its SRA is unseen;
-                # retry the queue now that a new SRA landed.
-                pending, self._pending_reports = self._pending_reports, []
-                for parked in pending:
-                    self._file_report(*parked)
+            decode, file = SignedSRA.from_payload, self._file_sra
         elif record.kind == RecordKind.DETAILED_REPORT:
-            report = DetailedReport.from_payload(record.payload)
-            self._file_report(height, position, report)
+            decode, file = DetailedReport.from_payload, self._file_report
+        else:
+            return
+        try:
+            decoded = decode(record.payload)
+        except CodecError:
+            # Bytes no encoder wrote, confirmed by a byzantine miner:
+            # skip the record so every later one stays readable.
+            self.undecodable += 1
+            if self.telemetry.enabled:
+                self.telemetry.counter("query.undecodable_records").inc()
+            return
+        file(height, position, decoded)
+
+    def _file_sra(self, height: int, position: int, sra: SignedSRA) -> None:
+        entry = SraEntry(
+            sra_id=sra.sra_id,
+            provider_id=sra.body.provider_id,
+            system_name=sra.body.system_name,
+            system_version=sra.body.system_version,
+            insurance_wei=sra.body.insurance_wei,
+            bounty_wei=sra.body.bounty_wei,
+            height=height,
+            index_in_block=position,
+        )
+        index = len(self._sras_in_order)
+        self._sras_in_order.append(entry)
+        self._sras[entry.sra_id] = entry
+        self._sras_by_release.setdefault(entry.release_key, []).append(index)
+        self._sras_by_provider.setdefault(entry.provider_id, []).append(index)
+        if self._pending_reports:
+            # A report can only be parked while its SRA is unseen;
+            # retry the queue now that a new SRA landed.
+            pending, self._pending_reports = self._pending_reports, []
+            for parked in pending:
+                self._file_report(*parked)
 
     def _file_report(
         self, height: int, position: int, report: DetailedReport
@@ -443,29 +443,6 @@ class ChainIndex:
         self.refresh()
         self._hit()
         return self._sender_counts.get(sender, 0)
-
-    def locate_record(self, record_id: bytes) -> Optional[RecordLocation]:
-        """Where a record lives on the canonical chain (indexed)."""
-        self.refresh()
-        self._hit()
-        entry = self._locations.get(record_id)
-        if entry is None:
-            return None
-        height, index_in_block = entry
-        return RecordLocation(
-            block_id=self._height_ids[height],
-            height=height,
-            index_in_block=index_in_block,
-        )
-
-    def get_record(self, record_id: bytes) -> Optional[ChainRecord]:
-        """Fetch a canonical record by id through the location index."""
-        location = self.locate_record(record_id)
-        if location is None:
-            return None
-        return self.chain.get_block(location.block_id).records[
-            location.index_in_block
-        ]
 
     # -- confirmed-report queries -------------------------------------------
 
@@ -568,17 +545,19 @@ class EventIndex:
         return list(self._by_name.get(name, ()))
 
     def named_slice(
-        self, name: str, start: int, limit: int
+        self, name: Optional[str], start: int, limit: int
     ) -> Tuple[List[ContractEvent], int]:
         """A page of the ``name`` bucket: (events, bucket total).
 
-        The event log is append-only, so positions within a bucket are
-        stable forever — an integer offset is a reorg-proof cursor.
-        Slicing here avoids materializing the whole bucket copy that
-        :meth:`named` makes.
+        ``name=None`` pages the whole log.  The event log is
+        append-only, so positions within a bucket are stable forever —
+        an integer offset is a reorg-proof cursor.  Slicing here avoids
+        materializing the whole bucket copy that :meth:`named` makes.
         """
         self.refresh()
         if self.telemetry.enabled:
             self.telemetry.counter("query.index_hits").inc()
+        if name is None:
+            return self.runtime.events_since(start)[:limit], self._consumed
         bucket = self._by_name.get(name, [])
         return list(bucket[start : start + limit]), len(bucket)

@@ -57,7 +57,6 @@ _SRA_ROW = struct.Struct(">32s5Q4I")
 #: version, severity count, key count
 _REPORT_ROW = struct.Struct(">32s32sQ5I2H")
 _SENDER_ROW = struct.Struct(">20sQ")
-_LOCATION_ROW = struct.Struct(">32sQI")
 _HEIGHT_ROW = struct.Struct("32s")
 
 
@@ -197,10 +196,6 @@ def encode_index_state(state: IndexState) -> bytes:
         address.value + count.to_bytes(8, "big")
         for address, count in state.sender_counts.items()
     )
-    locations = b"".join(
-        record_id + height.to_bytes(8, "big") + index.to_bytes(4, "big")
-        for record_id, height, index in state.locations
-    )
     sra_rows = []
     for entry in state.sras:
         insurance = _split_wei(entry.insurance_wei)
@@ -275,7 +270,6 @@ def encode_index_state(state: IndexState) -> bytes:
         [
             b"".join(state.height_ids),
             senders,
-            locations,
             # confirmed_height is -1 before the first confirmation;
             # shift by one to keep the field unsigned.
             (state.confirmed_height + 1).to_bytes(8, "big"),
@@ -307,7 +301,6 @@ def decode_index_state(body: bytes) -> IndexState:
     (
         height_blob,
         sender_blob,
-        location_blob,
         confirmed_height,
         confirmed_block_id,
         table_blob,
@@ -317,13 +310,11 @@ def decode_index_state(body: bytes) -> IndexState:
         key_blob,
         pending_blob,
         maps_blob,
-    ) = unpack(body, 12)
+    ) = unpack(body, 11)
     if len(height_blob) % 32:
         raise CodecError("height index blob is not a multiple of 32 bytes")
     if len(sender_blob) % _SENDER_ROW.size:
         raise CodecError("sender count blob is not a multiple of 28 bytes")
-    if len(location_blob) % _LOCATION_ROW.size:
-        raise CodecError("location blob is not a multiple of 44 bytes")
     if len(sra_blob) % _SRA_ROW.size:
         raise CodecError("SRA blob is not a multiple of the row size")
     if len(report_blob) % _REPORT_ROW.size:
@@ -333,11 +324,6 @@ def decode_index_state(body: bytes) -> IndexState:
         Address(raw): count
         for raw, count in _SENDER_ROW.iter_unpack(sender_blob)
     }
-    # Height bounds on the locations are enforced once, by
-    # ``ChainIndex._adopt_state`` — the only consumer of this state.
-    locations: List[Tuple[bytes, int, int]] = list(
-        _LOCATION_ROW.iter_unpack(location_blob)
-    )
     severity_cache: Dict[int, Severity] = {}
     try:
         table = _decode_table(table_blob)
@@ -471,7 +457,6 @@ def decode_index_state(body: bytes) -> IndexState:
     return IndexState(
         height_ids=height_ids,
         sender_counts=sender_counts,
-        locations=locations,
         confirmed_height=int.from_bytes(confirmed_height, "big") - 1,
         confirmed_block_id=confirmed_block_id or None,
         sras=sras,
@@ -535,9 +520,4 @@ def load_index(
         return None
     if not state.height_ids or state.tip_block_id != info.tip_block_id:
         return None
-    try:
-        return ChainIndex(chain, telemetry=telemetry, state=state)
-    except ValueError:
-        # Structurally invalid state (e.g. a location beyond the
-        # persisted tip): fall back to a cold build.
-        return None
+    return ChainIndex(chain, telemetry=telemetry, state=state)

@@ -1,11 +1,16 @@
 """Batched + async query serving over the materialized indices.
 
-:class:`QueryService` is the consumer-facing read path: requests are
-plain :class:`QueryRequest` values (method + params, mirroring the
-JSON-RPC surface the paper's consumers would hit), batches are served
-against ONE refreshed index view and one chain snapshot per batch, and
-``submit_batch`` defers execution onto the simulator clock so consumer
-traffic interleaves deterministically with mining and gossip events.
+:class:`QueryService` is the one read path: it alone decides which
+chain and which :class:`ChainIndex` are live for a node, and the
+consumer client (:mod:`repro.core.consumer`), the web3 facade
+(:mod:`repro.rpc`) and a provider's ``CONSUMER_QUERY`` handler all read
+through one.  Requests are plain :class:`QueryRequest` values (method +
+params, mirroring the JSON-RPC surface the paper's consumers would
+hit), batches are served against ONE refreshed index view and one chain
+snapshot per batch, and ``submit_batch`` defers execution onto the
+simulator clock so consumer traffic interleaves deterministically with
+mining and gossip events.  Folds over the whole confirmed history take
+the same view whole: :meth:`QueryService.live_view`.
 
 Beyond one process, the service binds to *replicas*
 (:meth:`QueryService.connect_node`): full :class:`ReplicaNode`\\ s get
@@ -18,9 +23,10 @@ stale answer.  With an ``index_dir`` binding the service persists its
 :class:`ChainIndex` through :mod:`repro.store` and warm-starts across
 restarts by replaying only the delta above the persisted tip.
 
-Per-request failures (unknown block, malformed address) become
-``ok=False`` responses carrying the error message — one bad request in
-a batch never poisons its neighbours.  Multi-row reads
+Per-request failures (unknown block, malformed address, a missing
+param) become ``ok=False`` responses carrying the error message — one
+bad request in a batch never poisons its neighbours.  A block named by
+hash is served only if it is on the served canonical chain.  Multi-row reads
 (``get_reports``/``get_sras``/``get_logs``) are paginated: a default
 ``limit`` bounds every response, truncation is explicit, and cursors
 are reorg-safe (resume consistently or fail with a descriptive error,
@@ -39,12 +45,7 @@ from repro.crypto.keys import Address
 from repro.hexargs import parse_hex
 from repro.network.simulator import Simulator
 from repro.query.indices import ChainIndex, EventIndex
-from repro.query.snapshots import (
-    ChainSnapshot,
-    SnapshotCache,
-    block_dict,
-    header_dict,
-)
+from repro.query.snapshots import SnapshotCache, block_dict, header_dict
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
@@ -66,6 +67,17 @@ DEFAULT_PAGE_LIMIT = 256
 #: Hard ceiling on an explicit ``limit`` — larger asks are rejected
 #: (never silently clamped).
 MAX_PAGE_LIMIT = 1024
+
+#: The one param each method cannot be served without.  ``QueryRequest(
+#: method, params)`` is outside input: a request missing its param is a
+#: per-request error, not a ``KeyError`` out of the batch.
+_REQUIRED_PARAM = {
+    "get_block": "identifier",
+    "get_balance": "account",
+    "get_transaction": "record_id",
+    "get_transaction_count": "account",
+    "get_logs": "event_name",
+}
 
 
 class QueryError(ValueError):
@@ -170,11 +182,11 @@ class QueryRequest:
     @classmethod
     def get_logs(
         cls,
-        event_name: str,
+        event_name: Optional[str],
         limit: Optional[int] = None,
         after: Optional[str] = None,
     ) -> "QueryRequest":
-        """Committed contract events by name (paged)."""
+        """Committed contract events by name — ``None``: all — paged."""
         params: Tuple[Tuple[str, Any], ...] = (("event_name", event_name),)
         if limit is not None:
             params += (("limit", limit),)
@@ -344,7 +356,8 @@ class QueryService:
 
     # -- live resolution -----------------------------------------------------
 
-    def _require_up(self) -> None:
+    def require_up(self) -> None:
+        """Raise :class:`QueryError` while the bound node is down."""
         if getattr(self.node, "crashed", False):
             name = getattr(self.node, "name", "node")
             raise QueryError(
@@ -356,12 +369,12 @@ class QueryService:
         """The bound node's HeaderChain, when it is a light replica."""
         if self.node is None or getattr(self.node, "chain", None) is not None:
             return None
-        self._require_up()
+        self.require_up()
         return getattr(self.node, "headers", None)
 
     def _live_chain(self) -> Blockchain:
         if self.node is not None:
-            self._require_up()
+            self.require_up()
             chain = getattr(self.node, "chain", None)
             if chain is None:
                 name = getattr(self.node, "name", "node")
@@ -396,6 +409,20 @@ class QueryService:
             self.index = self._build_index(chain)
         return self.index
 
+    def live_view(self) -> Tuple[ChainIndex, StalenessBound]:
+        """The refreshed live index, and how far its head lags canonical.
+
+        What a fold over the whole confirmed history reads
+        (:class:`~repro.core.consumer.ConsumerClient`): the same
+        decoded view and the same bound a batch is served from.
+        """
+        index = self._live_index()
+        index.refresh()
+        head = index.chain.head
+        return index, self._staleness_bound(
+            head.height, head.block_id, head.header.timestamp
+        )
+
     def _on_node_lifecycle(self, event: str) -> None:
         """Node lifecycle hook: pre-warm the index after a restart.
 
@@ -429,8 +456,7 @@ class QueryService:
             raise QueryError("light replicas keep no chain index to persist")
         from repro.query.persistence import save_index  # see _build_index
 
-        index = self._live_index()
-        index.refresh()
+        index, _ = self.live_view()
         path = save_index(index, self.index_dir)
         if self.telemetry.enabled:
             self.telemetry.counter("query.index_persists").inc()
@@ -528,83 +554,45 @@ class QueryService:
 
         The index refreshes once and the snapshot is captured once; all
         requests in the batch answer as of that head, even if live
-        objects move underneath mid-iteration.  ``max_staleness`` (in
-        blocks) rejects the whole batch with descriptive per-request
-        errors when the served head lags the canonical reference by
-        more than that.
+        objects move underneath mid-iteration.  A light replica answers
+        from its header chain instead (``head`` and ``get_block`` only)
+        — mid-resync it lags the canonical chain, and the staleness
+        bound makes that lag explicit on every response.
+        ``max_staleness`` (in blocks) rejects the whole batch with
+        descriptive per-request errors when the served head lags the
+        canonical reference by more than that.
         """
         self._require_max_staleness(max_staleness)
         headers = self._bound_headers()
-        if headers is not None:
-            return self._serve_header_batch(headers, requests, max_staleness)
-        index = self._live_index()
-        index.refresh()
-        chain = self._live_chain()
-        state = self.runtime.state if self.runtime is not None else None
-        snapshot = self.snapshots.current(chain, state)
-        bound = self._staleness_bound(
-            snapshot.height, snapshot.head_id, snapshot.head.header.timestamp
-        )
-        if self.telemetry.enabled:
-            self.telemetry.counter("query.requests").inc(len(requests))
-        if max_staleness is not None and bound.height_lag > max_staleness:
-            return self._reject_stale(requests, bound, max_staleness)
-        responses: List[QueryResponse] = []
-        for request in requests:
-            try:
-                result = self._dispatch(request, index, snapshot)
-            except (QueryError, ChainError, ValueError) as error:
-                responses.append(
-                    QueryResponse(
-                        request=request,
-                        ok=False,
-                        error=str(error),
-                        staleness=bound,
-                    )
+        if headers is None:
+            index, bound = self.live_view()
+            state = self.runtime.state if self.runtime is not None else None
+            view = self.snapshots.current(index.chain, state)
+        else:
+            index, view, tip = None, headers, headers.tip
+            if tip is None:
+                name = getattr(self.node, "name", "light replica")
+                error = (
+                    f"{name} has synced no headers yet; "
+                    "retry after its first resync completes"
                 )
-            else:
-                responses.append(
-                    QueryResponse(
-                        request=request, ok=True, result=result, staleness=bound
-                    )
-                )
-        return responses
-
-    def _serve_header_batch(
-        self,
-        headers,
-        requests: Sequence[QueryRequest],
-        max_staleness: Optional[int],
-    ) -> List[QueryResponse]:
-        """The light-replica path: header-backed queries only.
-
-        A light replica mid-resync lags the canonical chain; the
-        staleness bound makes that lag explicit on every response, and
-        ``max_staleness`` turns it into a rejection.
-        """
-        tip = headers.tip
-        if tip is None:
-            name = getattr(self.node, "name", "light replica")
-            error = (
-                f"{name} has synced no headers yet; "
-                "retry after its first resync completes"
+                return [
+                    QueryResponse(request=request, ok=False, error=error)
+                    for request in requests
+                ]
+            bound = self._staleness_bound(
+                tip.height, tip.header_hash(), tip.timestamp
             )
-            return [
-                QueryResponse(request=request, ok=False, error=error)
-                for request in requests
-            ]
-        bound = self._staleness_bound(
-            tip.height, tip.header_hash(), tip.timestamp
-        )
         if self.telemetry.enabled:
             self.telemetry.counter("query.requests").inc(len(requests))
-            self.telemetry.counter("query.light_requests").inc(len(requests))
+            if index is None:
+                self.telemetry.counter("query.light_requests").inc(len(requests))
         if max_staleness is not None and bound.height_lag > max_staleness:
             return self._reject_stale(requests, bound, max_staleness)
         responses: List[QueryResponse] = []
         for request in requests:
             try:
-                result = self._dispatch_header(request, headers)
+                result = self._dispatch(request, bound, index, view)
             except (QueryError, ChainError, ValueError) as error:
                 responses.append(
                     QueryResponse(
@@ -783,21 +771,46 @@ class QueryService:
     # -- dispatch ------------------------------------------------------------
 
     def _dispatch(
-        self, request: QueryRequest, index: ChainIndex, snapshot: ChainSnapshot
+        self,
+        request: QueryRequest,
+        bound: StalenessBound,
+        index: Optional[ChainIndex],
+        view,
     ) -> Any:
+        """Answer one request from the batch's view.
+
+        ``view`` is the batch's
+        :class:`~repro.query.snapshots.ChainSnapshot`; on a light
+        replica ``index`` is None and ``view`` is its header chain.
+        """
         params = request.param_dict()
         method = request.method
+        required = _REQUIRED_PARAM.get(method)
+        if required is not None and required not in params:
+            raise QueryError(f"{method} needs {required!r}")
         if method == "head":
             return {
-                "number": snapshot.height,
-                "hash": "0x" + snapshot.head_id.hex(),
+                "number": bound.served_height,
+                "hash": "0x" + bound.served_block_id.hex(),
             }
         if method == "get_block":
-            return self._serve_block(params["identifier"], snapshot)
+            return self._serve_block(params["identifier"], index, view)
+        if index is None:
+            name = getattr(self.node, "name", "light replica")
+            raise QueryError(
+                f"{name} is a light (headers-only) replica: it serves head and "
+                f"get_block, not {method}; connect a full replica for the rest "
+                "of the surface"
+            )
         if method == "get_balance":
-            return snapshot.balance(self._address(params["account"]))
+            account = self._address(params["account"])
+            if self.runtime is None:
+                raise QueryError(
+                    "no contract runtime attached: balance queries need one"
+                )
+            return view.balance(account)
         if method == "get_transaction":
-            return self._serve_transaction(params["record_id"], index)
+            return self._serve_transaction(params["record_id"], index.chain)
         if method == "get_transaction_count":
             return index.sender_count(self._address(params["account"]))
         if method == "get_reports":
@@ -843,31 +856,26 @@ class QueryService:
             }
         raise QueryError(f"unknown query method {method!r}")
 
-    def _dispatch_header(self, request: QueryRequest, headers) -> Any:
-        params = request.param_dict()
-        method = request.method
-        if method == "head":
-            tip = headers.tip
-            return {
-                "number": tip.height,
-                "hash": "0x" + tip.header_hash().hex(),
-            }
-        if method == "get_block":
-            return self._serve_header_block(params["identifier"], headers)
-        name = getattr(self.node, "name", "light replica")
-        raise QueryError(
-            f"{name} is a light (headers-only) replica: it serves head and "
-            f"get_block, not {method}; connect a full replica for the rest "
-            "of the surface"
-        )
-
-    def _serve_header_block(
-        self, identifier: Union[int, str, bytes], headers
+    @staticmethod
+    def _serve_block(
+        identifier: Union[int, str, bytes], index: Optional[ChainIndex], view
     ) -> Dict[str, Any]:
+        """A block by ``"latest"`` / ``"earliest"`` / height / hash.
+
+        One ladder for both backings: a full replica renders blocks of
+        the batch's snapshot, a light one (``index`` None) headers of
+        its header chain.  By hash, only a block on the served
+        canonical chain is an answer — a side-branch block is refused
+        by name, in O(1) either way.
+        """
+        if index is None:
+            render, tip, at_height = header_dict, view.tip, view.at_height
+        else:
+            render, tip, at_height = block_dict, view.head, view.block_at_height
         if identifier == "latest":
-            return header_dict(headers.tip)
+            return render(tip)
         if identifier == "earliest":
-            return header_dict(headers.at_height(0))
+            return render(at_height(0))
         if isinstance(identifier, bool):
             raise QueryError(
                 f"bad block identifier {identifier!r}: True/False would "
@@ -879,50 +887,36 @@ class QueryService:
                     f"height {identifier} is negative: canonical heights "
                     "are absolute, with no Python-list wraparound"
                 )
-            header = headers.at_height(identifier)
-            if header is None:
+            found = at_height(identifier)
+            if found is None:
                 raise QueryError(f"no block at height {identifier}")
-            return header_dict(header)
+            return render(found)
         raw = parse_hex(identifier, "block identifier", error=QueryError)
-        header = headers.header(raw)
-        if header is None:
-            raise QueryError("unknown block hash (not on the header chain)")
-        return header_dict(header)
-
-    def _serve_block(
-        self, identifier: Union[int, str, bytes], snapshot: ChainSnapshot
-    ) -> Dict[str, Any]:
-        if identifier == "latest":
-            return block_dict(snapshot.head)
-        if identifier == "earliest":
-            return block_dict(snapshot.blocks[0])
-        if isinstance(identifier, bool):
+        found = view.header(raw) if index is None else index.chain.get_block(raw)
+        if found is None:
             raise QueryError(
-                f"bad block identifier {identifier!r}: True/False would "
-                "silently read heights 1/0 — pass a plain int height"
+                f"unknown block hash 0x{raw.hex()}: this replica holds no "
+                "such block"
             )
-        if isinstance(identifier, int):
-            payload = snapshot.block_dict_at_height(identifier)
-            if payload is None:
-                raise QueryError(f"no block at height {identifier}")
-            return payload
-        raw = parse_hex(identifier, "block identifier", error=QueryError)
-        for block in snapshot.blocks:
-            if block.block_id == raw:
-                return block_dict(block)
-        raise QueryError("unknown block hash (not on the snapshotted chain)")
+        if at_height(found.height) != found:
+            raise QueryError(
+                f"block 0x{raw.hex()} is on a side branch, not on the "
+                "canonical chain as of the served head"
+            )
+        return render(found)
 
+    @staticmethod
     def _serve_transaction(
-        self, record_id: Union[str, bytes], index: ChainIndex
+        record_id: Union[str, bytes], chain: Blockchain
     ) -> Dict[str, Any]:
         record_id = parse_hex(record_id, "transaction id", error=QueryError)
-        location = index.locate_record(record_id)
+        location = chain.locate_record(record_id)
         if location is None:
             raise QueryError(
                 f"transaction 0x{record_id.hex()} not found on the "
                 "canonical chain"
             )
-        record = index.get_record(record_id)
+        record = chain.get_record(record_id)
         return {
             "hash": "0x" + record_id.hex(),
             "blockHash": "0x" + location.block_id.hex(),

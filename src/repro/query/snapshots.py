@@ -110,13 +110,6 @@ class ChainSnapshot:
             return None
         return self.blocks[height]
 
-    def block_dict_at_height(self, height: int) -> Optional[Dict[str, Any]]:
-        """Web3-shaped dict for the snapshotted block at ``height``."""
-        block = self.block_at_height(height)
-        if block is None:
-            return None
-        return block_dict(block)
-
     def balance(self, account: Address) -> int:
         """Snapshotted balance in wei (0 for unknown accounts)."""
         return self.balances.get(account, 0)

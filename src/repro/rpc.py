@@ -11,28 +11,40 @@ to the simulator nearly verbatim.
 Method names follow web3.py (``get_balance``, ``block_number``,
 ``get_block``); values use the same conventions (wei amounts, ``0x``
 hex identifiers, dict-shaped blocks).
+
+This is a shape, not a second read path: every chain read is one
+:meth:`QueryService.serve <repro.query.service.QueryService.serve>`
+call, so the two doors cannot disagree about which chain is live, what
+a block identifier means or what an error says (:class:`RpcError` is a
+:class:`~repro.query.service.QueryError`).  On top, :class:`Eth` keeps
+only what a query service has no business knowing: the mempool reads,
+``confirmations``, and the refusal to front a light client.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
-from repro.chain.block import Block
-from repro.chain.chain import Blockchain, ChainError
+from repro.chain.chain import Blockchain
 from repro.chain.mempool import Mempool
 from repro.contracts.vm import ContractRuntime
 from repro.crypto.keys import Address
 from repro.hexargs import parse_hex
-from repro.query.indices import ChainIndex
-from repro.query.snapshots import block_dict
+from repro.query.service import (
+    MAX_PAGE_LIMIT,
+    QueryError,
+    QueryRequest,
+    QueryResponse,
+    QueryService,
+)
 
 __all__ = ["Eth", "RpcError", "Web3Shim"]
 
 BlockIdentifier = Union[int, str, bytes]
 
 
-class RpcError(ValueError):
+class RpcError(QueryError):
     """Raised for unknown blocks, records, or malformed identifiers."""
 
 
@@ -42,145 +54,61 @@ def _hex(data: bytes) -> str:
 
 @dataclass
 class Eth:
-    """The ``w3.eth`` namespace."""
+    """The ``w3.eth`` namespace: web3 shaping over one :class:`QueryService`.
 
-    chain: Optional[Blockchain]
-    runtime: Optional[ContractRuntime]
-    #: A live replica node (``Web3Shim.connect_node``).  When set, every
-    #: call re-resolves ``chain``/``mempool`` from the node's *current*
-    #: attributes — a restart-from-disk swaps the node's chain object
-    #: wholesale, and a shim bound to the old object would serve stale
-    #: blocks and phantom receipts.
-    node: Optional[object] = None
-    #: Lazily built read index over the live chain (height → block,
-    #: sender → count).  Rebound whenever the chain object is swapped
-    #: (restart-from-disk), mirroring ``_live_chain``'s discipline.
-    _index: Optional[ChainIndex] = field(default=None, repr=False, compare=False)
+    The service owns which chain and index are live (a bound node's
+    restart-from-disk swaps ``node.chain`` wholesale; a crashed node is
+    an error, not a corpse to read) and answers every chain read; this
+    class adds the ``confirmations`` field and the mempool reads.
+    """
 
-    # -- live resolution ----------------------------------------------------
+    service: QueryService
 
-    def _live_chain(self) -> Blockchain:
-        """The chain to answer from right now; RpcError if there is none."""
-        if self.node is not None:
-            if getattr(self.node, "crashed", False):
-                name = getattr(self.node, "name", "node")
-                raise RpcError(
-                    f"{name} is down (crashed or mid-recovery); "
-                    "retry once it has restarted"
-                )
-            chain = getattr(self.node, "chain", None)
-            if chain is None:
-                name = getattr(self.node, "name", "node")
-                raise RpcError(f"{name} holds no full chain replica")
-            return chain
-        if self.chain is None:
-            raise RpcError("no chain attached to this shim")
-        return self.chain
+    def _respond(self, request: QueryRequest) -> QueryResponse:
+        try:
+            return self.service.serve(request)
+        except QueryError as error:  # the binding is unusable: node down
+            raise RpcError(str(error)) from error
 
-    def _live_index(self) -> ChainIndex:
-        """The materialized index over the live chain.
-
-        Built on first use and rebuilt when the underlying chain
-        *object* changes — a node restart-from-disk swaps ``node.chain``
-        wholesale, and an index over the old object would serve the
-        corpse.
-        """
-        chain = self._live_chain()
-        if self._index is None or self._index.chain is not chain:
-            self._index = ChainIndex(chain)
-        return self._index
+    def _result(self, request: QueryRequest) -> Any:
+        response = self._respond(request)
+        if not response.ok:
+            raise RpcError(response.error)
+        return response.result
 
     def _live_mempool(self) -> Optional[Mempool]:
         """The bound node's pending pool (a provider has one), if any."""
-        if getattr(self.node, "crashed", False):
-            raise RpcError(
-                f"{getattr(self.node, 'name', 'node')} is down (crashed or "
-                "mid-recovery); retry once it has restarted"
-            )
-        return getattr(self.node, "mempool", None)
-
-    def _require_runtime(self) -> ContractRuntime:
-        if self.runtime is None:
-            raise RpcError(
-                "no contract runtime attached: balances and contract "
-                "calls need one (pass runtime= when connecting)"
-            )
-        return self.runtime
+        try:
+            self.service.require_up()
+        except QueryError as error:
+            raise RpcError(str(error)) from error
+        return getattr(self.service.node, "mempool", None)
 
     # -- chain reads --------------------------------------------------------
 
     @property
     def block_number(self) -> int:
         """Height of the canonical head."""
-        return self._live_chain().height
+        return self._result(QueryRequest.head())["number"]
 
     def get_block(self, identifier: BlockIdentifier) -> Dict[str, Any]:
         """A block as a web3-shaped dict.
 
-        Accepts a height, the strings ``"latest"``/``"earliest"``, or a
-        block hash (bytes or ``0x`` hex).
+        Accepts a height, the strings ``"latest"``/``"earliest"``, or
+        the hash (bytes or ``0x`` hex) of a canonical block.
         """
-        block = self._resolve_block(identifier)
-        return block_dict(block)
-
-    def _resolve_block(self, identifier: BlockIdentifier) -> Block:
-        chain = self._live_chain()
-        if identifier == "latest":
-            return chain.head
-        if identifier == "earliest":
-            return chain.genesis
-        if isinstance(identifier, bool):
-            # bool subclasses int: without this guard get_block(True)
-            # silently serves height 1 and get_block(False) genesis.
-            raise RpcError(
-                f"bad block identifier {identifier!r}: True/False would "
-                "silently read heights 1/0 — pass a plain int height"
-            )
-        if isinstance(identifier, int):
-            try:
-                block = self._live_index().block_at_height(identifier)
-            except ChainError as error:
-                raise RpcError(str(error)) from error
-            if block is None:
-                raise RpcError(f"no block at height {identifier}")
-            return block
-        raw = parse_hex(identifier, "block identifier", error=RpcError)
-        block = chain.get_block(raw)
-        if block is None:
-            raise RpcError("unknown block hash")
-        return block
-
-    @staticmethod
-    def _record_id(identifier: Union[str, bytes]) -> bytes:
-        """Parse a record id, rejecting malformed input with an RpcError.
-
-        Shares :func:`repro.hexargs.parse_hex` with the query layer, so
-        the edge cases agree everywhere: ``"0x"`` alone is malformed
-        (it used to decode to the empty id and come back as a polite
-        "not found"), ``0X`` prefixes and mixed-case digits parse, and
-        whitespace-laced input is rejected instead of silently skipped.
-        """
-        return parse_hex(identifier, "transaction id", error=RpcError)
+        return self._result(QueryRequest.get_block(identifier))
 
     def get_transaction(self, record_id: Union[str, bytes]) -> Dict[str, Any]:
         """Look up a canonical chain record by id (web3's tx lookup)."""
-        chain = self._live_chain()
-        raw = self._record_id(record_id)
-        location = chain.locate_record(raw)
-        if location is None:
-            raise RpcError(f"transaction {_hex(raw)} not found on the canonical chain")
-        record = chain.get_record(raw)
-        return {
-            "hash": _hex(raw),
-            "blockHash": _hex(location.block_id),
-            "blockNumber": location.height,
-            "transactionIndex": location.index_in_block,
-            "kind": record.kind.value,
-            "fee": record.fee,
-            "from": record.sender.hex() if record.sender else None,
-            "input": _hex(record.payload),
-            "confirmations": chain.confirmations(location.block_id),
-        }
+        response = self._respond(QueryRequest.get_transaction(record_id))
+        if not response.ok:
+            raise RpcError(response.error)
+        transaction = response.result
+        transaction["confirmations"] = (
+            response.staleness.served_height - transaction["blockNumber"]
+        )
+        return transaction
 
     def get_transaction_receipt(self, record_id: Union[str, bytes]) -> Dict[str, Any]:
         """Mined-record receipt (web3's ``get_transaction_receipt``).
@@ -192,10 +120,11 @@ class Eth:
         recovery before the peer resync refills it), the answer is the
         documented "unknown" RpcError — never a KeyError.
         """
-        chain = self._live_chain()
-        raw = self._record_id(record_id)
-        location = chain.locate_record(raw)
-        if location is None:
+        raw = parse_hex(record_id, "transaction id", error=RpcError)
+        response = self._respond(QueryRequest.get_transaction(raw))
+        if not response.ok:
+            # The id parsed, so the one per-request failure left is
+            # "not on the canonical chain": pending, or unknown?
             mempool = self._live_mempool()
             if mempool is not None and raw in mempool:
                 raise RpcError(
@@ -203,15 +132,15 @@ class Eth:
                     "not yet mined"
                 )
             raise RpcError(f"no receipt: transaction {_hex(raw)} is unknown")
-        record = chain.get_record(raw)
+        mined = response.result
         return {
-            "transactionHash": _hex(raw),
-            "blockHash": _hex(location.block_id),
-            "blockNumber": location.height,
-            "transactionIndex": location.index_in_block,
-            "from": record.sender.hex() if record.sender else None,
+            "transactionHash": mined["hash"],
+            "blockHash": mined["blockHash"],
+            "blockNumber": mined["blockNumber"],
+            "transactionIndex": mined["transactionIndex"],
+            "from": mined["from"],
             "status": 1,
-            "confirmations": chain.confirmations(location.block_id),
+            "confirmations": response.staleness.served_height - mined["blockNumber"],
         }
 
     def get_pending_transactions(self) -> List[Dict[str, Any]]:
@@ -221,18 +150,6 @@ class Eth:
         (``Web3Shim.connect_node`` on a provider): a bare chain-reader
         has no mempool to inspect.
         """
-        pool = self._require_mempool()
-        return [
-            {
-                "hash": _hex(record.record_id),
-                "kind": record.kind.value,
-                "fee": record.fee,
-                "from": record.sender.hex() if record.sender else None,
-            }
-            for record in pool.select()
-        ]
-
-    def _require_mempool(self) -> Mempool:
         mempool = self._live_mempool()
         if mempool is None:
             raise RpcError(
@@ -240,46 +157,43 @@ class Eth:
                 "keeps one (Web3Shim.connect_node) to query pending "
                 "transactions"
             )
-        return mempool
+        return [
+            {
+                "hash": _hex(record.record_id),
+                "kind": record.kind.value,
+                "fee": record.fee,
+                "from": record.sender.hex() if record.sender else None,
+            }
+            for record in mempool.select()
+        ]
 
     # -- account reads ------------------------------------------------------
 
     def get_balance(self, account: Union[Address, str]) -> int:
-        """Balance in wei (accepts an Address or 0x hex string)."""
-        return self._require_runtime().state.balance(self._address(account))
+        """Balance in wei (accepts an Address or 0x hex string), as of
+        the served head's ledger snapshot like every batch read."""
+        return self._result(QueryRequest.get_balance(account))
 
     def get_transaction_count(self, account: Union[Address, str]) -> int:
-        """Canonical records sent by ``account`` (web3's nonce query).
-
-        Served from the sender index — O(1) after an incremental
-        refresh — instead of the historical full-chain scan, which
-        stays alive in the tests as the parity oracle.
-        """
-        return self._live_index().sender_count(self._address(account))
-
-    @staticmethod
-    def _address(account: Union[Address, str]) -> Address:
-        if isinstance(account, Address):
-            return account
-        return Address(parse_hex(account, "address", length=20, error=RpcError))
+        """Canonical records sent by ``account`` (web3's nonce query)."""
+        return self._result(QueryRequest.get_transaction_count(account))
 
     def get_logs(self, event_name: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Event logs, optionally filtered by name (web3's ``get_logs``)."""
-        runtime = self._require_runtime()
-        events = (
-            runtime.events_named(event_name)
-            if event_name is not None
-            else runtime.events
-        )
-        return [
-            {
-                "address": event.contract.hex(),
-                "event": event.name,
-                "args": dict(event.payload),
-                "blockTime": event.block_time,
-            }
-            for event in events
-        ]
+        """Event logs, optionally filtered by name (web3's ``get_logs``).
+
+        The service pages multi-row reads; this walks the cursor to the
+        end, as web3's unpaged call does.
+        """
+        rows: List[Dict[str, Any]] = []
+        after = None
+        while True:
+            page = self._result(
+                QueryRequest.get_logs(event_name, limit=MAX_PAGE_LIMIT, after=after)
+            )
+            rows.extend(page["rows"])
+            after = page["next_cursor"]
+            if after is None:
+                return rows
 
 
 class Web3Shim:
@@ -288,7 +202,7 @@ class Web3Shim:
     def __init__(
         self, chain: Optional[Blockchain], runtime: Optional[ContractRuntime]
     ) -> None:
-        self.eth = Eth(chain=chain, runtime=runtime)
+        self.eth = Eth(QueryService(chain=chain, runtime=runtime))
 
     @classmethod
     def connect_node(cls, node, runtime: Optional[ContractRuntime] = None) -> "Web3Shim":
@@ -306,12 +220,10 @@ class Web3Shim:
                 f"{getattr(node, 'name', node)!r} holds no full chain "
                 "replica (light clients cannot serve this RPC surface)"
             )
-        shim = cls(chain=None, runtime=runtime)
-        shim.eth.node = node
+        shim = cls.__new__(cls)
+        shim.eth = Eth(QueryService.connect_node(node, runtime=runtime))
         return shim
 
     def is_connected(self) -> bool:
         """Liveness probe: false while a bound node is down."""
-        if self.eth.node is not None:
-            return not getattr(self.eth.node, "crashed", False)
-        return True
+        return not getattr(self.eth.service.node, "crashed", False)

@@ -80,6 +80,106 @@ class TestWorkflowOverMessages:
         assert reference.vulnerability_count > 0
 
 
+class TestConsumerQueryReadPath:
+    def test_a_provider_nobody_asks_keeps_no_reader(self):
+        deployment = DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES, build_detector_fleet(thread_counts=(4,), seed=84),
+            seed=84,
+        )
+        deployment.announce(
+            "provider-1", build_system("dd-one", vulnerability_count=1, rng=random.Random(4))
+        )
+        deployment.advance_for(600.0)
+        consumer = deployment.consumers["consumer-1"]
+        for _ in range(3):
+            consumer.query("provider-2", "dd-one", "1.0.0")
+        deployment.simulator.advance()
+        asked = deployment.providers["provider-2"]
+        assert len(consumer.responses) == 3 and consumer.latest_reference is not None
+        # One reader, one index, built on the first query and kept.
+        assert asked.reader.service.cold_starts == 1
+        assert all(
+            provider.reader is None
+            for name, provider in deployment.providers.items()
+            if name != "provider-2"
+        )
+
+    def test_a_partitioned_providers_reference_says_how_stale_it_is(self):
+        # On a replicated chain "authoritative" needs the head it was
+        # read at: the minority side of a partition answers from a
+        # shorter chain, and its reference says by how much.
+        deployment = DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES,
+            build_detector_fleet(thread_counts=(2, 5, 8), seed=81),
+            seed=81,
+        )
+        deployment.announce(
+            "provider-1", build_system("dd-cam", vulnerability_count=3, rng=random.Random(1))
+        )
+        deployment.advance_for(900.0)
+        everyone_else = [
+            name
+            for name in (*deployment.providers, *deployment.detectors, *deployment.consumers)
+            if name != "provider-5"
+        ]
+        deployment.network.partition(["provider-5"], everyone_else)
+        deployment.advance_for(300.0)
+        deployment.network.heal_link("provider-5", "consumer-1")
+        consumer = deployment.consumers["consumer-1"]
+        for name in ("provider-5", "provider-1"):
+            consumer.query(name, "dd-cam", "1.0.0")
+            deployment.simulator.advance()
+        cut_off, connected = consumer.responses
+        behind = deployment.providers["provider-5"].chain
+        ahead = deployment.providers["provider-1"].chain
+        assert cut_off.staleness.height_lag == ahead.height - behind.height > 0
+        assert cut_off.staleness.served_block_id == behind.head.block_id
+        assert cut_off.staleness.time_lag > 0
+        assert connected.staleness.height_lag == 0
+        assert connected.staleness.served_block_id == ahead.head.block_id
+
+    def test_query_to_a_provider_restarted_from_disk_reads_the_new_chain(
+        self, tmp_path
+    ):
+        # The Eth twin is tests/test_rpc.py::test_receipt_survives_
+        # restart_from_disk: recovery swaps provider.chain wholesale and
+        # the provider's one reader must follow, not serve the corpse.
+        from repro.shard import FleetSpec
+
+        spec = FleetSpec(
+            full_nodes=len(PAPER_HASHPOWER_SHARES), store_dir=str(tmp_path),
+            store_snapshot_interval=4,
+        )
+        with DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES, build_detector_fleet(seed=3), seed=3, spec=spec
+        ) as deployment:
+            deployment.announce(
+                "provider-1", build_system("cam", vulnerability_count=2, rng=random.Random(3))
+            )
+            deployment.advance_for(400.0)
+            consumer = deployment.consumers["consumer-1"]
+            consumer.query("provider-2", "cam", "1.0.0")
+            deployment.simulator.advance()
+            provider = deployment.providers["provider-2"]
+            old_chain = provider.chain
+            assert provider.reader.service.index.chain is old_chain
+
+            deployment.crash("provider-2")
+            deployment.advance_for(400.0)
+            deployment.restart("provider-2")
+            deployment.finalize()
+            assert provider.chain is not old_chain and provider.store_recoveries == 1
+
+            consumer.query("provider-2", "cam", "1.0.0")
+            deployment.simulator.advance()
+            before, after = consumer.responses
+            assert provider.reader.service.index.chain is provider.chain
+            assert after.staleness.served_block_id == provider.chain.head.block_id
+            assert after.staleness.served_height > before.staleness.served_height
+            assert after.staleness.height_lag == 0
+            assert after.vulnerability_count >= before.vulnerability_count > 0
+
+
 class TestAdversarialMessages:
     def test_spoofed_sra_rejected_by_providers(self):
         deployment = DecentralizedDeployment(

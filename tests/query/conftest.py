@@ -15,12 +15,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.chain import Blockchain, RecordLocation
 from repro.chain.consensus import make_genesis
+from repro.codec import CodecError
 from repro.core.reports import DetailedReport
 from repro.core.sra import SRA, SignedSRA
 from repro.crypto.ecdsa import Signature
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import Address, KeyPair
-from repro.detection.descriptions import VulnerabilityDescription
+from repro.detection.descriptions import VulnerabilityDescription, deduplicate
 from repro.detection.vulnerability import Severity
 
 MINER = KeyPair.from_seed(b"query-test-miner").address
@@ -259,6 +260,75 @@ def full_scan_reports(
             continue
         matches.append((height, position, record.record_id))
     return matches
+
+
+def _confirmed_decoded(chain: Blockchain, kind: RecordKind, decode) -> list:
+    """Every confirmed ``kind`` payload, decoded — per call, like the scan
+    ``ConsumerClient`` ran before it folded the index.  A payload that
+    does not decode is skipped, as the index skips (and counts) it."""
+    decoded = []
+    for record in chain.confirmed_records(kind):
+        try:
+            decoded.append(decode(record.payload))
+        except CodecError:
+            continue
+    return decoded
+
+
+def full_scan_lookup(
+    chain: Blockchain, system_name: str, system_version: str
+) -> Optional[Tuple[str, Tuple[Tuple[str, Severity], ...]]]:
+    """The historical ``ConsumerClient.lookup`` scan, verbatim.
+
+    Returns (provider id, ((canonical key, severity), ...)) — what a
+    :class:`SecurityReference` says about the release — or None.
+    """
+    matching = [
+        candidate
+        for candidate in _confirmed_decoded(
+            chain, RecordKind.SRA, SignedSRA.from_payload
+        )
+        if candidate.body.system_name == system_name
+        and candidate.body.system_version == system_version
+    ]
+    if not matching:
+        return None
+    sra_ids = {sra.sra_id for sra in matching}
+    descriptions: List[VulnerabilityDescription] = []
+    for report in _confirmed_decoded(
+        chain, RecordKind.DETAILED_REPORT, DetailedReport.from_payload
+    ):
+        if report.sra_id in sra_ids:
+            descriptions.extend(report.descriptions)
+    return matching[0].body.provider_id, tuple(
+        (d.canonical, d.severity) for d in deduplicate(descriptions)
+    )
+
+
+def full_scan_track_record(
+    chain: Blockchain, provider_id: str
+) -> Tuple[int, int, int]:
+    """The historical ``provider_track_record`` loop, verbatim:
+    (releases, vulnerable releases, total confirmed vulnerabilities)."""
+    sras = [
+        sra
+        for sra in _confirmed_decoded(chain, RecordKind.SRA, SignedSRA.from_payload)
+        if sra.body.provider_id == provider_id
+    ]
+    reports = _confirmed_decoded(
+        chain, RecordKind.DETAILED_REPORT, DetailedReport.from_payload
+    )
+    vulnerable = 0
+    total_flaws = 0
+    for sra in sras:
+        keys = set()
+        for report in reports:
+            if report.sra_id == sra.sra_id:
+                keys.update(report.vulnerability_keys())
+        if keys:
+            vulnerable += 1
+            total_flaws += len(keys)
+    return len(sras), vulnerable, total_flaws
 
 
 def report_identities(entries: Sequence) -> List[Tuple[int, int, bytes]]:

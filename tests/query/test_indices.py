@@ -37,10 +37,12 @@ def assert_full_parity(chain, index):
         assert index.sender_count(sender) == full_scan_sender_count(chain, sender)
     for block in chain.iter_canonical():
         for record in block.records:
-            assert index.locate_record(record.record_id) == full_scan_locate(
+            # One record-location map: the chain's own (the index kept
+            # a second copy of it once).
+            assert chain.locate_record(record.record_id) == full_scan_locate(
                 chain, record.record_id
             )
-            assert index.get_record(record.record_id) == record
+            assert chain.get_record(record.record_id) == record
     for filters in (
         {},
         {"system": "camera"},
@@ -70,8 +72,8 @@ class TestCanonicalIndices:
 
     def test_unknown_record_and_sender(self, indexed):
         chain, _, index = indexed
-        assert index.locate_record(b"\x00" * 32) is None
-        assert index.get_record(b"\x00" * 32) is None
+        assert chain.locate_record(b"\x00" * 32) is None
+        assert chain.get_record(b"\x00" * 32) is None
         stranger = SENDERS[0].__class__(b"\xff" * 20)
         assert index.sender_count(stranger) == 0
 

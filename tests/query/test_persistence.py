@@ -27,7 +27,11 @@ from repro.query.persistence import (
     save_index,
 )
 from repro.store.frames import StoreError
-from repro.store.indexfile import INDEX_FILE_NAME, read_index_file
+from repro.store.indexfile import (
+    INDEX_FILE_NAME,
+    INDEX_FORMAT_VERSION,
+    read_index_file,
+)
 
 from tests.query.conftest import (
     SENDERS,
@@ -114,6 +118,20 @@ class TestColdFallback:
             data = bytearray(path.read_bytes())
             data[len(data) // 2] ^= 0x40
             path.write_bytes(bytes(data))
+            assert load_index(chain, directory) is None
+
+    def test_previous_format_version_falls_back(self, monkeypatch):
+        # Version 1 also carried a copy of the chain's record-location
+        # map.  There is no migration reader: an old file is a cold
+        # start, never a crash and never a half-read state.
+        chain, _ = build_mixed_chain(seed=53, blocks=6)
+        with tempfile.TemporaryDirectory() as directory:
+            monkeypatch.setattr(
+                "repro.store.indexfile.INDEX_FORMAT_VERSION", INDEX_FORMAT_VERSION - 1
+            )
+            path = save_index(ChainIndex(chain), directory)
+            monkeypatch.undo()
+            assert read_index_file(path).version == INDEX_FORMAT_VERSION - 1
             assert load_index(chain, directory) is None
 
     def test_foreign_chain_tip_falls_back(self):

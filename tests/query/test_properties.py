@@ -56,7 +56,9 @@ def _assert_parity(chain, index):
     # chains over exhaustive per-chain sweeps).
     for block in (chain.genesis, chain.head):
         for record in block.records:
-            assert index.locate_record(record.record_id) == full_scan_locate(
+            # The chain's own map is the one record-location map; the
+            # fork-and-overtake property below is its reorg coverage.
+            assert chain.locate_record(record.record_id) == full_scan_locate(
                 chain, record.record_id
             )
     for filters in _FILTERS:

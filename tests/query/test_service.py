@@ -83,6 +83,45 @@ class TestServeBatch:
         assert "negative" in responses[3].error
         assert "unknown query method" in responses[4].error
 
+    @pytest.mark.parametrize(
+        "method, needed",
+        [
+            ("get_block", "identifier"),
+            ("get_balance", "account"),
+            ("get_transaction", "record_id"),
+            ("get_transaction_count", "account"),
+            ("get_logs", "event_name"),
+        ],
+    )
+    def test_missing_required_param_is_a_per_request_error(
+        self, service, method, needed
+    ):
+        # QueryRequest(method, params) is the JSON-RPC-shaped public
+        # constructor: outside input.  This used to be a KeyError out
+        # of serve_batch, losing the neighbour's answer too.
+        svc, chain, _ = service
+        head, bare = svc.serve_batch([QueryRequest.head(), QueryRequest(method)])
+        assert head.ok and head.result["number"] == chain.head.height
+        assert not bare.ok
+        assert bare.error == f"{method} needs '{needed}'"
+
+    def test_get_block_by_hash_is_canonical_only(self, service):
+        svc, chain, sra_ids = service
+        canonical = chain.block_at_height(chain.head.height - 1)
+        by_hash = svc.serve(QueryRequest.get_block(canonical.block_id))
+        assert by_hash.result == svc.serve(
+            QueryRequest.get_block(canonical.height)
+        ).result
+        # A one-block side branch: stored by the chain, not canonical.
+        (side,) = extend_mixed(
+            chain, random.Random(3), 1, 2, list(sra_ids), parent=canonical
+        )
+        assert chain.get_block(side.block_id) is side
+        refused = svc.serve(QueryRequest.get_block("0x" + side.block_id.hex()))
+        assert not refused.ok and "side branch" in refused.error
+        unknown = svc.serve(QueryRequest.get_block(b"\x07" * 32))
+        assert not unknown.ok and "unknown block hash" in unknown.error
+
     def test_batch_is_consistent_view(self, service):
         svc, chain, sra_ids = service
         before = chain.head.height

@@ -65,7 +65,9 @@ class TestChainSnapshot:
         w3 = Web3Shim(chain, None)
         snapshot = ChainSnapshot.capture(chain)
         for height in (0, 1, chain.head.height):
-            assert snapshot.block_dict_at_height(height) == w3.eth.get_block(height)
+            assert block_dict(snapshot.block_at_height(height)) == w3.eth.get_block(
+                height
+            )
         assert block_dict(chain.head) == w3.eth.get_block("latest")
 
 

@@ -11,12 +11,14 @@ Three claims the framing layer stakes its correctness on:
   into a different value;
 * one error, one byte form — hostile bytes into a plain framing
   (``unpack_all``, a block, a chain dump, a barrier blob, a snapshot
-  body, an index-state body) either decode or raise the
+  body, an index-state body, an SRA / R† / R* record payload) either
+  decode or raise the
   :class:`CodecError` family, and what decodes re-encodes to the same
   bytes.
 """
 
 import io
+import random
 import tempfile
 from contextlib import closing, contextmanager
 from pathlib import Path
@@ -33,6 +35,8 @@ from repro.chain.serialization import (
     import_chain,
 )
 from repro.codec import CodecError, pack, unpack, unpack_all
+from repro.core.reports import DetailedReport, InitialReport
+from repro.core.sra import SignedSRA
 from repro.crypto.keys import Address
 from repro.network.messages import MessageKind
 from repro.query.indices import ChainIndex
@@ -54,7 +58,12 @@ from repro.store import (
 )
 from repro.store.frames import FRAME_HEADER_BYTES, FrameScan, write_frame
 
-from tests.query.conftest import build_mixed_chain
+from tests.query.conftest import (
+    DUMMY_SIG,
+    build_mixed_chain,
+    make_report_record,
+    make_sra_record,
+)
 from tests.store.conftest import build_chain, bump_last_prefix
 
 #: log file -> (store class, what a block contributes, its encoder, the read).
@@ -354,6 +363,9 @@ def _barrier_blob() -> bytes:
     )
 
 
+_SRA_RECORD = make_sra_record(random.Random(1), 1)
+
+
 class TestPlainFramings:
     """No CRC here: the decoder itself is the only check on outside bytes."""
 
@@ -383,6 +395,28 @@ class TestPlainFramings:
                 ChainIndex(build_mixed_chain(seed=11, blocks=8)[0]).dump_state()
             ),
             decode_index_state, encode_index_state, False,
+        ),
+        # Chain-record payloads: a confirmed one reaches every reader of
+        # every honest replica (block acceptance never looks inside), so
+        # bad UTF-8 / wei / severity / widths must be the codec family
+        # too.  Canonical at the framing only (``int()`` reads "07").
+        "sra-payload": (
+            _SRA_RECORD.payload, SignedSRA.from_payload, SignedSRA.to_payload, False,
+        ),
+        "detailed-report-payload": (
+            make_report_record(random.Random(2), _SRA_RECORD.record_id, 2).payload,
+            DetailedReport.from_payload, DetailedReport.to_payload, False,
+        ),
+        "initial-report-payload": (
+            InitialReport(
+                sra_id=_SRA_RECORD.record_id,
+                detector_id="det-1",
+                detailed_hash=b"\x11" * 32,
+                wallet=Address(b"\x22" * 20),
+                report_id=b"\x33" * 32,
+                signature=DUMMY_SIG,
+            ).to_payload(),
+            InitialReport.from_payload, InitialReport.to_payload, False,
         ),
     }
 

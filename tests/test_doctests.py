@@ -31,6 +31,7 @@ def test_readme_quickstart_executes():
     consumer = ConsumerClient(platform.chain)
     assert consumer.lookup("smart-camera", "2.4.1").vulnerability_count == 3
     assert consumer.should_deploy("smart-camera", "2.4.1") is False
+    assert consumer.lookup("smart-camera", "2.4.1").staleness.height_lag == 0
 
 
 def test_readme_fleet_snippet_executes():

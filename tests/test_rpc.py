@@ -292,7 +292,7 @@ class TestNodeBoundShim:
 
         # node.chain was swapped wholesale by the recovery; the shim
         # must follow it, not the pre-crash object.
-        assert w3.eth._live_chain() is node.chain
+        assert w3.eth.service.live_view()[0].chain is node.chain
         after = w3.eth.get_transaction_receipt(record.record_id)
         assert after["transactionHash"] == before["transactionHash"]
         assert after["status"] == 1
@@ -357,3 +357,107 @@ class TestNodeBoundShim:
         w3 = Web3Shim.connect_node(fleet.replicas["provider-1"])
         with pytest.raises(RpcError, match="no contract runtime attached"):
             w3.eth.get_balance("0x" + "00" * 20)
+
+
+class TestBothDoorsOneAnswer:
+    """``Eth`` is web3 shaping over ``QueryService.serve``: for every
+    method both doors serve, the same result (``get_transaction`` plus
+    ``confirmations``) or the same refusal, word for word."""
+
+    @pytest.fixture(scope="class")
+    def doors(self):
+        from repro.contracts.vm import ContractRuntime
+        from repro.query import QueryService
+        from tests.query.conftest import SENDERS, build_mixed_chain, extend_mixed
+
+        chain, sra_ids = build_mixed_chain(seed=61, blocks=16)
+        runtime = ContractRuntime()
+        for index, sender in enumerate(SENDERS):
+            runtime.state.mint(sender, (index + 1) * 10**18)
+        # A one-block side branch the chain stores but does not follow.
+        parent = chain.block_at_height(chain.head.height - 1)
+        (side,) = extend_mixed(
+            chain, random.Random(3), 1, 2, list(sra_ids), parent=parent
+        )
+        return Web3Shim(chain, runtime), QueryService(chain=chain, runtime=runtime), chain, side
+
+    def test_every_shared_read_agrees(self, doors):
+        from repro.query import QueryRequest
+        from tests.query.conftest import SENDERS
+
+        w3, service, chain, _ = doors
+        ask = lambda request: service.serve(request).result  # noqa: E731
+        assert w3.eth.block_number == ask(QueryRequest.head())["number"]
+        head_id = chain.head.block_id
+        for identifier in ("latest", "earliest", 0, 7, head_id, "0x" + head_id.hex()):
+            assert w3.eth.get_block(identifier) == ask(
+                QueryRequest.get_block(identifier)
+            )
+        for sender in SENDERS:
+            assert w3.eth.get_balance(sender) == ask(QueryRequest.get_balance(sender))
+            assert w3.eth.get_balance(sender.hex()) == ask(
+                QueryRequest.get_balance(sender)
+            )
+            assert w3.eth.get_transaction_count(sender) == ask(
+                QueryRequest.get_transaction_count(sender)
+            )
+        for block in (chain.block_at_height(3), chain.head):
+            for record in block.records:
+                served = ask(QueryRequest.get_transaction(record.record_id))
+                assert w3.eth.get_transaction(record.record_id) == {
+                    **served,
+                    "confirmations": chain.height - block.height,
+                }
+
+    def test_every_refusal_agrees(self, doors):
+        from repro.query import QueryRequest
+
+        w3, service, _, side = doors
+        refusals = [
+            (w3.eth.get_block, QueryRequest.get_block, True),
+            (w3.eth.get_block, QueryRequest.get_block, -1),
+            (w3.eth.get_block, QueryRequest.get_block, 10**9),
+            (w3.eth.get_block, QueryRequest.get_block, "0xzznothex"),
+            (w3.eth.get_block, QueryRequest.get_block, b"\x07" * 32),
+            (w3.eth.get_block, QueryRequest.get_block, side.block_id),
+            (w3.eth.get_transaction, QueryRequest.get_transaction, b"\x00" * 32),
+            (w3.eth.get_transaction, QueryRequest.get_transaction, "0x"),
+            (w3.eth.get_balance, QueryRequest.get_balance, "0xnothex"),
+            (w3.eth.get_transaction_count, QueryRequest.get_transaction_count, 5),
+        ]
+        for call, request, argument in refusals:
+            response = service.serve(request(argument))
+            assert not response.ok
+            with pytest.raises(RpcError) as raised:
+                call(argument)
+            assert str(raised.value) == response.error
+        assert "side branch" in service.serve(
+            QueryRequest.get_block(side.block_id)
+        ).error
+
+    def test_logs_walk_every_page_of_the_service(self, connected):
+        from repro.query import QueryRequest
+
+        platform, w3, _ = connected
+        service = platform.query_service("provider-1", runtime=platform.runtime)
+        everything = w3.eth.get_logs()
+        assert [entry["event"] for entry in everything] == [
+            event.name for event in platform.runtime.events
+        ]
+        for name in ("BountyPaid", None):
+            walked, after = [], None
+            while True:
+                page = service.serve(
+                    QueryRequest.get_logs(name, limit=2, after=after)
+                ).result
+                walked += page["rows"]
+                after = page["next_cursor"]
+                if after is None:
+                    break
+            assert walked == w3.eth.get_logs(name)
+        assert len(everything) > 2  # the small-limit walk really paged
+
+    def test_rpc_errors_are_query_errors(self):
+        from repro.query import QueryError
+
+        assert issubclass(RpcError, QueryError)

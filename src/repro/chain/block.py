@@ -52,7 +52,7 @@ class ChainRecord:
     fee: int = 0
     sender: Optional[Address] = None
     _encoded: Optional[bytes] = field(
-        default=None, compare=False, repr=False, hash=False
+        default=None, init=False, compare=False, repr=False, hash=False
     )
 
     def __post_init__(self) -> None:
@@ -102,7 +102,7 @@ class BlockHeader:
     difficulty: int
     miner: Address
     _hash: Optional[bytes] = field(
-        default=None, compare=False, repr=False, hash=False
+        default=None, init=False, compare=False, repr=False, hash=False
     )
 
     def header_hash(self) -> bytes:
@@ -168,10 +168,10 @@ class Block:
     header: BlockHeader
     records: Tuple[ChainRecord, ...]
     _merkle: Optional[MerkleTree] = field(
-        default=None, compare=False, repr=False, hash=False
+        default=None, init=False, compare=False, repr=False, hash=False
     )
     _by_id: Optional[Dict[bytes, ChainRecord]] = field(
-        default=None, compare=False, repr=False, hash=False
+        default=None, init=False, compare=False, repr=False, hash=False
     )
 
     @property

@@ -47,12 +47,17 @@ def encode_record(record: ChainRecord) -> bytes:
 
 
 def decode_record(data: bytes) -> ChainRecord:
-    """Parse one chain record."""
+    """Parse one chain record.
+
+    Every check below admits one spelling, so ``data`` *is* the record's
+    :meth:`~ChainRecord.to_bytes` and is set as that memo: a decoded
+    block's Merkle check hashes wire bytes, it does not re-pack them.
+    """
     kind, record_id, payload, fee, sender = unpack(data, 5)
     if len(fee) != 16:
         raise CodecError("record fee is not a 16-byte integer")
     try:
-        return ChainRecord(
+        record = ChainRecord(
             kind=RecordKind(kind.decode()),
             record_id=record_id,
             payload=payload,
@@ -61,6 +66,8 @@ def decode_record(data: bytes) -> ChainRecord:
         )
     except ValueError as error:
         raise CodecError(f"malformed record: {error}") from error
+    object.__setattr__(record, "_encoded", data)
+    return record
 
 
 def _header_wire_bytes(header: BlockHeader) -> bytes:

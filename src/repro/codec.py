@@ -15,9 +15,12 @@ bytes raises (``repro.shard.frames.FrameError`` and
 
 from __future__ import annotations
 
+import struct
 from typing import List, Sequence
 
 __all__ = ["pack", "unpack", "unpack_all", "CodecError"]
+
+_U32 = struct.Struct(">I").unpack_from
 
 
 class CodecError(ValueError):
@@ -45,7 +48,7 @@ def unpack_all(payload: bytes) -> List[bytes]:
         start = offset + 4
         if start > size:
             raise CodecError("truncated length prefix")
-        offset = start + int.from_bytes(payload[offset:start], "big")
+        offset = start + _U32(payload, offset)[0]
         if offset > size:
             raise CodecError("field overruns payload")
         append(payload[start:offset])

@@ -59,6 +59,7 @@ class FrameInfo:
 
     offset: int
     length: int  # payload bytes, excluding the frame header
+    crc: int  # CRC-32 of the payload, as verified at index time or written
 
     @property
     def end(self) -> int:
@@ -84,13 +85,14 @@ def write_frame(handle: BinaryIO, payload: bytes) -> FrameInfo:
     """Append one frame at the current end of ``handle``; flushes."""
     handle.seek(0, 2)
     offset = handle.tell()
-    handle.write(frame_bytes(payload))
+    frame = frame_bytes(payload)
+    handle.write(frame)
     handle.flush()
-    return FrameInfo(offset=offset, length=len(payload))
+    return FrameInfo(offset, len(payload), int.from_bytes(frame[4:8], "big"))
 
 
-def _read_verified(handle: BinaryIO, offset: int) -> bytes:
-    """Parse the frame ``handle`` is positioned at (file offset ``offset``).
+def _read_verified(handle: BinaryIO, offset: int) -> Tuple[bytes, int]:
+    """Parse the frame at file offset ``offset``: ``(payload, its CRC-32)``.
 
     The only parser of the frame header.  A frame is refused for one of
     four reasons: its header is torn, its length is implausible, its
@@ -112,19 +114,27 @@ def _read_verified(handle: BinaryIO, offset: int) -> bytes:
             f"frame payload overruns the file by "
             f"{length - len(payload)} bytes (torn write)"
         )
-    if zlib.crc32(payload) != int.from_bytes(header[4:], "big"):
+    crc = int.from_bytes(header[4:], "big")
+    if zlib.crc32(payload) != crc:
         raise StoreCorruption(f"checksum mismatch at offset {offset}")
-    return payload
+    return payload, crc
 
 
 def read_frame(handle: BinaryIO, info: FrameInfo) -> bytes:
-    """Read one frame's payload, re-verifying its checksum."""
+    """Read one frame's payload, re-verifying its checksum — and that it
+    is the indexed frame: a valid one of another length or checksum was
+    rewritten behind the index."""
     handle.seek(info.offset)
-    payload = _read_verified(handle, info.offset)
+    payload, crc = _read_verified(handle, info.offset)
     if len(payload) != info.length:
         raise StoreCorruption(
             f"frame at offset {info.offset} changed length on disk "
             f"({len(payload)} != indexed {info.length}); reopen the store"
+        )
+    if crc != info.crc:
+        raise StoreCorruption(
+            f"frame at offset {info.offset} changed content on disk "
+            "(a valid checksum, not the indexed one); reopen the store"
         )
     return payload
 
@@ -132,14 +142,14 @@ def read_frame(handle: BinaryIO, info: FrameInfo) -> bytes:
 def read_single_frame(path: Union[str, Path]) -> bytes:
     """The payload of a file that is exactly one frame (snapshots, indexes)."""
     with open(path, "rb") as handle:
-        payload = _read_verified(handle, 0)
+        payload, _ = _read_verified(handle, 0)
         if handle.read(1):
             raise StoreCorruption("expected exactly one frame")
     return payload
 
 
 class FrameScan:
-    """Iterate a log's verified frames front to back as ``(offset, payload)``.
+    """Iterate a log's verified frames front to back as ``(info, payload)``.
 
     The walk stops at the first frame that is torn, implausible or
     checksum-broken, or that the consumer :meth:`reject`\\ s because its
@@ -156,16 +166,16 @@ class FrameScan:
         self.good_end = 0
         self.corruption: Optional[str] = None
 
-    def __iter__(self) -> Iterator[Tuple[int, bytes]]:
+    def __iter__(self) -> Iterator[Tuple[FrameInfo, bytes]]:
         handle = self._handle
         handle.seek(0)
         while self.good_end < self.file_size:
             try:
-                payload = _read_verified(handle, self.good_end)
+                payload, crc = _read_verified(handle, self.good_end)
             except StoreCorruption as error:
                 self.corruption = str(error)
                 return
-            yield self.good_end, payload
+            yield FrameInfo(self.good_end, len(payload), crc), payload
             if self.corruption is not None:
                 return
             self.good_end += FRAME_HEADER_BYTES + len(payload)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple
@@ -180,13 +181,13 @@ def index_frames(
     """
     frames: List[FrameInfo] = []
     scan = FrameScan(handle)
-    for offset, payload in scan:
+    for info, payload in scan:
         try:
             links.add(decode(payload))
         except CodecError as error:
             scan.reject(f"undecodable frame {len(frames)}: {error}")
         else:
-            frames.append(FrameInfo(offset=offset, length=len(payload)))
+            frames.append(info)
     return frames, scan
 
 
@@ -351,6 +352,9 @@ class ChainStore(_FrameLog):
 
     def _finish_recovery(self, recovery: StoreRecovery) -> None:
         self._ledger_cursor = None
+        #: frame index -> the Block this open decoded from it, while a
+        #: caller keeps that block alive (see block_at).
+        self._decoded = weakref.WeakValueDictionary()
         # snapshots attribute exists only after __init__ finishes; the
         # first open defers manifest healing to the constructor.
         if hasattr(self, "snapshots"):
@@ -462,17 +466,31 @@ class ChainStore(_FrameLog):
     # -- reads -------------------------------------------------------------
 
     def block_at(self, index: int) -> Block:
-        """Decode frame ``index`` (CRC re-verified, Merkle re-derived)."""
+        """The block in frame ``index``, read from disk.
+
+        Every read takes the frame's bytes from the file and verifies
+        that their length and CRC-32 are the indexed ones.  The first
+        read of a frame in this open also decodes the records,
+        re-derives the Merkle root and checks the block id.  A later
+        read returns that same frozen block while a caller still holds
+        it, not a second decode: the bytes just read are tied to the
+        ones SHA-3 vouched for by length + CRC-32, the trust recovery
+        places in every frame body.  ``reopen()`` starts empty; fsck
+        always decodes in full.
+        """
         payload = self._read_payload(index)
-        block = decode_block(payload)
-        if block.block_id != self._links.ids[index]:
-            raise StoreCorruption(
-                f"frame {index} decoded to an unexpected block id"
-            )
+        block = self._decoded.get(index)
+        if block is None:
+            block = decode_block(payload)
+            if block.block_id != self._links.ids[index]:
+                raise StoreCorruption(
+                    f"frame {index} decoded to an unexpected block id"
+                )
+            self._decoded[index] = block
         return block
 
     def iter_blocks(self, start: int = 0) -> Iterator[Block]:
-        """Stream decoded blocks from frame ``start`` onward."""
+        """Stream blocks from frame ``start`` onward, each a :meth:`block_at`."""
         for index in range(start, len(self._frames)):
             yield self.block_at(index)
 
@@ -484,8 +502,9 @@ class ChainStore(_FrameLog):
         Returns None for an empty store.  Frames whose parent fell past
         a truncation point are skipped (the peer resync refetches
         them); the count lands in the ``store.frames_replayed`` counter
-        either way, since every surviving frame is decoded and
-        re-verified.
+        either way, since every surviving frame is read and verified
+        through :meth:`block_at` — which hands these same blocks back,
+        bytes re-checked, for as long as the returned chain is alive.
         """
         if not self._frames:
             return None

@@ -1,5 +1,7 @@
 """Tests for block structure and chain records."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chain.block import Block, BlockHeader, ChainRecord, GENESIS_PARENT, RecordKind
@@ -112,3 +114,45 @@ class TestBlock:
         tree = block.merkle_tree()
         for index in range(len(records)):
             assert tree.proof(index).verify(block.header.merkle_root)
+
+
+class TestReplaceDropsIdentityMemos:
+    """``dataclasses.replace`` builds through ``__init__``; a memo that was an
+    init field rode along and the copy kept the original's identity."""
+
+    def test_replaced_record_re_encodes(self):
+        honest = _record(b"a")
+        leaf = honest.to_bytes()
+        tampered = replace(honest, payload=b"tampered")
+        assert tampered.to_bytes() != leaf
+        rebuilt = ChainRecord(
+            honest.kind, honest.record_id, b"tampered", honest.fee, honest.sender
+        )
+        assert tampered.to_bytes() == rebuilt.to_bytes()
+
+    def test_replaced_header_re_hashes(self):
+        header = Block.assemble(GENESIS_PARENT, 1, (_record(b"a"),), 0.0, 10, MINER).header
+        block_id = header.header_hash()
+        assert replace(header, nonce=5).header_hash() == header.with_nonce(5).header_hash()
+        assert replace(header, nonce=5).header_hash() != block_id
+
+    def test_replaced_records_re_derive_the_merkle_root_and_the_id_index(self):
+        block = Block.assemble(GENESIS_PARENT, 1, (_record(b"a"),), 0.0, 10, MINER)
+        root = block.merkle_tree().root
+        assert block.find_record(_record(b"a").record_id) is not None
+        swapped = replace(block, records=(_record(b"b"),))
+        assert swapped.merkle_tree().root != root
+        assert swapped.find_record(_record(b"a").record_id) is None
+        assert swapped.find_record(_record(b"b").record_id) == _record(b"b")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ChainRecord(RecordKind.SRA, b"\x00" * 32, b"x", 0, None, b"memo"),
+            lambda: ChainRecord(RecordKind.SRA, b"\x00" * 32, b"x", _encoded=b"memo"),
+            lambda: Block(header=None, records=(), _merkle=None),
+        ],
+    )
+    def test_a_memo_is_not_a_constructor_argument(self, build):
+        with pytest.raises(TypeError):
+            build()

@@ -215,7 +215,12 @@ class TestFoldEqualsScan:
     def test_reference_names_the_head_it_was_read_at(self):
         chain, sra_ids = build_mixed_chain(seed=19, blocks=12)
         client = ConsumerClient(chain)
-        name, version = next(iter(releases_on(chain) - {GHOST}))
+        # The first *confirmed* release: releases_on() is a set (hash-seed
+        # order) and includes SRAs the consumer cannot see yet.
+        body = SignedSRA.from_payload(
+            chain.confirmed_records(RecordKind.SRA)[0].payload
+        ).body
+        name, version = body.system_name, body.system_version
         before = client.lookup(name, version).staleness
         assert (before.served_height, before.height_lag) == (chain.height, 0)
         assert before.served_block_id == chain.head.block_id

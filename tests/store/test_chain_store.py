@@ -1,12 +1,23 @@
 """ChainStore: append-only block log, recovery, snapshots, replay."""
 
+import gc
+
 import pytest
 
+import repro.store.store as store_module
 from repro.chain.chain import Blockchain
 from repro.chain.consensus import make_genesis
 from repro.chain.ledger import LedgerStateMachine
 from repro.chain.serialization import encode_block
-from repro.store import ChainStore, StoreError, drop_snapshots, flip_bit, tear_frame
+from repro.store import (
+    ChainStore,
+    StoreCorruption,
+    StoreError,
+    drop_snapshots,
+    flip_bit,
+    tear_frame,
+)
+from repro.store.frames import FRAME_HEADER_BYTES
 from repro.telemetry import Telemetry
 
 from tests.store.conftest import build_chain, extend_chain, opened
@@ -86,6 +97,145 @@ class TestAppendAndReload:
         assert loaded.head.block_id == fork.head.block_id  # heavier branch
         assert loaded.get_block(chain.head.block_id) is not None
         assert fork_parent.block_id in loaded
+
+
+def _forky_store(tmp_path, **kwargs):
+    """A store holding a 6-block branch and the heavier 9-block fork of it."""
+    chain = build_chain(6, confirmation_depth=2)
+    fork = Blockchain(chain.genesis, confirmation_depth=2)
+    for height in range(1, 4):
+        fork.add_block(chain.block_at_height(height))
+    extend_chain(fork, 6, label="fork")
+    store = _filled_store(tmp_path, chain, **kwargs)
+    for block in fork.iter_canonical():
+        if block.block_id not in store:
+            store.append(block)
+    assert not store.is_linear
+    return store, fork
+
+
+def _overwrite(store, offset: int, data: bytes) -> None:
+    """Change log bytes behind the store's back: no ``mark_stale``."""
+    with open(store.log_path, "r+b") as handle:
+        handle.seek(offset)
+        handle.write(data)
+
+
+class TestStoredBlockIsDecodedOnce:
+    """A frame whose decoded block a caller still holds is read and
+    CRC-checked again on every ``block_at``, but not decoded again."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Every payload the store hands to ``decode_block``."""
+        calls = []
+        original = store_module.decode_block
+
+        def counted(payload):
+            calls.append(payload)
+            return original(payload)
+
+        monkeypatch.setattr(store_module, "decode_block", counted)
+        return calls
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        """A cold-opened 64-frame store."""
+        _filled_store(tmp_path, build_chain(63)).close()
+        return opened(ChainStore(tmp_path / "replica"))
+
+    def test_the_fold_after_load_chain_decodes_nothing_twice(self, store, decodes):
+        chain = store.load_chain(confirmation_depth=2)
+        assert len(decodes) == 64
+        streamed = list(store.iter_blocks(1))
+        assert len(decodes) == 64  # not 128
+        assert len(streamed) == 63
+        for block in streamed:
+            assert block is chain.get_block(block.block_id)
+
+    def test_a_block_nobody_holds_is_decoded_again(self, store, decodes):
+        chain = store.load_chain(confirmation_depth=2)
+        del chain
+        gc.collect()
+        assert len(store._decoded) == 0
+        for _ in store.iter_blocks(1):
+            pass
+        assert len(decodes) == 64 + 63
+        assert len(store._decoded) <= 1  # streaming holds one block at a time
+
+    def test_reopen_starts_empty(self, store, decodes):
+        chain = store.load_chain(confirmation_depth=2)
+        store.reopen()
+        assert len(store._decoded) == 0
+        again = store.block_at(5)
+        assert len(decodes) == 65
+        held = chain.block_at_height(5)
+        assert again == held and again is not held
+
+    def test_an_appended_block_is_not_a_verified_one(self, tmp_path, chain, decodes):
+        store = _filled_store(tmp_path, chain)
+        assert len(store._decoded) == 0
+        read = store.block_at(3)
+        assert len(decodes) == 1
+        appended = chain.block_at_height(3)
+        assert read == appended and read is not appended
+        assert store.block_at(3) is read and len(decodes) == 1
+
+    def test_a_rotted_byte_under_a_held_block_is_caught_at_the_read(self, store):
+        chain = store.load_chain(confirmation_depth=2)
+        offset, _ = store.frame_span(3)
+        position = offset + FRAME_HEADER_BYTES + 40
+        byte = store.log_path.read_bytes()[position]
+        _overwrite(store, position, bytes([byte ^ 0x04]))
+        with pytest.raises(StoreCorruption, match="checksum mismatch"):
+            store.block_at(3)
+        assert chain.block_at_height(3) is not None  # still held: not served
+
+    def test_a_valid_frame_of_another_block_is_never_the_held_block(self, store):
+        chain = store.load_chain(confirmation_depth=2)
+        (offset, total), (other_offset, other_total) = (
+            store.frame_span(3), store.frame_span(4),
+        )
+        assert total == other_total
+        log = store.log_path.read_bytes()
+        _overwrite(store, offset, log[other_offset : other_offset + other_total])
+        with pytest.raises(StoreCorruption, match="changed content"):
+            store.block_at(3)
+        assert store.block_at(4) is chain.block_at_height(4)
+
+    def test_mark_stale_refuses_before_any_read(self, store, decodes):
+        store.load_chain(confirmation_depth=2)
+        store.mark_stale()
+        with pytest.raises(StoreError, match="reopen") as refusal:
+            store.block_at(3)
+        assert not isinstance(refusal.value, StoreCorruption)
+        assert len(decodes) == 64
+
+    @pytest.mark.parametrize("forky", [False, True])
+    def test_replay_ledger_after_load_chain_is_the_fresh_replay(self, tmp_path, forky):
+        if forky:
+            _forky_store(tmp_path, snapshot_interval=4)[0].close()
+        else:
+            chain = build_chain(20, confirmation_depth=2)
+            store = opened(ChainStore(tmp_path / "replica", snapshot_interval=4))
+            for block in chain.iter_canonical():
+                store.append(block)
+                store.maybe_snapshot(chain)
+            store.close()
+        fresh = opened(ChainStore(tmp_path / "replica", snapshot_interval=4))
+        expected = fresh.replay_ledger()
+        fresh.close()
+
+        warm = opened(ChainStore(tmp_path / "replica", snapshot_interval=4))
+        assert warm.is_linear is not forky
+        held = warm.load_chain(confirmation_depth=2)
+        replay = warm.replay_ledger()
+        assert held is not None
+        assert replay.state.snapshot() == expected.state.snapshot()
+        assert (replay.nonces, replay.height, replay.snapshot_height) == (
+            expected.nonces, expected.height, expected.snapshot_height,
+        )
+        assert replay.frames_replayed == expected.frames_replayed
 
 
 class TestCrashRecovery:
@@ -219,18 +369,7 @@ class TestSnapshotsAndLedgerReplay:
         assert replay.state.snapshot() == state.snapshot()
 
     def test_forky_log_replays_the_canonical_path(self, tmp_path):
-        chain = build_chain(6, confirmation_depth=2)
-        fork = Blockchain(chain.genesis, confirmation_depth=2)
-        for height in range(1, 4):
-            fork.add_block(chain.block_at_height(height))
-        extend_chain(fork, 6, label="fork")
-        store = opened(ChainStore(tmp_path / "replica", snapshot_interval=4))
-        for block in chain.iter_canonical():
-            store.append(block)
-        for block in fork.iter_canonical():
-            if block.block_id not in store:
-                store.append(block)
-        assert not store.is_linear
+        store, fork = _forky_store(tmp_path, snapshot_interval=4)
         replay = store.replay_ledger()
         state, _ = LedgerStateMachine().replay(fork)
         assert replay.height == fork.height

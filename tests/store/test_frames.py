@@ -1,6 +1,7 @@
 """The frame layer: checksummed length-prefixed log records."""
 
 import io
+import zlib
 
 import pytest
 
@@ -27,7 +28,7 @@ def _log(*payloads: bytes) -> io.BytesIO:
 def _scan(handle):
     """Run a scan to its end: (the scan, the FrameInfo of each frame seen)."""
     scan = FrameScan(handle)
-    frames = [FrameInfo(offset, len(payload)) for offset, payload in scan]
+    frames = [info for info, _ in scan]
     return scan, frames
 
 
@@ -35,7 +36,7 @@ class TestRoundTrip:
     def test_write_then_read_back(self):
         handle = io.BytesIO()
         info = write_frame(handle, b"hello")
-        assert info == FrameInfo(offset=0, length=5)
+        assert info == FrameInfo(offset=0, length=5, crc=zlib.crc32(b"hello"))
         assert info.end == FRAME_HEADER_BYTES + 5
         assert read_frame(handle, info) == b"hello"
 
@@ -43,13 +44,16 @@ class TestRoundTrip:
         handle = _log(b"")
         scan, frames = _scan(handle)
         assert scan.corruption is None
-        assert frames == [FrameInfo(offset=0, length=0)]
+        assert frames == [FrameInfo(offset=0, length=0, crc=0)]
 
     def test_frames_append_back_to_back(self):
         handle = _log(b"one", b"twotwo", b"three")
         scan, frames = _scan(handle)
         assert scan.corruption is None
         assert [info.length for info in frames] == [3, 6, 5]
+        assert [info.crc for info in frames] == [
+            zlib.crc32(payload) for payload in (b"one", b"twotwo", b"three")
+        ]
         assert scan.good_end == scan.file_size
         assert scan.tail_bytes == 0
         for info, expected in zip(frames, (b"one", b"twotwo", b"three")):
@@ -116,7 +120,7 @@ class TestScanDetectsCorruption:
         handle = _log(b"a", b"bb", b"ccc")
         scan = FrameScan(handle)
         seen = []
-        for offset, payload in scan:
+        for _, payload in scan:
             if payload == b"bb":
                 scan.reject("frame 1 does not decode")
             else:
@@ -128,19 +132,30 @@ class TestScanDetectsCorruption:
 
 
 class TestReadFrameReVerifies:
+    CRC = zlib.crc32(b"payload")
+
     def test_read_detects_length_drift(self):
         handle = _log(b"payload")
         with pytest.raises(StoreCorruption, match="changed length"):
-            read_frame(handle, FrameInfo(offset=0, length=3))
+            read_frame(handle, FrameInfo(offset=0, length=3, crc=self.CRC))
 
     def test_read_detects_flipped_byte(self):
         handle = _log(b"payload")
         data = bytearray(handle.getvalue())
         data[FRAME_HEADER_BYTES + 2] ^= 0x01
         with pytest.raises(StoreCorruption, match="checksum"):
-            read_frame(io.BytesIO(bytes(data)), FrameInfo(offset=0, length=7))
+            read_frame(
+                io.BytesIO(bytes(data)), FrameInfo(offset=0, length=7, crc=self.CRC)
+            )
+
+    def test_read_detects_a_valid_frame_that_is_not_the_indexed_one(self):
+        info = write_frame(io.BytesIO(), b"payload")
+        rewritten = _log(b"PAYLOAD")  # same offset, same length, good CRC
+        with pytest.raises(StoreCorruption, match="changed content"):
+            read_frame(rewritten, info)
+        assert read_frame(_log(b"payload"), info) == b"payload"
 
     def test_read_past_end_is_torn(self):
         handle = _log(b"payload")
         with pytest.raises(StoreCorruption, match="torn"):
-            read_frame(handle, FrameInfo(offset=500, length=7))
+            read_frame(handle, FrameInfo(offset=500, length=7, crc=self.CRC))

@@ -21,14 +21,17 @@ import io
 import random
 import tempfile
 from contextlib import closing, contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.serialization import (
     decode_block,
+    decode_record,
     encode_block,
     encode_header,
     export_chain,
@@ -66,9 +69,58 @@ from tests.query.conftest import (
 )
 from tests.store.conftest import build_chain, bump_last_prefix
 
+
+def record_fields(record: ChainRecord) -> list:
+    """The five wire fields, spelled from the record's public attributes."""
+    return [
+        record.kind.value.encode(),
+        record.record_id,
+        record.payload,
+        record.fee.to_bytes(16, "big"),
+        record.sender.value if record.sender is not None else b"",
+    ]
+
+
+def from_fields(block: Block) -> Block:
+    """``block`` with every record rebuilt from its five public fields.
+
+    A decoded record carries the blob it was parsed from as its
+    ``to_bytes()`` memo, so encoding it would compare that blob with
+    itself; a rebuilt record has no memo and is packed afresh.
+    """
+    return Block(
+        header=block.header,
+        records=tuple(
+            ChainRecord(r.kind, r.record_id, r.payload, r.fee, r.sender)
+            for r in block.records
+        ),
+    )
+
+
+def encode_block_from_fields(block: Block) -> bytes:
+    return encode_block(from_fields(block))
+
+
+def export_chain_from_fields(chain) -> bytes:
+    return pack([encode_block_from_fields(b) for b in chain.iter_canonical()])
+
+
+def encode_frames_from_fields(frames) -> bytes:
+    return encode_frames(
+        [
+            frame._replace(payload=from_fields(frame.payload))
+            if isinstance(frame.payload, Block)
+            else frame
+            for frame in frames
+        ]
+    )
+
+
 #: log file -> (store class, what a block contributes, its encoder, the read).
 LOGS = {
-    "blocks.log": (ChainStore, lambda b: b, encode_block, ChainStore.block_at),
+    "blocks.log": (
+        ChainStore, lambda b: b, encode_block_from_fields, ChainStore.block_at,
+    ),
     "headers.log": (
         HeaderStore, lambda b: b.header, encode_header, HeaderStore.header_at,
     ),
@@ -127,9 +179,9 @@ class TestRoundTrip:
             with closing(ChainStore(path)) as reopened:
                 assert reopened.last_recovery.clean
                 loaded = reopened.load_chain(confirmation_depth=2)
-                assert [encode_block(b) for b in loaded.iter_canonical()] == [
-                    encode_block(b) for b in chain.iter_canonical()
-                ]
+                assert [
+                    encode_block_from_fields(b) for b in loaded.iter_canonical()
+                ] == [encode_block(b) for b in chain.iter_canonical()]
                 replay = reopened.replay_ledger()
                 assert replay.height == chain.height
 
@@ -189,11 +241,12 @@ class TestRoundTrip:
         chain = build_chain(blocks, records_per_block=records)
         dump = export_chain(chain)
         assert export_chain(import_chain(dump)) == dump
+        assert export_chain_from_fields(import_chain(dump)) == dump
         for encoded in unpack_all(dump):
-            assert encode_block(decode_block(encoded)) == encoded
+            assert encode_block_from_fields(decode_block(encoded)) == encoded
         for original, decode, encode in (
-            (dump, import_chain, export_chain),
-            (unpack_all(dump)[-1], decode_block, encode_block),
+            (dump, import_chain, export_chain_from_fields),
+            (unpack_all(dump)[-1], decode_block, encode_block_from_fields),
         ):
             _, hostile = data.draw(_hostile(original))
             try:
@@ -370,6 +423,8 @@ class TestPlainFramings:
     """No CRC here: the decoder itself is the only check on outside bytes."""
 
     #: name -> (an encoder's output, decode, encode, canonical to the value).
+    #: Whatever carries chain records is re-encoded from their fields, not
+    #: from the wire bytes the decoder left on them.
     #: The index-state body is canonical at its framing only: a flipped
     #: string reference decodes to another well-formed state whose string
     #: table the encoder would order differently.  Its integrity is the
@@ -379,13 +434,15 @@ class TestPlainFramings:
         "unpack_all": (pack([b"", b"abc", b"\x00" * 7]), unpack_all, pack, True),
         "block": (
             encode_block(build_chain(1, records_per_block=3).head),
-            decode_block, encode_block, True,
+            decode_block, encode_block_from_fields, True,
         ),
         "chain-dump": (
             export_chain(TestCorruptionIsAlwaysDetected.CHAIN),
-            import_chain, export_chain, True,
+            import_chain, export_chain_from_fields, True,
         ),
-        "barrier-blob": (_barrier_blob(), decode_frames, encode_frames, True),
+        "barrier-blob": (
+            _barrier_blob(), decode_frames, encode_frames_from_fields, True,
+        ),
         "snapshot": (
             _sample_snapshot().to_bytes(),
             LedgerSnapshot.from_bytes, LedgerSnapshot.to_bytes, True,
@@ -456,10 +513,76 @@ class TestPlainFramings:
             except CodecError:
                 continue
             accepted += 1
-            assert encode_frames(frames) == blob
+            assert encode_frames_from_fields(frames) == blob
         # Not vacuous: a flip inside seq, arrival, a name, raw bytes or a
         # header field no hash covers is another well-formed table.
         assert accepted
+
+
+class TestADecodedRecordKeepsItsWireBytes:
+    """``decode_record`` hands the blob to the record as its ``to_bytes()``
+    memo, which is sound only while the blob is what the fields pack to."""
+
+    @staticmethod
+    def assert_memo_is_the_fields(record: ChainRecord, blob: bytes) -> None:
+        assert record.to_bytes() == pack(record_fields(record)) == blob
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(list(RecordKind)),
+        record_id=st.binary(min_size=32, max_size=32),
+        payload=st.binary(max_size=200),
+        fee=st.sampled_from([0, 2**128 - 1]) | st.integers(0, 2**128 - 1),
+        sender=st.none() | st.binary(min_size=20, max_size=20).map(Address),
+        data=st.data(),
+    )
+    def test_any_record_and_any_hostile_version_of_it(
+        self, kind, record_id, payload, fee, sender, data
+    ):
+        record = ChainRecord(kind, record_id, payload, fee, sender)
+        blob = pack(record_fields(record))
+        decoded = decode_record(blob)
+        assert decoded == record
+        self.assert_memo_is_the_fields(decoded, blob)
+        _, hostile = data.draw(_hostile(blob))
+        try:
+            value = decode_record(hostile)
+        except CodecError:
+            return
+        self.assert_memo_is_the_fields(value, hostile)
+
+    def test_every_cut_and_every_single_byte_change_of_a_record(self):
+        blob = pack(
+            record_fields(
+                ChainRecord(
+                    RecordKind.DETAILED_REPORT, b"\x07" * 32, b"finding", 9,
+                    Address(b"\x05" * 20),
+                )
+            )
+        )
+        hostile = [blob[:cut] for cut in range(len(blob))]
+        for offset in range(len(blob)):
+            for delta in range(1, 256):
+                mutated = bytearray(blob)
+                mutated[offset] ^= delta
+                hostile.append(bytes(mutated))
+        accepted = 0
+        for version in hostile:
+            try:
+                value = decode_record(version)
+            except CodecError:
+                continue
+            accepted += 1
+            self.assert_memo_is_the_fields(value, version)
+        # Not vacuous: any change inside the id, payload, fee or sender
+        # bytes is another well-formed record.
+        assert accepted >= 255 * (32 + 7 + 16 + 20)
+
+    def test_a_replaced_decoded_record_re_encodes(self):
+        decoded = decode_record(_SRA_RECORD.to_bytes())
+        tampered = replace(decoded, payload=b"tampered")
+        assert tampered.to_bytes() != decoded.to_bytes()
+        self.assert_memo_is_the_fields(tampered, tampered.to_bytes())
 
 
 class TestSnapshotDecodeIsCanonical:

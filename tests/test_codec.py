@@ -67,6 +67,23 @@ class TestTheOneWalker:
         with pytest.raises(CodecError, match="length prefix"):
             unpack_all(pack([b"whole"]) + stray)
 
+    def test_every_truncation_is_one_of_the_two_codec_errors(self):
+        """The prefix is read with ``struct``; its own error never escapes,
+        because the length test precedes the read at every cut."""
+        payload = pack([b"", b"abc", b"\x00" * 5, b"tail"])
+        edges = {0, 4, 11, 20, len(payload)}  # where a whole field list ends
+        for cut in range(len(payload) + 1):
+            if cut in edges:
+                assert pack(unpack_all(payload[:cut])) == payload[:cut]
+                continue
+            with pytest.raises(CodecError) as refusal:
+                unpack_all(payload[:cut])
+            partial_prefix = any(edge < cut < edge + 4 for edge in edges)
+            assert str(refusal.value) == (
+                "truncated length prefix" if partial_prefix
+                else "field overruns payload"
+            )
+
     @given(st.binary(max_size=64))
     def test_property_decode_is_canonical(self, data):
         try:

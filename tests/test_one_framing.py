@@ -40,20 +40,46 @@ def _is_call(node, owner: str, name: str) -> bool:
     )
 
 
-def _length_reads_in_loops():
-    """``int.from_bytes(buffer[a:b], ...)`` anywhere inside a while/for."""
-    for module, _, tree in _modules():
-        for loop in ast.walk(tree):
-            if not isinstance(loop, (ast.While, ast.For)):
+def _length_reads(tree):
+    """Lines of a while/for that read a length out of a buffer at an offset.
+
+    Two spellings: ``int.from_bytes(buffer[a:b], ...)`` and a
+    ``unpack_from(buffer, offset)`` call, the latter also under a name
+    the module bound to it (``_U32 = struct.Struct(">I").unpack_from``).
+    ``iter_unpack`` over fixed-width rows takes no offset and is no walk.
+    """
+    unpackers = {"unpack_from"}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "unpack_from"
+        ):
+            unpackers.update(
+                target.id for target in node.targets if isinstance(target, ast.Name)
+            )
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.While, ast.For)):
+            continue
+        for node in ast.walk(loop):
+            if not isinstance(node, ast.Call):
                 continue
-            for node in ast.walk(loop):
-                if (
-                    _is_call(node, "int", "from_bytes")
-                    and node.args
-                    and isinstance(node.args[0], ast.Subscript)
-                    and isinstance(node.args[0].slice, ast.Slice)
-                ):
-                    yield module, node.lineno
+            if (
+                _is_call(node, "int", "from_bytes")
+                and node.args
+                and isinstance(node.args[0], ast.Subscript)
+                and isinstance(node.args[0].slice, ast.Slice)
+            ) or (
+                getattr(node.func, "attr", getattr(node.func, "id", None))
+                in unpackers
+            ):
+                yield node.lineno
+
+
+def _length_reads_in_loops():
+    for module, _, tree in _modules():
+        for line in _length_reads(tree):
+            yield module, line
 
 
 def _checksum_calls():
@@ -93,6 +119,29 @@ def test_only_the_frame_module_checksums():
 def test_the_walk_sees_what_it_guards():
     assert {module for module, _ in _length_reads_in_loops()} == WALKERS
     assert {module for module, _ in _checksum_calls()} == CHECKSUMMERS
+
+
+def test_the_walk_sees_every_spelling_of_a_length_read():
+    source = """
+import struct
+_U16 = struct.Struct(">H").unpack_from
+_ROW = struct.Struct(">II")
+def walkers(buffer, rows):
+    offset = 0
+    while offset < len(buffer):
+        offset += 4 + int.from_bytes(buffer[offset:offset + 4], "big")
+    while offset < len(buffer):
+        offset += 2 + _U16(buffer, offset)[0]
+    for _ in range(3):
+        offset += 4 + struct.unpack_from(">I", buffer, offset)[0]
+    for _ in range(3):
+        offset += 8 + _ROW.unpack_from(buffer, offset)[1]
+def not_walkers(buffer, rows):
+    for left, right in _ROW.iter_unpack(rows):
+        int.from_bytes(buffer, "big")
+    return _U16(buffer, 0)
+"""
+    assert list(_length_reads(ast.parse(source))) == [8, 10, 12, 14]
 
 
 def test_no_handler_names_two_error_roots():

@@ -558,7 +558,7 @@ def query_serving(run: Run) -> Dict[str, Any]:
             raise AssertionError("sender index diverged from the full scan")
     for height in (0, 1, blocks // 2, blocks):
         scanned = next(b for b in chain.iter_canonical() if b.height == height)
-        if index.block_at_height(height).block_id != scanned.block_id:
+        if chain.block_at_height(height).block_id != scanned.block_id:
             raise AssertionError("height index diverged from the canonical walk")
     for system in _QUERY_SYSTEMS:
         indexed = {(e.height, e.index_in_block) for e in index.reports(system=system)}

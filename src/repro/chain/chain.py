@@ -14,7 +14,6 @@ the paper's fixed difficulty this coincides with longest-chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.chain.block import (
@@ -51,6 +50,15 @@ class Blockchain:
     reorgs can switch the canonical head.  Record indexes are rebuilt
     against the canonical chain on every head change; consumers query
     only confirmed records.
+
+    The chain owns the one canonical path, height → block id: a private
+    list only :meth:`add_block` mutates (append on a head extension;
+    on a reorg, cut back to the fork point and append the winning
+    branch).  :meth:`block_at_height` and :meth:`is_canonical` index it;
+    :meth:`iter_canonical` iterates a *copy* of the slice asked for, so
+    a caller may add blocks while iterating and still finishes over the
+    path as it stood at the call.  No reader keeps a copy of its own: a
+    cursor is ``(height, block id)`` checked with :meth:`is_canonical`.
     """
 
     def __init__(
@@ -67,8 +75,9 @@ class Blockchain:
             genesis.block_id: genesis.header.difficulty
         }
         self._children: Dict[bytes, List[bytes]] = {}
-        self._genesis_id = genesis.block_id
-        self._head_id = genesis.block_id
+        #: The canonical path: ``_path[h]`` is the block id at height h,
+        #: so ``_path[0]`` is genesis and ``_path[-1]`` the head.
+        self._path: List[bytes] = [genesis.block_id]
         self.confirmation_depth = confirmation_depth
         self._record_index: Dict[bytes, RecordLocation] = {}
         self._reindex()
@@ -78,21 +87,21 @@ class Blockchain:
     @property
     def genesis(self) -> Block:
         """The genesis block."""
-        return self._blocks[self._genesis_id]
+        return self._blocks[self._path[0]]
 
     @property
     def head(self) -> Block:
         """The tip of the canonical (heaviest) chain."""
-        return self._blocks[self._head_id]
+        return self._blocks[self._path[-1]]
 
     @property
     def height(self) -> int:
         """Height of the canonical head."""
-        return self.head.height
+        return len(self._path) - 1
 
     def __len__(self) -> int:
         """Number of blocks on the canonical chain (including genesis)."""
-        return self.head.height + 1
+        return len(self._path)
 
     def __contains__(self, block_id: bytes) -> bool:
         return block_id in self._blocks
@@ -120,45 +129,42 @@ class Blockchain:
                 f"height {height} is negative: canonical heights are "
                 "absolute, with no Python-list wraparound"
             )
-        if height > self.head.height:
+        if height >= len(self._path):
             return None
-        block = self.head
-        while block.height > height:
-            block = self._blocks[block.header.prev_block_id]
-        return block
+        return self._blocks[self._path[height]]
 
-    def iter_canonical(self) -> Iterator[Block]:
-        """Iterate canonical blocks from genesis to head."""
-        chain: List[Block] = []
-        block = self.head
-        while True:
-            chain.append(block)
-            if block.block_id == self._genesis_id:
-                break
-            block = self._blocks[block.header.prev_block_id]
-        return iter(reversed(chain))
+    def iter_canonical(
+        self, start: int = 0, stop: Optional[int] = None
+    ) -> Iterator[Block]:
+        """Iterate canonical blocks at heights ``start <= h < stop``.
+
+        Defaults: genesis to head.  Heights are absolute — a bound below
+        genesis clamps to it, never wraps — and the slice is copied when
+        called, so blocks added mid-iteration do not change the walk.
+        """
+        stop = None if stop is None else max(stop, 0)
+        return map(self._blocks.__getitem__, self._path[max(start, 0) : stop])
 
     def iter_confirmed(self) -> Iterator[Block]:
         """Iterate confirmed canonical blocks from genesis upward.
 
-        The blocks :meth:`is_confirmed` accepts — canonical, at least
-        ``confirmation_depth`` below the head — from one walk of the
-        chain rather than one walk per block asked about.
+        The blocks :meth:`is_confirmed` accepts: canonical, at least
+        ``confirmation_depth`` below the head.
         """
-        confirmed = self.head.height - self.confirmation_depth + 1
-        return islice(self.iter_canonical(), max(confirmed, 0))
+        return self.iter_canonical(0, len(self._path) - self.confirmation_depth)
 
     def total_difficulty(self, block_id: Optional[bytes] = None) -> int:
         """Cumulative difficulty from genesis to ``block_id`` (default head)."""
-        return self._total_difficulty[block_id or self._head_id]
+        return self._total_difficulty[block_id or self._path[-1]]
 
     def is_canonical(self, block_id: bytes) -> bool:
         """True if ``block_id`` lies on the canonical chain."""
         block = self._blocks.get(block_id)
-        if block is None:
-            return False
-        canonical = self.block_at_height(block.height)
-        return canonical is not None and canonical.block_id == block_id
+        return (
+            block is not None
+            and block.height < len(self._path)
+            and self._path[block.height] == block_id
+        )
 
     # -- mutation ---------------------------------------------------------
 
@@ -186,10 +192,10 @@ class Blockchain:
         )
         self._children.setdefault(parent_id, []).append(block.block_id)
 
-        if self._total_difficulty[block.block_id] > self._total_difficulty[self._head_id]:
-            is_extension = parent_id == self._head_id
-            self._head_id = block.block_id
-            if is_extension:
+        head_id = self._path[-1]
+        if self._total_difficulty[block.block_id] > self._total_difficulty[head_id]:
+            if parent_id == head_id:
+                self._path.append(block.block_id)
                 # Pure extension: index only the new block's records.
                 for position, record in enumerate(block.records):
                     self._record_index[record.record_id] = RecordLocation(
@@ -198,12 +204,32 @@ class Blockchain:
                         index_in_block=position,
                     )
             else:
+                self._reroot(block)
                 self._reindex()  # reorg: rebuild against the new branch
             return True
         return False
 
+    def _reroot(self, head: Block) -> None:
+        """Reorg: move the path onto ``head``'s branch — O(branch).
+
+        The only head walk in the class: back from the new head to the
+        first block already on the path, cut the tail, append the branch.
+        """
+        branch: List[bytes] = []
+        block = head
+        while not self.is_canonical(block.block_id):
+            branch.append(block.block_id)
+            block = self._blocks[block.header.prev_block_id]
+        del self._path[block.height + 1 :]
+        self._path.extend(reversed(branch))
+
     def _reindex(self) -> None:
-        """Rebuild the record index against the canonical chain."""
+        """Rebuild the record index against the canonical chain.
+
+        A full rebuild, not an un-indexing of the abandoned tail: a
+        record id on both the kept prefix and that tail must keep its
+        prefix location.
+        """
         self._record_index = {}
         for block in self.iter_canonical():
             for position, record in enumerate(block.records):

@@ -118,22 +118,26 @@ class HeaderChain:
     def sync_from(self, chain: Blockchain) -> int:
         """Pull any canonical headers we don't have yet; returns count added.
 
-        Header heights index the list directly (the chain is linear), so
-        divergence shows up as a different id at a height we already
-        store: the stale tail is truncated and the source's branch
-        accepted forward — the light-side view of a full-node reorg.
+        Header heights index the list directly (the chain is linear) and
+        ids commit to ancestry, so the fork is found by comparing
+        downward over the heights both sides hold.  Only a divergence
+        *inside* that range truncates the stale tail (a source that is
+        merely shorter is a prefix, not a reorg); the source's branch is
+        then accepted forward — the light-side view of a full-node reorg.
         """
-        added = 0
-        for block in chain.iter_canonical():
-            height = block.header.height
-            if height < len(self._headers):
-                if self._headers[height].header_hash() == block.block_id:
-                    continue
-                self._truncate(height)
-                self.reorgs += 1
-            if self.accept(block.header):
-                added += 1
-        return added
+        common = min(len(self._headers), len(chain))
+        shared = common
+        while shared and (
+            self._headers[shared - 1].header_hash()
+            != chain.block_at_height(shared - 1).block_id
+        ):
+            shared -= 1
+        if shared < common:
+            self._truncate(shared)
+            self.reorgs += 1
+        return sum(
+            self.accept(block.header) for block in chain.iter_canonical(shared)
+        )
 
     def _truncate(self, height: int) -> None:
         """Drop every header at or above ``height`` (reorg tail)."""

@@ -20,7 +20,7 @@ so it lives here, between the one-world fleet engine and the two:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Set, Union
+from typing import Dict, Mapping, Optional, Set, Tuple, Union
 
 from repro.chain.block import ChainRecord, RecordKind
 from repro.contracts.contract import Receipt
@@ -64,6 +64,8 @@ class WorkflowChain(DistributedChain):
         self.contracts: Dict[bytes, SmartCrowdContract] = {}
         #: Ids of confirmed records whose trigger has fired.
         self._triggered: Set[bytes] = set()
+        #: (height, block id) of the last confirmed block walked.
+        self._walked: Tuple[int, bytes] = (-1, b"")
         super().__init__(shares, **fleet)
 
     # -- phase 1: escrow ---------------------------------------------------
@@ -122,12 +124,19 @@ class WorkflowChain(DistributedChain):
         """Trigger contracts for records the observer sees as confirmed."""
         observer = self._observer()
         self.runtime.advance_time(max(self.runtime.block_time, self.simulator.now))
-        for block in observer.chain.iter_confirmed():
+        chain = observer.chain
+        # Resume above the last block walked while this observer still
+        # has it canonical (ids commit to ancestry, so everything below
+        # it was walked too); on another branch, walk from genesis.
+        height, block_id = self._walked
+        start = height + 1 if chain.is_canonical(block_id) else 0
+        for block in chain.iter_canonical(start, len(chain) - chain.confirmation_depth):
             for record in block.records:
                 if record.record_id in self._triggered:
                     continue
                 self._triggered.add(record.record_id)
                 self._trigger(record)
+            self._walked = (block.height, block.block_id)
 
     def _trigger(self, record: ChainRecord) -> None:
         # An SRA needs no trigger: its contract escrowed at deploy.

@@ -6,10 +6,10 @@ every canonical block per nonce lookup, every confirmed payload per
 report filter — is O(chain) per call and quadratic over a consumer
 workload.  :class:`ChainIndex` maintains the answers *incrementally*:
 
-* canonical-path indices (height → block id, sender → record count)
-  advanced one block at a time as the head moves — *where* a record
-  lives is the chain's own ``locate_record`` map, kept current by
-  every ``add_block``, and is not copied here;
+* the canonical-path index (sender → record count) advanced one block
+  at a time as the head moves — *which* block sits at a height is the
+  chain's own path and *where* a record lives its ``locate_record``
+  map, both kept current by every ``add_block`` and not copied here;
 * confirmed-report indices (reports by system / vendor / severity /
   detector, SRAs by release) advanced at the confirmation boundary —
   confirmed blocks are stable under the 6-deep rule, so each refresh
@@ -18,8 +18,9 @@ workload.  :class:`ChainIndex` maintains the answers *incrementally*:
   decode (block acceptance checks PoW and the Merkle root, not record
   payloads) is skipped and counted, never raised at a reader.
 
-Both cursors carry a reorg guard: if the block a cursor last stopped at
-is no longer canonical, every derived structure is rebuilt from genesis
+Both cursors are ``(height, block id)`` and carry a reorg guard: if
+``chain.is_canonical`` no longer holds for the block a cursor last
+stopped at, every derived structure is rebuilt from genesis
 (a correctness backstop, not a steady-state path; rebuilds are counted
 in ``query.rebuilds``).  The full-scan forms the indices replace stay
 alive as parity oracles in ``tests/query``.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.chain.block import Block, ChainRecord, RecordKind
-from repro.chain.chain import Blockchain, ChainError
+from repro.chain.chain import Blockchain
 from repro.codec import CodecError
 from repro.contracts.contract import ContractEvent
 from repro.core.reports import DetailedReport
@@ -102,7 +103,7 @@ class IndexState:
     The warm-start unit: :meth:`ChainIndex.dump_state` captures it,
     :mod:`repro.query.persistence` serializes it through the store
     layer, and ``ChainIndex(chain, state=...)`` adopts it and replays
-    only the blocks above ``height_ids[-1]``.  The derived posting maps
+    only the blocks above ``tip_height``.  The derived posting maps
     (by-system, by-severity, ...) ride along as plain entry-ordinal
     lists: adoption is then a bulk copy instead of a per-entry re-filing
     pass, and because they are part of the state, the warm-vs-cold
@@ -110,7 +111,9 @@ class IndexState:
     maps and the live filing logic.
     """
 
-    height_ids: List[bytes]
+    #: The last canonical block folded in (-1 / None: none yet).
+    tip_height: int
+    tip_block_id: Optional[bytes]
     sender_counts: Dict[Address, int]
     confirmed_height: int
     confirmed_block_id: Optional[bytes]
@@ -125,30 +128,6 @@ class IndexState:
     reports_by_severity: Dict[Severity, List[int]]
     reports_by_detector: Dict[str, List[int]]
     reports_by_sra: Dict[bytes, List[int]]
-
-    @property
-    def tip_height(self) -> int:
-        return len(self.height_ids) - 1
-
-    @property
-    def tip_block_id(self) -> bytes:
-        if not self.height_ids:
-            raise ValueError("an empty index state has no tip")
-        return self.height_ids[-1]
-
-
-def _require_plain_height(height: int) -> None:
-    """Shared height validation (mirrors :meth:`Blockchain.block_at_height`)."""
-    if isinstance(height, bool):
-        raise ChainError(
-            "block height must be an int, not a bool "
-            "(True/False would silently read heights 1/0)"
-        )
-    if height < 0:
-        raise ChainError(
-            f"height {height} is negative: canonical heights are absolute, "
-            "with no Python-list wraparound"
-        )
 
 
 class ChainIndex:
@@ -186,7 +165,8 @@ class ChainIndex:
     # -- cursor maintenance -------------------------------------------------
 
     def _reset(self) -> None:
-        self._height_ids: List[bytes] = []
+        self._tip_height = -1
+        self._tip_block_id: Optional[bytes] = None
         self._sender_counts: Dict[Address, int] = {}
         self._reset_confirmed()
 
@@ -220,7 +200,8 @@ class ChainIndex:
             return {key: list(value) for key, value in mapping.items()}
 
         return IndexState(
-            height_ids=list(self._height_ids),
+            tip_height=self._tip_height,
+            tip_block_id=self._tip_block_id,
             sender_counts=dict(self._sender_counts),
             confirmed_height=self._confirmed_height,
             confirmed_block_id=self._confirmed_block_id,
@@ -246,7 +227,8 @@ class ChainIndex:
         index was cold).
         """
         self._reset()
-        self._height_ids = list(state.height_ids)
+        self._tip_height = state.tip_height
+        self._tip_block_id = state.tip_block_id
         self._sender_counts = dict(state.sender_counts)
         self._confirmed_height = state.confirmed_height
         self._confirmed_block_id = state.confirmed_block_id
@@ -268,44 +250,24 @@ class ChainIndex:
 
     def refresh(self) -> None:
         """Fold head movement since the last refresh into every index."""
-        head = self.chain.head
-        tip_height = len(self._height_ids) - 1
-        if tip_height == head.height and self._height_ids[-1] == head.block_id:
+        chain = self.chain
+        if self._tip_block_id == chain.head.block_id:
             return  # head unchanged: nothing moved
-        if head.height < tip_height:
-            # The canonical chain got *shorter* (heavier-but-shorter
-            # branch won): unambiguous reorg.
-            self._rebuild()
-            return
-        new_blocks: List[Block] = []
-        block = head
-        while block.height > tip_height:
-            new_blocks.append(block)
-            if block.height == 0:
-                break
-            block = self.chain.get_block(block.header.prev_block_id)
-        if tip_height >= 0 and block.block_id != self._height_ids[tip_height]:
-            # The walk from the new head does not pass through our
-            # recorded tip: the branch we indexed was abandoned.
-            self._rebuild()
-            return
-        for extension in reversed(new_blocks):
-            self._apply_canonical(extension)
-        self._advance_confirmed()
-
-    def _rebuild(self) -> None:
-        """Reorg guard: rebuild everything against the new canonical chain."""
-        self.rebuilds += 1
-        if self.telemetry.enabled:
-            self.telemetry.counter("query.rebuilds").inc()
-        self._reset()
-        for block in self.chain.iter_canonical():
+        if self._tip_height >= 0 and not chain.is_canonical(self._tip_block_id):
+            # Reorg guard: the branch we indexed was abandoned (for a
+            # longer one, or a shorter-but-heavier one) — start over.
+            self.rebuilds += 1
+            if self.telemetry.enabled:
+                self.telemetry.counter("query.rebuilds").inc()
+            self._reset()
+        for block in chain.iter_canonical(self._tip_height + 1):
             self._apply_canonical(block)
         self._advance_confirmed()
 
     def _apply_canonical(self, block: Block) -> None:
         self.blocks_indexed += 1
-        self._height_ids.append(block.block_id)
+        self._tip_height = block.height
+        self._tip_block_id = block.block_id
         for record in block.records:
             if record.sender is not None:
                 self._sender_counts[record.sender] = (
@@ -313,19 +275,18 @@ class ChainIndex:
                 )
 
     def _advance_confirmed(self) -> None:
-        confirmed_height = self.chain.head.height - self.chain.confirmation_depth
-        if self._confirmed_height >= 0 and (
-            self._confirmed_height >= len(self._height_ids)
-            or self._height_ids[self._confirmed_height] != self._confirmed_block_id
+        chain = self.chain
+        boundary = chain.head.height - chain.confirmation_depth
+        if self._confirmed_height >= 0 and not chain.is_canonical(
+            self._confirmed_block_id
         ):
             # A confirmed block was rewritten — impossible under the
             # depth rule in these simulations, but guarded anyway.
             self._reset_confirmed()
-        for height in range(self._confirmed_height + 1, confirmed_height + 1):
-            block = self.chain.get_block(self._height_ids[height])
+        for block in chain.iter_canonical(self._confirmed_height + 1, boundary + 1):
             for position, record in enumerate(block.records):
-                self._index_confirmed_record(height, position, record)
-            self._confirmed_height = height
+                self._index_confirmed_record(block.height, position, record)
+            self._confirmed_height = block.height
             self._confirmed_block_id = block.block_id
 
     def _index_confirmed_record(
@@ -417,26 +378,6 @@ class ChainIndex:
     def confirmed_height(self) -> int:
         """Highest height folded into the confirmed-report indices."""
         return self._confirmed_height
-
-    def block_id_at_height(self, height: int) -> Optional[bytes]:
-        """Canonical block id at ``height`` — O(1) against the index."""
-        _require_plain_height(height)
-        self.refresh()
-        self._hit()
-        if height >= len(self._height_ids):
-            return None
-        return self._height_ids[height]
-
-    def block_at_height(self, height: int) -> Optional[Block]:
-        """The canonical block at ``height``, or None above the head.
-
-        Same answer (and same bool/negative rejection) as
-        :meth:`Blockchain.block_at_height`, without the head walk.
-        """
-        block_id = self.block_id_at_height(height)
-        if block_id is None:
-            return None
-        return self.chain.get_block(block_id)
 
     def sender_count(self, sender: Address) -> int:
         """Canonical records sent by ``sender`` (web3's nonce query)."""

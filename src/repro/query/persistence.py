@@ -57,7 +57,6 @@ _SRA_ROW = struct.Struct(">32s5Q4I")
 #: version, severity count, key count
 _REPORT_ROW = struct.Struct(">32s32sQ5I2H")
 _SENDER_ROW = struct.Struct(">20sQ")
-_HEIGHT_ROW = struct.Struct("32s")
 
 
 def _split_wei(value: int) -> Tuple[int, int]:
@@ -183,9 +182,8 @@ def _decode_ordinal_map(blob, resolve_keys, refs_per_key, limit, what):
 
 def encode_index_state(state: IndexState) -> bytes:
     """Serialize an :class:`IndexState` into the envelope body."""
-    for block_id in state.height_ids:
-        if len(block_id) != 32:
-            raise CodecError("height index holds a non-32-byte block id")
+    if state.tip_block_id is None or len(state.tip_block_id) != 32:
+        raise CodecError("index tip is not a 32-byte block id")
     table: Dict[str, int] = {}
 
     def intern(value: str) -> int:
@@ -268,7 +266,8 @@ def encode_index_state(state: IndexState) -> bytes:
     )
     return pack(
         [
-            b"".join(state.height_ids),
+            state.tip_height.to_bytes(8, "big"),
+            state.tip_block_id,
             senders,
             # confirmed_height is -1 before the first confirmation;
             # shift by one to keep the field unsigned.
@@ -299,7 +298,8 @@ def encode_index_state(state: IndexState) -> bytes:
 def decode_index_state(body: bytes) -> IndexState:
     """Parse an envelope body; raises :class:`CodecError` on bad input."""
     (
-        height_blob,
+        tip_height,
+        tip_block_id,
         sender_blob,
         confirmed_height,
         confirmed_block_id,
@@ -310,16 +310,15 @@ def decode_index_state(body: bytes) -> IndexState:
         key_blob,
         pending_blob,
         maps_blob,
-    ) = unpack(body, 11)
-    if len(height_blob) % 32:
-        raise CodecError("height index blob is not a multiple of 32 bytes")
+    ) = unpack(body, 12)
+    if (len(tip_height), len(tip_block_id)) != (8, 32):
+        raise CodecError("index tip field has the wrong width")
     if len(sender_blob) % _SENDER_ROW.size:
         raise CodecError("sender count blob is not a multiple of 28 bytes")
     if len(sra_blob) % _SRA_ROW.size:
         raise CodecError("SRA blob is not a multiple of the row size")
     if len(report_blob) % _REPORT_ROW.size:
         raise CodecError("report blob is not a multiple of the row size")
-    height_ids = [row[0] for row in _HEIGHT_ROW.iter_unpack(height_blob)]
     sender_counts = {
         Address(raw): count
         for raw, count in _SENDER_ROW.iter_unpack(sender_blob)
@@ -455,7 +454,8 @@ def decode_index_state(body: bytes) -> IndexState:
         # unknown severity, a report payload that does not parse.
         raise CodecError(f"malformed index entry: {error}") from error
     return IndexState(
-        height_ids=height_ids,
+        tip_height=int.from_bytes(tip_height, "big"),
+        tip_block_id=tip_block_id,
         sender_counts=sender_counts,
         confirmed_height=int.from_bytes(confirmed_height, "big") - 1,
         confirmed_block_id=confirmed_block_id or None,
@@ -475,7 +475,7 @@ def decode_index_state(body: bytes) -> IndexState:
 def save_index(index: ChainIndex, directory: Union[str, Path]) -> Path:
     """Persist ``index`` as ``directory/index.snap`` (atomic write)."""
     state = index.dump_state()
-    if not state.height_ids:
+    if state.tip_block_id is None:
         raise StoreError("cannot persist an index that has seen no blocks")
     return write_index_file(
         Path(directory) / INDEX_FILE_NAME,
@@ -494,9 +494,10 @@ def load_index(
 
     Returns ``None`` — meaning *cold-build instead* — when the file is
     absent, zero-length (never-written debris), corrupt, from an
-    unknown schema version, or pinned at a tip the live chain does not
-    hold canonically.  A successful load replays only the delta above
-    the persisted tip (observable as ``index.blocks_indexed``).
+    unknown schema version, pinned at a tip the live chain does not
+    hold canonically, or carrying a body whose tip is not the
+    envelope's.  A successful load replays only the delta above the
+    persisted tip (observable as ``index.blocks_indexed``).
     """
     path = Path(directory) / INDEX_FILE_NAME
     try:
@@ -518,6 +519,6 @@ def load_index(
         state = decode_index_state(info.body)
     except CodecError:
         return None
-    if not state.height_ids or state.tip_block_id != info.tip_block_id:
-        return None
+    if (state.tip_height, state.tip_block_id) != (info.tip_height, info.tip_block_id):
+        return None  # the body disagrees with its own envelope
     return ChainIndex(chain, telemetry=telemetry, state=state)

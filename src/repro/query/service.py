@@ -112,7 +112,7 @@ class QueryRequest:
 
     @classmethod
     def get_balance(cls, account: Union[Address, str]) -> "QueryRequest":
-        """Snapshot balance in wei, as of the batch's head."""
+        """Balance in wei, as of the moment the batch is served."""
         return cls("get_balance", (("account", account),))
 
     @classmethod
@@ -278,7 +278,6 @@ class QueryService:
         node: Optional[object] = None,
         simulator: Optional[Simulator] = None,
         telemetry: Optional[Telemetry] = None,
-        snapshot_capacity: int = 4,
         canonical: Optional[object] = None,
         index_dir: Optional[Union[str, Path]] = None,
         default_page_limit: int = DEFAULT_PAGE_LIMIT,
@@ -307,7 +306,7 @@ class QueryService:
         self.default_page_limit = default_page_limit
         self.warm_starts = 0
         self.cold_starts = 0
-        self.snapshots = SnapshotCache(capacity=snapshot_capacity)
+        self.snapshots = SnapshotCache()
         self.index: Optional[ChainIndex] = (
             None
             if self._bound_headers() is not None
@@ -566,8 +565,7 @@ class QueryService:
         headers = self._bound_headers()
         if headers is None:
             index, bound = self.live_view()
-            state = self.runtime.state if self.runtime is not None else None
-            view = self.snapshots.current(index.chain, state)
+            view = self.snapshots.current(index.chain)
         else:
             index, view, tip = None, headers, headers.tip
             if tip is None:
@@ -677,9 +675,9 @@ class QueryService:
     @staticmethod
     def _entry_cursor(entry, index: ChainIndex) -> str:
         """``height:index:block-id`` — self-validating against reorgs."""
-        block_id = index.block_id_at_height(entry.height)
-        assert block_id is not None  # confirmed entries never outrun the head
-        return f"{entry.height}:{entry.index_in_block}:{block_id.hex()}"
+        block = index.chain.block_at_height(entry.height)
+        assert block is not None  # confirmed entries never outrun the head
+        return f"{entry.height}:{entry.index_in_block}:{block.block_id.hex()}"
 
     @staticmethod
     def _decode_entry_cursor(
@@ -707,17 +705,17 @@ class QueryService:
                 f"bad cursor {cursor!r}: height and index cannot be negative"
             )
         anchor = parse_hex(parts[2], "cursor block id", length=32, error=QueryError)
-        live = index.block_id_at_height(height)
+        live = index.chain.block_at_height(height)
         if live is None:
             raise QueryError(
                 f"cursor {cursor!r} points above the canonical head: the "
                 "chain reorganized to a shorter branch since the cursor was "
                 "issued; restart the scan from the beginning"
             )
-        if live != anchor:
+        if live.block_id != anchor:
             raise QueryError(
                 f"cursor {cursor!r} was invalidated by a reorg: height "
-                f"{height} is now block 0x{live.hex()[:12]}…, not the block "
+                f"{height} is now block 0x{live.block_id.hex()[:12]}…, not the block "
                 "the cursor anchored; restart the scan from the beginning"
             )
         return height, position
@@ -808,7 +806,10 @@ class QueryService:
                 raise QueryError(
                     "no contract runtime attached: balance queries need one"
                 )
-            return view.balance(account)
+            # Contracts pay between blocks (escrow at announce, refunds
+            # at a timer): a balance is not a function of the head, so it
+            # is read live — dispatch is synchronous, one batch one view.
+            return self.runtime.state.balance(account)
         if method == "get_transaction":
             return self._serve_transaction(params["record_id"], index.chain)
         if method == "get_transaction_count":

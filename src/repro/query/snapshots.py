@@ -1,23 +1,22 @@
-"""Immutable chain/ledger snapshots keyed by head id.
+"""Immutable chain snapshots keyed by head id.
 
 A consumer batch should see one consistent view of the chain even while
 blocks keep arriving.  :class:`ChainSnapshot` freezes the canonical
-path and the ledger balances at a given head; :class:`SnapshotCache`
-hands the same frozen object back for every read until the head moves,
-and drops snapshots whose head is no longer canonical (reorg
-invalidation), so ``get_block``/``get_balance``-shaped reads never
-touch live objects mid-batch.
+path at a given head; :class:`SnapshotCache` hands the same frozen
+object back for every read until the head moves, and drops snapshots
+whose head is no longer canonical (reorg invalidation), so
+``get_block``-shaped reads never touch live objects mid-batch.
+Balances are not here: contracts pay between blocks, so a balance is
+not a function of the head (the service reads the live world state).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chain.block import Block, BlockHeader
 from repro.chain.chain import Blockchain, ChainError
-from repro.contracts.state import WorldState
-from repro.crypto.keys import Address
 
 __all__ = ["ChainSnapshot", "SnapshotCache", "block_dict", "header_dict"]
 
@@ -66,32 +65,24 @@ def header_dict(header: BlockHeader) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class ChainSnapshot:
-    """A frozen view of the canonical chain and ledger at one head.
+    """A frozen view of the canonical chain at one head.
 
     Blocks themselves are frozen dataclasses, so holding references is
-    safe; the canonical *path* and the balance map are copied because
-    those are the parts the live objects mutate.
+    safe; the canonical *path* is copied because that is the part the
+    live chain mutates.
     """
 
     head_id: bytes
     height: int
     blocks: Tuple[Block, ...]
-    balances: Dict[Address, int] = field(hash=False)
 
     @classmethod
-    def capture(
-        cls, chain: Blockchain, state: Optional[WorldState] = None
-    ) -> "ChainSnapshot":
-        """Freeze ``chain`` (and optionally ``state``) right now."""
-        blocks = tuple(chain.iter_canonical())
-        balances: Dict[Address, int] = {}
-        if state is not None:
-            balances = {account: balance for account, balance in state.accounts()}
+    def capture(cls, chain: Blockchain) -> "ChainSnapshot":
+        """Freeze ``chain``'s canonical path right now."""
         return cls(
             head_id=chain.head.block_id,
             height=chain.head.height,
-            blocks=blocks,
-            balances=balances,
+            blocks=tuple(chain.iter_canonical()),
         )
 
     def block_at_height(self, height: int) -> Optional[Block]:
@@ -109,10 +100,6 @@ class ChainSnapshot:
         if height > self.height:
             return None
         return self.blocks[height]
-
-    def balance(self, account: Address) -> int:
-        """Snapshotted balance in wei (0 for unknown accounts)."""
-        return self.balances.get(account, 0)
 
     @property
     def head(self) -> Block:
@@ -142,9 +129,7 @@ class SnapshotCache:
     def __len__(self) -> int:
         return len(self._snapshots)
 
-    def current(
-        self, chain: Blockchain, state: Optional[WorldState] = None
-    ) -> ChainSnapshot:
+    def current(self, chain: Blockchain) -> ChainSnapshot:
         """The snapshot for ``chain``'s current head, capturing on miss."""
         head_id = chain.head.block_id
         self._evict_noncanonical(chain)
@@ -153,7 +138,7 @@ class SnapshotCache:
             self.hits += 1
             return cached
         self.misses += 1
-        snapshot = ChainSnapshot.capture(chain, state)
+        snapshot = ChainSnapshot.capture(chain)
         self._snapshots[head_id] = snapshot
         self._order.append(head_id)
         while len(self._order) > self.capacity:

@@ -531,11 +531,6 @@ class ChainStore(_FrameLog):
             state.mint(account, amount)
         return state, {}
 
-    def _canonical_path(self, chain: Blockchain) -> Dict[int, bytes]:
-        return {
-            block.height: block.block_id for block in chain.iter_canonical()
-        }
-
     def maybe_snapshot(self, chain: Blockchain, force: bool = False) -> Optional[int]:
         """Write a ledger snapshot when the cadence is due.
 
@@ -580,15 +575,10 @@ class ChainStore(_FrameLog):
     ) -> Tuple[WorldState, Dict[Address, int]]:
         """Ledger state at canonical height ``target`` (cursor-cached)."""
         cursor = self._ledger_cursor
-        if cursor is not None:
-            height, block_id, state, nonces = cursor
-            anchor = chain.block_at_height(height)
-            if (
-                height > target
-                or anchor is None
-                or anchor.block_id != block_id
-            ):
-                cursor = None  # cursor left the canonical chain: rebuild
+        if cursor is not None and (
+            cursor[0] > target or not chain.is_canonical(cursor[1])
+        ):
+            cursor = None  # cursor left the canonical chain: rebuild
         if cursor is None:
             snapshot = self.snapshots.latest_valid(
                 is_usable=self._snapshot_matches_log, max_height=target
@@ -601,16 +591,8 @@ class ChainStore(_FrameLog):
                 height = -1
         else:
             height, _, state, nonces = cursor
-        # Collect the delta blocks by one back-walk from the target.
-        delta: List[Block] = []
-        block = chain.block_at_height(target)
-        while block is not None and block.height > height:
-            delta.append(block)
-            if block.height == 0:
-                break
-            block = chain.get_block(block.header.prev_block_id)
-        for step in reversed(delta):
-            apply_block(state, nonces, step, self.block_reward_wei)
+        for block in chain.iter_canonical(height + 1, target + 1):
+            apply_block(state, nonces, block, self.block_reward_wei)
         anchor = chain.block_at_height(target)
         self._ledger_cursor = (target, anchor.block_id, state, nonces)
         return state, nonces
@@ -618,66 +600,42 @@ class ChainStore(_FrameLog):
     def replay_ledger(self) -> LedgerReplay:
         """Recover ledger state from the newest usable snapshot + delta.
 
-        For a linear log (the long-horizon economics shape) the delta
-        is streamed frame by frame — bounded RAM regardless of chain
-        length.  A forky log falls back to rebuilding the block DAG to
-        find the canonical path first.
+        The two log shapes differ only in which snapshots are usable
+        and where blocks come from.  A linear log (the long-horizon
+        economics shape; frame index == height) streams the delta frame
+        by frame — bounded RAM regardless of chain length.  A forky log
+        rebuilds the block DAG and asks the chain for its canonical path.
         """
         if not self._frames:
             raise StoreError("cannot replay the ledger of an empty store")
         if self._links.linear:
-            snapshot = self.snapshots.latest_valid(
-                is_usable=self._snapshot_matches_log,
-                max_height=self._links.heights[-1],
-            )
-            if snapshot is not None:
-                state, nonces = snapshot.restore_state()
-                start = self._links.by_id[snapshot.block_id] + 1
-                snapshot_height: Optional[int] = snapshot.height
-            else:
-                state, nonces = self._genesis_ledger()
-                start = 0
-                snapshot_height = None
-            replayed = 0
-            for block in self.iter_blocks(start):
-                apply_block(state, nonces, block, self.block_reward_wei)
-                replayed += 1
-            result = LedgerReplay(
-                state=state,
-                nonces=nonces,
-                height=self._links.heights[-1],
-                snapshot_height=snapshot_height,
-                frames_replayed=replayed,
-            )
+            height = self._links.heights[-1]
+            is_usable, blocks_from = self._snapshot_matches_log, self.iter_blocks
         else:
             chain = self.load_chain()
             assert chain is not None
-            canonical = self._canonical_path(chain)
-            snapshot = self.snapshots.latest_valid(
-                is_usable=lambda s: canonical.get(s.height) == s.block_id,
-                max_height=chain.height,
-            )
-            if snapshot is not None:
-                state, nonces = snapshot.restore_state()
-                start_height = snapshot.height + 1
-                snapshot_height = snapshot.height
-            else:
-                state, nonces = self._genesis_ledger()
-                start_height = 0
-                snapshot_height = None
-            replayed = 0
-            for block in chain.iter_canonical():
-                if block.height < start_height:
-                    continue
-                apply_block(state, nonces, block, self.block_reward_wei)
-                replayed += 1
-            result = LedgerReplay(
-                state=state,
-                nonces=nonces,
-                height=chain.height,
-                snapshot_height=snapshot_height,
-                frames_replayed=replayed,
-            )
+            height, blocks_from = chain.height, chain.iter_canonical
+
+            def is_usable(snapshot: LedgerSnapshot) -> bool:
+                anchor = chain.block_at_height(snapshot.height)
+                return anchor is not None and anchor.block_id == snapshot.block_id
+
+        snapshot = self.snapshots.latest_valid(is_usable=is_usable, max_height=height)
+        if snapshot is not None:
+            state, nonces = snapshot.restore_state()
+        else:
+            state, nonces = self._genesis_ledger()
+        replayed = 0
+        for block in blocks_from(0 if snapshot is None else snapshot.height + 1):
+            apply_block(state, nonces, block, self.block_reward_wei)
+            replayed += 1
+        result = LedgerReplay(
+            state=state,
+            nonces=nonces,
+            height=height,
+            snapshot_height=None if snapshot is None else snapshot.height,
+            frames_replayed=replayed,
+        )
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "store.snapshot",

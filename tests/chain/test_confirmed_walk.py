@@ -7,6 +7,9 @@ used to ask ``is_confirmed`` (a walk down from the head) once per
 canonical block.  Generated fork shapes are covered by the invariant in
 ``test_chain_stateful.py``; here are the named depths on one chain with
 a reorg, and the deployment firing contracts in the same order.
+``_fire_confirmations`` now resumes above the last confirmed block it
+walked — ``(height, id)`` + ``is_canonical`` — so its oracle here is
+the walk as it was: from genesis on every call.
 """
 
 import random
@@ -18,6 +21,7 @@ from repro.chain.chain import Blockchain
 from repro.chain.consensus import make_genesis
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.stakeholders import DecentralizedDeployment
+from repro.core.workflow import WorkflowChain
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import KeyPair
 from repro.detection import build_detector_fleet, build_system
@@ -80,14 +84,25 @@ def test_named_depths_across_a_reorg(depth):
         ]
 
 
-def _run_deployment(seed, monkeypatch=None):
+def fire_from_genesis(self):
+    """``_fire_confirmations`` as it was: the whole confirmed chain per call."""
+    observer = self._observer()
+    self.runtime.advance_time(max(self.runtime.block_time, self.simulator.now))
+    for block in per_block_filter(observer.chain):
+        for record in block.records:
+            if record.record_id not in self._triggered:
+                self._triggered.add(record.record_id)
+                self._trigger(record)
+
+
+def _run_deployment(seed, monkeypatch=None, confirmation_depth=3):
     """Two releases with a crash in the middle, so the observer changes."""
     if monkeypatch is not None:
-        monkeypatch.setattr(Blockchain, "iter_confirmed", per_block_filter)
+        monkeypatch.setattr(WorkflowChain, "_fire_confirmations", fire_from_genesis)
     deployment = DecentralizedDeployment(
         PAPER_HASHPOWER_SHARES,
         build_detector_fleet(thread_counts=(3, 6), seed=seed),
-        confirmation_depth=3,
+        confirmation_depth=confirmation_depth,
         seed=seed,
         retry_policy=RetryPolicy(),
     )
@@ -122,3 +137,28 @@ def test_fire_confirmations_triggers_in_the_same_order(seed, monkeypatch):
         other = old.contracts[sra_id]
         assert contract.total_paid_wei() == other.total_paid_wei()
         assert contract.awarded_vulnerabilities() == other.awarded_vulnerabilities()
+
+
+def test_fire_confirmations_resumes_above_the_last_block_it_walked():
+    deployment, fired = _run_deployment(1)
+    chain = deployment._observer().chain
+    height, block_id = deployment._walked
+    assert height == chain.height - chain.confirmation_depth
+    assert chain.block_at_height(height).block_id == block_id
+    walks = []
+    iterate = chain.iter_canonical
+    chain.iter_canonical = lambda *bounds: (walks.append(bounds), iterate(*bounds))[1]
+    deployment._fire_confirmations()
+    assert walks == [(height + 1, height + 1)] and len(fired) == len(set(fired))
+
+
+def test_a_young_chain_fires_nothing():
+    # height < confirmation_depth: the stop bound is below genesis and
+    # must clamp, not wrap around to "confirm" blocks near the head.
+    deployment, fired = _run_deployment(2, confirmation_depth=10_000)
+    chain = deployment._observer().chain
+    assert chain.height > 0 and fired == []
+    chain.confirmation_depth = chain.height + 2  # a naive slice stops at -1
+    deployment._fire_confirmations()
+    assert fired == [] and deployment._walked == (-1, b"")
+    assert not any(c.total_paid_wei() for c in deployment.contracts.values())

@@ -104,6 +104,26 @@ class TestConsumerQueryReadPath:
             if name != "provider-2"
         )
 
+    def test_a_balance_read_sees_an_escrow_paid_between_blocks(self):
+        # announce() escrows the insurance with no block mined: a
+        # balance is not a function of the head.
+        from repro.query.service import QueryRequest
+
+        deployment = DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES, build_detector_fleet(thread_counts=(4,), seed=86),
+            seed=86,
+        )
+        deployment.advance_for(300.0)
+        service = deployment.query_service("provider-2", runtime=deployment.runtime)
+        ask = QueryRequest.get_balance(deployment.providers["provider-1"].keys.address)
+        before = service.serve(ask)
+        deployment.announce(
+            "provider-1", build_system("dd-esc", vulnerability_count=1, rng=random.Random(6))
+        )
+        after = service.serve(ask)
+        assert after.staleness.served_block_id == before.staleness.served_block_id
+        assert before.result - after.result >= to_wei(1000)
+
     def test_a_partitioned_providers_reference_says_how_stale_it_is(self):
         # On a replicated chain "authoritative" needs the head it was
         # read at: the minority side of a partition answers from a

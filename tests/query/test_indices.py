@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.chain.chain import ChainError
 from repro.query import ChainIndex, EventIndex
 from repro.telemetry import Telemetry
 
@@ -30,9 +29,13 @@ def indexed():
 
 def assert_full_parity(chain, index):
     """Every indexed answer == the corresponding full scan."""
+    index.refresh()
     for height in range(chain.head.height + 2):
+        # One canonical path: the chain's own (the index kept a second
+        # copy of it once); the head back-walk is the oracle.
         oracle = full_scan_block_at_height(chain, height)
-        assert index.block_at_height(height) == oracle
+        assert chain.block_at_height(height) == oracle
+    assert index.dump_state().tip_block_id == chain.head.block_id
     for sender in SENDERS:
         assert index.sender_count(sender) == full_scan_sender_count(chain, sender)
     for block in chain.iter_canonical():
@@ -77,16 +80,12 @@ class TestCanonicalIndices:
         stranger = SENDERS[0].__class__(b"\xff" * 20)
         assert index.sender_count(stranger) == 0
 
-    def test_height_above_head_is_none(self, indexed):
-        chain, _, index = indexed
-        assert index.block_at_height(chain.head.height + 1) is None
-
-    def test_bool_and_negative_heights_raise(self, indexed):
+    def test_the_index_exposes_no_height_lookup(self, indexed):
+        # Height → block is the chain's question (its refusals are
+        # pinned in tests/chain/test_chain.py), not the index's.
         _, _, index = indexed
-        with pytest.raises(ChainError, match="bool"):
-            index.block_at_height(True)
-        with pytest.raises(ChainError, match="negative"):
-            index.block_at_height(-1)
+        assert not hasattr(index, "block_at_height")
+        assert not hasattr(index, "block_id_at_height")
 
 
 class TestReorgGuard:
@@ -96,9 +95,7 @@ class TestReorgGuard:
         assert_full_parity(chain, index)
         # Fork two blocks below the head and out-mine the main branch.
         rng = random.Random(99)
-        fork_parent = chain.get_block(
-            index.block_id_at_height(chain.head.height - 2)
-        )
+        fork_parent = chain.block_at_height(chain.head.height - 2)
         fork_sras = list(sra_ids)
         extend_mixed(chain, rng, 4, 3, fork_sras, parent=fork_parent)
         assert index.rebuilds == 0

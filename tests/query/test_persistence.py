@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.query.indices import ChainIndex
+from repro.query import QueryService
 from repro.query.persistence import (
     decode_index_state,
     encode_index_state,
@@ -31,6 +33,7 @@ from repro.store.indexfile import (
     INDEX_FILE_NAME,
     INDEX_FORMAT_VERSION,
     read_index_file,
+    write_index_file,
 )
 
 from tests.query.conftest import (
@@ -49,10 +52,6 @@ def assert_bit_identical(warm: ChainIndex, cold: ChainIndex, chain) -> None:
     assert warm.sras() == cold.sras()
     for sender in SENDERS:
         assert warm.sender_count(sender) == cold.sender_count(sender)
-    for height in range(0, chain.head.height + 1, 3):
-        assert warm.block_id_at_height(height) == cold.block_id_at_height(
-            height
-        )
 
 
 class TestRoundTrip:
@@ -121,9 +120,10 @@ class TestColdFallback:
             assert load_index(chain, directory) is None
 
     def test_previous_format_version_falls_back(self, monkeypatch):
-        # Version 1 also carried a copy of the chain's record-location
-        # map.  There is no migration reader: an old file is a cold
-        # start, never a crash and never a half-read state.
+        # Version 2 also carried a copy of the chain's canonical path
+        # (32 bytes per block), version 1 its record-location map too.
+        # There is no migration reader: an old file is a cold start,
+        # never a crash and never a half-read state.
         chain, _ = build_mixed_chain(seed=53, blocks=6)
         with tempfile.TemporaryDirectory() as directory:
             monkeypatch.setattr(
@@ -131,8 +131,34 @@ class TestColdFallback:
             )
             path = save_index(ChainIndex(chain), directory)
             monkeypatch.undo()
-            assert read_index_file(path).version == INDEX_FORMAT_VERSION - 1
+            assert read_index_file(path).version == INDEX_FORMAT_VERSION - 1 == 2
             assert load_index(chain, directory) is None
+            service = QueryService(chain=chain, index_dir=directory)
+            assert (service.cold_starts, service.warm_starts) == (1, 0)
+
+    def test_body_tip_that_is_not_the_envelope_tip_falls_back(self):
+        # The envelope tip is proven canonical; a body claiming another
+        # cursor would be adopted on the envelope's word.
+        chain, _ = build_mixed_chain(seed=59, blocks=9)
+        state = ChainIndex(chain).dump_state()
+        envelope_tip = chain.block_at_height(state.tip_height - 2)
+        bodies = {
+            "height": replace(state, tip_height=state.tip_height - 2),
+            "id": replace(state, tip_block_id=envelope_tip.block_id),
+        }
+        for envelope, body in (
+            ((state.tip_height, state.tip_block_id), bodies["height"]),
+            ((state.tip_height, state.tip_block_id), bodies["id"]),
+            ((envelope_tip.height, envelope_tip.block_id), state),
+        ):
+            with tempfile.TemporaryDirectory() as directory:
+                write_index_file(
+                    Path(directory) / INDEX_FILE_NAME,
+                    tip_height=envelope[0],
+                    tip_block_id=envelope[1],
+                    body=encode_index_state(body),
+                )
+                assert load_index(chain, directory) is None
 
     def test_foreign_chain_tip_falls_back(self):
         chain_a, _ = build_mixed_chain(seed=41, blocks=8)

@@ -46,7 +46,7 @@ _FILTERS = (
 
 def _assert_parity(chain, index):
     for height in (0, 1, chain.head.height, chain.head.height + 1):
-        assert index.block_at_height(height) == full_scan_block_at_height(
+        assert chain.block_at_height(height) == full_scan_block_at_height(
             chain, height
         )
     for sender in SENDERS:
@@ -162,7 +162,7 @@ class TestRestartFromDisk:
             ) == full_scan_reports(chain, **filters)
         for height in range(chain.head.height + 1):
             assert (
-                index.block_at_height(height).block_id
+                recovered.block_at_height(height).block_id
                 == full_scan_block_at_height(chain, height).block_id
             )
 

@@ -138,16 +138,22 @@ class TestServeBatch:
         svc.serve_batch([QueryRequest.head(), QueryRequest.get_block(1)])
         assert telemetry.counter("query.requests").value == 2
 
-    def test_balance_served_from_snapshot(self):
+    def test_balance_is_read_live(self):
+        # Contracts pay between blocks (escrow at announce, refunds at a
+        # timer): a balance frozen under the head id went stale until
+        # the next block.
         from repro.contracts.vm import ContractRuntime
 
         chain, _ = build_mixed_chain(seed=79, blocks=8)
         runtime = ContractRuntime()
         rich = Address(b"\x33" * 20)
-        runtime.state.mint(rich, 5 * 10**18)
+        runtime.state.mint(rich, 5)
         svc = QueryService(chain=chain, runtime=runtime)
+        assert svc.serve(QueryRequest.get_balance(rich)).result == 5
+        runtime.state.mint(rich, 7)  # no block mined in between
         response = svc.serve(QueryRequest.get_balance(rich))
-        assert response.ok and response.result == 5 * 10**18
+        assert response.ok and response.result == 12
+        assert svc.snapshots.misses == 1  # the head never moved
 
 
 class TestAsyncBatches:

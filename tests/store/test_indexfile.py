@@ -173,12 +173,15 @@ class TestFsckIndex:
         assert report.exit_code == EXIT_CORRUPT
         assert "index BAD" in report.render()
 
-    def test_unknown_version_flagged_with_both_versions(self, tmp_path):
+    # 2 is the previous format (it carried a 32-byte-per-block height
+    # column): no migration reader, reported like any unknown version.
+    @pytest.mark.parametrize("version", (99, INDEX_FORMAT_VERSION - 1))
+    def test_unknown_version_flagged_with_both_versions(self, tmp_path, version):
         store, chain = _chain_store(tmp_path)
         payload = pack(
             [
                 _MAGIC,
-                (99).to_bytes(2, "big"),
+                version.to_bytes(2, "big"),
                 chain.head.height.to_bytes(8, "big"),
                 chain.head.block_id,
                 b"future-body",
@@ -188,7 +191,8 @@ class TestFsckIndex:
         report = fsck(store.path)
         assert "index-corrupt" in _issue_kinds(report)
         detail = report.issues[0].detail
-        assert "99" in detail and str(INDEX_FORMAT_VERSION) in detail
+        assert f"version {version} " in detail
+        assert f"version {INDEX_FORMAT_VERSION})" in detail
 
     def test_foreign_tip_is_stale(self, tmp_path):
         store, _ = _chain_store(tmp_path)

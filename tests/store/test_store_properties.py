@@ -499,23 +499,34 @@ class TestPlainFramings:
         if value_canonical or how != "flip":
             assert encode(value) == hostile
 
-    def test_every_cut_and_every_bit_flip_of_a_barrier_blob(self):
-        """The hypothesis property, exhaustively, on the one framing whose
-        rows no length prefix guards: nothing but the codec family comes
-        out, and nothing is accepted that an encoder would not write."""
-        original = _barrier_blob()
-        hostile = [original[:cut] for cut in range(len(original))]
-        hostile += [_flipped(original, bit) for bit in range(len(original) * 8)]
+    #: framing -> how many leading bytes get *every* cut and *every* bit
+    #: flip.  The barrier blob whole: no length prefix guards its rows.
+    #: Of the index state, its cursor — ``u32 8 ‖ tip height ‖ u32 32 ‖
+    #: tip block id`` — the two fields ``load_index`` checks against the
+    #: envelope, so a damaged one must not decode to some other cursor
+    #: an encoder would have written differently.
+    EXHAUSTIVE = {"barrier-blob": None, "index-state": 4 + 8 + 4 + 32}
+
+    @pytest.mark.parametrize("name", EXHAUSTIVE)
+    def test_every_cut_and_every_bit_flip(self, name):
+        """The hypothesis property, exhaustively: nothing but the codec
+        family comes out, and nothing is accepted that an encoder would
+        not write."""
+        original, decode, encode, _ = self.FRAMINGS[name]
+        span = self.EXHAUSTIVE[name] or len(original)
+        hostile = [original[:cut] for cut in range(span)]
+        hostile += [_flipped(original, bit) for bit in range(span * 8)]
         accepted = 0
         for blob in hostile:
             try:
-                frames = decode_frames(blob)
+                value = decode(blob)
             except CodecError:
                 continue
             accepted += 1
-            assert encode_frames_from_fields(frames) == blob
-        # Not vacuous: a flip inside seq, arrival, a name, raw bytes or a
-        # header field no hash covers is another well-formed table.
+            assert encode(value) == blob
+        # Not vacuous: a flip inside seq, arrival, a name, raw bytes, a
+        # header field no hash covers — or the tip height / id — is
+        # another well-formed value.
         assert accepted
 
 

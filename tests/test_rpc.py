@@ -100,6 +100,14 @@ class TestAccountsAndLogs:
         address = platform.provider_keys["provider-1"].address
         assert w3.eth.get_balance(address) == platform.runtime.state.balance(address)
 
+    def test_get_balance_follows_the_state_between_blocks(self, connected):
+        platform, w3, _ = connected
+        address = platform.provider_keys["provider-1"].address
+        before, head = w3.eth.get_balance(address), platform.chain.head
+        platform.runtime.state.mint(address, 7)
+        assert platform.chain.head is head
+        assert w3.eth.get_balance(address) == before + 7
+
     def test_get_balance_hex_form(self, connected):
         platform, w3, _ = connected
         address = platform.provider_keys["provider-2"].address

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.chain.block import Block, ChainRecord, RecordKind
+from repro.chain.block import Block, ChainRecord
 from repro.chain.chain import Blockchain
 from repro.chain.pow import PAPER_DIFFICULTY, PAPER_MEAN_BLOCK_TIME
 from repro.contracts.contract import Receipt
@@ -45,7 +45,7 @@ from repro.contracts.state import InsufficientFunds
 from repro.core.incentives import IncentiveParameters
 from repro.economics.batch import crosscheck_detectors, crosscheck_providers
 from repro.core.registry import IdentityRegistry
-from repro.core.reports import DetailedReport, InitialReport, build_report_pair
+from repro.core.reports import DetailedReport, InitialReport, build_report_pair, to_record
 from repro.core.sra import SignedSRA, make_sra
 from repro.core.verification import ReportVerifier, VerdictCode
 from repro.core.workflow import WorkflowChain
@@ -353,15 +353,7 @@ class SmartCrowdPlatform(WorkflowChain):
         # Decentralized SRA verification, then on-chain recording.
         if not sra.verify_registered(self.registry):
             raise RuntimeError("provider produced an invalid SRA")
-        self.submit_record(
-            ChainRecord(
-                kind=RecordKind.SRA,
-                record_id=sra.sra_id,
-                payload=sra.to_payload(),
-                fee=0,
-                sender=keys.address,
-            )
-        )
+        self.submit_record(to_record(sra, sender=keys.address))
 
         self._start_detection(case)
         close_at = self.now + self.config.detection_window + 1e-6
@@ -404,12 +396,8 @@ class SmartCrowdPlatform(WorkflowChain):
             stats.reports_dropped += 1
             self.dropped_reports.append((initial.report_id, verdict.code))
             return
-        record = ChainRecord(
-            kind=RecordKind.INITIAL_REPORT,
-            record_id=initial.report_id,
-            payload=initial.to_payload(),
-            fee=self.runtime.gas.fee_wei("submit_initial_report"),
-            sender=keys.address,
+        record = to_record(
+            initial, self.runtime.gas.fee_wei("submit_initial_report"), keys.address
         )
         if self.runtime.state.balance(keys.address) < record.fee:
             stats.reports_dropped += 1
@@ -438,12 +426,8 @@ class SmartCrowdPlatform(WorkflowChain):
                 self.isolated_detectors.add(detailed.detector_id)
                 self._award_detailed(detailed, False)
             return
-        record = ChainRecord(
-            kind=RecordKind.DETAILED_REPORT,
-            record_id=detailed.report_id,
-            payload=detailed.to_payload(),
-            fee=self.runtime.gas.fee_wei("submit_detailed_report"),
-            sender=detailed.wallet,
+        record = to_record(
+            detailed, self.runtime.gas.fee_wei("submit_detailed_report"), detailed.wallet
         )
         if self.runtime.state.balance(detailed.wallet) < record.fee:
             stats.reports_dropped += 1

@@ -27,10 +27,10 @@ from repro.contracts.contract import Receipt
 from repro.contracts.smartcrowd_contract import SmartCrowdContract
 from repro.contracts.vm import ContractRuntime
 from repro.core.distributed import DistributedChain, ReplicaNode
-from repro.core.reports import DetailedReport, InitialReport
+from repro.core.reports import DetailedReport, InitialReport, decode_payload
 from repro.core.sra import SignedSRA
 from repro.crypto.keys import Address, KeyPair
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["WorkflowChain"]
 
@@ -55,9 +55,10 @@ class WorkflowChain(DistributedChain):
         **fleet,
     ) -> None:
         self.detection_window = detection_window
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # On-chain world state (contracts + balances), shared by design:
         # it *is* the replicated state every honest replica agrees on.
-        self.runtime = ContractRuntime(telemetry=telemetry)
+        self.runtime = ContractRuntime(telemetry=self.telemetry)
         self._authority = authority
         self.runtime.state.mint(authority.address, authority_funding_wei)
         #: Δ_id -> the contract escrowing that release's insurance.
@@ -139,18 +140,20 @@ class WorkflowChain(DistributedChain):
             self._walked = (block.height, block.block_id)
 
     def _trigger(self, record: ChainRecord) -> None:
-        # An SRA needs no trigger: its contract escrowed at deploy.
+        # An SRA needs no trigger: its contract escrowed at deploy.  A
+        # payload that does not decode fires nothing, and is not retried.
+        if record.kind == RecordKind.SRA:
+            return
+        report = decode_payload(record, self.telemetry)
+        if report is None or report.sra_id not in self.contracts:
+            return
         if record.kind == RecordKind.INITIAL_REPORT:
-            report = InitialReport.from_payload(record.payload)
-            if report.sra_id in self.contracts:
-                receipt = self._authority_call(
-                    report, "confirm_initial_report", report.detailed_hash
-                )
-                self._on_initial_confirmed(report, receipt)
-        elif record.kind == RecordKind.DETAILED_REPORT:
-            report = DetailedReport.from_payload(record.payload)
-            if report.sra_id in self.contracts:
-                self._on_detailed_awarded(report, self._award_detailed(report, True))
+            receipt = self._authority_call(
+                report, "confirm_initial_report", report.detailed_hash
+            )
+            self._on_initial_confirmed(report, receipt)
+        else:
+            self._on_detailed_awarded(report, self._award_detailed(report, True))
 
     def _award_detailed(self, report: DetailedReport, valid: bool) -> Receipt:
         """Pay R*'s bounties — or, ``valid=False``, have the contract

@@ -27,7 +27,7 @@ from repro.chain.block import RecordKind
 from repro.chain.chain import Blockchain
 from repro.chain.serialization import encode_block
 from repro.contracts.state import BURN_ADDRESS
-from repro.core.reports import DetailedReport
+from repro.core.reports import decode_payload
 
 __all__ = [
     "InvariantChecker",
@@ -175,10 +175,12 @@ class InvariantChecker:
                         seen_ids.get(record.record_id, 0) + 1
                     )
                     if record.kind == RecordKind.DETAILED_REPORT:
-                        detailed = DetailedReport.from_payload(record.payload)
-                        commitment_owners.setdefault(
-                            detailed.body_hash(), set()
-                        ).add(record.record_id)
+                        # An R* that does not decode claims no commitment.
+                        detailed = decode_payload(record)
+                        if detailed is not None:
+                            commitment_owners.setdefault(
+                                detailed.body_hash(), set()
+                            ).add(record.record_id)
             for record_id, count in seen_ids.items():
                 if count > 1:
                     report.violations.append(

@@ -13,10 +13,9 @@ workload.  :class:`ChainIndex` maintains the answers *incrementally*:
 * confirmed-report indices (reports by system / vendor / severity /
   detector, SRAs by release) advanced at the confirmation boundary —
   confirmed blocks are stable under the 6-deep rule, so each refresh
-  decodes only the newly confirmed payloads.  This is the one place a
-  confirmed payload is decoded for reading: a payload that does not
-  decode (block acceptance checks PoW and the Merkle root, not record
-  payloads) is skipped and counted, never raised at a reader.
+  decodes only the newly confirmed payloads, through
+  :func:`~repro.core.reports.decode_payload`: a payload that does not
+  decode is skipped and counted, never raised at a reader.
 
 Both cursors are ``(height, block id)`` and carry a reorg guard: if
 ``chain.is_canonical`` no longer holds for the block a cursor last
@@ -38,9 +37,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.chain import Blockchain
-from repro.codec import CodecError
 from repro.contracts.contract import ContractEvent
-from repro.core.reports import DetailedReport
+from repro.core.reports import DetailedReport, decode_payload
 from repro.core.sra import SignedSRA
 from repro.crypto.keys import Address
 from repro.detection.vulnerability import Severity
@@ -173,9 +171,6 @@ class ChainIndex:
     def _reset_confirmed(self) -> None:
         self._confirmed_height = -1
         self._confirmed_block_id: Optional[bytes] = None
-        #: Confirmed SRA / R* records this view skipped because their
-        #: payload did not decode (a warm start counts its delta only).
-        self.undecodable = 0
         self._sras: Dict[bytes, SraEntry] = {}
         self._sras_in_order: List[SraEntry] = []
         self._sras_by_release: Dict[Tuple[str, str], List[int]] = {}
@@ -293,21 +288,14 @@ class ChainIndex:
         self, height: int, position: int, record: ChainRecord
     ) -> None:
         if record.kind == RecordKind.SRA:
-            decode, file = SignedSRA.from_payload, self._file_sra
+            file = self._file_sra
         elif record.kind == RecordKind.DETAILED_REPORT:
-            decode, file = DetailedReport.from_payload, self._file_report
+            file = self._file_report
         else:
             return
-        try:
-            decoded = decode(record.payload)
-        except CodecError:
-            # Bytes no encoder wrote, confirmed by a byzantine miner:
-            # skip the record so every later one stays readable.
-            self.undecodable += 1
-            if self.telemetry.enabled:
-                self.telemetry.counter("query.undecodable_records").inc()
-            return
-        file(height, position, decoded)
+        decoded = decode_payload(record, self.telemetry)
+        if decoded is not None:
+            file(height, position, decoded)
 
     def _file_sra(self, height: int, position: int, sra: SignedSRA) -> None:
         entry = SraEntry(

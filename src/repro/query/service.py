@@ -271,6 +271,9 @@ class QueryService:
     genesis.
     """
 
+    #: The page size of a request that names no ``limit``.
+    default_page_limit = DEFAULT_PAGE_LIMIT
+
     def __init__(
         self,
         chain: Optional[Blockchain] = None,
@@ -280,19 +283,9 @@ class QueryService:
         telemetry: Optional[Telemetry] = None,
         canonical: Optional[object] = None,
         index_dir: Optional[Union[str, Path]] = None,
-        default_page_limit: int = DEFAULT_PAGE_LIMIT,
     ) -> None:
         if chain is None and node is None:
             raise QueryError("QueryService needs a chain or a node to read from")
-        if (
-            isinstance(default_page_limit, bool)
-            or not isinstance(default_page_limit, int)
-            or not 1 <= default_page_limit <= MAX_PAGE_LIMIT
-        ):
-            raise QueryError(
-                f"default_page_limit must be an int in [1, {MAX_PAGE_LIMIT}], "
-                f"got {default_page_limit!r}"
-            )
         self.chain = chain
         self.runtime = runtime
         self.node = node
@@ -303,7 +296,6 @@ class QueryService:
         #: either.  None means "what this service serves IS canonical".
         self.canonical = canonical
         self.index_dir = Path(index_dir) if index_dir is not None else None
-        self.default_page_limit = default_page_limit
         self.warm_starts = 0
         self.cold_starts = 0
         self.snapshots = SnapshotCache()

@@ -4,12 +4,17 @@ import random
 
 import pytest
 
+from repro.chain.block import ChainRecord, RecordKind
+from repro.contracts.vm import ContractRuntime
 from repro.core.reports import (
     DetailedReport,
     InitialReport,
     build_report_pair,
+    decode_payload,
     detailed_report_hash,
+    to_record,
 )
+from repro.core.sra import make_sra
 from repro.detection.descriptions import describe
 from repro.detection.iot_system import build_system
 
@@ -110,3 +115,53 @@ class TestPayloads:
         _, detailed = pair
         parsed = DetailedReport.from_payload(detailed.to_payload())
         assert parsed.descriptions == descriptions
+
+
+#: The six sites that built a record by hand before ``to_record``:
+#: site -> (the kind it wrote, which payload, fee, who sent it).
+HAND_BUILT_SITES = {
+    "ProviderStakeholder._on_sra": (RecordKind.SRA, "sra", None, None),
+    "ProviderStakeholder._on_initial": (RecordKind.INITIAL_REPORT, "initial", None, None),
+    "ProviderStakeholder._on_detailed": (RecordKind.DETAILED_REPORT, "detailed", None, None),
+    "SmartCrowdPlatform._do_announce": (RecordKind.SRA, "sra", 0, "provider"),
+    "SmartCrowdPlatform._submit_initial": (
+        RecordKind.INITIAL_REPORT, "initial", "submit_initial_report", "detector",
+    ),
+    "SmartCrowdPlatform._submit_detailed": (
+        RecordKind.DETAILED_REPORT, "detailed", "submit_detailed_report", "wallet",
+    ),
+}
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize("site", HAND_BUILT_SITES)
+    def test_to_record_writes_what_the_hand_built_site_wrote(
+        self, site, pair, system, provider_keys, detector_keys
+    ):
+        initial, detailed = pair
+        sra = make_sra("vendor", provider_keys, system, 10**21, 10**20)
+        kind, name, fee, sender = HAND_BUILT_SITES[site]
+        payload = {"sra": sra, "initial": initial, "detailed": detailed}[name]
+        extra = {}
+        if fee is not None:
+            extra["fee"] = ContractRuntime().gas.fee_wei(fee) if fee else 0
+        if sender is not None:
+            extra["sender"] = {
+                "provider": provider_keys.address,
+                "detector": detector_keys.address,
+                "wallet": detailed.wallet,
+            }[sender]
+        by_hand = ChainRecord(
+            kind=kind,
+            record_id=sra.sra_id if payload is sra else payload.report_id,
+            payload=payload.to_payload(),
+            **extra,
+        )
+        written = to_record(payload, **extra)
+        assert written == by_hand and written.to_bytes() == by_hand.to_bytes()
+        assert decode_payload(written) == payload
+
+    @pytest.mark.parametrize("kind", [RecordKind.TRANSACTION, RecordKind.CONTRACT_CALL])
+    def test_a_kind_with_no_typed_payload_decodes_to_none(self, kind, pair):
+        record = ChainRecord(kind, b"\x01" * 32, pair[1].to_payload())
+        assert decode_payload(record) is None

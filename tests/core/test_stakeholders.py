@@ -5,12 +5,15 @@ import random
 import pytest
 
 from repro.adversary.attacks import spoof_sra
+from repro.chain.block import ChainRecord, RecordKind
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.stakeholders import DecentralizedDeployment
+from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import KeyPair
 from repro.detection import build_detector_fleet, build_system
 from repro.detection.iot_system import repackage_with_malware
 from repro.network.messages import MessageKind
+from repro.telemetry import Telemetry
 from repro.units import to_wei
 
 
@@ -238,3 +241,59 @@ class TestAdversarialMessages:
 
         detector.deliver(Message.wrap(MessageKind.SRA_ANNOUNCE, sra, "x"))
         assert detector.scans == before  # refused: artifact hash mismatch
+
+
+class TestByzantinePayloads:
+    """Block acceptance checks PoW and the Merkle root, never a payload,
+    and the providers who mine are the parties a report burns: a record
+    no encoder wrote must cost that record, not the run."""
+
+    @staticmethod
+    def byzantine(*kinds, telemetry=None):
+        """The ``settled`` run, with one undecodable record of each kind
+        in every provider's mempool."""
+        deployment = DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES,
+            build_detector_fleet(thread_counts=(2, 5, 8), seed=81),
+            seed=81,
+            telemetry=telemetry,
+        )
+        deployment.announce(
+            "provider-1", build_system("dd-cam", vulnerability_count=3, rng=random.Random(1))
+        )
+        for kind in kinds:
+            record = ChainRecord(
+                kind=kind,
+                record_id=hash_fields("byzantine", kind.value),
+                payload=b"\xff\xfe garbage",
+            )
+            for provider in deployment.providers.values():
+                provider.mempool.add(record)
+        return deployment
+
+    def test_a_run_confirming_them_pays_what_a_clean_run_pays(self, settled):
+        clean, _, _ = settled
+        telemetry = Telemetry()
+        deployment = self.byzantine(
+            RecordKind.SRA, RecordKind.INITIAL_REPORT, RecordKind.DETAILED_REPORT,
+            telemetry=telemetry,
+        )
+        deployment.advance_for(900.0)
+        chain = deployment.providers["provider-1"].chain
+        for kind in (RecordKind.SRA, RecordKind.INITIAL_REPORT, RecordKind.DETAILED_REPORT):
+            location = chain.locate_record(hash_fields("byzantine", kind.value))
+            assert chain.is_confirmed(location.block_id), kind
+        paid = {name: deployment.detector_balance(name) for name in deployment.detectors}
+        assert paid == {name: clean.detector_balance(name) for name in clean.detectors}
+        assert all(balance == to_wei(250) for balance in paid.values())
+        # The workflow decodes R† and R*; an SRA needs no trigger.
+        assert telemetry.counter("records.undecodable").value == 2
+
+    def test_a_provider_restarted_over_them_recovers(self):
+        deployment = self.byzantine(RecordKind.SRA, RecordKind.INITIAL_REPORT)
+        deployment.crash("provider-2")  # before the SRA's gossip lands
+        deployment.advance_for(900.0)
+        deployment.restart("provider-2")
+        honest, restarted = (deployment.providers[n] for n in ("provider-1", "provider-2"))
+        assert restarted.known_sras == honest.known_sras and len(honest.known_sras) == 1
+        assert restarted.known_initials == honest.known_initials and honest.known_initials

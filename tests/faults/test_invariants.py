@@ -13,20 +13,20 @@ from repro.core.stakeholders import DecentralizedDeployment
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import KeyPair
 from repro.detection import build_detector_fleet, build_system
-from repro.faults.invariants import InvariantChecker
+from repro.faults.invariants import InvariantChecker, InvariantReport
 from repro.network.latency import ConstantLatency
 
 MINER = KeyPair.from_seed(b"invariant-miner").address
 
 
-def _chain_with_blocks(tags, confirmation_depth=2):
+def _chain_with_blocks(tags, confirmation_depth=2, kind=RecordKind.TRANSACTION):
     genesis = make_genesis(difficulty=1)
     chain = Blockchain(genesis, confirmation_depth=confirmation_depth)
     parent = genesis
     for i, tag_group in enumerate(tags):
         records = tuple(
             ChainRecord(
-                kind=RecordKind.TRANSACTION,
+                kind=kind,
                 record_id=hash_fields("inv", tag),
                 payload=tag.encode(),
             )
@@ -107,6 +107,18 @@ class TestViolationsDetected:
         assert any(
             v.name == "unique-confirmed-reports" for v in report.violations
         )
+
+    def test_an_undecodable_detailed_report_claims_no_commitment(self):
+        # A byzantine miner's R* no encoder wrote: not a violation, and
+        # not a crash of the checker either.
+        chain = _chain_with_blocks(
+            [["not-a-report"], ["nor-this"]], kind=RecordKind.DETAILED_REPORT
+        )
+        checker = InvariantChecker(chains={"x": chain})
+        report = InvariantReport()
+        checker.check_unique_reports(report)
+        assert report.checked == ["unique-confirmed-reports"]
+        assert report.ok, report.render()
 
     def test_ledger_imbalance_flagged(self):
         runtime = ContractRuntime()

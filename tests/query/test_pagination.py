@@ -17,7 +17,6 @@ import pytest
 from repro.query import (
     DEFAULT_PAGE_LIMIT,
     MAX_PAGE_LIMIT,
-    QueryError,
     QueryRequest,
     QueryService,
 )
@@ -231,9 +230,3 @@ class TestValidation:
 
         chain, _ = build_mixed_chain(seed=107, blocks=4)
         return QueryService(chain=chain, runtime=ContractRuntime())
-
-    def test_default_page_limit_validated_at_construction(self):
-        chain, _ = build_mixed_chain(seed=109, blocks=3)
-        for bad in (0, -1, True, MAX_PAGE_LIMIT + 1):
-            with pytest.raises(QueryError, match="default_page_limit"):
-                QueryService(chain=chain, default_page_limit=bad)

@@ -14,7 +14,8 @@ Three claims the framing layer stakes its correctness on:
   body, an index-state body, an SRA / R† / R* record payload) either
   decode or raise the
   :class:`CodecError` family, and what decodes re-encodes to the same
-  bytes.
+  bytes; a record carrying such a payload, under any kind, is
+  ``decode_payload``'s typed value or None, never an error.
 """
 
 import io
@@ -38,7 +39,7 @@ from repro.chain.serialization import (
     import_chain,
 )
 from repro.codec import CodecError, pack, unpack, unpack_all
-from repro.core.reports import DetailedReport, InitialReport
+from repro.core.reports import DetailedReport, InitialReport, decode_payload
 from repro.core.sra import SignedSRA
 from repro.crypto.keys import Address
 from repro.network.messages import MessageKind
@@ -477,10 +478,40 @@ class TestPlainFramings:
         ),
     }
 
+    #: The record payload framings, and the type each kind carries.
+    RECORD_KINDS = {
+        "sra-payload": RecordKind.SRA,
+        "detailed-report-payload": RecordKind.DETAILED_REPORT,
+        "initial-report-payload": RecordKind.INITIAL_REPORT,
+    }
+    PAYLOAD_TYPES = {
+        RecordKind.SRA: SignedSRA,
+        RecordKind.INITIAL_REPORT: InitialReport,
+        RecordKind.DETAILED_REPORT: DetailedReport,
+    }
+
+    def assert_the_record_codec_never_raises(self, name: str, blob: bytes) -> None:
+        """``decode_payload`` of a record carrying ``blob``, under every
+        kind: ``from_payload``'s value or None under its own, a value of
+        the kind's type or None under another."""
+        if name not in self.RECORD_KINDS:
+            return
+        try:
+            expected = self.FRAMINGS[name][1](blob)
+        except CodecError:
+            expected = None
+        for kind in RecordKind:
+            value = decode_payload(ChainRecord(kind, b"\x00" * 32, blob))
+            if kind == self.RECORD_KINDS[name]:
+                assert value == expected
+            elif value is not None:
+                assert type(value) is self.PAYLOAD_TYPES[kind]
+
     @pytest.mark.parametrize("name", FRAMINGS)
     def test_an_encoders_output_round_trips(self, name):
         original, decode, encode, _ = self.FRAMINGS[name]
         assert encode(decode(original)) == original
+        self.assert_the_record_codec_never_raises(name, original)
 
     @pytest.mark.parametrize("name", FRAMINGS)
     @settings(max_examples=150, deadline=None)
@@ -490,6 +521,7 @@ class TestPlainFramings:
     ):
         original, decode, encode, value_canonical = self.FRAMINGS[name]
         how, hostile = data.draw(_hostile(original))
+        self.assert_the_record_codec_never_raises(name, hostile)
         try:
             # Anything but the codec family (struct.error, IndexError,
             # UnicodeDecodeError, a bare ValueError) fails the test.

@@ -6,12 +6,16 @@ confirmed payload once, :class:`~repro.query.service.QueryService` is
 the only owner of which chain and index are live for a node, and the
 chain's own ``locate_record`` is the only record-location map.  The
 consumer client, ``rpc.Eth`` and the provider's ``CONSUMER_QUERY``
-handler read through those.  This walk fails the day a module grows
-its own scan, its own index, its own liveness rule or its own map.
+handler read through those.  An SRA / R† / R* record is written by
+``core.reports.to_record`` and its payload read by
+``core.reports.decode_payload``, whoever the reader is.  This walk
+fails the day a module grows its own scan, its own index, its own
+liveness rule, its own map or its own payload codec.
 """
 
 import ast
 import pathlib
+import random
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -26,17 +30,19 @@ SINGLE_DEFINITIONS = {
     "locate_record": "chain/chain.py",
 }
 
-#: Who may decode an SRA / R* chain payload: the index (the read path),
-#: persistence's parked reports, and the write-path decoders — the
-#: workflow trigger, the provider's post-restart rebuild of its
-#: verification state, the fault-injection invariants.
-PAYLOAD_DECODERS = {
-    "query/indices.py",
-    "query/persistence.py",
-    "core/workflow.py",
-    "core/stakeholders.py",
-    "faults/invariants.py",
-}
+#: Who may call a ``from_payload``: the codec, and persistence for the
+#: parked reports of its own checksummed ``index.snap`` (bad bytes
+#: there mean a corrupt file: ``CodecError``, then a cold start).
+PAYLOAD_DECODERS = {"core/reports.py", "query/persistence.py"}
+
+#: The one ``from_payload`` that is not a record type's: a transaction
+#: that does not decode invalidates its block (a validity rule).
+LEDGER_DECODER = "SignedTransaction"
+
+#: Who may build an SRA / R† / R* record: the codec, and the two-phase
+#: ablation's placeholder-byte R* records, which no reader sees.
+RECORD_WRITERS = {"core/reports.py", "experiments/ablations.py"}
+PAYLOAD_KINDS = {"SRA", "INITIAL_REPORT", "DETAILED_REPORT"}
 
 
 def _nodes():
@@ -44,6 +50,27 @@ def _nodes():
         module = path.relative_to(SRC).as_posix()
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             yield module, node
+
+
+def _decodes_a_payload(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "from_payload"
+        and getattr(node.value, "id", None) != LEDGER_DECODER
+    )
+
+
+def _writes_a_payload_record(node) -> bool:
+    """A ``ChainRecord(`` call whose kind is an SRA / R† / R* literal."""
+    if not (isinstance(node, ast.Call) and _callee(node) == "ChainRecord"):
+        return False
+    kinds = [keyword.value for keyword in node.keywords if keyword.arg == "kind"]
+    kind = (kinds or node.args[:1] or [None])[0]
+    return (
+        isinstance(kind, ast.Attribute)
+        and getattr(kind.value, "id", None) == "RecordKind"
+        and kind.attr in PAYLOAD_KINDS
+    )
 
 
 def _callee(node: ast.Call) -> str:
@@ -73,20 +100,69 @@ def test_liveness_and_record_location_are_defined_once():
     }, f"one owner each, found: {defined}"
 
 
-def test_confirmed_payloads_are_decoded_by_the_index_only():
-    # Attribute access, not just calls: the index picks the decoder
-    # first and calls it under one ``except CodecError``.
-    decoders = {
-        module
-        for module, node in _nodes()
-        if isinstance(node, ast.Attribute)
-        and node.attr == "from_payload"
-        and getattr(node.value, "id", None) in ("SignedSRA", "DetailedReport")
-    }
+def test_record_payloads_are_decoded_by_the_codec_only():
+    # Attribute access, not just calls: ``decode = X.from_payload`` is
+    # a decoder too.
+    decoders = {module for module, node in _nodes() if _decodes_a_payload(node)}
     assert decoders == PAYLOAD_DECODERS, (
-        "read confirmed SRAs/reports from ChainIndex (sras(), reports()); "
-        f"their payloads are decoded in {sorted(decoders)}"
+        "read a record's SRA / R† / R* with core.reports.decode_payload "
+        f"(None when it does not decode); from_payload is used in {sorted(decoders)}"
     )
+
+
+def test_payload_records_are_built_by_the_codec_only():
+    writers = {module for module, node in _nodes() if _writes_a_payload_record(node)}
+    assert writers <= RECORD_WRITERS, (
+        "build an SRA / R† / R* record with core.reports.to_record; "
+        f"ChainRecord(kind=RecordKind.…) is written in {sorted(writers)}"
+    )
+    # Not vacuous: the ablation's records are seen where they are ...
+    assert "experiments/ablations.py" in writers
+
+
+def test_the_codec_detectors_see_what_they_guard():
+    # ... and so are the shapes the deleted hand-built sites had, by
+    # keyword or by position, and the per-reader decoders, each type.
+    gone = ast.parse(
+        "ChainRecord(kind=RecordKind.SRA, record_id=i, payload=p)\n"
+        "ChainRecord(RecordKind.INITIAL_REPORT, i, p, fee, sender)\n"
+        "ChainRecord(kind=RecordKind.DETAILED_REPORT, record_id=i, payload=p)\n"
+        "SignedSRA.from_payload(p); InitialReport.from_payload(p)\n"
+        "decode = DetailedReport.from_payload\n"
+    )
+    nodes = list(ast.walk(gone))
+    assert sum(map(_writes_a_payload_record, nodes)) == 3
+    assert sum(map(_decodes_a_payload, nodes)) == 3
+    kept = ast.parse(
+        "ChainRecord(kind=RecordKind.TRANSACTION, record_id=i, payload=p)\n"
+        "ChainRecord(RecordKind(kind), i, p)\n"
+        "SignedTransaction.from_payload(p)\n"
+    )
+    assert not any(
+        _writes_a_payload_record(node) or _decodes_a_payload(node)
+        for node in ast.walk(kept)
+    )
+
+
+def test_the_decoder_calls_the_classmethod_on_the_class(monkeypatch):
+    # bench/trace.py times ``core.payload.decode`` by rebinding each
+    # from_payload on its class; a decoder bound at import would
+    # bypass it and every such span would go unattributed.
+    from repro.core.reports import DetailedReport, decode_payload, to_record
+    from tests.query.conftest import make_report_record
+
+    record = make_report_record(random.Random(5), b"\x01" * 32, 5)
+    seen = []
+    original = DetailedReport.from_payload
+
+    def patched(payload):
+        seen.append(payload)
+        return original(payload)
+
+    monkeypatch.setattr(DetailedReport, "from_payload", staticmethod(patched))
+    report = decode_payload(record)
+    assert seen == [record.payload]
+    assert to_record(report, record.fee, record.sender) == record
 
 
 def test_nothing_under_src_scans_the_confirmed_records():

@@ -21,6 +21,7 @@ Run:  PYTHONPATH=src python examples/chaos_gauntlet.py [seed]
 import sys
 
 from repro.faults import GauntletConfig, run_gauntlet
+from repro.faults.gauntlet import BURST_LOSS_RATE, CRASH_PROBABILITY, LOSS_RATE
 
 
 def main() -> int:
@@ -34,8 +35,8 @@ def main() -> int:
     print(
         f"chaos gauntlet, seed {seed}: "
         f"{config.chaos_duration:.0f}s of chaos "
-        f"(crash prob {config.crash_probability}/epoch, "
-        f"{config.loss_rate:.0%} loss with {config.burst_loss_rate:.0%} burst, "
+        f"(crash prob {CRASH_PROBABILITY}/epoch, "
+        f"{LOSS_RATE:.0%} loss with {BURST_LOSS_RATE:.0%} burst, "
         f"duplication, delay spikes, one timed partition), "
         f"then {config.settle_time:.0f}s to settle...\n"
     )

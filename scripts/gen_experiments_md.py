@@ -3,8 +3,8 @@
 
 Each block is one row of ``repro.experiments.EXPERIMENTS`` run at its
 default sizes and seed, rendered with ``to_table().render()`` — what
-``python -m repro.experiments NAME`` prints.  ``render(name)`` returns
-the marked block as a string so the tier-1 drift test
+``python -m repro.experiments NAME`` prints.  ``render(name, result)``
+returns the marked block as a string so the tier-1 drift test
 (``tests/test_experiments_doc.py``) can compare it against the
 checked-in file; ``main()`` rewrites every block in place (~14 s).
 Run it (with ``PYTHONPATH=src``) after any change that moves a seeded
@@ -22,9 +22,9 @@ BEGIN = "<!-- experiment:{}:begin (scripts/gen_experiments_md.py writes this blo
 END = "<!-- experiment:{}:end -->"
 
 
-def render(name: str) -> str:
-    """The marked block of one registry row, markers included."""
-    table = EXPERIMENTS[name].run().to_table().render()
+def render(name: str, result) -> str:
+    """The marked block of row ``name``'s default-size ``result``."""
+    table = result.to_table().render()
     lines = [line.rstrip() for line in table.splitlines()]
     return "\n".join([BEGIN.format(name), "```", *lines, "```", END.format(name)])
 
@@ -34,7 +34,7 @@ def main() -> None:
     for name in EXPERIMENTS:
         head, rest = text.split(BEGIN.format(name))
         tail = rest.split(END.format(name))[1]
-        text = head + render(name) + tail
+        text = head + render(name, EXPERIMENTS[name].run()) + tail
     DOC.write_text(text)
     print(f"wrote {len(EXPERIMENTS)} result blocks into {DOC}")
 

@@ -9,17 +9,11 @@ trial-shaped experiment out over worker processes via
 :mod:`repro.experiments.runner`; results are bit-identical to the
 serial run — only wall-clock time changes.
 
-``--checkpoint PATH`` journals every completed trial to a JSONL file
-keyed by ``(experiment, master_seed, trial_index, input_digest)``;
-rerunning with ``--checkpoint PATH --resume`` skips trials already in
-the journal, so an interrupted suite picks up where it stopped and
-finishes with results identical to an uninterrupted run.  Without
-``--resume`` the journal is truncated first (a fresh sweep).
-
 ``--telemetry PATH`` arms a :class:`~repro.telemetry.Telemetry` for the
 telemetry-aware experiments and exports the combined metrics + trace
 to ``PATH`` as JSONL; ``--report PATH`` summarizes a previously
-exported JSONL file and exits without running anything.
+exported JSONL file and exits without running anything; a file that
+cannot be read or parsed exits 2 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +25,14 @@ from typing import Optional
 
 from repro.experiments import EXPERIMENTS
 from repro.telemetry import Telemetry, summarize_run
+
+
+def _jobs(text: str) -> int:
+    """``--jobs`` value: a worker count, ``0`` meaning one per core."""
+    jobs = int(text)
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {jobs}")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,24 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=None,
         metavar="N",
         help="fan trial sweeps out over N worker processes "
         "(0 = one per core; default: serial; results are identical either way)",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="journal completed trials to PATH (JSONL); combine with "
-        "--resume to skip trials already journaled there",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="keep the existing --checkpoint journal and skip completed "
-        "trials (default: truncate it and start fresh)",
     )
     parser.add_argument(
         "--telemetry",
@@ -94,22 +83,18 @@ def main(argv: Optional[list] = None) -> int:
         )
         return 2
     if args.report is not None:
-        print(summarize_run(args.report))
+        try:
+            report = summarize_run(args.report)
+        except (OSError, ValueError) as exc:
+            print(f"cannot report {args.report}: {exc}", file=sys.stderr)
+            return 2
+        print(report)
         return 0
-    if args.resume and args.checkpoint is None:
-        print("--resume requires --checkpoint PATH", file=sys.stderr)
-        return 2
-    if args.checkpoint is not None and not args.resume:
-        # A fresh sweep: drop any stale journal so old trials can't be
-        # replayed into a run they no longer belong to.
-        open(args.checkpoint, "w").close()
     telemetry = Telemetry() if args.telemetry is not None else None
     started = time.time()
     for row in map(EXPERIMENTS.get, args.names or EXPERIMENTS):
         print(f"--- {row.label} " + "-" * max(0, 60 - len(row.label)))
-        result = row.run(
-            jobs=args.jobs, checkpoint=args.checkpoint, telemetry=telemetry
-        )
+        result = row.run(jobs=args.jobs, telemetry=telemetry)
         result.to_table().print()
     if telemetry is not None:
         lines = telemetry.export_jsonl(args.telemetry)

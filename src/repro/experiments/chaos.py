@@ -102,8 +102,7 @@ def run_chaos_gauntlet(
 
     Each seed is an independent deterministic run, so ``jobs`` fans the
     sweep out one-gauntlet-per-process; results are merged in seed
-    order and are identical to the serial sweep.  Nothing is journaled:
-    a trial's result is the gauntlet report itself, not JSON.
+    order and are identical to the serial sweep.
 
     An enabled ``telemetry`` composes with ``jobs``: each trial records
     into a worker-local telemetry whose snapshot is merged back in seed
@@ -116,7 +115,6 @@ def run_chaos_gauntlet(
         _gauntlet_trial,
         [(seed, chaos_duration, settle_time, instrumented) for seed in seeds],
         seeded=False,
-        journal=False,
     )
     if not instrumented:
         return ChaosGauntletResult(runs=outcomes)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.balance import provider_punishment_ether
 from repro.core.incentives import IncentiveParameters
@@ -66,13 +66,8 @@ class Fig4aResult:
         return table
 
 
-def _fig4a_trial(args: Tuple[int, float, float]) -> Dict[str, Any]:
-    """One full-platform incentive run (seed-pure, module-level).
-
-    Returns JSON-native ``{"series": {name: [[t, ether], ...]},
-    "shares": {name: share}}`` so the trial can be journaled to a sweep
-    checkpoint byte-for-byte.
-    """
+def _fig4a_trial(args: Tuple[int, float, float]) -> Fig4aResult:
+    """One full-platform incentive run (seed-pure, module-level)."""
     seed, duration, release_period = args
     setup = paper_setup(seed=seed)
     platform = setup.build_platform()
@@ -92,17 +87,17 @@ def _fig4a_trial(args: Tuple[int, float, float]) -> Dict[str, Any]:
             provider, scheduled.system, at_time=max(scheduled.time - release_period, 0.0)
         )
 
-    series: Dict[str, List[List[float]]] = {name: [] for name in setup.shares}
+    series: Dict[str, List[Tuple[float, float]]] = {name: [] for name in setup.shares}
 
     def _sample(_block) -> None:
         for name in setup.shares:
             series[name].append(
-                [platform.now, from_wei(platform.provider_incentives_wei(name))]
+                (platform.now, from_wei(platform.provider_incentives_wei(name)))
             )
 
     platform.add_block_listener(_sample)
     platform.advance_until(duration)
-    return {"series": series, "shares": dict(setup.shares)}
+    return Fig4aResult(series=series, shares=dict(setup.shares))
 
 
 @experiment("fig4a", "Fig. 4(a)", seed=3)
@@ -111,18 +106,12 @@ def run_fig4a(
 ) -> Fig4aResult:
     """Run the full platform for ``duration`` with periodic releases.
 
-    A single-trial sweep: the whole run is one seed-pure worker, so it
-    shares the uniform checkpoint/resume plumbing (one long platform
-    run resumes for free).
+    A single-trial sweep: the whole run is one seed-pure worker.
     """
-    (outcome,) = sweep.map(
+    (result,) = sweep.map(
         _fig4a_trial, [(sweep.seed, duration, release_period)], seeded=False
     )
-    series = {
-        name: [(float(t), float(value)) for t, value in points]
-        for name, points in outcome["series"].items()
-    }
-    return Fig4aResult(series=series, shares=dict(outcome["shares"]))
+    return result
 
 
 @dataclass
@@ -155,7 +144,9 @@ class Fig4bResult:
         return table
 
 
-def _fig4b_curve_trial(args: Tuple[int, Tuple[float, ...]]) -> List[List[float]]:
+def _fig4b_curve_trial(
+    args: Tuple[int, Tuple[float, ...]]
+) -> List[Tuple[float, float]]:
     """Closed-form punishment curve for one insurance level.
 
     The whole VP grid is evaluated in one vectorized pass
@@ -171,7 +162,7 @@ def _fig4b_curve_trial(args: Tuple[int, Tuple[float, ...]]) -> List[List[float]]
             raise AssertionError(
                 f"batch punishment curve diverged at VP={vp}: {punishment} vs {oracle}"
             )
-    return [[vp, punishment] for vp, punishment in zip(vp_grid, curve)]
+    return list(zip(vp_grid, curve))
 
 
 def _fig4b_spot_trial(args: Tuple[int, int, float, int]) -> float:
@@ -212,25 +203,19 @@ def run_fig4b(
     """Closed-form sweep plus one simulated spot check.
 
     Each insurance curve and the spot check are independent seed-pure
-    workers; passing a checkpoint *path* (not an instance) journals the
-    two sub-sweeps under distinct experiment tags.
+    workers.
     """
     spot_vp = 0.5
     spot_insurance = 1000
     curve_outcomes = sweep.map(
         _fig4b_curve_trial,
         [(insurance, tuple(vp_grid)) for insurance in insurances],
-        tag="fig4b.curves",
         seeded=False,
     )
-    curves: Dict[int, List[Tuple[float, float]]] = {
-        insurance: [(float(vp), float(punishment)) for vp, punishment in outcome]
-        for insurance, outcome in zip(insurances, curve_outcomes)
-    }
+    curves = dict(zip(insurances, curve_outcomes))
     (measured,) = sweep.map(
         _fig4b_spot_trial,
         [(sweep.seed, spot_insurance, spot_vp, spot_releases)],
-        tag="fig4b.spot",
         seeded=False,
     )
     return Fig4bResult(

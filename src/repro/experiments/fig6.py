@@ -128,8 +128,7 @@ class Fig6Result:
 def _fig6_release_trial(args: Tuple[int, int, str, int]) -> Dict[str, Dict[str, int]]:
     """One vulnerable release on a fresh seed-pure platform.
 
-    Returns per-detector wei/report tallies as JSON-native ints so the
-    trial can be journaled to a sweep checkpoint and summed in any
+    Returns per-detector wei/report tallies as ints, summed in any
     order-preserving fan-out.
     """
     trial_seed, index, provider, mean_vulnerabilities = args

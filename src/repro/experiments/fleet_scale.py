@@ -14,7 +14,7 @@ measures what the overlay costs as the fleet grows to 1000 nodes:
 
 Each (mode, node count) point is one seed-pure trial of the sweep
 (:class:`~repro.experiments.runner.Sweep`), so it fans out over worker
-processes with bit-identical results and journals to a checkpoint.
+processes with bit-identical results.
 Trials record messages sent, bytes on the wire, simulator events,
 frame mix, and the convergence invariants (all full nodes on one
 heaviest head; all light clients on the matching header chain);

@@ -60,7 +60,7 @@ def _latency_release_trial(args: Tuple[int, int, int]) -> Dict[str, List[float]]
     """One vulnerable release on a fresh seed-pure platform.
 
     Announces at t=0, so award block times *are* the announce→pay
-    latencies; returns JSON-native latency lists for checkpointing.
+    latencies; returns the latency lists.
     """
     trial_seed, index, flaws_per_release = args
     setup = paper_setup(seed=trial_seed)

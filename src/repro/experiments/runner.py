@@ -22,35 +22,20 @@ runner falls back to the serial loop; an exception raised *by a
 worker* is never confused with that case — it propagates with its
 original type, exactly as the serial loop would raise it.
 
-Checkpoint/resume
------------------
-
-Long sweeps can journal completed trials to a JSONL file via
-:class:`SweepCheckpoint`: one line per trial, keyed by
-``(experiment, master_seed, trial_index, input_digest)``.  A re-run
-with the same checkpoint skips every journaled trial whose key still
-matches and recomputes only the rest, so an interrupted multi-minute
-sweep resumes from where it died.  Journaled results round-trip
-through JSON, so checkpointable workers must return JSON-native
-values (numbers, strings, lists, string-keyed dicts) — every worker
-in :mod:`repro.experiments` does.
-
 The experiment registry
 -----------------------
 
 An experiment is one body plus one row.  :class:`Sweep` is the whole
-sweep idiom (derive one seed per trial, prepend it, :func:`run_trials`
-under the ``(tag, seed)`` journal) and :func:`experiment` registers a
-body in :data:`EXPERIMENTS`; the CLI, the EXPERIMENTS.md generator and
-the drift and shape tests each loop over that mapping.
+sweep idiom (derive one seed per trial, prepend it, :func:`run_trials`)
+and :func:`experiment` registers a body in :data:`EXPERIMENTS`; the
+CLI, the EXPERIMENTS.md generator and the drift and shape tests each
+loop over that mapping.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import inspect
-import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -66,20 +51,16 @@ from typing import (
     Optional,
     Tuple,
     TypeVar,
-    Union,
 )
 
 __all__ = [
     "EXPERIMENTS",
     "Experiment",
     "Sweep",
-    "SweepCheckpoint",
     "default_jobs",
     "derive_seeds",
     "experiment",
-    "input_digest",
     "run_trials",
-    "sweep_checkpoint",
 ]
 
 T = TypeVar("T")
@@ -101,95 +82,6 @@ def derive_seeds(master_seed: int, count: int) -> List[int]:
     """
     rng = random.Random(master_seed)
     return [rng.randrange(2**31) for _ in range(count)]
-
-
-def input_digest(item: Any) -> str:
-    """A stable short digest of one trial input.
-
-    Trial inputs are tuples of primitives (seeds, sizes, names), so a
-    canonical-JSON serialization keyed by value is stable across runs
-    and processes.  Non-JSON leaves fall back to ``repr``.
-    """
-    canonical = json.dumps(item, sort_keys=True, default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-class SweepCheckpoint:
-    """A JSONL journal of completed trial results for one sweep.
-
-    Each line is ``{"experiment", "master_seed", "trial_index",
-    "input_digest", "result"}``.  :meth:`load` returns the journaled
-    results for *this* sweep (same experiment tag and master seed);
-    entries whose input digest no longer matches the sweep's inputs are
-    ignored, so editing a sweep's parameters invalidates stale results
-    instead of resuming them.  Several sweeps may share one file — the
-    experiment tag keeps their lines apart.
-    """
-
-    def __init__(self, path: str, experiment: str, master_seed: int) -> None:
-        self.path = path
-        self.experiment = experiment
-        self.master_seed = master_seed
-
-    def load(self) -> Dict[Tuple[int, str], Any]:
-        """Journaled ``(trial_index, input_digest) -> result`` entries."""
-        completed: Dict[Tuple[int, str], Any] = {}
-        if not os.path.exists(self.path):
-            return completed
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    row = json.loads(raw)
-                except json.JSONDecodeError:
-                    continue  # a line truncated by the interruption itself
-                if (
-                    row.get("experiment") != self.experiment
-                    or row.get("master_seed") != self.master_seed
-                ):
-                    continue
-                key = (row.get("trial_index"), row.get("input_digest"))
-                completed[key] = row.get("result")
-        return completed
-
-    def record(self, trial_index: int, digest: str, result: Any) -> Any:
-        """Append one completed trial; returns the JSON-normalized result.
-
-        The caller keeps the *normalized* value so a resumed sweep (which
-        reads results back out of the journal) is bit-identical to an
-        uninterrupted one.
-        """
-        normalized = json.loads(json.dumps(result))
-        row = {
-            "experiment": self.experiment,
-            "master_seed": self.master_seed,
-            "trial_index": trial_index,
-            "input_digest": digest,
-            "result": normalized,
-        }
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-        return normalized
-
-
-def sweep_checkpoint(
-    path: Optional[Union[str, "SweepCheckpoint"]],
-    experiment: str,
-    master_seed: int,
-) -> Optional[SweepCheckpoint]:
-    """Build a :class:`SweepCheckpoint` from an experiment's kwarg.
-
-    Experiments accept ``checkpoint`` as a plain path (the common CLI
-    case) or an already-built :class:`SweepCheckpoint`; ``None`` means
-    no journaling.
-    """
-    if path is None:
-        return None
-    if isinstance(path, SweepCheckpoint):
-        return path
-    return SweepCheckpoint(path, experiment=experiment, master_seed=master_seed)
 
 
 def _iter_trials(
@@ -257,7 +149,6 @@ def run_trials(
     inputs: Iterable[T],
     jobs: Optional[int] = None,
     chunksize: int = 1,
-    checkpoint: Optional[SweepCheckpoint] = None,
 ) -> List[R]:
     """Run ``worker`` over ``inputs``, optionally across processes.
 
@@ -266,41 +157,15 @@ def run_trials(
     worker exception propagates either way, exactly as the serial loop
     would raise it; only a failure to *spawn* worker processes falls
     back to the serial loop.
-
-    ``checkpoint`` journals each completed trial to a JSONL file and
-    skips trials already journaled under the same key — see
-    :class:`SweepCheckpoint`.  Checkpointed results are JSON-normalized
-    (lists for tuples), so workers used with checkpoints must return
-    JSON-native values.
     """
     items = list(inputs)
     if jobs == 0:
         jobs = default_jobs()
-    if checkpoint is None:
-        return list(_iter_trials(worker, items, jobs, chunksize))
-
-    digests = [input_digest(item) for item in items]
-    completed = checkpoint.load()
-    results: List[Any] = [None] * len(items)
-    pending: List[int] = []
-    for index, digest in enumerate(digests):
-        if (index, digest) in completed:
-            results[index] = completed[(index, digest)]
-        else:
-            pending.append(index)
-    if pending:
-        fresh = _iter_trials(
-            worker, [items[index] for index in pending], jobs, chunksize
-        )
-        # Journal in delivery order: if the sweep dies here, everything
-        # already yielded has been recorded and the re-run resumes.
-        for index, result in zip(pending, fresh):
-            results[index] = checkpoint.record(index, digests[index], result)
-    return results
+    return list(_iter_trials(worker, items, jobs, chunksize))
 
 
 class Sweep:
-    """One experiment run's sweep plumbing: seed, fan-out, journal, sink.
+    """One experiment run's sweep plumbing: seed, fan-out, sink.
 
     ``telemetry`` is ``None`` unless an *enabled* sink was passed, so a
     body instruments under a plain ``is not None`` check.
@@ -308,48 +173,31 @@ class Sweep:
 
     def __init__(
         self,
-        tag: str,
         seed: Optional[int],
         jobs: Optional[int] = None,
-        checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
         telemetry: Any = None,
     ) -> None:
-        self.tag = tag
         self.seed = seed
         self.jobs = jobs
-        self.checkpoint = checkpoint
         self.telemetry = telemetry if telemetry else None
 
     def map(
         self,
         trial: Callable[[Any], R],
         items: Iterable[Tuple],
-        tag: Optional[str] = None,
         seeded: bool = True,
-        journal: bool = True,
         chunksize: int = 1,
     ) -> List[R]:
         """``trial`` over ``items`` in input order, at any ``jobs``.
 
         ``seeded`` prepends one :func:`derive_seeds` seed to each item
-        (an item that already carries its seed passes ``False``);
-        ``journal`` keys the checkpoint by ``(tag, seed)`` — ``tag``
-        names a sub-sweep of an experiment that runs more than one —
-        and is ``False`` for trials whose results are not JSON-native.
+        (an item that already carries its seed passes ``False``).
         """
         inputs = list(items)
         if seeded:
             seeds = derive_seeds(self.seed, len(inputs))
             inputs = [(seed, *item) for seed, item in zip(seeds, inputs)]
-        return run_trials(
-            trial,
-            inputs,
-            jobs=self.jobs,
-            chunksize=chunksize,
-            checkpoint=sweep_checkpoint(self.checkpoint, tag or self.tag, self.seed)
-            if journal
-            else None,
-        )
+        return run_trials(trial, inputs, jobs=self.jobs, chunksize=chunksize)
 
 
 class Experiment(NamedTuple):
@@ -363,7 +211,7 @@ class Experiment(NamedTuple):
 #: Every experiment, in suite order (the order the modules register).
 EXPERIMENTS: Dict[str, Experiment] = {}
 
-_UNIFORM = ("seed", "jobs", "checkpoint", "telemetry")
+_UNIFORM = ("seed", "jobs", "telemetry")
 
 
 def experiment(
@@ -371,10 +219,10 @@ def experiment(
 ) -> Callable[[Callable[..., R]], Callable[..., R]]:
     """Register ``body(sweep, **own_params)`` as the experiment ``name``.
 
-    Returns the public runner: the body's own parameters plus the four
+    Returns the public runner: the body's own parameters plus the three
     uniform keywords ``seed`` (default: this row's master seed),
-    ``jobs``, ``checkpoint`` and ``telemetry``, which reach the body as
-    its :class:`Sweep`.  A closed-form body accepts and ignores them.
+    ``jobs`` and ``telemetry``, which reach the body as its
+    :class:`Sweep`.  A closed-form body accepts and ignores them.
     """
 
     def register(body: Callable[..., R]) -> Callable[..., R]:
@@ -383,11 +231,10 @@ def experiment(
             *args: Any,
             seed: Optional[int] = seed,
             jobs: Optional[int] = None,
-            checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
             telemetry: Any = None,
             **own: Any,
         ) -> R:
-            return body(Sweep(name, seed, jobs, checkpoint, telemetry), *args, **own)
+            return body(Sweep(seed, jobs, telemetry), *args, **own)
 
         signature = inspect.signature(body)
         defaults = inspect.signature(run, follow_wrapped=False).parameters

@@ -109,6 +109,10 @@ _REPLICA_COUNTERS = (
 )
 _LIGHT_COUNTERS = ("headers_accepted", "header_resyncs", *_LIFECYCLE_COUNTERS)
 
+#: Fleet seconds per barrier epoch: the longest any shard runs before
+#: cross-shard frames are exchanged.
+BARRIER_INTERVAL = 0.25
+
 #: Settle rounds before declaring the boundary traffic non-quiescent.
 #: Dedup guarantees each content item crosses each link at most once,
 #: so real runs drain in a handful of rounds; this is a loud backstop.
@@ -756,11 +760,8 @@ class ShardedSimulator(FleetControlPlane):
         confirmation_depth: int = 6,
         seed: int = 0,
         jobs: int = 1,
-        barrier_interval: float = 0.25,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if barrier_interval <= 0:
-            raise ValueError("barrier_interval must be > 0")
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         super().__init__(
@@ -776,7 +777,6 @@ class ShardedSimulator(FleetControlPlane):
             self._executor = _SerialExecutor(self._blueprint)
         self.telemetry = telemetry
         self._telemetry_merged = False
-        self._barrier_interval = barrier_interval
         self._now = 0.0
         self._clock = self
         #: Coordinator-scheduled callbacks wait on a queue of their own
@@ -832,7 +832,7 @@ class ShardedSimulator(FleetControlPlane):
         fired = 0
         deadline = max(deadline, self._now)
         while True:
-            target = min(deadline, self._now + self._barrier_interval)
+            target = min(deadline, self._now + BARRIER_INTERVAL)
             next_control = self._controls.next_time()
             if next_control is not None and next_control < target:
                 target = max(next_control, self._now)

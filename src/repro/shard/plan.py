@@ -1,30 +1,19 @@
 """Deterministic fleet partitioning: which shard owns which node.
 
-Two strategies, both pure functions of the spec (no rng, no state):
+A plan is a pure function of the spec (no rng, no state): contiguous
+slices of the fleet's interleaved ring order (full nodes with their
+light replicas spread between them — the same order the overlay
+topology is built over).  Ring edges overwhelmingly stay intra-shard,
+so ``ring``/``ring_random`` fleets cross shards only on the two seam
+edges plus random chords.
 
-``topology``
-    Contiguous slices of the fleet's interleaved ring order (full nodes
-    with their light replicas spread between them — the same order the
-    overlay topology is built over).  Ring edges overwhelmingly stay
-    intra-shard, so ``ring``/``ring_random`` fleets cross shards only
-    on the two seam edges plus random chords — the topology-aware
-    choice for the large-fleet default.
-
-``consistent_hash``
-    Classic consistent hashing: shards project virtual points onto a
-    hash ring, every node hashes to a position, and the next point
-    clockwise owns it.  Placement is independent of fleet order, so
-    adding nodes moves only a 1/shards fraction of assignments — the
-    choice when fleet membership churns.
-
-Either way every shard must own at least one full node: lights resync
-headers from an in-shard SPV server, and the mining plane needs a
-replica to extend wherever the sampled winner lives.
+Every shard must own at least one full node: lights resync headers from
+an in-shard SPV server, and the mining plane needs a replica to extend
+wherever the sampled winner lives.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -73,30 +62,21 @@ class ShardPlan:
         return name in self._owners
 
 
-def _hash_position(label: str) -> int:
-    """A point on the 64-bit hash ring."""
-    return int.from_bytes(sha3_256(label.encode())[:8], "big")
-
-
 def build_plan(spec: FleetSpec, ring_order: Sequence[str]) -> ShardPlan:
     """Partition ``ring_order`` (the fleet's interleaved name order).
 
-    Raises :class:`ValueError` if the strategy strands a shard without
-    a full node — a plan the engine could not mine or serve lights on.
+    Raises :class:`ValueError` if a slice strands a shard without a
+    full node — a plan the engine could not mine or serve lights on.
     """
     if spec.shards == 1:
         return ShardPlan(assignments=(tuple(ring_order),))
-    if spec.shard_strategy == "consistent_hash":
-        assignments = _consistent_hash_assignments(ring_order, spec.shards)
-    else:
-        assignments = _contiguous_assignments(ring_order, spec.shards)
-    plan = ShardPlan(assignments=assignments)
+    plan = ShardPlan(assignments=_contiguous_assignments(ring_order, spec.shards))
     light_names = set(spec.light_names())
     for index in range(plan.shards):
         if not any(name not in light_names for name in plan.members(index)):
             raise ValueError(
-                f"{spec.shard_strategy!r} plan leaves shard {index} with no "
-                "full node; lower the shard count or rebalance the fleet"
+                f"plan leaves shard {index} with no full node; lower the "
+                "shard count or rebalance the fleet"
             )
     return plan
 
@@ -114,24 +94,6 @@ def _contiguous_assignments(
         pieces.append(tuple(ring_order[cursor : cursor + take]))
         cursor += take
     return tuple(pieces)
-
-
-def _consistent_hash_assignments(
-    ring_order: Sequence[str], shards: int, points_per_shard: int = 64
-) -> Tuple[Tuple[str, ...], ...]:
-    """Hash-ring ownership with ``points_per_shard`` virtual points."""
-    ring: List[Tuple[int, int]] = []
-    for shard in range(shards):
-        for point in range(points_per_shard):
-            ring.append((_hash_position(f"shard:{shard}:vnode:{point}"), shard))
-    ring.sort()
-    positions = [position for position, _ in ring]
-    pieces: List[List[str]] = [[] for _ in range(shards)]
-    for name in ring_order:
-        spot = bisect.bisect_right(positions, _hash_position(f"node:{name}"))
-        owner = ring[spot % len(ring)][1]
-        pieces[owner].append(name)
-    return tuple(tuple(piece) for piece in pieces)
 
 
 def derive_shard_seeds(master_seed: int, count: int) -> List[int]:

@@ -30,9 +30,6 @@ from repro.network.config import NetworkConfig
 
 __all__ = ["FleetSpec", "fleet_split"]
 
-#: Shard-assignment strategies understood by :mod:`repro.shard.plan`.
-_STRATEGIES = ("topology", "consistent_hash")
-
 
 @dataclass(frozen=True)
 class FleetSpec:
@@ -43,10 +40,7 @@ class FleetSpec:
     ``network`` carries the overlay topology and relay mode; a set
     ``store_dir`` makes every node persist under ``store_dir/<name>``;
     ``shards`` partitions the fleet for the sharded engine (``1`` means
-    unsharded — the value every single-process engine requires);
-    ``shard_strategy`` picks how nodes map to shards (``"topology"``
-    keeps ring neighbours together, ``"consistent_hash"`` spreads names
-    over a hash ring).
+    unsharded — the value every single-process engine requires).
     """
 
     full_nodes: int
@@ -55,7 +49,6 @@ class FleetSpec:
     store_dir: Optional[str] = None
     store_snapshot_interval: int = 512
     shards: int = 1
-    shard_strategy: str = "topology"
 
     def __post_init__(self) -> None:
         if self.full_nodes < 1:
@@ -75,11 +68,6 @@ class FleetSpec:
                 f"cannot split {self.full_nodes} full nodes over "
                 f"{self.shards} shards (every shard needs a full node "
                 "to mine on and serve its light replicas)"
-            )
-        if self.shard_strategy not in _STRATEGIES:
-            raise ValueError(
-                f"unknown shard strategy {self.shard_strategy!r} "
-                f"(use one of {_STRATEGIES})"
             )
 
     # -- derived shape -----------------------------------------------------
@@ -138,11 +126,9 @@ class FleetSpec:
             **extra,
         )
 
-    def with_shards(self, shards: int, strategy: Optional[str] = None) -> "FleetSpec":
+    def with_shards(self, shards: int) -> "FleetSpec":
         """This spec re-partitioned over ``shards`` shards."""
-        if strategy is None:
-            return replace(self, shards=shards)
-        return replace(self, shards=shards, shard_strategy=strategy)
+        return replace(self, shards=shards)
 
     def unsharded(self) -> "FleetSpec":
         """This spec with sharding stripped (for single-process engines)."""

@@ -136,16 +136,16 @@ class LedgerSnapshot:
 class SnapshotStore:
     """The ``snapshots/`` directory: one checksummed frame per file.
 
-    Retention keeps the newest ``keep`` snapshots — the older survivors
-    are the fallback chain when the newest one is corrupt or stale.
+    Retention keeps the newest :attr:`KEEP` snapshots — the older
+    survivors are the fallback chain when the newest one is corrupt or
+    stale.
     """
 
-    def __init__(self, path: Path, keep: int = 3) -> None:
-        if keep < 1:
-            raise ValueError("must keep at least one snapshot")
+    KEEP = 3
+
+    def __init__(self, path: Path) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
 
     @staticmethod
     def _file_name(height: int) -> str:
@@ -190,7 +190,7 @@ class SnapshotStore:
         return target
 
     def _prune(self) -> None:
-        for stale in self.files()[self.keep :]:
+        for stale in self.files()[self.KEEP :]:
             stale.unlink(missing_ok=True)
         # Zero-length debris never shows up in files(); reap it here so
         # it cannot accumulate across crash-restart cycles.

@@ -36,7 +36,7 @@ from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.chain.block import Block, BlockHeader, GENESIS_PARENT
 from repro.chain.chain import Blockchain, ChainError
-from repro.chain.ledger import DEFAULT_BLOCK_REWARD_WEI, apply_block
+from repro.chain.ledger import apply_block
 from repro.chain.serialization import (
     decode_block,
     decode_block_header,
@@ -313,9 +313,9 @@ class ChainStore(_FrameLog):
     """A replica's durable block log + ledger snapshots.
 
     ``snapshot_interval`` is the cadence (in confirmed blocks) of
-    :meth:`maybe_snapshot`; ``ledger_config`` (block reward, genesis
-    allocations) must match the deployment's economics for snapshots to
-    reproduce the same balances a full replay would.
+    :meth:`maybe_snapshot`.  The ledger replays from an empty genesis at
+    the default block reward — the economics of every fleet — so a
+    snapshot holds the same balances a full replay would.
     """
 
     LOG_NAME = "blocks.log"
@@ -328,16 +328,11 @@ class ChainStore(_FrameLog):
         self,
         path,
         snapshot_interval: int = 512,
-        keep_snapshots: int = 3,
-        block_reward_wei: int = DEFAULT_BLOCK_REWARD_WEI,
-        genesis_allocations: Optional[Dict[Address, int]] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if snapshot_interval < 1:
             raise StoreError("snapshot interval must be >= 1")
         self.snapshot_interval = snapshot_interval
-        self.block_reward_wei = block_reward_wei
-        self.genesis_allocations = dict(genesis_allocations or {})
         #: Incremental ledger cursor for cheap periodic snapshots:
         #: (height, block_id, state, nonces) at the last snapshotted
         #: point, advanced by replaying only the blocks in between.
@@ -345,9 +340,7 @@ class ChainStore(_FrameLog):
             Tuple[int, bytes, WorldState, Dict[Address, int]]
         ] = None
         super().__init__(path, telemetry)
-        self.snapshots = SnapshotStore(
-            self.path / self.SNAPSHOT_DIR, keep=keep_snapshots
-        )
+        self.snapshots = SnapshotStore(self.path / self.SNAPSHOT_DIR)
         self._heal_manifest(self.last_recovery)
 
     def _finish_recovery(self, recovery: StoreRecovery) -> None:
@@ -525,12 +518,6 @@ class ChainStore(_FrameLog):
 
     # -- ledger snapshots --------------------------------------------------
 
-    def _genesis_ledger(self) -> Tuple[WorldState, Dict[Address, int]]:
-        state = WorldState()
-        for account, amount in self.genesis_allocations.items():
-            state.mint(account, amount)
-        return state, {}
-
     def maybe_snapshot(self, chain: Blockchain, force: bool = False) -> Optional[int]:
         """Write a ledger snapshot when the cadence is due.
 
@@ -587,12 +574,12 @@ class ChainStore(_FrameLog):
                 state, nonces = snapshot.restore_state()
                 height = snapshot.height
             else:
-                state, nonces = self._genesis_ledger()
+                state, nonces = WorldState(), {}
                 height = -1
         else:
             height, _, state, nonces = cursor
         for block in chain.iter_canonical(height + 1, target + 1):
-            apply_block(state, nonces, block, self.block_reward_wei)
+            apply_block(state, nonces, block)
         anchor = chain.block_at_height(target)
         self._ledger_cursor = (target, anchor.block_id, state, nonces)
         return state, nonces
@@ -624,10 +611,10 @@ class ChainStore(_FrameLog):
         if snapshot is not None:
             state, nonces = snapshot.restore_state()
         else:
-            state, nonces = self._genesis_ledger()
+            state, nonces = WorldState(), {}
         replayed = 0
         for block in blocks_from(0 if snapshot is None else snapshot.height + 1):
-            apply_block(state, nonces, block, self.block_reward_wei)
+            apply_block(state, nonces, block)
             replayed += 1
         result = LedgerReplay(
             state=state,

@@ -83,17 +83,54 @@ class RunRecord:
         return [row for row in self.metrics if row["name"] == name]
 
 
+_NUMBER = (int, float)
+_METRIC_KEYS = {"name": str, "labels": dict}
+#: The keys each row type must carry, with the JSON type of each value
+#: (a histogram with samples also needs numeric ``mean``/``min``/``max``).
+_ROW_KEYS: Dict[str, Dict[str, Any]] = {
+    "meta": {},
+    "trace": {"time": _NUMBER, "kind": str},
+    "counter": {**_METRIC_KEYS, "value": _NUMBER},
+    "gauge": {**_METRIC_KEYS, "value": _NUMBER},
+    "histogram": {**_METRIC_KEYS, "count": int},
+}
+
+
+def _parse_row(raw: str, line: int) -> Dict[str, Any]:
+    """One JSONL line as a row dict; ``ValueError`` naming ``line`` if not."""
+    try:
+        row = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {line}: not JSON ({exc.msg})") from None
+    if not isinstance(row, dict):
+        raise ValueError(f"line {line}: expected a JSON object")
+    kind = row.get("type")
+    keys = _ROW_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ValueError(f"line {line}: unknown telemetry row type {kind!r}")
+    if kind == "histogram" and row.get("count"):
+        keys = {**keys, "mean": _NUMBER, "min": _NUMBER, "max": _NUMBER}
+    for key, kinds in keys.items():
+        if not isinstance(row.get(key), kinds):
+            raise ValueError(f"line {line}: {kind} row needs a {key!r}")
+    return row
+
+
 def read_jsonl(source: Union[str, IO[str]]) -> RunRecord:
-    """Parse a telemetry JSONL file back into a :class:`RunRecord`."""
+    """Parse a telemetry JSONL file back into a :class:`RunRecord`.
+
+    Raises :class:`ValueError` naming the first line that is not a
+    telemetry row (and :class:`OSError` if a path cannot be read).
+    """
 
     def _parse(handle: IO[str]) -> RunRecord:
         record = RunRecord()
-        for raw in handle:
+        for line, raw in enumerate(handle, start=1):
             raw = raw.strip()
             if not raw:
                 continue
-            row = json.loads(raw)
-            kind = row.get("type")
+            row = _parse_row(raw, line)
+            kind = row["type"]
             if kind == "meta":
                 record.meta = {
                     k: v for k, v in row.items() if k != "type"
@@ -106,10 +143,8 @@ def read_jsonl(source: Union[str, IO[str]]) -> RunRecord:
                         fields=row.get("fields", {}),
                     )
                 )
-            elif kind in ("counter", "gauge", "histogram"):
-                record.metrics.append(row)
             else:
-                raise ValueError(f"unknown telemetry row type {kind!r}")
+                record.metrics.append(row)
         return record
 
     if isinstance(source, str):

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
 from repro.crypto.keys import KeyPair
+from repro.experiments import EXPERIMENTS
+
+
+@pytest.fixture(scope="session")
+def default_result():
+    """``default_result(name)``: registry row ``name`` run at its default
+    sizes and seed, once per session for every test that reads it."""
+    return functools.lru_cache(maxsize=None)(lambda name: EXPERIMENTS[name].run())
 
 
 @pytest.fixture

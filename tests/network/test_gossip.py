@@ -171,8 +171,7 @@ class TestCutLookup:
     def test_a_partition_chaos_run_is_the_one_the_plain_lookup_gives(self, monkeypatch):
         from repro.faults.gauntlet import GauntletConfig, run_gauntlet
 
-        config = GauntletConfig(seed=7, chaos_duration=600.0, settle_time=450.0,
-                                burst_start=60.0, burst_end=200.0)
+        config = GauntletConfig(seed=7, chaos_duration=600.0, settle_time=450.0)
 
         def outcome():
             result = run_gauntlet(config)

@@ -30,11 +30,9 @@ class TestConstruction:
         with pytest.raises(TypeError, match="FleetSpec"):
             ShardedSimulator({"provider-0": 1.0})
 
-    def test_validates_jobs_and_barrier(self):
+    def test_validates_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             ShardedSimulator(_spec(), jobs=0)
-        with pytest.raises(ValueError, match="barrier_interval"):
-            ShardedSimulator(_spec(), barrier_interval=0.0)
 
     def test_shares_must_match_the_spec(self):
         with pytest.raises(ValueError, match="full nodes"):

@@ -74,10 +74,6 @@ class TestJobsParity:
         parallel = _ledger_state(_run(spec, seed, jobs=2)["canonical"])
         assert serial == parallel
 
-    def test_consistent_hash_fleets_hold_parity_too(self):
-        spec = _spec(shard_strategy="consistent_hash")
-        assert _run(spec, 1, jobs=1) == _run(spec, 1, jobs=2)
-
     def test_flood_mode_fleets_hold_parity_too(self):
         spec = _spec(network=NetworkConfig(), light_nodes=4)
         assert _run(spec, 2, jobs=1) == _run(spec, 2, jobs=2)

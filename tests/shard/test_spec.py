@@ -27,10 +27,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="cannot split"):
             FleetSpec(full_nodes=2, shards=3)
 
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown shard strategy"):
-            FleetSpec(full_nodes=2, shard_strategy="round_robin")
-
     def test_rejects_non_config_network(self):
         with pytest.raises(TypeError, match="NetworkConfig"):
             FleetSpec(full_nodes=2, network="ring")
@@ -61,9 +57,8 @@ class TestDerivedShape:
 
     def test_with_shards_and_unsharded(self):
         spec = FleetSpec(full_nodes=6, light_nodes=4)
-        sharded = spec.with_shards(3, strategy="consistent_hash")
+        sharded = spec.with_shards(3)
         assert sharded.shards == 3
-        assert sharded.shard_strategy == "consistent_hash"
         assert sharded.unsharded().shards == 1
         # The original is frozen and untouched.
         assert spec.shards == 1

@@ -277,7 +277,7 @@ class TestSnapshotDebris:
         # The debris was reaped and every retention slot holds a
         # *valid* snapshot — debris never evicted a real one.
         assert not debris.exists()
-        assert len(kept) == store.snapshots.keep
+        assert len(kept) == store.snapshots.KEEP
         assert all(f.stat().st_size > 0 for f in kept)
 
 

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.telemetry import (
     NULL_TELEMETRY,
     Telemetry,
@@ -85,3 +87,36 @@ class TestRoundTrip:
         buffer.seek(0)
         record = read_jsonl(buffer)
         assert len(record.metric_rows("gossip.messages")) == 2
+
+
+class TestMalformedInput:
+    """Anything that is not a telemetry row is a ``ValueError`` naming its line."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("nope", "not JSON"),
+            ("[1]", "JSON object"),
+            ('"s"', "JSON object"),
+            ("7", "JSON object"),
+            ('{"type": "trace"}', "'time'"),
+            ('{"type": "trace", "time": "soon", "kind": "k"}', "'time'"),
+            ('{"type": "counter", "name": "c", "labels": {}}', "'value'"),
+            ('{"type": "gauge", "name": "g", "labels": [], "value": 1}', "'labels'"),
+            ('{"type": "histogram", "name": "h", "labels": {}, "count": 2}', "'mean'"),
+            ('{"type": "bogus"}', "unknown telemetry row type 'bogus'"),
+            ('{"kind": "no type"}', "unknown telemetry row type None"),
+        ],
+    )
+    def test_bad_line_is_a_value_error_naming_it(self, line, message):
+        buffer = io.StringIO('{"type": "meta"}\n\n' + line + "\n")
+        with pytest.raises(ValueError, match="line 3") as error:
+            read_jsonl(buffer)
+        assert message in str(error.value)
+
+    def test_an_empty_histogram_needs_no_stats(self):
+        buffer = io.StringIO(
+            '{"type": "histogram", "name": "h", "labels": {}, "count": 0,'
+            ' "mean": null, "min": null, "max": null}\n'
+        )
+        assert "h count=0" in summarize_run(buffer)

@@ -5,7 +5,8 @@ by ``scripts/gen_experiments_md.py``; the file is checked in (readable
 offline), so a change that moves a seeded result without regenerating
 it is a tier-1 failure with a copy-pasteable fix.  Running every row at
 full size is what this costs (~14 s, most of it Fig. 6 and the fleet
-sweep).
+sweep); the results are the session's ``default_result`` cache, which
+the experiments tests read too.
 """
 
 import importlib.util
@@ -27,9 +28,10 @@ def _load_generator():
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
-def test_block_is_current(name):
+def test_block_is_current(name, default_result):
     checked_in = (REPO_ROOT / "EXPERIMENTS.md").read_text()
-    assert _load_generator().render(name) in checked_in, (
+    block = _load_generator().render(name, default_result(name))
+    assert block in checked_in, (
         f"the {name} block in EXPERIMENTS.md is stale — regenerate it with "
         "`PYTHONPATH=src python scripts/gen_experiments_md.py`, then reread "
         "the prose beside it"

@@ -5,7 +5,7 @@
 # What each probe measures and its bound: the generated table in
 # docs/PERFORMANCE.md ("The substrate gate table").
 #
-# Usage:  scripts/run_bench.sh [--quick] [--jobs N] [--no-parallel] [--output FILE]
+# Usage:  scripts/run_bench.sh [--quick] [--repeats N] [--output FILE]
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -24,7 +24,7 @@ Subpackages
 ``repro.query``       consumer read path: materialized indices, snapshot
                       caching, batched query serving
 ``repro.shard``       sharded fleet simulation: FleetSpec, barrier-
-                      synchronized worker processes, bit-parity contract
+                      synchronized shards, one-shard parity contract
 
 Quickstart
 ----------

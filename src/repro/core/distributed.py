@@ -456,7 +456,6 @@ class FleetControlPlane:
         latency: LatencyModel,
         confirmation_depth: int,
         seed: int,
-        telemetry_enabled: bool = False,
     ) -> None:
         # repro.shard builds on this module's node classes, so its
         # pieces are imported at construction, not at module load.
@@ -512,7 +511,6 @@ class FleetControlPlane:
             latency=latency,
             record_check=record_check,
             byzantine=frozenset(self.byzantine),
-            telemetry_enabled=telemetry_enabled,
         )
         self.model = MiningModel.from_shares(
             shares,

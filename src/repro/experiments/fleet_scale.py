@@ -55,10 +55,7 @@ def _fleet_trial(args: Tuple[int, int, str, int, int]) -> Dict[str, float]:
         shards=shards if mode == "shard" else 1,
     )
     if mode == "shard":
-        # ``jobs=1`` inside the trial: the sweep already fans trials
-        # out over processes, and the serial executor is the parity
-        # oracle — identical bits at any outer ``jobs``.
-        net = ShardedSimulator(spec, seed=trial_seed, jobs=1)
+        net = ShardedSimulator(spec, seed=trial_seed)
     else:
         net = DistributedChain(spec=spec, seed=trial_seed)
     net.run_blocks(blocks)

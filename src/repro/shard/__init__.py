@@ -1,15 +1,11 @@
-"""Sharded fleet simulation: one spec, many worker processes, same bits.
+"""Sharded fleet simulation: one spec, partitioned worlds, one process.
 
-``repro.shard`` scales the fleet plane past the single-process event
-loop: a :class:`FleetSpec` describes the fleet once, a
-:class:`ShardPlan` partitions it (topology-aware slices or consistent
-hashing), and :class:`ShardedSimulator` runs each shard's simulator
-independently between deterministic epoch barriers, exchanging
-cross-shard inv/getdata/payload traffic as barrier blobs of frame rows
-(:mod:`repro.shard.frames`).  ``jobs=1`` is the always-live parity
-oracle: parallel runs are seed-for-seed bit-identical to it, and a
-one-shard fleet is bit-identical to
-:class:`~repro.core.distributed.DistributedChain`.
+A :class:`FleetSpec` describes the fleet once, a :class:`ShardPlan`
+partitions it into contiguous ring slices, and :class:`ShardedSimulator`
+runs each shard's simulator independently between deterministic epoch
+barriers, exchanging cross-shard inv/getdata/payload traffic as barrier
+blobs of frame rows (:mod:`repro.shard.frames`).  A one-shard fleet is
+bit-identical to :class:`~repro.core.distributed.DistributedChain`.
 """
 
 from repro.shard.engine import ShardGateway, ShardState, ShardedSimulator

@@ -11,42 +11,27 @@ one table of frame rows per shard pair (:mod:`repro.shard.frames`) — is
 exchanged at the barrier and scheduled into its destination shard.
 
 :class:`ShardState` is the only code that builds or reconciles a fleet:
-:class:`~repro.core.distributed.DistributedChain` is one such world
-driven in process with direct access, and the control plane (PoW winner
+:class:`~repro.core.distributed.DistributedChain` drives one such world
+directly, :class:`ShardedSimulator` holds one per shard in a dict and
+calls their methods the same way, and the control plane (PoW winner
 sampling, record feeds, the mining round, the finalize pass) is
 :class:`~repro.core.distributed.FleetControlPlane` for both engines.
-The coordinator reaches its worlds through one generic dispatch —
-"call this method on these shards, in shard order" — that the serial
-oracle and the worker loop share.
 
-Determinism contract, in decreasing strength:
+Determinism contract:
 
-1. ``jobs`` is pure parallelism.  ``ShardedSimulator(spec, jobs=N)``
-   is seed-for-seed **bit-identical** to ``jobs=1`` for the same spec —
-   heads, chain bytes, ledger state, light tips, gossip counters, and
-   per-replica counters all match, because workers run the exact code
-   the serial path runs and the serial path round-trips every boundary
-   frame through the same wire codec.  The ``jobs=1`` run is the
-   *parity oracle* the test suite holds every parallel run against.
-2. A one-shard fleet is bit-identical to the unsharded engine:
+1. A one-shard fleet is bit-identical to the unsharded engine:
    ``ShardedSimulator(spec.unsharded())`` reproduces
    ``DistributedChain`` draw-for-draw — same world, same control plane;
-   only the epoch barriers and the dispatch sit between them.
-3. The shard *count* is part of the experiment configuration, like the
+   only the epoch barriers sit between them.
+2. The shard *count* is part of the experiment configuration, like the
    topology: runs with different shard counts are each internally
    deterministic but not bit-identical to each other, because barrier
    batching quantizes cross-shard arrival times.
-
-Worker processes are persistent (one round-trip per epoch, not per
-event) and rebuild their shards from a small picklable blueprint — no
-topology graphs or node objects ever cross the process boundary, only
-``(verb, arguments per shard)`` commands and their results.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -221,12 +206,10 @@ class ShardGateway:
 
 @dataclass(frozen=True)
 class _Blueprint:
-    """Everything needed to build a fleet's worlds, picklably.
+    """Everything needed to build a fleet's worlds: the spec and the seeds.
 
-    Topology graphs and node objects never cross the process boundary:
-    each worker re-derives them from the spec and the seeds, which is
-    both cheap (topology build is the only real cost) and exact (the
-    build is a pure function of the seed).
+    The overlay graph is a pure function of ``topo_seed``, so the first
+    world builds it and the others share it.
     """
 
     spec: FleetSpec
@@ -240,7 +223,6 @@ class _Blueprint:
     latency: LatencyModel
     record_check: Optional[RecordCheck]
     byzantine: FrozenSet[str]
-    telemetry_enabled: bool
 
 
 class ShardState:
@@ -259,11 +241,10 @@ class ShardState:
     blueprint's record check); whatever it returns is stored, attached,
     mined on, crashed, restarted, reconciled and closed like any other.
     ``edge_names`` reserves overlay positions for members that hold no
-    replica.  ``telemetry`` is the caller's own sink (an in-process
-    world only; worker-built worlds make theirs and ship it back).
-    ``overlay`` is the graph another world of the same blueprint built
-    (``network.topology``): a world only reads it, so one per process
-    serves them all.
+    replica.  ``telemetry`` is the caller's own sink; every world of a
+    fleet writes to it.  ``overlay`` is the graph another world of the
+    same blueprint built (``network.topology``): a world only reads it,
+    so one serves them all.
     """
 
     def __init__(
@@ -279,9 +260,6 @@ class ShardState:
         self.index = index
         self.confirmation_depth = blueprint.confirmation_depth
         self._byzantine = blueprint.byzantine
-        if telemetry is None and blueprint.telemetry_enabled:
-            telemetry = Telemetry()
-        self.telemetry = telemetry
         self.simulator = Simulator(telemetry=telemetry)
         config = spec.network
         if overlay is None:
@@ -548,7 +526,7 @@ class ShardState:
         }
 
     def snapshot(self, fields: Tuple[str, ...]) -> Dict[str, Any]:
-        """The requested views only, as picklable primitives.
+        """The requested views only.
 
         Field-selective because the views differ wildly in cost: heads
         are one dict lookup per replica, ``chain_bytes`` serializes
@@ -568,162 +546,11 @@ class ShardState:
             raise ValueError(f"unknown snapshot fields {unknown}")
         return {field: views[field]() for field in fields}
 
-    def telemetry_payload(self) -> Optional[Dict[str, Any]]:
-        return self.telemetry.snapshot_payload() if self.telemetry else None
-
     def close(self) -> None:
         """Release every member's store handles (idempotent)."""
         for node in (*self.replicas.values(), *self.light_replicas.values()):
             if node.store is not None:
                 node.store.close()
-
-
-def _build_states(blueprint: _Blueprint, owned: Iterable[int]) -> Dict[int, ShardState]:
-    """One process's worlds, sharing the overlay graph the first one built."""
-    states: Dict[int, ShardState] = {}
-    overlay = None
-    for index in owned:
-        states[index] = ShardState(blueprint, index, overlay=overlay)
-        overlay = states[index].network.topology
-    return states
-
-
-def _dispatch(
-    states: Mapping[int, ShardState], verb: str, per_shard: Mapping[int, Tuple]
-) -> Dict[int, Any]:
-    """Call ``verb(*args)`` on each named shard, in ascending shard order.
-
-    The whole coordinator-to-world protocol: the serial executor and the
-    worker loop both answer a request by calling this, so a world verb
-    is spelled once — as a :class:`ShardState` method.
-    """
-    method = None if verb.startswith("_") else getattr(ShardState, verb, None)
-    if not callable(method):
-        raise ValueError(f"unknown shard verb {verb!r}")
-    return {
-        index: method(states[index], *per_shard[index])
-        for index in sorted(per_shard)
-    }
-
-
-def _shard_worker(conn, blueprint: _Blueprint, owned: Tuple[int, ...]) -> None:
-    """Persistent worker: owns a set of shards, answers dispatch requests.
-
-    A request is ``(verb, {shard: args})``, a reply ``("ok", {shard:
-    result})`` or ``("error", description)``; ``None`` (or a closed
-    pipe) ends the loop.
-    """
-    states = _build_states(blueprint, owned)
-    try:
-        while True:
-            request = conn.recv()
-            if request is None:
-                return
-            try:
-                reply = ("ok", _dispatch(states, *request))
-            except Exception as exc:  # ship the failure, keep serving
-                reply = ("error", f"{type(exc).__name__}: {exc}")
-            conn.send(reply)
-    except (EOFError, KeyboardInterrupt):
-        pass
-    finally:
-        for state in states.values():
-            state.close()
-
-
-class _SerialExecutor:
-    """All shards in this process — the parity oracle.
-
-    Frames still round-trip through the wire codec on every exchange, so
-    the serial run exercises the exact bytes a worker pipe would carry.
-    """
-
-    def __init__(self, blueprint: _Blueprint) -> None:
-        self.states = _build_states(blueprint, range(blueprint.spec.shards))
-
-    def call(self, verb: str, per_shard: Mapping[int, Tuple]) -> Dict[int, Any]:
-        return _dispatch(self.states, verb, per_shard)
-
-    def close(self) -> None:
-        for state in self.states.values():
-            state.close()
-
-
-class _ProcessExecutor:
-    """Shards spread over persistent worker processes, round-robin."""
-
-    def __init__(self, blueprint: _Blueprint, workers: int) -> None:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            context = multiprocessing.get_context()
-        shards = blueprint.spec.shards
-        self._owned: List[Tuple[int, ...]] = [
-            tuple(range(worker, shards, workers)) for worker in range(workers)
-        ]
-        self._pipes = []
-        self._procs = []
-        for owned in self._owned:
-            parent_conn, child_conn = context.Pipe()
-            proc = context.Process(
-                target=_shard_worker,
-                args=(child_conn, blueprint, owned),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._pipes.append(parent_conn)
-            self._procs.append(proc)
-
-    def _died(self, worker: int) -> RuntimeError:
-        proc = self._procs[worker]
-        proc.join(timeout=5)
-        return RuntimeError(
-            f"shard worker {worker} (shards {list(self._owned[worker])}) died "
-            f"with exit code {proc.exitcode}"
-        )
-
-    def call(self, verb: str, per_shard: Mapping[int, Tuple]) -> Dict[int, Any]:
-        workers = len(self._pipes)
-        requests: Dict[int, Dict[int, Tuple]] = {}
-        for shard, args in per_shard.items():
-            requests.setdefault(shard % workers, {})[shard] = args
-        failure: Optional[RuntimeError] = None
-        asked = []
-        for worker, mapping in requests.items():
-            try:
-                self._pipes[worker].send((verb, mapping))
-                asked.append(worker)
-            except OSError:
-                failure = failure or self._died(worker)
-        # Every reply is read before any failure is raised, so a worker
-        # that shipped an error stays in step with the ones that did not.
-        merged: Dict[int, Any] = {}
-        for worker in asked:
-            try:
-                status, value = self._pipes[worker].recv()
-            except (EOFError, OSError):
-                failure = failure or self._died(worker)
-                continue
-            if status == "ok":
-                merged.update(value)
-            else:
-                failure = failure or RuntimeError(f"shard worker failed: {value}")
-        if failure is not None:
-            raise failure
-        return dict(sorted(merged.items()))
-
-    def close(self) -> None:
-        for pipe, proc in zip(self._pipes, self._procs):
-            try:
-                pipe.send(None)
-            except OSError:
-                pass  # already gone
-            pipe.close()
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - hung worker backstop
-                proc.terminate()
-                proc.join()
 
 
 class ShardedSimulator(FleetControlPlane):
@@ -739,9 +566,9 @@ class ShardedSimulator(FleetControlPlane):
     ``schedule``/``schedule_at``) so experiments and chaos plans stay
     engine-agnostic.
 
-    ``jobs`` picks the execution strategy only: 1 runs every shard in
-    this process (the parity oracle), >1 spreads shards over that many
-    persistent fork workers.  Results are bit-identical either way.
+    Every shard's :class:`ShardState` lives in this process, in
+    :attr:`shard_states`, and writes to the caller's ``telemetry``.
+    ``jobs`` accepts only ``1``: the multi-process executor was retired.
 
     Coordinator-scheduled callbacks fire *at epoch boundaries*: the
     engine cuts a barrier exactly at each callback's due time, so a
@@ -762,40 +589,33 @@ class ShardedSimulator(FleetControlPlane):
         jobs: int = 1,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if jobs != 1:
+            raise ValueError(
+                f"jobs={jobs!r}: the multi-process shard executor was retired; "
+                "every shard runs in this process (jobs=1)"
+            )
         super().__init__(
             spec, shares, record_check, byzantine, difficulty,
             mean_block_time, latency, confirmation_depth, seed,
-            telemetry_enabled=telemetry is not None and telemetry.enabled,
         )
-        workers = min(jobs, self.spec.shards)
-        self.jobs = workers
-        if workers > 1:
-            self._executor = _ProcessExecutor(self._blueprint, workers)
-        else:
-            self._executor = _SerialExecutor(self._blueprint)
-        self.telemetry = telemetry
-        self._telemetry_merged = False
+        #: Every shard's world, by index; the first one builds the overlay.
+        self.shard_states: Dict[int, ShardState] = {}
+        overlay = None
+        for index in range(self.spec.shards):
+            state = ShardState(
+                self._blueprint, index, telemetry=telemetry, overlay=overlay
+            )
+            self.shard_states[index] = state
+            overlay = state.network.topology
         self._now = 0.0
         self._clock = self
         #: Coordinator-scheduled callbacks wait on a queue of their own
         #: kind; its clock is walked to every barrier that has one due.
         self._controls = Simulator()
-        self._closed = False
 
-    # -- reaching the worlds ------------------------------------------------
-
-    def _on_every_shard(self, verb: str, *args: Any) -> Dict[int, Any]:
-        """``verb(*args)`` on every shard; results keyed and ordered by shard."""
-        return self._executor.call(
-            verb, {shard: args for shard in range(self.spec.shards)}
-        )
-
-    def _on_owner(self, name: str, verb: str, *args: Any) -> Any:
-        """``verb(*args)`` on the shard owning ``name`` (KeyError if none)."""
-        shard = self._plan.shard_of(name)
-        return self._executor.call(verb, {shard: args})[shard]
+    def _owner(self, name: str) -> ShardState:
+        """The world that owns ``name`` (KeyError if none)."""
+        return self.shard_states[self._plan.shard_of(name)]
 
     # -- the canonical time-control surface --------------------------------
 
@@ -858,42 +678,44 @@ class ShardedSimulator(FleetControlPlane):
         return fired
 
     def _epoch(self, target: float) -> int:
-        results = self._on_every_shard("run_epoch", target)
-        self._exchange({src: frames for src, (_, frames) in results.items()}, target)
-        return sum(fired for fired, _ in results.values())
+        fired = 0
+        outboxes: Dict[int, Dict[int, bytes]] = {}
+        for index, state in self.shard_states.items():
+            count, outboxes[index] = state.run_epoch(target)
+            fired += count
+        self._exchange(outboxes, target)
+        return fired
 
     def _exchange(
         self, outboxes: Dict[int, Dict[int, bytes]], barrier_time: Optional[float]
     ) -> bool:
         """Route a barrier's outbound frames into their destination shards.
 
-        Framed blobs concatenate losslessly, and concatenating in source
-        shard order makes barrier injection order independent of which
-        worker answered first — the heart of the jobs-parity guarantee.
-        Returns whether anything crossed.
+        Framed blobs concatenate losslessly; concatenating in source
+        shard order and injecting in destination order makes a barrier's
+        delivery order a function of the plan alone.  Returns whether
+        anything crossed.
         """
         routed: Dict[int, List[bytes]] = {}
         for src in sorted(outboxes):
             for dst in sorted(outboxes[src]):
                 routed.setdefault(dst, []).append(outboxes[src][dst])
-        if not routed:
-            return False
-        self._executor.call(
-            "inject",
-            {dst: (b"".join(blobs), barrier_time) for dst, blobs in routed.items()},
-        )
-        return True
+        for dst in sorted(routed):
+            self.shard_states[dst].inject(b"".join(routed[dst]), barrier_time)
+        return bool(routed)
 
     def _settle(self) -> int:
         fired = 0
         for _ in range(_MAX_SETTLE_ROUNDS):
-            results = self._on_every_shard("settle_round")
-            fired += sum(count for count, _, _ in results.values())
-            # Like an unsharded settle(), the fleet clock lands on the
-            # last delivered event, so a subsequent step() advances
-            # from quiescence, not from the pre-settle barrier.
-            self._now = max(self._now, *(now for _, now, _ in results.values()))
-            outboxes = {src: frames for src, (_, _, frames) in results.items()}
+            outboxes: Dict[int, Dict[int, bytes]] = {}
+            for index, state in self.shard_states.items():
+                count, now, outboxes[index] = state.settle_round()
+                fired += count
+                # Like an unsharded settle(), the fleet clock lands on
+                # the last delivered event, so a subsequent step()
+                # advances from quiescence, not from the pre-settle
+                # barrier.
+                self._now = max(self._now, now)
             if not self._exchange(outboxes, None):
                 return fired
         raise RuntimeError("cross-shard traffic failed to quiesce")
@@ -905,26 +727,27 @@ class ShardedSimulator(FleetControlPlane):
     # -- the control plane's reach into the worlds --------------------------
 
     def _mine(self, winner: str, records: Tuple[ChainRecord, ...]) -> Optional[Block]:
-        return self._on_owner(winner, "mine", winner, records, self._difficulty)
+        return self._owner(winner).mine(winner, records, self._difficulty)
 
     def _candidates(self) -> Iterable[Optional[Candidate]]:
-        return self._on_every_shard("heaviest_candidate").values()
+        return [state.heaviest_candidate() for state in self.shard_states.values()]
 
     def _reconcile(self, winner: str) -> None:
         # The winner exports its canonical chain once; every shard
         # adopts it through the normal validated resync path.
-        blob = self._on_owner(winner, "export_replica_chain", winner)
-        self._on_every_shard("adopt", blob, winner)
+        blob = self._owner(winner).export_replica_chain(winner)
+        for state in self.shard_states.values():
+            state.adopt(blob, winner)
 
     # -- chaos plane ---------------------------------------------------------
 
     def crash(self, name: str) -> None:
         """Crash a fleet member (full or light) wherever it lives."""
-        self._on_owner(name, "crash", name)
+        self._owner(name).crash(name)
 
     def restart(self, name: str) -> None:
         """Restart a crashed member; its in-shard recovery hooks run."""
-        self._on_owner(name, "restart", name)
+        self._owner(name).restart(name)
 
     def inject_store_fault(self, name: str, kind: str, **params: Any) -> None:
         """Corrupt a member's durable store (``torn_write``/``bit_flip``/
@@ -934,34 +757,15 @@ class ShardedSimulator(FleetControlPlane):
             raise ValueError(
                 f"unknown store fault {kind!r} (use {tuple(STORE_FAULTS)})"
             )
-        self._on_owner(name, "store_fault", name, kind, params)
-
-    # -- convergence ---------------------------------------------------------
-
-    def finalize(self) -> None:
-        """Settle cross-shard frames to quiescence, converge the fleet on
-        its heaviest chain (:meth:`FleetControlPlane.finalize`), and
-        merge the shards' telemetry."""
-        super().finalize()
-        self._merge_telemetry()
-
-    def _merge_telemetry(self) -> None:
-        if self.telemetry is None or not self.telemetry.enabled:
-            return
-        if self._telemetry_merged:
-            return
-        self._telemetry_merged = True
-        for payload in self._on_every_shard("telemetry_payload").values():
-            if payload is not None:
-                self.telemetry.merge_payload(payload)
+        self._owner(name).store_fault(name, kind, params)
 
     # -- inspection ----------------------------------------------------------
 
     def _gather(self, field: str) -> Dict[str, Any]:
         """Merge one per-member view across shards, shard-ordered."""
         merged: Dict[str, Any] = {}
-        for snapshot in self._on_every_shard("snapshot", (field,)).values():
-            merged.update(snapshot[field])
+        for state in self.shard_states.values():
+            merged.update(state.snapshot((field,))[field])
         return merged
 
     def heads(self, alive: bool = False) -> Dict[str, bytes]:
@@ -989,7 +793,7 @@ class ShardedSimulator(FleetControlPlane):
         best = self._heaviest()
         if best is None:
             raise RuntimeError("no alive replica to export from")
-        return self._on_owner(best[1], "export_replica_chain", best[1])
+        return self._owner(best[1]).export_replica_chain(best[1])
 
     def summary(self) -> Dict[str, float]:
         """Fleet-wide transport counters (shard summaries merged)."""
@@ -1005,27 +809,13 @@ class ShardedSimulator(FleetControlPlane):
     def shard_summaries(self) -> Dict[int, Dict[str, float]]:
         """Per-shard transport counters, for imbalance inspection."""
         return {
-            index: snapshot["summary"]
-            for index, snapshot in self._on_every_shard(
-                "snapshot", ("summary",)
-            ).items()
+            index: state.snapshot(("summary",))["summary"]
+            for index, state in self.shard_states.items()
         }
-
-    @property
-    def shard_states(self) -> Optional[Dict[int, ShardState]]:
-        """Direct shard access — serial mode only (None under workers)."""
-        if isinstance(self._executor, _SerialExecutor):
-            return self._executor.states
-        return None
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop workers (flushing any stores); safe to call twice."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._merge_telemetry()
-        finally:  # a dead worker must not keep the live ones from stopping
-            self._executor.close()
+        """Release every world's store handles; safe to call twice."""
+        for state in self.shard_states.values():
+            state.close()

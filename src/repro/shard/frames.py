@@ -1,11 +1,10 @@
 """Cross-shard traffic as barrier blobs: a table of fixed-width frame rows.
 
-Shards exchange gossip only at epoch barriers, and only as *bytes* —
-worker processes share no Python objects — so every inv, getdata, and
-payload crossing a shard boundary is flattened into the barrier's blob
-and re-materialized on the far side.  The serial ``jobs=1`` oracle
-round-trips its frames through the same codec, so the bytes on the
-(virtual) wire are identical whether shards run in one process or many.
+Shards exchange gossip only at epoch barriers, and only as *bytes*:
+every inv, getdata, and payload crossing a shard boundary is flattened
+into the barrier's blob and re-materialized on the far side, so no
+shard holds another shard's message objects and a barrier's traffic
+has a size in bytes.
 
 The wire, written down once.  One :func:`encode_frames` call writes one
 *table*, ``pack([rows, atoms])`` in the repo's framed codec

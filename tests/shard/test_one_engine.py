@@ -1,15 +1,14 @@
 """One world, one control plane: what every fleet engine must agree on.
 
 ``DistributedChain`` (one in-process world, driven directly),
-``ShardedSimulator`` (worlds behind epoch barriers, serial or in worker
-processes) and ``DecentralizedDeployment`` (the one-world engine with
-the paper's stakeholders as its members) share the world class and the
-control plane, so validation, the chaos verbs, full-node naming and
-persistence behave the same on all four — each case below runs once per
-engine.  The record-feed cases run on the chain-only engines: a
-deployment's providers mine their own verified mempools and it has no
-``byzantine=``.  The dispatch tests pin the one coordinator-to-world
-protocol the sharded engine has left.
+``ShardedSimulator`` (worlds behind epoch barriers; two shards, and one)
+and ``DecentralizedDeployment`` (the one-world engine with the paper's
+stakeholders as its members) share the world class and the control
+plane, so validation, the chaos verbs, full-node naming and persistence
+behave the same on all four — each case below runs once per engine.
+The record-feed cases run on the chain-only engines: a deployment's
+providers mine their own verified mempools and it has no
+``byzantine=``.
 """
 
 import pytest
@@ -23,11 +22,9 @@ from repro.shard import FleetSpec, ShardedSimulator
 
 ENGINES = {
     "distributed": lambda spec, **kw: DistributedChain(spec=spec, **kw),
-    "sharded-serial": lambda spec, **kw: ShardedSimulator(
-        spec.with_shards(2), jobs=1, **kw
-    ),
-    "sharded-workers": lambda spec, **kw: ShardedSimulator(
-        spec.with_shards(2), jobs=2, **kw
+    "sharded-serial": lambda spec, **kw: ShardedSimulator(spec.with_shards(2), **kw),
+    "sharded-one-shard": lambda spec, **kw: ShardedSimulator(
+        spec.with_shards(1), **kw
     ),
     "deployment": lambda spec, shares=None, **kw: DecentralizedDeployment(
         shares if shares is not None else spec.equal_shares(), [], spec=spec, **kw
@@ -248,41 +245,3 @@ class TestDistributedChainLifetime:
     def test_a_deployment_closes_the_same_way(self, tmp_path):
         _close_releases_every_store_handle(ENGINES["deployment"], tmp_path)
 
-
-class TestDispatch:
-    def test_unknown_verb_is_a_descriptive_error_on_both_executors(self):
-        with ShardedSimulator(_spec(shards=2), seed=1, jobs=1) as serial:
-            with pytest.raises(ValueError, match="unknown shard verb 'set_on_fire'"):
-                serial._executor.call("set_on_fire", {0: ()})
-            with pytest.raises(ValueError, match="unknown shard verb '_node'"):
-                serial._executor.call("_node", {0: ("provider-0",)})
-        with ShardedSimulator(_spec(shards=2), seed=1, jobs=2) as workers:
-            with pytest.raises(RuntimeError, match="unknown shard verb 'set_on_fire'"):
-                workers._executor.call("set_on_fire", {0: (), 1: ()})
-            # The workers shipped the failure and kept serving, in step.
-            workers.run_blocks(2)
-            workers.finalize()
-            assert len(workers.heads()) == 4
-
-    def test_results_come_back_in_shard_order(self):
-        with ShardedSimulator(_spec(shards=2), seed=1, jobs=2) as fleet:
-            reply = fleet._executor.call("heads", {1: (), 0: ()})
-            assert list(reply) == [0, 1]
-
-    def test_a_killed_worker_surfaces_by_name_and_is_reaped(self):
-        fleet = ShardedSimulator(_spec(shards=2), seed=1, jobs=2)
-        procs = fleet._executor._procs
-        try:
-            fleet.run_blocks(1)
-            procs[1].kill()
-            with pytest.raises(
-                RuntimeError,
-                match=r"shard worker 1 \(shards \[1\]\) died with exit code -9",
-            ):
-                fleet.run_blocks(1)
-        finally:
-            fleet.close()
-        for proc in procs:
-            proc.join(timeout=10)
-            assert not proc.is_alive()
-            assert proc.exitcode is not None

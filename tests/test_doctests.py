@@ -45,7 +45,7 @@ def test_readme_fleet_snippet_executes():
         fleet.finalize()
         assert fleet.converged() and fleet.light_converged()
 
-    with ShardedSimulator(spec.with_shards(2), seed=7, jobs=2) as sharded:
+    with ShardedSimulator(spec.with_shards(2), seed=7) as sharded:
         sharded.run_blocks(5)
         sharded.finalize()
         assert sharded.converged()

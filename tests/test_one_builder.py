@@ -1,11 +1,13 @@
-"""One fleet builder, one event queue, one workflow — pinned structurally.
+"""One fleet builder, one event queue, one process pool, one workflow —
+pinned structurally.
 
 ``repro/shard/engine.py::ShardState`` is the only code under ``src/``
 that makes a simulator, an overlay graph or a gossip network, and the
 PoW sampler is made in three named places.  A front-end that wants a
 fleet asks the engine for one; this walk fails the day a module starts
-assembling its own — or starts keeping its own event heap, or spelling
-out the contract side of the §IV-B workflow a second time.
+assembling its own — or starts keeping its own event heap, fanning
+work out over processes anywhere but the experiments runner, or
+spelling out the contract side of the §IV-B workflow a second time.
 """
 
 import ast
@@ -30,6 +32,11 @@ BUILDERS = {
 #: The one module that keeps an event heap.  The sharded coordinator's
 #: barrier-time controls wait on a ``Simulator`` too.
 HEAP_OWNERS = {"network/simulator.py"}
+
+#: Process-pool packages -> the one module allowed to import them: the
+#: experiments runner's trial fan-out.  A fleet runs in one process.
+POOL_PACKAGES = ("multiprocessing", "concurrent.futures")
+POOL_OWNERS = {"experiments/runner.py"}
 
 #: The escrow deploy and the authority's two trigger calls: what both
 #: workflow front-ends inherit from one module under ``core/``.
@@ -109,6 +116,37 @@ def test_only_the_simulators_keep_an_event_heap():
     assert "__lt__" not in vars(ScheduledEvent), (
         "a generated __lt__ (dataclass(order=True)) is still a Python __lt__"
     )
+
+
+def _pool_importers():
+    """(module, package) for every import of a process-pool package."""
+    for module, node in _nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            for package in POOL_PACKAGES:
+                if name == package or name.startswith(package + "."):
+                    yield module, package
+
+
+def test_one_process_pool():
+    strays = sorted(
+        f"src/repro/{module} imports {package}"
+        for module, package in _pool_importers()
+        if module not in POOL_OWNERS
+    )
+    assert not strays, (
+        "trials fan out through repro/experiments/runner.py only; a fleet "
+        "runs in one process:\n  " + "\n  ".join(strays)
+    )
+
+
+def test_the_pool_walk_sees_the_runner():
+    assert {module for module, _ in _pool_importers()} >= POOL_OWNERS
 
 
 def test_the_contract_side_of_the_workflow_is_written_once():

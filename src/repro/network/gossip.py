@@ -44,7 +44,8 @@ from repro.network.latency import DEFAULT_LATENCY, LatencyModel
 from repro.network.messages import CONTROL_WIRE_BYTES, Message, wire_size
 from repro.network.node import GossipNetworkApi, Node
 from repro.network.simulator import Simulator
-from repro.telemetry import MetricsRegistry, NULL_TELEMETRY, Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry.metrics import Counter, TeeCounter
 
 __all__ = ["GossipNetwork", "SeenLRU", "build_topology"]
 
@@ -188,25 +189,26 @@ class GossipNetwork(GossipNetworkApi):
         self._relay_filters: List[RelayFilter] = []
         self._cut_links: Set[Tuple[str, str]] = set()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # Transport counters live in a metrics registry (the shared one
-        # when telemetry is armed, a private one otherwise, so the
-        # legacy attribute views below always read real counts).
-        metrics = (
-            self.telemetry.metrics if self.telemetry.enabled else MetricsRegistry()
-        )
-        self._sent = metrics.counter("gossip.messages", status="sent")
-        self._dropped = metrics.counter("gossip.messages", status="dropped")
-        self._duplicated = metrics.counter(
-            "gossip.messages", status="duplicate_suppressed"
-        )
-        self._lost_to_crashes = metrics.counter(
-            "gossip.messages", status="lost_to_crash"
-        )
-        self._broadcasts = metrics.counter("gossip.broadcasts")
-        self._bytes_sent = metrics.counter("gossip.bytes", status="sent")
-        self._inv_frames = metrics.counter("gossip.frames", frame="inv")
-        self._getdata_frames = metrics.counter("gossip.frames", frame="getdata")
-        self._payload_frames = metrics.counter("gossip.frames", frame="payload")
+        # Transport counters are this overlay's own, so the attribute
+        # views below read its counts even when several overlays (the
+        # shards of one fleet) share a sink; an armed sink also gets
+        # every increment.
+        sink = self.telemetry.metrics if self.telemetry.enabled else None
+
+        def counter(name: str, **labels: str) -> Counter:
+            if sink is None:
+                return Counter(name, labels)
+            return TeeCounter(sink.counter(name, **labels))
+
+        self._sent = counter("gossip.messages", status="sent")
+        self._dropped = counter("gossip.messages", status="dropped")
+        self._duplicated = counter("gossip.messages", status="duplicate_suppressed")
+        self._lost_to_crashes = counter("gossip.messages", status="lost_to_crash")
+        self._broadcasts = counter("gossip.broadcasts")
+        self._bytes_sent = counter("gossip.bytes", status="sent")
+        self._inv_frames = counter("gossip.frames", frame="inv")
+        self._getdata_frames = counter("gossip.frames", frame="getdata")
+        self._payload_frames = counter("gossip.frames", frame="payload")
 
     # -- transport counters (compatibility views) --------------------------
 

@@ -35,6 +35,7 @@ __all__ = [
     "NullGauge",
     "NullHistogram",
     "NullMetricsRegistry",
+    "TeeCounter",
 ]
 
 #: A label set, normalized to a sorted tuple so it can key a dict.
@@ -71,6 +72,21 @@ class Counter:
             "labels": dict(self.labels),
             "value": self.value,
         }
+
+
+class TeeCounter(Counter):
+    """A component's own count that also adds every increment to a
+    shared series, so several components writing to one sink each keep
+    a count of their own (per-shard overlays under one telemetry)."""
+
+    def __init__(self, shared: Counter) -> None:
+        super().__init__(name=shared.name, labels=dict(shared.labels))
+        self.shared = shared
+
+    def inc(self, amount: int = 1) -> None:
+        """Add ``amount`` here and to the shared series."""
+        super().inc(amount)
+        self.shared.inc(amount)
 
 
 @dataclass

@@ -21,7 +21,8 @@ Run:  PYTHONPATH=src python examples/chaos_gauntlet.py [seed]
 import sys
 
 from repro.faults import GauntletConfig, run_gauntlet
-from repro.faults.gauntlet import BURST_LOSS_RATE, CRASH_PROBABILITY, LOSS_RATE
+from repro.faults.gauntlet import BURST_LOSS_RATE, LOSS_RATE
+from repro.faults.plan import CRASH_PROBABILITY
 
 
 def main() -> int:

@@ -3,7 +3,9 @@
 # fixed seeds and fail loudly if any invariant is violated or any
 # detector report is missing from / duplicated on the canonical chain.
 # Then run the disk-fault gauntlet — store-backed crash/corrupt/recover
-# (torn write, bit flip, dropped snapshot) — over the same seeds.
+# (torn write, bit flip, dropped snapshot) — over the same seeds, and
+# last the pytest rows marked ``chaos`` (the two fixed-seed sweeps and
+# the generated-plan property at length).
 #
 # Usage:  scripts/run_chaos.sh [seed ...]      (defaults: 0 1 2)
 
@@ -50,3 +52,5 @@ if failures:
     sys.exit(1)
 print(f"\ndisk-fault gauntlet: all {runs} runs passed")
 PY
+
+PYTHONPATH=src python -m pytest -q -m chaos

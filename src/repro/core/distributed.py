@@ -31,6 +31,7 @@ from repro.network.messages import Message, MessageKind
 from repro.network.node import Node
 from repro.network.simulator import Simulator
 from repro.store import ChainStore, HeaderStore
+from repro.store.faultinject import STORE_FAULTS
 
 __all__ = ["DistributedChain", "FleetControlPlane", "LightReplicaNode", "ReplicaNode"]
 
@@ -431,13 +432,15 @@ class FleetControlPlane:
     the mining round, the convergence checks and the finalize pass are
     the same whether the fleet is one in-process world
     (:class:`DistributedChain`) or shards behind epoch barriers
-    (:class:`~repro.shard.engine.ShardedSimulator`).  An engine builds
-    its world(s) from ``self._blueprint`` and supplies the clock
-    (``_clock``: ``now``/``advance_until``), the three ways the control
-    plane reaches a world (``_mine``, ``_candidates``, ``_reconcile``)
-    and the public ``settle``/``heads``/``light_heads``/``crash``/
-    ``restart``/``close``; a front-end with work to do per block (the
-    paper workflow's confirmation triggers) overrides ``_on_block``.
+    (:class:`~repro.shard.engine.ShardedSimulator`), and so are the
+    fault verbs (``crash``/``restart``/``inject_store_fault``) and the
+    fleet-wide views.  An engine builds its world(s) from
+    ``self._blueprint`` into ``_worlds`` and supplies the clock
+    (``_clock``: ``now``/``advance_until``/``schedule_at``), the world
+    that owns a name (``_owner``), the finalize pass's resync
+    (``_reconcile``) and ``settle``; a front-end with work to do per
+    block (the paper workflow's confirmation triggers) overrides
+    ``_on_block``.
 
     ``spec`` carries counts; the keys of ``shares``, when given, *are*
     the full-node names (in fleet order) and must number
@@ -641,7 +644,116 @@ class FleetControlPlane:
         best = self._heaviest()
         return best is None or tips == {best[2]}
 
+    # -- the control plane's reach into the worlds ---------------------------
+
+    def _mine(self, winner: str, records: Tuple[ChainRecord, ...]) -> Optional[Block]:
+        return self._owner(winner).mine(winner, records, self._difficulty)
+
+    def _candidates(self) -> List[Optional[Candidate]]:
+        return [world.heaviest_candidate() for world in self._worlds]
+
+    # -- fault verbs -----------------------------------------------------------
+
+    def _node(self, name: str) -> Node:
+        try:
+            return self._owner(name).network.node(name)
+        except KeyError:
+            raise KeyError(f"{name!r} names no member of this fleet") from None
+
+    def crash(self, name: str) -> None:
+        """Crash a fleet member (full, light or edge) wherever it lives:
+        no receives, no mining."""
+        self._node(name).crash()
+
+    def restart(self, name: str) -> None:
+        """Restart a crashed member; its recovery hooks run (store
+        recovery, then resync from reachable peers)."""
+        self._node(name).restart()
+
+    def inject_store_fault(self, name: str, kind: str, **params: int) -> None:
+        """Corrupt a crashed member's durable store with the
+        :data:`~repro.store.faultinject.STORE_FAULTS` row ``kind``, as
+        disk damage behind a dead process; the harm surfaces at the
+        restart's store recovery.  A live member's store is mid-use, so
+        it is refused, as :meth:`ChaosPlan.validate
+        <repro.faults.plan.ChaosPlan.validate>` refuses it in a plan."""
+        if kind not in STORE_FAULTS:
+            raise ValueError(
+                f"unknown store fault {kind!r} (use {tuple(STORE_FAULTS)})"
+            )
+        node = self._node(name)
+        if not node.crashed:
+            raise ValueError(
+                f"{kind} against {name!r} requires the node to be down "
+                "(crash it before the disk fault)"
+            )
+        store = getattr(node, "store", None)
+        if store is None:
+            raise ValueError(f"{kind}: {name!r} has no durable store attached")
+        STORE_FAULTS[kind](store, **params)
+
+    # -- fleet-wide views ----------------------------------------------------
+
+    def heads(self, alive: bool = False) -> Dict[str, bytes]:
+        """Each (or, with ``alive``, each non-crashed) full replica's
+        canonical head id, fleet-wide."""
+        return {
+            name: head
+            for world in self._worlds
+            for name, head in world.heads(alive).items()
+        }
+
+    def light_heads(self) -> Dict[str, bytes]:
+        """Each light replica's best header id, fleet-wide."""
+        return {
+            name: tip
+            for world in self._worlds
+            for name, tip in world.light_heads().items()
+        }
+
+    def chain_bytes(self) -> Dict[str, bytes]:
+        """Each full replica's confirmed chain, serialized — the
+        bit-level parity artifact."""
+        return {
+            name: blob
+            for world in self._worlds
+            for name, blob in world.chain_bytes().items()
+        }
+
+    def replica_counters(self) -> Dict[str, Dict[str, int]]:
+        """Per-member accept/reject/resync/lifecycle counters."""
+        return {
+            name: counters
+            for world in self._worlds
+            for name, counters in world.counters().items()
+        }
+
+    def summary(self) -> Dict[str, float]:
+        """Fleet-wide transport counters (every world's overlay merged)."""
+        merged: Dict[str, float] = {}
+        for world in self._worlds:
+            for key, value in world.network.summary().items():
+                if key == "time":
+                    merged[key] = max(merged.get(key, 0.0), value)
+                else:
+                    merged[key] = merged.get(key, 0) + value
+        return merged
+
+    def export_canonical(self) -> bytes:
+        """The heaviest alive replica's canonical chain, serialized —
+        feed to :func:`repro.chain.serialization.import_chain` or a
+        :class:`~repro.chain.ledger.LedgerStateMachine` replay."""
+        best = self._heaviest()
+        if best is None:
+            raise RuntimeError("no alive replica to export from")
+        return self._owner(best[1]).export_replica_chain(best[1])
+
     # -- lifecycle -----------------------------------------------------------
+
+    def close(self) -> None:
+        """Release every member's store handles; safe to call twice."""
+        for world in self._worlds:
+            world.close()
 
     def __enter__(self):
         return self
@@ -695,9 +807,8 @@ class DistributedChain(FleetControlPlane):
         self.network: GossipNetwork = self.world.network
         self.replicas: Dict[str, ReplicaNode] = self.world.replicas
         self.light_replicas: Dict[str, LightReplicaNode] = self.world.light_replicas
+        self._worlds = (self.world,)
         self._clock = self.simulator
-
-    # -- the control plane's reach into the world ---------------------------
 
     def _build_world(self, **members) -> "ShardState":
         """The fleet's one world; a front-end seating its own cast
@@ -706,42 +817,15 @@ class DistributedChain(FleetControlPlane):
 
         return ShardState(self._blueprint, 0, **members)
 
-    def _mine(self, winner: str, records: Tuple[ChainRecord, ...]) -> Optional[Block]:
-        return self.world.mine(winner, records, self._difficulty)
-
-    def _candidates(self) -> Tuple[Optional[Candidate]]:
-        return (self.world.heaviest_candidate(),)
+    def _owner(self, name: str) -> "ShardState":
+        return self.world
 
     def _reconcile(self, winner: str) -> None:
         self.world.reconcile(self.replicas[winner], winner)
 
-    # -- drive ---------------------------------------------------------------
-
-    def crash(self, name: str) -> None:
-        """Crash a fleet member (full or light): no receives, no mining."""
-        self.world.crash(name)
-
-    def restart(self, name: str) -> None:
-        """Restart a member; it recovers and resyncs from reachable peers."""
-        self.world.restart(name)
-
     def settle(self) -> None:
         """Deliver all in-flight gossip."""
         self.simulator.advance()
-
-    def close(self) -> None:
-        """Release every replica's store handles (safe to call twice)."""
-        self.world.close()
-
-    # -- inspection ------------------------------------------------------------
-
-    def heads(self, alive: bool = False) -> Dict[str, bytes]:
-        """Each (or, with ``alive``, each non-crashed) replica's head id."""
-        return self.world.heads(alive)
-
-    def light_heads(self) -> Dict[str, bytes]:
-        """Each light client's best header id."""
-        return self.world.light_heads()
 
     def query_service(self, name: str, **kwargs):
         """A :class:`~repro.query.service.QueryService` over one replica.

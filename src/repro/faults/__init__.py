@@ -24,13 +24,12 @@ from repro.faults.invariants import (
     InvariantViolation,
     confirmed_chain_bytes,
 )
-from repro.faults.plan import DISK_FAULTS, ChaosPlan, FaultEvent, FaultKind
+from repro.faults.plan import ChaosPlan, FaultEvent, FaultKind
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "ChaosPlan",
     "DEFAULT_RETRY_POLICY",
-    "DISK_FAULTS",
     "DISK_SCENARIOS",
     "DiskGauntletResult",
     "FaultEvent",

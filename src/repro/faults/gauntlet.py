@@ -56,7 +56,6 @@ DETECTOR_THREADS: Tuple[int, ...] = (2, 5, 8)
 VULNERABILITY_COUNT = 3
 #: Crash/restart draws: each node rolls once per epoch.
 EPOCH = 120.0
-CRASH_PROBABILITY = 0.2
 #: Link faults held over the whole chaos window.
 LOSS_RATE = 0.10
 DUPLICATION_RATE = 0.05
@@ -177,7 +176,6 @@ def _build_plan(config: GauntletConfig, deployment: DecentralizedDeployment,
         providers + detectors,
         duration=config.chaos_duration,
         epoch=EPOCH,
-        crash_probability=CRASH_PROBABILITY,
         rng=rng,
     )
     plan.events.extend(random_part.events)
@@ -232,11 +230,7 @@ def run_gauntlet(
     deployment.announce("provider-1", system)
 
     plan = _build_plan(config, deployment, rng)
-    injector = FaultInjector(
-        deployment.simulator, deployment.network, plan,
-        rng=random.Random(config.seed + 2),
-        telemetry=telemetry,
-    )
+    injector = FaultInjector(deployment, plan, telemetry=telemetry)
     injector.arm()
 
     horizon = config.chaos_duration + config.settle_time
@@ -456,13 +450,13 @@ def run_disk_fault_gauntlet(
             victim = names[seed % len(names)]
             reference = next(name for name in names if name != victim)
 
-            plan = ChaosPlan().crash(victim, at=150.0)
-            # Each scenario is named after the plan verb that injects it.
-            getattr(plan, scenario)(victim, at=170.0)
-            plan.restart(victim, at=230.0)
-            injector = FaultInjector(
-                fleet.simulator, fleet.network, plan, rng=random.Random(seed + 11)
+            plan = (
+                ChaosPlan()
+                .crash(victim, at=150.0)
+                .disk_fault(scenario, victim, at=170.0)
+                .restart(victim, at=230.0)
             )
+            injector = FaultInjector(fleet, plan)
             injector.arm()
 
             victim_node = fleet.replicas[victim]

@@ -1,33 +1,34 @@
-"""The fault injector: replays a chaos plan against a live overlay.
+"""The fault injector: replays a chaos plan against a live fleet.
 
 :class:`FaultInjector` binds a :class:`~repro.faults.plan.ChaosPlan`
-to a :class:`~repro.network.simulator.Simulator` and a
-:class:`~repro.network.gossip.GossipNetwork`: every fault event is
-scheduled on the simulation clock and applied exactly when simulated
+to any fleet engine — :class:`~repro.core.distributed.DistributedChain`,
+either workflow front-end, or
+:class:`~repro.shard.engine.ShardedSimulator` — and schedules every
+fault event on the engine's clock, so it is applied exactly when fleet
 time reaches it, interleaved deterministically with the workload's own
-traffic.  Crashes and restarts go through the node lifecycle
-(:meth:`~repro.network.node.Node.crash` /
-:meth:`~repro.network.node.Node.restart`), so restart recovery hooks —
-chain resync, mempool revalidation — fire exactly as they would in a
-real process coming back up.
+traffic.  A node fault goes through the engine's own verbs
+(:meth:`~repro.core.distributed.FleetControlPlane.crash` /
+``restart`` / ``inject_store_fault``), so restart recovery hooks —
+store recovery, chain resync, mempool revalidation — fire exactly as
+they would in a real process coming back up; a link fault is set on
+every world's overlay.
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.faults.plan import DISK_FAULTS, ChaosPlan, FaultEvent, FaultKind
-from repro.network.gossip import GossipNetwork
-from repro.network.simulator import Simulator
-from repro.store.faultinject import STORE_FAULTS
+from repro.faults.plan import ChaosPlan, FaultEvent, FaultKind
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+
+if TYPE_CHECKING:
+    from repro.core.distributed import FleetControlPlane
 
 __all__ = ["FaultInjector"]
 
 
 class FaultInjector:
-    """Schedules and applies a chaos plan.
+    """Arms a chaos plan on any fleet engine, through its fault verbs.
 
     The injector keeps an applied-fault log (time, description) so
     gauntlet reports can interleave faults with invariant outcomes.
@@ -35,23 +36,19 @@ class FaultInjector:
 
     def __init__(
         self,
-        simulator: Simulator,
-        network: GossipNetwork,
+        fleet: "FleetControlPlane",
         plan: ChaosPlan,
-        rng: Optional[random.Random] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        self.simulator = simulator
-        self.network = network
+        self.fleet = fleet
         self.plan = plan
-        self._rng = rng if rng is not None else random.Random(0)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.log: List[Tuple[float, str]] = []
         self.faults_applied = 0
         self._armed = False
 
     def arm(self) -> int:
-        """Schedule every plan event on the simulator; returns the count.
+        """Schedule every plan event on the fleet clock; returns the count.
 
         Events are scheduled at absolute plan times; arming twice is an
         error (the plan would double-apply).  The plan's crash/restart
@@ -64,71 +61,60 @@ class FaultInjector:
             raise RuntimeError("injector is already armed")
         self.plan.validate()
         self._armed = True
+        clock = self.fleet._clock
         for event in self.plan.events:
-            self.simulator.schedule_at(
-                max(event.at, self.simulator.now), self._apply, event
-            )
+            clock.schedule_at(max(event.at, clock.now), self._apply, event)
         return len(self.plan.events)
 
     # -- application --------------------------------------------------------
 
     def _apply(self, event: FaultEvent) -> None:
         kind = event.kind
+        fleet = self.fleet
         if kind is FaultKind.CRASH:
             for name in event.targets[0]:
-                self.network.crash_node(name)
+                fleet.crash(name)
         elif kind is FaultKind.RESTART:
             for name in event.targets[0]:
-                self.network.restart_node(name)
-        elif kind is FaultKind.PARTITION:
-            side_a, side_b = event.targets
-            self.network.partition(side_a, side_b)
-        elif kind is FaultKind.HEAL_PARTITION:
-            side_a, side_b = event.targets
-            for a in side_a:
-                for b in side_b:
-                    self.network.heal_link(a, b)
-        elif kind is FaultKind.SET_LOSS:
-            self.network.loss_rate = event.value
-        elif kind is FaultKind.SET_DUPLICATION:
-            self.network.duplication_rate = event.value
-        elif kind is FaultKind.DELAY_SPIKE:
-            max_extra = event.value
-            self.network.extra_delay = (
-                lambda _src, _dst, rng, _cap=max_extra: rng.uniform(0.0, _cap)
-            )
-        elif kind is FaultKind.CLEAR_DELAY_SPIKE:
-            self.network.extra_delay = None
-        elif kind in DISK_FAULTS:
-            self._apply_disk_fault(event)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown fault kind {kind!r}")
+                fleet.restart(name)
+        elif kind is FaultKind.DISK_FAULT:
+            for name in event.targets[0]:
+                fleet.inject_store_fault(name, event.fault, **dict(event.params))
+        else:
+            for world in fleet._worlds:
+                _apply_link_fault(world.network, event)
         self.faults_applied += 1
-        self.log.append((self.simulator.now, event.describe()))
+        self.log.append((fleet._clock.now, event.describe()))
         if self.telemetry.enabled:
-            self.telemetry.counter("faults.injected", kind=kind.name.lower()).inc()
+            self.telemetry.counter("faults.injected", kind=event.name).inc()
             self.telemetry.event("fault.injected", fault=event.describe())
-
-    def _apply_disk_fault(self, event: FaultEvent) -> None:
-        """Corrupt the target nodes' durable stores (they must exist).
-
-        Plan validation already guarantees the node is down; real disk
-        corruption happens *behind* a dead process, and the damage only
-        surfaces when the restart's store recovery scans the log.
-        """
-        fault = STORE_FAULTS[event.kind.value]
-        for name in event.targets[0]:
-            store = getattr(self.network.node(name), "store", None)
-            if store is None:
-                raise ValueError(
-                    f"{event.kind.value} targets {name!r}, which has no "
-                    "durable store attached"
-                )
-            # Plan params are the fault's arguments in positional order.
-            fault(store, *event.params)
 
     # -- views ---------------------------------------------------------------
 
     def describe_log(self) -> str:
         """The applied faults, one per line."""
         return "\n".join(description for _, description in self.log)
+
+
+def _apply_link_fault(network, event: FaultEvent) -> None:
+    """Set one overlay's partition / loss / duplication / delay knob."""
+    kind = event.kind
+    if kind is FaultKind.PARTITION:
+        side_a, side_b = event.targets
+        network.partition(side_a, side_b)
+    elif kind is FaultKind.HEAL_PARTITION:
+        side_a, side_b = event.targets
+        for a in side_a:
+            for b in side_b:
+                network.heal_link(a, b)
+    elif kind is FaultKind.SET_LOSS:
+        network.loss_rate = event.value
+    elif kind is FaultKind.SET_DUPLICATION:
+        network.duplication_rate = event.value
+    elif kind is FaultKind.DELAY_SPIKE:
+        max_extra = event.value
+        network.extra_delay = (
+            lambda _src, _dst, rng, _cap=max_extra: rng.uniform(0.0, _cap)
+        )
+    else:
+        network.extra_delay = None  # CLEAR_DELAY_SPIKE

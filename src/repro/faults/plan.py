@@ -18,7 +18,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.store.faultinject import STORE_FAULTS
 
-__all__ = ["ChaosPlan", "DISK_FAULTS", "FaultEvent", "FaultKind"]
+__all__ = ["ChaosPlan", "FaultEvent", "FaultKind"]
+
+#: :meth:`ChaosPlan.random`'s schedule shape: the per-epoch crash coin
+#: and the downtime range a crash is restarted after.
+CRASH_PROBABILITY = 0.2
+MIN_DOWNTIME = 30.0
+MAX_DOWNTIME = 120.0
 
 
 class FaultKind(enum.Enum):
@@ -32,17 +38,10 @@ class FaultKind(enum.Enum):
     SET_DUPLICATION = "set_duplication"
     DELAY_SPIKE = "delay_spike"
     CLEAR_DELAY_SPIKE = "clear_delay_spike"
-    # Disk faults: corrupt a down node's durable store so its restart
-    # exercises the crash-recovery path (see repro.store.faultinject).
-    TORN_WRITE = "torn_write"
-    BIT_FLIP = "bit_flip"
-    DROP_SNAPSHOT = "drop_snapshot"
-    DROP_INDEX = "drop_index"
-
-
-#: Fault kinds that modify a node's on-disk store: the ones the store's
-#: own fault table can apply.
-DISK_FAULTS = frozenset(FaultKind(name) for name in STORE_FAULTS)
+    #: Corrupt a down node's durable store so its restart exercises the
+    #: crash-recovery path: ``fault`` names the
+    #: :data:`~repro.store.faultinject.STORE_FAULTS` row.
+    DISK_FAULT = "disk_fault"
 
 
 @dataclass(frozen=True)
@@ -52,24 +51,30 @@ class FaultEvent:
     ``targets`` holds node names for CRASH/RESTART and disk faults,
     and the two side groups for PARTITION/HEAL_PARTITION; ``value``
     carries the rate for SET_LOSS/SET_DUPLICATION and the maximum
-    extra seconds for DELAY_SPIKE; ``params`` carries the disk-fault
-    knobs (frame index, bytes/bit, snapshots kept).
+    extra seconds for DELAY_SPIKE; a DISK_FAULT names its
+    :data:`~repro.store.faultinject.STORE_FAULTS` row in ``fault`` and
+    that function's keyword arguments in ``params``.
     """
 
     at: float
     kind: FaultKind
     targets: Tuple[Tuple[str, ...], ...] = ()
     value: float = 0.0
-    params: Tuple[int, ...] = ()
+    fault: str = ""
+    params: Tuple[Tuple[str, int], ...] = ()
+
+    @property
+    def name(self) -> str:
+        """The fault's name: the store-fault row for a disk fault, the
+        kind's value otherwise (the ``faults.injected`` label)."""
+        return self.fault or self.kind.value
 
     def describe(self) -> str:
         """Human-readable one-liner for chaos logs."""
-        if self.kind in (FaultKind.CRASH, FaultKind.RESTART) or (
-            self.kind in DISK_FAULTS
-        ):
+        if self.kind in (FaultKind.CRASH, FaultKind.RESTART, FaultKind.DISK_FAULT):
             names = ",".join(self.targets[0]) if self.targets else "?"
-            suffix = f" params={self.params}" if self.params else ""
-            return f"t={self.at:.1f} {self.kind.value} {names}{suffix}"
+            params = "".join(f" {key}={value}" for key, value in self.params)
+            return f"t={self.at:.1f} {self.name} {names}{params}"
         if self.kind in (FaultKind.PARTITION, FaultKind.HEAL_PARTITION):
             sides = " | ".join(",".join(group) for group in self.targets)
             return f"t={self.at:.1f} {self.kind.value} [{sides}]"
@@ -104,61 +109,25 @@ class ChaosPlan:
             raise ValueError("downtime must be positive")
         return self.crash(node, at).restart(node, at + downtime)
 
-    # -- disk faults (durable stores) --------------------------------------
+    def disk_fault(self, kind: str, node: str, at: float, **params: int) -> "ChaosPlan":
+        """Corrupt ``node``'s durable store while it is down.
 
-    def torn_write(
-        self, node: str, at: float, frame: int = -1, keep_bytes: int = -1
-    ) -> "ChaosPlan":
-        """Tear ``node``'s block log mid-frame while it is down.
-
-        ``frame`` picks the victim frame (negative counts from the
-        end); ``keep_bytes`` is how much of it survives (default about
-        half).  The node must be crashed at ``at`` — see
+        ``kind`` is a :data:`~repro.store.faultinject.STORE_FAULTS` row
+        and ``params`` its keyword arguments (``frame_index``/``keep_bytes``
+        for ``torn_write``, ``frame_index``/``bit`` for ``bit_flip``,
+        ``keep_oldest`` for ``drop_snapshot``); left out, they take the
+        function's default.  The node must be crashed at ``at`` — see
         :meth:`validate`.
         """
+        if kind not in STORE_FAULTS:
+            raise ValueError(
+                f"unknown store fault {kind!r} (use {tuple(STORE_FAULTS)})"
+            )
         return self._add(
             FaultEvent(
-                at=at, kind=FaultKind.TORN_WRITE, targets=((node,),),
-                params=(frame, keep_bytes),
+                at=at, kind=FaultKind.DISK_FAULT, targets=((node,),),
+                fault=kind, params=tuple(params.items()),
             )
-        )
-
-    def bit_flip(self, node: str, at: float, frame: int = -1, bit: int = -1) -> "ChaosPlan":
-        """Flip one bit of a stored frame while ``node`` is down."""
-        return self._add(
-            FaultEvent(
-                at=at, kind=FaultKind.BIT_FLIP, targets=((node,),),
-                params=(frame, bit),
-            )
-        )
-
-    def drop_snapshot(
-        self, node: str, at: float, keep_oldest: int = 0
-    ) -> "ChaosPlan":
-        """Delete ``node``'s ledger snapshots while it is down.
-
-        ``keep_oldest=0`` loses them all (genesis replay on recovery);
-        ``keep_oldest=1`` leaves a *stale* one (older anchor, longer
-        delta replay).
-        """
-        if keep_oldest < 0:
-            raise ValueError("keep_oldest cannot be negative")
-        return self._add(
-            FaultEvent(
-                at=at, kind=FaultKind.DROP_SNAPSHOT, targets=((node,),),
-                params=(keep_oldest,),
-            )
-        )
-
-    def drop_index(self, node: str, at: float) -> "ChaosPlan":
-        """Delete ``node``'s persisted serving index while it is down.
-
-        The block log survives, so chain recovery is unaffected; the
-        fault forces the next query service over this store onto the
-        cold from-genesis build path instead of a warm start.
-        """
-        return self._add(
-            FaultEvent(at=at, kind=FaultKind.DROP_INDEX, targets=((node,),))
         )
 
     def partition(
@@ -216,49 +185,38 @@ class ChaosPlan:
         names: Sequence[str],
         duration: float,
         epoch: float,
-        crash_probability: float = 0.2,
-        min_downtime: float = 30.0,
-        max_downtime: float = 120.0,
-        max_concurrent_down: Optional[int] = None,
-        start: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> "ChaosPlan":
         """Generate a crash/restart schedule by epoch-wise coin flips.
 
-        Each epoch, every listed node crashes with ``crash_probability``
-        and restarts after a sampled downtime.  At most
-        ``max_concurrent_down`` nodes (default: just under half) are
-        down at once, so the system never loses a usable majority, and
-        every crash is restarted before ``start + duration`` — the plan
-        always *heals*.
+        Each epoch, every listed node crashes with
+        :data:`CRASH_PROBABILITY` and restarts after a downtime drawn
+        from [:data:`MIN_DOWNTIME`, :data:`MAX_DOWNTIME`].  Just under
+        half the nodes (at least one) may be down at once, so the system
+        never loses a usable majority, and every crash is restarted
+        before ``duration`` — the plan always *heals*.
         """
         if epoch <= 0 or duration <= 0:
             raise ValueError("duration and epoch must be positive")
-        if not 0.0 <= crash_probability <= 1.0:
-            raise ValueError("crash probability must be in [0, 1]")
-        if not 0 < min_downtime <= max_downtime:
-            raise ValueError("need 0 < min_downtime <= max_downtime")
         rng = rng if rng is not None else random.Random(0)
-        if max_concurrent_down is None:
-            max_concurrent_down = max(1, (len(names) - 1) // 2)
+        max_concurrent_down = max(1, (len(names) - 1) // 2)
         plan = cls()
-        end = start + duration
         #: node -> time it comes back up (tracks concurrency cap)
         down_until: Dict[str, float] = {}
-        tick = start
-        while tick < end:
+        tick = 0.0
+        while tick < duration:
             for name in names:
                 if down_until.get(name, 0.0) > tick:
                     continue  # still down
                 concurrent = sum(1 for t in down_until.values() if t > tick)
                 if concurrent >= max_concurrent_down:
                     break
-                if rng.random() >= crash_probability:
+                if rng.random() >= CRASH_PROBABILITY:
                     continue
                 crash_at = tick + rng.uniform(0.0, epoch * 0.5)
-                downtime = rng.uniform(min_downtime, max_downtime)
+                downtime = rng.uniform(MIN_DOWNTIME, MAX_DOWNTIME)
                 # The plan must fully heal: clamp the restart inside it.
-                restart_at = min(crash_at + downtime, end - 1e-6)
+                restart_at = min(crash_at + downtime, duration - 1e-6)
                 if restart_at <= crash_at:
                     continue
                 plan.crash(name, crash_at)
@@ -304,11 +262,11 @@ class ChaosPlan:
                             "preceding crash: the node is already up"
                         )
                     del down_since[name]
-            elif event.kind in DISK_FAULTS:
+            elif event.kind is FaultKind.DISK_FAULT:
                 for name in event.targets[0]:
                     if name not in down_since:
                         raise ValueError(
-                            f"{event.kind.value} against {name!r} at "
+                            f"{event.fault} against {name!r} at "
                             f"t={event.at:g} requires the node to be down "
                             "(schedule a crash before the disk fault)"
                         )

@@ -291,14 +291,6 @@ class GossipNetwork(GossipNetworkApi):
         """Restore every severed link."""
         self._cut_links.clear()
 
-    def crash_node(self, name: str) -> None:
-        """Crash an attached node (it stops receiving and sending)."""
-        self._nodes[name].crash()
-
-    def restart_node(self, name: str) -> None:
-        """Restart a crashed node; its recovery hooks run (resync)."""
-        self._nodes[name].restart()
-
     def alive_nodes(self) -> List[str]:
         """Names of attached nodes that are not crashed."""
         return [name for name, node in self._nodes.items() if not node.crashed]

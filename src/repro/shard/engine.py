@@ -41,7 +41,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -78,7 +77,6 @@ from repro.shard.frames import (
 from repro.shard.plan import ShardPlan
 from repro.shard.spec import FleetSpec
 from repro.store import ChainStore, HeaderStore
-from repro.store.faultinject import STORE_FAULTS
 from repro.telemetry import Telemetry
 
 __all__ = ["ShardGateway", "ShardState", "ShardedSimulator"]
@@ -425,27 +423,6 @@ class ShardState:
             records = tuple(r for r in records if located(r.record_id) is None)
         return replica.mine(self.simulator.now, records, difficulty)
 
-    def _node(self, name: str):
-        try:
-            return self.network.node(name)
-        except KeyError:
-            raise KeyError(f"shard {self.index} does not own {name!r}") from None
-
-    def crash(self, name: str) -> None:
-        """Crash a member (full or light): no receives, no mining."""
-        self._node(name).crash()
-
-    def restart(self, name: str) -> None:
-        """Restart a member; its recovery hooks run."""
-        self._node(name).restart()
-
-    def store_fault(self, name: str, kind: str, params: Dict[str, Any]) -> None:
-        """Corrupt a (crashed) member's durable store in place."""
-        store = getattr(self._node(name), "store", None)
-        if store is None:
-            raise ValueError(f"{name!r} has no durable store attached")
-        STORE_FAULTS[kind](store, **params)
-
     # -- reconciliation ----------------------------------------------------
 
     def heaviest_candidate(self) -> Optional[Candidate]:
@@ -560,11 +537,11 @@ class ShardedSimulator(FleetControlPlane):
     drives an unsharded one — the shared
     :class:`~repro.core.distributed.FleetControlPlane` (``step``/
     ``run_blocks``, ``submit_record``/``inject_byzantine_record``,
-    ``finalize``, ``converged``/``light_converged``), ``crash``/
-    ``restart``/``inject_store_fault`` for the chaos plane — plus the
-    unified clock verbs (``advance``/``advance_until``/``advance_for``,
-    ``schedule``/``schedule_at``) so experiments and chaos plans stay
-    engine-agnostic.
+    ``finalize``, ``converged``/``light_converged``, the fault verbs
+    ``crash``/``restart``/``inject_store_fault`` and the fleet-wide
+    views) — plus the unified clock verbs (``advance``/``advance_until``/
+    ``advance_for``, ``schedule``/``schedule_at``), so experiments and a
+    :class:`~repro.faults.injector.FaultInjector` stay engine-agnostic.
 
     Every shard's :class:`ShardState` lives in this process, in
     :attr:`shard_states`, and writes to the caller's ``telemetry``.
@@ -607,6 +584,7 @@ class ShardedSimulator(FleetControlPlane):
             )
             self.shard_states[index] = state
             overlay = state.network.topology
+        self._worlds = tuple(self.shard_states.values())
         self._now = 0.0
         self._clock = self
         #: Coordinator-scheduled callbacks wait on a queue of their own
@@ -614,7 +592,6 @@ class ShardedSimulator(FleetControlPlane):
         self._controls = Simulator()
 
     def _owner(self, name: str) -> ShardState:
-        """The world that owns ``name`` (KeyError if none)."""
         return self.shard_states[self._plan.shard_of(name)]
 
     # -- the canonical time-control surface --------------------------------
@@ -724,14 +701,6 @@ class ShardedSimulator(FleetControlPlane):
         """Deliver all in-flight gossip, cross-shard frames included."""
         self._settle()
 
-    # -- the control plane's reach into the worlds --------------------------
-
-    def _mine(self, winner: str, records: Tuple[ChainRecord, ...]) -> Optional[Block]:
-        return self._owner(winner).mine(winner, records, self._difficulty)
-
-    def _candidates(self) -> Iterable[Optional[Candidate]]:
-        return [state.heaviest_candidate() for state in self.shard_states.values()]
-
     def _reconcile(self, winner: str) -> None:
         # The winner exports its canonical chain once; every shard
         # adopts it through the normal validated resync path.
@@ -739,72 +708,7 @@ class ShardedSimulator(FleetControlPlane):
         for state in self.shard_states.values():
             state.adopt(blob, winner)
 
-    # -- chaos plane ---------------------------------------------------------
-
-    def crash(self, name: str) -> None:
-        """Crash a fleet member (full or light) wherever it lives."""
-        self._owner(name).crash(name)
-
-    def restart(self, name: str) -> None:
-        """Restart a crashed member; its in-shard recovery hooks run."""
-        self._owner(name).restart(name)
-
-    def inject_store_fault(self, name: str, kind: str, **params: Any) -> None:
-        """Corrupt a member's durable store (``torn_write``/``bit_flip``/
-        ``drop_snapshot``/``drop_index``), as disk damage behind a dead
-        process; the harm surfaces at the restart's store recovery."""
-        if kind not in STORE_FAULTS:
-            raise ValueError(
-                f"unknown store fault {kind!r} (use {tuple(STORE_FAULTS)})"
-            )
-        self._owner(name).store_fault(name, kind, params)
-
     # -- inspection ----------------------------------------------------------
-
-    def _gather(self, field: str) -> Dict[str, Any]:
-        """Merge one per-member view across shards, shard-ordered."""
-        merged: Dict[str, Any] = {}
-        for state in self.shard_states.values():
-            merged.update(state.snapshot((field,))[field])
-        return merged
-
-    def heads(self, alive: bool = False) -> Dict[str, bytes]:
-        """Each (or, with ``alive``, each non-crashed) full replica's
-        canonical head id, fleet-wide."""
-        return self._gather("alive_heads" if alive else "heads")
-
-    def light_heads(self) -> Dict[str, bytes]:
-        """Each light replica's best header id, fleet-wide."""
-        return self._gather("light_heads")
-
-    def chain_bytes(self) -> Dict[str, bytes]:
-        """Each full replica's confirmed chain, serialized — the
-        bit-level parity artifact the 3-seed suite compares."""
-        return self._gather("chain_bytes")
-
-    def replica_counters(self) -> Dict[str, Dict[str, int]]:
-        """Per-member accept/reject/resync/lifecycle counters."""
-        return self._gather("counters")
-
-    def export_canonical(self) -> bytes:
-        """The heaviest alive replica's canonical chain, serialized —
-        feed to :func:`repro.chain.serialization.import_chain` or a
-        :class:`~repro.chain.ledger.LedgerStateMachine` replay."""
-        best = self._heaviest()
-        if best is None:
-            raise RuntimeError("no alive replica to export from")
-        return self._owner(best[1]).export_replica_chain(best[1])
-
-    def summary(self) -> Dict[str, float]:
-        """Fleet-wide transport counters (shard summaries merged)."""
-        merged: Dict[str, float] = {}
-        for summary in self.shard_summaries().values():
-            for key, value in summary.items():
-                if key == "time":
-                    merged[key] = max(merged.get(key, 0.0), value)
-                else:
-                    merged[key] = merged.get(key, 0) + value
-        return merged
 
     def shard_summaries(self) -> Dict[int, Dict[str, float]]:
         """Per-shard transport counters, for imbalance inspection."""
@@ -812,10 +716,3 @@ class ShardedSimulator(FleetControlPlane):
             index: state.snapshot(("summary",))["summary"]
             for index, state in self.shard_states.items()
         }
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Release every world's store handles; safe to call twice."""
-        for state in self.shard_states.values():
-            state.close()

@@ -6,10 +6,12 @@ stale snapshot directory — while the owning node is down.  They mark
 the store *stale* so any use before :meth:`reopen` is an error; the
 recovery scan on reopen is what detects and repairs the damage.
 
-:data:`STORE_FAULTS` names them the way
-:class:`~repro.faults.plan.FaultKind` does; it is the one table behind
-:class:`~repro.faults.injector.FaultInjector` (positional plan params)
-and :meth:`~repro.shard.engine.ShardState.store_fault` (keywords).
+:data:`STORE_FAULTS` names them; it is the one table behind
+:meth:`ChaosPlan.disk_fault <repro.faults.plan.ChaosPlan.disk_fault>`
+and the engine verb every disk fault goes through,
+:meth:`FleetControlPlane.inject_store_fault
+<repro.core.distributed.FleetControlPlane.inject_store_fault>`, both
+taking the functions' keyword arguments.
 """
 
 from __future__ import annotations
@@ -117,8 +119,8 @@ def drop_index_file(store) -> bool:
     return existed
 
 
-#: Disk-fault name (a :class:`~repro.faults.plan.FaultKind` value) ->
-#: ``fault(store, ...)``; arguments left out take the function's default.
+#: Disk-fault name -> ``fault(store, **params)``; arguments left out
+#: take the function's default.
 STORE_FAULTS = {
     "torn_write": tear_frame,
     "bit_flip": flip_bit,

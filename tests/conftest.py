@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import functools
+import pathlib
 import random
+from typing import NamedTuple, Tuple
 
 import pytest
 
@@ -16,6 +19,37 @@ def default_result():
     """``default_result(name)``: registry row ``name`` run at its default
     sizes and seed, once per session for every test that reads it."""
     return functools.lru_cache(maxsize=None)(lambda name: EXPERIMENTS[name].run())
+
+
+#: The package the structural guards (``tests/test_one_*.py``) walk.
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+class SourceModule(NamedTuple):
+    """One module under ``src/repro``, parsed and walked."""
+
+    #: Path below ``src/repro``, posix (``core/distributed.py``).
+    module: str
+    text: str
+    tree: ast.Module
+    #: Every node of ``tree``, in ``ast.walk`` order.
+    nodes: Tuple[ast.AST, ...]
+
+
+@pytest.fixture(scope="session")
+def src_modules() -> Tuple[SourceModule, ...]:
+    """Every module under ``src/repro``, parsed and walked once per
+    session for every structural guard that reads the source."""
+    modules = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
+        modules.append(
+            SourceModule(
+                path.relative_to(SRC).as_posix(), text, tree, tuple(ast.walk(tree))
+            )
+        )
+    return tuple(modules)
 
 
 @pytest.fixture

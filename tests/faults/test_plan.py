@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.faults.plan import ChaosPlan, FaultKind
+from repro.faults.plan import MAX_DOWNTIME, MIN_DOWNTIME, ChaosPlan, FaultKind
+from repro.store.faultinject import STORE_FAULTS
 
 
 class TestBuilders:
@@ -40,10 +41,18 @@ class TestBuilders:
         assert text.index("set_loss") < text.index("crash")
         assert text.index("crash") < text.index("restart")
 
+    def test_disk_fault_names_a_store_fault_row(self):
+        plan = ChaosPlan().disk_fault("bit_flip", "n1", at=5.0, frame_index=3, bit=2)
+        (event,) = plan.events
+        assert (event.kind, event.fault) == (FaultKind.DISK_FAULT, "bit_flip")
+        assert dict(event.params) == {"frame_index": 3, "bit": 2}
+        assert event.describe() == "t=5.0 bit_flip n1 frame_index=3 bit=2"
+
     @pytest.mark.parametrize(
         "build",
         [
             lambda p: p.crash("x", at=-1.0),
+            lambda p: p.disk_fault("set_on_fire", "x", at=0.0),
             lambda p: p.crash_for("x", at=0.0, downtime=0.0),
             lambda p: p.partition(("a",), ("b",), at=5.0, heal_at=5.0),
             lambda p: p.set_loss(1.0, at=0.0),
@@ -65,7 +74,6 @@ class TestRandomPlans:
             names=self.NAMES,
             duration=600.0,
             epoch=60.0,
-            crash_probability=0.5,
             rng=random.Random(seed),
         )
         defaults.update(kwargs)
@@ -84,29 +92,38 @@ class TestRandomPlans:
         assert plan.horizon() <= 600.0
 
     def test_concurrency_cap_respected(self):
-        plan = self._plan(seed=5, max_concurrent_down=2)
-        # Replay the schedule: at no instant are >2 nodes down.
-        down = set()
-        for event in sorted(plan.events, key=lambda e: e.at):
-            if event.kind is FaultKind.CRASH:
-                down.add(event.targets[0][0])
-                assert len(down) <= 2
-            elif event.kind is FaultKind.RESTART:
-                down.discard(event.targets[0][0])
+        # Five names: at most two down at any instant, and the cap binds.
+        peak = 0
+        for seed in range(20):
+            down = set()
+            for event in self._plan(seed=seed).events:
+                if event.kind is FaultKind.CRASH:
+                    down.add(event.targets[0][0])
+                    assert len(down) <= 2
+                    peak = max(peak, len(down))
+                elif event.kind is FaultKind.RESTART:
+                    down.discard(event.targets[0][0])
+        assert peak == 2
 
-    def test_crash_probability_zero_is_quiet(self):
-        plan = self._plan(seed=1, crash_probability=0.0)
-        assert len(plan) == 0
+    def test_downtimes_stay_in_range(self):
+        plan = self._plan(seed=2)
+        crashed = {}
+        for event in plan.events:
+            name = event.targets[0][0]
+            if event.kind is FaultKind.CRASH:
+                crashed[name] = event.at
+            else:
+                downtime = event.at - crashed.pop(name)
+                # A restart clamped to the plan's end may come sooner.
+                assert downtime <= MAX_DOWNTIME
+                assert downtime >= MIN_DOWNTIME or event.at > 600.0 - 1e-3
+        assert plan.crashes()
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
             ChaosPlan.random(self.NAMES, duration=0.0, epoch=10.0)
         with pytest.raises(ValueError):
-            ChaosPlan.random(self.NAMES, duration=10.0, epoch=10.0,
-                             crash_probability=2.0)
-        with pytest.raises(ValueError):
-            ChaosPlan.random(self.NAMES, duration=10.0, epoch=10.0,
-                             min_downtime=5.0, max_downtime=1.0)
+            ChaosPlan.random(self.NAMES, duration=10.0, epoch=0.0)
 
 
 class TestOrderingValidation:
@@ -116,11 +133,11 @@ class TestOrderingValidation:
         plan = (
             ChaosPlan()
             .crash("n1", at=10.0)
-            .torn_write("n1", at=20.0)
+            .disk_fault("torn_write", "n1", at=20.0)
             .restart("n1", at=30.0)
             .crash("n1", at=50.0)  # a second cycle is fine after restart
-            .bit_flip("n1", at=55.0, frame=3, bit=2)
-            .drop_snapshot("n1", at=56.0, keep_oldest=1)
+            .disk_fault("bit_flip", "n1", at=55.0, frame_index=3, bit=2)
+            .disk_fault("drop_snapshot", "n1", at=56.0, keep_oldest=1)
             .restart("n1", at=60.0)
         )
         assert plan.validate() is plan  # chains fluently
@@ -146,8 +163,8 @@ class TestOrderingValidation:
             plan.validate()
 
     def test_disk_fault_against_a_live_node_is_rejected(self):
-        for build in ("torn_write", "bit_flip", "drop_snapshot"):
-            plan = getattr(ChaosPlan(), build)("n1", 20.0)
+        for kind in STORE_FAULTS:
+            plan = ChaosPlan().disk_fault(kind, "n1", 20.0)
             with pytest.raises(ValueError, match="requires the node to be down"):
                 plan.validate()
 
@@ -156,7 +173,7 @@ class TestOrderingValidation:
             ChaosPlan()
             .crash("n1", at=10.0)
             .restart("n1", at=20.0)
-            .torn_write("n1", at=25.0)
+            .disk_fault("torn_write", "n1", at=25.0)
         )
         with pytest.raises(ValueError, match="requires the node to be down"):
             plan.validate()

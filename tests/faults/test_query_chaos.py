@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.distributed import DistributedChain
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import DISK_FAULTS, ChaosPlan, FaultKind
+from repro.faults.plan import ChaosPlan, FaultKind
 from repro.query import QueryRequest
 from repro.shard import FleetSpec
 from repro.store import INDEX_FILE_NAME
@@ -25,25 +25,28 @@ from repro.store.fsck import fsck
 
 class TestDropIndexPlan:
     def test_drop_index_is_a_disk_fault(self):
-        assert FaultKind.DROP_INDEX in DISK_FAULTS
+        (event,) = ChaosPlan().disk_fault("drop_index", "n1", at=20.0).events
+        assert (event.kind, event.fault, event.name) == (
+            FaultKind.DISK_FAULT, "drop_index", "drop_index"
+        )
 
     def test_builder_emits_event(self):
         plan = (
             ChaosPlan()
             .crash("n1", at=10.0)
-            .drop_index("n1", at=20.0)
+            .disk_fault("drop_index", "n1", at=20.0)
             .restart("n1", at=30.0)
         )
         kinds = [e.kind for e in plan.sort().events]
         assert kinds == [
             FaultKind.CRASH,
-            FaultKind.DROP_INDEX,
+            FaultKind.DISK_FAULT,
             FaultKind.RESTART,
         ]
         assert plan.validate() is plan
 
     def test_drop_index_against_live_node_is_rejected(self):
-        plan = ChaosPlan().drop_index("n1", at=20.0)
+        plan = ChaosPlan().disk_fault("drop_index", "n1", at=20.0)
         with pytest.raises(ValueError, match="requires the node to be down"):
             plan.validate()
 
@@ -52,7 +55,7 @@ class TestDropIndexPlan:
             ChaosPlan()
             .crash("n1", at=10.0)
             .restart("n1", at=20.0)
-            .drop_index("n1", at=25.0)
+            .disk_fault("drop_index", "n1", at=25.0)
         )
         with pytest.raises(ValueError, match="requires the node to be down"):
             plan.validate()
@@ -83,7 +86,7 @@ class TestDropIndexInjection:
         svc.persist_index()
         now = fleet.simulator.now
         plan = ChaosPlan().crash_for("a", at=now + 10.0, downtime=20.0)
-        FaultInjector(fleet.simulator, fleet.network, plan).arm()
+        FaultInjector(fleet, plan).arm()
         fleet.simulator.advance_until(now + 40.0)
         assert fleet.replicas["a"].alive
         assert svc.warm_starts == 1 and svc.cold_starts == 1
@@ -99,10 +102,10 @@ class TestDropIndexInjection:
         plan = (
             ChaosPlan()
             .crash("a", at=now + 10.0)
-            .drop_index("a", at=now + 20.0)
+            .disk_fault("drop_index", "a", at=now + 20.0)
             .restart("a", at=now + 30.0)
         )
-        injector = FaultInjector(fleet.simulator, fleet.network, plan)
+        injector = FaultInjector(fleet, plan)
         injector.arm()
         fleet.simulator.advance_until(now + 40.0)
         assert injector.faults_applied == 3
@@ -125,10 +128,10 @@ class TestDropIndexInjection:
         plan = (
             ChaosPlan()
             .crash("a", at=now + 5.0)
-            .drop_index("a", at=now + 10.0)
+            .disk_fault("drop_index", "a", at=now + 10.0)
             .restart("a", at=now + 15.0)
         )
-        FaultInjector(fleet.simulator, fleet.network, plan).arm()
+        FaultInjector(fleet, plan).arm()
         fleet.simulator.advance_until(now + 20.0)
         after = svc.serve(QueryRequest.get_reports(limit=1024)).result["rows"]
         assert after == before

@@ -163,12 +163,12 @@ class TestGossipFaultCounters:
         assert summary["nodes_crashed"] == 1
         assert summary["messages_sent"] > 0
 
-    def test_crash_and_restart_via_network(self):
+    def test_alive_nodes_follows_the_lifecycle(self):
         _, network, nodes = _network()
-        network.crash_node("b")
+        network.node("b").crash()
         assert not nodes["b"].alive
         assert sorted(network.alive_nodes()) == ["a", "c"]
-        network.restart_node("b")
+        network.node("b").restart()
         assert nodes["b"].alive
         assert sorted(network.alive_nodes()) == ["a", "b", "c"]
 

@@ -1,8 +1,8 @@
 """ShardedSimulator: the canonical time-control surface and drive loop.
 
 Every shard's world lives in the coordinator's process; the one-shard
-anchor against ``DistributedChain`` is in the parity suite
-(``test_parity.py``).
+anchor against ``DistributedChain`` is clause (i) of the generated-plan
+property (``tests/faults/test_chaos_property.py``).
 """
 
 import pytest
@@ -260,6 +260,16 @@ class TestMiningDrive:
                 ValueError, match="'provider-0' has no durable store attached"
             ):
                 fleet.inject_store_fault("provider-0", "bit_flip")
+
+    def test_store_fault_on_a_live_member_is_refused(self, tmp_path):
+        spec = _spec(full_nodes=4, light_nodes=2, store_dir=str(tmp_path))
+        with ShardedSimulator(spec, seed=1) as fleet:
+            fleet.run_blocks(4)
+            with pytest.raises(ValueError, match="requires the node to be down"):
+                fleet.inject_store_fault("provider-0", "torn_write")
+            # Nothing was corrupted behind the live replica's back.
+            fleet.run_blocks(4)
+            assert fleet.replica_counters()["provider-0"]["store_recoveries"] == 0
 
     def test_export_canonical_round_trips(self):
         from repro.chain.serialization import import_chain

@@ -1,21 +1,19 @@
-"""One fleet builder, one event queue, one process pool, one workflow —
-pinned structurally.
+"""One fleet builder, one event queue, one process pool, one workflow,
+one chaos plane — pinned structurally.
 
 ``repro/shard/engine.py::ShardState`` is the only code under ``src/``
 that makes a simulator, an overlay graph or a gossip network, and the
 PoW sampler is made in three named places.  A front-end that wants a
 fleet asks the engine for one; this walk fails the day a module starts
 assembling its own — or starts keeping its own event heap, fanning
-work out over processes anywhere but the experiments runner, or
-spelling out the contract side of the §IV-B workflow a second time.
+work out over processes anywhere but the experiments runner, spelling
+out the contract side of the §IV-B workflow a second time, or reaching
+a node with a fault other than through the engine's own verbs.
 """
 
 import ast
-import pathlib
 
 from repro.network.simulator import ScheduledEvent
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: callable (as written at the call site) -> modules allowed to call it.
 BUILDERS = {
@@ -46,6 +44,12 @@ WORKFLOW_SPELLINGS = {
     '"award_detailed_report"',
 }
 
+#: The one module that looks up a store fault to apply it
+#: (``FleetControlPlane.inject_store_fault``), and the overlay-level
+#: lifecycle verbs the engine's ``crash`` / ``restart`` replaced.
+STORE_FAULT_APPLIERS = ["core/distributed.py"]
+RETIRED_FAULT_VERBS = {"crash_node", "restart_node"}
+
 
 def _spellings(node: ast.Call) -> set:
     """``f(``, and for ``a.b.f(`` both ``f`` and ``b.f``."""
@@ -59,24 +63,23 @@ def _spellings(node: ast.Call) -> set:
     return {func.attr, f"{owner_name}.{func.attr}"}
 
 
-def _nodes():
-    for path in sorted(SRC.rglob("*.py")):
-        module = path.relative_to(SRC).as_posix()
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            yield module, node
+def _nodes(src_modules):
+    for source in src_modules:
+        for node in source.nodes:
+            yield source.module, node
 
 
-def _calls():
-    for module, node in _nodes():
+def _calls(src_modules):
+    for module, node in _nodes(src_modules):
         if isinstance(node, ast.Call):
             for callee in _spellings(node) & BUILDERS.keys():
                 yield module, callee, node.lineno
 
 
-def test_only_the_engine_builds_a_fleet():
+def test_only_the_engine_builds_a_fleet(src_modules):
     strays = [
         f"src/repro/{module}:{line} calls {callee}("
-        for module, callee, line in _calls()
+        for module, callee, line in _calls(src_modules)
         if module not in BUILDERS[callee]
     ]
     assert not strays, (
@@ -85,17 +88,17 @@ def test_only_the_engine_builds_a_fleet():
     )
 
 
-def test_the_walk_sees_the_builders_it_guards():
-    seen = {(module, callee) for module, callee, _ in _calls()}
+def test_the_walk_sees_the_builders_it_guards(src_modules):
+    seen = {(module, callee) for module, callee, _ in _calls(src_modules)}
     for callee, modules in BUILDERS.items():
         for module in modules:
             assert (module, callee) in seen, f"{module} no longer calls {callee}("
 
 
-def test_only_the_simulators_keep_an_event_heap():
+def test_only_the_simulators_keep_an_event_heap(src_modules):
     importers = {
         module
-        for module, node in _nodes()
+        for module, node in _nodes(src_modules)
         if (isinstance(node, ast.Import) and any(a.name == "heapq" for a in node.names))
         or (isinstance(node, ast.ImportFrom) and node.module == "heapq")
     }
@@ -107,7 +110,7 @@ def test_only_the_simulators_keep_an_event_heap():
     # the event path orders itself in Python.
     ordered = [
         f"src/repro/{module}: {node.name}"
-        for module, node in _nodes()
+        for module, node in _nodes(src_modules)
         if module.startswith(("network/", "shard/"))
         and isinstance(node, ast.FunctionDef)
         and node.name == "__lt__"
@@ -118,9 +121,9 @@ def test_only_the_simulators_keep_an_event_heap():
     )
 
 
-def _pool_importers():
+def _pool_importers(src_modules):
     """(module, package) for every import of a process-pool package."""
-    for module, node in _nodes():
+    for module, node in _nodes(src_modules):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
@@ -133,10 +136,10 @@ def _pool_importers():
                     yield module, package
 
 
-def test_one_process_pool():
+def test_one_process_pool(src_modules):
     strays = sorted(
         f"src/repro/{module} imports {package}"
-        for module, package in _pool_importers()
+        for module, package in _pool_importers(src_modules)
         if module not in POOL_OWNERS
     )
     assert not strays, (
@@ -145,13 +148,13 @@ def test_one_process_pool():
     )
 
 
-def test_the_pool_walk_sees_the_runner():
-    assert {module for module, _ in _pool_importers()} >= POOL_OWNERS
+def test_the_pool_walk_sees_the_runner(src_modules):
+    assert {module for module, _ in _pool_importers(src_modules)} >= POOL_OWNERS
 
 
-def test_the_contract_side_of_the_workflow_is_written_once():
+def test_the_contract_side_of_the_workflow_is_written_once(src_modules):
     found = {spelling: set() for spelling in WORKFLOW_SPELLINGS}
-    for module, node in _nodes():
+    for module, node in _nodes(src_modules):
         if not module.startswith("core/"):
             continue
         if isinstance(node, ast.Call) and "SmartCrowdContract" in _spellings(node):
@@ -163,3 +166,44 @@ def test_the_contract_side_of_the_workflow_is_written_once():
         "the escrow deploy and the two authority calls live in one module "
         f"both front-ends inherit (core/workflow.py), found: {found}"
     )
+
+
+def _fault_paths(nodes):
+    """(what, line) for each ``STORE_FAULTS[`` lookup and each use or
+    definition of a retired overlay fault verb."""
+    for node in nodes:
+        if (
+            isinstance(node, ast.Subscript)
+            and getattr(node.value, "id", None) == "STORE_FAULTS"
+        ):
+            yield "STORE_FAULTS[", node.lineno
+        name = getattr(node, "attr", getattr(node, "name", getattr(node, "id", None)))
+        if name in RETIRED_FAULT_VERBS:
+            yield name, node.lineno
+
+
+def test_one_chaos_plane(src_modules):
+    found = [
+        (source.module, what)
+        for source in src_modules
+        for what, _ in _fault_paths(source.nodes)
+    ]
+    assert found == [(module, "STORE_FAULTS[") for module in STORE_FAULT_APPLIERS], (
+        "a fault reaches a node through the engine's verbs only "
+        "(fleet.crash / restart / inject_store_fault), and a store fault "
+        f"is looked up in one place: {found}"
+    )
+
+
+def test_the_chaos_plane_walk_sees_what_it_guards():
+    gone = ast.parse(
+        "STORE_FAULTS[event.kind.value](store, *event.params)\n"
+        "network.crash_node(name)\n"
+        "def restart_node(self, name):\n"
+        "    self._nodes[name].restart()\n"
+    )
+    assert sorted(what for what, _ in _fault_paths(ast.walk(gone))) == [
+        "STORE_FAULTS[", "crash_node", "restart_node"
+    ]
+    kept = ast.parse("fleet.crash(name)\nSTORE_FAULTS.items()\nkind in STORE_FAULTS\n")
+    assert not list(_fault_paths(ast.walk(kept)))

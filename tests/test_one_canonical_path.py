@@ -13,10 +13,6 @@ table of disk frames in append order; neither is fork choice.)
 """
 
 import ast
-import functools
-import pathlib
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Names the four private copies went by; none may come back.
 RETIRED = {
@@ -39,48 +35,45 @@ WALKERS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _trees():
-    """module -> parsed source, for every module under ``src/repro``."""
-    return {
-        path.relative_to(SRC).as_posix(): ast.parse(path.read_text(), str(path))
-        for path in sorted(SRC.rglob("*.py"))
-    }
-
-
-def _functions():
-    for module, tree in _trees().items():
-        for node in ast.walk(tree):
+def _functions(src_modules):
+    for source in src_modules:
+        for node in source.nodes:
             if isinstance(node, ast.FunctionDef):
-                yield module, node
+                yield source.module, node
 
 
-def _names(tree):
-    for node in ast.walk(tree):
+def _names(nodes):
+    for node in nodes:
         for field in ("id", "attr", "name", "arg"):
             value = getattr(node, field, None)
             if isinstance(value, str):
                 yield value
 
 
-def _parent_walkers():
+def _walks_parents(node) -> bool:
+    return isinstance(node, ast.While) and "prev_block_id" in _names(ast.walk(node))
+
+
+def _parent_walkers(src_modules):
     found = {}
-    for module, function in _functions():
+    for module, function in _functions(src_modules):
         for node in ast.walk(function):
-            if isinstance(node, ast.While) and "prev_block_id" in _names(node):
+            if _walks_parents(node):
                 found.setdefault(module, set()).add(function.name)
     return found
 
 
-def _function(module: str, name: str) -> ast.FunctionDef:
-    return next(f for m, f in _functions() if m == module and f.name == name)
+def _function(src_modules, module: str, name: str) -> ast.FunctionDef:
+    return next(
+        f for m, f in _functions(src_modules) if m == module and f.name == name
+    )
 
 
-def test_no_copy_of_the_path_is_defined_anywhere():
+def test_no_copy_of_the_path_is_defined_anywhere(src_modules):
     offenders = sorted(
-        f"src/repro/{module}: {name}"
-        for module, tree in _trees().items()
-        for name in RETIRED & set(_names(tree))
+        f"src/repro/{source.module}: {name}"
+        for source in src_modules
+        for name in RETIRED & set(_names(source.nodes))
     )
     assert not offenders, (
         "ask the chain (block_at_height / is_canonical / iter_canonical) "
@@ -88,17 +81,17 @@ def test_no_copy_of_the_path_is_defined_anywhere():
     )
 
 
-def test_only_the_chain_walks_down_from_a_head():
-    assert _parent_walkers() == WALKERS, (
+def test_only_the_chain_walks_down_from_a_head(src_modules):
+    assert _parent_walkers(src_modules) == WALKERS, (
         "a walk through .header.prev_block_id re-derives the canonical "
         "path the chain already keeps"
     )
 
 
-def test_the_walk_sees_what_it_guards():
+def test_the_walk_sees_what_it_guards(src_modules):
     # The detector is not vacuous: it finds the two walks that stay, in
     # the source as written ...
-    found = _parent_walkers()
+    found = _parent_walkers(src_modules)
     assert "_reroot" in found["chain/chain.py"]
     assert "resync_from" in found["core/distributed.py"]
     # ... and the shape the deleted copies had.
@@ -108,17 +101,14 @@ def test_the_walk_sees_what_it_guards():
         "    while block.height > tip:\n"
         "        block = self.chain.get_block(block.header.prev_block_id)\n"
     )
-    assert any(
-        isinstance(node, ast.While) and "prev_block_id" in _names(node)
-        for node in ast.walk(gone)
-    )
-    assert RETIRED & set(_names(ast.parse("self._height_ids = []")))
+    assert any(_walks_parents(node) for node in ast.walk(gone))
+    assert RETIRED & set(_names(ast.walk(ast.parse("self._height_ids = []"))))
 
 
-def test_height_lookups_on_the_chain_do_not_loop():
+def test_height_lookups_on_the_chain_do_not_loop(src_modules):
     loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp)
     for name in ("block_at_height", "is_canonical"):
-        function = _function("chain/chain.py", name)
+        function = _function(src_modules, "chain/chain.py", name)
         assert not any(isinstance(node, loops) for node in ast.walk(function)), name
         # ... and do not delegate to something that might.
         calls = {

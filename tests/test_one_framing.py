@@ -10,9 +10,6 @@ that has to name two error roots again.
 """
 
 import ast
-import pathlib
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Modules that may slice a length out of a buffer inside a loop.
 WALKERS = {
@@ -25,12 +22,6 @@ CHECKSUMMERS = {"store/frames.py"}
 DELETED_NAMES = ("_indexed_frames", "on_payload")
 
 
-def _modules():
-    for path in sorted(SRC.rglob("*.py")):
-        text = path.read_text()
-        yield path.relative_to(SRC).as_posix(), text, ast.parse(text, filename=str(path))
-
-
 def _is_call(node, owner: str, name: str) -> bool:
     return (
         isinstance(node, ast.Call)
@@ -40,7 +31,7 @@ def _is_call(node, owner: str, name: str) -> bool:
     )
 
 
-def _length_reads(tree):
+def _length_reads(nodes):
     """Lines of a while/for that read a length out of a buffer at an offset.
 
     Two spellings: ``int.from_bytes(buffer[a:b], ...)`` and a
@@ -49,7 +40,7 @@ def _length_reads(tree):
     ``iter_unpack`` over fixed-width rows takes no offset and is no walk.
     """
     unpackers = {"unpack_from"}
-    for node in ast.walk(tree):
+    for node in nodes:
         if (
             isinstance(node, ast.Assign)
             and isinstance(node.value, ast.Attribute)
@@ -58,7 +49,7 @@ def _length_reads(tree):
             unpackers.update(
                 target.id for target in node.targets if isinstance(target, ast.Name)
             )
-    for loop in ast.walk(tree):
+    for loop in nodes:
         if not isinstance(loop, (ast.While, ast.For)):
             continue
         for node in ast.walk(loop):
@@ -76,24 +67,24 @@ def _length_reads(tree):
                 yield node.lineno
 
 
-def _length_reads_in_loops():
-    for module, _, tree in _modules():
-        for line in _length_reads(tree):
-            yield module, line
+def _length_reads_in_loops(src_modules):
+    for source in src_modules:
+        for line in _length_reads(source.nodes):
+            yield source.module, line
 
 
-def _checksum_calls():
-    for module, _, tree in _modules():
-        for node in ast.walk(tree):
+def _checksum_calls(src_modules):
+    for source in src_modules:
+        for node in source.nodes:
             if _is_call(node, "zlib", "crc32"):
-                yield module, node.lineno
+                yield source.module, node.lineno
 
 
-def test_only_the_codec_walks_length_prefixes():
+def test_only_the_codec_walks_length_prefixes(src_modules):
     strays = sorted(
         {
             f"src/repro/{module}:{line}"
-            for module, line in _length_reads_in_loops()
+            for module, line in _length_reads_in_loops(src_modules)
             if module not in WALKERS
         }
     )
@@ -104,10 +95,10 @@ def test_only_the_codec_walks_length_prefixes():
     )
 
 
-def test_only_the_frame_module_checksums():
+def test_only_the_frame_module_checksums(src_modules):
     strays = [
         f"src/repro/{module}:{line}"
-        for module, line in _checksum_calls()
+        for module, line in _checksum_calls(src_modules)
         if module not in CHECKSUMMERS
     ]
     assert not strays, (
@@ -116,9 +107,9 @@ def test_only_the_frame_module_checksums():
     )
 
 
-def test_the_walk_sees_what_it_guards():
-    assert {module for module, _ in _length_reads_in_loops()} == WALKERS
-    assert {module for module, _ in _checksum_calls()} == CHECKSUMMERS
+def test_the_walk_sees_what_it_guards(src_modules):
+    assert {module for module, _ in _length_reads_in_loops(src_modules)} == WALKERS
+    assert {module for module, _ in _checksum_calls(src_modules)} == CHECKSUMMERS
 
 
 def test_the_walk_sees_every_spelling_of_a_length_read():
@@ -141,13 +132,13 @@ def not_walkers(buffer, rows):
         int.from_bytes(buffer, "big")
     return _U16(buffer, 0)
 """
-    assert list(_length_reads(ast.parse(source))) == [8, 10, 12, 14]
+    assert list(_length_reads(tuple(ast.walk(ast.parse(source))))) == [8, 10, 12, 14]
 
 
-def test_no_handler_names_two_error_roots():
+def test_no_handler_names_two_error_roots(src_modules):
     strays = []
-    for module, _, tree in _modules():
-        for node in ast.walk(tree):
+    for module, _, _, nodes in src_modules:
+        for node in nodes:
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 caught = {
                     getattr(name, "id", getattr(name, "attr", None))
@@ -162,10 +153,10 @@ def test_no_handler_names_two_error_roots():
     )
 
 
-def test_the_callback_scanner_stays_deleted():
+def test_the_callback_scanner_stays_deleted(src_modules):
     strays = [
         f"src/repro/{module}: {name}"
-        for module, text, _ in _modules()
+        for module, text, _, _ in src_modules
         for name in DELETED_NAMES
         if name in text
     ]

@@ -14,10 +14,7 @@ liveness rule, its own map or its own payload codec.
 """
 
 import ast
-import pathlib
 import random
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Who may construct a ChainIndex: the service (cold build) and the
 #: persistence module (warm start, called by the service).
@@ -45,11 +42,10 @@ RECORD_WRITERS = {"core/reports.py", "experiments/ablations.py"}
 PAYLOAD_KINDS = {"SRA", "INITIAL_REPORT", "DETAILED_REPORT"}
 
 
-def _nodes():
-    for path in sorted(SRC.rglob("*.py")):
-        module = path.relative_to(SRC).as_posix()
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            yield module, node
+def _nodes(src_modules):
+    for source in src_modules:
+        for node in source.nodes:
+            yield source.module, node
 
 
 def _decodes_a_payload(node) -> bool:
@@ -78,10 +74,10 @@ def _callee(node: ast.Call) -> str:
     return getattr(func, "id", getattr(func, "attr", ""))
 
 
-def test_only_the_service_builds_an_index():
+def test_only_the_service_builds_an_index(src_modules):
     builders = {
         module
-        for module, node in _nodes()
+        for module, node in _nodes(src_modules)
         if isinstance(node, ast.Call) and _callee(node) == "ChainIndex"
     }
     assert builders == INDEX_BUILDERS, (
@@ -90,9 +86,9 @@ def test_only_the_service_builds_an_index():
     )
 
 
-def test_liveness_and_record_location_are_defined_once():
+def test_liveness_and_record_location_are_defined_once(src_modules):
     defined = {name: set() for name in SINGLE_DEFINITIONS}
-    for module, node in _nodes():
+    for module, node in _nodes(src_modules):
         if isinstance(node, ast.FunctionDef) and node.name in defined:
             defined[node.name].add(module)
     assert defined == {
@@ -100,18 +96,24 @@ def test_liveness_and_record_location_are_defined_once():
     }, f"one owner each, found: {defined}"
 
 
-def test_record_payloads_are_decoded_by_the_codec_only():
+def test_record_payloads_are_decoded_by_the_codec_only(src_modules):
     # Attribute access, not just calls: ``decode = X.from_payload`` is
     # a decoder too.
-    decoders = {module for module, node in _nodes() if _decodes_a_payload(node)}
+    decoders = {
+        module for module, node in _nodes(src_modules) if _decodes_a_payload(node)
+    }
     assert decoders == PAYLOAD_DECODERS, (
         "read a record's SRA / R† / R* with core.reports.decode_payload "
         f"(None when it does not decode); from_payload is used in {sorted(decoders)}"
     )
 
 
-def test_payload_records_are_built_by_the_codec_only():
-    writers = {module for module, node in _nodes() if _writes_a_payload_record(node)}
+def test_payload_records_are_built_by_the_codec_only(src_modules):
+    writers = {
+        module
+        for module, node in _nodes(src_modules)
+        if _writes_a_payload_record(node)
+    }
     assert writers <= RECORD_WRITERS, (
         "build an SRA / R† / R* record with core.reports.to_record; "
         f"ChainRecord(kind=RecordKind.…) is written in {sorted(writers)}"
@@ -165,10 +167,10 @@ def test_the_decoder_calls_the_classmethod_on_the_class(monkeypatch):
     assert to_record(report, record.fee, record.sender) == record
 
 
-def test_nothing_under_src_scans_the_confirmed_records():
+def test_nothing_under_src_scans_the_confirmed_records(src_modules):
     scanners = [
         f"src/repro/{module}:{node.lineno}"
-        for module, node in _nodes()
+        for module, node in _nodes(src_modules)
         if isinstance(node, ast.Call) and _callee(node) == "confirmed_records"
     ]
     assert not scanners, (
@@ -177,12 +179,13 @@ def test_nothing_under_src_scans_the_confirmed_records():
     )
 
 
-def test_the_provider_builds_nothing_per_consumer_query():
-    source = (SRC / "core" / "stakeholders.py").read_text()
+def test_the_provider_builds_nothing_per_consumer_query(src_modules):
     handler = next(
         node
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef) and node.name == "_on_consumer_query"
+        for module, node in _nodes(src_modules)
+        if module == "core/stakeholders.py"
+        and isinstance(node, ast.FunctionDef)
+        and node.name == "_on_consumer_query"
     )
     unguarded = [
         _callee(node)

@@ -32,8 +32,10 @@ previous read.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.chain import Blockchain
@@ -101,12 +103,10 @@ class IndexState:
     The warm-start unit: :meth:`ChainIndex.dump_state` captures it,
     :mod:`repro.query.persistence` serializes it through the store
     layer, and ``ChainIndex(chain, state=...)`` adopts it and replays
-    only the blocks above ``tip_height``.  The derived posting maps
-    (by-system, by-severity, ...) ride along as plain entry-ordinal
-    lists: adoption is then a bulk copy instead of a per-entry re-filing
-    pass, and because they are part of the state, the warm-vs-cold
-    ``dump_state`` parity checks cover any drift between the persisted
-    maps and the live filing logic.
+    only the blocks above ``tip_height``.  The posting maps (by-system,
+    by-severity, ...) are not part of it: the entry lists determine
+    them, and adoption derives them through the same filing code a
+    cold build runs.
     """
 
     #: The last canonical block folded in (-1 / None: none yet).
@@ -116,16 +116,9 @@ class IndexState:
     confirmed_height: int
     confirmed_block_id: Optional[bytes]
     sras: List[SraEntry]
+    #: In chain order, (height, index_in_block).
     reports: List[ReportEntry]
     pending_reports: List[Tuple[int, int, DetailedReport]]
-    #: Posting maps: values are ordinals into ``sras`` / ``reports``.
-    sras_by_release: Dict[Tuple[str, str], List[int]]
-    sras_by_provider: Dict[str, List[int]]
-    reports_by_system: Dict[str, List[int]]
-    reports_by_provider: Dict[str, List[int]]
-    reports_by_severity: Dict[Severity, List[int]]
-    reports_by_detector: Dict[str, List[int]]
-    reports_by_sra: Dict[bytes, List[int]]
 
 
 class ChainIndex:
@@ -173,15 +166,9 @@ class ChainIndex:
         self._confirmed_block_id: Optional[bytes] = None
         self._sras: Dict[bytes, SraEntry] = {}
         self._sras_in_order: List[SraEntry] = []
-        self._sras_by_release: Dict[Tuple[str, str], List[int]] = {}
-        self._sras_by_provider: Dict[str, List[int]] = {}
         self._reports: List[ReportEntry] = []
-        self._reports_by_system: Dict[str, List[int]] = {}
-        self._reports_by_provider: Dict[str, List[int]] = {}
-        self._reports_by_severity: Dict[Severity, List[int]] = {}
-        self._reports_by_detector: Dict[str, List[int]] = {}
-        self._reports_by_sra: Dict[bytes, List[int]] = {}
         self._pending_reports: List[Tuple[int, int, DetailedReport]] = []
+        self._derive_maps()
 
     # -- warm start ---------------------------------------------------------
 
@@ -191,9 +178,6 @@ class ChainIndex:
         The capture is taken as-is, *without* refreshing first: callers
         persist the view they have been serving.
         """
-        def copied(mapping):
-            return {key: list(value) for key, value in mapping.items()}
-
         return IndexState(
             tip_height=self._tip_height,
             tip_block_id=self._tip_block_id,
@@ -203,25 +187,16 @@ class ChainIndex:
             sras=list(self._sras_in_order),
             reports=list(self._reports),
             pending_reports=list(self._pending_reports),
-            sras_by_release=copied(self._sras_by_release),
-            sras_by_provider=copied(self._sras_by_provider),
-            reports_by_system=copied(self._reports_by_system),
-            reports_by_provider=copied(self._reports_by_provider),
-            reports_by_severity=copied(self._reports_by_severity),
-            reports_by_detector=copied(self._reports_by_detector),
-            reports_by_sra=copied(self._reports_by_sra),
         )
 
     def _adopt_state(self, state: IndexState) -> None:
         """Rebuild the internal structures from a persisted state.
 
-        The posting maps travel inside the state as ordinal lists, so
-        adoption is a bulk copy; the follow-up :meth:`refresh` replays
-        only the chain delta above ``state.tip_height`` (or falls into
-        the ordinary reorg guard if that tip was abandoned while the
-        index was cold).
+        The posting maps are derived from the adopted entry lists; the
+        follow-up :meth:`refresh` replays only the chain delta above
+        ``state.tip_height`` (or falls into the ordinary reorg guard if
+        that tip was abandoned while the index was cold).
         """
-        self._reset()
         self._tip_height = state.tip_height
         self._tip_block_id = state.tip_block_id
         self._sender_counts = dict(state.sender_counts)
@@ -230,18 +205,8 @@ class ChainIndex:
         self._sras_in_order = list(state.sras)
         self._sras = {entry[0]: entry for entry in self._sras_in_order}
         self._reports = list(state.reports)
-
-        def copied(mapping):
-            return {key: list(value) for key, value in mapping.items()}
-
-        self._sras_by_release = copied(state.sras_by_release)
-        self._sras_by_provider = copied(state.sras_by_provider)
-        self._reports_by_system = copied(state.reports_by_system)
-        self._reports_by_provider = copied(state.reports_by_provider)
-        self._reports_by_severity = copied(state.reports_by_severity)
-        self._reports_by_detector = copied(state.reports_by_detector)
-        self._reports_by_sra = copied(state.reports_by_sra)
         self._pending_reports = list(state.pending_reports)
+        self._derive_maps()
 
     def refresh(self) -> None:
         """Fold head movement since the last refresh into every index."""
@@ -308,11 +273,9 @@ class ChainIndex:
             height=height,
             index_in_block=position,
         )
-        index = len(self._sras_in_order)
+        self._post_sras(len(self._sras_in_order), (entry,))
         self._sras_in_order.append(entry)
         self._sras[entry.sra_id] = entry
-        self._sras_by_release.setdefault(entry.release_key, []).append(index)
-        self._sras_by_provider.setdefault(entry.provider_id, []).append(index)
         if self._pending_reports:
             # A report can only be parked while its SRA is unseen;
             # retry the queue now that a new SRA landed.
@@ -329,7 +292,10 @@ class ChainIndex:
         it, so in practice reports resolve in chain order; a report
         whose SRA is not yet indexed waits and is retried when the next
         SRA lands — matching the two-pass full scan, which resolves
-        such reports regardless of record order.
+        such reports regardless of record order.  ``_reports`` stays in
+        chain order either way: a parked report is inserted at its
+        location, and the report postings, whose ordinals moved, are
+        derived again.
         """
         sra = self._sras.get(report.sra_id)
         if sra is None:
@@ -347,14 +313,50 @@ class ChainIndex:
             height=height,
             index_in_block=position,
         )
-        index = len(self._reports)
-        self._reports.append(entry)
-        self._reports_by_system.setdefault(entry.system_name, []).append(index)
-        self._reports_by_provider.setdefault(entry.provider_id, []).append(index)
-        self._reports_by_detector.setdefault(entry.detector_id, []).append(index)
-        self._reports_by_sra.setdefault(entry.sra_id, []).append(index)
-        for severity in set(entry.severities):
-            self._reports_by_severity.setdefault(severity, []).append(index)
+        reports = self._reports
+        if reports and reports[-1].location > entry.location:
+            insort(reports, entry, key=attrgetter("height", "index_in_block"))
+            self._derive_maps()
+        else:
+            self._post_reports(len(reports), (entry,))
+            reports.append(entry)
+
+    # -- posting maps: written here and nowhere else ------------------------
+
+    def _derive_maps(self) -> None:
+        """Post every entry afresh (reset, warm start, a late report)."""
+        self._sras_by_release: Dict[Tuple[str, str], List[int]] = {}
+        self._sras_by_provider: Dict[str, List[int]] = {}
+        self._reports_by_system: Dict[str, List[int]] = {}
+        self._reports_by_provider: Dict[str, List[int]] = {}
+        self._reports_by_severity: Dict[Severity, List[int]] = {}
+        self._reports_by_detector: Dict[str, List[int]] = {}
+        self._reports_by_sra: Dict[bytes, List[int]] = {}
+        self._post_sras(0, self._sras_in_order)
+        self._post_reports(0, self._reports)
+
+    def _post_sras(self, start: int, entries: Iterable[SraEntry]) -> None:
+        """File ``entries`` under ordinals ``start, start + 1, ...``."""
+        by_release = self._sras_by_release
+        by_provider = self._sras_by_provider
+        for index, entry in enumerate(entries, start):
+            by_release.setdefault(entry.release_key, []).append(index)
+            by_provider.setdefault(entry.provider_id, []).append(index)
+
+    def _post_reports(self, start: int, entries: Iterable[ReportEntry]) -> None:
+        """File ``entries`` under ordinals ``start, start + 1, ...``."""
+        by_system = self._reports_by_system
+        by_provider = self._reports_by_provider
+        by_severity = self._reports_by_severity
+        by_detector = self._reports_by_detector
+        by_sra = self._reports_by_sra
+        for index, entry in enumerate(entries, start):
+            by_system.setdefault(entry.system_name, []).append(index)
+            by_provider.setdefault(entry.provider_id, []).append(index)
+            by_detector.setdefault(entry.detector_id, []).append(index)
+            by_sra.setdefault(entry.sra_id, []).append(index)
+            for severity in set(entry.severities):
+                by_severity.setdefault(severity, []).append(index)
 
     def _hit(self) -> None:
         if self.telemetry.enabled:
@@ -387,14 +389,15 @@ class ChainIndex:
         candidates: Optional[set] = None
         if provider is not None:
             candidates = set(self._sras_by_provider.get(provider, ()))
-        if system is not None:
-            if version is not None:
+        if system is not None or version is not None:
+            if system is not None and version is not None:
                 matches = set(self._sras_by_release.get((system, version), ()))
             else:
+                # Half a release is given: match on that half.
                 matches = {
                     index
-                    for key, indices in self._sras_by_release.items()
-                    if key[0] == system
+                    for (name, release), indices in self._sras_by_release.items()
+                    if name == system or release == version
                     for index in indices
                 }
             candidates = matches if candidates is None else candidates & matches
@@ -412,9 +415,11 @@ class ChainIndex:
     ) -> List[ReportEntry]:
         """Confirmed detailed reports matching every given filter.
 
-        Results come back in chain order (height, index-in-block); the
-        filters intersect, so ``reports(system=..., severity=...)`` is
-        "reports against this system that mention this severity".
+        Results come back in chain order (height, index-in-block):
+        the entries are filed in that order, so sorting the matching
+        ordinals is the only sort.  The filters intersect, so
+        ``reports(system=..., severity=...)`` is "reports against this
+        system that mention this severity".
         """
         self.refresh()
         self._hit()
@@ -433,10 +438,8 @@ class ChainIndex:
             matches = set(bucket.get(key, ()))
             candidates = matches if candidates is None else candidates & matches
         if candidates is None:
-            entries = list(self._reports)
-        else:
-            entries = [self._reports[index] for index in sorted(candidates)]
-        return sorted(entries, key=lambda entry: entry.location)
+            return list(self._reports)
+        return [self._reports[index] for index in sorted(candidates)]
 
 
 class EventIndex:

@@ -130,56 +130,6 @@ def _u32_list(blob: bytes, what: str) -> Tuple[int, ...]:
     return struct.unpack(f">{len(blob) // 4}I", blob)
 
 
-def _encode_ordinal_map(mapping, refs_for_key) -> bytes:
-    """A posting map as one u32 array.
-
-    Layout: key count, then the key refs, then one posting-list length
-    per key, then every posting list concatenated — a single
-    ``struct.pack``/``unpack`` pair each way.
-    """
-    key_refs: List[int] = []
-    counts: List[int] = []
-    flat: List[int] = []
-    for key, ordinals in mapping.items():
-        key_refs.extend(refs_for_key(key))
-        counts.append(len(ordinals))
-        flat.extend(ordinals)
-    total = 1 + len(key_refs) + len(counts) + len(flat)
-    return struct.pack(f">{total}I", len(counts), *key_refs, *counts, *flat)
-
-
-def _decode_ordinal_map(blob, resolve_keys, refs_per_key, limit, what):
-    """Inverse of :func:`_encode_ordinal_map`.
-
-    ``resolve_keys`` turns the whole key-ref array into the key list in
-    one bulk call; ``limit`` bounds every ordinal (they index into the
-    entry list the map points at).
-    """
-    array = _u32_list(blob, what)
-    if not array:
-        raise CodecError(f"{what} posting map is truncated")
-    key_count = array[0]
-    keys_end = 1 + key_count * refs_per_key
-    counts_end = keys_end + key_count
-    if counts_end > len(array):
-        raise CodecError(f"{what} keys disagree with the count array")
-    counts = array[keys_end:counts_end]
-    flat = array[counts_end:]
-    if sum(counts) != len(flat):
-        raise CodecError(f"{what} posting lists disagree with the ordinals")
-    if flat and max(flat) >= limit:
-        raise CodecError(f"{what} posting list names a missing entry")
-    keys = resolve_keys(array[1:keys_end])
-    mapping = {}
-    at = 0
-    for key, count in zip(keys, counts):
-        mapping[key] = list(flat[at : at + count])
-        at += count
-    if len(mapping) != key_count:
-        raise CodecError(f"{what} holds a duplicate key")
-    return mapping
-
-
 def encode_index_state(state: IndexState) -> bytes:
     """Serialize an :class:`IndexState` into the envelope body."""
     if state.tip_block_id is None or len(state.tip_block_id) != 32:
@@ -232,38 +182,6 @@ def encode_index_state(state: IndexState) -> bytes:
         )
         severity_refs.extend(intern(s.value) for s in entry.severities)
         key_refs.extend(intern(k) for k in entry.vulnerability_keys)
-    sra_ordinals = {entry.sra_id: at for at, entry in enumerate(state.sras)}
-
-    def sra_key_refs(sra_id: bytes) -> Tuple[int]:
-        ordinal = sra_ordinals.get(sra_id)
-        if ordinal is None:
-            raise CodecError("by-SRA posting map names an unknown SRA")
-        return (ordinal,)
-
-    maps = pack(
-        [
-            _encode_ordinal_map(
-                state.sras_by_release,
-                lambda key: (intern(key[0]), intern(key[1])),
-            ),
-            _encode_ordinal_map(
-                state.sras_by_provider, lambda key: (intern(key),)
-            ),
-            _encode_ordinal_map(
-                state.reports_by_system, lambda key: (intern(key),)
-            ),
-            _encode_ordinal_map(
-                state.reports_by_provider, lambda key: (intern(key),)
-            ),
-            _encode_ordinal_map(
-                state.reports_by_severity, lambda key: (intern(key.value),)
-            ),
-            _encode_ordinal_map(
-                state.reports_by_detector, lambda key: (intern(key),)
-            ),
-            _encode_ordinal_map(state.reports_by_sra, sra_key_refs),
-        ]
-    )
     return pack(
         [
             state.tip_height.to_bytes(8, "big"),
@@ -290,7 +208,6 @@ def encode_index_state(state: IndexState) -> bytes:
                     for height, position, report in state.pending_reports
                 ]
             ),
-            maps,
         ]
     )
 
@@ -309,8 +226,7 @@ def decode_index_state(body: bytes) -> IndexState:
         severity_blob,
         key_blob,
         pending_blob,
-        maps_blob,
-    ) = unpack(body, 12)
+    ) = unpack(body, 11)
     if (len(tip_height), len(tip_block_id)) != (8, 32):
         raise CodecError("index tip field has the wrong width")
     if len(sender_blob) % _SENDER_ROW.size:
@@ -390,53 +306,6 @@ def decode_index_state(body: bytes) -> IndexState:
             key_at += n_keys
         if severity_at != len(severities) or key_at != len(keys):
             raise CodecError("report rows disagree with the reference arrays")
-        (
-            release_blob,
-            sra_provider_blob,
-            system_blob,
-            provider_blob,
-            by_severity_blob,
-            detector_blob,
-            by_sra_blob,
-        ) = unpack(maps_blob, 7)
-        def strings(refs):
-            return [table[ref] for ref in refs]
-
-        sras_by_release = _decode_ordinal_map(
-            release_blob,
-            lambda refs: list(
-                zip(strings(refs[0::2]), strings(refs[1::2]))
-            ),
-            2,
-            len(sras),
-            "by-release",
-        )
-        sras_by_provider = _decode_ordinal_map(
-            sra_provider_blob, strings, 1, len(sras), "SRAs-by-provider"
-        )
-        reports_by_system = _decode_ordinal_map(
-            system_blob, strings, 1, len(reports), "by-system"
-        )
-        reports_by_provider = _decode_ordinal_map(
-            provider_blob, strings, 1, len(reports), "reports-by-provider"
-        )
-        reports_by_severity = _decode_ordinal_map(
-            by_severity_blob,
-            lambda refs: [Severity(table[ref]) for ref in refs],
-            1,
-            len(reports),
-            "by-severity",
-        )
-        reports_by_detector = _decode_ordinal_map(
-            detector_blob, strings, 1, len(reports), "by-detector"
-        )
-        reports_by_sra = _decode_ordinal_map(
-            by_sra_blob,
-            lambda refs: [sras[ref][0] for ref in refs],
-            1,
-            len(reports),
-            "by-SRA",
-        )
         pending: List[Tuple[int, int, DetailedReport]] = []
         for blob in unpack_all(pending_blob):
             height_bytes, position_bytes, payload = unpack(blob, 3)
@@ -462,13 +331,6 @@ def decode_index_state(body: bytes) -> IndexState:
         sras=sras,
         reports=reports,
         pending_reports=pending,
-        sras_by_release=sras_by_release,
-        sras_by_provider=sras_by_provider,
-        reports_by_system=reports_by_system,
-        reports_by_provider=reports_by_provider,
-        reports_by_severity=reports_by_severity,
-        reports_by_detector=reports_by_detector,
-        reports_by_sra=reports_by_sra,
     )
 
 

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 INDEX_FILE_NAME = "index.snap"
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 
 _MAGIC = b"QIDX"
 

@@ -110,19 +110,31 @@ def make_mixed_records(
     count: int,
     sra_ids: List[bytes],
     tag_start: int,
+    late_sras: Optional[List[ChainRecord]] = None,
 ) -> Tuple[ChainRecord, ...]:
     """``count`` records mixing transactions, SRAs, and reports.
 
     New SRA ids are appended to ``sra_ids`` so later blocks can file
-    reports against earlier releases, like the platform does.
+    reports against earlier releases, like the platform does.  With a
+    ``late_sras`` list each new SRA is withheld there instead, a report
+    against it taking its place, and lands in a later record (a fifth
+    of the slots release the oldest one); without the list the draws
+    are exactly those of the platform-shaped history.
     """
     records: List[ChainRecord] = []
     for offset in range(count):
         tag = tag_start + offset
+        if late_sras and rng.random() < 0.2:
+            records.append(late_sras.pop(0))
+            continue
         roll = rng.random()
         if roll < 0.25:
             record = make_sra_record(rng, tag)
             sra_ids.append(record.record_id)
+            if late_sras is not None:
+                # Withheld: a report against it takes its place.
+                late_sras.append(record)
+                record = make_report_record(rng, record.record_id, tag)
         elif roll < 0.55 and sra_ids:
             record = make_report_record(rng, rng.choice(sra_ids), tag)
         else:
@@ -138,15 +150,25 @@ def extend_mixed(
     records_per_block: int,
     sra_ids: List[bytes],
     parent: Optional[Block] = None,
+    late_sras: Optional[List[ChainRecord]] = None,
 ) -> List[Block]:
-    """Append ``blocks`` mixed-record blocks (optionally as a fork)."""
+    """Append ``blocks`` mixed-record blocks (optionally as a fork).
+
+    ``late_sras``: opt in to SRAs placed after reports filed against
+    them (see :func:`make_mixed_records`); the list carries the
+    withheld ones from one call to the next.
+    """
     added: List[Block] = []
     head = parent if parent is not None else chain.head
     for _ in range(blocks):
         # 60-bit tags: unique for all practical purposes, deterministic
         # per seed (so hypothesis failures replay exactly).
         records = make_mixed_records(
-            rng, records_per_block, sra_ids, tag_start=rng.getrandbits(60)
+            rng,
+            records_per_block,
+            sra_ids,
+            tag_start=rng.getrandbits(60),
+            late_sras=late_sras,
         )
         block = Block.assemble(
             head.block_id,
@@ -260,6 +282,36 @@ def full_scan_reports(
             continue
         matches.append((height, position, record.record_id))
     return matches
+
+
+def full_scan_sras(
+    chain: Blockchain,
+    provider: Optional[str] = None,
+    system: Optional[str] = None,
+    version: Optional[str] = None,
+) -> List[Tuple[int, int, bytes]]:
+    """Confirmed SRAs matching every given filter, as (height,
+    index_in_block, sra_id) triples in chain order."""
+    matches: List[Tuple[int, int, bytes]] = []
+    for block in chain.iter_canonical():
+        if not chain.is_confirmed(block.block_id):
+            continue
+        for position, record in enumerate(block.records):
+            if record.kind != RecordKind.SRA:
+                continue
+            body = SignedSRA.from_payload(record.payload).body
+            if (
+                provider in (None, body.provider_id)
+                and system in (None, body.system_name)
+                and version in (None, body.system_version)
+            ):
+                matches.append((block.height, position, record.record_id))
+    return matches
+
+
+def sra_identities(entries: Sequence) -> List[Tuple[int, int, bytes]]:
+    """Project index SraEntry results onto :func:`full_scan_sras`'s."""
+    return [(entry.height, entry.index_in_block, entry.sra_id) for entry in entries]
 
 
 def _confirmed_decoded(chain: Blockchain, kind: RecordKind, decode) -> list:

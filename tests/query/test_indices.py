@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.query import ChainIndex, EventIndex
+from repro.query import ChainIndex, EventIndex, QueryRequest, QueryService
 from repro.telemetry import Telemetry
 
 from tests.query.conftest import (
@@ -17,7 +17,9 @@ from tests.query.conftest import (
     full_scan_locate,
     full_scan_reports,
     full_scan_sender_count,
+    full_scan_sras,
     report_identities,
+    sra_identities,
 )
 
 
@@ -162,6 +164,30 @@ class TestConfirmedReportIndices:
         )
         assert one in narrowed
         assert index.sras(system="no-such") == []
+
+    def test_every_sra_filter_narrows(self):
+        # A version given without a system once narrowed nothing: both
+        # the index and the served get_sras returned every SRA.
+        chain, _ = build_mixed_chain(seed=47, blocks=16)
+        index = ChainIndex(chain)
+        service = QueryService(chain=chain)
+        everything = index.sras()
+        assert len(everything) == 9
+        for one in everything:
+            for filters in (
+                {"version": one.system_version},
+                {"system": one.system_name},
+                {"provider": one.provider_id},
+                {"provider": one.provider_id, "version": one.system_version},
+                {"system": one.system_name, "version": one.system_version},
+                {"provider": "no-such", "version": one.system_version},
+                {"system": "no-such", "version": one.system_version},
+            ):
+                expected = full_scan_sras(chain, **filters)
+                assert sra_identities(index.sras(**filters)) == expected
+                served = service.serve(QueryRequest.get_sras(**filters, limit=50))
+                assert sra_identities(served.result["rows"]) == expected
+            assert len(index.sras(version=one.system_version)) == 1
 
 
 class TestEventIndex:

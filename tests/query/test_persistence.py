@@ -46,10 +46,34 @@ from tests.query.conftest import (
 
 
 def assert_bit_identical(warm: ChainIndex, cold: ChainIndex, chain) -> None:
-    """The whole query surface must agree, not just the tip."""
+    """The whole query surface must agree, not just the tip.
+
+    The posting maps are derived, not persisted, so ``dump_state()``
+    equality does not cover them: every key the cold index files a
+    report or an SRA under is asked of both.
+    """
     assert warm.dump_state() == cold.dump_state()
-    assert warm.reports() == cold.reports()
-    assert warm.sras() == cold.sras()
+    reports = cold.reports()
+    assert warm.reports() == reports
+    for field, keys in (
+        ("system", {entry.system_name for entry in reports}),
+        ("provider", {entry.provider_id for entry in reports}),
+        ("severity", {s for entry in reports for s in entry.severities}),
+        ("detector", {entry.detector_id for entry in reports}),
+        ("sra_id", {entry.sra_id for entry in reports}),
+    ):
+        for key in keys:
+            assert warm.reports(**{field: key}) == cold.reports(**{field: key})
+    sras = cold.sras()
+    assert warm.sras() == sras
+    for entry in sras:
+        for filters in (
+            {"provider": entry.provider_id},
+            {"system": entry.system_name},
+            {"version": entry.system_version},
+            {"system": entry.system_name, "version": entry.system_version},
+        ):
+            assert warm.sras(**filters) == cold.sras(**filters)
     for sender in SENDERS:
         assert warm.sender_count(sender) == cold.sender_count(sender)
 
@@ -79,6 +103,27 @@ class TestRoundTrip:
             save_index(ChainIndex(chain), directory)
             warm = load_index(chain, directory)
             assert warm is not None and warm.blocks_indexed == 0
+            assert_bit_identical(warm, ChainIndex(chain), chain)
+
+    def test_reports_parked_at_save_file_in_chain_order_after_load(self):
+        # The persisted state holds parked reports; their SRAs land
+        # after the restart, behind reports filed since, so the warm
+        # index inserts them and derives its postings again.
+        chain, sra_ids = build_mixed_chain(seed=3, blocks=6)
+        rng = random.Random(3)
+        late_sras = []
+        extend_mixed(chain, rng, 4, 3, sra_ids, late_sras=late_sras)
+        with tempfile.TemporaryDirectory() as directory:
+            save_index(ChainIndex(chain), directory)
+            parked = decode_index_state(
+                read_index_file(Path(directory) / INDEX_FILE_NAME).body
+            ).pending_reports
+            assert len(parked) == 2
+            extend_mixed(chain, rng, 4, 3, sra_ids, late_sras=late_sras)
+            warm = load_index(chain, directory)
+            assert warm is not None
+            filed = {entry.record_id for entry in warm.reports()}
+            assert {report.report_id for _, _, report in parked} <= filed
             assert_bit_identical(warm, ChainIndex(chain), chain)
 
     def test_save_empty_index_refuses(self):
@@ -120,10 +165,11 @@ class TestColdFallback:
             assert load_index(chain, directory) is None
 
     def test_previous_format_version_falls_back(self, monkeypatch):
-        # Version 2 also carried a copy of the chain's canonical path
-        # (32 bytes per block), version 1 its record-location map too.
-        # There is no migration reader: an old file is a cold start,
-        # never a crash and never a half-read state.
+        # Version 3 also carried the seven posting maps, version 2 a
+        # copy of the chain's canonical path, version 1 its
+        # record-location map too.  There is no migration reader: an
+        # old file is a cold start, never a crash and never a
+        # half-read state.
         chain, _ = build_mixed_chain(seed=53, blocks=6)
         with tempfile.TemporaryDirectory() as directory:
             monkeypatch.setattr(
@@ -131,10 +177,11 @@ class TestColdFallback:
             )
             path = save_index(ChainIndex(chain), directory)
             monkeypatch.undo()
-            assert read_index_file(path).version == INDEX_FORMAT_VERSION - 1 == 2
+            assert read_index_file(path).version == INDEX_FORMAT_VERSION - 1 == 3
             assert load_index(chain, directory) is None
             service = QueryService(chain=chain, index_dir=directory)
             assert (service.cold_starts, service.warm_starts) == (1, 0)
+            assert_bit_identical(service.index, ChainIndex(chain), chain)
 
     def test_body_tip_that_is_not_the_envelope_tip_falls_back(self):
         # The envelope tip is proven canonical; a body claiming another
@@ -186,13 +233,14 @@ class TestColdFallback:
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
+    late=st.booleans(),
     ops=st.lists(
         st.sampled_from(["extend", "reorg", "persist", "restart"]),
         min_size=3,
         max_size=10,
     ),
 )
-def test_warm_restart_parity_under_interleavings(seed, ops):
+def test_warm_restart_parity_under_interleavings(seed, late, ops):
     """S4: grow/reorg/persist/restart in any order never breaks parity.
 
     ``restart`` models the crash boundary: a *fresh* load from whatever
@@ -201,11 +249,16 @@ def test_warm_restart_parity_under_interleavings(seed, ops):
     """
     rng = random.Random(seed)
     chain, sra_ids = build_mixed_chain(seed=seed, blocks=6)
+    # ``late``: SRAs may land after reports filed against them, so a
+    # persisted state can hold parked reports and late-filed entries.
+    late_sras = [] if late else None
     with tempfile.TemporaryDirectory() as directory:
         persisted = False
         for op in ops:
             if op == "extend":
-                extend_mixed(chain, rng, rng.randint(1, 3), 2, sra_ids)
+                extend_mixed(
+                    chain, rng, rng.randint(1, 3), 2, sra_ids, late_sras=late_sras
+                )
             elif op == "reorg":
                 size = rng.randint(1, 4)
                 fork_height = max(0, chain.head.height - size)
@@ -217,6 +270,7 @@ def test_warm_restart_parity_under_interleavings(seed, ops):
                     2,
                     sra_ids,
                     parent=parent,
+                    late_sras=late_sras,
                 )
             elif op == "persist":
                 save_index(ChainIndex(chain), directory)

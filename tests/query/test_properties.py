@@ -31,7 +31,9 @@ from tests.query.conftest import (
     full_scan_locate,
     full_scan_reports,
     full_scan_sender_count,
+    full_scan_sras,
     report_identities,
+    sra_identities,
 )
 
 _FILTERS = (
@@ -41,6 +43,13 @@ _FILTERS = (
     {"severity": "high"},
     {"severity": "low", "system": "router"},
     {"detector": "det-2"},
+)
+
+_SRA_FILTERS = (
+    {},
+    {"provider": "vendor-a"},
+    {"system": "camera"},
+    {"provider": "vendor-c", "system": "router"},
 )
 
 
@@ -65,12 +74,17 @@ def _assert_parity(chain, index):
         assert report_identities(index.reports(**filters)) == full_scan_reports(
             chain, **filters
         )
+    for filters in _SRA_FILTERS:
+        assert sra_identities(index.sras(**filters)) == full_scan_sras(
+            chain, **filters
+        )
 
 
 class TestIndexScanEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
+        late=st.booleans(),
         operations=st.lists(
             st.tuples(
                 st.sampled_from(["extend", "reorg", "check"]),
@@ -80,13 +94,15 @@ class TestIndexScanEquivalence:
             max_size=6,
         ),
     )
-    def test_random_growth_with_reorgs(self, seed, operations):
+    def test_random_growth_with_reorgs(self, seed, late, operations):
+        # ``late``: SRAs may land after reports filed against them.
         chain, sra_ids = build_mixed_chain(seed=seed, blocks=4)
         rng = random.Random(seed + 1)
+        late_sras = [] if late else None
         index = ChainIndex(chain)
         for op, size in operations:
             if op == "extend":
-                extend_mixed(chain, rng, size, 2, sra_ids)
+                extend_mixed(chain, rng, size, 2, sra_ids, late_sras=late_sras)
             elif op == "reorg":
                 # Fork below the head and out-mine the current branch.
                 fork_height = max(0, chain.head.height - size)
@@ -98,6 +114,7 @@ class TestIndexScanEquivalence:
                     2,
                     sra_ids,
                     parent=parent,
+                    late_sras=late_sras,
                 )
             else:
                 _assert_parity(chain, index)

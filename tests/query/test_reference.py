@@ -32,7 +32,9 @@ from tests.query.conftest import (
     extend_mixed,
     full_scan_block_at_height,
     full_scan_lookup,
+    full_scan_reports,
     full_scan_track_record,
+    report_identities,
 )
 
 GHOST = ("ghost-ware", "0.0.1")
@@ -164,6 +166,45 @@ class TestFoldEqualsScan:
         append(chain, sra, empty_after=4)
         reference = client.lookup("late-announced", "1.0")
         assert reference.vulnerabilities == (("late-key", Severity.HIGH),)
+        assert_scan_parity(chain, client)
+
+    def test_a_report_parked_behind_its_sra_files_in_chain_order(self):
+        # Another report lands between the parked report and its SRA:
+        # the parked one is filed last but sits first in chain order,
+        # and every posting behind it moves one ordinal.
+        chain, _ = build_mixed_chain(seed=7, blocks=4)
+        known = sra_record("vendor-b", "hub", "1.0", salt=1)
+        late = sra_record("vendor-a", "lock", "2.0", salt=2)
+        append(chain, known)
+        parked = report_record(late.record_id, "det-1", ("k1", Severity.HIGH, "a"))
+        append(chain, parked)
+        between = report_record(known.record_id, "det-2", ("k2", Severity.LOW, "b"))
+        append(chain, between)
+        after = report_record(known.record_id, "det-1", ("k3", Severity.HIGH, "c"))
+        append(chain, late, after, empty_after=4)
+        client = ConsumerClient(chain)
+        index, _ = client.service.live_view()
+        ids = [entry.record_id for entry in index.reports()]
+        assert ids[-3:] == [parked.record_id, between.record_id, after.record_id]
+        for filters in (
+            {},
+            {"system": "lock"},
+            {"system": "hub"},
+            {"provider": "vendor-a"},
+            {"severity": "high"},
+            {"detector": "det-1"},
+            {"detector": "det-2"},
+        ):
+            assert report_identities(index.reports(**filters)) == full_scan_reports(
+                chain, **filters
+            )
+        assert [e.record_id for e in index.reports(sra_id=late.record_id)] == [
+            parked.record_id
+        ]
+        assert [e.record_id for e in index.reports(sra_id=known.record_id)] == [
+            between.record_id,
+            after.record_id,
+        ]
         assert_scan_parity(chain, client)
 
     def test_two_sras_of_one_release_aggregate_in_chain_order(self):

@@ -8,13 +8,17 @@ chain's own ``locate_record`` is the only record-location map.  The
 consumer client, ``rpc.Eth`` and the provider's ``CONSUMER_QUERY``
 handler read through those.  An SRA / R† / R* record is written by
 ``core.reports.to_record`` and its payload read by
-``core.reports.decode_payload``, whoever the reader is.  This walk
-fails the day a module grows its own scan, its own index, its own
-liveness rule, its own map or its own payload codec.
+``core.reports.decode_payload``, whoever the reader is.  The index's
+posting maps are written by its filing code alone, which a warm start
+re-runs over the entry lists instead of reading persisted maps.  This
+walk fails the day a module grows its own scan, its own index, its own
+liveness rule, its own map, its own payload codec or a second writer
+of a posting map.
 """
 
 import ast
 import random
+import re
 
 #: Who may construct a ChainIndex: the service (cold build) and the
 #: persistence module (warm start, called by the service).
@@ -40,6 +44,16 @@ LEDGER_DECODER = "SignedTransaction"
 #: ablation's placeholder-byte R* records, which no reader sees.
 RECORD_WRITERS = {"core/reports.py", "experiments/ablations.py"}
 PAYLOAD_KINDS = {"SRA", "INITIAL_REPORT", "DETAILED_REPORT"}
+
+#: The only writers of a ChainIndex posting map: the two filing
+#: helpers and the derivation that re-runs them over the entry lists.
+POSTING_WRITERS = {
+    "query/indices.py::ChainIndex._derive_maps",
+    "query/indices.py::ChainIndex._post_sras",
+    "query/indices.py::ChainIndex._post_reports",
+}
+POSTING_MAP = re.compile(r"_?(sras|reports)_by_\w+")
+MUTATORS = {"append", "extend", "insert", "setdefault", "update", "clear", "pop"}
 
 
 def _nodes(src_modules):
@@ -67,6 +81,47 @@ def _writes_a_payload_record(node) -> bool:
         and getattr(kind.value, "id", None) == "RecordKind"
         and kind.attr in PAYLOAD_KINDS
     )
+
+
+def _names_a_posting_map(node) -> bool:
+    return any(
+        isinstance(inner, ast.Attribute) and POSTING_MAP.fullmatch(inner.attr)
+        for inner in ast.walk(node)
+    )
+
+
+def _writes_a_posting_map(node) -> bool:
+    """An assignment into, an alias of, a mutating call on, or a keyword
+    carrying a ``_reports_by_*`` / ``_sras_by_*`` map."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if any(_names_a_posting_map(target) for target in targets):
+            return True
+        return isinstance(node.value, ast.Attribute) and _names_a_posting_map(
+            node.value
+        )
+    if isinstance(node, ast.Call):
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in MUTATORS
+            and _names_a_posting_map(func.value)
+        ):
+            return True
+        return any(
+            POSTING_MAP.fullmatch(keyword.arg or "") for keyword in node.keywords
+        )
+    return False
+
+
+def _scoped_nodes(tree, scope=""):
+    """(enclosing ``Class.function`` path, node) for every node."""
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _scoped_nodes(child, inner)
 
 
 def _callee(node: ast.Call) -> str:
@@ -144,6 +199,55 @@ def test_the_codec_detectors_see_what_they_guard():
         _writes_a_payload_record(node) or _decodes_a_payload(node)
         for node in ast.walk(kept)
     )
+
+
+def test_posting_maps_are_written_by_the_filing_code_only(src_modules):
+    writers = {
+        f"{source.module}::{scope}"
+        for source in src_modules
+        if POSTING_MAP.search(source.text)
+        for scope, node in _scoped_nodes(source.tree)
+        if _writes_a_posting_map(node)
+    }
+    assert writers == POSTING_WRITERS, (
+        "file through ChainIndex._post_sras / _post_reports, or derive "
+        f"with _derive_maps; a posting map is written in {sorted(writers)}"
+    )
+    persistence = next(
+        source for source in src_modules if source.module == "query/persistence.py"
+    )
+    assert not POSTING_MAP.search(persistence.text), (
+        "index.snap carries the entry lists; the posting maps are derived"
+    )
+
+
+def test_the_posting_map_detector_sees_what_it_guards():
+    # The shapes of the retired bulk copies and the persisted maps ...
+    gone = ast.parse(
+        "self._sras_by_release = copied(state.sras_by_release)\n"
+        "self._reports_by_sra.setdefault(key, []).append(index)\n"
+        "self._reports_by_system[key] = []\n"
+        "by_severity = self._reports_by_severity\n"
+        "IndexState(reports_by_detector=maps)\n"
+    )
+    assert all(
+        any(map(_writes_a_posting_map, ast.walk(statement)))
+        for statement in gone.body
+    )
+    # ... and not the reads that answer a query.
+    kept = ast.parse(
+        "matches = set(self._reports_by_system.get(key, ()))\n"
+        "for bucket, key in ((self._reports_by_sra, sra_id),):\n"
+        "    found = bucket.get(key, ())\n"
+        "candidates = self._sras_by_release.items()\n"
+    )
+    assert not any(map(_writes_a_posting_map, ast.walk(kept)))
+    scopes = dict(
+        (node.name, scope)
+        for scope, node in _scoped_nodes(ast.parse("class A:\n def f(self): pass\n"))
+        if isinstance(node, ast.FunctionDef)
+    )
+    assert scopes == {"f": "A.f"}
 
 
 def test_the_decoder_calls_the_classmethod_on_the_class(monkeypatch):

@@ -44,8 +44,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro.chain.block import (
     Block,
     BlockHeader,
@@ -59,7 +57,6 @@ from repro.chain.ledger import LedgerStateMachine, apply_block
 from repro.chain.pow import difficulty_to_target, mine_block
 from repro.chain.transactions import make_transaction
 from repro.core.distributed import DistributedChain
-from repro.core.incentives import IncentiveParameters, detector_cost, detector_incentive
 from repro.core.reports import DetailedReport
 from repro.core.sra import SRA, SignedSRA
 from repro.crypto.ecdsa import Signature
@@ -68,7 +65,6 @@ from repro.crypto.hashpool import search_nonce
 from repro.crypto.keys import Address, KeyPair
 from repro.detection.descriptions import VulnerabilityDescription
 from repro.detection.vulnerability import Severity
-from repro.economics.batch import detector_settlement, wei_list
 from repro.experiments.fleet_scale import _fleet_trial
 from repro.experiments.harness import ResultTable
 from repro.faults.invariants import confirmed_chain_bytes
@@ -445,43 +441,6 @@ def telemetry_overhead(run: Run) -> Dict[str, Any]:
     }
 
 
-def economics_batch(run: Run) -> Dict[str, Any]:
-    # The vectorized engine must be bit-identical to the scalar closed
-    # forms: parity is asserted on the exact wei amounts, then both
-    # engines are timed settling the same detector population.
-    population = 20_000
-    params = IncentiveParameters()
-    rng = random.Random(17)
-    counts = [float(rng.randint(0, 50)) for _ in range(population)]
-    rhos = [rng.random() for _ in range(population)]
-    counts_array = np.asarray(counts, dtype=np.float64)
-    rhos_array = np.asarray(rhos, dtype=np.float64)
-
-    def _scalar():
-        return (
-            [detector_incentive(params, n, rho) for n, rho in zip(counts, rhos)],
-            [detector_cost(params, n, rho) for n, rho in zip(counts, rhos)],
-        )
-
-    def _batch():
-        return detector_settlement(params, counts_array, rhos_array)
-
-    incentives, costs = _batch()
-    if (wei_list(incentives), wei_list(costs)) != _scalar():
-        raise AssertionError("batch economics settlement diverged from the scalar loop")
-    scalar_seconds = _best_of(run.repeats, _scalar)
-    batch_seconds = _best_of(run.repeats, _batch)
-    return {
-        "population": population,
-        "scalar_seconds": scalar_seconds,
-        "batch_seconds": batch_seconds,
-        "scalar_settlements_per_sec": population / scalar_seconds,
-        "batch_settlements_per_sec": population / batch_seconds,
-        "speedup": scalar_seconds / batch_seconds,
-        "identical_to_scalar": True,
-    }
-
-
 def ledger_validate(run: Run) -> Dict[str, Any]:
     blocks, validations = (20, 10) if run.quick else (60, 30)
     chain, machine, candidate = _ledger_workload(blocks)
@@ -746,14 +705,6 @@ PROBES: Tuple[Probe, ...] = (
         headline="mining with telemetry off vs the telemetry-free copy",
     ),
     Probe(
-        run=economics_batch,
-        oracle="scalar `detector_incentive` / `detector_cost` per detector",
-        parity=("identical_to_scalar",),
-        bounds=(Bound("speedup", ">=", 5.0),),
-        watched_by="`economics.batch.self_s` on `settle_replay`",
-        headline="vectorized Eq. 7/10 settlement of 20k detectors",
-    ),
-    Probe(
         run=ledger_validate,
         oracle="`LedgerStateMachine.replay` from genesis per candidate",
         bounds=(Bound("speedup", ">=", 3.0),),
@@ -831,6 +782,11 @@ RETIRED: Tuple[Tuple[str, str], ...] = (
         "`fleet_shard.speedup` (2 shards in worker processes vs one process)",
         "retired with the multi-process shard executor; sharding's cost is "
         "`throughput` on `fleet_sharded` against `fleet_gossip`",
+    ),
+    (
+        "`economics_batch` (numpy Eq. 7/10 settlement vs the scalar loop)",
+        "retired with the numpy engine; Eq. 7–10 are the scalar forms alone, "
+        "`economics.batch.self_s` on `settle_replay`",
     ),
 )
 

@@ -22,7 +22,7 @@ PACKAGES = [
     ("repro.core", "SmartCrowd core (the paper's contribution)"),
     ("repro.adversary", "Attack library and majority analysis"),
     ("repro.analysis", "Theoretical analysis (§VI-B)"),
-    ("repro.economics", "Vectorized Eq. 7–10 accounting"),
+    ("repro.economics", "Eq. 7–10 settled over whole populations"),
     ("repro.experiments", "Table/figure runners, the registry, the §VII rig"),
     ("repro.faults", "Fault injection and chaos harness"),
     ("repro.store", "Durable chain store (crash-safe persistence)"),

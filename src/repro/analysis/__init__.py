@@ -17,7 +17,7 @@ from repro.analysis.participation import (
     expected_epoch_balance,
     simulate_participation,
 )
-from repro.analysis.vpb import vpb_closed_form, vpb_numeric
+from repro.analysis.vpb import vpb_closed_form
 
 __all__ = [
     "ParticipationOutcome",
@@ -32,5 +32,4 @@ __all__ = [
     "simulate_participation",
     "total_detection_capability",
     "vpb_closed_form",
-    "vpb_numeric",
 ]

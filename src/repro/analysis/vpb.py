@@ -9,15 +9,10 @@ releases (Fig. 5).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from scipy.optimize import brentq
-
-from repro.analysis.balance import provider_balance_ether
 from repro.core.incentives import IncentiveParameters
 from repro.units import from_wei
 
-__all__ = ["vpb_closed_form", "vpb_numeric"]
+__all__ = ["vpb_closed_form"]
 
 
 def vpb_closed_form(
@@ -48,38 +43,3 @@ def vpb_closed_form(
     income = zeta_i * blocks * (nu + psi * omega_per_block)
     vpb = (income / releases - cp) / insurance_ether
     return max(0.0, min(1.0, vpb))
-
-
-def vpb_numeric(
-    params: IncentiveParameters,
-    zeta_i: float,
-    insurance_ether: float,
-    window: float,
-    releases: float = 1.0,
-    omega_per_block: float = 0.0,
-) -> Optional[float]:
-    """Root-find VPB from the balance function directly.
-
-    Cross-checks :func:`vpb_closed_form`; returns None when no root
-    exists in (0, 1) (balance has the same sign everywhere).
-    """
-
-    def balance(vp: float) -> float:
-        return provider_balance_ether(
-            params,
-            zeta_i=zeta_i,
-            vulnerability_proportion=vp,
-            insurance_ether=insurance_ether,
-            window=window,
-            releases=releases,
-            omega_per_block=omega_per_block,
-        )
-
-    low, high = balance(0.0), balance(1.0)
-    if low == 0.0:
-        return 0.0
-    if high == 0.0:
-        return 1.0
-    if low * high > 0:
-        return None
-    return float(brentq(balance, 0.0, 1.0, xtol=1e-12))

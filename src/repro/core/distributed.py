@@ -17,7 +17,7 @@ partitions, byzantine miners, and fork races.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.chain.block import Block, BlockHeader, ChainRecord
 from repro.chain.chain import Blockchain, ChainError
@@ -335,7 +335,7 @@ class LightReplicaNode(Node):
         self.header_resyncs = 0
         #: Full nodes this light client can pull headers from (SPV
         #: servers); the heaviest alive one is used on each resync.
-        self._servers: List[ReplicaNode] = []
+        self._servers: Sequence[ReplicaNode] = ()
         #: Optional durable header log; mirrors the in-memory header
         #: chain through its accept/truncate hooks.
         self.store = store
@@ -354,9 +354,13 @@ class LightReplicaNode(Node):
         self.headers.on_accept = self.store.append
         self.headers.on_truncate = self.store.truncate
 
-    def set_servers(self, servers: List[ReplicaNode]) -> None:
-        """Configure the full nodes this client may resync from."""
-        self._servers = list(servers)
+    def set_servers(self, servers: Sequence[ReplicaNode]) -> None:
+        """Configure the full nodes this client may resync from.
+
+        The sequence is kept, not copied: every light member of one
+        world holds the same one.
+        """
+        self._servers = servers
 
     def _on_block_message(self, _node: Node, message: Message) -> None:
         payload = message.payload

@@ -122,10 +122,8 @@ class DetectorStats:
 class EconomicsSummary:
     """Whole-population Eq. 7–10 accounting for one platform run.
 
-    Computed by the batch engine (:mod:`repro.economics`) with the
-    scalar closed forms of :mod:`repro.core.incentives` run alongside
-    as the cross-check oracle — any divergence raises
-    :class:`repro.economics.BatchParityError` instead of returning.
+    The scalar closed forms of :mod:`repro.core.incentives` folded
+    over the detector and provider populations (:mod:`repro.economics`).
     """
 
     #: Eq. 7 per detector: μ·n_i·ρ_i with measured findings/awards.
@@ -530,15 +528,13 @@ class SmartCrowdPlatform(WorkflowChain):
         return self.releases.get(sra_id)
 
     def economics_summary(self) -> EconomicsSummary:
-        """Batch Eq. 7–10 accounting over the whole population.
+        """Eq. 7–10 accounting over the whole population.
 
-        One vectorized pass through :mod:`repro.economics` instead of a
-        per-entity loop, with every value re-derived by the scalar
-        oracle (:class:`repro.economics.BatchParityError` on any
-        divergence).  Semantics: ``n_i`` is the detector's measured
-        findings and ``ρ_i`` its award proportion (clamped to 1 — a
-        bounty per finding at most); a provider's Eq. 9 term uses the
-        awarded counts against its releases at ρ = 1 (awards are
+        The scalar closed forms folded over each population by
+        :mod:`repro.economics`.  Semantics: ``n_i`` is the detector's
+        measured findings and ``ρ_i`` its award proportion (clamped to
+        1 — a bounty per finding at most); a provider's Eq. 9 term uses
+        the awarded counts against its releases at ρ = 1 (awards are
         confirmed on-chain by definition) plus one deployment per
         release.
         """

@@ -1,42 +1,12 @@
-"""Batch economics — vectorized Eq. 7–10 accounting at fleet scale.
+"""Economics — Eq. 7–10 settled over whole populations.
 
-:mod:`repro.economics.batch` computes detector incentives, detector
-costs, provider incentives, and provider punishments across whole
-populations per call instead of one Python object at a time, with
-bit-parity to the scalar closed forms in :mod:`repro.core.incentives`
-(the scalar functions stay the cross-check oracle).
+:mod:`repro.economics.batch` folds the scalar closed forms of
+:mod:`repro.core.incentives` over detector and provider populations:
+detector incentives and costs, provider incentives and punishments.
 """
 
 from __future__ import annotations
 
-from repro.economics.batch import (
-    BatchParityError,
-    crosscheck_detectors,
-    crosscheck_providers,
-    detector_costs,
-    detector_incentives,
-    detector_settlement,
-    incentive_grid_ether,
-    jaccard_counts,
-    provider_balance_curves_ether,
-    provider_incentives,
-    provider_punishments,
-    punishment_curve_ether,
-    wei_list,
-)
+from repro.economics.batch import crosscheck_detectors, crosscheck_providers
 
-__all__ = [
-    "BatchParityError",
-    "crosscheck_detectors",
-    "crosscheck_providers",
-    "detector_costs",
-    "detector_incentives",
-    "detector_settlement",
-    "incentive_grid_ether",
-    "jaccard_counts",
-    "provider_balance_curves_ether",
-    "provider_incentives",
-    "provider_punishments",
-    "punishment_curve_ether",
-    "wei_list",
-]
+__all__ = ["crosscheck_detectors", "crosscheck_providers"]

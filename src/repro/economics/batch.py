@@ -1,46 +1,20 @@
-"""Vectorized Eq. 7–10 accounting with bit-parity to the scalar oracle.
+"""Eq. 7–10 folded over whole populations.
 
-The scalar closed forms in :mod:`repro.core.incentives` compute one
-detector or provider at a time; at fleet scale the per-object Python
-overhead dominates.  This module evaluates the same equations over
-whole populations with :mod:`numpy`, reproducing the scalar results
-*bit for bit* — not approximately — so either engine can audit the
-other (``crosscheck_detectors`` / ``crosscheck_providers`` run both and
-raise :class:`BatchParityError` on any divergence).
+Each function here is a list comprehension over the scalar closed forms
+of :mod:`repro.core.incentives` — the one definition of the incentive
+equations — so a population settles to exactly the wei amounts the
+per-entity calls give.  The population shapes are checked first (a
+misaligned pair raises instead of being silently truncated by ``zip``);
+every per-element check is the scalar form's own.
 
-Parity is achieved by replaying the scalar float operation order
-exactly:
-
-* Eq. 7 multiplies ``bounty_wei * n_i`` first.  For *integer* counts
-  Python forms the exact big-int product before a single float
-  rounding, so the batch path computes ``float(bounty * n)`` per
-  element; for *float* counts both engines round ``float(bounty)``
-  first and multiply, which vectorizes directly.
-* Eq. 9 sums ``n·ρ`` left to right; ``np.cumsum(...)[-1]`` performs the
-  identical sequential accumulation (``np.sum`` does not — it uses
-  pairwise summation and can differ in the last ulp).
-* Truncation toward zero (the contract's integer division) is
-  ``np.trunc`` — exact on float64, which represents every truncated
-  value exactly.
-* Eq. 8 is pure integer arithmetic in the scalar oracle and its values
-  routinely exceed ``int64`` (the defaults are hundreds of ether in
-  wei), so the batch path keeps exact Python ints; provider populations
-  are small and this is not the hot dimension.
-
-Results stay in float64 arrays whose values are exact integers — the
-wei amounts as the chain would compute them.  Converting 10⁵ values
-back to Python ints costs ~100× the vector arithmetic itself, so the
-conversion (:func:`wei_list`) is an explicit step outside the hot path.
-
-All money is integer wei; proportions are floats; results round toward
-zero as the contract's integer arithmetic would.
+The two names are the ones ``SmartCrowdPlatform.economics_summary``,
+the ``settle_replay`` benchmark workload and ``bench/trace.py`` call;
+the next benchmark revision may rename them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.core.incentives import (
     IncentiveParameters,
@@ -49,198 +23,8 @@ from repro.core.incentives import (
     provider_incentive,
     provider_punishment,
 )
-from repro.units import from_wei
 
-__all__ = [
-    "BatchParityError",
-    "crosscheck_detectors",
-    "crosscheck_providers",
-    "detector_costs",
-    "detector_incentives",
-    "detector_settlement",
-    "incentive_grid_ether",
-    "jaccard_counts",
-    "provider_balance_curves_ether",
-    "provider_incentives",
-    "provider_punishments",
-    "punishment_curve_ether",
-    "wei_list",
-]
-
-
-class BatchParityError(AssertionError):
-    """The vectorized engine diverged from the scalar oracle."""
-
-
-def _as_float64(values: np.ndarray) -> np.ndarray:
-    """Convert a counts array to float64 with Python's rounding.
-
-    Both ``float(int)`` and numpy's int→float64 cast round half to
-    even, so integer dtypes cast directly; object arrays (arbitrary
-    precision ints) go through Python's ``float`` element-wise.
-    """
-    if values.dtype == np.float64:
-        return values
-    if values.dtype.kind == "O":
-        return np.array([float(v) for v in values.tolist()], dtype=np.float64)
-    return values.astype(np.float64)
-
-
-def _first_products(scale_wei: int, counts: np.ndarray) -> np.ndarray:
-    """``float(scale_wei * n)`` per element, matching scalar Eq. 7/9.
-
-    The scalar oracle evaluates ``scale * n * rho`` left to right.  For
-    integer ``n`` the first multiply is an *exact* big-int product that
-    is rounded to float only once; casting ``n`` to float first can
-    round twice and differ in the last ulp.  Float counts take the
-    vectorized path (both engines round ``float(scale)`` then multiply).
-    """
-    if counts.dtype.kind in "iu":
-        return np.array(
-            [float(scale_wei * int(v)) for v in counts.tolist()], dtype=np.float64
-        )
-    if counts.dtype.kind == "O":
-        return np.array(
-            [
-                float(scale_wei * v) if isinstance(v, int) else float(scale_wei) * float(v)
-                for v in counts.tolist()
-            ],
-            dtype=np.float64,
-        )
-    return np.float64(scale_wei) * _as_float64(counts)
-
-
-def _validate_population(counts: np.ndarray, rhos: np.ndarray) -> None:
-    """Raise the scalar oracle's errors for any invalid element."""
-    if counts.shape != rhos.shape:
-        raise ValueError("counts and rhos must align")
-    if counts.size:
-        if np.min(counts) < 0:
-            raise ValueError("n_i cannot be negative")
-        # NaN propagates as False through >=/<= exactly like the scalar
-        # `not 0.0 <= rho <= 1.0` check, so NaN rhos raise here too.
-        if not bool((np.min(rhos) >= 0.0) & (np.max(rhos) <= 1.0)):
-            raise ValueError("rho_i must be in [0, 1]")
-
-
-def detector_incentives(
-    params: IncentiveParameters,
-    counts: Sequence[float],
-    rhos: Sequence[float],
-) -> np.ndarray:
-    """Eq. 7 over a population: ``in†_i = μ · n_i · ρ_i`` for every i.
-
-    Returns a float64 array of exact integer wei values, bit-identical
-    to ``[detector_incentive(params, n, r) for n, r in zip(...)]``
-    after :func:`wei_list` conversion.
-    """
-    n = np.asarray(counts)
-    r = _as_float64(np.asarray(rhos))
-    _validate_population(n, r)
-    return np.trunc(_first_products(params.bounty_wei, n) * r)
-
-
-def detector_costs(
-    params: IncentiveParameters,
-    counts: Sequence[float],
-    rhos: Sequence[float],
-) -> np.ndarray:
-    """Eq. 10 over a population: ``co_i = n_i · (c + ρ_i · ψ)``.
-
-    The scalar form converts ``n_i`` to float before the outer multiply
-    (the inner parenthesis is already float), so no exact-product
-    special case is needed here — the cast itself is the shared
-    rounding step.
-    """
-    n = np.asarray(counts)
-    r = _as_float64(np.asarray(rhos))
-    _validate_population(n, r)
-    inner = np.float64(params.submission_cost_wei) + r * np.float64(params.report_fee_wei)
-    return np.trunc(_as_float64(n) * inner)
-
-
-def detector_settlement(
-    params: IncentiveParameters,
-    counts: Sequence[float],
-    rhos: Sequence[float],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Eq. 7 and Eq. 10 together for one detector population.
-
-    One validation pass, shared array conversion — the per-block
-    settlement shape (`incentives, costs` for every detector).
-    """
-    n = np.asarray(counts)
-    r = _as_float64(np.asarray(rhos))
-    _validate_population(n, r)
-    incentives = np.trunc(_first_products(params.bounty_wei, n) * r)
-    inner = np.float64(params.submission_cost_wei) + r * np.float64(params.report_fee_wei)
-    costs = np.trunc(_as_float64(n) * inner)
-    return incentives, costs
-
-
-def provider_incentives(
-    params: IncentiveParameters,
-    chis: Sequence[int],
-    omegas: Sequence[int],
-) -> List[int]:
-    """Eq. 8 over a provider population: ``in*_i = χ_i·ν + ψ·ω_i``.
-
-    Exact integer arithmetic (the scalar form never touches floats and
-    its wei magnitudes overflow int64), batched over the population.
-    """
-    if len(chis) != len(omegas):
-        raise ValueError("chis and omegas must align")
-    nu = params.block_reward_wei
-    psi = params.report_fee_wei
-    for chi, omega in zip(chis, omegas):
-        if chi < 0 or omega < 0:
-            raise ValueError("block and report counts cannot be negative")
-    return [chi * nu + omega * psi for chi, omega in zip(chis, omegas)]
-
-
-def provider_punishments(
-    params: IncentiveParameters,
-    awarded_counts: Sequence[Sequence[float]],
-    rhos: Sequence[Sequence[float]],
-    contracts_deployed: Sequence[int],
-) -> List[int]:
-    """Eq. 9 over a provider population: ``pu_i = μ·Σ_j n_j·ρ_j + cp_i``.
-
-    ``awarded_counts[i]`` / ``rhos[i]`` are the per-detector vectors for
-    provider *i*; ``contracts_deployed[i]`` scales the deployment-gas
-    term.  The inner Σ runs vectorized with sequential (cumsum)
-    accumulation so the float total matches the scalar left-to-right
-    ``sum`` bit for bit.
-    """
-    if not (len(awarded_counts) == len(rhos) == len(contracts_deployed)):
-        raise ValueError("awarded_counts, rhos, and contracts_deployed must align")
-    results: List[int] = []
-    for counts, provider_rhos, deployed in zip(awarded_counts, rhos, contracts_deployed):
-        n = np.asarray(counts)
-        r = _as_float64(np.asarray(provider_rhos))
-        if n.shape != r.shape:
-            raise ValueError("awarded_counts and rhos must align")
-        if n.size:
-            products = _as_float64(n) * r
-            total = float(np.cumsum(products)[-1])
-        else:
-            total = 0
-        results.append(
-            int(params.bounty_wei * total) + deployed * params.deployment_cost_wei
-        )
-    return results
-
-
-def wei_list(values: np.ndarray) -> List[int]:
-    """Convert a batch result array to exact integer wei.
-
-    The engine's float64 outputs hold exactly representable integers
-    (truncations of float64 products); ``int`` recovers them exactly.
-    This is deliberately a separate step: converting large populations
-    costs far more than the vector arithmetic, so hot paths keep the
-    arrays and settle to ints only at ledger boundaries.
-    """
-    return [int(v) for v in values.tolist()]
+__all__ = ["crosscheck_detectors", "crosscheck_providers"]
 
 
 def crosscheck_detectors(
@@ -248,26 +32,18 @@ def crosscheck_detectors(
     counts: Sequence[float],
     rhos: Sequence[float],
 ) -> Tuple[List[int], List[int]]:
-    """Run Eq. 7/10 through *both* engines and insist they agree.
+    """Eq. 7 and Eq. 10 for every detector: ``(incentives, costs)`` in wei.
 
-    Returns ``(incentives_wei, costs_wei)`` as exact ints.  Raises
-    :class:`BatchParityError` naming the first divergent index if the
-    vectorized path ever drifts from the scalar oracle.
+    ``counts[i]`` / ``rhos[i]`` are detector *i*'s ``n_i`` / ``ρ_i``.
+    Raises ``ValueError`` if the two do not align, or — from the scalar
+    forms — for a negative ``n_i`` or a ``ρ_i`` outside [0, 1] (NaN
+    included).
     """
-    incentives, costs = detector_settlement(params, counts, rhos)
-    batch_incentives = wei_list(incentives)
-    batch_costs = wei_list(costs)
-    for index, (n, rho) in enumerate(zip(counts, rhos)):
-        oracle_incentive = detector_incentive(params, n, rho)
-        oracle_cost = detector_cost(params, n, rho)
-        if batch_incentives[index] != oracle_incentive or batch_costs[index] != oracle_cost:
-            raise BatchParityError(
-                f"batch economics diverged from scalar oracle at index {index}: "
-                f"incentive {batch_incentives[index]} vs {oracle_incentive}, "
-                f"cost {batch_costs[index]} vs {oracle_cost} "
-                f"(n={n!r}, rho={rho!r})"
-            )
-    return batch_incentives, batch_costs
+    if len(counts) != len(rhos):
+        raise ValueError("counts and rhos must align")
+    incentives = [detector_incentive(params, n, rho) for n, rho in zip(counts, rhos)]
+    costs = [detector_cost(params, n, rho) for n, rho in zip(counts, rhos)]
+    return incentives, costs
 
 
 def crosscheck_providers(
@@ -278,121 +54,23 @@ def crosscheck_providers(
     rhos: Sequence[Sequence[float]],
     contracts_deployed: Sequence[int],
 ) -> Tuple[List[int], List[int]]:
-    """Run Eq. 8/9 through both engines and insist they agree.
+    """Eq. 8 and Eq. 9 for every provider: ``(incentives, punishments)`` in wei.
 
-    Returns ``(incentives_wei, punishments_wei)``; raises
-    :class:`BatchParityError` on any divergence.
+    ``chis[i]`` / ``omegas[i]`` are provider *i*'s blocks won and fee
+    records collected; ``awarded_counts[i]`` / ``rhos[i]`` the
+    per-detector vectors against its releases and
+    ``contracts_deployed[i]`` its deployment count.  Raises
+    ``ValueError`` if the populations do not align, or — from the
+    scalar forms — for a negative block or report count or a
+    provider's misaligned detector vectors.
     """
-    batch_inc = provider_incentives(params, chis, omegas)
-    batch_pun = provider_punishments(params, awarded_counts, rhos, contracts_deployed)
-    for index, (chi, omega) in enumerate(zip(chis, omegas)):
-        oracle = provider_incentive(params, chi, omega)
-        if batch_inc[index] != oracle:
-            raise BatchParityError(
-                f"batch provider incentive diverged at index {index}: "
-                f"{batch_inc[index]} vs {oracle}"
-            )
-    for index, (counts, provider_rhos, deployed) in enumerate(
-        zip(awarded_counts, rhos, contracts_deployed)
-    ):
-        oracle = provider_punishment(params, counts, provider_rhos, deployed)
-        if batch_pun[index] != oracle:
-            raise BatchParityError(
-                f"batch provider punishment diverged at index {index}: "
-                f"{batch_pun[index]} vs {oracle}"
-            )
-    return batch_inc, batch_pun
-
-
-def punishment_curve_ether(
-    params: IncentiveParameters,
-    vps: Sequence[float],
-    insurance_ether: float,
-    releases: float = 1.0,
-) -> List[float]:
-    """Fig. 4(b) curve: expected punishment per release over a VP grid.
-
-    Vectorized form of
-    :func:`repro.analysis.balance.provider_punishment_ether` —
-    ``releases · (vp · I + cp)`` evaluated elementwise in the scalar
-    operation order, so each point is bit-identical to the scalar call.
-    """
-    grid = _as_float64(np.asarray(vps, dtype=np.float64))
-    if grid.size and not bool((np.min(grid) >= 0.0) & (np.max(grid) <= 1.0)):
-        raise ValueError("VP must be in [0, 1]")
-    cp = from_wei(params.deployment_cost_wei)
-    curve = np.float64(releases) * (grid * np.float64(insurance_ether) + np.float64(cp))
-    return curve.tolist()
-
-
-def provider_balance_curves_ether(
-    params: IncentiveParameters,
-    wins: Sequence[int],
-    vps: Sequence[float],
-    insurance_ether: float,
-    omega_per_block: float,
-) -> Dict[float, List[float]]:
-    """Fig. 5(b) assembly: per-trial balances for each VP level.
-
-    ``wins[t]`` — blocks the provider won in trial *t*.  Income per
-    block (reward ν plus ψ·ω̄ fees) and the per-VP punishment are the
-    same scalar-float constants the serial loop computes; the trial
-    dimension vectorizes.  Each balance equals the scalar
-    ``won·(ν+ψ·ω̄) − (vp·I + cp)`` bit for bit.
-    """
-    fee_income_per_block = from_wei(params.report_fee_wei) * omega_per_block
-    income_per_block = from_wei(params.block_reward_wei) + fee_income_per_block
-    incomes = _as_float64(np.asarray(wins)) * np.float64(income_per_block)
-    cp = from_wei(params.deployment_cost_wei)
-    balances: Dict[float, List[float]] = {}
-    for vp in vps:
-        punishment = vp * insurance_ether + cp
-        balances[vp] = (incomes - np.float64(punishment)).tolist()
-    return balances
-
-
-def incentive_grid_ether(
-    vps: Sequence[float],
-    releases_per_window: int,
-    payout_per_release_ether: Dict[str, float],
-) -> Dict[float, Dict[str, float]]:
-    """Fig. 6 grid: expected incentives per detector per VP level.
-
-    Vectorizes ``vp · releases · payout_i`` over the detector axis; the
-    scalar left-associated product order is preserved (``vp·releases``
-    is a Python float product, then one vector multiply).
-    """
-    detectors = list(payout_per_release_ether)
-    payouts = np.asarray(
-        [payout_per_release_ether[d] for d in detectors], dtype=np.float64
-    )
-    grid: Dict[float, Dict[str, float]] = {}
-    for vp in vps:
-        scaled = (np.float64(vp * releases_per_window) * payouts).tolist()
-        grid[vp] = dict(zip(detectors, scaled))
-    return grid
-
-
-def jaccard_counts(
-    key_groups: Sequence[Sequence[str]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pairwise overlap counts for Table I's Jaccard matrix.
-
-    Builds a boolean membership matrix over the key universe and
-    returns ``(intersections, sizes)`` — ``intersections[i, j]`` is
-    ``|keys_i ∩ keys_j|`` and ``sizes[i]`` is ``|keys_i|`` — so callers
-    form ``|A∩B| / |A∪B|`` with exact integer counts (identical to the
-    set-based ``len`` arithmetic).
-    """
-    columns: Dict[str, int] = {}
-    for group in key_groups:
-        for key in group:
-            if key not in columns:
-                columns[key] = len(columns)
-    membership = np.zeros((len(key_groups), max(len(columns), 1)), dtype=np.int64)
-    for row, group in enumerate(key_groups):
-        for key in group:
-            membership[row, columns[key]] = 1
-    intersections = membership @ membership.T
-    sizes = membership.sum(axis=1)
-    return intersections, sizes
+    if len(chis) != len(omegas):
+        raise ValueError("chis and omegas must align")
+    if not (len(awarded_counts) == len(rhos) == len(contracts_deployed)):
+        raise ValueError("awarded_counts, rhos, and contracts_deployed must align")
+    incentives = [provider_incentive(params, chi, omega) for chi, omega in zip(chis, omegas)]
+    punishments = [
+        provider_punishment(params, counts, provider_rhos, deployed)
+        for counts, provider_rhos, deployed in zip(awarded_counts, rhos, contracts_deployed)
+    ]
+    return incentives, punishments

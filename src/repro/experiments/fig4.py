@@ -20,7 +20,6 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.balance import provider_punishment_ether
 from repro.core.incentives import IncentiveParameters
-from repro.economics.batch import punishment_curve_ether
 from repro.detection.corpus import ReleaseCorpus, ReleaseCorpusConfig
 from repro.detection.iot_system import build_system
 from repro.experiments.harness import ResultTable, paper_setup
@@ -147,22 +146,13 @@ class Fig4bResult:
 def _fig4b_curve_trial(
     args: Tuple[int, Tuple[float, ...]]
 ) -> List[Tuple[float, float]]:
-    """Closed-form punishment curve for one insurance level.
-
-    The whole VP grid is evaluated in one vectorized pass
-    (:func:`repro.economics.batch.punishment_curve_ether`); the scalar
-    closed form audits every point as the cross-check oracle.
-    """
+    """Closed-form punishment curve for one insurance level."""
     insurance, vp_grid = args
     params = IncentiveParameters()
-    curve = punishment_curve_ether(params, vp_grid, float(insurance), releases=1.0)
-    for vp, punishment in zip(vp_grid, curve):
-        oracle = provider_punishment_ether(params, vp, float(insurance), releases=1.0)
-        if punishment != oracle:
-            raise AssertionError(
-                f"batch punishment curve diverged at VP={vp}: {punishment} vs {oracle}"
-            )
-    return list(zip(vp_grid, curve))
+    return [
+        (vp, provider_punishment_ether(params, vp, float(insurance), releases=1.0))
+        for vp in vp_grid
+    ]
 
 
 def _fig4b_spot_trial(args: Tuple[int, int, float, int]) -> float:

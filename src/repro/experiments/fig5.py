@@ -23,9 +23,9 @@ from typing import Dict, List, Tuple
 from repro.analysis.vpb import vpb_closed_form
 from repro.chain.pow import PAPER_HASHPOWER_SHARES, MiningModel
 from repro.core.incentives import IncentiveParameters
-from repro.economics.batch import provider_balance_curves_ether
 from repro.experiments.harness import ResultTable, provider_zeta
 from repro.experiments.runner import Sweep, experiment
+from repro.units import from_wei
 
 __all__ = ["Fig5aResult", "Fig5bResult", "run_fig5a", "run_fig5b", "PAPER_VPB_REFERENCE"]
 
@@ -174,11 +174,14 @@ def run_fig5b(
     )
     vps = (round(vpb - 0.01, 6), vpb, round(vpb + 0.01, 6))
     wins = sweep.map(_fig5b_trial, [(provider, window)] * trials)
-    # Batch balance assembly: one vectorized pass over the trial axis,
-    # bit-identical to the per-trial income/punishment arithmetic.
-    balances = provider_balance_curves_ether(
-        params, wins, vps, insurance_ether, omega_per_block
+    income_per_block = (
+        from_wei(params.block_reward_wei) + from_wei(params.report_fee_wei) * omega_per_block
     )
+    cp = from_wei(params.deployment_cost_wei)
+    balances = {
+        vp: [won * income_per_block - (vp * insurance_ether + cp) for won in wins]
+        for vp in vps
+    }
     result = Fig5bResult(provider=provider, vpb=vpb, balances=balances)
     telemetry = sweep.telemetry
     if telemetry is not None:

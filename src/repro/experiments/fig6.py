@@ -29,7 +29,6 @@ from typing import Dict, Tuple
 from repro.analysis.vpb import vpb_closed_form
 from repro.core.incentives import IncentiveParameters
 from repro.detection.iot_system import build_system
-from repro.economics.batch import incentive_grid_ether
 from repro.experiments.harness import ResultTable, paper_setup, provider_zeta
 from repro.experiments.runner import Sweep, experiment
 from repro.units import from_wei
@@ -209,10 +208,10 @@ def run_fig6(
             from_wei(fees_wei.get(detector_id, 0)) / reports if reports else 0.0
         )
 
-    # The VP × detector incentive grid vectorizes over the detector
-    # axis; values equal the scalar vp·releases·payout products bit for
-    # bit (repro.economics.batch preserves the operation order).
-    incentives = incentive_grid_ether(vps, releases_per_window, payout_per_release)
+    incentives = {
+        vp: {d: vp * releases_per_window * p for d, p in payout_per_release.items()}
+        for vp in vps
+    }
     return Fig6Result(
         incentives=incentives,
         payout_per_vulnerable_release=payout_per_release,

@@ -15,7 +15,6 @@ from repro.detection.services import (
     PAPER_SERVICE_PROFILES,
     build_table1_apps,
 )
-from repro.economics.batch import jaccard_counts
 from repro.detection.vulnerability import Severity
 from repro.experiments.harness import ResultTable
 from repro.experiments.runner import Sweep, experiment
@@ -127,20 +126,19 @@ def run_table1(sweep: Sweep) -> Table1Result:
             int(high), int(medium), int(low)
         )
         per_app.setdefault(outcome["app"], []).append(outcome)
-    # Pairwise Jaccard per app, matching repro.detection.services.overlap_matrix
-    # (pairs where both services found nothing are skipped).  The
-    # intersection counts come from one vectorized membership-matrix
-    # product (repro.economics.batch.jaccard_counts); the final ratios
-    # divide the same exact integer counts the set arithmetic produced.
+    # Pairwise Jaccard per app, the set arithmetic of
+    # repro.detection.services.overlap_matrix (pairs where both
+    # services found nothing are skipped).
     for app_name, scans in per_app.items():
         matrix: Dict[Tuple[str, str], float] = {}
-        intersections, sizes = jaccard_counts([scan["keys"] for scan in scans])
+        key_sets = [set(scan["keys"]) for scan in scans]
         for i, first in enumerate(scans):
             for j in range(i + 1, len(scans)):
-                intersection = int(intersections[i, j])
-                union = int(sizes[i]) + int(sizes[j]) - intersection
+                union = key_sets[i] | key_sets[j]
                 if not union:
                     continue
-                matrix[(first["service"], scans[j]["service"])] = intersection / union
+                matrix[(first["service"], scans[j]["service"])] = (
+                    len(key_sets[i] & key_sets[j]) / len(union)
+                )
         overlaps[app_name] = matrix
     return Table1Result(counts=counts, overlaps=overlaps)

@@ -329,13 +329,15 @@ class ShardState:
             replica = make_full(name, genesis, store)
             self.replicas[name] = replica
             self.network.attach(replica)
+        # One server sequence per world, shared by every light member.
+        servers = tuple(self.replicas.values())
         self.light_replicas: Dict[str, LightReplicaNode] = {}
         for name in (n for n in members if n not in full_set):
             header_store = (
                 HeaderStore(store_dir / name) if store_dir is not None else None
             )
             light = LightReplicaNode(name, genesis, store=header_store)
-            light.set_servers(list(self.replicas.values()))
+            light.set_servers(servers)
             self.light_replicas[name] = light
             self.network.attach(light)
 

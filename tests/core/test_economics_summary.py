@@ -1,8 +1,8 @@
-"""Platform-level tests for the batch economics rewiring.
+"""Platform-level tests for the population economics.
 
 :meth:`SmartCrowdPlatform.economics_summary` settles the whole
-population through the vectorized engine with the scalar oracle
-auditing every value.
+population through the folds of :mod:`repro.economics`, each value the
+scalar closed form's.
 """
 
 import random

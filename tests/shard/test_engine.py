@@ -120,6 +120,26 @@ class TestOneOverlayPerProcess:
         )
 
 
+class TestOneServerListPerWorld:
+    """A world builds its server sequence once; its light members share it."""
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            lambda: DistributedChain(spec=_spec(shards=1)),
+            lambda: ShardedSimulator(_spec()),
+        ],
+        ids=["DistributedChain", "ShardedSimulator-2"],
+    )
+    def test_light_members_hold_the_same_server_sequence(self, engine):
+        with engine() as fleet:
+            for world in fleet._worlds:
+                held = {id(light._servers) for light in world.light_replicas.values()}
+                assert len(world.light_replicas) >= 2 and len(held) == 1
+                servers = next(iter(world.light_replicas.values()))._servers
+                assert list(servers) == list(world.replicas.values())
+
+
 class TestTimeControl:
     def test_advance_until_moves_the_fleet_clock(self):
         with ShardedSimulator(_spec(), seed=3) as fleet:

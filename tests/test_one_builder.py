@@ -1,5 +1,5 @@
 """One fleet builder, one event queue, one process pool, one workflow,
-one chaos plane — pinned structurally.
+one chaos plane, one third-party dependency — pinned structurally.
 
 ``repro/shard/engine.py::ShardState`` is the only code under ``src/``
 that makes a simulator, an overlay graph or a gossip network, and the
@@ -8,10 +8,14 @@ fleet asks the engine for one; this walk fails the day a module starts
 assembling its own — or starts keeping its own event heap, fanning
 work out over processes anywhere but the experiments runner, spelling
 out the contract side of the §IV-B workflow a second time, or reaching
-a node with a fault other than through the engine's own verbs.
+a node with a fault other than through the engine's own verbs, or
+importing a numeric package the closed forms of Eq. 7–10 do not need.
 """
 
 import ast
+import os
+import subprocess
+import sys
 
 from repro.network.simulator import ScheduledEvent
 
@@ -35,6 +39,10 @@ HEAP_OWNERS = {"network/simulator.py"}
 #: experiments runner's trial fan-out.  A fleet runs in one process.
 POOL_PACKAGES = ("multiprocessing", "concurrent.futures")
 POOL_OWNERS = {"experiments/runner.py"}
+
+#: Packages no module under ``src/`` imports: Eq. 7–10 are written once,
+#: as scalar closed forms, and ``import repro`` needs networkx alone.
+NUMERIC_PACKAGES = ("numpy", "scipy")
 
 #: The escrow deploy and the authority's two trigger calls: what both
 #: workflow front-ends inherit from one module under ``core/``.
@@ -121,8 +129,8 @@ def test_only_the_simulators_keep_an_event_heap(src_modules):
     )
 
 
-def _pool_importers(src_modules):
-    """(module, package) for every import of a process-pool package."""
+def _importers(src_modules, packages):
+    """(module, package) for every import of one of ``packages``."""
     for module, node in _nodes(src_modules):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -131,7 +139,7 @@ def _pool_importers(src_modules):
         else:
             continue
         for name in names:
-            for package in POOL_PACKAGES:
+            for package in packages:
                 if name == package or name.startswith(package + "."):
                     yield module, package
 
@@ -139,7 +147,7 @@ def _pool_importers(src_modules):
 def test_one_process_pool(src_modules):
     strays = sorted(
         f"src/repro/{module} imports {package}"
-        for module, package in _pool_importers(src_modules)
+        for module, package in _importers(src_modules, POOL_PACKAGES)
         if module not in POOL_OWNERS
     )
     assert not strays, (
@@ -149,7 +157,29 @@ def test_one_process_pool(src_modules):
 
 
 def test_the_pool_walk_sees_the_runner(src_modules):
-    assert {module for module, _ in _pool_importers(src_modules)} >= POOL_OWNERS
+    assert {
+        module for module, _ in _importers(src_modules, POOL_PACKAGES)
+    } >= POOL_OWNERS
+
+
+def test_no_numeric_package_under_src(src_modules):
+    strays = sorted(
+        f"src/repro/{module} imports {package}"
+        for module, package in _importers(src_modules, NUMERIC_PACKAGES)
+    )
+    assert not strays, (
+        "Eq. 7-10 live once, as the scalar forms of repro/core/incentives.py; "
+        "src/ depends on networkx alone:\n  " + "\n  ".join(strays)
+    )
+
+
+def test_import_repro_loads_no_numpy():
+    probe = "import sys, repro; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    assert loaded == "False", "import repro loaded numpy"
 
 
 def test_the_contract_side_of_the_workflow_is_written_once(src_modules):

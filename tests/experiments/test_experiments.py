@@ -4,10 +4,18 @@ These assert the *reproduction criteria* from DESIGN.md §4 — who wins,
 by roughly what factor, where crossovers fall — not absolute numbers.
 """
 
+import random
 import statistics
 
 import pytest
 
+from repro.analysis.balance import provider_punishment_ether
+from repro.core.incentives import IncentiveParameters, provider_incentive
+from repro.detection.services import (
+    PAPER_SERVICE_PROFILES,
+    build_table1_apps,
+    overlap_matrix,
+)
 from repro.detection.vulnerability import Severity
 from repro.experiments import (
     run_costs,
@@ -19,6 +27,10 @@ from repro.experiments import (
     run_fig5b,
     run_table1,
 )
+from repro.experiments.runner import derive_seeds
+from repro.units import from_wei
+
+PARAMS = IncentiveParameters()
 
 
 class TestTable1:
@@ -39,6 +51,26 @@ class TestTable1:
     def test_overlap_partial(self):
         result = run_table1()
         assert 0.0 < result.max_overlap() < 1.0
+
+    def test_overlaps_match_overlap_matrix(self):
+        # The inline Jaccard is the set arithmetic of overlap_matrix:
+        # rescan every (app, service) on its derived seed and compare.
+        result = run_table1(seed=7)
+        apps = build_table1_apps(seed=7)
+        services = list(PAPER_SERVICE_PROFILES)
+        seeds = iter(derive_seeds(7, len(apps) * len(services)))
+        for app in apps:
+            scans = [
+                PAPER_SERVICE_PROFILES[name].scan(app, random.Random(next(seeds)))
+                for name in services
+            ]
+            assert result.overlaps[app.name] == overlap_matrix(scans)
+
+    def test_pairs_with_no_findings_are_skipped(self):
+        result = run_table1()
+        for per_app in result.overlaps.values():
+            assert ("VirusTotal", "Andrototal") not in per_app
+            assert all(0.0 <= value <= 1.0 for value in per_app.values())
 
     def test_table_renders(self):
         table = run_table1().to_table()
@@ -89,6 +121,18 @@ class TestFig4:
             slope = (p1 - p0) / (vp1 - vp0)
             assert slope == pytest.approx(insurance, rel=0.01)
 
+    def test_fig4b_curves_are_eq9_punishments(self):
+        result = run_fig4b(spot_releases=1)
+        for insurance, curve in result.curves.items():
+            assert curve == [
+                (vp, provider_punishment_ether(PARAMS, vp, float(insurance), 1.0))
+                for vp, _ in curve
+            ]
+
+    def test_fig4b_rejects_vp_outside_unit_interval(self):
+        with pytest.raises(ValueError, match=r"VP must be in \[0, 1\]"):
+            run_fig4b(vp_grid=(0.5, 1.2), spot_releases=1)
+
     def test_fig4b_simulation_matches_closed_form(self):
         result = run_fig4b(spot_releases=4)
         insurance, vp, measured = result.spot_check
@@ -115,6 +159,20 @@ class TestFig5:
     def test_fig5b_balance_near_zero_at_vpb(self):
         result = run_fig5b(trials=60)
         assert abs(result.mean_balance(result.vpb)) < 5.0
+
+    def test_fig5b_balances_are_whole_blocks_less_eq9(self):
+        # Every trial's balance at every VP is the same whole number of
+        # blocks' Eq. 8 income (omega=2 fee records each) less Eq. 9.
+        result = run_fig5b(trials=20)
+        per_block = from_wei(provider_incentive(PARAMS, 1, 2))
+        blocks_per_vp = []
+        for vp, balances in result.balances.items():
+            punishment = provider_punishment_ether(PARAMS, vp, 1000.0, 1.0)
+            blocks = [(balance + punishment) / per_block for balance in balances]
+            assert blocks == pytest.approx([round(b) for b in blocks], abs=1e-9)
+            blocks_per_vp.append([round(b) for b in blocks])
+        assert blocks_per_vp[0] == blocks_per_vp[1] == blocks_per_vp[2]
+        assert all(won >= 0 for won in blocks_per_vp[0])
 
     def test_fig5b_ten_ether_swing(self):
         result = run_fig5b(trials=40)
@@ -193,6 +251,14 @@ class TestFig6:
         for detector_id, cost in result.cost_per_report.items():
             if cost:
                 assert cost == pytest.approx(0.011, rel=0.05)
+
+    def test_incentive_grid_is_vp_times_releases_times_payout(self, result):
+        payout = result.payout_per_vulnerable_release
+        assert len(result.incentives) == 3
+        for vp, per_detector in result.incentives.items():
+            assert per_detector == {
+                d: vp * result.releases_per_window * p for d, p in payout.items()
+            }
 
     def test_incentives_scale_linearly_with_vp(self, result):
         vps = sorted(result.incentives)

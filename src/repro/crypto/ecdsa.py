@@ -6,8 +6,9 @@ function SHA-3 ... using secp256k1 curve").  No third-party crypto
 library is available offline, so the curve arithmetic is implemented
 here directly:
 
-* Jacobian-coordinate point arithmetic, a fixed-base table for ``G`` and
-  a fixed 4-bit window for every other point (docs/PERFORMANCE.md).
+* Jacobian-coordinate point arithmetic, a fixed-base table for ``k·G``
+  and the GLV endomorphism for every other product: ``verify``'s
+  ``u1·G + u2·Q`` is one wNAF ladder of ≤ 129 doublings (docs/PERFORMANCE.md).
 * RFC 6979 deterministic nonces, so signing is reproducible and never
   leaks the key through a bad RNG.
 * Low-``s`` normalization (as Ethereum does) so signatures are
@@ -23,7 +24,7 @@ import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "CURVE",
@@ -67,6 +68,17 @@ CURVE = CurveParams(
     n=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141,
     h=1,
 )
+
+# The GLV endomorphism of secp256k1: ``λ·(x, y) == (β·x mod p, y)`` for
+# every point, with β and λ nontrivial cube roots of unity mod p and n.
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+# A reduced basis ``(a1, b1), (a2, b2)`` of the lattice of ``(a, b)`` with
+# ``a + λ·b ≡ 0 (mod n)``; every entry is at most ~2^128.
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
 
 # Point at infinity sentinel for affine points.
 _INFINITY: Optional[Tuple[int, int]] = None
@@ -167,14 +179,20 @@ def _jac_add_affine(p1: _JacPoint, p2: Tuple[int, int], p: int) -> _JacPoint:
 
 # --- scalar multiplication -----------------------------------------------
 #
-# Both multiplications read the scalar four bits at a time.  The base
-# point is fixed, so every ``j * 16^i * G`` is tabulated once per process
-# and ``k * G`` is at most 64 mixed additions with no doubling at all;
-# an arbitrary point gets a 15-entry table of its own small multiples
-# and pays four doublings and at most one addition per window.
+# The base point is fixed, so every ``j * 16^i * G`` is tabulated once per
+# process and ``k * G`` (signing, key generation) is at most 64 mixed
+# additions and no doubling.  Any other product splits its scalar into
+# halves over P and λP, and all halves walk one wNAF ladder of at most 129
+# doublings (``_glv_mult``): ``verify`` runs u1 over G and u2 over Q on it.
 
 _WINDOW_BITS = 4
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
+_G_WIDTH = 8
+_POINT_WIDTH = 5
+
+_Affine = Tuple[int, int]
+#: The odd multiples of a point P and of λP.
+_Tables = Tuple[Tuple[_Affine, ...], Tuple[_Affine, ...]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,23 +230,94 @@ def _base_mult(k: int, curve: CurveParams) -> _JacPoint:
     return accumulator
 
 
-def _window_mult(k: int, point: Tuple[int, int], curve: CurveParams) -> _JacPoint:
-    """``k * point`` for ``0 <= k < n`` and any affine ``point``."""
-    p = curve.p
-    multiples: List[_JacPoint] = [_JAC_INFINITY, _to_jacobian(point)]
-    for j in range(2, _WINDOW_MASK + 1):
-        if j % 2:
-            multiples.append(_jac_add_affine(multiples[j - 1], point, p))
-        else:
-            multiples.append(_jac_double(multiples[j // 2], p))
+def _split(k: int) -> Tuple[int, int]:
+    """``(k1, k2)`` with ``k ≡ k1 + λ·k2 (mod n)`` and ``|k1|, |k2| <= 2^128``.
+
+    Rounds ``(k, 0)`` to the nearest vector of the ``_A*``/``_B*`` lattice
+    (Gallant–Lambert–Vanstone); the halves are the remainder.
+    """
+    n = CURVE.n
+    c1 = (2 * _B2 * k + n) // (2 * n)
+    c2 = (-2 * _B1 * k + n) // (2 * n)
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _wnaf(k: int, width: int) -> List[Tuple[int, int]]:
+    """The nonzero digits of ``k >= 0`` in width-``width`` NAF.
+
+    ``(position, digit)`` pairs, lowest first: every digit is odd with
+    ``|digit| < 2^(width - 1)``, positions are at least ``width`` apart
+    and ``sum(digit << position) == k``.
+    """
+    window = 1 << width
+    digits = []
+    position = 0
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        position += zeros
+        digit = k & (window - 1)
+        if digit >= window >> 1:
+            digit -= window
+        digits.append((position, digit))
+        k = (k - digit) >> width
+        position += width
+    return digits
+
+
+def _odd_multiples(point: _Affine, width: int, p: int) -> _Tables:
+    """``P, 3P, …, (2^(width-1) − 1)P`` and their images under λ, affine.
+
+    The multiples are built in Jacobian form and normalised with one
+    inversion (Montgomery's trick); the λ-table costs no curve operation.
+    """
+    jacobian = _to_jacobian(point)
+    twice = _jac_double(jacobian, p)
+    multiples = [jacobian]
+    for _ in range((1 << (width - 2)) - 1):
+        multiples.append(_jac_add(multiples[-1], twice, p))
+    prefix = [1]
+    for _, _, z in multiples:
+        prefix.append(prefix[-1] * z % p)
+    inverse = _inv_mod(prefix[-1], p)
+    table: List[_Affine] = []
+    for (x, y, z), before in zip(reversed(multiples), reversed(prefix[:-1])):
+        z_inv = inverse * before % p
+        inverse = inverse * z % p
+        z_inv_sq = z_inv * z_inv % p
+        table.append((x * z_inv_sq % p, y * z_inv_sq * z_inv % p))
+    table.reverse()
+    return tuple(table), tuple((_BETA * x % p, y) for x, y in table)
+
+
+@functools.lru_cache(maxsize=None)
+def _base_odd_multiples(curve: CurveParams) -> _Tables:
+    """``_odd_multiples(G, 8)``: 64 points and their λ-images, built on first use."""
+    return _odd_multiples(curve.g, _G_WIDTH, curve.p)
+
+
+def _glv_mult(terms: Iterable[Tuple[int, _Tables, int]], p: int) -> _JacPoint:
+    """``Σ k·P`` over ``(k, tables of P, width)`` terms, ``0 <= k < n``.
+
+    Each ``k`` splits into halves over ``P`` and ``λP``; a negative half
+    walks the negated points.  Every nonzero wNAF digit of every half is
+    one mixed addition at its position, and one doubling per position
+    serves them all.
+    """
+    columns: Dict[int, List[_Affine]] = {}
+    for k, tables, width in terms:
+        for half, table in zip(_split(k), tables):
+            negate = half < 0
+            for position, digit in _wnaf(-half if negate else half, width):
+                x, y = table[abs(digit) >> 1]
+                if (digit < 0) != negate:
+                    y = p - y
+                columns.setdefault(position, []).append((x, y))
     accumulator = _JAC_INFINITY
-    top = (k.bit_length() + _WINDOW_BITS - 1) // _WINDOW_BITS * _WINDOW_BITS
-    for shift in range(top - _WINDOW_BITS, -1, -_WINDOW_BITS):
-        for _ in range(_WINDOW_BITS):
-            accumulator = _jac_double(accumulator, p)
-        digit = (k >> shift) & _WINDOW_MASK
-        if digit:
-            accumulator = _jac_add(accumulator, multiples[digit], p)
+    for position in range(max(columns, default=-1), -1, -1):
+        accumulator = _jac_double(accumulator, p)
+        for point in columns.get(position, ()):
+            accumulator = _jac_add_affine(accumulator, point, p)
     return accumulator
 
 
@@ -247,22 +336,32 @@ def scalar_mult(
     point: Optional[Tuple[int, int]],
     curve: CurveParams = CURVE,
 ) -> Optional[Tuple[int, int]]:
-    """Compute ``k * point``: table lookups for the base point, a fixed
-    4-bit window for any other."""
+    """Compute ``k * point``: table lookups for the base point, the GLV
+    ladder for any other."""
     if point is None:
         return None
     k %= curve.n
     if point == curve.g:
         return _from_jacobian(_base_mult(k, curve), curve.p)
-    return _from_jacobian(_window_mult(k, point, curve), curve.p)
+    term = (k, _odd_multiples(point, _POINT_WIDTH, curve.p), _POINT_WIDTH)
+    return _from_jacobian(_glv_mult((term,), curve.p), curve.p)
 
 
 def is_on_curve(point: Optional[Tuple[int, int]], curve: CurveParams = CURVE) -> bool:
-    """Check curve membership of an affine point."""
+    """Check curve membership of an affine point.
+
+    Only a pair of ints with ``0 <= x, y < p`` qualifies: ``(x + p, y)``
+    would be a second encoding, with another address, of one key.
+    """
     if point is None:
         return True
+    if not isinstance(point, tuple) or len(point) != 2:
+        return False
     x, y = point
-    return (y * y - (x * x * x + curve.a * x + curve.b)) % curve.p == 0
+    if not (isinstance(x, int) and isinstance(y, int)):
+        return False
+    in_field = 0 <= x < curve.p and 0 <= y < curve.p
+    return in_field and (y * y - (x * x * x + curve.a * x + curve.b)) % curve.p == 0
 
 
 @dataclass(frozen=True)
@@ -379,12 +478,11 @@ def verify(
     s_inv = _inv_mod(s, curve.n)
     u1 = (z * s_inv) % curve.n
     u2 = (r * s_inv) % curve.n
-    point = _from_jacobian(
-        _jac_add(
-            _base_mult(u1, curve), _window_mult(u2, public_key, curve), curve.p
-        ),
-        curve.p,
+    terms = (
+        (u1, _base_odd_multiples(curve), _G_WIDTH),
+        (u2, _odd_multiples(public_key, _POINT_WIDTH, curve.p), _POINT_WIDTH),
     )
+    point = _from_jacobian(_glv_mult(terms, curve.p), curve.p)
     if point is None:
         return False
     return point[0] % curve.n == r

@@ -112,6 +112,14 @@ class TestSignVerify:
         signature = ecdsa.sign(PRIV, DIGEST)
         assert not ecdsa.verify((2, 3), DIGEST, signature)
 
+    @pytest.mark.parametrize("shape", ("triple", "list", "float x"))
+    def test_malformed_public_key_shape_returns_false(self, shape):
+        """Only a tuple of two ints is a key; anything else is dropped,
+        never raised."""
+        x, y = PUB
+        key = {"triple": (x, y, 1), "list": [x, y], "float x": (float(x), y)}[shape]
+        assert not ecdsa.verify(key, DIGEST, ecdsa.sign(PRIV, DIGEST))
+
     @given(st.integers(min_value=1, max_value=CURVE.n - 1), st.binary(min_size=1))
     @settings(max_examples=10, deadline=None)
     def test_round_trip_property(self, private_key, message):

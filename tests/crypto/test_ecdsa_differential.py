@@ -1,12 +1,16 @@
-"""Differential tests: the windowed curve code against textbook oracles.
+"""Differential tests: the table and GLV curve code against textbook oracles.
 
-``repro.crypto.ecdsa`` multiplies through a fixed-base table for ``G``
-and a 4-bit window for every other point.  The oracles here are the
+``repro.crypto.ecdsa`` multiplies ``k·G`` through a fixed-base table and
+every other product through the GLV endomorphism: scalars split into
+halves over ``P`` and ``λP`` and all halves share one wNAF ladder, which
+``verify`` walks once for ``u1·G + u2·Q``.  The oracles here are the
 bit-at-a-time double-and-add and the two-multiplication ``u1·G + u2·Q``
 verification written straight from the definitions, in affine
 coordinates, sharing no code with the module under test.  ``sign`` is
 pinned to ``(key, digest) → (r, s)`` vectors taken before the windowed
-code existed, so signatures stay bit-identical.
+code existed, so signatures stay bit-identical.  The split, the recoding
+and the endomorphism have rows of their own, and a doubling budget
+holds ``verify`` to one ~128-step ladder through the module seam.
 """
 
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import ecdsa
-from repro.crypto.ecdsa import CURVE, Signature
+from repro.crypto.ecdsa import _A1, _A2, _BETA, _LAMBDA, CURVE, Signature
 from repro.crypto.hashing import sha3_256
 from repro.crypto.keys import PrivateKey
 
@@ -58,6 +62,8 @@ def oracle_verify(public_key, digest, r, s):
     if public_key is None:
         return False
     x, y = public_key
+    if not (0 <= x < P and 0 <= y < P):
+        return False
     if (y * y - x * x * x - 7) % P:
         return False
     if not 1 <= r < N or not 1 <= s <= N // 2:
@@ -69,7 +75,8 @@ def oracle_verify(public_key, digest, r, s):
 
 
 #: Scalars the windows treat specially: ends of the range, single set
-#: nibbles, zero nibbles between set ones, all nibbles 15.
+#: nibbles, zero nibbles between set ones, all nibbles 15; then scalars
+#: whose GLV halves are zero or negative (λ, n − λ, the basis, −5 − 7λ).
 EDGE_SCALARS = (
     1,
     2,
@@ -87,6 +94,11 @@ EDGE_SCALARS = (
     int("f0" * 32, 16) % N,
     int("0f" * 32, 16),
     int("f" * 63, 16),
+    _LAMBDA,
+    N - _LAMBDA,
+    _A1,
+    _A2,
+    (-5 - 7 * _LAMBDA) % N,
 )
 
 scalars = st.one_of(
@@ -211,7 +223,8 @@ def _mutations(public_key, digest, signature):
     """Every single-field change the issue lists, as verify() arguments."""
     r, s = signature.r, signature.s
     flipped = bytes([digest[0] ^ 1]) + digest[1:]
-    off_curve = (public_key[0], (public_key[1] + 1) % P)
+    x, y = public_key
+    off_curve = (x, (y + 1) % P)
     return {
         "valid": (public_key, digest, r, s),
         "digest": (public_key, flipped, r, s),
@@ -225,6 +238,9 @@ def _mutations(public_key, digest, signature):
         "s zero": (public_key, digest, r, 0),
         "off-curve key": (off_curve, digest, r, s),
         "infinity key": (None, digest, r, s),
+        "x + p": ((x + P, y), digest, r, s),
+        "y + p": ((x, y + P), digest, r, s),
+        "negative x": ((x - P, y), digest, r, s),
         "other key": (oracle_mult(2, public_key), digest, r, s),
     }
 
@@ -272,3 +288,86 @@ class TestVerifyAgainstTextbook:
         signature = ecdsa.sign(private, digest)
         assert oracle_verify(public_key, digest, signature.r, signature.s)
         assert ecdsa.verify(public_key, digest, signature)
+
+
+class TestGlvSplit:
+    """``k ≡ k1 + λ·k2 (mod n)`` with both halves at most 128 bits."""
+
+    @staticmethod
+    def _check(k):
+        k1, k2 = ecdsa._split(k)
+        assert (k1 + _LAMBDA * k2 - k) % N == 0
+        assert abs(k1) <= 1 << 128 and abs(k2) <= 1 << 128
+        return k1, k2
+
+    @given(scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_identity_and_bound(self, k):
+        self._check(k % N)
+
+    @pytest.mark.parametrize(
+        "k", (_LAMBDA, N - _LAMBDA, _A1, _A2), ids=("lambda", "n-lambda", "a1", "a2")
+    )
+    def test_lattice_scalars(self, k):
+        self._check(k)
+
+    @pytest.mark.parametrize(
+        "k1,k2", ((-1, 0), (-5, -7), (-1, 3), (4, -9), (-(1 << 127), -(1 << 126)))
+    )
+    def test_negative_halves_come_back_exactly(self, k1, k2):
+        assert self._check((k1 + _LAMBDA * k2) % N) == (k1, k2)
+
+
+class TestWnaf:
+    @given(st.integers(min_value=0, max_value=1 << 129), st.sampled_from((5, 8)))
+    @settings(max_examples=200, deadline=None)
+    def test_digits_are_odd_sparse_and_sum_to_k(self, k, width):
+        digits = ecdsa._wnaf(k, width)
+        assert sum(digit << position for position, digit in digits) == k
+        for position, digit in digits:
+            assert digit % 2 == 1 and abs(digit) < 1 << (width - 1)
+        positions = [position for position, _ in digits]
+        assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+
+
+class TestEndomorphism:
+    """``λ·P == (β·x mod p, y)``: the λ-tables need no curve operation."""
+
+    def test_base_point(self):
+        assert oracle_mult(_LAMBDA, G) == (_BETA * G[0] % P, G[1])
+
+    @given(st.integers(min_value=1, max_value=N - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_generated_keys(self, private):
+        x, y = point = oracle_mult(private, G)
+        assert oracle_mult(_LAMBDA, point) == (_BETA * x % P, y)
+
+    def test_base_tables_are_odd_multiples_built_once(self):
+        table, images = ecdsa._base_odd_multiples(CURVE)
+        assert ecdsa._base_odd_multiples(CURVE)[0] is table
+        assert len(table) == len(images) == 64
+        assert table[0] == G and table[1] == oracle_mult(3, G)
+        assert table[63] == oracle_mult(127, G)
+        assert images[63] == oracle_mult(127 * _LAMBDA, G)
+
+
+class TestDoublingBudget:
+    """One ``verify`` is one ladder over ~128-bit halves: ≤ 130 doublings
+    (the 2Q of Q's table plus ≤ 129 steps), counted at the module seam."""
+
+    @pytest.mark.parametrize("seed", (b"alpha", b"\x00", b"dd-provider:provider-1:0"))
+    def test_verify_doubles_at_most_130_times(self, seed, monkeypatch):
+        key = PrivateKey.from_seed(seed)
+        digest = sha3_256(seed)
+        signature = key.sign(digest)
+        ecdsa._base_odd_multiples(CURVE)
+        calls = []
+        double = ecdsa._jac_double
+
+        def counted(point, p):
+            calls.append(point)
+            return double(point, p)
+
+        monkeypatch.setattr(ecdsa, "_jac_double", counted)
+        assert ecdsa.verify(key.public_key().point, digest, signature)
+        assert len(calls) <= 130

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.crypto.ecdsa import EcdsaError
+from repro.crypto.ecdsa import CURVE, EcdsaError
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import Address, KeyPair, PrivateKey, PublicKey
 
@@ -66,6 +66,15 @@ class TestPublicKey:
     def test_rejects_off_curve(self):
         with pytest.raises(EcdsaError):
             PublicKey((1, 1))
+
+    def test_rejects_second_encoding_of_a_point(self):
+        """``x = 1 + p`` is the point with ``x = 1`` again; only the
+        canonical encoding decodes, so one point has one address."""
+        y = pow(8, (CURVE.p + 1) // 4, CURVE.p)
+        canonical = PublicKey.from_bytes((1).to_bytes(32, "big") + y.to_bytes(32, "big"))
+        assert canonical.point == (1, y)
+        with pytest.raises(EcdsaError):
+            PublicKey.from_bytes((1 + CURVE.p).to_bytes(32, "big") + y.to_bytes(32, "big"))
 
     def test_address_is_20_bytes(self):
         public = PrivateKey.from_seed(b"k").public_key()

@@ -11,7 +11,10 @@ Two relay modes (:class:`~repro.network.config.NetworkConfig`):
     The paper's 5-provider LAN: every node pushes the full payload to
     its (non-partitioned) neighbors the first time it sees a message.
     O(edges) payload copies per broadcast — fine at small scale,
-    quadratic on the default complete mesh.
+    quadratic on the default complete mesh.  A copy to a live node whose
+    unbounded seen-set already holds the key is counted (sent, then
+    duplicate-suppressed) when it is sent instead of queued: that
+    seen-set never shrinks, so its arrival would change nothing.
 
 ``inv``
     Bitcoin-shaped announce + pull for large fleets: a relay sends a
@@ -225,7 +228,12 @@ class GossipNetwork(GossipNetworkApi):
     @property
     def messages_duplicated(self) -> int:
         """Deliveries suppressed because the receiver had already seen
-        the dedup key (flood redundancy + injected duplicates)."""
+        the dedup key (flood redundancy + injected duplicates).
+
+        A flood copy to a live receiver whose unbounded seen-set holds
+        the key is counted here when it is sent, even if the receiver
+        crashes before it would have landed (a copy that would then
+        have been lost to the crash)."""
         return self._duplicated.value
 
     @property
@@ -320,7 +328,7 @@ class GossipNetwork(GossipNetworkApi):
         """Direct delivery along one (virtual) link — not relayed."""
         if destination not in self._nodes:
             raise ValueError(f"unknown destination {destination}")
-        self._transmit(origin, destination, message, relay=False)
+        self._transmit(origin, (destination,), message, relay=False)
 
     def _relay_targets(self, relay: str) -> List[str]:
         """Attached neighbors a relay pushes to — all, or a ``fanout`` sample.
@@ -348,48 +356,59 @@ class GossipNetwork(GossipNetworkApi):
             for peer in self._relay_targets(relay):
                 self._send_inv(relay, peer, message)
         else:
-            for peer in self._relay_targets(relay):
-                self._transmit(relay, peer, message)
+            self._transmit(relay, self._relay_targets(relay), message)
 
     # -- flood path ----------------------------------------------------------
 
     def _transmit(
-        self, src: str, dst: str, message: Message, relay: bool = True
+        self, src: str, dsts: Iterable[str], message: Message, relay: bool = True
     ) -> None:
-        if self._is_cut(src, dst):
-            return
+        rng, now = self._rng, self.simulator.now
         gateway = self.remote_gateway
-        remote = (
-            dst not in self._nodes and gateway is not None and gateway.is_remote(dst)
-        )
-        # Link-level duplication is decided up front: the echo is a real
-        # second transmission, so it is counted in ``messages_sent`` and
-        # rolls the same loss dice as the original copy (previously it
-        # bypassed both, under-counting chaos-lane traffic and
-        # over-delivering under loss).
-        copies = 1
-        if self.duplication_rate > 0 and self._rng.random() < self.duplication_rate:
-            copies = 2
-        arrival = 0.0
-        for _ in range(copies):
-            self._sent.inc()
-            self._payload_frames.inc()
-            self._bytes_sent.inc(wire_size(message))
-            if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
-                self._dropped.inc()
+        key = message.dedup_key
+        sent = dropped = suppressed = 0
+        for dst in dsts:
+            if self._is_cut(src, dst):
                 continue
-            delay = self.latency.sample(src, dst, self._rng)
-            if self.extra_delay is not None:
-                delay += max(0.0, self.extra_delay(src, dst, self._rng))
-            # Each surviving copy arrives after the previous one — the
-            # echo trails the original on its own sampled latency.
-            arrival += delay
-            if remote:
-                gateway.send_payload(
-                    src, dst, message, self.simulator.now + arrival
-                )
-            else:
-                self.simulator.schedule(arrival, self._receive, dst, message, relay)
+            node = self._nodes.get(dst)
+            remote = node is None and gateway is not None and gateway.is_remote(dst)
+            seen = self._seen.get(dst)
+            # A live holder of an unbounded seen-set would drop the copy
+            # on arrival whatever happens meanwhile (the set never
+            # shrinks and survives a crash): settle it here, unqueued.
+            held = (
+                node is not None and not node.crashed
+                and seen.capacity is None and key in seen
+            )
+            # Link-level duplication is decided up front: the echo is a
+            # real second transmission, so it is counted in
+            # ``messages_sent`` and rolls the same loss dice.
+            copies = 1
+            if self.duplication_rate > 0 and rng.random() < self.duplication_rate:
+                copies = 2
+            arrival = 0.0
+            for _ in range(copies):
+                sent += 1
+                if self.loss_rate > 0 and rng.random() < self.loss_rate:
+                    dropped += 1
+                    continue
+                delay = self.latency.sample(src, dst, rng)
+                if self.extra_delay is not None:
+                    delay += max(0.0, self.extra_delay(src, dst, rng))
+                # Each surviving copy arrives after the previous one —
+                # the echo trails the original on its own latency.
+                arrival += delay
+                if held:
+                    suppressed += 1
+                elif remote:
+                    gateway.send_payload(src, dst, message, now + arrival)
+                else:
+                    self.simulator.schedule(arrival, self._receive, dst, message, relay)
+        self._sent.inc(sent)
+        self._payload_frames.inc(sent)
+        self._bytes_sent.inc(sent * wire_size(message))
+        self._dropped.inc(dropped)
+        self._duplicated.inc(suppressed)
 
     # -- inv-pull path ---------------------------------------------------------
 

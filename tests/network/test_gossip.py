@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.config import NetworkConfig
 from repro.network.gossip import GossipNetwork, build_topology
-from repro.network.latency import ConstantLatency
-from repro.network.messages import Message, MessageKind
+from repro.network.latency import ConstantLatency, UniformLatency
+from repro.network.messages import Message, MessageKind, wire_size
 from repro.network.node import Node
 from repro.network.simulator import Simulator
 
@@ -305,3 +307,257 @@ class TestDuplicationAccounting:
         sent = telemetry.counter("gossip.messages", status="sent").value
         assert sent == net.messages_sent > 0
         assert telemetry.counter("gossip.broadcasts").value == 1
+
+
+class TestCopySettledAtSend:
+    """A flood copy to a live node whose unbounded seen-set already
+    holds the key is counted duplicate-suppressed when it is sent and
+    never queued; every other copy is scheduled as before."""
+
+    def _pair(self, names=("a", "b"), **config):
+        sim = Simulator()
+        net = GossipNetwork(
+            sim, build_topology(list(names), "complete"),
+            latency=ConstantLatency(0.01), rng=random.Random(1),
+            config=NetworkConfig(**config),
+        )
+        nodes = [Node(name) for name in names]
+        net.attach_all(nodes)
+        return sim, net, nodes
+
+    def _held_by_b(self, sim, net):
+        message = Message.wrap(MessageKind.CONTROL, b"held", origin="a")
+        net.unicast("a", "b", message)
+        sim.advance()
+        assert net.messages_duplicated == 0
+        return message
+
+    def test_a_copy_to_a_holder_schedules_nothing(self):
+        sim, net, nodes = self._pair()
+        message = self._held_by_b(sim, net)
+        net.unicast("a", "b", message)
+        assert sim.pending == 0
+        assert net.messages_duplicated == 1
+        assert (net.messages_sent, net.summary()["payload_frames"]) == (2, 2)
+        assert net.bytes_sent == 2 * wire_size(message)
+
+    def test_a_destination_crashed_at_send_is_still_scheduled(self):
+        sim, net, nodes = self._pair()
+        message = self._held_by_b(sim, net)
+        nodes[1].crash()
+        net.unicast("a", "b", message)
+        assert sim.pending == 1 and net.messages_duplicated == 0
+        sim.advance()
+        assert net.messages_lost_to_crashes == 1
+
+    def test_a_bounded_seen_set_is_still_scheduled(self):
+        # Eviction can forget the key before the copy lands.
+        sim, net, nodes = self._pair(seen_capacity=4)
+        message = self._held_by_b(sim, net)
+        net.unicast("a", "b", message)
+        assert sim.pending == 1 and net.messages_duplicated == 0
+        sim.advance()
+        assert net.messages_duplicated == 1
+
+    def test_a_remote_destination_still_takes_send_payload(self):
+        class Gateway:
+            def __init__(self):
+                self.frames = []
+
+            def is_remote(self, name):
+                return name == "c"
+
+            def send_payload(self, src, dst, message, at):
+                self.frames.append((src, dst, message.dedup_key, at))
+
+        sim, net, nodes = self._pair(names=("a", "b", "c"))
+        del net._nodes["c"], net._seen["c"]
+        net.remote_gateway = gateway = Gateway()
+        message = Message.wrap(MessageKind.CONTROL, b"x", origin="a")
+        net.broadcast("a", message)
+        assert gateway.frames == [("a", "c", message.dedup_key, 0.01)]
+        assert sim.pending == 1  # the copy to b
+
+    def test_unicast_goes_through_the_one_transmit(self, monkeypatch):
+        sim, net, nodes = self._pair()
+        calls = []
+        transmit = GossipNetwork._transmit
+
+        def spy(self, src, dsts, message, relay=True):
+            calls.append((src, tuple(dsts), relay))
+            transmit(self, src, dsts, message, relay)
+
+        monkeypatch.setattr(GossipNetwork, "_transmit", spy)
+        message = self._held_by_b(sim, net)
+        net.unicast("a", "b", message)
+        assert calls == [("a", ("b",), False), ("a", ("b",), False)]
+        assert sim.pending == 0 and net.messages_duplicated == 1
+
+
+class PerCopyGossip(GossipNetwork):
+    """Oracle: the flood path that queues every surviving copy as its
+    own event and lets the receiver's dedup settle it on arrival."""
+
+    def _transmit(self, src, dsts, message, relay=True):
+        for dst in dsts:
+            self._transmit_one(src, dst, message, relay)
+
+    def _transmit_one(self, src, dst, message, relay):
+        if self._is_cut(src, dst):
+            return
+        gateway = self.remote_gateway
+        remote = (
+            dst not in self._nodes and gateway is not None and gateway.is_remote(dst)
+        )
+        copies = 1
+        if self.duplication_rate > 0 and self._rng.random() < self.duplication_rate:
+            copies = 2
+        arrival = 0.0
+        for _ in range(copies):
+            self._sent.inc()
+            self._payload_frames.inc()
+            self._bytes_sent.inc(wire_size(message))
+            if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
+                self._dropped.inc()
+                continue
+            delay = self.latency.sample(src, dst, self._rng)
+            if self.extra_delay is not None:
+                delay += max(0.0, self.extra_delay(src, dst, self._rng))
+            arrival += delay
+            if remote:
+                gateway.send_payload(src, dst, message, self.simulator.now + arrival)
+            else:
+                self.simulator.schedule(arrival, self._receive, dst, message, relay)
+
+
+def _spiky(src, dst, rng):
+    """A delay spike on about a third of the copies (reorders arrivals)."""
+    return rng.random() * 0.05 if rng.random() < 0.3 else 0.0
+
+
+def _run_overlay(cls, history):
+    names = [f"n{i}" for i in range(history["nodes"])]
+    sim = Simulator()
+    net = cls(
+        sim,
+        build_topology(
+            names, history["kind"], degree=4, rng=random.Random(history["seed"])
+        ),
+        latency=UniformLatency(0.005, 0.03),
+        rng=random.Random(history["seed"] + 1),
+        config=NetworkConfig(
+            fanout=history["fanout"],
+            seen_capacity=history["seen_capacity"],
+            loss_rate=history["loss_rate"],
+        ),
+    )
+    net.duplication_rate = history["duplication_rate"]
+    if history["spikes"]:
+        net.extra_delay = _spiky
+    nodes = [Node(name) for name in names]
+    net.attach_all(nodes)
+    # A node relays a key once: a bounded seen-set that forgets keys
+    # still redelivers them, but cannot keep a flood circulating.
+    relayed = set()
+
+    def relay_once(node, message):
+        first = (node.name, message.dedup_key) not in relayed
+        relayed.add((node.name, message.dedup_key))
+        return first
+
+    net.add_relay_filter(relay_once)
+    delivered = {name: [] for name in names}
+    for node in nodes:
+        node.on(
+            MessageKind.CONTROL,
+            lambda n, m: delivered[n.name].append((sim.now, m.dedup_key)),
+        )
+    messages = [
+        Message(MessageKind.CONTROL, b"m%d" % i, "n0", b"key-%d" % i)
+        for i in range(history["messages"])
+    ]
+
+    def act(verb, a, b):
+        name, other = names[a % len(names)], names[b % len(names)]
+        if verb == "broadcast":
+            net.broadcast(name, messages[b % len(messages)])
+        elif verb == "unicast":
+            net.unicast(name, other, messages[a % len(messages)])
+        elif verb == "crash":
+            net.node(name).crash()
+        elif verb == "restart":
+            net.node(name).restart()
+        elif verb == "cut":
+            net.cut_link(name, other)
+        else:
+            net.heal_all()
+
+    for at, verb, a, b in history["ops"]:
+        sim.schedule_at(at, act, verb, a, b)
+    sim.advance()
+    return sim, net, delivered
+
+
+def _first_divergence(oracle, shipped):
+    """The first node/field where the shipped run departs from the oracle."""
+    (o_sim, o_net, o_delivered), (s_sim, s_net, s_delivered) = oracle, shipped
+    for name, expected in o_delivered.items():
+        if s_delivered[name] != expected:
+            return f"{name}: delivered {s_delivered[name]} != oracle {expected}"
+        o_seen = list(o_net._seen[name]._entries)
+        s_seen = list(s_net._seen[name]._entries)
+        if o_seen != s_seen:
+            return f"{name}: seen-set {s_seen} != oracle {o_seen}"
+    for field in ("messages_sent", "messages_dropped", "bytes_sent"):
+        if getattr(o_net, field) != getattr(s_net, field):
+            return f"{field}: {getattr(s_net, field)} != oracle {getattr(o_net, field)}"
+
+    def settled(net):
+        return net.messages_duplicated + net.messages_lost_to_crashes
+
+    if settled(o_net) != settled(s_net):
+        return (
+            f"duplicated + lost_to_crashes: {settled(s_net)}"
+            f" != oracle {settled(o_net)}"
+        )
+    if s_sim.events_processed > o_sim.events_processed:
+        return f"events: {s_sim.events_processed} > oracle {o_sim.events_processed}"
+    return None
+
+
+_OPS = st.tuples(
+    st.floats(min_value=0.0, max_value=0.3, allow_nan=False),
+    st.sampled_from(
+        ["broadcast", "broadcast", "unicast", "crash", "restart", "cut", "heal"]
+    ),
+    st.integers(0, 11),
+    st.integers(0, 11),
+)
+
+
+@given(
+    history=st.fixed_dictionaries(
+        {
+            "nodes": st.integers(3, 10),
+            "kind": st.sampled_from(["complete", "ring_random"]),
+            "seed": st.integers(0, 10_000),
+            "fanout": st.one_of(st.none(), st.integers(1, 4)),
+            "seen_capacity": st.sampled_from([None, None, 1, 2]),
+            "loss_rate": st.sampled_from([0.0, 0.0, 0.2, 0.5]),
+            "duplication_rate": st.sampled_from([0.0, 0.0, 0.3, 0.8]),
+            "spikes": st.booleans(),
+            "messages": st.integers(2, 4),
+            "ops": st.lists(_OPS, min_size=1, max_size=16),
+        }
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_settling_held_copies_at_send_matches_the_per_copy_oracle(history):
+    """Generated flood histories — topology, fanout, loss, duplication,
+    delay spikes, cut links, crash/restart with copies in flight,
+    bounded and unbounded seen-sets — deliver, remember and count the
+    same as the per-copy oracle, on no more queue events."""
+    oracle = _run_overlay(PerCopyGossip, history)
+    shipped = _run_overlay(GossipNetwork, history)
+    divergence = _first_divergence(oracle, shipped)
+    assert divergence is None, divergence

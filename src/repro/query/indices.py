@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.chain import Blockchain
@@ -386,24 +386,22 @@ class ChainIndex:
         """Confirmed release announcements, filtered, in chain order."""
         self.refresh()
         self._hit()
-        candidates: Optional[set] = None
+        postings: List[Sequence[int]] = []
         if provider is not None:
-            candidates = set(self._sras_by_provider.get(provider, ()))
-        if system is not None or version is not None:
-            if system is not None and version is not None:
-                matches = set(self._sras_by_release.get((system, version), ()))
-            else:
-                # Half a release is given: match on that half.
-                matches = {
+            postings.append(self._sras_by_provider.get(provider, ()))
+        if system is not None and version is not None:
+            postings.append(self._sras_by_release.get((system, version), ()))
+        elif system is not None or version is not None:
+            # Half a release is given: merge that half's lists by one sort.
+            postings.append(
+                sorted(
                     index
                     for (name, release), indices in self._sras_by_release.items()
                     if name == system or release == version
                     for index in indices
-                }
-            candidates = matches if candidates is None else candidates & matches
-        if candidates is None:
-            return list(self._sras_in_order)
-        return [self._sras_in_order[index] for index in sorted(candidates)]
+                )
+            )
+        return _select(self._sras_in_order, postings)
 
     def reports(
         self,
@@ -416,30 +414,41 @@ class ChainIndex:
         """Confirmed detailed reports matching every given filter.
 
         Results come back in chain order (height, index-in-block):
-        the entries are filed in that order, so sorting the matching
-        ordinals is the only sort.  The filters intersect, so
-        ``reports(system=..., severity=...)`` is "reports against this
-        system that mention this severity".
+        the entries are filed in that order, so one filter's postings
+        map straight through and only an intersection sorts.  The
+        filters intersect, so ``reports(system=..., severity=...)`` is
+        "reports against this system that mention this severity".
         """
         self.refresh()
         self._hit()
         if isinstance(severity, str):
             severity = Severity(severity)
-        candidates: Optional[set] = None
-        for bucket, key in (
-            (self._reports_by_system, system),
-            (self._reports_by_provider, provider),
-            (self._reports_by_severity, severity),
-            (self._reports_by_detector, detector),
-            (self._reports_by_sra, sra_id),
-        ):
-            if key is None:
-                continue
-            matches = set(bucket.get(key, ()))
-            candidates = matches if candidates is None else candidates & matches
-        if candidates is None:
-            return list(self._reports)
-        return [self._reports[index] for index in sorted(candidates)]
+        postings = [
+            bucket.get(key, ())
+            for bucket, key in (
+                (self._reports_by_system, system),
+                (self._reports_by_provider, provider),
+                (self._reports_by_severity, severity),
+                (self._reports_by_detector, detector),
+                (self._reports_by_sra, sra_id),
+            )
+            if key is not None
+        ]
+        return _select(self._reports, postings)
+
+
+def _select(entries: Sequence, postings: List[Sequence[int]]) -> list:
+    """The entries at the ordinals every posting list holds, in chain order.
+
+    Posting lists are strictly increasing (ordinals are filed in entry
+    order), so one list maps straight through; only an intersection sorts.
+    """
+    if not postings:
+        return list(entries)
+    first, *rest = postings
+    if rest:
+        first = sorted(set(first).intersection(*rest))
+    return [entries[index] for index in first]
 
 
 class EventIndex:

@@ -42,6 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.chain.chain import Blockchain, ChainError
 from repro.contracts.vm import ContractRuntime
 from repro.crypto.keys import Address
+from repro.detection.vulnerability import Severity
 from repro.hexargs import parse_hex
 from repro.network.simulator import Simulator
 from repro.query.indices import ChainIndex, EventIndex
@@ -77,6 +78,13 @@ _REQUIRED_PARAM = {
     "get_transaction": "record_id",
     "get_transaction_count": "account",
     "get_logs": "event_name",
+}
+
+#: The filters of each entry read.  Outside input keys the posting maps,
+#: so one not a ``str`` (or, for ``severity``, a ``Severity``) fails alone.
+_FILTER_PARAMS = {
+    "get_reports": ("system", "provider", "severity", "detector"),
+    "get_sras": ("provider", "system", "version"),
 }
 
 
@@ -299,6 +307,7 @@ class QueryService:
         self.warm_starts = 0
         self.cold_starts = 0
         self.snapshots = SnapshotCache()
+        self._last_bound: Tuple[Any, Optional[StalenessBound]] = (None, None)
         self.index: Optional[ChainIndex] = (
             None
             if self._bound_headers() is not None
@@ -473,7 +482,13 @@ class QueryService:
     def _staleness_bound(
         self, served_height: int, served_id: bytes, served_time: float
     ) -> StalenessBound:
+        """The bound for a served tip: a frozen pure function of these
+        inputs and the canonical view, so equal inputs reuse the last."""
         view = self._canonical_view()
+        inputs = (served_height, served_id, served_time, view)
+        last_inputs, last_bound = self._last_bound
+        if inputs == last_inputs:
+            return last_bound
         if view is None:
             canonical_height, canonical_id, canonical_time = (
                 served_height,
@@ -482,7 +497,7 @@ class QueryService:
             )
         else:
             canonical_height, canonical_id, canonical_time = view
-        return StalenessBound(
+        bound = StalenessBound(
             served_height=served_height,
             served_block_id=served_id,
             canonical_height=canonical_height,
@@ -490,6 +505,8 @@ class QueryService:
             height_lag=max(0, canonical_height - served_height),
             time_lag=max(0.0, canonical_time - served_time),
         )
+        self._last_bound = (inputs, bound)
+        return bound
 
     @staticmethod
     def _require_max_staleness(max_staleness: Optional[int]) -> None:
@@ -806,21 +823,14 @@ class QueryService:
             return self._serve_transaction(params["record_id"], index.chain)
         if method == "get_transaction_count":
             return index.sender_count(self._address(params["account"]))
-        if method == "get_reports":
-            entries = index.reports(
-                system=params.get("system"),
-                provider=params.get("provider"),
-                severity=params.get("severity"),
-                detector=params.get("detector"),
-            )
-            return self._paginate_entries(entries, params, index)
-        if method == "get_sras":
-            entries = index.sras(
-                provider=params.get("provider"),
-                system=params.get("system"),
-                version=params.get("version"),
-            )
-            return self._paginate_entries(entries, params, index)
+        if method in _FILTER_PARAMS:
+            filters = {key: params.get(key) for key in _FILTER_PARAMS[method]}
+            for key, value in filters.items():
+                allowed = (str, Severity) if key == "severity" else str
+                if value is not None and not isinstance(value, allowed):
+                    raise QueryError(f"bad {key} {value!r}: pass a plain str")
+            select = index.reports if method == "get_reports" else index.sras
+            return self._paginate_entries(select(**filters), params, index)
         if method == "get_logs":
             if self.events is None:
                 raise QueryError(

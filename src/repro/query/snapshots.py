@@ -112,8 +112,11 @@ class SnapshotCache:
     ``current`` returns the cached snapshot while the head stands
     still; a head move captures a fresh one, and any cached snapshot
     whose head fell off the canonical chain (reorg) is evicted rather
-    than recycled.  Capacity is small by design — consumers only ever
-    ask about the recent past.
+    than recycled.  A call on the same chain object and head id as the
+    last one is a single lookup: the canonical path is the head's
+    ancestry, so that call already evicted all a reorg could strand.
+    Capacity is small by design — consumers only ever ask about the
+    recent past.
     """
 
     def __init__(self, capacity: int = 4) -> None:
@@ -125,6 +128,7 @@ class SnapshotCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        self._last: Tuple[Optional[Blockchain], Optional[bytes]] = (None, None)
 
     def __len__(self) -> int:
         return len(self._snapshots)
@@ -132,6 +136,11 @@ class SnapshotCache:
     def current(self, chain: Blockchain) -> ChainSnapshot:
         """The snapshot for ``chain``'s current head, capturing on miss."""
         head_id = chain.head.block_id
+        last_chain, last_head_id = self._last
+        if chain is last_chain and head_id == last_head_id:
+            self.hits += 1
+            return self._snapshots[head_id]  # a miss never evicts the newest
+        self._last = (chain, head_id)
         self._evict_noncanonical(chain)
         cached = self._snapshots.get(head_id)
         if cached is not None:

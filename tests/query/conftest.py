@@ -23,6 +23,13 @@ from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import Address, KeyPair
 from repro.detection.descriptions import VulnerabilityDescription, deduplicate
 from repro.detection.vulnerability import Severity
+from repro.query import (
+    ChainIndex,
+    ChainSnapshot,
+    QueryService,
+    SnapshotCache,
+    StalenessBound,
+)
 
 MINER = KeyPair.from_seed(b"query-test-miner").address
 
@@ -389,3 +396,131 @@ def report_identities(entries: Sequence) -> List[Tuple[int, int, bytes]]:
         (entry.height, entry.index_in_block, entry.record_id)
         for entry in entries
     ]
+
+
+# -- the read path before the unmoved-head shortcuts ------------------------
+#
+# The snapshot cache, the staleness bound and the entry selection once
+# re-did their whole work on every call.  Their bodies are kept here,
+# verbatim, as the oracle the shortcuts are held to
+# (tests/query/test_unmoved_head.py).
+
+
+class ScanningSnapshotCache(SnapshotCache):
+    """``current`` re-proving every cached head canonical on each call."""
+
+    def current(self, chain: Blockchain) -> ChainSnapshot:
+        head_id = chain.head.block_id
+        stale = [
+            cached_id
+            for cached_id in self._order
+            if not chain.is_canonical(cached_id)
+        ]
+        for cached_id in stale:
+            self._order.remove(cached_id)
+            self._snapshots.pop(cached_id, None)
+            self.invalidations += 1
+        cached = self._snapshots.get(head_id)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        snapshot = ChainSnapshot.capture(chain)
+        self._snapshots[head_id] = snapshot
+        self._order.append(head_id)
+        while len(self._order) > self.capacity:
+            oldest = self._order.pop(0)
+            self._snapshots.pop(oldest, None)
+        return snapshot
+
+
+class SortingChainIndex(ChainIndex):
+    """``reports`` / ``sras`` copying every posting list into a set and
+    sorting the surviving ordinals, however many filters are given."""
+
+    def sras(self, provider=None, system=None, version=None):
+        self.refresh()
+        self._hit()
+        candidates: Optional[set] = None
+        if provider is not None:
+            candidates = set(self._sras_by_provider.get(provider, ()))
+        if system is not None or version is not None:
+            if system is not None and version is not None:
+                matches = set(self._sras_by_release.get((system, version), ()))
+            else:
+                matches = {
+                    index
+                    for (name, release), indices in self._sras_by_release.items()
+                    if name == system or release == version
+                    for index in indices
+                }
+            candidates = matches if candidates is None else candidates & matches
+        if candidates is None:
+            return list(self._sras_in_order)
+        return [self._sras_in_order[index] for index in sorted(candidates)]
+
+    def reports(
+        self, system=None, provider=None, severity=None, detector=None, sra_id=None
+    ):
+        self.refresh()
+        self._hit()
+        if isinstance(severity, str):
+            severity = Severity(severity)
+        candidates: Optional[set] = None
+        for bucket, key in (
+            (self._reports_by_system, system),
+            (self._reports_by_provider, provider),
+            (self._reports_by_severity, severity),
+            (self._reports_by_detector, detector),
+            (self._reports_by_sra, sra_id),
+        ):
+            if key is None:
+                continue
+            matches = set(bucket.get(key, ()))
+            candidates = matches if candidates is None else candidates & matches
+        if candidates is None:
+            return list(self._reports)
+        return [self._reports[index] for index in sorted(candidates)]
+
+
+class RecomputingQueryService(QueryService):
+    """A service over the three oracles above: a fresh bound, a full
+    eviction scan and a set-and-sort selection on every call."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.snapshots = ScanningSnapshotCache()
+
+    def _build_index(self, chain: Blockchain) -> ChainIndex:
+        self.cold_starts += 1
+        return SortingChainIndex(chain, telemetry=self.telemetry)
+
+    def _staleness_bound(
+        self, served_height: int, served_id: bytes, served_time: float
+    ) -> StalenessBound:
+        view = self._canonical_view()
+        if view is None:
+            canonical_height, canonical_id, canonical_time = (
+                served_height,
+                served_id,
+                served_time,
+            )
+        else:
+            canonical_height, canonical_id, canonical_time = view
+        return StalenessBound(
+            served_height=served_height,
+            served_block_id=served_id,
+            canonical_height=canonical_height,
+            canonical_block_id=canonical_id,
+            height_lag=max(0, canonical_height - served_height),
+            time_lag=max(0.0, canonical_time - served_time),
+        )
+
+
+def posting_lists(index: ChainIndex) -> Dict[str, Dict[object, List[int]]]:
+    """Every posting map of ``index``, by attribute name."""
+    return {
+        name: value
+        for name, value in vars(index).items()
+        if name.startswith(("_sras_by_", "_reports_by_"))
+    }

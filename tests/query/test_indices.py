@@ -6,10 +6,15 @@ import random
 
 import pytest
 
+from repro.chain.block import Block, ChainRecord, RecordKind
+from repro.core.sra import SRA, SignedSRA
+from repro.crypto.hashing import hash_fields
 from repro.query import ChainIndex, EventIndex, QueryRequest, QueryService
 from repro.telemetry import Telemetry
 
 from tests.query.conftest import (
+    DUMMY_SIG,
+    MINER,
     SENDERS,
     build_mixed_chain,
     extend_mixed,
@@ -18,6 +23,7 @@ from tests.query.conftest import (
     full_scan_reports,
     full_scan_sender_count,
     full_scan_sras,
+    posting_lists,
     report_identities,
     sra_identities,
 )
@@ -220,3 +226,127 @@ class TestEventIndex:
         assert consumed == len(runtime.events)
         index.refresh()  # no new events: cursor stands still
         assert index.consumed == consumed
+
+
+def assert_postings_strictly_increasing(index):
+    """What lets one filter's posting list skip the set and the sort."""
+    maps = posting_lists(index)
+    assert len(maps) == 7
+    for name, postings in maps.items():
+        for key, ordinals in postings.items():
+            assert all(a < b for a, b in zip(ordinals, ordinals[1:])), (name, key)
+
+
+def assert_one_filter_parity(chain, index):
+    """Every one-filter read == the full scan, values taken from it."""
+    report_filters = {
+        pair
+        for entry in index.reports()
+        for pair in (
+            ("system", entry.system_name),
+            ("provider", entry.provider_id),
+            ("detector", entry.detector_id),
+            *(("severity", severity.value) for severity in entry.severities),
+        )
+    }
+    for key, value in sorted(report_filters) + [("system", "no-such-system")]:
+        assert report_identities(index.reports(**{key: value})) == full_scan_reports(
+            chain, **{key: value}
+        )
+    sra_filters = {
+        pair
+        for entry in index.sras()
+        for pair in (
+            ("provider", entry.provider_id),
+            ("system", entry.system_name),
+            ("version", entry.system_version),
+        )
+    }
+    for key, value in sorted(sra_filters) + [("provider", "no-such-vendor")]:
+        assert sra_identities(index.sras(**{key: value})) == full_scan_sras(
+            chain, **{key: value}
+        )
+
+
+class TestPostingOrder:
+    """Each filing path keeps every posting list strictly increasing."""
+
+    def test_append(self, indexed):
+        chain, sra_ids, index = indexed
+        extend_mixed(chain, random.Random(17), 3, 3, sra_ids)
+        index.refresh()
+        assert_postings_strictly_increasing(index)
+        assert_one_filter_parity(chain, index)
+
+    def test_parked_report_insort_and_derive(self, monkeypatch):
+        derived = []
+        derive = ChainIndex._derive_maps
+
+        def counted(self):
+            derived.append(len(self._reports))
+            derive(self)
+
+        monkeypatch.setattr(ChainIndex, "_derive_maps", counted)
+        chain, sra_ids = build_mixed_chain(seed=19, blocks=4)
+        index = ChainIndex(chain)
+        built = len(derived)
+        extend_mixed(chain, random.Random(19), 12, 4, sra_ids, late_sras=[])
+        index.refresh()
+        assert len(derived) > built, "no parked report was filed behind a later one"
+        assert_postings_strictly_increasing(index)
+        assert_one_filter_parity(chain, index)
+
+    def test_warm_start_adopt(self):
+        chain, sra_ids = build_mixed_chain(seed=29, blocks=4)
+        extend_mixed(chain, random.Random(29), 10, 4, sra_ids, late_sras=[])
+        adopted = ChainIndex(chain, state=ChainIndex(chain).dump_state())
+        assert_postings_strictly_increasing(adopted)
+        assert_one_filter_parity(chain, adopted)
+
+    def test_reset_on_reorg(self):
+        chain, sra_ids = build_mixed_chain(seed=53, blocks=12)
+        index = ChainIndex(chain)
+        fork_parent = chain.block_at_height(chain.head.height - 2)
+        extend_mixed(chain, random.Random(53), 4, 3, sra_ids, parent=fork_parent)
+        index.refresh()
+        assert index.rebuilds == 1
+        assert_postings_strictly_increasing(index)
+        assert_one_filter_parity(chain, index)
+
+    def test_half_release_union_is_sorted(self):
+        # A release announced twice with another between: the by-release
+        # postings interleave, and only sorting their union restores
+        # chain order.
+        def announce(version, insurance):
+            body = SRA(
+                provider_id="vendor-a",
+                system_name="camera",
+                system_version=version,
+                artifact_hash=hash_fields("artifact", version, insurance),
+                download_link=f"https://vendor-a.example/camera-{version}",
+                insurance_wei=insurance,
+                bounty_wei=1,
+            )
+            signed = SignedSRA(body=body, claimed_id=body.sra_id(), signature=DUMMY_SIG)
+            return ChainRecord(
+                kind=RecordKind.SRA,
+                record_id=signed.sra_id,
+                payload=signed.to_payload(),
+                sender=SENDERS[0],
+            )
+
+        chain, sra_ids = build_mixed_chain(seed=59, blocks=0)
+        records = (announce("v1", 1), announce("v2", 1), announce("v1", 2))
+        genesis = chain.head
+        stamp = genesis.header.timestamp + 10.0
+        chain.add_block(
+            Block.assemble(genesis.block_id, 1, records, stamp, 100, MINER)
+        )
+        extend_mixed(chain, random.Random(59), 4, 2, sra_ids)
+        index = ChainIndex(chain)
+        assert len(posting_lists(index)["_sras_by_release"][("camera", "v1")]) == 2
+        for filters in ({"system": "camera"}, {"provider": "vendor-a"}):
+            matched = index.sras(**filters)
+            assert sra_identities(matched) == full_scan_sras(chain, **filters)
+            assert [entry.system_version for entry in matched][:3] == ["v1", "v2", "v1"]
+        assert_postings_strictly_increasing(index)

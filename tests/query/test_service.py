@@ -9,6 +9,7 @@ import pytest
 from repro.chain.consensus import make_genesis
 from repro.chain.chain import Blockchain
 from repro.crypto.keys import Address
+from repro.detection.vulnerability import Severity
 from repro.network.simulator import Simulator
 from repro.query import QueryError, QueryRequest, QueryService
 from repro.telemetry import Telemetry
@@ -105,6 +106,38 @@ class TestServeBatch:
         assert not bare.ok
         assert bare.error == f"{method} needs '{needed}'"
 
+    @pytest.mark.parametrize("value", [["x"], {}, 7], ids=["list", "dict", "int"])
+    @pytest.mark.parametrize(
+        "method, key",
+        [
+            ("get_reports", "system"),
+            ("get_reports", "provider"),
+            ("get_reports", "severity"),
+            ("get_reports", "detector"),
+            ("get_sras", "provider"),
+            ("get_sras", "system"),
+            ("get_sras", "version"),
+        ],
+    )
+    def test_non_str_filter_is_a_per_request_error(self, service, method, key, value):
+        # A filter keys a posting map: an unhashable one was a TypeError
+        # out of serve_batch, losing the neighbour's answer too.
+        svc, chain, _ = service
+        bad, head = svc.serve_batch(
+            [QueryRequest(method, ((key, value),)), QueryRequest.head()]
+        )
+        assert not bad.ok and bad.staleness is not None
+        assert bad.error == f"bad {key} {value!r}: pass a plain str"
+        assert head.ok and head.result["number"] == chain.head.height
+
+    def test_severity_filter_takes_the_enum_too(self, service):
+        svc, chain, _ = service
+        by_enum = svc.serve(QueryRequest("get_reports", (("severity", Severity.HIGH),)))
+        assert by_enum.ok
+        assert report_identities(by_enum.result["rows"]) == full_scan_reports(
+            chain, severity="high"
+        )
+
     def test_get_block_by_hash_is_canonical_only(self, service):
         svc, chain, sra_ids = service
         canonical = chain.block_at_height(chain.head.height - 1)
@@ -176,6 +209,21 @@ class TestAsyncBatches:
         assert early.done and late.done
         assert early.responses[0].result["number"] == 8
         assert late.responses[0].result["number"] == 10
+
+    def test_deferred_bad_filter_stays_in_its_response(self):
+        # The deferred path's _fire catches only QueryError: a TypeError
+        # out of serve_batch once escaped into the simulator's loop.
+        chain, _ = build_mixed_chain(seed=87, blocks=6)
+        simulator = Simulator()
+        svc = QueryService(chain=chain, simulator=simulator)
+        pending = svc.submit_batch(
+            [QueryRequest("get_sras", (("provider", {}),)), QueryRequest.head()],
+            delay=1.0,
+        )
+        simulator.advance()
+        bad, head = pending.responses
+        assert not bad.ok and "bad provider {}" in bad.error
+        assert head.ok and head.result["number"] == 6
 
     def test_callback_delivery_and_determinism(self):
         chain, _ = build_mixed_chain(seed=89, blocks=6)

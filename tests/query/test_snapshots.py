@@ -10,10 +10,24 @@ from repro.chain.chain import ChainError
 from repro.query import ChainSnapshot, SnapshotCache, block_dict
 
 from tests.query.conftest import (
+    ScanningSnapshotCache,
     build_mixed_chain,
     extend_mixed,
     full_scan_block_at_height,
 )
+
+
+def count_canonical_checks(chain):
+    """Wrap ``chain.is_canonical``; the returned list counts its calls."""
+    calls = []
+    check = chain.is_canonical
+
+    def counted(block_id):
+        calls.append(block_id)
+        return check(block_id)
+
+    chain.is_canonical = counted
+    return calls
 
 
 @pytest.fixture
@@ -106,3 +120,58 @@ class TestSnapshotCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             SnapshotCache(capacity=0)
+
+
+class TestUnmovedHeadShortcut:
+    """A call on the last call's chain and head is one lookup; every
+    other call scans as before and counts what the scanning cache
+    (tests/query/conftest.py) counts."""
+
+    def test_unmoved_head_is_one_lookup(self, chain):
+        cache = SnapshotCache()
+        first = cache.current(chain)
+        checks = count_canonical_checks(chain)
+        hits = cache.hits
+        second = cache.current(chain)
+        assert second is first
+        assert cache.hits == hits + 1
+        assert checks == []
+
+    def test_reorg_then_call_still_evicts(self, chain):
+        cache, oracle = SnapshotCache(), ScanningSnapshotCache()
+        rng = random.Random(5)
+        for _ in range(3):
+            extend_mixed(chain, rng, 1, 2, [])
+            for _ in range(2):
+                assert cache.current(chain).head_id == oracle.current(chain).head_id
+        fork_parent = full_scan_block_at_height(chain, chain.head.height - 2)
+        extend_mixed(chain, rng, 4, 2, [], parent=fork_parent)
+        checks = count_canonical_checks(chain)
+        fresh = cache.current(chain)
+        assert fresh.head_id == oracle.current(chain).head_id == chain.head.block_id
+        assert checks, "a moved head must re-prove the cached heads"
+        assert cache.invalidations == oracle.invalidations == 2
+        assert (cache.hits, cache.misses) == (oracle.hits, oracle.misses)
+        assert len(cache) == len(oracle)
+
+    def test_a_swapped_chain_with_the_same_head_takes_the_scan(self, chain):
+        # A restart from disk swaps the chain object for one with the
+        # same head id: the shortcut is keyed on the object too.
+        cache, oracle = SnapshotCache(), ScanningSnapshotCache()
+        first = cache.current(chain)
+        oracle.current(chain)
+        swapped, _ = build_mixed_chain(seed=61, blocks=10)
+        assert swapped is not chain
+        assert swapped.head.block_id == chain.head.block_id
+        checks = count_canonical_checks(swapped)
+        assert cache.current(swapped) is first
+        assert checks == [first.head_id]
+        oracle.current(swapped)
+        assert (cache.hits, cache.misses, cache.invalidations) == (
+            oracle.hits,
+            oracle.misses,
+            oracle.invalidations,
+        )
+        checks.clear()
+        assert cache.current(swapped) is first  # now the last call's chain
+        assert checks == []

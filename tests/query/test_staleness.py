@@ -70,6 +70,24 @@ class TestBoundComputation:
         assert via_node.serve(QueryRequest.head()).staleness.height_lag == 2
         assert via_callable.serve(QueryRequest.head()).staleness.height_lag == 2
 
+    def test_canonical_move_under_a_still_served_head_shows(self):
+        # The bound is reused while its inputs stand still; the
+        # canonical view is one of them, read on every batch.
+        canonical, sra_ids = build_mixed_chain(seed=57, blocks=7)
+        served, _ = build_mixed_chain(seed=57, blocks=5)
+        svc = QueryService(chain=served, canonical=canonical)
+        first = svc.serve_batch([QueryRequest.head()])[0].staleness
+        assert svc.serve(QueryRequest.head()).staleness == first
+        assert first.height_lag == 2
+        extend_mixed(canonical, random.Random(3), 3, 2, sra_ids)
+        moved = svc.serve_batch([QueryRequest.head()])[0].staleness
+        assert moved.served_block_id == first.served_block_id
+        assert moved.height_lag == 5
+        assert moved.canonical_block_id == canonical.head.block_id
+        assert moved.time_lag == pytest.approx(
+            canonical.head.header.timestamp - served.head.header.timestamp
+        )
+
     def test_bound_attached_to_error_responses_too(self):
         chain, _ = build_mixed_chain(seed=61, blocks=4)
         svc = QueryService(chain=chain)

@@ -29,7 +29,7 @@ from repro.network.gossip import GossipNetwork
 from repro.network.latency import DEFAULT_LATENCY, LatencyModel
 from repro.network.messages import Message, MessageKind
 from repro.network.node import Node
-from repro.network.simulator import Simulator
+from repro.network.simulator import Simulator, check_deadline
 from repro.store import ChainStore, HeaderStore
 from repro.store.faultinject import STORE_FAULTS
 
@@ -576,8 +576,10 @@ class FleetControlPlane:
 
         A sampled block that would land after the deadline is never
         found: the clock advances to the deadline and the drive stops.
-        Returns the blocks mined.
+        Returns the blocks mined; a non-finite deadline is a
+        ``ValueError`` before any round is drawn.
         """
+        check_deadline(deadline)
         mined = 0
         while True:
             outcome = self.model.next_block()

@@ -17,7 +17,7 @@ from repro.network.latency import (
 )
 from repro.network.messages import Message, MessageKind
 from repro.network.node import Node
-from repro.network.simulator import ScheduledEvent, Simulator
+from repro.network.simulator import Simulator
 
 __all__ = [
     "ConstantLatency",
@@ -29,7 +29,6 @@ __all__ = [
     "MessageKind",
     "NetworkConfig",
     "Node",
-    "ScheduledEvent",
     "SeenLRU",
     "Simulator",
     "UniformLatency",

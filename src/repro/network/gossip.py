@@ -353,8 +353,7 @@ class GossipNetwork(GossipNetworkApi):
 
     def _forward(self, relay: str, message: Message) -> None:
         if self.config.mode == "inv":
-            for peer in self._relay_targets(relay):
-                self._send_inv(relay, peer, message)
+            self._send_invs(relay, self._relay_targets(relay), message)
         else:
             self._transmit(relay, self._relay_targets(relay), message)
 
@@ -418,24 +417,40 @@ class GossipNetwork(GossipNetworkApi):
             delay += max(0.0, self.extra_delay(src, dst, self._rng))
         return delay
 
-    def _send_inv(self, src: str, dst: str, message: Message) -> None:
-        """Announce a content digest to one peer (best-effort datagram)."""
-        if self._is_cut(src, dst):
-            return
-        self._sent.inc()
-        self._inv_frames.inc()
-        self._bytes_sent.inc(CONTROL_WIRE_BYTES)
-        if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
-            self._dropped.inc()
-            return
-        delay = self._link_delay(src, dst)
+    def _send_invs(self, src: str, dsts: Iterable[str], message: Message) -> None:
+        """Announce a content digest to each peer (best-effort datagrams).
+
+        Per peer, in order: cut check, loss roll, link delay, then the
+        gateway (the announcing shard keeps the content, so the pull
+        that comes back across the boundary is served locally) or a
+        queued ``_receive_inv``.  The counters are folded once per call.
+        """
+        rng, now = self._rng, self.simulator.now
+        schedule, receive = self.simulator.schedule, self._receive_inv
         gateway = self.remote_gateway
-        if dst not in self._nodes and gateway is not None and gateway.is_remote(dst):
-            # The announcing shard keeps the content so the pull that
-            # comes back across the boundary can be served locally.
-            gateway.send_inv(src, dst, message, self.simulator.now + delay)
-            return
-        self.simulator.schedule(delay, self._receive_inv, dst, src, message)
+        sent = dropped = 0
+        for dst in dsts:
+            if self._is_cut(src, dst):
+                continue
+            sent += 1
+            if self.loss_rate > 0 and rng.random() < self.loss_rate:
+                dropped += 1
+                continue
+            delay = self.latency.sample(src, dst, rng)
+            if self.extra_delay is not None:
+                delay += max(0.0, self.extra_delay(src, dst, rng))
+            if (
+                dst not in self._nodes
+                and gateway is not None
+                and gateway.is_remote(dst)
+            ):
+                gateway.send_inv(src, dst, message, now + delay)
+            else:
+                schedule(delay, receive, dst, src, message)
+        self._sent.inc(sent)
+        self._inv_frames.inc(sent)
+        self._bytes_sent.inc(sent * CONTROL_WIRE_BYTES)
+        self._dropped.inc(dropped)
 
     def _announcer_gone(self, name: str, announcer: str) -> bool:
         """Is a pending pull from ``announcer`` doomed (peer or link dead)?

@@ -67,7 +67,7 @@ from repro.faults.invariants import confirmed_chain_bytes
 from repro.network.gossip import GossipNetwork, build_topology
 from repro.network.latency import DEFAULT_LATENCY, LatencyModel
 from repro.network.messages import Message, MessageKind
-from repro.network.simulator import ScheduledEvent, Simulator
+from repro.network.simulator import Simulator, check_deadline
 from repro.shard.frames import (
     CrossShardFrame,
     FrameKind,
@@ -603,15 +603,13 @@ class ShardedSimulator(FleetControlPlane):
         """The fleet clock (every shard agrees at barriers)."""
         return self._now
 
-    def schedule(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> ScheduledEvent:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` fleet seconds."""
-        return self.schedule_at(self._now + delay, callback, *args)
+        self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
-    ) -> ScheduledEvent:
+    ) -> None:
         """Run ``callback(*args)`` at an absolute fleet time.
 
         The callback fires on the coordinator at an epoch boundary cut
@@ -620,16 +618,17 @@ class ShardedSimulator(FleetControlPlane):
         """
         if time < self._now:  # the control clock may trail the fleet's
             raise ValueError("cannot schedule into the past")
-        return self._controls.schedule_at(time, callback, *args)
+        self._controls.schedule_at(time, callback, *args)
 
     def _fire_controls(self) -> None:
         if self._controls.pending:
             self._controls.advance_until(self._now)
 
     def advance_until(self, deadline: float) -> int:
-        """Run every shard to ``deadline`` in barrier-separated epochs."""
+        """Run every shard to ``deadline`` (finite, else ``ValueError``)
+        in barrier-separated epochs."""
         fired = 0
-        deadline = max(deadline, self._now)
+        deadline = max(check_deadline(deadline), self._now)
         while True:
             target = min(deadline, self._now + BARRIER_INTERVAL)
             next_control = self._controls.next_time()

@@ -30,6 +30,19 @@ def _check(record: ChainRecord) -> bool:
     return record.payload != b"forged"
 
 
+class TestDeadlines:
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_a_non_finite_deadline_is_refused_before_any_round(self, deadline):
+        net = DistributedChain(PAPER_HASHPOWER_SHARES, seed=1)
+        with pytest.raises(ValueError, match="deadline"):
+            net.mine_until(deadline)
+        assert (net.simulator.now, net.blocks_mined) == (0.0, 0)
+        # No round was drawn: the run continues as a fresh one would.
+        twin = DistributedChain(PAPER_HASHPOWER_SHARES, seed=1)
+        assert net.mine_until(300.0) == twin.mine_until(300.0)
+        assert net.heads() == twin.heads()
+
+
 class TestConvergence:
     def test_replicas_converge_after_mining(self):
         net = DistributedChain(PAPER_HASHPOWER_SHARES, seed=1)

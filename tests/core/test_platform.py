@@ -120,6 +120,15 @@ class TestScheduling:
         assert count == platform.blocks_mined == platform.chain.height
         assert count >= 1
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_a_non_finite_deadline_is_refused_before_any_round(self, deadline):
+        platform = _platform(seed=6)
+        for advance in (platform.advance_until, platform.advance_for):
+            with pytest.raises(ValueError, match="deadline"):
+                advance(deadline)
+        assert (platform.now, platform.blocks_mined) == (0.0, 0)
+        assert platform.advance_for(200.0) == _platform(seed=6).advance_for(200.0)
+
     def test_schedule_at_fires_an_action_at_its_absolute_time(self):
         platform = _platform(seed=9)
         fired = []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.network.config import NetworkConfig
 from repro.network.gossip import GossipNetwork, build_topology
 from repro.network.latency import ConstantLatency, UniformLatency
-from repro.network.messages import Message, MessageKind, wire_size
+from repro.network.messages import CONTROL_WIRE_BYTES, Message, MessageKind, wire_size
 from repro.network.node import Node
 from repro.network.simulator import Simulator
 
@@ -430,18 +430,67 @@ class PerCopyGossip(GossipNetwork):
                 self.simulator.schedule(arrival, self._receive, dst, message, relay)
 
 
+class PerPeerInvGossip(GossipNetwork):
+    """Oracle: the inv path that announces to one peer per call, each
+    paying its own three counter increments."""
+
+    def _send_invs(self, src, dsts, message):
+        for dst in dsts:
+            self._send_inv(src, dst, message)
+
+    def _send_inv(self, src, dst, message):
+        if self._is_cut(src, dst):
+            return
+        self._sent.inc()
+        self._inv_frames.inc()
+        self._bytes_sent.inc(CONTROL_WIRE_BYTES)
+        if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
+            self._dropped.inc()
+            return
+        delay = self._link_delay(src, dst)
+        gateway = self.remote_gateway
+        if dst not in self._nodes and gateway is not None and gateway.is_remote(dst):
+            gateway.send_inv(src, dst, message, self.simulator.now + delay)
+            return
+        self.simulator.schedule(delay, self._receive_inv, dst, src, message)
+
+
+class _RemoteLog:
+    """A gateway owning the topology names no local node took; it logs
+    every frame that would cross to them."""
+
+    def __init__(self, names):
+        self.names, self.frames = set(names), []
+
+    def is_remote(self, name):
+        return name in self.names
+
+    def send_inv(self, src, dst, message, at):
+        self.frames.append(("inv", src, dst, message.dedup_key, at))
+
+    def send_payload(self, src, dst, message, at):
+        self.frames.append(("payload", src, dst, message.dedup_key, at))
+
+
 def _spiky(src, dst, rng):
     """A delay spike on about a third of the copies (reorders arrivals)."""
     return rng.random() * 0.05 if rng.random() < 0.3 else 0.0
 
 
 def _run_overlay(cls, history):
+    """Run ``history`` on an overlay of class ``cls``; an inv history
+    (``mode``) may add ``remote`` topology names that only a logging
+    gateway owns."""
+    remote = history.get("remote", 0)
     names = [f"n{i}" for i in range(history["nodes"])]
     sim = Simulator()
     net = cls(
         sim,
         build_topology(
-            names, history["kind"], degree=4, rng=random.Random(history["seed"])
+            names + [f"r{i}" for i in range(remote)],
+            history["kind"],
+            degree=4,
+            rng=random.Random(history["seed"]),
         ),
         latency=UniformLatency(0.005, 0.03),
         rng=random.Random(history["seed"] + 1),
@@ -449,8 +498,11 @@ def _run_overlay(cls, history):
             fanout=history["fanout"],
             seen_capacity=history["seen_capacity"],
             loss_rate=history["loss_rate"],
+            mode=history.get("mode", "flood"),
         ),
     )
+    if remote:
+        net.remote_gateway = _RemoteLog(f"r{i}" for i in range(remote))
     net.duplication_rate = history["duplication_rate"]
     if history["spikes"]:
         net.extra_delay = _spiky
@@ -560,4 +612,60 @@ def test_settling_held_copies_at_send_matches_the_per_copy_oracle(history):
     oracle = _run_overlay(PerCopyGossip, history)
     shipped = _run_overlay(GossipNetwork, history)
     divergence = _first_divergence(oracle, shipped)
+    assert divergence is None, divergence
+
+
+def _first_inv_divergence(oracle, shipped):
+    """The first node/field where the shipped inv run departs from the
+    oracle — which must match it exactly, queue events included."""
+    (_, o_net, o_delivered), (_, s_net, s_delivered) = oracle, shipped
+    for name, expected in o_delivered.items():
+        if s_delivered[name] != expected:
+            return f"{name}: delivered {s_delivered[name]} != oracle {expected}"
+        for field, view in (
+            ("seen-set", lambda net: list(net._seen[name]._entries)),
+            ("pending pulls", lambda net: net._pending[name]),
+        ):
+            if view(s_net) != view(o_net):
+                return f"{name}: {field} {view(s_net)} != oracle {view(o_net)}"
+    o_summary, s_summary = o_net.summary(), s_net.summary()
+    for field, expected in o_summary.items():
+        if s_summary[field] != expected:
+            return f"{field}: {s_summary[field]} != oracle {expected}"
+    o_frames = getattr(o_net.remote_gateway, "frames", None)
+    s_frames = getattr(s_net.remote_gateway, "frames", None)
+    if s_frames != o_frames:
+        return f"gateway frames: {s_frames} != oracle {o_frames}"
+    return None
+
+
+@given(
+    history=st.fixed_dictionaries(
+        {
+            "mode": st.just("inv"),
+            "nodes": st.integers(3, 10),
+            "remote": st.integers(0, 2),
+            "kind": st.sampled_from(["complete", "ring_random"]),
+            "seed": st.integers(0, 10_000),
+            "fanout": st.one_of(st.none(), st.integers(1, 4)),
+            "seen_capacity": st.sampled_from([None, None, 1, 2]),
+            "loss_rate": st.sampled_from([0.0, 0.0, 0.2, 0.5]),
+            "duplication_rate": st.sampled_from([0.0, 0.0, 0.3]),
+            "spikes": st.booleans(),
+            "messages": st.integers(2, 4),
+            "ops": st.lists(_OPS, min_size=1, max_size=16),
+        }
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_announcing_to_all_relay_targets_in_one_call_matches_the_per_peer_oracle(
+    history,
+):
+    """Generated inv histories — topology, fanout, loss, delay spikes,
+    cut links, crash/restart with announcements and pulls in flight,
+    bounded seen-sets, peers behind a gateway — draw, deliver, remember,
+    count and queue exactly as the per-peer ``_send_inv`` oracle."""
+    oracle = _run_overlay(PerPeerInvGossip, history)
+    shipped = _run_overlay(GossipNetwork, history)
+    divergence = _first_inv_divergence(oracle, shipped)
     assert divergence is None, divergence

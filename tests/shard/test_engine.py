@@ -171,13 +171,17 @@ class TestTimeControl:
             fleet.advance_until(2.0)
             assert seen == [0.6, "late"]
 
-    def test_cancelled_events_never_fire(self):
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_a_non_finite_deadline_is_refused_before_any_epoch(self, deadline):
         seen = []
         with ShardedSimulator(_spec(), seed=3) as fleet:
-            event = fleet.schedule(0.5, seen.append, "no")
-            event.cancel()
+            assert fleet.schedule(0.5, seen.append, "due") is None
+            for advance in (fleet.advance_until, fleet.advance_for):
+                with pytest.raises(ValueError, match="deadline"):
+                    advance(deadline)
+            assert (seen, fleet.now, fleet.blocks_mined) == ([], 0.0, 0)
             fleet.advance_until(1.0)
-            assert seen == []
+            assert seen == ["due"]
 
     def test_cannot_schedule_into_the_past(self):
         with ShardedSimulator(_spec(), seed=3) as fleet:

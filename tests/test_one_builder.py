@@ -17,7 +17,7 @@ import os
 import subprocess
 import sys
 
-from repro.network.simulator import ScheduledEvent
+from repro.network.simulator import Simulator
 
 #: callable (as written at the call site) -> modules allowed to call it.
 BUILDERS = {
@@ -124,9 +124,22 @@ def test_only_the_simulators_keep_an_event_heap(src_modules):
         and node.name == "__lt__"
     ]
     assert not ordered, f"__lt__ defined on the event path: {ordered}"
-    assert "__lt__" not in vars(ScheduledEvent), (
-        "a generated __lt__ (dataclass(order=True)) is still a Python __lt__"
-    )
+
+
+def test_a_scheduled_event_is_a_plain_tuple_without_a_handle(src_modules):
+    sim = Simulator()
+    assert sim.schedule(2.0, print, "late") is None
+    assert sim.schedule_at(1.0, print) is None
+    assert sorted(sim._queue) == [(1.0, 1, print, ()), (2.0, 0, print, ("late",))]
+    assert {type(entry) for entry in sim._queue} == {tuple}
+    # Nothing may hold on to a queued event: no handle class, no verb
+    # that takes one back.
+    handles = [
+        f"src/repro/{source.module}"
+        for source in src_modules
+        if "ScheduledEvent" in source.text or "cancel" in source.text.lower()
+    ]
+    assert not handles, f"an event handle or a cancel verb is back in {handles}"
 
 
 def _importers(src_modules, packages):

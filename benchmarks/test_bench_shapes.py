@@ -15,13 +15,7 @@ import statistics
 
 import pytest
 
-from repro.analysis.participation import (
-    equilibrium_fleet_size,
-    simulate_participation,
-)
-from repro.core.incentives import IncentiveParameters
 from repro.experiments import EXPERIMENTS
-from repro.units import to_wei
 
 pytestmark = pytest.mark.bench
 
@@ -212,6 +206,18 @@ def _forks(result):
     assert rates[-1] > rates[0]
 
 
+@shape("participation")
+def _participation(result):
+    # Incentives recruit a crowd at the paper's μ = 250 ETH; the crowd's
+    # coverage is near-total; everyone still breaks even (the entry
+    # condition); bigger bounties sustain strictly more participation.
+    size, coverage, _ = result.points[250]
+    assert size >= 8
+    assert coverage > 0.99
+    assert all(balance >= 0 for _, _, balance in result.points.values())
+    assert result.points[500][0] > result.points[50][0]
+
+
 if set(SHAPES) != set(EXPERIMENTS):
     raise LookupError(
         "shape checks and registry rows differ: "
@@ -229,22 +235,3 @@ def test_shape(name):
     result.to_table().print()
     check(result)
 
-
-def test_participation_equilibrium():
-    params = IncentiveParameters()
-    outcome = simulate_participation(params, candidate_pool=60, epochs=120)
-    print(
-        f"participation: equilibrium fleet {outcome.equilibrium_size}, "
-        f"coverage {outcome.final_coverage:.4f}, "
-        f"member balance {outcome.final_balances[0]:.1f} ETH/epoch"
-    )
-
-    # Incentives recruit a crowd; the crowd's coverage is near-total;
-    # everyone still breaks even (the entry condition).
-    assert outcome.equilibrium_size >= 8
-    assert outcome.final_coverage > 0.99
-    assert all(balance >= 0 for balance in outcome.final_balances)
-    # Bigger bounties sustain strictly more participation.
-    small = equilibrium_fleet_size(IncentiveParameters(bounty_wei=to_wei(50)))
-    large = equilibrium_fleet_size(IncentiveParameters(bounty_wei=to_wei(500)))
-    assert large > small

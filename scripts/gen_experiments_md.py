@@ -6,7 +6,9 @@ default sizes and seed, rendered with ``to_table().render()`` — what
 ``python -m repro.experiments NAME`` prints.  ``render(name, result)``
 returns the marked block as a string so the tier-1 drift test
 (``tests/test_experiments_doc.py``) can compare it against the
-checked-in file; ``main()`` rewrites every block in place (~14 s).
+checked-in file; ``main()`` rewrites every block in place (~14 s),
+and writes nothing if a row lacks its marker pair — the error names
+the row and prints the pair to paste.
 Run it (with ``PYTHONPATH=src``) after any change that moves a seeded
 result, then reread the prose around the blocks that changed.
 """
@@ -31,6 +33,13 @@ def render(name: str, result) -> str:
 
 def main() -> None:
     text = DOC.read_text()
+    for name in EXPERIMENTS:
+        pair = BEGIN.format(name), END.format(name)
+        if any(text.count(marker) != 1 for marker in pair):
+            raise LookupError(
+                f"{DOC.name} needs exactly one block for the row {name!r};"
+                " paste this marker pair where its table belongs:\n" + "\n".join(pair)
+            )
     for name in EXPERIMENTS:
         head, rest = text.split(BEGIN.format(name))
         tail = rest.split(END.format(name))[1]

@@ -94,7 +94,7 @@ class ParticipationOutcome:
 
     @property
     def final_coverage(self) -> float:
-        return self.coverage_trajectory[-1] if self.coverage_trajectory else 0.0
+        return self.coverage_trajectory[-1]
 
 
 def simulate_participation(
@@ -113,58 +113,36 @@ def simulate_participation(
     decision reduces to the marginal member's balance: one candidate
     enters per epoch while the *entrant's* expected balance would be
     positive; the weakest-positioned incumbent leaves when its balance
-    is negative.  With identical members the process is monotone and
-    converges.
+    is negative, down to an empty fleet.  With identical members the
+    process is monotone and converges.
     """
     if initial_fleet < 1:
         raise ValueError("at least one incumbent is required")
+    if candidate_pool < 0:
+        raise ValueError("candidate_pool cannot be negative")
     capability = DetectionCapability(threads=threads, per_thread_hit=per_thread_hit)
-    size = min(initial_fleet, candidate_pool)
-    sizes = [size]
-    coverage: List[float] = [
-        coverage_probability([capability.detection_probability] * size)
-    ]
-    for _ in range(epochs):
-        # Balance if one more joins (the entrant's own view).
-        if size < candidate_pool:
-            would_be = [capability] * (size + 1)
-            entrant_balance = expected_epoch_balance(
-                params, would_be, size, mean_vulnerabilities,
-                operating_cost_ether=operating_cost_ether,
-            )
-            if entrant_balance > 0:
-                size += 1
-                sizes.append(size)
-                coverage.append(
-                    coverage_probability([capability.detection_probability] * size)
-                )
-                continue
-        # Incumbent exit check.
-        if size > 1:
-            current = [capability] * size
-            incumbent_balance = expected_epoch_balance(
-                params, current, 0, mean_vulnerabilities,
-                operating_cost_ether=operating_cost_ether,
-            )
-            if incumbent_balance < 0:
-                size -= 1
-                sizes.append(size)
-                coverage.append(
-                    coverage_probability([capability.detection_probability] * size)
-                )
-                continue
-        sizes.append(size)
-        coverage.append(coverage[-1])
-    final_fleet = [capability] * size
-    balances = [
-        expected_epoch_balance(
-            params, final_fleet, index, mean_vulnerabilities,
+
+    def balance(size: int, member_index: int) -> float:
+        return expected_epoch_balance(
+            params, [capability] * size, member_index, mean_vulnerabilities,
             operating_cost_ether=operating_cost_ether,
         )
-        for index in range(size)
-    ]
+
+    size = min(initial_fleet, candidate_pool)
+    sizes = [size]
+    for _ in range(epochs):
+        # An entrant joins on its own view of the bigger fleet; failing
+        # that, an incumbent leaves if it loses — the last one too.
+        if size < candidate_pool and balance(size + 1, size) > 0:
+            size += 1
+        elif size > 0 and balance(size, 0) < 0:
+            size -= 1
+        sizes.append(size)
+    dc = capability.detection_probability
     return ParticipationOutcome(
-        fleet_sizes=sizes, final_balances=balances, coverage_trajectory=coverage
+        fleet_sizes=sizes,
+        final_balances=[balance(size, index) for index in range(size)],
+        coverage_trajectory=[coverage_probability([dc] * m) for m in sizes],
     )
 
 
@@ -181,16 +159,16 @@ def equilibrium_fleet_size(
     Direct search over sizes (all members identical): the marginal
     member's balance is decreasing in fleet size, so this is the
     entry/exit fixed point computed without iterating the dynamic.
+    0 when not even a lone member breaks even.
     """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
     capability = DetectionCapability(threads=threads, per_thread_hit=per_thread_hit)
-    best = 1
     for size in range(1, max_size + 1):
         balance = expected_epoch_balance(
             params, [capability] * size, 0, mean_vulnerabilities,
             operating_cost_ether=operating_cost_ether,
         )
-        if balance >= 0:
-            best = size
-        else:
-            break
-    return best
+        if balance < 0:
+            return size - 1
+    return max_size

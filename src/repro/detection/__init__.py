@@ -7,12 +7,6 @@ and the common description language that deduplicates N-version
 wordings (§VIII).
 """
 
-from repro.detection.artifacts import (
-    MarkerStaticAnalyzer,
-    build_marked_system,
-    embed_vulnerability_markers,
-    extract_markers,
-)
 from repro.detection.autoverif import AutoVerifEngine, VerificationOutcome
 from repro.detection.corpus import ReleaseCorpus, ReleaseCorpusConfig, ScheduledRelease
 from repro.detection.descriptions import (
@@ -61,7 +55,6 @@ __all__ = [
     "DetectionMode",
     "Detector",
     "IoTSystem",
-    "MarkerStaticAnalyzer",
     "ModalDetector",
     "PAPER_SERVICE_PROFILES",
     "ReleaseCorpus",
@@ -75,7 +68,6 @@ __all__ = [
     "VulnerabilityDatabase",
     "VulnerabilityDescription",
     "build_detector_fleet",
-    "build_marked_system",
     "build_mixed_fleet",
     "build_system",
     "build_table1_apps",
@@ -83,8 +75,6 @@ __all__ = [
     "capability_proportions",
     "deduplicate",
     "describe",
-    "embed_vulnerability_markers",
-    "extract_markers",
     "fleet_coverage",
     "new_version",
     "overlap_matrix",

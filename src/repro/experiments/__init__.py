@@ -25,6 +25,7 @@ from repro.experiments.latency import LatencyResult, run_payout_latency
 from repro.experiments.forks import ForkRateResult, run_fork_rate
 from repro.experiments.fleet_scale import FleetScaleResult, run_fleet_scale
 from repro.experiments.chaos import ChaosGauntletResult, run_chaos_gauntlet
+from repro.experiments.participation import ParticipationResult, run_participation
 from repro.experiments.harness import (
     Comparison,
     PaperSetup,
@@ -59,6 +60,7 @@ __all__ = [
     "LatencyResult",
     "PAPER_TABLE1",
     "PaperSetup",
+    "ParticipationResult",
     "ResultTable",
     "Sweep",
     "Table1Result",
@@ -83,6 +85,7 @@ __all__ = [
     "run_fleet_composition",
     "run_fleet_scale",
     "run_fork_rate",
+    "run_participation",
     "run_payout_latency",
     "run_table1",
     "run_trials",

@@ -65,12 +65,40 @@ class TestDynamics:
         with pytest.raises(ValueError):
             simulate_participation(PARAMS, initial_fleet=0)
 
+    def test_negative_candidate_pool(self):
+        with pytest.raises(ValueError):
+            simulate_participation(PARAMS, candidate_pool=-2)
+
+    @pytest.mark.parametrize(
+        "params, flaws",
+        [(IncentiveParameters(bounty_wei=1), 3.0), (PARAMS, 0.0)],
+        ids=["no_bounty", "no_flaws"],
+    )
+    def test_the_last_incumbent_leaves_a_losing_market(self, params, flaws):
+        outcome = simulate_participation(params, mean_vulnerabilities=flaws)
+        assert outcome.equilibrium_size == 0
+        assert outcome.final_balances == []
+        assert outcome.final_coverage == 0.0
+
 
 class TestEquilibriumSize:
-    def test_matches_dynamic_fixed_point(self):
-        dynamic = simulate_participation(PARAMS, candidate_pool=200, epochs=300)
-        direct = equilibrium_fleet_size(PARAMS)
-        assert abs(dynamic.equilibrium_size - direct) <= 1
+    @pytest.mark.parametrize(
+        "bounty_wei",
+        [1] + [to_wei(mu) for mu in (50, 125, 250, 500)],
+        ids=["1wei", "50eth", "125eth", "250eth", "500eth"],
+    )
+    def test_matches_dynamic_fixed_point(self, bounty_wei):
+        params = IncentiveParameters(bounty_wei=bounty_wei)
+        dynamic = simulate_participation(params, candidate_pool=200, epochs=300)
+        assert dynamic.equilibrium_size == equilibrium_fleet_size(params)
+
+    def test_no_fleet_breaks_even_without_flaws(self):
+        assert equilibrium_fleet_size(PARAMS, mean_vulnerabilities=0.0) == 0
+
+    @pytest.mark.parametrize("max_size", [0, -3])
+    def test_invalid_max_size(self, max_size):
+        with pytest.raises(ValueError):
+            equilibrium_fleet_size(PARAMS, max_size=max_size)
 
     def test_bigger_bounty_sustains_more_detectors(self):
         small = equilibrium_fleet_size(IncentiveParameters(bounty_wei=to_wei(50)))
@@ -86,6 +114,5 @@ class TestEquilibriumSize:
         # The paper's claim in one assertion: with bounties the market
         # sustains a crowd; without them, exactly nobody would stay.
         no_bounty = IncentiveParameters(bounty_wei=1)
-        capability = DetectionCapability(threads=4, per_thread_hit=0.6)
         assert equilibrium_fleet_size(PARAMS) >= 8
-        assert expected_epoch_balance(no_bounty, [capability], 0, 3.0) < 0
+        assert equilibrium_fleet_size(no_bounty) == 0

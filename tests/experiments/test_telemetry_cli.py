@@ -55,7 +55,7 @@ class TestRegistryRows:
             "table1", "fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b",
             "fig6", "costs", "two_phase", "escrow", "report_fee",
             "capability_curve", "fleet_composition", "latency", "forks",
-            "fleet_scale", "chaos",
+            "fleet_scale", "chaos", "participation",
         ]
         assert all(row.name == name for name, row in EXPERIMENTS.items())
 

@@ -36,3 +36,16 @@ def test_block_is_current(name, default_result):
         "`PYTHONPATH=src python scripts/gen_experiments_md.py`, then reread "
         "the prose beside it"
     )
+
+
+def test_a_row_without_markers_names_the_pair_to_paste(tmp_path, monkeypatch):
+    generator = _load_generator()
+    end = generator.END.format("chaos")
+    text = (REPO_ROOT / "EXPERIMENTS.md").read_text().replace(end + "\n", "")
+    doc = tmp_path / "EXPERIMENTS.md"
+    doc.write_text(text)
+    monkeypatch.setattr(generator, "DOC", doc)
+    with pytest.raises(LookupError, match="'chaos'") as raised:
+        generator.main()
+    assert generator.BEGIN.format("chaos") + "\n" + end in str(raised.value)
+    assert doc.read_text() == text

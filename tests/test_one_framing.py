@@ -12,10 +12,7 @@ that has to name two error roots again.
 import ast
 
 #: Modules that may slice a length out of a buffer inside a loop.
-WALKERS = {
-    "codec.py",  # the u32 walker
-    "detection/artifacts.py",  # u16 marker scan of a firmware image, not a framing
-}
+WALKERS = {"codec.py"}  # the u32 walker
 CHECKSUMMERS = {"store/frames.py"}
 
 #: Names of the callback scanner and the per-read index hook it needed.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.crypto.ecdsa import Signature
+from repro.crypto.ecdsa import Signature, is_signature
 from repro.crypto.keys import Address, PublicKey
 
 __all__ = ["IdentityRegistry"]
@@ -74,7 +74,7 @@ class IdentityRegistry:
         computed, and only a success is remembered.
         """
         public_key = self._keys.get(entity_id)
-        if public_key is None:
+        if public_key is None or not is_signature(signature):
             return False
         if not isinstance(digest, bytes):
             return public_key.verify(digest, signature)

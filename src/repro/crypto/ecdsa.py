@@ -2,13 +2,17 @@
 
 SmartCrowd signs SRAs and detection reports with ECDSA on the
 secp256k1 curve (§VII: "SmartCrowd supports ECDSA signature and hashing
-function SHA-3 ... using secp256k1 curve").  No third-party crypto
-library is available offline, so the curve arithmetic is implemented
-here directly:
+function SHA-3 ... using secp256k1 curve").  The stack is pure Python by
+design — ``src/`` depends on networkx alone — so the curve arithmetic is
+implemented here directly, for secp256k1 only:
 
-* Jacobian-coordinate point arithmetic, a fixed-base table for ``k·G``
-  and the GLV endomorphism for every other product: ``verify``'s
-  ``u1·G + u2·Q`` is one wNAF ladder of ≤ 129 doublings (docs/PERFORMANCE.md).
+* Jacobian-coordinate point arithmetic, a fixed-base 4-bit table for
+  ``k·G`` (signing, key generation), and a fixed-point comb over the GLV
+  halves for every other product: a point's comb holds the 31 subset
+  sums of its teeth ``2^(26·i)·P`` and their λ-images, and a product
+  walks 26 columns, one doubling each.  Q's comb costs 104 doublings, so
+  a cold ``verify`` doubles 130 times; a :class:`~repro.crypto.keys.PublicKey`
+  keeps its comb (~10 KB), and its later checks double 26 times.
 * RFC 6979 deterministic nonces, so signing is reproducible and never
   leaks the key through a bad RNG.
 * Low-``s`` normalization (as Ethereum does) so signatures are
@@ -24,7 +28,7 @@ import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 __all__ = [
     "CURVE",
@@ -182,30 +186,33 @@ def _jac_add_affine(p1: _JacPoint, p2: Tuple[int, int], p: int) -> _JacPoint:
 # The base point is fixed, so every ``j * 16^i * G`` is tabulated once per
 # process and ``k * G`` (signing, key generation) is at most 64 mixed
 # additions and no doubling.  Any other product splits its scalar into
-# halves over P and λP, and all halves walk one wNAF ladder of at most 129
-# doublings (``_glv_mult``): ``verify`` runs u1 over G and u2 over Q on it.
+# halves over P and λP, and every half walks one 26-column comb
+# (``_comb_mult``): ``verify`` runs u1 over G's comb and u2 over Q's.
 
 _WINDOW_BITS = 4
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
-_G_WIDTH = 8
-_POINT_WIDTH = 5
+#: A comb has 5 teeth ``2^(26·i)·P``; 5 × 26 = 130 bits cover a half.
+_COMB_TEETH = 5
+_COMB_SPACING = 26
+_COMB_BITS = _COMB_TEETH * _COMB_SPACING
 
 _Affine = Tuple[int, int]
-#: The odd multiples of a point P and of λP.
-_Tables = Tuple[Tuple[_Affine, ...], Tuple[_Affine, ...]]
+#: ``Σ 2^(26·i)·P`` over the set bits ``i`` of ``d``, at ``d - 1`` for
+#: ``d`` in 1..31, and the λ-images of those points.
+_Comb = Tuple[Tuple[_Affine, ...], Tuple[_Affine, ...]]
 
 
 @functools.lru_cache(maxsize=None)
-def _base_table(curve: CurveParams) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+def _base_table() -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """``table[i][j - 1] == j * 16^i * G`` in affine form, built on first use.
 
-    64 rows of 15 points for a 256-bit order (~180 KB, ~30 ms); a pure
-    function of ``curve``, so sharing it process-wide shares no state.
+    64 rows of 15 points for a 256-bit order (~180 KB, ~30 ms); a
+    constant of the curve, so sharing it process-wide shares no state.
     """
-    p = curve.p
+    p = CURVE.p
     rows = []
-    anchor = curve.g
-    for _ in range(0, curve.n.bit_length(), _WINDOW_BITS):
+    anchor = CURVE.g
+    for _ in range(0, CURVE.n.bit_length(), _WINDOW_BITS):
         row = []
         multiple = _JAC_INFINITY
         for _ in range(_WINDOW_MASK):
@@ -216,11 +223,11 @@ def _base_table(curve: CurveParams) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-def _base_mult(k: int, curve: CurveParams) -> _JacPoint:
+def _base_mult(k: int) -> _JacPoint:
     """``k * G`` for ``0 <= k < n`` from the fixed-base table."""
-    p = curve.p
+    p = CURVE.p
     accumulator = _JAC_INFINITY
-    for row in _base_table(curve):
+    for row in _base_table():
         if not k:
             break
         digit = k & _WINDOW_MASK
@@ -242,46 +249,32 @@ def _split(k: int) -> Tuple[int, int]:
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _wnaf(k: int, width: int) -> List[Tuple[int, int]]:
-    """The nonzero digits of ``k >= 0`` in width-``width`` NAF.
+def _comb(point: _Affine) -> _Comb:
+    """The comb of ``P``: the 31 subset sums of its teeth and their λ-images.
 
-    ``(position, digit)`` pairs, lowest first: every digit is odd with
-    ``|digit| < 2^(width - 1)``, positions are at least ``width`` apart
-    and ``sum(digit << position) == k``.
+    The teeth ``2^(26·i)·P`` cost 104 doublings; each sum adds its top
+    tooth to a smaller sum, and all 31 are normalised to affine with one
+    inversion (Montgomery's trick).  The λ-table is ``(β·x mod p, y)`` of
+    the same entries and costs no curve operation.
     """
-    window = 1 << width
-    digits = []
-    position = 0
-    while k:
-        zeros = (k & -k).bit_length() - 1
-        k >>= zeros
-        position += zeros
-        digit = k & (window - 1)
-        if digit >= window >> 1:
-            digit -= window
-        digits.append((position, digit))
-        k = (k - digit) >> width
-        position += width
-    return digits
-
-
-def _odd_multiples(point: _Affine, width: int, p: int) -> _Tables:
-    """``P, 3P, …, (2^(width-1) − 1)P`` and their images under λ, affine.
-
-    The multiples are built in Jacobian form and normalised with one
-    inversion (Montgomery's trick); the λ-table costs no curve operation.
-    """
-    jacobian = _to_jacobian(point)
-    twice = _jac_double(jacobian, p)
-    multiples = [jacobian]
-    for _ in range((1 << (width - 2)) - 1):
-        multiples.append(_jac_add(multiples[-1], twice, p))
+    p = CURVE.p
+    tooth = _to_jacobian(point)
+    teeth = [tooth]
+    for _ in range(_COMB_TEETH - 1):
+        for _ in range(_COMB_SPACING):
+            tooth = _jac_double(tooth, p)
+        teeth.append(tooth)
+    sums: List[_JacPoint] = []
+    for digit in range(1, 1 << _COMB_TEETH):
+        top = digit.bit_length() - 1
+        rest = digit ^ (1 << top)
+        sums.append(_jac_add(sums[rest - 1], teeth[top], p) if rest else teeth[top])
     prefix = [1]
-    for _, _, z in multiples:
+    for _, _, z in sums:
         prefix.append(prefix[-1] * z % p)
     inverse = _inv_mod(prefix[-1], p)
     table: List[_Affine] = []
-    for (x, y, z), before in zip(reversed(multiples), reversed(prefix[:-1])):
+    for (x, y, z), before in zip(reversed(sums), reversed(prefix[:-1])):
         z_inv = inverse * before % p
         inverse = inverse * z % p
         z_inv_sq = z_inv * z_inv % p
@@ -291,64 +284,70 @@ def _odd_multiples(point: _Affine, width: int, p: int) -> _Tables:
 
 
 @functools.lru_cache(maxsize=None)
-def _base_odd_multiples(curve: CurveParams) -> _Tables:
-    """``_odd_multiples(G, 8)``: 64 points and their λ-images, built on first use."""
-    return _odd_multiples(curve.g, _G_WIDTH, curve.p)
+def _base_comb() -> _Comb:
+    """``_comb(G)``: 62 points (~10 KB), built on first use."""
+    return _comb(CURVE.g)
 
 
-def _glv_mult(terms: Iterable[Tuple[int, _Tables, int]], p: int) -> _JacPoint:
-    """``Σ k·P`` over ``(k, tables of P, width)`` terms, ``0 <= k < n``.
+def _comb_digits(k: int) -> List[int]:
+    """The 26 column digits of ``0 <= k < 2^130``, highest column first.
+
+    Bit ``i`` of column ``j``'s digit is bit ``26·i + j`` of ``k``.  A
+    26-bit row of ``k`` written in binary and read back in base 32 puts
+    its bit ``j`` at bit ``5·j``, so the five rows, shifted by their
+    tooth, interleave into one integer of 5-bit digits.
+    """
+    bits = format(k, f"0{_COMB_BITS}b")
+    spread = 0
+    for start in range(0, _COMB_BITS, _COMB_SPACING):
+        spread = spread << 1 | int(bits[start : start + _COMB_SPACING], 32)
+    return [spread >> shift & 31 for shift in range(_COMB_BITS - 5, -1, -5)]
+
+
+def _comb_mult(terms: Iterable[Tuple[int, _Comb]]) -> _JacPoint:
+    """``Σ k·P`` over ``(k, comb of P)`` terms, ``0 <= k < n``.
 
     Each ``k`` splits into halves over ``P`` and ``λP``; a negative half
-    walks the negated points.  Every nonzero wNAF digit of every half is
-    one mixed addition at its position, and one doubling per position
-    serves them all.
+    adds the negated entries.  One doubling per column serves every
+    half, and each nonzero digit is one mixed addition of its sum.
     """
-    columns: Dict[int, List[_Affine]] = {}
-    for k, tables, width in terms:
+    p = CURVE.p
+    columns: List[List[_Affine]] = [[] for _ in range(_COMB_SPACING)]
+    for k, tables in terms:
         for half, table in zip(_split(k), tables):
             negate = half < 0
-            for position, digit in _wnaf(-half if negate else half, width):
-                x, y = table[abs(digit) >> 1]
-                if (digit < 0) != negate:
-                    y = p - y
-                columns.setdefault(position, []).append((x, y))
+            for column, digit in zip(columns, _comb_digits(-half if negate else half)):
+                if digit:
+                    x, y = table[digit - 1]
+                    column.append((x, p - y) if negate else (x, y))
     accumulator = _JAC_INFINITY
-    for position in range(max(columns, default=-1), -1, -1):
+    for column in columns:
         accumulator = _jac_double(accumulator, p)
-        for point in columns.get(position, ()):
+        for point in column:
             accumulator = _jac_add_affine(accumulator, point, p)
     return accumulator
 
 
 def point_add(
-    p1: Optional[Tuple[int, int]],
-    p2: Optional[Tuple[int, int]],
-    curve: CurveParams = CURVE,
+    p1: Optional[Tuple[int, int]], p2: Optional[Tuple[int, int]]
 ) -> Optional[Tuple[int, int]]:
-    """Add two affine points on ``curve`` (None is the point at infinity)."""
-    result = _jac_add(_to_jacobian(p1), _to_jacobian(p2), curve.p)
-    return _from_jacobian(result, curve.p)
+    """Add two affine points (None is the point at infinity)."""
+    return _from_jacobian(_jac_add(_to_jacobian(p1), _to_jacobian(p2), CURVE.p), CURVE.p)
 
 
-def scalar_mult(
-    k: int,
-    point: Optional[Tuple[int, int]],
-    curve: CurveParams = CURVE,
-) -> Optional[Tuple[int, int]]:
-    """Compute ``k * point``: table lookups for the base point, the GLV
-    ladder for any other."""
+def scalar_mult(k: int, point: Optional[Tuple[int, int]]) -> Optional[Tuple[int, int]]:
+    """Compute ``k * point``: table lookups for the base point, a comb
+    built for this call for any other."""
     if point is None:
         return None
-    k %= curve.n
-    if point == curve.g:
-        return _from_jacobian(_base_mult(k, curve), curve.p)
-    term = (k, _odd_multiples(point, _POINT_WIDTH, curve.p), _POINT_WIDTH)
-    return _from_jacobian(_glv_mult((term,), curve.p), curve.p)
+    k %= CURVE.n
+    if point == CURVE.g:
+        return _from_jacobian(_base_mult(k), CURVE.p)
+    return _from_jacobian(_comb_mult(((k, _comb(point)),)), CURVE.p)
 
 
-def is_on_curve(point: Optional[Tuple[int, int]], curve: CurveParams = CURVE) -> bool:
-    """Check curve membership of an affine point.
+def is_on_curve(point: Optional[Tuple[int, int]]) -> bool:
+    """Check secp256k1 membership of an affine point.
 
     Only a pair of ints with ``0 <= x, y < p`` qualifies: ``(x + p, y)``
     would be a second encoding, with another address, of one key.
@@ -360,8 +359,9 @@ def is_on_curve(point: Optional[Tuple[int, int]], curve: CurveParams = CURVE) ->
     x, y = point
     if not (isinstance(x, int) and isinstance(y, int)):
         return False
-    in_field = 0 <= x < curve.p and 0 <= y < curve.p
-    return in_field and (y * y - (x * x * x + curve.a * x + curve.b)) % curve.p == 0
+    p = CURVE.p
+    in_field = 0 <= x < p and 0 <= y < p
+    return in_field and (y * y - (x * x * x + CURVE.a * x + CURVE.b)) % p == 0
 
 
 @dataclass(frozen=True)
@@ -382,9 +382,15 @@ class Signature:
             raise EcdsaError(f"signature must be 64 bytes, got {len(data)}")
         return cls(int.from_bytes(data[:32], "big"), int.from_bytes(data[32:], "big"))
 
-    def is_low_s(self, curve: CurveParams = CURVE) -> bool:
+    def is_low_s(self) -> bool:
         """True if ``s`` is in the lower half of the group order."""
-        return 1 <= self.s <= curve.n // 2
+        return 1 <= self.s <= CURVE.n // 2
+
+
+def is_signature(value: object) -> bool:
+    """True for a :class:`Signature` whose ``r`` and ``s`` are ints: the
+    only shape :func:`verify` checks."""
+    return isinstance(value, Signature) and isinstance(value.r, int) and isinstance(value.s, int)
 
 
 def _bits_to_int(data: bytes, n: int) -> int:
@@ -396,9 +402,9 @@ def _bits_to_int(data: bytes, n: int) -> int:
     return value
 
 
-def _rfc6979_nonce(private_key: int, digest: bytes, curve: CurveParams) -> int:
+def _rfc6979_nonce(private_key: int, digest: bytes) -> int:
     """Deterministic nonce generation per RFC 6979 with HMAC-SHA256."""
-    n = curve.n
+    n = CURVE.n
     holen = 32  # SHA-256 output length
     x_bytes = private_key.to_bytes(32, "big")
     h1 = _bits_to_int(digest, n) % n
@@ -425,30 +431,31 @@ def _check_digest(digest: bytes) -> None:
         raise EcdsaError("message digest must be exactly 32 bytes")
 
 
-def sign(private_key: int, digest: bytes, curve: CurveParams = CURVE) -> Signature:
+def sign(private_key: int, digest: bytes) -> Signature:
     """Sign a 32-byte digest, returning a canonical low-``s`` signature.
 
     Nonces are deterministic (RFC 6979), so signing the same digest with
     the same key always yields the same signature.
     """
     _check_digest(digest)
-    if not 1 <= private_key < curve.n:
+    n = CURVE.n
+    if not 1 <= private_key < n:
         raise EcdsaError("private key out of range")
-    z = _bits_to_int(digest, curve.n) % curve.n
+    z = _bits_to_int(digest, n) % n
     while True:
-        k = _rfc6979_nonce(private_key, bytes(digest), curve)
-        point = scalar_mult(k, curve.g, curve)
+        k = _rfc6979_nonce(private_key, bytes(digest))
+        point = scalar_mult(k, CURVE.g)
         assert point is not None
-        r = point[0] % curve.n
+        r = point[0] % n
         if r == 0:
             digest = hashlib.sha256(bytes(digest)).digest()  # pragma: no cover
             continue  # pragma: no cover
-        s = (_inv_mod(k, curve.n) * (z + r * private_key)) % curve.n
+        s = (_inv_mod(k, n) * (z + r * private_key)) % n
         if s == 0:
             digest = hashlib.sha256(bytes(digest)).digest()  # pragma: no cover
             continue  # pragma: no cover
-        if s > curve.n // 2:
-            s = curve.n - s
+        if s > n // 2:
+            s = n - s
         return Signature(r, s)
 
 
@@ -456,33 +463,36 @@ def verify(
     public_key: Tuple[int, int],
     digest: bytes,
     signature: Signature,
-    curve: CurveParams = CURVE,
+    memo: Optional[List[_Comb]] = None,
 ) -> bool:
     """Verify a signature over a 32-byte digest.
 
-    Returns False (never raises) for any malformed or non-canonical
-    signature, matching the drop-don't-crash semantics of Algorithm 1.
+    Returns False (never raises) for any malformed or non-canonical key,
+    digest or signature, matching the drop-don't-crash semantics of
+    Algorithm 1.  ``memo`` is the key owner's slot for its comb (see
+    ``PublicKey.verify``): an empty list gets the comb this call builds.
     """
     try:
         _check_digest(digest)
     except EcdsaError:
         return False
-    if not is_on_curve(public_key, curve) or public_key is None:
+    if not is_on_curve(public_key) or public_key is None:
         return False
+    if not is_signature(signature):
+        return False
+    n = CURVE.n
     r, s = signature.r, signature.s
-    if not (1 <= r < curve.n):
+    if not (1 <= r < n):
         return False
-    if not signature.is_low_s(curve):
+    if not signature.is_low_s():
         return False
-    z = _bits_to_int(digest, curve.n) % curve.n
-    s_inv = _inv_mod(s, curve.n)
-    u1 = (z * s_inv) % curve.n
-    u2 = (r * s_inv) % curve.n
-    terms = (
-        (u1, _base_odd_multiples(curve), _G_WIDTH),
-        (u2, _odd_multiples(public_key, _POINT_WIDTH, curve.p), _POINT_WIDTH),
-    )
-    point = _from_jacobian(_glv_mult(terms, curve.p), curve.p)
+    memo = [] if memo is None else memo
+    if not memo:
+        memo.append(_comb(public_key))
+    z = _bits_to_int(digest, n) % n
+    s_inv = _inv_mod(s, n)
+    terms = ((z * s_inv % n, _base_comb()), (r * s_inv % n, memo[0]))
+    point = _from_jacobian(_comb_mult(terms), CURVE.p)
     if point is None:
         return False
-    return point[0] % curve.n == r
+    return point[0] % n == r

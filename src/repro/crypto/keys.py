@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.crypto import ecdsa
 from repro.crypto.ecdsa import CURVE, EcdsaError, Signature
@@ -49,9 +49,14 @@ class Address:
 
 @dataclass(frozen=True)
 class PublicKey:
-    """An affine secp256k1 public key."""
+    """An affine secp256k1 public key.
+
+    Its first :meth:`verify` keeps the comb it builds (~10 KB) in
+    ``_comb`` for the life of this object; a new key starts cold.
+    """
 
     point: Tuple[int, int]
+    _comb: List = field(default_factory=list, init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self) -> None:
         if not ecdsa.is_on_curve(self.point):
@@ -75,7 +80,7 @@ class PublicKey:
 
     def verify(self, digest: bytes, signature: Signature) -> bool:
         """Verify ``signature`` over a 32-byte ``digest``."""
-        return ecdsa.verify(self.point, digest, signature)
+        return ecdsa.verify(self.point, digest, signature, self._comb)
 
 
 @dataclass(frozen=True)

@@ -122,12 +122,31 @@ class TestSuccessesOnly:
         assert not registry.verify("det-x", DIGEST, Signature(ecdsa.CURVE.n, signature.s))
         assert not registry._verified
 
+    @pytest.mark.parametrize("shape", ("none", "tuple", "float s", "str r"))
+    def test_malformed_signature_shape_returns_false(
+        self, registry, detector_keys, computed, shape
+    ):
+        """Only a Signature of two ints is looked up or computed; anything
+        else is False before the memo, like ``ecdsa.verify``."""
+        signed = detector_keys.sign(DIGEST)
+        r, s = signed.r, signed.s
+        assert registry.verify("det-x", DIGEST, signed)
+        signature = {
+            "none": None,
+            "tuple": (r, s),
+            "float s": Signature(r, float(s)),
+            "str r": Signature(str(r), s),
+        }[shape]
+        del computed[:]
+        assert not registry.verify("det-x", DIGEST, signature)
+        assert not computed
+
 
 class TestBound:
     def test_flood_of_distinct_valid_signatures(self, registry, monkeypatch):
         computed = []
 
-        def accept_all(public_key, digest, signature):
+        def accept_all(public_key, digest, signature, *rest):
             computed.append(digest)
             return True
 

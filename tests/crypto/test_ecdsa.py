@@ -120,6 +120,20 @@ class TestSignVerify:
         key = {"triple": (x, y, 1), "list": [x, y], "float x": (float(x), y)}[shape]
         assert not ecdsa.verify(key, DIGEST, ecdsa.sign(PRIV, DIGEST))
 
+    @pytest.mark.parametrize("shape", ("none", "tuple", "float s", "str r"))
+    def test_malformed_signature_shape_returns_false(self, shape):
+        """Only a Signature of two ints is a signature; anything else is
+        dropped, never raised."""
+        signed = ecdsa.sign(PRIV, DIGEST)
+        r, s = signed.r, signed.s
+        signature = {
+            "none": None,
+            "tuple": (r, s),
+            "float s": Signature(r, float(s)),
+            "str r": Signature(str(r), s),
+        }[shape]
+        assert not ecdsa.verify(PUB, DIGEST, signature)
+
     @given(st.integers(min_value=1, max_value=CURVE.n - 1), st.binary(min_size=1))
     @settings(max_examples=10, deadline=None)
     def test_round_trip_property(self, private_key, message):

@@ -1,17 +1,22 @@
-"""Differential tests: the table and GLV curve code against textbook oracles.
+"""Differential tests: the table and comb curve code against textbook oracles.
 
 ``repro.crypto.ecdsa`` multiplies ``k·G`` through a fixed-base table and
-every other product through the GLV endomorphism: scalars split into
-halves over ``P`` and ``λP`` and all halves share one wNAF ladder, which
-``verify`` walks once for ``u1·G + u2·Q``.  The oracles here are the
-bit-at-a-time double-and-add and the two-multiplication ``u1·G + u2·Q``
-verification written straight from the definitions, in affine
-coordinates, sharing no code with the module under test.  ``sign`` is
-pinned to ``(key, digest) → (r, s)`` vectors taken before the windowed
-code existed, so signatures stay bit-identical.  The split, the recoding
-and the endomorphism have rows of their own, and a doubling budget
-holds ``verify`` to one ~128-step ladder through the module seam.
+every other product through a fixed-point comb over the GLV halves:
+scalars split into halves over ``P`` and ``λP``, and each half walks the
+26 columns of ``P``'s comb (the 31 subset sums of its teeth
+``2^(26·i)·P`` and their λ-images), which ``verify`` does once for
+``u1·G + u2·Q``.  The oracles here are the bit-at-a-time double-and-add
+and the two-multiplication ``u1·G + u2·Q`` verification written straight
+from the definitions, in affine coordinates, sharing no code with the
+module under test.  ``sign`` is pinned to ``(key, digest) → (r, s)``
+vectors taken before the windowed code existed, so signatures stay
+bit-identical.  The split, the comb tables, the column digits and the
+endomorphism have rows of their own; a doubling budget holds a cold
+``verify`` to 130 doublings and a key's repeat check to 26, counted
+through the module seam.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +25,7 @@ from hypothesis import strategies as st
 from repro.crypto import ecdsa
 from repro.crypto.ecdsa import _A1, _A2, _BETA, _LAMBDA, CURVE, Signature
 from repro.crypto.hashing import sha3_256
-from repro.crypto.keys import PrivateKey
+from repro.crypto.keys import PrivateKey, PublicKey
 
 P, N, G = CURVE.p, CURVE.n, CURVE.g
 
@@ -143,8 +148,8 @@ class TestScalarMultAgainstDoubleAndAdd:
         assert ecdsa.scalar_mult(-1, G) == oracle_mult(N - 1, G)
 
     def test_base_table_is_built_once_per_process(self):
-        assert ecdsa._base_table(CURVE) is ecdsa._base_table(CURVE)
-        table = ecdsa._base_table(CURVE)
+        assert ecdsa._base_table() is ecdsa._base_table()
+        table = ecdsa._base_table()
         assert len(table) == 64 and all(len(row) == 15 for row in table)
         assert table[0][0] == G
         assert table[1][0] == oracle_mult(16, G)
@@ -318,18 +323,6 @@ class TestGlvSplit:
         assert self._check((k1 + _LAMBDA * k2) % N) == (k1, k2)
 
 
-class TestWnaf:
-    @given(st.integers(min_value=0, max_value=1 << 129), st.sampled_from((5, 8)))
-    @settings(max_examples=200, deadline=None)
-    def test_digits_are_odd_sparse_and_sum_to_k(self, k, width):
-        digits = ecdsa._wnaf(k, width)
-        assert sum(digit << position for position, digit in digits) == k
-        for position, digit in digits:
-            assert digit % 2 == 1 and abs(digit) < 1 << (width - 1)
-        positions = [position for position, _ in digits]
-        assert all(b - a >= width for a, b in zip(positions, positions[1:]))
-
-
 class TestEndomorphism:
     """``λ·P == (β·x mod p, y)``: the λ-tables need no curve operation."""
 
@@ -342,32 +335,157 @@ class TestEndomorphism:
         x, y = point = oracle_mult(private, G)
         assert oracle_mult(_LAMBDA, point) == (_BETA * x % P, y)
 
-    def test_base_tables_are_odd_multiples_built_once(self):
-        table, images = ecdsa._base_odd_multiples(CURVE)
-        assert ecdsa._base_odd_multiples(CURVE)[0] is table
-        assert len(table) == len(images) == 64
-        assert table[0] == G and table[1] == oracle_mult(3, G)
-        assert table[63] == oracle_mult(127, G)
-        assert images[63] == oracle_mult(127 * _LAMBDA, G)
+    def test_base_comb_is_built_once(self):
+        table, images = ecdsa._base_comb()
+        assert ecdsa._base_comb()[0] is table
+        assert len(table) == len(images) == 31
+        assert table[0] == G and table[30] == oracle_mult(TOOTH_SUM[31], G)
+        assert images[30] == oracle_mult(TOOTH_SUM[31] * _LAMBDA, G)
+
+
+#: ``TOOTH_SUM[d] == Σ 2^(26·i)`` over the set bits ``i`` of ``d``: the
+#: scalar of a comb's entry ``d - 1``.
+TOOTH_SUM = tuple(sum(1 << 26 * i for i in range(5) if d >> i & 1) for d in range(32))
+
+
+def _columns(*digits):
+    """The half whose comb columns, lowest first, are ``digits``."""
+    return sum(
+        (digit >> i & 1) << 26 * i + j for j, digit in enumerate(digits) for i in range(5)
+    )
+
+
+#: Halves that stress the column walk, each below 2^127 so ``_split``
+#: gives it back exactly: an all-31 column, one zero column among
+#: nonzero ones, all five teeth set in 22 columns, a single bit.
+COMB_HALVES = {
+    "all-31 column": _columns(*[0] * 7, 31),
+    "one zero column": _columns(*[1] * 12, 0, *[1] * 13),
+    "dense": _columns(*[31] * 22, *[15] * 4),
+    "top bit": 1 << 126,
+}
+
+
+class TestComb:
+    """A comb's entries are the subset sums of its teeth, its digits
+    reassemble the half, and a product over it is the oracle's."""
+
+    @pytest.mark.parametrize("private", (None, 2, 0xC0FFEE, N - 1), ids=("G", "2", "c0ffee", "n-1"))
+    def test_entries_are_subset_sums_and_their_lambda_images(self, private):
+        point = G if private is None else oracle_mult(private, G)
+        table, images = ecdsa._base_comb() if private is None else ecdsa._comb(point)
+        assert len(table) == len(images) == 31
+        for digit in range(1, 32):
+            assert table[digit - 1] == oracle_mult(TOOTH_SUM[digit], point), digit
+        for digit in (1, 2, 7, 16, 31):
+            assert images[digit - 1] == oracle_mult(_LAMBDA, table[digit - 1]), digit
+
+    @given(st.integers(min_value=0, max_value=(1 << 130) - 1))
+    @example(0)
+    @example((1 << 130) - 1)
+    @example(1 << 128)
+    @settings(max_examples=200, deadline=None)
+    def test_column_digits_reassemble_the_half(self, half):
+        digits = ecdsa._comb_digits(half)
+        assert len(digits) == 26 and all(0 <= digit < 32 for digit in digits)
+        assert _columns(*reversed(digits)) == half
+
+    @pytest.mark.parametrize("negate", (False, True), ids=("positive", "negative"))
+    @pytest.mark.parametrize("name", COMB_HALVES)
+    def test_edge_halves(self, name, negate):
+        """Each edge half over ``P`` and over ``λP``, either sign, through
+        G's comb and a key's, against the oracle."""
+        key = oracle_mult(0xC0FFEE, G)
+        half = -COMB_HALVES[name] if negate else COMB_HALVES[name]
+        for k1, k2 in ((half, 0), (0, half), (half, -half // 3)):
+            k = (k1 + _LAMBDA * k2) % N
+            assert ecdsa._split(k) == (k1, k2)
+            for point, comb in ((G, ecdsa._base_comb()), (key, ecdsa._comb(key))):
+                product = ecdsa._from_jacobian(ecdsa._comb_mult(((k, comb),)), P)
+                assert product == oracle_mult(k, point), (k1, k2)
+
+    @pytest.mark.parametrize("k", (0, 1, N - 1, _LAMBDA), ids=("0", "1", "n-1", "lambda"))
+    def test_edge_scalars_through_both_combs(self, k):
+        key = oracle_mult(0xC0FFEE, G)
+        for point, comb in ((G, ecdsa._base_comb()), (key, ecdsa._comb(key))):
+            product = ecdsa._from_jacobian(ecdsa._comb_mult(((k, comb),)), P)
+            assert product == oracle_mult(k, point)
+
+
+def _count_doublings(monkeypatch):
+    calls = []
+    double = ecdsa._jac_double
+
+    def counted(point, p):
+        calls.append(point)
+        return double(point, p)
+
+    monkeypatch.setattr(ecdsa, "_jac_double", counted)
+    return calls
 
 
 class TestDoublingBudget:
-    """One ``verify`` is one ladder over ~128-bit halves: ≤ 130 doublings
-    (the 2Q of Q's table plus ≤ 129 steps), counted at the module seam."""
+    """A cold ``verify`` builds Q's comb (104 doublings) and walks 26
+    columns: ≤ 130 doublings, counted at the module seam."""
 
     @pytest.mark.parametrize("seed", (b"alpha", b"\x00", b"dd-provider:provider-1:0"))
     def test_verify_doubles_at_most_130_times(self, seed, monkeypatch):
         key = PrivateKey.from_seed(seed)
         digest = sha3_256(seed)
         signature = key.sign(digest)
-        ecdsa._base_odd_multiples(CURVE)
-        calls = []
-        double = ecdsa._jac_double
-
-        def counted(point, p):
-            calls.append(point)
-            return double(point, p)
-
-        monkeypatch.setattr(ecdsa, "_jac_double", counted)
+        ecdsa._base_comb()
+        calls = _count_doublings(monkeypatch)
         assert ecdsa.verify(key.public_key().point, digest, signature)
         assert len(calls) <= 130
+
+
+class TestPublicKeyComb:
+    """A ``PublicKey`` builds its comb on its first check and keeps it
+    for as long as the object lives; nothing else sees it."""
+
+    @pytest.fixture
+    def signed(self):
+        key = PrivateKey.from_seed(b"alpha")
+        digests = [sha3_256(bytes([i])) for i in range(3)]
+        return key.public_key(), [(d, key.sign(d)) for d in digests]
+
+    def test_a_repeat_check_doubles_at_most_26_times(self, signed, monkeypatch):
+        public, checks = signed
+        ecdsa._base_comb()
+        calls = _count_doublings(monkeypatch)
+        assert public.verify(*checks[0])
+        assert len(calls) > 26
+        for digest, signature in checks[1:]:
+            del calls[:]
+            assert public.verify(digest, signature)
+            assert len(calls) <= 26
+        assert not public.verify(checks[0][0], checks[1][1])
+
+    def test_built_once_and_equal_to_a_fresh_comb(self, signed):
+        public, checks = signed
+        assert public._comb == []
+        public.verify(*checks[0])
+        (comb,) = public._comb
+        public.verify(*checks[1])
+        assert public._comb[0] is comb
+        assert comb == ecdsa._comb(public.point)
+
+    def test_a_new_key_of_the_same_point_starts_cold(self, signed, monkeypatch):
+        public, checks = signed
+        public.verify(*checks[0])
+        twin = PublicKey(public.point)
+        calls = _count_doublings(monkeypatch)
+        assert twin._comb == []
+        assert twin.verify(*checks[1])
+        assert len(calls) > 26 and twin._comb[0] is not public._comb[0]
+
+    def test_the_memo_is_invisible_to_eq_hash_and_repr(self, signed):
+        public, checks = signed
+        cold = PublicKey(public.point)
+        before = (hash(public), repr(public))
+        public.verify(*checks[0])
+        assert public == cold and hash(public) == hash(cold) == before[0]
+        assert repr(public) == repr(cold) == before[1]
+        assert "_comb" not in repr(public)
+        replaced = dataclasses.replace(public)
+        assert replaced == public and replaced._comb == []

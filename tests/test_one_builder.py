@@ -8,15 +8,20 @@ fleet asks the engine for one; this walk fails the day a module starts
 assembling its own — or starts keeping its own event heap, fanning
 work out over processes anywhere but the experiments runner, spelling
 out the contract side of the §IV-B workflow a second time, or reaching
-a node with a fault other than through the engine's own verbs, or
-importing a numeric package the closed forms of Eq. 7–10 do not need.
+a node with a fault other than through the engine's own verbs,
+importing a numeric package the closed forms of Eq. 7–10 do not need,
+or keeping a crypto cache that outlives the key it serves.
 """
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+from collections.abc import MutableMapping, MutableSequence, MutableSet
 
+import repro.crypto
 from repro.network.simulator import Simulator
 
 #: callable (as written at the call site) -> modules allowed to call it.
@@ -57,6 +62,10 @@ WORKFLOW_SPELLINGS = {
 #: lifecycle verbs the engine's ``crash`` / ``restart`` replaced.
 STORE_FAULT_APPLIERS = ["core/distributed.py"]
 RETIRED_FAULT_VERBS = {"crash_node", "restart_node"}
+
+#: The only caches under ``repro.crypto``: G's two tables, constants of
+#: the curve.  A key's comb lives on its ``PublicKey``.
+CRYPTO_CACHES = {"ecdsa._base_table", "ecdsa._base_comb"}
 
 
 def _spellings(node: ast.Call) -> set:
@@ -250,3 +259,26 @@ def test_the_chaos_plane_walk_sees_what_it_guards():
     ]
     kept = ast.parse("fleet.crash(name)\nSTORE_FAULTS.items()\nkind in STORE_FAULTS\n")
     assert not list(_fault_paths(ast.walk(kept)))
+
+
+def test_the_only_crypto_caches_are_the_base_point_tables():
+    """No module- or class-level cache under ``repro.crypto`` but G's:
+    a key's comb can never outlive its ``PublicKey``, so a new
+    deployment — and every bench repetition — starts cold."""
+    containers = (MutableMapping, MutableSequence, MutableSet)
+    caches = set()
+    for info in pkgutil.iter_modules(repro.crypto.__path__):
+        module = importlib.import_module(f"repro.crypto.{info.name}")
+        owners = [(info.name, vars(module))] + [
+            (f"{info.name}.{value.__name__}", vars(value))
+            for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__
+        ]
+        for owner, namespace in owners:
+            caches.update(
+                f"{owner}.{name}"
+                for name, value in namespace.items()
+                if not name.startswith("__")
+                and (hasattr(value, "cache_info") or isinstance(value, containers))
+            )
+    assert caches == CRYPTO_CACHES

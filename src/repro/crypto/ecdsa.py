@@ -6,13 +6,17 @@ function SHA-3 ... using secp256k1 curve").  The stack is pure Python by
 design — ``src/`` depends on networkx alone — so the curve arithmetic is
 implemented here directly, for secp256k1 only:
 
-* Jacobian-coordinate point arithmetic, a fixed-base 4-bit table for
-  ``k·G`` (signing, key generation), and a fixed-point comb over the GLV
-  halves for every other product: a point's comb holds the 31 subset
-  sums of its teeth ``2^(26·i)·P`` and their λ-images, and a product
-  walks 26 columns, one doubling each.  Q's comb costs 104 doublings, so
-  a cold ``verify`` doubles 130 times; a :class:`~repro.crypto.keys.PublicKey`
-  keeps its comb (~10 KB), and its later checks double 26 times.
+* Jacobian-coordinate point arithmetic and one multiplier: a scalar
+  splits into GLV halves over ``P`` and ``λP``, and each half walks a
+  fixed-point comb of ``P``, one doubling per column.  G's comb (built
+  once per process, ~310 KiB) holds the 1023 subset sums of its teeth
+  ``2^(13·i)·G`` and their λ-images, so ``k·G`` (signing, key
+  generation) is 13 doublings and ≤ 26 mixed additions.  Any other
+  point's comb holds the 31 subset sums of ``2^(26·i)·P`` and walks 26
+  columns; G's 13 columns are the last 13 of those.  Q's comb costs 104
+  doublings, so a cold ``verify`` doubles 130 times; a
+  :class:`~repro.crypto.keys.PublicKey` keeps its comb (~10 KB), and its
+  later checks double 26 times.
 * RFC 6979 deterministic nonces, so signing is reproducible and never
   leaks the key through a bad RNG.
 * Low-``s`` normalization (as Ethereum does) so signatures are
@@ -183,58 +187,22 @@ def _jac_add_affine(p1: _JacPoint, p2: Tuple[int, int], p: int) -> _JacPoint:
 
 # --- scalar multiplication -----------------------------------------------
 #
-# The base point is fixed, so every ``j * 16^i * G`` is tabulated once per
-# process and ``k * G`` (signing, key generation) is at most 64 mixed
-# additions and no doubling.  Any other product splits its scalar into
-# halves over P and λP, and every half walks one 26-column comb
-# (``_comb_mult``): ``verify`` runs u1 over G's comb and u2 over Q's.
+# Every product splits its scalar into halves over P and λP, and every
+# half walks a fixed-point comb (``_comb_mult``).  G's comb is a constant
+# of the curve, built once per process with 10 teeth ``2^(13·i)·G`` (13
+# columns); any other point's has 5 teeth ``2^(26·i)·P`` (26 columns).
+# ``verify`` runs u1 over G's comb and u2 over Q's.
 
-_WINDOW_BITS = 4
-_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
-#: A comb has 5 teeth ``2^(26·i)·P``; 5 × 26 = 130 bits cover a half.
+#: A half has at most 130 bits; teeth × spacing covers them.
+_COMB_BITS = 130
 _COMB_TEETH = 5
-_COMB_SPACING = 26
-_COMB_BITS = _COMB_TEETH * _COMB_SPACING
+_BASE_TEETH = 10
 
 _Affine = Tuple[int, int]
-#: ``Σ 2^(26·i)·P`` over the set bits ``i`` of ``d``, at ``d - 1`` for
-#: ``d`` in 1..31, and the λ-images of those points.
+#: ``Σ 2^(s·i)·P`` over the set bits ``i`` of ``d``, at ``d - 1`` for
+#: ``d`` in 1..2^teeth − 1 (spacing ``s = 130 / teeth``), and the
+#: λ-images of those points.
 _Comb = Tuple[Tuple[_Affine, ...], Tuple[_Affine, ...]]
-
-
-@functools.lru_cache(maxsize=None)
-def _base_table() -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """``table[i][j - 1] == j * 16^i * G`` in affine form, built on first use.
-
-    64 rows of 15 points for a 256-bit order (~180 KB, ~30 ms); a
-    constant of the curve, so sharing it process-wide shares no state.
-    """
-    p = CURVE.p
-    rows = []
-    anchor = CURVE.g
-    for _ in range(0, CURVE.n.bit_length(), _WINDOW_BITS):
-        row = []
-        multiple = _JAC_INFINITY
-        for _ in range(_WINDOW_MASK):
-            multiple = _jac_add_affine(multiple, anchor, p)
-            row.append(_from_jacobian(multiple, p))
-        rows.append(tuple(row))
-        anchor = _from_jacobian(_jac_add_affine(multiple, anchor, p), p)
-    return tuple(rows)
-
-
-def _base_mult(k: int) -> _JacPoint:
-    """``k * G`` for ``0 <= k < n`` from the fixed-base table."""
-    p = CURVE.p
-    accumulator = _JAC_INFINITY
-    for row in _base_table():
-        if not k:
-            break
-        digit = k & _WINDOW_MASK
-        if digit:
-            accumulator = _jac_add_affine(accumulator, row[digit - 1], p)
-        k >>= _WINDOW_BITS
-    return accumulator
 
 
 def _split(k: int) -> Tuple[int, int]:
@@ -249,26 +217,27 @@ def _split(k: int) -> Tuple[int, int]:
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _comb(point: _Affine) -> _Comb:
-    """The comb of ``P``: the 31 subset sums of its teeth and their λ-images.
+def _comb(point: _Affine, teeth: int = _COMB_TEETH) -> _Comb:
+    """The comb of ``P``: the subset sums of its teeth and their λ-images.
 
-    The teeth ``2^(26·i)·P`` cost 104 doublings; each sum adds its top
-    tooth to a smaller sum, and all 31 are normalised to affine with one
-    inversion (Montgomery's trick).  The λ-table is ``(β·x mod p, y)`` of
-    the same entries and costs no curve operation.
+    The teeth ``2^(s·i)·P`` cost ``(teeth − 1)·s`` doublings (104 for a
+    key, 117 for G); each sum adds its top tooth to a smaller sum, and
+    all are normalised to affine with one inversion (Montgomery's
+    trick).  The λ-table is ``(β·x mod p, y)`` of the same entries and
+    costs no curve operation.
     """
     p = CURVE.p
     tooth = _to_jacobian(point)
-    teeth = [tooth]
-    for _ in range(_COMB_TEETH - 1):
-        for _ in range(_COMB_SPACING):
+    teeth_points = [tooth]
+    for _ in range(teeth - 1):
+        for _ in range(_COMB_BITS // teeth):
             tooth = _jac_double(tooth, p)
-        teeth.append(tooth)
+        teeth_points.append(tooth)
     sums: List[_JacPoint] = []
-    for digit in range(1, 1 << _COMB_TEETH):
+    for digit in range(1, 1 << teeth):
         top = digit.bit_length() - 1
         rest = digit ^ (1 << top)
-        sums.append(_jac_add(sums[rest - 1], teeth[top], p) if rest else teeth[top])
+        sums.append(_jac_add(sums[rest - 1], teeth_points[top], p) if rest else teeth_points[top])
     prefix = [1]
     for _, _, z in sums:
         prefix.append(prefix[-1] * z % p)
@@ -285,65 +254,83 @@ def _comb(point: _Affine) -> _Comb:
 
 @functools.lru_cache(maxsize=None)
 def _base_comb() -> _Comb:
-    """``_comb(G)``: 62 points (~10 KB), built on first use."""
-    return _comb(CURVE.g)
+    """``_comb(G, 10)``: 2046 points (~310 KiB), built on first use."""
+    return _comb(CURVE.g, _BASE_TEETH)
 
 
-def _comb_digits(k: int) -> List[int]:
-    """The 26 column digits of ``0 <= k < 2^130``, highest column first.
+def _comb_digits(k: int, teeth: int) -> List[int]:
+    """The ``130 / teeth`` column digits of ``0 <= k < 2^130``, highest
+    column first.
 
-    Bit ``i`` of column ``j``'s digit is bit ``26·i + j`` of ``k``.  A
-    26-bit row of ``k`` written in binary and read back in base 32 puts
-    its bit ``j`` at bit ``5·j``, so the five rows, shifted by their
-    tooth, interleave into one integer of 5-bit digits.
+    Bit ``i`` of column ``j``'s digit is bit ``s·i + j`` of ``k``.  Cut
+    ``k``'s 130-bit binary string into rows of ``s`` bits, highest tooth
+    first: a column is every ``s``-th character, read as binary.
     """
+    spacing = _COMB_BITS // teeth
     bits = format(k, f"0{_COMB_BITS}b")
-    spread = 0
-    for start in range(0, _COMB_BITS, _COMB_SPACING):
-        spread = spread << 1 | int(bits[start : start + _COMB_SPACING], 32)
-    return [spread >> shift & 31 for shift in range(_COMB_BITS - 5, -1, -5)]
+    return [int(bits[start::spacing], 2) for start in range(spacing)]
 
 
 def _comb_mult(terms: Iterable[Tuple[int, _Comb]]) -> _JacPoint:
     """``Σ k·P`` over ``(k, comb of P)`` terms, ``0 <= k < n``.
 
     Each ``k`` splits into halves over ``P`` and ``λP``; a negative half
-    adds the negated entries.  One doubling per column serves every
-    half, and each nonzero digit is one mixed addition of its sum.
+    adds the negated entries.  The walk has as many columns as the
+    widest comb; a narrower comb's columns are its last ones.  One
+    doubling per column serves every half, and each nonzero digit is
+    one mixed addition of its sum.
     """
     p = CURVE.p
-    columns: List[List[_Affine]] = [[] for _ in range(_COMB_SPACING)]
+    columns: List[List[_Affine]] = [[] for _ in range(_COMB_BITS // _COMB_TEETH)]
+    width = 0
     for k, tables in terms:
+        teeth = len(tables[0]).bit_length()
+        spacing = _COMB_BITS // teeth
+        width = max(width, spacing)
         for half, table in zip(_split(k), tables):
             negate = half < 0
-            for column, digit in zip(columns, _comb_digits(-half if negate else half)):
+            digits = _comb_digits(-half if negate else half, teeth)
+            for column, digit in zip(columns[-spacing:], digits):
                 if digit:
                     x, y = table[digit - 1]
                     column.append((x, p - y) if negate else (x, y))
     accumulator = _JAC_INFINITY
-    for column in columns:
+    for column in columns[-width:]:
         accumulator = _jac_double(accumulator, p)
         for point in column:
             accumulator = _jac_add_affine(accumulator, point, p)
     return accumulator
 
 
+def _check_scalar(k: object) -> None:
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise EcdsaError(f"scalar must be an int, got {type(k).__name__}")
+
+
 def point_add(
     p1: Optional[Tuple[int, int]], p2: Optional[Tuple[int, int]]
 ) -> Optional[Tuple[int, int]]:
-    """Add two affine points (None is the point at infinity)."""
+    """Add two affine points (None is the point at infinity); a point
+    :func:`is_on_curve` refuses is an :class:`EcdsaError`."""
+    if not (is_on_curve(p1) and is_on_curve(p2)):
+        raise EcdsaError("point is not on secp256k1")
     return _from_jacobian(_jac_add(_to_jacobian(p1), _to_jacobian(p2), CURVE.p), CURVE.p)
 
 
 def scalar_mult(k: int, point: Optional[Tuple[int, int]]) -> Optional[Tuple[int, int]]:
-    """Compute ``k * point``: table lookups for the base point, a comb
-    built for this call for any other."""
-    if point is None:
-        return None
-    k %= CURVE.n
+    """Compute ``k * point`` over G's comb for the base point, over a
+    comb built for this call for any other.  A bool or non-int ``k``, or
+    a point :func:`is_on_curve` refuses, is an :class:`EcdsaError`."""
+    _check_scalar(k)
     if point == CURVE.g:
-        return _from_jacobian(_base_mult(k), CURVE.p)
-    return _from_jacobian(_comb_mult(((k, _comb(point)),)), CURVE.p)
+        comb = _base_comb()
+    elif not is_on_curve(point):
+        raise EcdsaError("point is not on secp256k1")
+    elif point is None:
+        return None
+    else:
+        comb = _comb(point)
+    return _from_jacobian(_comb_mult(((k % CURVE.n, comb),)), CURVE.p)
 
 
 def is_on_curve(point: Optional[Tuple[int, int]]) -> bool:
@@ -438,6 +425,7 @@ def sign(private_key: int, digest: bytes) -> Signature:
     the same key always yields the same signature.
     """
     _check_digest(digest)
+    _check_scalar(private_key)
     n = CURVE.n
     if not 1 <= private_key < n:
         raise EcdsaError("private key out of range")

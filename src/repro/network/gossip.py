@@ -365,35 +365,39 @@ class GossipNetwork(GossipNetworkApi):
         rng, now = self._rng, self.simulator.now
         gateway = self.remote_gateway
         key = message.dedup_key
+        nodes, seens, cuts = self._nodes, self._seen, self._cut_links
+        sample, extra_delay = self.latency.sample, self.extra_delay
+        loss_rate, duplication_rate = self.loss_rate, self.duplication_rate
+        schedule, receive = self.simulator.schedule, self._receive
         sent = dropped = suppressed = 0
         for dst in dsts:
-            if self._is_cut(src, dst):
+            if cuts and self._is_cut(src, dst):
                 continue
-            node = self._nodes.get(dst)
+            node = nodes.get(dst)
             remote = node is None and gateway is not None and gateway.is_remote(dst)
-            seen = self._seen.get(dst)
+            seen = seens.get(dst)
             # A live holder of an unbounded seen-set would drop the copy
             # on arrival whatever happens meanwhile (the set never
             # shrinks and survives a crash): settle it here, unqueued.
             held = (
                 node is not None and not node.crashed
-                and seen.capacity is None and key in seen
+                and seen.capacity is None and key in seen._entries
             )
             # Link-level duplication is decided up front: the echo is a
             # real second transmission, so it is counted in
             # ``messages_sent`` and rolls the same loss dice.
             copies = 1
-            if self.duplication_rate > 0 and rng.random() < self.duplication_rate:
+            if duplication_rate > 0 and rng.random() < duplication_rate:
                 copies = 2
             arrival = 0.0
             for _ in range(copies):
                 sent += 1
-                if self.loss_rate > 0 and rng.random() < self.loss_rate:
+                if loss_rate > 0 and rng.random() < loss_rate:
                     dropped += 1
                     continue
-                delay = self.latency.sample(src, dst, rng)
-                if self.extra_delay is not None:
-                    delay += max(0.0, self.extra_delay(src, dst, rng))
+                delay = sample(src, dst, rng)
+                if extra_delay is not None:
+                    delay += max(0.0, extra_delay(src, dst, rng))
                 # Each surviving copy arrives after the previous one —
                 # the echo trails the original on its own latency.
                 arrival += delay
@@ -402,7 +406,7 @@ class GossipNetwork(GossipNetworkApi):
                 elif remote:
                     gateway.send_payload(src, dst, message, now + arrival)
                 else:
-                    self.simulator.schedule(arrival, self._receive, dst, message, relay)
+                    schedule(arrival, receive, dst, message, relay)
         self._sent.inc(sent)
         self._payload_frames.inc(sent)
         self._bytes_sent.inc(sent * wire_size(message))

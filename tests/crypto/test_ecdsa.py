@@ -59,6 +59,35 @@ class TestCurveArithmetic:
     def test_result_always_on_curve(self, k):
         assert ecdsa.is_on_curve(ecdsa.scalar_mult(k, CURVE.g))
 
+    @pytest.mark.parametrize(
+        "call",
+        ("scalar_mult off-curve", "scalar_mult x + p", "point_add off-curve", "point_add x + p"),
+    )
+    def test_a_point_is_on_curve_refuses_raises(self, call):
+        """``scalar_mult`` and ``point_add`` compute only on points
+        ``is_on_curve`` takes: ``(Gx + p, Gy)`` is a second encoding of G."""
+        gx, gy = CURVE.g
+        operation, point = call.split(" ", 1)
+        point = {"off-curve": (1, 2), "x + p": (gx + CURVE.p, gy)}[point]
+        with pytest.raises(EcdsaError):
+            if operation == "scalar_mult":
+                ecdsa.scalar_mult(3, point)
+            else:
+                ecdsa.point_add(point, CURVE.g)
+
+    @pytest.mark.parametrize(
+        "call", ("scalar_mult bool", "scalar_mult float", "sign bool", "sign float")
+    )
+    def test_a_bool_or_non_int_scalar_raises(self, call):
+        """``True`` is not the scalar 1, and a float is no scalar."""
+        operation, kind = call.split()
+        scalar = {"bool": True, "float": 3.0}[kind]
+        with pytest.raises(EcdsaError):
+            if operation == "scalar_mult":
+                ecdsa.scalar_mult(scalar, CURVE.g)
+            else:
+                ecdsa.sign(scalar, DIGEST)
+
 
 class TestSignVerify:
     def test_round_trip(self):

@@ -1,19 +1,20 @@
-"""Differential tests: the table and comb curve code against textbook oracles.
+"""Differential tests: the comb curve code against textbook oracles.
 
-``repro.crypto.ecdsa`` multiplies ``k·G`` through a fixed-base table and
-every other product through a fixed-point comb over the GLV halves:
-scalars split into halves over ``P`` and ``λP``, and each half walks the
-26 columns of ``P``'s comb (the 31 subset sums of its teeth
-``2^(26·i)·P`` and their λ-images), which ``verify`` does once for
-``u1·G + u2·Q``.  The oracles here are the bit-at-a-time double-and-add
-and the two-multiplication ``u1·G + u2·Q`` verification written straight
-from the definitions, in affine coordinates, sharing no code with the
-module under test.  ``sign`` is pinned to ``(key, digest) → (r, s)``
-vectors taken before the windowed code existed, so signatures stay
-bit-identical.  The split, the comb tables, the column digits and the
-endomorphism have rows of their own; a doubling budget holds a cold
-``verify`` to 130 doublings and a key's repeat check to 26, counted
-through the module seam.
+``repro.crypto.ecdsa`` multiplies every product through a fixed-point
+comb over the GLV halves: scalars split into halves over ``P`` and
+``λP``, and each half walks the columns of ``P``'s comb.  G's comb holds
+the 1023 subset sums of its teeth ``2^(13·i)·G`` and their λ-images (13
+columns); any other point's holds the 31 subset sums of ``2^(26·i)·P``
+(26 columns), and ``verify`` walks both at once for ``u1·G + u2·Q``.
+The oracles here are the bit-at-a-time double-and-add and the
+two-multiplication ``u1·G + u2·Q`` verification written straight from
+the definitions, in affine coordinates, sharing no code with the module
+under test.  ``sign`` is pinned to ``(key, digest) → (r, s)`` vectors
+taken before the windowed code existed, so signatures stay
+bit-identical.  The split, both combs' tables, their column digits and
+the endomorphism have rows of their own; a doubling budget holds a cold
+``verify`` to 130 doublings, a key's repeat check to 26 and ``k·G`` to
+13, counted through the module seam.
 """
 
 import dataclasses
@@ -79,7 +80,7 @@ def oracle_verify(public_key, digest, r, s):
     return point is not None and point[0] % N == r
 
 
-#: Scalars the windows treat specially: ends of the range, single set
+#: Scalars with edges in their bits: ends of the range, single set
 #: nibbles, zero nibbles between set ones, all nibbles 15; then scalars
 #: whose GLV halves are zero or negative (λ, n − λ, the basis, −5 − 7λ).
 EDGE_SCALARS = (
@@ -146,14 +147,6 @@ class TestScalarMultAgainstDoubleAndAdd:
 
     def test_negative_scalar_reduces_like_the_oracle(self):
         assert ecdsa.scalar_mult(-1, G) == oracle_mult(N - 1, G)
-
-    def test_base_table_is_built_once_per_process(self):
-        assert ecdsa._base_table() is ecdsa._base_table()
-        table = ecdsa._base_table()
-        assert len(table) == 64 and all(len(row) == 15 for row in table)
-        assert table[0][0] == G
-        assert table[1][0] == oracle_mult(16, G)
-        assert table[63][14] == oracle_mult(15 << 252, G)
 
 
 #: Generated at the parent commit (bit-at-a-time double-and-add, two
@@ -335,23 +328,20 @@ class TestEndomorphism:
         x, y = point = oracle_mult(private, G)
         assert oracle_mult(_LAMBDA, point) == (_BETA * x % P, y)
 
-    def test_base_comb_is_built_once(self):
-        table, images = ecdsa._base_comb()
-        assert ecdsa._base_comb()[0] is table
-        assert len(table) == len(images) == 31
-        assert table[0] == G and table[30] == oracle_mult(TOOTH_SUM[31], G)
-        assert images[30] == oracle_mult(TOOTH_SUM[31] * _LAMBDA, G)
+
+def _tooth_sum(digit, teeth=5):
+    """``Σ 2^(s·i)`` over the set bits ``i`` of ``digit``, ``s = 130 / teeth``:
+    the scalar of a comb's entry ``digit - 1``."""
+    return sum(1 << 130 // teeth * i for i in range(teeth) if digit >> i & 1)
 
 
-#: ``TOOTH_SUM[d] == Σ 2^(26·i)`` over the set bits ``i`` of ``d``: the
-#: scalar of a comb's entry ``d - 1``.
-TOOTH_SUM = tuple(sum(1 << 26 * i for i in range(5) if d >> i & 1) for d in range(32))
-
-
-def _columns(*digits):
+def _columns(*digits, teeth=5):
     """The half whose comb columns, lowest first, are ``digits``."""
+    spacing = 130 // teeth
     return sum(
-        (digit >> i & 1) << 26 * i + j for j, digit in enumerate(digits) for i in range(5)
+        (digit >> i & 1) << spacing * i + j
+        for j, digit in enumerate(digits)
+        for i in range(teeth)
     )
 
 
@@ -370,13 +360,13 @@ class TestComb:
     """A comb's entries are the subset sums of its teeth, its digits
     reassemble the half, and a product over it is the oracle's."""
 
-    @pytest.mark.parametrize("private", (None, 2, 0xC0FFEE, N - 1), ids=("G", "2", "c0ffee", "n-1"))
+    @pytest.mark.parametrize("private", (2, 0xC0FFEE, N - 1), ids=("2", "c0ffee", "n-1"))
     def test_entries_are_subset_sums_and_their_lambda_images(self, private):
-        point = G if private is None else oracle_mult(private, G)
-        table, images = ecdsa._base_comb() if private is None else ecdsa._comb(point)
+        point = oracle_mult(private, G)
+        table, images = ecdsa._comb(point)
         assert len(table) == len(images) == 31
         for digit in range(1, 32):
-            assert table[digit - 1] == oracle_mult(TOOTH_SUM[digit], point), digit
+            assert table[digit - 1] == oracle_mult(_tooth_sum(digit), point), digit
         for digit in (1, 2, 7, 16, 31):
             assert images[digit - 1] == oracle_mult(_LAMBDA, table[digit - 1]), digit
 
@@ -386,7 +376,7 @@ class TestComb:
     @example(1 << 128)
     @settings(max_examples=200, deadline=None)
     def test_column_digits_reassemble_the_half(self, half):
-        digits = ecdsa._comb_digits(half)
+        digits = ecdsa._comb_digits(half, ecdsa._COMB_TEETH)
         assert len(digits) == 26 and all(0 <= digit < 32 for digit in digits)
         assert _columns(*reversed(digits)) == half
 
@@ -412,31 +402,96 @@ class TestComb:
             assert product == oracle_mult(k, point)
 
 
-def _count_doublings(monkeypatch):
+#: Halves below 2^127 that stress G's 13-column walk: an all-1023
+#: column, one zero column among nonzero ones, every tooth set in nine
+#: columns, a single bit.
+BASE_COMB_HALVES = {
+    "all-1023 column": _columns(*[0] * 9, 1023, teeth=10),
+    "one zero column": _columns(*[1] * 6, 0, *[1] * 6, teeth=10),
+    "dense": _columns(*[1023] * 9, *[511] * 4, teeth=10),
+    "top bit": 1 << 126,
+}
+
+
+class TestBaseComb:
+    """G's comb has 10 teeth ``2^(13·i)·G``: 1023 subset sums and their
+    λ-images, built once per process, walked in 13 columns."""
+
+    def test_built_once_per_process(self):
+        table, images = ecdsa._base_comb()
+        assert ecdsa._base_comb()[0] is table
+        assert len(table) == len(images) == 1023
+
+    @given(st.integers(min_value=1, max_value=1023))
+    @example(1)
+    @example(2)
+    @example(512)
+    @example(1023)
+    @settings(max_examples=20, deadline=None)
+    def test_entries_are_subset_sums_and_their_lambda_images(self, digit):
+        table, images = ecdsa._base_comb()
+        assert table[digit - 1] == oracle_mult(_tooth_sum(digit, teeth=10), G)
+        assert images[digit - 1] == oracle_mult(_LAMBDA, table[digit - 1])
+
+    @given(st.integers(min_value=0, max_value=(1 << 130) - 1))
+    @example(0)
+    @example((1 << 130) - 1)
+    @example(1 << 128)
+    @settings(max_examples=200, deadline=None)
+    def test_column_digits_reassemble_the_half(self, half):
+        digits = ecdsa._comb_digits(half, ecdsa._BASE_TEETH)
+        assert len(digits) == 13 and all(0 <= digit < 1024 for digit in digits)
+        assert _columns(*reversed(digits), teeth=10) == half
+
+    @pytest.mark.parametrize("negate", (False, True), ids=("positive", "negative"))
+    @pytest.mark.parametrize("name", BASE_COMB_HALVES)
+    def test_edge_halves(self, name, negate):
+        """Each edge half over ``G`` and over ``λG``, either sign,
+        through G's comb against the oracle (``TestComb`` runs the
+        26-column halves through it too)."""
+        half = -BASE_COMB_HALVES[name] if negate else BASE_COMB_HALVES[name]
+        for k1, k2 in ((half, 0), (0, half), (half, -half // 3)):
+            k = (k1 + _LAMBDA * k2) % N
+            assert ecdsa._split(k) == (k1, k2)
+            product = ecdsa._from_jacobian(ecdsa._comb_mult(((k, ecdsa._base_comb()),)), P)
+            assert product == oracle_mult(k, G), (k1, k2)
+
+
+def _count(monkeypatch, name):
     calls = []
-    double = ecdsa._jac_double
+    operation = getattr(ecdsa, name)
 
-    def counted(point, p):
-        calls.append(point)
-        return double(point, p)
+    def counted(*args):
+        calls.append(args)
+        return operation(*args)
 
-    monkeypatch.setattr(ecdsa, "_jac_double", counted)
+    monkeypatch.setattr(ecdsa, name, counted)
     return calls
 
 
 class TestDoublingBudget:
     """A cold ``verify`` builds Q's comb (104 doublings) and walks 26
-    columns: ≤ 130 doublings, counted at the module seam."""
+    columns: ≤ 130 doublings; ``k·G`` walks G's 13.  Counted at the
+    module seam, after G's comb is built."""
 
     @pytest.mark.parametrize("seed", (b"alpha", b"\x00", b"dd-provider:provider-1:0"))
     def test_verify_doubles_at_most_130_times(self, seed, monkeypatch):
         key = PrivateKey.from_seed(seed)
         digest = sha3_256(seed)
         signature = key.sign(digest)
+        public = key.public_key().point
         ecdsa._base_comb()
-        calls = _count_doublings(monkeypatch)
-        assert ecdsa.verify(key.public_key().point, digest, signature)
+        calls = _count(monkeypatch, "_jac_double")
+        assert ecdsa.verify(public, digest, signature)
         assert len(calls) <= 130
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS)
+    def test_base_point_product_doubles_13_times_and_adds_at_most_26(self, k, monkeypatch):
+        ecdsa._base_comb()
+        doublings = _count(monkeypatch, "_jac_double")
+        additions = _count(monkeypatch, "_jac_add_affine")
+        ecdsa.scalar_mult(k, G)
+        assert len(doublings) <= 13 and len(additions) <= 26
 
 
 class TestPublicKeyComb:
@@ -452,7 +507,7 @@ class TestPublicKeyComb:
     def test_a_repeat_check_doubles_at_most_26_times(self, signed, monkeypatch):
         public, checks = signed
         ecdsa._base_comb()
-        calls = _count_doublings(monkeypatch)
+        calls = _count(monkeypatch, "_jac_double")
         assert public.verify(*checks[0])
         assert len(calls) > 26
         for digest, signature in checks[1:]:
@@ -474,7 +529,7 @@ class TestPublicKeyComb:
         public, checks = signed
         public.verify(*checks[0])
         twin = PublicKey(public.point)
-        calls = _count_doublings(monkeypatch)
+        calls = _count(monkeypatch, "_jac_double")
         assert twin._comb == []
         assert twin.verify(*checks[1])
         assert len(calls) > 26 and twin._comb[0] is not public._comb[0]

@@ -63,9 +63,9 @@ WORKFLOW_SPELLINGS = {
 STORE_FAULT_APPLIERS = ["core/distributed.py"]
 RETIRED_FAULT_VERBS = {"crash_node", "restart_node"}
 
-#: The only caches under ``repro.crypto``: G's two tables, constants of
+#: The only cache under ``repro.crypto``: G's one comb, a constant of
 #: the curve.  A key's comb lives on its ``PublicKey``.
-CRYPTO_CACHES = {"ecdsa._base_table", "ecdsa._base_comb"}
+CRYPTO_CACHES = {"ecdsa._base_comb"}
 
 
 def _spellings(node: ast.Call) -> set:

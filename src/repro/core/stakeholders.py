@@ -274,16 +274,15 @@ class DetectorStakeholder(Node):
         #: None disables retries (the pre-chaos fire-and-forget mode).
         self.retry_policy = retry_policy
         self._retry_rng = random.Random(f"retry:{engine.detector_id}")
-        #: initial report id -> pending detailed report
-        self._pending_detailed: Dict[bytes, DetailedReport] = {}
-        #: initial report id -> the initial report (kept for re-gossip)
-        self._pending_initial: Dict[bytes, InitialReport] = {}
-        #: published detailed reports awaiting on-chain confirmation
-        self._awaiting_detailed: Dict[bytes, DetailedReport] = {}
+        #: Phase I: committed R† id -> (R†, its R*), until the R† is
+        #: buried deep enough to publish the R*.
+        self._committed: Dict[bytes, Tuple[InitialReport, DetailedReport]] = {}
+        #: Phase II (retry policy only): published R* id -> R*, until a
+        #: deadline check finds it on-chain.
+        self._published: Dict[bytes, DetailedReport] = {}
         #: record id -> height at which it was seen in a block
         self._record_heights: Dict[bytes, int] = {}
         self._max_height_seen = 0
-        self._published: Set[bytes] = set()
         #: ids of every detailed report this detector has published
         self.detailed_ids: Set[bytes] = set()
         self.scans = 0
@@ -309,17 +308,28 @@ class DetectorStakeholder(Node):
                 finding.found_after, self._submit_initial, sra, finding
             )
 
+    @property
+    def unsettled(self) -> bool:
+        """True while a mined R† waits for its burial depth or a
+        published R* waits for a deadline check to find it on-chain."""
+        return bool(self._published) or any(
+            initial_id in self._record_heights for initial_id in self._committed
+        )
+
+    def _defer(self, attempt: int, callback, *args) -> bool:
+        """A timer fired on a crashed process: with a retry policy not
+        yet spent, run ``callback`` again one deadline later."""
+        policy = self.retry_policy
+        if policy is None or policy.exhausted(attempt):
+            return False
+        self.simulator.schedule(policy.deadline, callback, *args, attempt + 1)
+        return True
+
     def _submit_initial(self, sra: SignedSRA, finding, attempt: int = 0) -> None:
         if self.crashed:
-            # The submission timer fired on a dead process.  With a
-            # retry policy the submission itself is deferred until the
-            # node is (hopefully) back; without one it is simply lost.
-            if self.retry_policy is not None and not self.retry_policy.exhausted(attempt):
+            # Without a retry policy the submission is simply lost.
+            if self._defer(attempt, self._submit_initial, sra, finding):
                 self.submissions_deferred += 1
-                self.simulator.schedule(
-                    self.retry_policy.deadline,
-                    self._submit_initial, sra, finding, attempt + 1,
-                )
             return
         initial, detailed = build_report_pair(
             sra_id=sra.sra_id,
@@ -328,13 +338,12 @@ class DetectorStakeholder(Node):
             wallet=self.keys.address,
             descriptions=(finding.description,),
         )
-        self._pending_detailed[initial.report_id] = detailed
-        self._pending_initial[initial.report_id] = initial
+        self._committed[initial.report_id] = (initial, detailed)
         self.broadcast(MessageKind.INITIAL_REPORT, initial)
         if self.retry_policy is not None:
             self.simulator.schedule(
-                self.retry_policy.deadline, self._check_initial,
-                initial.report_id, 0,
+                self.retry_policy.deadline, self._check,
+                MessageKind.INITIAL_REPORT, initial.report_id, 0,
             )
 
     def _on_block(self, _node: Node, message: Message) -> None:
@@ -346,76 +355,53 @@ class DetectorStakeholder(Node):
 
     def _maybe_publish(self) -> None:
         """Publish R* for every committed R† now buried deep enough."""
-        for initial_id, detailed in list(self._pending_detailed.items()):
+        for initial_id, (_, detailed) in list(self._committed.items()):
             seen_at = self._record_heights.get(initial_id)
-            if seen_at is None or initial_id in self._published:
+            if seen_at is None:
                 continue
             if self._max_height_seen - seen_at >= self.confirmation_depth:
-                self._published.add(initial_id)
+                del self._committed[initial_id]
                 self.detailed_ids.add(detailed.report_id)
-                self._awaiting_detailed[detailed.report_id] = detailed
                 self.broadcast(MessageKind.DETAILED_REPORT, detailed)
                 if self.retry_policy is not None:
+                    self._published[detailed.report_id] = detailed
                     self.simulator.schedule(
-                        self.retry_policy.deadline, self._check_detailed,
-                        detailed.report_id, 0,
+                        self.retry_policy.deadline, self._check,
+                        MessageKind.DETAILED_REPORT, detailed.report_id, 0,
                     )
 
     # -- retrying two-phase submission (§V-B under faults) --------------------
 
-    def _check_initial(self, initial_id: bytes, attempt: int) -> None:
-        """Deadline check: is our R† on-chain yet?  Re-gossip if not."""
-        policy = self.retry_policy
-        if policy is None or initial_id in self._published:
-            return
+    def _check(self, kind: MessageKind, report_id: bytes, attempt: int) -> None:
+        """Deadline check: is our R† (``INITIAL_REPORT``) or published R*
+        (``DETAILED_REPORT``) on-chain yet?  Re-gossip it if not."""
+        initial = kind is MessageKind.INITIAL_REPORT
+        waiting = self._committed if initial else self._published
+        if report_id not in waiting:
+            return  # the R* is out: phase I is done
         if self.crashed:
-            if not policy.exhausted(attempt):
-                self.simulator.schedule(
-                    policy.deadline, self._check_initial, initial_id, attempt + 1
-                )
+            self._defer(attempt, self._check, kind, report_id)
             return
         self._catch_up()
-        if initial_id in self._record_heights:
-            return  # mined; phase II proceeds from _maybe_publish
+        if report_id in self._record_heights:
+            # A mined R† waits in _maybe_publish; a confirmed R* is done.
+            if not initial:
+                del self._published[report_id]
+            return
+        policy = self.retry_policy
         if policy.exhausted(attempt):
             self.reports_abandoned += 1
             return
-        initial = self._pending_initial.get(initial_id)
-        if initial is None:
-            return
-        self.initial_retries += 1
-        self.broadcast(MessageKind.INITIAL_REPORT, initial, salt=attempt + 1)
+        if initial:
+            self.initial_retries += 1
+            report = waiting[report_id][0]
+        else:
+            self.detailed_retries += 1
+            report = waiting[report_id]
+        self.broadcast(kind, report, salt=attempt + 1)
         self.simulator.schedule(
             policy.backoff(attempt, self._retry_rng),
-            self._check_initial, initial_id, attempt + 1,
-        )
-
-    def _check_detailed(self, detailed_id: bytes, attempt: int) -> None:
-        """Deadline check: is our published R* on-chain yet?"""
-        policy = self.retry_policy
-        if policy is None:
-            return
-        if self.crashed:
-            if not policy.exhausted(attempt):
-                self.simulator.schedule(
-                    policy.deadline, self._check_detailed, detailed_id, attempt + 1
-                )
-            return
-        self._catch_up()
-        if detailed_id in self._record_heights:
-            self._awaiting_detailed.pop(detailed_id, None)
-            return  # confirmed: done with this report
-        if policy.exhausted(attempt):
-            self.reports_abandoned += 1
-            return
-        detailed = self._awaiting_detailed.get(detailed_id)
-        if detailed is None:
-            return
-        self.detailed_retries += 1
-        self.broadcast(MessageKind.DETAILED_REPORT, detailed, salt=attempt + 1)
-        self.simulator.schedule(
-            policy.backoff(attempt, self._retry_rng),
-            self._check_detailed, detailed_id, attempt + 1,
+            self._check, kind, report_id, attempt + 1,
         )
 
     def _catch_up(self) -> bool:

@@ -93,6 +93,8 @@ class PrivateKey:
     scalar: int = field(repr=False)
 
     def __post_init__(self) -> None:
+        # A bool or non-int scalar is refused here, as sign() would.
+        ecdsa._check_scalar(self.scalar)
         if not 1 <= self.scalar < CURVE.n:
             raise EcdsaError("private key scalar out of range")
 

@@ -50,6 +50,7 @@ class ChaosGauntletResult:
             retries = int(run.network.get("initial_retries", 0)) + int(
                 run.network.get("detailed_retries", 0)
             )
+            not_once = sum(v.name == "published-reports-once" for v in run.violations)
             table.add_row(
                 run.seed,
                 run.blocks_mined,
@@ -58,9 +59,7 @@ class ChaosGauntletResult:
                 run.network.get("records_resubmitted", 0),
                 retries,
                 f"{run.confirmed_reports}"
-                + ("" if not (run.missing_reports or run.duplicate_reports)
-                   else f" ({len(run.missing_reports)} missing,"
-                        f" {len(run.duplicate_reports)} dup)"),
+                + (f" ({not_once} not once)" if not_once else ""),
                 "all hold" if run.ok else "VIOLATED",
             )
         table.add_note(

@@ -11,7 +11,6 @@ end-to-end chaos gauntlets — workload chaos and disk-fault recovery —
 
 from repro.faults.gauntlet import (
     DISK_SCENARIOS,
-    DiskGauntletResult,
     GauntletConfig,
     GauntletResult,
     run_disk_fault_gauntlet,
@@ -31,7 +30,6 @@ __all__ = [
     "ChaosPlan",
     "DEFAULT_RETRY_POLICY",
     "DISK_SCENARIOS",
-    "DiskGauntletResult",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",

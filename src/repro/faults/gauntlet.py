@@ -5,14 +5,15 @@ One gauntlet run builds a :class:`~repro.core.stakeholders.DecentralizedDeployme
 arms a seeded :class:`~repro.faults.plan.ChaosPlan` over it — node
 crashes and restarts, message loss, duplication, delay spikes, and a
 timed two-way partition — lets the system run through the chaos, then
-gives it a quiet settling window and checks:
+gives it a quiet settling window and checks every
+:class:`~repro.faults.invariants.InvariantChecker` clause — among them
+the retry acceptance criterion: every detailed report a detector
+published lands on the canonical chain **exactly once**, despite
+crashes, drops, and retransmissions.
 
-* every :class:`~repro.faults.invariants.InvariantChecker` invariant
-  (ledger conservation, unique confirmed reports, single-tip
-  convergence, insurance accounting);
-* the retry acceptance criterion — every detailed report a detector
-  published lands on the canonical chain **exactly once**, despite
-  crashes, drops, and retransmissions.
+Both gauntlets here — workload chaos and disk-fault recovery — answer
+with one :class:`GauntletResult`, an invariant report naming each
+failed clause.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from __future__ import annotations
 import random
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.chain.chain import Blockchain
 from repro.chain.ledger import LedgerStateMachine
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.distributed import DistributedChain
@@ -43,7 +46,6 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
     "DISK_SCENARIOS",
-    "DiskGauntletResult",
     "GauntletConfig",
     "GauntletResult",
     "run_disk_fault_gauntlet",
@@ -92,64 +94,31 @@ class GauntletConfig:
             )
 
 
-@dataclass
-class GauntletResult:
-    """Outcome of one gauntlet run."""
+@dataclass(kw_only=True)
+class GauntletResult(InvariantReport):
+    """Outcome of one gauntlet run: an invariant report, plus what ran.
+
+    The verdict is the report's own — ``ok``, ``assert_ok``, each failed
+    clause named — under a label line that names the run.
+    """
 
     seed: int
     blocks_mined: int
     faults_applied: int
     fault_log: List[Tuple[float, str]]
-    invariants: InvariantReport
-    confirmed_reports: int
-    missing_reports: List[str]
-    duplicate_reports: List[str]
-    converged: bool
-    network: Dict[str, object]
-
-    @property
-    def ok(self) -> bool:
-        """All invariants hold, each report on-chain exactly once."""
-        return (
-            self.invariants.ok
-            and self.converged
-            and not self.missing_reports
-            and not self.duplicate_reports
-        )
-
-    def assert_ok(self) -> None:
-        """Raise AssertionError with every problem if the run failed."""
-        problems: List[str] = [str(v) for v in self.invariants.violations]
-        if not self.converged:
-            problems.append("replicas did not converge to a single tip")
-        problems.extend(f"missing on-chain: {m}" for m in self.missing_reports)
-        problems.extend(f"duplicated on-chain: {d}" for d in self.duplicate_reports)
-        if problems:
-            lines = "\n".join(f"  - {problem}" for problem in problems)
-            raise AssertionError(f"gauntlet seed {self.seed} failed:\n{lines}")
+    #: what the run did, one rendered line each, under the label line
+    notes: Tuple[str, ...] = ()
+    #: chaos runs: R* confirmed exactly once everywhere; deployment counters
+    confirmed_reports: int = 0
+    network: Dict[str, object] = field(default_factory=dict)
+    #: disk runs: the corruption scenario and the replica it hit
+    scenario: Optional[str] = None
+    victim: Optional[str] = None
 
     def render(self) -> str:
         """Human-readable run report."""
-        lines = [
-            f"gauntlet seed={self.seed}: "
-            f"{'PASS' if self.ok else 'FAIL'} "
-            f"({self.blocks_mined} blocks, {self.faults_applied} faults, "
-            f"{self.confirmed_reports} reports confirmed exactly once)",
-            f"  retries: {self.network.get('initial_retries', 0)} initial, "
-            f"{self.network.get('detailed_retries', 0)} detailed; "
-            f"resyncs: {self.network.get('resyncs_performed', 0)}; "
-            f"records resubmitted after reorgs: "
-            f"{self.network.get('records_resubmitted', 0)}",
-            f"  transport: {self.network.get('messages_dropped', 0)} dropped, "
-            f"{self.network.get('messages_duplicated', 0)} duplicated, "
-            f"{self.network.get('messages_lost_to_crashes', 0)} lost to crashes",
-        ]
-        lines.append("  " + self.invariants.render().replace("\n", "\n  "))
-        for missing in self.missing_reports:
-            lines.append(f"  MISSING {missing}")
-        for duplicate in self.duplicate_reports:
-            lines.append(f"  DUPLICATE {duplicate}")
-        return "\n".join(lines)
+        verdict = f"{self.label}: {'PASS' if self.ok else 'FAIL'}"
+        return "\n  ".join([verdict, *self.notes, *super().render().splitlines()])
 
 
 def _build_plan(config: GauntletConfig, deployment: DecentralizedDeployment,
@@ -180,18 +149,6 @@ def _build_plan(config: GauntletConfig, deployment: DecentralizedDeployment,
     )
     plan.events.extend(random_part.events)
     return plan.sort()
-
-
-def _unsettled_reports(deployment: DecentralizedDeployment) -> bool:
-    """True while some published R* has not been confirmed on-chain."""
-    for detector in deployment.detectors.values():
-        for initial_id in detector._pending_detailed:
-            if initial_id not in detector._published:
-                if initial_id in detector._record_heights:
-                    return True  # R† mined, burial depth still pending
-        if detector._awaiting_detailed:
-            return True
-    return False
 
 
 def run_gauntlet(
@@ -256,7 +213,9 @@ def run_gauntlet(
     converged_at: Optional[float] = None
     for _ in range(MAX_SETTLE_ROUNDS):
         deployment.simulator.advance()
-        if deployment.converged() and not _unsettled_reports(deployment):
+        if deployment.converged() and not any(
+            detector.unsettled for detector in deployment.detectors.values()
+        ):
             converged_at = deployment.simulator.now
             break
         mined += deployment.advance_for(60.0)
@@ -265,22 +224,10 @@ def run_gauntlet(
         converged_at = deployment.simulator.now
 
     checker = InvariantChecker.for_deployment(deployment)
-    invariants = checker.run_all()
-
-    confirmed = 0
-    missing: List[str] = []
-    duplicates: List[str] = []
-    for name, detector in sorted(deployment.detectors.items()):
-        for detailed_id in sorted(detector.detailed_ids):
-            counts = checker.record_occurrences(detailed_id)
-            label = f"{name} R* {detailed_id.hex()[:12]}"
-            if any(count > 1 for count in counts.values()):
-                duplicates.append(f"{label} counts={counts}")
-            elif any(count == 0 for count in counts.values()):
-                missing.append(f"{label} counts={counts}")
-            else:
-                confirmed += 1
-
+    verdict = checker.run_all()
+    confirmed = len(checker.published) - sum(
+        v.name == "published-reports-once" for v in verdict.violations
+    )
     network = deployment.summary()
     if telemetry.enabled:
         # Injected vs observed: faults.injected counters record what the
@@ -308,15 +255,23 @@ def run_gauntlet(
         )
 
     return GauntletResult(
+        label=f"gauntlet seed={config.seed}",
+        checked=verdict.checked,
+        violations=verdict.violations,
         seed=config.seed,
         blocks_mined=mined,
         faults_applied=injector.faults_applied,
         fault_log=list(injector.log),
-        invariants=invariants,
+        notes=(
+            f"{mined} blocks, {injector.faults_applied} faults, "
+            f"{confirmed} reports confirmed exactly once",
+            "retries: {initial_retries} initial, {detailed_retries} detailed; "
+            "resyncs: {resyncs_performed}; records resubmitted after reorgs: "
+            "{records_resubmitted}".format_map(network),
+            "transport: {messages_dropped} dropped, {messages_duplicated} "
+            "duplicated, {messages_lost_to_crashes} lost to crashes".format_map(network),
+        ),
         confirmed_reports=confirmed,
-        missing_reports=missing,
-        duplicate_reports=duplicates,
-        converged=deployment.converged(),
         network=network,
     )
 
@@ -330,98 +285,34 @@ DISK_SCENARIOS: Tuple[str, ...] = ("torn_write", "bit_flip", "drop_snapshot")
 DISK_SNAPSHOT_INTERVAL = 4
 
 
-@dataclass
-class DiskGauntletResult:
-    """Outcome of one store-backed crash/corrupt/recover run."""
-
-    seed: int
-    scenario: str
-    victim: str
-    blocks_mined: int
-    faults_applied: int
-    fault_log: List[Tuple[float, str]]
-    #: fsck ran against the corrupted store while the victim was down.
-    corruption_detected: bool
-    corruption_kinds: List[str]
-    store_recoveries: int
-    #: Post-heal: confirmed canonical prefix byte-identical to a
-    #: never-crashed replica's.
-    chain_match: bool
-    #: Post-heal: store-replayed ledger equals a from-genesis replay.
-    ledger_match: bool
-    #: Post-heal: fsck reports the recovered store clean.
-    fsck_clean_after: bool
-    converged: bool
-
-    @property
-    def ok(self) -> bool:
-        """Corruption was detected, then fully healed."""
-        return (
-            self.corruption_detected
-            and self.store_recoveries >= 1
-            and self.chain_match
-            and self.ledger_match
-            and self.fsck_clean_after
-            and self.converged
-        )
-
-    def assert_ok(self) -> None:
-        """Raise AssertionError with every problem if the run failed."""
-        problems: List[str] = []
-        if not self.corruption_detected:
-            problems.append(
-                "fsck did not flag the corrupted store while the node was down"
-            )
-        if self.store_recoveries < 1:
-            problems.append("restart never went through store recovery")
-        if not self.chain_match:
-            problems.append(
-                "recovered confirmed chain differs from the never-crashed replica"
-            )
-        if not self.ledger_match:
-            problems.append(
-                "store-replayed ledger differs from a from-genesis replay"
-            )
-        if not self.fsck_clean_after:
-            problems.append("fsck still reports issues after recovery")
-        if not self.converged:
-            problems.append("replicas did not converge to a single tip")
-        if problems:
-            lines = "\n".join(f"  - {problem}" for problem in problems)
-            raise AssertionError(
-                f"disk gauntlet seed {self.seed} "
-                f"scenario {self.scenario!r} failed:\n{lines}"
-            )
-
-    def render(self) -> str:
-        """Human-readable run report."""
-        detected = ", ".join(self.corruption_kinds) or "none"
-        return (
-            f"disk gauntlet seed={self.seed} scenario={self.scenario}: "
-            f"{'PASS' if self.ok else 'FAIL'} "
-            f"({self.blocks_mined} blocks, {self.faults_applied} faults, "
-            f"victim={self.victim}, detected=[{detected}], "
-            f"recoveries={self.store_recoveries}, "
-            f"chain_match={self.chain_match}, ledger_match={self.ledger_match}, "
-            f"fsck_clean_after={self.fsck_clean_after})"
-        )
+def _first_difference(chain: Blockchain, other: Blockchain) -> int:
+    """The lowest height at which two confirmed prefixes stop agreeing
+    block for block (a differing block, or the end of either)."""
+    height = 0
+    for mine, theirs in zip_longest(chain.iter_confirmed(), other.iter_confirmed()):
+        if mine is None or theirs is None or mine.block_id != theirs.block_id:
+            break
+        height += 1
+    return height
 
 
 def run_disk_fault_gauntlet(
     scenario: str,
     seed: int = 0,
     store_dir: Optional[str] = None,
-) -> DiskGauntletResult:
+) -> GauntletResult:
     """One store-backed crash/corrupt/recover run; deterministic in ``seed``.
 
     A five-replica :class:`~repro.core.distributed.DistributedChain`
     persists every replica to disk.  The plan crashes one victim, hits
     its (now process-less) store with the requested disk fault, and
-    restarts it; while the victim is down an fsck probe must *detect*
-    the injected corruption, and after the heal the recovered replica's
-    confirmed chain must be byte-identical to a never-crashed one, its
-    store-replayed ledger must equal a from-genesis replay, and fsck
-    must come back clean.
+    restarts it.  While the victim is down an fsck probe must *detect*
+    the corruption (``fsck-detected``), and the restart must go through
+    store recovery (``store-recovered``); after the heal the recovered
+    confirmed chain must be byte-identical to a never-crashed one
+    (``chain-match``), the store-replayed ledger a from-genesis replay
+    (``ledger-replay``), fsck clean (``fsck-clean``), and the alive
+    replicas on one tip (``single-tip-convergence``).
 
     ``store_dir`` defaults to a fresh temp directory removed before
     returning; pass a path to keep the stores for inspection.
@@ -461,46 +352,73 @@ def run_disk_fault_gauntlet(
 
             victim_node = fleet.replicas[victim]
             assert victim_node.store is not None
-            probe: Dict[str, object] = {}
-
-            def _probe_down_store() -> None:
-                # What an operator's fsck would see on the dead node's disk.
-                report = fsck(victim_node.store.path)
-                probe["ok"] = report.ok
-                probe["kinds"] = sorted({issue.kind for issue in report.issues})
-
-            fleet.simulator.schedule_at(200.0, _probe_down_store)
+            # What an operator's fsck would see on the dead node's disk.
+            probe = []
+            fleet.simulator.schedule_at(
+                200.0, lambda: probe.append(fsck(victim_node.store.path))
+            )
 
             while fleet.simulator.now < 420.0:
                 fleet.step()
             fleet.finalize()
 
-            machine = LedgerStateMachine()
-            state, nonces = machine.replay(fleet.replicas[victim].chain)
+            victim_chain = fleet.replicas[victim].chain
+            reference_chain = fleet.replicas[reference].chain
+            state, nonces = LedgerStateMachine().replay(victim_chain)
             replay = victim_node.store.replay_ledger()
-            ledger_match = (
-                replay.state.snapshot() == state.snapshot()
-                and replay.nonces == nonces
-            )
-            return DiskGauntletResult(
+            kinds = {issue.kind for report in probe for issue in report.issues}
+            detected = ", ".join(sorted(kinds)) or "none"
+            result = GauntletResult(
+                label=f"disk gauntlet seed={seed} scenario={scenario}",
                 seed=seed,
-                scenario=scenario,
-                victim=victim,
                 blocks_mined=fleet.blocks_mined,
                 faults_applied=injector.faults_applied,
                 fault_log=list(injector.log),
-                corruption_detected=probe.get("ok") is False,
-                corruption_kinds=list(probe.get("kinds", [])),
-                store_recoveries=victim_node.store_recoveries,
-                chain_match=(
-                    confirmed_chain_bytes(fleet.replicas[victim].chain)
-                    == confirmed_chain_bytes(fleet.replicas[reference].chain)
-                    != b""
+                notes=(
+                    f"{fleet.blocks_mined} blocks, {injector.faults_applied} "
+                    f"faults, victim={victim}, detected=[{detected}], "
+                    f"recoveries={victim_node.store_recoveries}",
                 ),
-                ledger_match=ledger_match,
-                fsck_clean_after=fsck(victim_node.store.path).ok,
-                converged=fleet.converged(),
+                scenario=scenario,
+                victim=victim,
             )
+            result.expect(
+                "fsck-detected",
+                bool(kinds),
+                f"fsck of the downed store found kinds [{detected}]",
+            )
+            result.expect(
+                "store-recovered",
+                victim_node.store_recoveries >= 1,
+                "restart never went through store recovery",
+            )
+            result.expect(
+                "chain-match",
+                confirmed_chain_bytes(victim_chain)
+                == confirmed_chain_bytes(reference_chain)
+                != b"",
+                f"{victim}'s confirmed prefix departs from {reference}'s at "
+                f"height {_first_difference(victim_chain, reference_chain)}",
+            )
+            result.expect(
+                "ledger-replay",
+                replay.state.snapshot() == state.snapshot()
+                and replay.nonces == nonces,
+                "store-replayed ledger differs from a from-genesis replay",
+            )
+            result.expect(
+                "fsck-clean",
+                fsck(victim_node.store.path).ok,
+                "fsck still reports issues after recovery",
+            )
+            InvariantChecker(
+                chains={
+                    name: node.chain
+                    for name, node in fleet.replicas.items()
+                    if not node.crashed
+                }
+            ).check_single_tip(result)
+            return result
     finally:
         if cleanup:
             shutil.rmtree(root, ignore_errors=True)

@@ -11,6 +11,8 @@ deployment:
   canonical chain, and no two distinct detailed-report records share
   one commitment ``H(R*)`` (retries must be idempotent: no double
   fee, no double reward);
+* **published reports once** — every R* a detector published sits on
+  every alive canonical chain exactly once;
 * **single-tip convergence** — every honest, alive replica agrees on
   one canonical head;
 * **insurance accounting** (Eq. 9) — for every release contract,
@@ -68,21 +70,34 @@ class InvariantViolation:
 
 @dataclass
 class InvariantReport:
-    """Outcome of a full invariant sweep."""
+    """Outcome of an invariant sweep: each clause checked, each failure named."""
 
     checked: List[str] = field(default_factory=list)
     violations: List[InvariantViolation] = field(default_factory=list)
+    #: what was checked, for the failure message
+    label: str = "invariants"
 
     @property
     def ok(self) -> bool:
         """True when every checked invariant held."""
         return not self.violations
 
+    def holds(self, name: str) -> bool:
+        """True when clause ``name`` was checked and nothing violated it."""
+        return name in self.checked and all(v.name != name for v in self.violations)
+
+    def expect(self, name: str, held: bool, detail: str) -> None:
+        """Record clause ``name`` as checked, and as violated (with
+        ``detail``) unless it ``held``."""
+        self.checked.append(name)
+        if not held:
+            self.violations.append(InvariantViolation(name, detail))
+
     def assert_ok(self) -> None:
-        """Raise AssertionError listing every violation (if any)."""
+        """Raise AssertionError naming the label and every violation."""
         if self.violations:
             lines = "\n".join(f"  - {violation}" for violation in self.violations)
-            raise AssertionError(f"invariant violations:\n{lines}")
+            raise AssertionError(f"{self.label} failed:\n{lines}")
 
     def render(self) -> str:
         """Human-readable summary."""
@@ -98,9 +113,10 @@ class InvariantChecker:
     """Checks a (possibly faulted, now healed) deployment.
 
     Built either directly from the pieces —
-    ``InvariantChecker(chains=..., runtime=..., contracts=...)`` — or
-    from a :class:`~repro.core.stakeholders.DecentralizedDeployment`
-    via :meth:`for_deployment`.  Checks whose inputs are absent are
+    ``InvariantChecker(chains=..., runtime=..., contracts=...,
+    published=...)`` — or from a
+    :class:`~repro.core.stakeholders.DecentralizedDeployment` via
+    :meth:`for_deployment`.  Checks whose inputs are absent are
     skipped, so the checker also works for chain-only simulations.
     """
 
@@ -109,10 +125,13 @@ class InvariantChecker:
         chains: Optional[Mapping[str, Blockchain]] = None,
         runtime=None,
         contracts: Optional[Mapping[bytes, object]] = None,
+        published: Optional[Mapping[bytes, str]] = None,
     ) -> None:
         self.chains: Dict[str, Blockchain] = dict(chains or {})
         self.runtime = runtime
         self.contracts = dict(contracts or {})
+        #: R* record id -> the detector that published it
+        self.published: Dict[bytes, str] = dict(published or {})
 
     @classmethod
     def for_deployment(cls, deployment) -> "InvariantChecker":
@@ -126,6 +145,11 @@ class InvariantChecker:
             chains=chains,
             runtime=deployment.runtime,
             contracts=deployment.contracts,
+            published={
+                detailed_id: name
+                for name, detector in sorted(deployment.detectors.items())
+                for detailed_id in sorted(detector.detailed_ids)
+            },
         )
 
     # -- individual invariants ----------------------------------------------
@@ -134,38 +158,36 @@ class InvariantChecker:
         """Total supply equals total minted — wei are conserved."""
         if self.runtime is None:
             return
-        report.checked.append("ledger-conservation")
         state = self.runtime.state
         supply = state.total_supply()
         minted = state.total_minted
-        if supply != minted:
-            report.violations.append(
-                InvariantViolation(
-                    "ledger-conservation",
-                    f"total supply {supply} != total minted {minted}",
-                )
-            )
+        report.expect(
+            "ledger-conservation",
+            supply == minted,
+            f"total supply {supply} != total minted {minted}",
+        )
 
     def check_single_tip(self, report: InvariantReport) -> None:
         """All (alive, honest) replicas converged to one canonical head."""
         if not self.chains:
             return
-        report.checked.append("single-tip-convergence")
         heads = {name: chain.head.block_id for name, chain in self.chains.items()}
-        if len(set(heads.values())) > 1:
-            detail = ", ".join(
+        report.expect(
+            "single-tip-convergence",
+            len(set(heads.values())) <= 1,
+            ", ".join(
                 f"{name}@h{self.chains[name].height}={head.hex()[:12]}"
                 for name, head in sorted(heads.items())
-            )
-            report.violations.append(
-                InvariantViolation("single-tip-convergence", detail)
-            )
+            ),
+        )
 
     def check_unique_reports(self, report: InvariantReport) -> None:
-        """No duplicated record ids / commitments on any canonical chain."""
+        """No duplicated record ids / commitments on any canonical chain,
+        and every published R* on each chain exactly once — one walk."""
         if not self.chains:
             return
         report.checked.append("unique-confirmed-reports")
+        landed: Dict[bytes, Dict[str, int]] = {rid: {} for rid in self.published}
         for name, chain in self.chains.items():
             seen_ids: Dict[bytes, int] = {}
             commitment_owners: Dict[bytes, Set[bytes]] = {}
@@ -199,6 +221,21 @@ class InvariantChecker:
                             f"claimed by {len(owners)} distinct detailed reports",
                         )
                     )
+            for record_id, counts in landed.items():
+                counts[name] = seen_ids.get(record_id, 0)
+        if self.published:
+            report.checked.append("published-reports-once")
+        for record_id, counts in landed.items():
+            if any(count != 1 for count in counts.values()):
+                # One violation per R*: a run's confirmed count is the
+                # published count less these.
+                report.violations.append(
+                    InvariantViolation(
+                        "published-reports-once",
+                        f"{self.published[record_id]} R* "
+                        f"{record_id.hex()[:12]} counts={counts}",
+                    )
+                )
 
     def check_insurance_accounting(self, report: InvariantReport) -> None:
         """Eq. 9 balance: insurance = paid + refund + burned (+held)."""
@@ -243,33 +280,18 @@ class InvariantChecker:
         """The burn sink holds at least every forfeited insurance."""
         if self.runtime is None or not self.contracts:
             return
-        report.checked.append("burn-sink")
         total_forfeited = sum(
             event.payload["burned_wei"]
             for event in self.runtime.events_named("InsuranceForfeited")
         )
         burned_balance = self.runtime.state.balance(BURN_ADDRESS)
-        if burned_balance < total_forfeited:
-            report.violations.append(
-                InvariantViolation(
-                    "burn-sink",
-                    f"burn sink holds {burned_balance} < forfeited {total_forfeited}",
-                )
-            )
+        report.expect(
+            "burn-sink",
+            burned_balance >= total_forfeited,
+            f"burn sink holds {burned_balance} < forfeited {total_forfeited}",
+        )
 
     # -- orchestration --------------------------------------------------------
-
-    def record_occurrences(self, record_id: bytes) -> Dict[str, int]:
-        """How many times a record appears on each canonical chain."""
-        counts: Dict[str, int] = {}
-        for name, chain in self.chains.items():
-            counts[name] = sum(
-                1
-                for block in chain.iter_canonical()
-                for record in block.records
-                if record.record_id == record_id
-            )
-        return counts
 
     def run_all(self) -> InvariantReport:
         """Run every applicable invariant; returns the report."""

@@ -61,19 +61,11 @@ class NetworkConfig:
             raise ValueError("loss rate must be in [0, 1)")
 
     @classmethod
-    def large_fleet(
-        cls,
-        degree: int = 8,
-        fanout: int = 4,
-        seen_capacity: int = 4096,
-        loss_rate: float = 0.0,
-    ) -> "NetworkConfig":
-        """The 1000-node preset: ring+random topology, inv-pull relay."""
+    def large_fleet(cls) -> "NetworkConfig":
+        """The 1000-node preset: ring+random topology, inv-pull relay.
+
+        A variant is ``dataclasses.replace(NetworkConfig.large_fleet(), ...)``.
+        """
         return cls(
-            topology="ring_random",
-            degree=degree,
-            fanout=fanout,
-            mode="inv",
-            seen_capacity=seen_capacity,
-            loss_rate=loss_rate,
+            topology="ring_random", degree=8, fanout=4, mode="inv", seen_capacity=4096
         )

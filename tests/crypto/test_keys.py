@@ -44,6 +44,11 @@ class TestPrivateKey:
         with pytest.raises(EcdsaError):
             PrivateKey(0)
 
+    @pytest.mark.parametrize("scalar", [True, 1.5, "3"])
+    def test_a_bool_or_non_int_scalar_is_refused_at_construction(self, scalar):
+        with pytest.raises(EcdsaError, match="scalar must be an int"):
+            PrivateKey(scalar)
+
     def test_repr_hides_scalar(self):
         key = PrivateKey.from_seed(b"secret")
         assert str(key.scalar) not in repr(key)

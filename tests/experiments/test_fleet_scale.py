@@ -1,5 +1,7 @@
 """Fleet scale-out experiment: determinism, parity, and the 5x claim."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.distributed import DistributedChain
@@ -114,7 +116,7 @@ class TestLightFleetMechanics:
             spec=FleetSpec(
                 full_nodes=6,
                 light_nodes=12,
-                network=NetworkConfig.large_fleet(degree=4, fanout=2),
+                network=replace(NetworkConfig.large_fleet(), degree=4, fanout=2),
             ),
             seed=21,
         )

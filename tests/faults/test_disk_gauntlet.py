@@ -6,15 +6,27 @@ One run is ~0.5 s, so every scenario gets an unmarked smoke test; the
 """
 
 from contextlib import closing
+from dataclasses import replace
 
 import pytest
 
+from repro.faults import gauntlet
 from repro.faults.gauntlet import (
     DISK_SCENARIOS,
     run_disk_fault_gauntlet,
 )
 from repro.store import ChainStore
-from repro.store.fsck import fsck
+from repro.store.fsck import FsckIssue, fsck
+
+#: The disk run's verdict, clause by clause, in the order it checks them.
+CLAUSES = [
+    "fsck-detected",
+    "store-recovered",
+    "chain-match",
+    "ledger-replay",
+    "fsck-clean",
+    "single-tip-convergence",
+]
 
 
 class TestDiskGauntletQuick:
@@ -23,11 +35,35 @@ class TestDiskGauntletQuick:
         result = run_disk_fault_gauntlet(scenario, seed=0)
         result.assert_ok()
         assert result.scenario == scenario
-        assert result.corruption_detected
-        assert result.corruption_kinds  # fsck named the damage
-        assert result.store_recoveries >= 1
-        assert result.chain_match and result.ledger_match
-        assert result.fsck_clean_after
+        assert result.checked == CLAUSES
+        assert all(result.holds(clause) for clause in CLAUSES)
+        # fsck-detected holds only on a probe with issues: fsck named
+        # the damage, and the run says which kinds.
+        assert "detected=[none]" not in result.render()
+
+    def test_assert_ok_names_the_run_and_every_violated_clause(self, monkeypatch):
+        # An fsck that lies both ways: clean while the store is torn,
+        # dirty once it has healed.
+        def inverted(path):
+            report = fsck(path)
+            lie = [] if report.issues else [FsckIssue("sabotaged", "a clean store")]
+            return replace(report, issues=lie)
+
+        monkeypatch.setattr(gauntlet, "fsck", inverted)
+        result = run_disk_fault_gauntlet("torn_write", seed=0)
+        assert [v.name for v in result.violations] == ["fsck-detected", "fsck-clean"]
+        assert result.holds("chain-match") and result.holds("ledger-replay")
+        assert result.render().startswith(
+            "disk gauntlet seed=0 scenario=torn_write: FAIL"
+        )
+        with pytest.raises(AssertionError) as failure:
+            result.assert_ok()
+        message = str(failure.value)
+        assert message.startswith(
+            "disk gauntlet seed=0 scenario=torn_write failed:\n"
+        )
+        assert "  - fsck-detected: fsck of the downed store found kinds [none]" in message
+        assert "  - fsck-clean: " in message
 
     def test_unknown_scenario_is_rejected(self):
         with pytest.raises(ValueError, match="unknown disk scenario"):
@@ -38,13 +74,15 @@ class TestDiskGauntletQuick:
         text = result.render()
         assert "torn_write" in text
         assert "seed=1" in text
+        assert "chain-match" in text
 
     def test_deterministic_in_seed(self):
         first = run_disk_fault_gauntlet("bit_flip", seed=2)
         second = run_disk_fault_gauntlet("bit_flip", seed=2)
         assert first.blocks_mined == second.blocks_mined
         assert first.fault_log == second.fault_log
-        assert first.corruption_kinds == second.corruption_kinds
+        # The render carries the fsck kinds and the recovery count.
+        assert first.render() == second.render()
 
     def test_store_dir_keeps_the_stores_for_inspection(self, tmp_path):
         result = run_disk_fault_gauntlet(

@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+from repro.chain.chain import Blockchain
+from repro.chain.consensus import make_genesis
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.stakeholders import DecentralizedDeployment
 from repro.detection import build_detector_fleet
@@ -26,6 +28,7 @@ from repro.faults.gauntlet import (
     _build_plan,
     run_gauntlet,
 )
+from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultKind
 from repro.telemetry import Telemetry
 
@@ -107,15 +110,44 @@ class TestGauntletQuick:
         result.assert_ok()
         assert result.confirmed_reports > 0
         assert result.faults_applied > 0
-        assert result.converged
+        assert result.holds("single-tip-convergence")
+        assert result.holds("published-reports-once")
 
     def test_result_render_is_informative(self):
         result = run_gauntlet(
             GauntletConfig(seed=1, chaos_duration=600.0, settle_time=450.0)
         )
         text = result.render()
-        assert "seed=1" in text
+        assert text.startswith("gauntlet seed=1: PASS")
         assert "invariants" in text
+        assert "published-reports-once" in text
+
+    def test_assert_ok_names_the_run_and_every_violated_clause(self, monkeypatch):
+        # A ghost replica stuck at genesis: it splits the tip, and no R*
+        # ever landed on it.
+        bind = InvariantChecker.for_deployment
+
+        def with_a_ghost(deployment):
+            checker = bind(deployment)
+            checker.chains["ghost"] = Blockchain(make_genesis(difficulty=1))
+            return checker
+
+        monkeypatch.setattr(InvariantChecker, "for_deployment", with_a_ghost)
+        result = run_gauntlet(
+            GauntletConfig(seed=0, chaos_duration=600.0, settle_time=450.0)
+        )
+        assert not result.ok
+        assert {v.name for v in result.violations} == {
+            "single-tip-convergence", "published-reports-once"
+        }
+        assert result.confirmed_reports == 0
+        assert result.render().startswith("gauntlet seed=0: FAIL")
+        with pytest.raises(AssertionError) as failure:
+            result.assert_ok()
+        message = str(failure.value)
+        assert message.startswith("gauntlet seed=0 failed:\n")
+        for violation in result.violations:
+            assert f"  - {violation}" in message
 
     def test_deterministic_in_seed(self):
         config = GauntletConfig(seed=2, chaos_duration=450.0, settle_time=300.0)
@@ -170,8 +202,7 @@ class TestGauntletAcceptance:
         for result in results:
             result.assert_ok()
             # Every published R* confirmed exactly once, on every chain.
-            assert not result.missing_reports
-            assert not result.duplicate_reports
+            assert result.holds("published-reports-once")
             assert result.confirmed_reports > 0
         # The sweep as a whole must actually exercise recovery paths.
         assert sum(

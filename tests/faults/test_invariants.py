@@ -81,12 +81,15 @@ class TestHealthySystem:
         text = InvariantChecker.for_deployment(healthy).run_all().render()
         assert "all invariants hold" in text
 
-    def test_record_occurrences_counts_canonical_copies(self, healthy):
+    def test_every_published_report_landed_once(self, healthy):
         checker = InvariantChecker.for_deployment(healthy)
-        detector = next(iter(healthy.detectors.values()))
-        for detailed_id in detector.detailed_ids:
-            counts = checker.record_occurrences(detailed_id)
-            assert all(count == 1 for count in counts.values())
+        assert checker.published == {
+            detailed_id: name
+            for name, detector in healthy.detectors.items()
+            for detailed_id in detector.detailed_ids
+        }
+        assert checker.published
+        assert checker.run_all().holds("published-reports-once")
 
 
 class TestViolationsDetected:
@@ -135,3 +138,45 @@ class TestViolationsDetected:
         report = InvariantChecker().run_all()
         assert report.ok
         assert report.checked == []
+
+
+class TestPublishedReports:
+    """Each published R* on every alive chain exactly once: counted in
+    the canonical walk the unique-reports clause already makes."""
+
+    REPORT = hash_fields("inv", "r1")
+
+    def _report(self, chains):
+        checker = InvariantChecker(chains=chains, published={self.REPORT: "det-a"})
+        return checker.run_all()
+
+    def test_all_landed(self):
+        report = self._report(
+            {"a": _chain_with_blocks([["r1"], ["x"]]), "b": _chain_with_blocks([["r1"]])}
+        )
+        assert report.holds("published-reports-once")
+        assert report.checked == [
+            "single-tip-convergence",
+            "unique-confirmed-reports",
+            "published-reports-once",
+        ]
+
+    def test_missing_from_one_chain(self):
+        report = self._report(
+            {"a": _chain_with_blocks([["r1"]]), "b": _chain_with_blocks([["x"]])}
+        )
+        (violation,) = [v for v in report.violations if v.name == "published-reports-once"]
+        assert violation.detail == (
+            f"det-a R* {self.REPORT.hex()[:12]} counts={{'a': 1, 'b': 0}}"
+        )
+
+    def test_duplicated(self):
+        report = self._report({"a": _chain_with_blocks([["r1"], ["r1"]])})
+        (violation,) = [v for v in report.violations if v.name == "published-reports-once"]
+        assert violation.detail.endswith("counts={'a': 2}")
+        assert not report.holds("unique-confirmed-reports")
+
+    def test_nothing_published_checks_no_clause(self):
+        report = InvariantChecker(chains={"a": _chain_with_blocks([["r1"]])}).run_all()
+        assert "published-reports-once" not in report.checked
+        assert not report.holds("published-reports-once")

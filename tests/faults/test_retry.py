@@ -128,6 +128,40 @@ class TestDetectorRetries:
         assert detector.retry_policy is None
         assert detector.initial_retries == 0
         assert detector.detailed_retries == 0
+        # Nothing would ever check a published R* again, so none is kept.
+        assert detector.detailed_ids and not detector.unsettled
+
+    def test_unsettled_follows_each_phase(self):
+        """A mined R† short of its burial depth, then a published R* no
+        deadline check has found on-chain yet, are unsettled; an R† not
+        yet mined and a confirmed R* are not."""
+        deployment = DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES,
+            build_detector_fleet(thread_counts=(8,), per_thread_hit=1.0, seed=20),
+            latency=ConstantLatency(0.05),
+            seed=20,
+            retry_policy=RetryPolicy(
+                deadline=60.0, base_backoff=30.0, jitter=0.0, max_attempts=8
+            ),
+        )
+        deployment.announce(
+            "provider-1",
+            build_system("settle", vulnerability_count=1, rng=random.Random(7)),
+        )
+        detector = next(iter(deployment.detectors.values()))
+        chain = deployment.providers["provider-1"].chain
+        phases = []
+        for _ in range(60):
+            deployment.advance_for(5.0)
+            if detector.unsettled:
+                phase = "R* unconfirmed" if detector.detailed_ids else "R† unburied"
+            else:
+                phase = "settled" if detector.detailed_ids else "nothing mined"
+            if not phases or phases[-1] != phase:
+                phases.append(phase)
+        assert phases == ["nothing mined", "R† unburied", "R* unconfirmed", "settled"]
+        (detailed_id,) = detector.detailed_ids
+        assert chain.locate_record(detailed_id) is not None
 
     def test_detector_without_a_provider_neighbour_says_so_and_is_still_paid(self):
         """On a sparse overlay some detectors peer with no provider, so

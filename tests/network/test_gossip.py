@@ -180,7 +180,7 @@ class TestCutLookup:
             assert any("partition" in entry for _, entry in result.fault_log)
             return (
                 result.ok, result.blocks_mined, result.confirmed_reports,
-                result.fault_log, result.invariants.render(), result.network,
+                result.fault_log, result.render(), result.network,
             )
 
         early_out = outcome()

@@ -1,6 +1,7 @@
 """Inv-pull gossip, bounded fanout, LRU seen-sets, light-node pulls."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -116,7 +117,7 @@ class TestInvRelay:
 
     def test_inv_beats_flooding_on_messages_and_bytes(self):
         flood_cfg = NetworkConfig()  # complete mesh flooding
-        inv_cfg = NetworkConfig.large_fleet(degree=6, fanout=4)
+        inv_cfg = replace(NetworkConfig.large_fleet(), degree=6, fanout=4)
         results = {}
         for label, config in (("flood", flood_cfg), ("inv", inv_cfg)):
             simulator, network, _ = _overlay(60, config)
@@ -134,7 +135,7 @@ class TestInvRelay:
         assert results["flood"]["bytes_sent"] > 5 * results["inv"]["bytes_sent"]
 
     def test_deterministic_per_seed(self):
-        config = NetworkConfig.large_fleet(degree=6, fanout=3)
+        config = replace(NetworkConfig.large_fleet(), degree=6, fanout=3)
         summaries = []
         for _ in range(2):
             simulator, network, _ = _overlay(40, config, seed=12)

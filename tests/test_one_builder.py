@@ -1,5 +1,6 @@
 """One fleet builder, one event queue, one process pool, one workflow,
-one chaos plane, one third-party dependency — pinned structurally.
+one chaos plane, one chaos verdict, one third-party dependency — pinned
+structurally.
 
 ``repro/shard/engine.py::ShardState`` is the only code under ``src/``
 that makes a simulator, an overlay graph or a gossip network, and the
@@ -10,7 +11,9 @@ work out over processes anywhere but the experiments runner, spelling
 out the contract side of the §IV-B workflow a second time, or reaching
 a node with a fault other than through the engine's own verbs,
 importing a numeric package the closed forms of Eq. 7–10 do not need,
-or keeping a crypto cache that outlives the key it serves.
+keeping a crypto cache that outlives the key it serves, stating a chaos
+run's verdict other than as an ``InvariantReport``, or reading a
+detector's private state from outside its module.
 """
 
 import ast
@@ -66,6 +69,13 @@ RETIRED_FAULT_VERBS = {"crash_node", "restart_node"}
 #: The only cache under ``repro.crypto``: G's one comb, a constant of
 #: the curve.  A key's comb lives on its ``PublicKey``.
 CRYPTO_CACHES = {"ecdsa._base_comb"}
+
+#: The one verdict type under ``repro.faults``: both gauntlets' results
+#: are an ``InvariantReport``, each failed clause named.
+VERDICT_OWNERS = {("faults/invariants.py", "InvariantReport")}
+
+#: The module that owns ``DetectorStakeholder``'s private state.
+DETECTOR_MODULE = "core/stakeholders.py"
 
 
 def _spellings(node: ast.Call) -> set:
@@ -282,3 +292,98 @@ def test_the_only_crypto_caches_are_the_base_point_tables():
                 and (hasattr(value, "cache_info") or isinstance(value, containers))
             )
     assert caches == CRYPTO_CACHES
+
+
+def test_a_chaos_run_has_one_verdict(src_modules):
+    owners = {
+        (source.module, node.name)
+        for source in src_modules
+        if source.module.startswith("faults/")
+        for node in source.nodes
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "assert_ok"
+    }
+    defined = [
+        source.module
+        for source in src_modules
+        if source.module.startswith("faults/")
+        for node in source.nodes
+        if isinstance(node, ast.FunctionDef) and node.name == "assert_ok"
+    ]
+    assert owners == VERDICT_OWNERS and len(defined) == 1, (
+        "a gauntlet's verdict is an InvariantReport: name each clause in it "
+        f"rather than deciding ok / assert_ok again ({owners}, {defined})"
+    )
+
+
+def _private_names(nodes):
+    """Underscore names (not dunders) a class body defines: its methods
+    and the ``self._x`` attributes it assigns."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"
+        ):
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _detector_privates(src_modules):
+    """What only ``DetectorStakeholder`` defines: a name another module
+    defines for itself is that module's to read."""
+    (detector,) = [
+        node
+        for source in src_modules
+        if source.module == DETECTOR_MODULE
+        for node in source.nodes
+        if isinstance(node, ast.ClassDef) and node.name == "DetectorStakeholder"
+    ]
+    elsewhere = _private_names(
+        node
+        for source in src_modules
+        if source.module != DETECTOR_MODULE
+        for node in source.nodes
+    )
+    return _private_names(ast.walk(detector)) - elsewhere
+
+
+def _private_reads(nodes, privates):
+    return sorted(
+        (node.attr, node.lineno)
+        for node in nodes
+        if isinstance(node, ast.Attribute) and node.attr in privates
+    )
+
+
+def test_no_module_reads_a_detectors_private_state(src_modules):
+    privates = _detector_privates(src_modules)
+    assert {"_committed", "_published", "_record_heights"} <= privates
+    strays = [
+        f"src/repro/{source.module}:{line} reads {name}"
+        for source in src_modules
+        if source.module != DETECTOR_MODULE
+        for name, line in _private_reads(source.nodes, privates)
+    ]
+    assert not strays, (
+        "ask a DetectorStakeholder through its public surface "
+        "(unsettled, detailed_ids, its counters):\n  " + "\n  ".join(strays)
+    )
+
+
+def test_the_detector_walk_sees_what_it_guards(src_modules):
+    privates = _detector_privates(src_modules)
+    gone = ast.parse(
+        "for detector in deployment.detectors.values():\n"
+        "    if detector._committed or detector._published:\n"
+        "        seen = detector._record_heights\n"
+    )
+    assert [name for name, _ in _private_reads(ast.walk(gone), privates)] == [
+        "_committed", "_published", "_record_heights"
+    ]
+    kept = ast.parse("any(d.unsettled for d in deployment.detectors.values())\n")
+    assert not _private_reads(ast.walk(kept), privates)

@@ -453,7 +453,7 @@ def ledger_validate(run: Run) -> Dict[str, Any]:
     def _validate_replay() -> None:
         for _ in range(validations):
             state, nonces = machine.replay(chain)
-            apply_block(state, nonces, candidate, machine.block_reward_wei)
+            apply_block(state, nonces, candidate)
 
     machine.invalidate()
     replay_seconds = _best_of(run.repeats, _validate_replay)

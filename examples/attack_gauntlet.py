@@ -25,7 +25,7 @@ from repro.core.sra import make_sra
 from repro.core.verification import ReportVerifier
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import KeyPair
-from repro.detection import AutoVerifEngine, build_system, describe
+from repro.detection import build_system, describe
 from repro.units import to_wei
 
 
@@ -39,7 +39,7 @@ def main() -> None:
     registry.register("honest-provider", provider.public)
     registry.register("honest-detector", honest.public)
     registry.register("attacker", attacker.public)
-    verifier = ReportVerifier(registry, AutoVerifEngine())
+    verifier = ReportVerifier(registry)
 
     print("=== 1. SRA spoofing: frame the honest provider ===")
     spoofed = spoof_sra("honest-provider", attacker, system, to_wei(1000), to_wei(250))

@@ -9,8 +9,10 @@ view.  The quickest way to see the whole system move.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
+from typing import Callable
 
 from repro import ConsumerClient, PlatformConfig, SmartCrowdPlatform, from_wei, to_wei
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
@@ -19,17 +21,35 @@ from repro.detection import build_detector_fleet
 from repro.detection.corpus import ReleaseCorpus, ReleaseCorpusConfig
 
 
+def _checked(convert: Callable, ok: Callable, rule: str) -> Callable:
+    """An argparse ``type``: ``convert`` the text, refuse it unless ``ok``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value" on a typo
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Run a SmartCrowd campaign (ICDCS 2019 reproduction).",
     )
-    parser.add_argument("--releases", type=int, default=6, help="SRAs to announce")
-    parser.add_argument("--vp", type=float, default=0.4,
+    count = _checked(int, lambda n: n >= 0, ">= 0")
+    # An SRA's contract refuses to escrow nothing.
+    insurance = _checked(int, lambda n: n > 0, "> 0")
+    proportion = _checked(float, lambda p: 0 <= p <= 1, "in [0, 1]")
+    duration = _checked(float, lambda t: math.isfinite(t) and t > 0, "finite and > 0")
+    parser.add_argument("--releases", type=count, default=6, help="SRAs to announce")
+    parser.add_argument("--vp", type=proportion, default=0.4,
                         help="vulnerability proportion of releases")
-    parser.add_argument("--insurance", type=int, default=1000,
+    parser.add_argument("--insurance", type=insurance, default=1000,
                         help="insurance per release, ether")
-    parser.add_argument("--window", type=float, default=600.0,
+    parser.add_argument("--window", type=duration, default=600.0,
                         help="detection window, seconds")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     return parser

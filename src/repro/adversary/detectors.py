@@ -10,9 +10,10 @@ unit layer) neutralizes them:
   fabricates findings instantly, so it always wins the commit race —
   and then fails ``AutoVerif``, earns nothing, pays fees, and is
   isolated by the contract.
-* :class:`DuplicatingDetector` — spams k copies of every real finding
-  under differently-worded descriptions, trying to collect the bounty
-  multiple times; canonical-key dedup pays each flaw once.
+* :class:`DuplicatingDetector` — spams k = :data:`DUPLICATE_COPIES`
+  copies of every real finding under differently-worded descriptions,
+  trying to collect the bounty multiple times; canonical-key dedup pays
+  each flaw once.
 """
 
 from __future__ import annotations
@@ -27,28 +28,25 @@ from repro.detection.vulnerability import Severity, Vulnerability
 
 __all__ = ["ForgingDetector", "DuplicatingDetector"]
 
+#: Fabricated findings a :class:`ForgingDetector` claims per release.
+FABRICATIONS_PER_RELEASE = 2
+#: Differently-worded reports a :class:`DuplicatingDetector` files per
+#: real finding, and the scan threads it finds them with.
+DUPLICATE_COPIES = 3
+DUPLICATOR_THREADS = 8
+
 
 class ForgingDetector(Detector):
     """Claims fabricated vulnerabilities without scanning anything."""
 
-    def __init__(
-        self,
-        detector_id: str,
-        fabrications_per_release: int = 2,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        super().__init__(
-            detector_id,
-            DetectionCapability(threads=1),
-            rng=rng,
-        )
-        self.fabrications_per_release = fabrications_per_release
+    def __init__(self, detector_id: str, rng: Optional[random.Random] = None) -> None:
+        super().__init__(detector_id, DetectionCapability(threads=1), rng=rng)
 
     def scan(self, system: IoTSystem) -> List[Detection]:
         """Fabricate findings instantly (no work, wins every race)."""
         self.scans_performed += 1
         findings = []
-        for index in range(self.fabrications_per_release):
+        for index in range(FABRICATIONS_PER_RELEASE):
             fake = Vulnerability(
                 key=f"VULN-forged-{self._rng.randrange(16**12):012x}",
                 severity=Severity.HIGH,
@@ -73,31 +71,23 @@ class ForgingDetector(Detector):
 class DuplicatingDetector(Detector):
     """Reports each real finding k times with different wordings.
 
-    Tests the N-version dedup path end to end: the duplicate reports
+    Tests the N-version dedup path end to end (k =
+    :data:`DUPLICATE_COPIES`): the duplicate reports
     are structurally valid and pass AutoVerif (the flaw is real), but
     each canonical key pays at most once, so the duplicates only burn
     the spammer's own gas (Eq. 10's deterrent).
     """
 
-    def __init__(
-        self,
-        detector_id: str,
-        copies: int = 3,
-        threads: int = 8,
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    def __init__(self, detector_id: str, rng: Optional[random.Random] = None) -> None:
         super().__init__(
-            detector_id,
-            DetectionCapability(threads=threads),
-            rng=rng,
+            detector_id, DetectionCapability(threads=DUPLICATOR_THREADS), rng=rng
         )
-        self.copies = copies
 
     def scan(self, system: IoTSystem) -> List[Detection]:
         base = super().scan(system)
         duplicated: List[Detection] = []
         for detection in base:
-            for copy_index in range(self.copies):
+            for copy_index in range(DUPLICATE_COPIES):
                 duplicated.append(
                     Detection(
                         vulnerability=detection.vulnerability,

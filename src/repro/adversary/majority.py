@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.chain.chain import DEFAULT_CONFIRMATION_DEPTH
+
 __all__ = [
     "rosenfeld_success_probability",
     "simulate_fork_race",
@@ -66,7 +68,7 @@ class ForkRaceResult:
 
 def simulate_fork_race(
     attacker_share: float,
-    confirmations: int = 6,
+    confirmations: int = DEFAULT_CONFIRMATION_DEPTH,
     trials: int = 2000,
     max_deficit: int = 80,
     rng: Optional[random.Random] = None,

@@ -31,7 +31,9 @@ from repro.units import to_wei
 
 __all__ = ["LedgerError", "apply_block", "LedgerStateMachine"]
 
-#: ν — default mining reward per block (5 ether, §VII).
+#: ν — the mining reward per block (5 ether, §VII); the one definition,
+#: which Eq. 8 (:class:`~repro.core.incentives.IncentiveParameters`)
+#: and the platform's mint read.
 DEFAULT_BLOCK_REWARD_WEI = to_wei(5)
 
 
@@ -39,12 +41,7 @@ class LedgerError(ValueError):
     """A block contains an inexecutable transaction."""
 
 
-def apply_block(
-    state: WorldState,
-    nonces: Dict[Address, int],
-    block: Block,
-    block_reward_wei: int = DEFAULT_BLOCK_REWARD_WEI,
-) -> None:
+def apply_block(state: WorldState, nonces: Dict[Address, int], block: Block) -> None:
     """Execute one block against ``state`` in place.
 
     Raises :class:`LedgerError` (leaving partially-applied state — use
@@ -53,7 +50,7 @@ def apply_block(
     """
     miner = block.header.miner
     if block.height > 0:
-        state.mint(miner, block_reward_wei)
+        state.mint(miner, DEFAULT_BLOCK_REWARD_WEI)
     for record in block.records:
         if record.kind != RecordKind.TRANSACTION:
             continue  # SRAs/reports are executed by the contract layer
@@ -98,7 +95,6 @@ class LedgerStateMachine:
     an explicit :meth:`invalidate`.
     """
 
-    block_reward_wei: int = DEFAULT_BLOCK_REWARD_WEI
     genesis_allocations: Dict[Address, int] = field(default_factory=dict)
     telemetry: Telemetry = field(
         default_factory=lambda: NULL_TELEMETRY, repr=False, compare=False
@@ -111,7 +107,7 @@ class LedgerStateMachine:
         ] = {}
 
     def invalidate(self) -> None:
-        """Drop all cached head states (after reward/allocation edits)."""
+        """Drop all cached head states (after allocation edits)."""
         self._head_cache.clear()
 
     def head_state(self, chain: Blockchain) -> Tuple[WorldState, Dict[Address, int]]:
@@ -148,7 +144,7 @@ class LedgerStateMachine:
             state.mint(account, amount)
         nonces: Dict[Address, int] = {}
         for block in chain.iter_canonical():
-            apply_block(state, nonces, block, self.block_reward_wei)
+            apply_block(state, nonces, block)
         return state, nonces
 
     def validate_block(
@@ -165,7 +161,7 @@ class LedgerStateMachine:
             return "block does not extend the canonical head"
         try:
             state, nonces = self.head_state(chain)
-            apply_block(state, nonces, block, self.block_reward_wei)
+            apply_block(state, nonces, block)
         except LedgerError as error:
             return str(error)
         return None

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.chain.block import Block, BlockHeader
@@ -167,10 +168,9 @@ class MiningModel:
         self._difficulty = difficulty
         self._rng = rng if rng is not None else random.Random()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # Winner-selection index: miner names + cumulative hashrates,
-        # rebuilt lazily after membership/hashrate changes.
-        self._names: Optional[List[str]] = None
-        self._cumulative: Optional[List[float]] = None
+        # Winner-selection index: miner names + cumulative hashrates.
+        self._names: List[str] = list(self._hashrates)
+        self._cumulative: List[float] = list(accumulate(self._hashrates.values()))
 
     @property
     def difficulty(self) -> int:
@@ -191,31 +191,6 @@ class MiningModel:
         """ζ_i — miner's proportion of total hashrate (Eq. 14)."""
         return self._hashrates[miner] / self.total_hashrate
 
-    def set_hashrate(self, miner: str, hashrate: float) -> None:
-        """Add or update a miner's hashrate (models join/leave/upgrade)."""
-        if hashrate < 0:
-            raise ValueError("hashrate must be non-negative")
-        if hashrate == 0:
-            self._hashrates.pop(miner, None)
-            if not self._hashrates:
-                raise ValueError("cannot remove the last miner")
-        else:
-            self._hashrates[miner] = hashrate
-        self._names = None
-        self._cumulative = None
-
-    def _winner_index(self) -> Tuple[List[str], List[float]]:
-        """The (names, cumulative hashrate) table for winner sampling."""
-        if self._cumulative is None or self._names is None:
-            self._names = list(self._hashrates)
-            cumulative: List[float] = []
-            running = 0.0
-            for rate in self._hashrates.values():
-                running += rate
-                cumulative.append(running)
-            self._cumulative = cumulative
-        return self._names, self._cumulative
-
     def next_block(self) -> MiningOutcome:
         """Sample the next mining round: (winner, interval).
 
@@ -223,7 +198,7 @@ class MiningModel:
         O(log m) per block instead of a linear scan — and draws the same
         RNG stream (and thus the same winners) as the scan it replaced.
         """
-        names, cumulative = self._winner_index()
+        names, cumulative = self._names, self._cumulative
         total = cumulative[-1]
         interval = self._rng.expovariate(total / self._difficulty)
         pick = self._rng.random() * total
@@ -239,18 +214,6 @@ class MiningModel:
     def sample_intervals(self, count: int) -> Tuple[float, ...]:
         """Sample ``count`` consecutive block intervals (Fig. 3(b))."""
         return tuple(self.next_block().interval for _ in range(count))
-
-    def sample_interval_batch(self, count: int) -> Tuple[float, ...]:
-        """Sample ``count`` block intervals without sampling winners.
-
-        One RNG draw per block instead of two, and no winner lookup —
-        for interval-only analyses (block-time distributions at scale).
-        NOT stream-compatible with :meth:`sample_intervals`: it draws
-        half as many variates from the shared RNG.
-        """
-        rate = self.total_hashrate / self._difficulty
-        expovariate = self._rng.expovariate
-        return tuple(expovariate(rate) for _ in range(count))
 
     @classmethod
     def from_shares(

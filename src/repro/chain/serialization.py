@@ -18,7 +18,7 @@ from typing import List
 
 from repro.codec import CodecError, pack, unpack, unpack_all
 from repro.chain.block import Block, BlockHeader, ChainRecord, RecordKind
-from repro.chain.chain import Blockchain, ChainError
+from repro.chain.chain import DEFAULT_CONFIRMATION_DEPTH, Blockchain, ChainError
 from repro.chain.fastpath import pack_header_fields
 from repro.crypto.keys import Address
 
@@ -171,7 +171,7 @@ def export_chain(chain: Blockchain) -> bytes:
 
 
 def import_chain(
-    data: bytes, confirmation_depth: int = 6
+    data: bytes, confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH
 ) -> Blockchain:
     """Rebuild a chain from a dump, re-linking and re-validating ids.
 

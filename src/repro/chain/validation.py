@@ -55,11 +55,9 @@ class BlockValidator:
         self,
         record_validator: Optional[RecordValidator] = None,
         require_pow: bool = True,
-        max_records_per_block: Optional[int] = None,
     ) -> None:
         self._record_validator = record_validator
         self._require_pow = require_pow
-        self._max_records = max_records_per_block
 
     def validate(
         self,
@@ -98,9 +96,6 @@ class BlockValidator:
 
         if self._require_pow and not check_pow(block.header):
             errors.append("proof of work does not meet target")
-
-        if self._max_records is not None and block.omega > self._max_records:
-            errors.append(f"block carries {block.omega} records, over limit")
 
         seen_ids = set()
         for record in block.records:

@@ -20,10 +20,10 @@ from repro.contracts.explorer import (
     ReleaseStatement,
 )
 from repro.contracts.gas import (
-    DEFAULT_GAS_SCHEDULE,
-    GasSchedule,
     PAPER_REPORT_COST_WEI,
     PAPER_SRA_COST_WEI,
+    fee_wei,
+    gas_for,
 )
 from repro.contracts.smartcrowd_contract import (
     BountyAward,
@@ -42,10 +42,8 @@ __all__ = [
     "ContractEvent",
     "ContractPhase",
     "ContractRuntime",
-    "DEFAULT_GAS_SCHEDULE",
     "DetectorStatement",
     "Explorer",
-    "GasSchedule",
     "InsufficientFunds",
     "PAPER_REPORT_COST_WEI",
     "PAPER_SRA_COST_WEI",
@@ -53,4 +51,6 @@ __all__ = [
     "ReleaseStatement",
     "SmartCrowdContract",
     "WorldState",
+    "fee_wei",
+    "gas_for",
 ]

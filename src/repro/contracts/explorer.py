@@ -7,11 +7,10 @@ cost its provider?", "who found what?" — without any private state,
 mirroring what an Etherscan-style service would show for the paper's
 deployment.
 
-Reads go through a :class:`repro.query.EventIndex` (its own, or the
-one inside a shared :class:`repro.query.QueryService`): the event log
-is absorbed incrementally into by-name buckets, so building a release
-statement is O(relevant events) instead of rescanning the whole log
-once per event name per call.
+Reads go through the explorer's own :class:`repro.query.EventIndex`:
+the event log is absorbed incrementally into by-name buckets, so
+building a release statement is O(relevant events) instead of
+rescanning the whole log once per event name per call.
 """
 
 from __future__ import annotations
@@ -78,17 +77,9 @@ class ReleaseStatement:
 class Explorer:
     """Reads the contract runtime's public event log (index-backed)."""
 
-    def __init__(
-        self, runtime: ContractRuntime, query: Optional[object] = None
-    ) -> None:
+    def __init__(self, runtime: ContractRuntime) -> None:
         self.runtime = runtime
-        # Share the QueryService's event index when handed one, so the
-        # explorer and the service absorb the log exactly once between
-        # them; otherwise keep a private index.
-        shared = getattr(query, "events", None) if query is not None else None
-        self._events: EventIndex = (
-            shared if isinstance(shared, EventIndex) else EventIndex(runtime)
-        )
+        self._events = EventIndex(runtime)
 
     def _named(self, name: str) -> List[ContractEvent]:
         return self._events.named(name)

@@ -8,18 +8,27 @@ The prototype measures (§VII):
   "negligible compared to the allocated incentives".
 
 We reproduce those absolute numbers with an Ethereum-style split:
-operation gas × gas price.  At the default 100 gwei price, SRA
-deployment is 950,000 gas and a report is 110,000 gas.
+operation gas × gas price.  At the 100 gwei price, SRA deployment is
+950,000 gas and a report is 110,000 gas.  The table is the one price
+list of the reproduction: the contracts charge it, and Eq. 8–10's ψ, c
+and cp (:class:`~repro.core.incentives.IncentiveParameters`) read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.units import GWEI, to_wei
 
-__all__ = ["GasSchedule", "DEFAULT_GAS_SCHEDULE", "PAPER_SRA_COST_WEI", "PAPER_REPORT_COST_WEI"]
+__all__ = [
+    "GAS_PRICE_WEI",
+    "OPERATION_GAS",
+    "PAPER_REPORT_COST_WEI",
+    "PAPER_SRA_COST_WEI",
+    "fee_wei",
+    "gas_for",
+]
 
 #: ≈0.095 ether — cost the paper measures per SRA contract deployment.
 PAPER_SRA_COST_WEI = to_wei(0.095)
@@ -27,42 +36,28 @@ PAPER_SRA_COST_WEI = to_wei(0.095)
 #: ≈0.011 ether — cost the paper measures per detection report (Fig. 6(b)).
 PAPER_REPORT_COST_WEI = to_wei(0.011)
 
+#: The network gas price.
+GAS_PRICE_WEI = 100 * GWEI
 
-@dataclass(frozen=True)
-class GasSchedule:
-    """Per-operation gas amounts and the network gas price."""
-
-    gas_price_wei: int = 100 * GWEI
-    operation_gas: Dict[str, int] = field(
-        default_factory=lambda: {
-            "deploy_sra": 950_000,
-            "submit_initial_report": 55_000,
-            "submit_detailed_report": 55_000,
-            "confirm_report": 40_000,
-            "refund_insurance": 30_000,
-            "transfer": 21_000,
-            "default": 25_000,
-        }
-    )
-
-    def gas_for(self, operation: str) -> int:
-        """Gas units for an operation (falls back to ``default``)."""
-        return self.operation_gas.get(operation, self.operation_gas["default"])
-
-    def fee_wei(self, operation: str) -> int:
-        """Fee in wei: gas × price."""
-        return self.gas_for(operation) * self.gas_price_wei
-
-    def report_submission_cost(self) -> int:
-        """c in Eq. 10 — total gas cost of a two-phase report submission."""
-        return self.fee_wei("submit_initial_report") + self.fee_wei(
-            "submit_detailed_report"
-        )
-
-    def sra_deployment_cost(self) -> int:
-        """cp_i in Eq. 9 — gas cost of releasing one IoT system."""
-        return self.fee_wei("deploy_sra")
+#: Gas units per operation; an operation not listed costs ``default``.
+OPERATION_GAS: Mapping[str, int] = MappingProxyType(
+    {
+        "deploy_sra": 950_000,
+        "submit_initial_report": 55_000,
+        "submit_detailed_report": 55_000,
+        "confirm_report": 40_000,
+        "refund_insurance": 30_000,
+        "transfer": 21_000,
+        "default": 25_000,
+    }
+)
 
 
-#: The schedule used throughout the reproduction.
-DEFAULT_GAS_SCHEDULE = GasSchedule()
+def gas_for(operation: str) -> int:
+    """Gas units for an operation (falls back to ``default``)."""
+    return OPERATION_GAS.get(operation, OPERATION_GAS["default"])
+
+
+def fee_wei(operation: str) -> int:
+    """Fee in wei: gas × price."""
+    return gas_for(operation) * GAS_PRICE_WEI

@@ -25,7 +25,7 @@ from repro.contracts.contract import (
     ContractRuntimeApi,
     Receipt,
 )
-from repro.contracts.gas import DEFAULT_GAS_SCHEDULE, GasSchedule
+from repro.contracts.gas import fee_wei, gas_for
 from repro.contracts.state import BURN_ADDRESS, InsufficientFunds, WorldState
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import Address
@@ -37,19 +37,12 @@ __all__ = ["ContractRuntime", "Receipt"]
 class ContractRuntime(ContractRuntimeApi):
     """Deterministic smart-contract host over a :class:`WorldState`."""
 
-    def __init__(
-        self,
-        state: Optional[WorldState] = None,
-        gas_schedule: GasSchedule = DEFAULT_GAS_SCHEDULE,
-        fee_collector: Address = BURN_ADDRESS,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        self.state = state if state is not None else WorldState()
-        self.gas = gas_schedule
+    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
+        self.state = WorldState()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: Where gas fees go; the consensus layer points this at the
         #: current block's miner so fees become ψ·ω income (Eq. 8).
-        self.fee_collector = fee_collector
+        self.fee_collector: Address = BURN_ADDRESS
         self.block_time: float = 0.0
         self._contracts: Dict[Address, Contract] = {}
         self._events: List[ContractEvent] = []
@@ -175,8 +168,8 @@ class ContractRuntime(ContractRuntimeApi):
         if value_wei < 0:
             raise ValueError("call value cannot be negative")
         # Gas is charged up front and never refunded, as on Ethereum.
-        fee = self.gas.fee_wei(operation)
-        gas_used = self.gas.gas_for(operation)
+        fee = fee_wei(operation)
+        gas_used = gas_for(operation)
         try:
             self.state.transfer(sender, self.fee_collector, fee)
         except InsufficientFunds as exc:

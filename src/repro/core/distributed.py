@@ -20,8 +20,8 @@ import random
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.chain.block import Block, BlockHeader, ChainRecord
-from repro.chain.chain import Blockchain, ChainError
-from repro.chain.pow import MiningModel
+from repro.chain.chain import DEFAULT_CONFIRMATION_DEPTH, Blockchain, ChainError
+from repro.chain.pow import PAPER_MEAN_BLOCK_TIME, MiningModel
 from repro.chain.validation import BlockValidator
 from repro.core.lightclient import HeaderChain
 from repro.crypto.keys import KeyPair
@@ -116,7 +116,7 @@ class ReplicaNode(Node):
         name: str,
         genesis: Block,
         record_check: Optional[RecordCheck] = None,
-        confirmation_depth: int = 6,
+        confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH,
         keys: Optional[KeyPair] = None,
         store: Optional[ChainStore] = None,
     ) -> None:
@@ -792,9 +792,9 @@ class DistributedChain(FleetControlPlane):
         record_check: Optional[RecordCheck] = None,
         byzantine: Optional[Set[str]] = None,
         difficulty: int = 1000,
-        mean_block_time: float = 15.35,
+        mean_block_time: float = PAPER_MEAN_BLOCK_TIME,
         latency: LatencyModel = DEFAULT_LATENCY,
-        confirmation_depth: int = 6,
+        confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH,
         seed: int = 0,
         spec: Optional["FleetSpec"] = None,
     ) -> None:

@@ -16,9 +16,11 @@ zero as the contract's integer arithmetic would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
-from repro.contracts.gas import DEFAULT_GAS_SCHEDULE
+from repro.chain.ledger import DEFAULT_BLOCK_REWARD_WEI
+from repro.chain.pow import PAPER_MEAN_BLOCK_TIME
+from repro.contracts.gas import fee_wei
 from repro.units import to_wei
 
 __all__ = [
@@ -34,26 +36,32 @@ __all__ = [
 class IncentiveParameters:
     """All the Greek letters of §V-D/§VI-B in one place.
 
-    Defaults reproduce the paper's prototype configuration.
+    Defaults reproduce the paper's prototype configuration.  μ, I and θ
+    are a release's terms; ν, ψ, c, cp and ϑ are the chain's, read from
+    the one definition the ledger mints and the contracts charge, so
+    Eq. 8–10 cannot disagree with the fees a run collects.
     """
 
     #: μ — preset incentive per detected vulnerability, wei.
     bounty_wei: int = to_wei(250)
-    #: ν — value of one mining reward, wei (5 ether per block, §VII).
-    block_reward_wei: int = to_wei(5)
-    #: ψ — transaction fee per detection report, wei.
-    report_fee_wei: int = DEFAULT_GAS_SCHEDULE.fee_wei("submit_detailed_report")
-    #: c — cost of submitting one detection report, wei
-    #: (the Fig. 6(b) ≈0.011 ether per report).
-    submission_cost_wei: int = DEFAULT_GAS_SCHEDULE.report_submission_cost()
-    #: cp_i — cost of deploying an SRA contract, wei (≈0.095 ether).
-    deployment_cost_wei: int = DEFAULT_GAS_SCHEDULE.sra_deployment_cost()
     #: I_i — default insurance escrowed with each SRA, wei.
     insurance_wei: int = to_wei(1000)
     #: θ — mean SRA period, seconds.
     sra_period: float = 600.0
+
+    #: ν — value of one mining reward, wei (5 ether per block, §VII).
+    block_reward_wei: ClassVar[int] = DEFAULT_BLOCK_REWARD_WEI
+    #: ψ — transaction fee per detection report, wei.
+    report_fee_wei: ClassVar[int] = fee_wei("submit_detailed_report")
+    #: c — cost of submitting one detection report, both phases, wei
+    #: (the Fig. 6(b) ≈0.011 ether per report).
+    submission_cost_wei: ClassVar[int] = (
+        fee_wei("submit_initial_report") + fee_wei("submit_detailed_report")
+    )
+    #: cp_i — cost of deploying an SRA contract, wei (≈0.095 ether).
+    deployment_cost_wei: ClassVar[int] = fee_wei("deploy_sra")
     #: ϑ — mean block time, seconds.
-    block_time: float = 15.35
+    block_time: ClassVar[float] = PAPER_MEAN_BLOCK_TIME
 
     @classmethod
     def paper_defaults(cls) -> "IncentiveParameters":

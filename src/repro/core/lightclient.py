@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.chain.block import BlockHeader, ChainRecord, GENESIS_PARENT
-from repro.chain.chain import Blockchain
+from repro.chain.chain import DEFAULT_CONFIRMATION_DEPTH, Blockchain
 from repro.chain.merkle import MerkleProof
 from repro.chain.pow import check_pow
 
@@ -169,7 +169,11 @@ class HeaderChain:
 class LightClient:
     """A resource-constrained participant: headers + proofs only."""
 
-    def __init__(self, confirmation_depth: int = 6, require_pow: bool = False) -> None:
+    def __init__(
+        self,
+        confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH,
+        require_pow: bool = False,
+    ) -> None:
         self.headers = HeaderChain(require_pow=require_pow)
         self.confirmation_depth = confirmation_depth
 

@@ -39,8 +39,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.chain.block import Block, ChainRecord
 from repro.chain.chain import Blockchain
+from repro.chain.ledger import DEFAULT_BLOCK_REWARD_WEI
 from repro.chain.pow import PAPER_DIFFICULTY, PAPER_MEAN_BLOCK_TIME
 from repro.contracts.contract import Receipt
+from repro.contracts.gas import fee_wei
 from repro.contracts.state import InsufficientFunds
 from repro.core.incentives import IncentiveParameters
 from repro.economics.batch import crosscheck_detectors, crosscheck_providers
@@ -50,7 +52,6 @@ from repro.core.sra import SignedSRA, make_sra
 from repro.core.verification import ReportVerifier, VerdictCode
 from repro.core.workflow import WorkflowChain
 from repro.crypto.keys import Address, KeyPair
-from repro.detection.autoverif import AutoVerifEngine
 from repro.detection.detector import Detector
 from repro.detection.iot_system import IoTSystem
 from repro.network.latency import ConstantLatency
@@ -64,21 +65,24 @@ __all__ = [
     "EconomicsSummary",
 ]
 
+#: Starting balance of each provider account, wei.
+PROVIDER_FUNDING_WEI = to_wei(50_000)
+#: Starting balance of each detector account, wei.
+DETECTOR_FUNDING_WEI = to_wei(100)
+
 
 @dataclass(frozen=True)
 class PlatformConfig:
-    """Global knobs of a SmartCrowd deployment (paper defaults)."""
+    """What a SmartCrowd deployment's caller chooses.
+
+    The chain runs at the paper's difficulty, block time and
+    confirmation depth; accounts start at :data:`PROVIDER_FUNDING_WEI`
+    and :data:`DETECTOR_FUNDING_WEI`.
+    """
 
     params: IncentiveParameters = field(default_factory=IncentiveParameters)
-    difficulty: int = PAPER_DIFFICULTY
-    mean_block_time: float = PAPER_MEAN_BLOCK_TIME
-    confirmation_depth: int = 6
     #: Seconds after an SRA during which reports are payable.
     detection_window: float = 600.0
-    #: Starting balance of each provider account, wei.
-    provider_funding_wei: int = to_wei(50_000)
-    #: Starting balance of each detector account, wei.
-    detector_funding_wei: int = to_wei(100)
     seed: int = 0
 
 
@@ -144,7 +148,6 @@ class SmartCrowdPlatform(WorkflowChain):
         provider_shares: Mapping[str, float],
         detectors: Sequence[Detector],
         config: Optional[PlatformConfig] = None,
-        autoverif: Optional[AutoVerifEngine] = None,
     ) -> None:
         self.config = config if config is not None else PlatformConfig()
         seed = self.config.seed
@@ -171,23 +174,18 @@ class SmartCrowdPlatform(WorkflowChain):
             authority=KeyPair.from_seed(f"authority:{seed}".encode()),
             authority_funding_wei=to_wei(10_000_000),
             detection_window=self.config.detection_window,
-            difficulty=self.config.difficulty,
-            mean_block_time=self.config.mean_block_time,
+            difficulty=PAPER_DIFFICULTY,
             latency=ConstantLatency(0.0),
-            confirmation_depth=self.config.confirmation_depth,
             seed=seed,
         )
         for name, keys in self.provider_keys.items():
             self.replicas[name].keys = keys  # it mines to the provider's account
-            self.runtime.state.mint(keys.address, self.config.provider_funding_wei)
+            self.runtime.state.mint(keys.address, PROVIDER_FUNDING_WEI)
         for keys in self.detector_keys.values():
-            self.runtime.state.mint(keys.address, self.config.detector_funding_wei)
+            self.runtime.state.mint(keys.address, DETECTOR_FUNDING_WEI)
 
         # Provider-side verification (honest majority): Algorithm 1.
-        self.verifier = ReportVerifier(
-            self.registry,
-            autoverif if autoverif is not None else AutoVerifEngine(),
-        )
+        self.verifier = ReportVerifier(self.registry)
 
         # Release and report bookkeeping.
         self.releases: Dict[bytes, ReleaseCase] = {}
@@ -394,9 +392,7 @@ class SmartCrowdPlatform(WorkflowChain):
             stats.reports_dropped += 1
             self.dropped_reports.append((initial.report_id, verdict.code))
             return
-        record = to_record(
-            initial, self.runtime.gas.fee_wei("submit_initial_report"), keys.address
-        )
+        record = to_record(initial, fee_wei("submit_initial_report"), keys.address)
         if self.runtime.state.balance(keys.address) < record.fee:
             stats.reports_dropped += 1
             return
@@ -424,9 +420,7 @@ class SmartCrowdPlatform(WorkflowChain):
                 self.isolated_detectors.add(detailed.detector_id)
                 self._award_detailed(detailed, False)
             return
-        record = to_record(
-            detailed, self.runtime.gas.fee_wei("submit_detailed_report"), detailed.wallet
-        )
+        record = to_record(detailed, fee_wei("submit_detailed_report"), detailed.wallet)
         if self.runtime.state.balance(detailed.wallet) < record.fee:
             stats.reports_dropped += 1
             return
@@ -440,7 +434,7 @@ class SmartCrowdPlatform(WorkflowChain):
         self.blocks_won[winner] += 1
 
         # Mint the block reward ν and collect record fees ψ·ω (Eq. 8).
-        self.runtime.state.mint(miner_address, self.config.params.block_reward_wei)
+        self.runtime.state.mint(miner_address, DEFAULT_BLOCK_REWARD_WEI)
         for record in block.records:
             if record.fee and record.sender is not None:
                 self._settle_fee_record(record, winner, miner_address)
@@ -498,7 +492,7 @@ class SmartCrowdPlatform(WorkflowChain):
             # Window may not have expired on the runtime clock yet
             # (block times are stochastic); retry shortly after.
             self.schedule_at(
-                self.now + self.config.mean_block_time, self._close_release, case
+                self.now + PAPER_MEAN_BLOCK_TIME, self._close_release, case
             )
             return
         case.closed = True
@@ -519,7 +513,7 @@ class SmartCrowdPlatform(WorkflowChain):
     def provider_incentives_wei(self, provider_name: str) -> int:
         """Eq. 8 income actually accrued: χ·ν + collected fees."""
         return (
-            self.blocks_won[provider_name] * self.config.params.block_reward_wei
+            self.blocks_won[provider_name] * DEFAULT_BLOCK_REWARD_WEI
             + self.fee_income_wei[provider_name]
         )
 
@@ -578,4 +572,4 @@ class SmartCrowdPlatform(WorkflowChain):
         while self.now < deadline and any(
             not case.closed for case in self.releases.values()
         ):
-            self.advance_for(self.config.mean_block_time * 8)
+            self.advance_for(PAPER_MEAN_BLOCK_TIME * 8)

@@ -38,7 +38,9 @@ import random
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.chain.block import Block, RecordKind
+from repro.chain.chain import DEFAULT_CONFIRMATION_DEPTH
 from repro.chain.mempool import Mempool
+from repro.chain.pow import PAPER_MEAN_BLOCK_TIME
 from repro.core.consumer import ConsumerClient, SecurityReference
 from repro.core.distributed import ReplicaNode, heaviest_alive_neighbour
 from repro.core.registry import IdentityRegistry
@@ -53,7 +55,6 @@ from repro.core.sra import SignedSRA, make_sra
 from repro.core.verification import ReportVerifier
 from repro.core.workflow import WorkflowChain
 from repro.crypto.keys import KeyPair
-from repro.detection.autoverif import AutoVerifEngine
 from repro.detection.detector import Detector
 from repro.detection.iot_system import IoTSystem
 from repro.network.latency import DEFAULT_LATENCY, LatencyModel
@@ -98,16 +99,13 @@ class ProviderStakeholder(ReplicaNode):
         genesis: Block,
         registry: IdentityRegistry,
         directory: SystemDirectory,
-        autoverif: Optional[AutoVerifEngine] = None,
         keys: Optional[KeyPair] = None,
         store=None,
     ) -> None:
         super().__init__(name, genesis, record_check=None, keys=keys, store=store)
         self.registry = registry
         self.directory = directory
-        self.verifier = ReportVerifier(
-            registry, autoverif if autoverif is not None else AutoVerifEngine()
-        )
+        self.verifier = ReportVerifier(registry)
         self.mempool = Mempool()
         #: Δ_id -> accepted SRA (this provider's view of live releases).
         self.known_sras: Dict[bytes, SignedSRA] = {}
@@ -262,7 +260,7 @@ class DetectorStakeholder(Node):
         engine: Detector,
         simulator: Simulator,
         directory: SystemDirectory,
-        confirmation_depth: int = 6,
+        confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH,
         keys: Optional[KeyPair] = None,
         retry_policy=None,
     ) -> None:
@@ -473,8 +471,8 @@ class DecentralizedDeployment(WorkflowChain):
         detectors: List[Detector],
         consumers: Tuple[str, ...] = ("consumer-1",),
         difficulty: int = 1000,
-        mean_block_time: float = 15.35,
-        confirmation_depth: int = 6,
+        mean_block_time: float = PAPER_MEAN_BLOCK_TIME,
+        confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH,
         detection_window: float = 600.0,
         latency: LatencyModel = DEFAULT_LATENCY,
         seed: int = 0,

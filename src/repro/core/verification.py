@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.registry import IdentityRegistry
 from repro.core.reports import DetailedReport, InitialReport, detailed_report_hash
@@ -61,13 +60,9 @@ class Verdict:
 class ReportVerifier:
     """A provider's implementation of Algorithm 1."""
 
-    def __init__(
-        self,
-        registry: IdentityRegistry,
-        autoverif: Optional[AutoVerifEngine] = None,
-    ) -> None:
+    def __init__(self, registry: IdentityRegistry) -> None:
         self.registry = registry
-        self.autoverif = autoverif if autoverif is not None else AutoVerifEngine()
+        self.autoverif = AutoVerifEngine()
 
     # -- function VERIFICATION FOR R† (Algorithm 1, lines 1-9) ----------
 

@@ -8,16 +8,13 @@ detector (§V-C).
 
 Our engine checks each claimed description against the release's
 ground truth — the simulated equivalent of replaying a self-certifying
-alert.  Optional imperfection knobs model a weaker verifier for
-ablations: ``false_reject_rate`` (real flaw rejected) and
-``false_accept_rate`` (fabricated flaw accepted).
+alert.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.detection.descriptions import VulnerabilityDescription
 from repro.detection.iot_system import IoTSystem
@@ -37,29 +34,14 @@ class VerificationOutcome:
 class AutoVerifEngine:
     """A provider's automatic report verifier."""
 
-    def __init__(
-        self,
-        false_reject_rate: float = 0.0,
-        false_accept_rate: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if not 0.0 <= false_reject_rate < 1.0:
-            raise ValueError("false reject rate must be in [0, 1)")
-        if not 0.0 <= false_accept_rate < 1.0:
-            raise ValueError("false accept rate must be in [0, 1)")
-        self.false_reject_rate = false_reject_rate
-        self.false_accept_rate = false_accept_rate
-        self._rng = rng if rng is not None else random.Random(0)
+    def __init__(self) -> None:
         self.verifications_run = 0
 
     def check_description(
         self, system: IoTSystem, description: VulnerabilityDescription
     ) -> bool:
         """Verify one claimed flaw against the release."""
-        truth = any(v.key == description.canonical for v in system.ground_truth)
-        if truth:
-            return self._rng.random() >= self.false_reject_rate
-        return self._rng.random() < self.false_accept_rate
+        return any(v.key == description.canonical for v in system.ground_truth)
 
     def verify(
         self,

@@ -28,9 +28,6 @@ class ReleaseCorpusConfig:
     mean_vulnerabilities: float = 3.0
     #: θ — mean seconds between releases (SRA period, Eq. 12).
     release_period: float = 600.0
-    #: Whether release inter-arrival is exponential (Poisson process)
-    #: or deterministic at exactly ``release_period``.
-    poisson_arrivals: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.vulnerability_proportion <= 1.0:
@@ -52,15 +49,9 @@ class ScheduledRelease:
 class ReleaseCorpus:
     """A reproducible stream of IoT releases."""
 
-    def __init__(
-        self,
-        config: ReleaseCorpusConfig,
-        seed: int = 0,
-        name_prefix: str = "iot-sys",
-    ) -> None:
+    def __init__(self, config: ReleaseCorpusConfig, seed: int = 0) -> None:
         self.config = config
         self._rng = random.Random(seed)
-        self._name_prefix = name_prefix
         self._counter = 0
 
     def _sample_flaw_count(self) -> int:
@@ -81,7 +72,7 @@ class ReleaseCorpus:
     def next_release(self) -> IoTSystem:
         """Generate the next release in the stream."""
         self._counter += 1
-        name = f"{self._name_prefix}-{self._counter}"
+        name = f"iot-sys-{self._counter}"
         return build_system(
             name,
             version="1.0.0",
@@ -90,18 +81,12 @@ class ReleaseCorpus:
         )
 
     def schedule(self, duration: float, start: float = 0.0) -> List[ScheduledRelease]:
-        """All releases announced in ``[start, start + duration)``.
-
-        Deterministic arrivals put one release per period (the paper's
-        t/θ accounting); Poisson arrivals draw exponential gaps.
-        """
+        """All releases announced in ``[start, start + duration)``, one
+        per period (the paper's t/θ accounting)."""
         releases: List[ScheduledRelease] = []
         clock = start
         while True:
-            if self.config.poisson_arrivals:
-                clock += self._rng.expovariate(1.0 / self.config.release_period)
-            else:
-                clock += self.config.release_period
+            clock += self.config.release_period
             if clock >= start + duration + 1e-12:
                 return releases
             releases.append(ScheduledRelease(time=clock, system=self.next_release()))

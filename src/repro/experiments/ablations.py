@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 
 from repro.chain.block import ChainRecord, RecordKind
 from repro.chain.mempool import Mempool
-from repro.contracts.gas import DEFAULT_GAS_SCHEDULE
+from repro.contracts.gas import fee_wei
 from repro.crypto.hashing import hash_fields
 from repro.experiments.harness import ResultTable
 from repro.experiments.runner import Sweep, experiment
@@ -110,7 +110,7 @@ def _two_phase_trial(args: Tuple[int, int, int, float]) -> Tuple[int, int]:
 def ablate_two_phase(
     sweep: Sweep,
     trials: int = 200,
-    victim_fee_wei: int = DEFAULT_GAS_SCHEDULE.fee_wei("submit_detailed_report"),
+    victim_fee_wei: int = fee_wei("submit_detailed_report"),
     thief_fee_multiplier: float = 4.0,
 ) -> TwoPhaseAblation:
     """Race a plagiarist against a victim on the real mempool.

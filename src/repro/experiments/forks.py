@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.chain.pow import PAPER_HASHPOWER_SHARES
+from repro.chain.pow import PAPER_HASHPOWER_SHARES, PAPER_MEAN_BLOCK_TIME
 from repro.core.distributed import DistributedChain
 from repro.experiments.harness import ResultTable
 from repro.experiments.runner import Sweep, experiment
@@ -97,7 +97,7 @@ def run_fork_rate(
     sweep: Sweep,
     ratios: Tuple[float, ...] = (0.005, 0.05, 0.2, 0.5),
     blocks: int = 300,
-    block_time: float = 15.35,
+    block_time: float = PAPER_MEAN_BLOCK_TIME,
 ) -> ForkRateResult:
     """Measure orphan rates over a delay sweep.
 

@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.chain.chain import DEFAULT_CONFIRMATION_DEPTH
+from repro.chain.pow import PAPER_MEAN_BLOCK_TIME
 from repro.contracts.vm import ContractRuntime
 from repro.detection.iot_system import build_system
 from repro.experiments.harness import ResultTable, paper_setup, summarize
@@ -119,10 +121,9 @@ def run_payout_latency(
     for outcome in outcomes:
         announce_to_pay.extend(float(value) for value in outcome["announce_to_pay"])
         confirm_to_pay.extend(float(value) for value in outcome["confirm_to_pay"])
-    config = paper_setup(seed=sweep.seed).config
     return LatencyResult(
         announce_to_pay=announce_to_pay,
         confirm_to_pay=confirm_to_pay,
-        confirmation_depth=config.confirmation_depth,
-        mean_block_time=config.mean_block_time,
+        confirmation_depth=DEFAULT_CONFIRMATION_DEPTH,
+        mean_block_time=PAPER_MEAN_BLOCK_TIME,
     )

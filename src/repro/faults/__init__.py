@@ -24,11 +24,10 @@ from repro.faults.invariants import (
     confirmed_chain_bytes,
 )
 from repro.faults.plan import ChaosPlan, FaultEvent, FaultKind
-from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.faults.retry import RetryPolicy
 
 __all__ = [
     "ChaosPlan",
-    "DEFAULT_RETRY_POLICY",
     "DISK_SCENARIOS",
     "FaultEvent",
     "FaultInjector",

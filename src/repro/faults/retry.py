@@ -19,7 +19,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY"]
+__all__ = ["RetryPolicy", "BACKOFF_MULTIPLIER", "BACKOFF_JITTER"]
+
+#: Retry *n* waits ``base_backoff * BACKOFF_MULTIPLIER**n``.
+BACKOFF_MULTIPLIER = 2.0
+#: Each delay is scaled by a uniform factor in ``[1-j, 1+j]`` so
+#: synchronized detectors do not re-flood in lockstep.
+BACKOFF_JITTER = 0.25
 
 
 @dataclass(frozen=True)
@@ -27,17 +33,12 @@ class RetryPolicy:
     """Knobs of the retrying two-phase submitter.
 
     ``deadline`` — seconds to wait for on-chain inclusion before the
-    first retry check; ``base_backoff`` — delay before retry *n* is
-    ``base_backoff * multiplier**n``; ``jitter`` — each delay is
-    scaled by a uniform factor in ``[1-jitter, 1+jitter]`` so
-    synchronized detectors do not re-flood in lockstep;
+    first retry check; ``base_backoff`` — delay before the first retry;
     ``max_attempts`` — retransmissions before giving up.
     """
 
     deadline: float = 120.0
     base_backoff: float = 30.0
-    multiplier: float = 2.0
-    jitter: float = 0.25
     max_attempts: int = 5
 
     def __post_init__(self) -> None:
@@ -45,26 +46,19 @@ class RetryPolicy:
             raise ValueError("deadline must be positive")
         if self.base_backoff <= 0:
             raise ValueError("base backoff must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
         if self.max_attempts < 0:
             raise ValueError("max_attempts cannot be negative")
 
     def backoff(self, attempt: int, rng: Optional[random.Random] = None) -> float:
-        """Delay before retransmission number ``attempt`` (0-based)."""
+        """Delay before retransmission number ``attempt`` (0-based);
+        jittered when given ``rng``."""
         if attempt < 0:
             raise ValueError("attempt cannot be negative")
-        delay = self.base_backoff * (self.multiplier ** attempt)
-        if rng is not None and self.jitter > 0:
-            delay *= rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+        delay = self.base_backoff * (BACKOFF_MULTIPLIER ** attempt)
+        if rng is not None:
+            delay *= rng.uniform(1.0 - BACKOFF_JITTER, 1.0 + BACKOFF_JITTER)
         return delay
 
     def exhausted(self, attempt: int) -> bool:
         """True once ``attempt`` retransmissions have been spent."""
         return attempt >= self.max_attempts
-
-
-#: A sane default for simulations with ~15 s block times.
-DEFAULT_RETRY_POLICY = RetryPolicy()

@@ -8,6 +8,7 @@ so several models are provided.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Protocol
@@ -19,6 +20,9 @@ __all__ = [
     "LogNormalLatency",
     "DEFAULT_LATENCY",
 ]
+
+#: σ of :class:`LogNormalLatency`'s log-delay: its tail weight.
+LOGNORMAL_SIGMA = 0.6
 
 
 class LatencyModel(Protocol):
@@ -54,18 +58,15 @@ class UniformLatency:
 class LogNormalLatency:
     """Heavy-tailed internet-like latency.
 
-    Median delay ``median``; sigma controls tail weight.  Real overlay
-    measurements (e.g. Bitcoin propagation studies) are approximately
-    log-normal.
+    Median delay ``median``; :data:`LOGNORMAL_SIGMA` sets the tail
+    weight.  Real overlay measurements (e.g. Bitcoin propagation
+    studies) are approximately log-normal.
     """
 
     median: float = 0.08
-    sigma: float = 0.6
 
     def sample(self, src: str, dst: str, rng: random.Random) -> float:
-        import math
-
-        return self.median * math.exp(rng.gauss(0.0, self.sigma))
+        return self.median * math.exp(rng.gauss(0.0, LOGNORMAL_SIGMA))
 
 
 #: Sensible default for experiments.

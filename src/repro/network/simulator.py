@@ -47,10 +47,8 @@ class Simulator:
     Not a wall-clock system: ``now`` only advances when events fire.
     """
 
-    def __init__(
-        self, start_time: float = 0.0, telemetry: Optional[Telemetry] = None
-    ) -> None:
-        self._now = start_time
+    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
+        self._now = 0.0
         self._queue: List[Tuple[float, int, Callable[..., None], Tuple[Any, ...]]] = []
         self._seq = itertools.count()
         self._processed = 0

@@ -51,7 +51,9 @@ from typing import (
 import networkx as nx
 
 from repro.chain.block import Block, ChainRecord
+from repro.chain.chain import DEFAULT_CONFIRMATION_DEPTH
 from repro.chain.consensus import make_genesis
+from repro.chain.pow import PAPER_MEAN_BLOCK_TIME
 from repro.chain.serialization import export_chain, import_chain
 from repro.core.distributed import (
     Candidate,
@@ -561,9 +563,9 @@ class ShardedSimulator(FleetControlPlane):
         record_check: Optional[RecordCheck] = None,
         byzantine: Optional[Set[str]] = None,
         difficulty: int = 1000,
-        mean_block_time: float = 15.35,
+        mean_block_time: float = PAPER_MEAN_BLOCK_TIME,
         latency: LatencyModel = DEFAULT_LATENCY,
-        confirmation_depth: int = 6,
+        confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH,
         seed: int = 0,
         jobs: int = 1,
         telemetry: Optional[Telemetry] = None,

@@ -30,7 +30,7 @@ from repro.store.indexfile import (
     INDEX_FORMAT_VERSION,
     read_index_file,
 )
-from repro.store.snapshot import SnapshotStore
+from repro.store.snapshot import SnapshotStore, snapshot_files
 from repro.store.store import ChainStore, HeaderStore, index_frames
 
 __all__ = ["FsckIssue", "FsckReport", "fsck"]
@@ -126,38 +126,30 @@ def _check_log(log_path: Path, store_class, decode, report: FsckReport):
 def _check_snapshots(store_path: Path, links, report: FsckReport) -> None:
     snap_dir = store_path / ChainStore.SNAPSHOT_DIR
     best_valid: Optional[int] = None
-    if snap_dir.is_dir():
-        for file in sorted(snap_dir.glob("ledger-*.snap")):
-            try:
-                if file.stat().st_size == 0:
-                    # Interrupted-write debris: the O_CREAT landed but
-                    # no data ever did.  Recovery skips these in favour
-                    # of older snapshots, so they are not corruption —
-                    # a *recorded* snapshot that went missing is still
-                    # caught by the manifest check below.
-                    continue
-            except OSError:
-                continue
-            try:
-                snapshot = SnapshotStore.load_file(file)
-            except (CodecError, OSError) as error:
-                report.issues.append(
-                    FsckIssue("snapshot-corrupt", f"{file.name}: {error}")
+    # Zero-length interrupted-write debris is skipped, as recovery skips
+    # it in favour of older snapshots: not corruption — a *recorded*
+    # snapshot that went missing is still caught by the manifest check.
+    for file in reversed(snapshot_files(snap_dir)):
+        try:
+            snapshot = SnapshotStore.load_file(file)
+        except (CodecError, OSError) as error:
+            report.issues.append(
+                FsckIssue("snapshot-corrupt", f"{file.name}: {error}")
+            )
+            continue
+        if links.height_of(snapshot.block_id) != snapshot.height:
+            report.issues.append(
+                FsckIssue(
+                    "snapshot-stale",
+                    f"{file.name} pins block "
+                    f"{snapshot.block_id.hex()[:12]} at height "
+                    f"{snapshot.height}, which the log does not hold",
                 )
-                continue
-            if links.height_of(snapshot.block_id) != snapshot.height:
-                report.issues.append(
-                    FsckIssue(
-                        "snapshot-stale",
-                        f"{file.name} pins block "
-                        f"{snapshot.block_id.hex()[:12]} at height "
-                        f"{snapshot.height}, which the log does not hold",
-                    )
-                )
-                continue
-            report.snapshots_ok += 1
-            if best_valid is None or snapshot.height > best_valid:
-                best_valid = snapshot.height
+            )
+            continue
+        report.snapshots_ok += 1
+        if best_valid is None or snapshot.height > best_valid:
+            best_valid = snapshot.height
     # Manifest agreement: a manifest promising a snapshot the directory
     # cannot deliver is how a *lost* snapshot is detected at all.
     meta_path = store_path / ChainStore.META_NAME

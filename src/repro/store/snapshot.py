@@ -25,9 +25,31 @@ from repro.contracts.state import WorldState
 from repro.crypto.keys import Address
 from repro.store.frames import frame_bytes, read_single_frame
 
-__all__ = ["LedgerSnapshot", "SnapshotStore"]
+__all__ = ["LedgerSnapshot", "SnapshotStore", "snapshot_files"]
 
 _MAGIC = b"SNAP1"
+
+
+def snapshot_files(directory: Path) -> List[Path]:
+    """Usable snapshot files under ``directory``, newest (highest
+    height) first; none when it does not exist.
+
+    Zero-length files — interrupted writes that created the directory
+    entry but never landed data — are excluded, so they neither count
+    against the retention budget (which would evict a *valid* older
+    snapshot in favour of debris) nor feed readers a frame that cannot
+    possibly decode.  Reads only: :func:`repro.store.fsck.fsck` walks
+    a store with it.
+    """
+    usable: List[Path] = []
+    for file in sorted(directory.glob("ledger-*.snap"), reverse=True):
+        try:
+            if file.stat().st_size == 0:
+                continue
+        except OSError:
+            continue
+        usable.append(file)
+    return usable
 
 
 def _encode_int(value: int) -> bytes:
@@ -152,23 +174,8 @@ class SnapshotStore:
         return f"ledger-{height:012d}.snap"
 
     def files(self) -> List[Path]:
-        """Usable snapshot files, newest (highest height) first.
-
-        Zero-length files — interrupted writes that created the
-        directory entry but never landed data — are excluded, so they
-        neither count against the retention budget (which would evict
-        a *valid* older snapshot in favour of debris) nor feed readers
-        a frame that cannot possibly decode.
-        """
-        usable: List[Path] = []
-        for file in sorted(self.path.glob("ledger-*.snap"), reverse=True):
-            try:
-                if file.stat().st_size == 0:
-                    continue
-            except OSError:
-                continue
-            usable.append(file)
-        return usable
+        """Usable snapshot files, newest first (:func:`snapshot_files`)."""
+        return snapshot_files(self.path)
 
     def heights(self) -> List[int]:
         """Heights with a snapshot file present, newest first."""

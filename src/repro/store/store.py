@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.chain.block import Block, BlockHeader, GENESIS_PARENT
-from repro.chain.chain import Blockchain, ChainError
+from repro.chain.chain import DEFAULT_CONFIRMATION_DEPTH, Blockchain, ChainError
 from repro.chain.ledger import apply_block
 from repro.chain.serialization import (
     decode_block,
@@ -488,7 +488,7 @@ class ChainStore(_FrameLog):
             yield self.block_at(index)
 
     def load_chain(
-        self, confirmation_depth: int = 6
+        self, confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH
     ) -> Optional[Blockchain]:
         """Rebuild the replica's Blockchain from the log.
 

@@ -46,14 +46,10 @@ class TraceEvent:
 class TraceLog:
     """An append-only, clock-stamped event log."""
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> None:
+    def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
         if max_events < 1:
             raise ValueError("max_events must be positive")
-        self._clock = clock
+        self._clock: Optional[Callable[[], float]] = None
         self._max_events = max_events
         self._events: List[TraceEvent] = []
         #: Events discarded after the cap was reached.

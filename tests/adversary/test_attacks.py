@@ -16,7 +16,6 @@ from repro.core.registry import IdentityRegistry
 from repro.core.reports import build_report_pair
 from repro.core.sra import make_sra
 from repro.core.verification import ReportVerifier, VerdictCode
-from repro.detection.autoverif import AutoVerifEngine
 from repro.detection.descriptions import describe
 from repro.detection.iot_system import build_system
 from repro.units import to_wei
@@ -37,7 +36,7 @@ def registry(detector_keys, other_keys):
 
 @pytest.fixture
 def verifier(registry):
-    return ReportVerifier(registry, AutoVerifEngine())
+    return ReportVerifier(registry)
 
 
 @pytest.fixture

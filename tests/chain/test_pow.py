@@ -119,35 +119,32 @@ class TestMidstateCompatibility:
             assert trial.digest() == hash_fields(b"prefix", 42, suffix)
 
 
-class TestBatchedIntervals:
-    def test_batch_matches_exponential_mean(self):
-        model = MiningModel.from_shares(PAPER_HASHPOWER_SHARES, rng=random.Random(8))
-        intervals = model.sample_interval_batch(4000)
-        assert len(intervals) == 4000
-        assert statistics.fmean(intervals) == pytest.approx(
-            PAPER_MEAN_BLOCK_TIME, rel=0.1
-        )
-
-    def test_batch_reproducible_with_seed(self):
-        a = MiningModel.from_shares(PAPER_HASHPOWER_SHARES, rng=random.Random(10))
-        b = MiningModel.from_shares(PAPER_HASHPOWER_SHARES, rng=random.Random(10))
-        assert a.sample_interval_batch(64) == b.sample_interval_batch(64)
-
-
 class TestWinnerIndex:
-    def test_set_hashrate_invalidates_winner_table(self):
-        model = MiningModel({"a": 1.0, "b": 1.0}, difficulty=100, rng=random.Random(2))
-        model.next_block()  # builds the cumulative table
-        model.set_hashrate("b", 0.0)
-        wins = {model.next_block().winner for _ in range(50)}
-        assert wins == {"a"}
+    def test_next_block_draws_the_interval_then_the_winner(self):
+        """Two draws a round, in order: Exp(total / D), then a uniform
+        pick over the cumulative hashrates (a linear scan here)."""
+        hashrates = {"a": 1.0, "b": 3.0, "c": 0.5}
+        model = MiningModel(hashrates, difficulty=100, rng=random.Random(2))
+        replay = random.Random(2)
+        total = sum(hashrates.values())
+        for _ in range(200):
+            outcome = model.next_block()
+            assert outcome.interval == replay.expovariate(total / 100)
+            pick, running = replay.random() * total, 0.0
+            for name, rate in hashrates.items():
+                running += rate
+                if pick <= running:
+                    break
+            assert outcome.winner == name
 
-    def test_new_miner_can_win_after_join(self):
-        model = MiningModel({"a": 1.0}, difficulty=100, rng=random.Random(3))
-        model.next_block()
-        model.set_hashrate("z", 1e9)
-        wins = [model.next_block().winner for _ in range(20)]
-        assert wins.count("z") >= 19
+    def test_hashrates_fixed_at_construction(self):
+        """The winner table is built once from a copy: a later edit of
+        the caller's mapping reaches neither the table nor the total."""
+        hashrates = {"a": 1.0}
+        model = MiningModel(hashrates, difficulty=100, rng=random.Random(3))
+        hashrates["z"] = 1e9
+        assert model.total_hashrate == 1.0
+        assert {model.next_block().winner for _ in range(20)} == {"a"}
 
 
 class TestHashrateCalibration:
@@ -203,18 +200,6 @@ class TestMiningModel:
     def test_intervals_are_positive(self):
         model = MiningModel({"solo": 10.0}, difficulty=100, rng=random.Random(5))
         assert all(interval > 0 for interval in model.sample_intervals(100))
-
-    def test_set_hashrate_adds_and_removes(self):
-        model = MiningModel({"a": 1.0, "b": 1.0}, rng=random.Random(0))
-        model.set_hashrate("c", 2.0)
-        assert model.hashrate_share("c") == pytest.approx(0.5)
-        model.set_hashrate("c", 0.0)
-        assert model.total_hashrate == pytest.approx(2.0)
-
-    def test_cannot_remove_last_miner(self):
-        model = MiningModel({"solo": 1.0})
-        with pytest.raises(ValueError):
-            model.set_hashrate("solo", 0.0)
 
     def test_reproducible_with_seed(self):
         a = MiningModel.from_shares(PAPER_HASHPOWER_SHARES, rng=random.Random(9))

@@ -142,19 +142,6 @@ class TestStructuralRules:
         fork = Block.assemble(genesis_id, 1, (record,), 20.0, DIFFICULTY, MINER)
         assert validator.validate(fork, chain).ok
 
-    def test_record_limit_enforced(self, chain):
-        validator = BlockValidator(require_pow=False, max_records_per_block=1)
-        block = Block.assemble(
-            chain.head.block_id,
-            1,
-            (_record("a"), _record("b")),
-            10.0,
-            DIFFICULTY,
-            MINER,
-        )
-        result = validator.validate(block, chain)
-        assert any("over limit" in error for error in result.errors)
-
 
 class TestSemanticHook:
     def test_record_validator_vetoes(self, chain):

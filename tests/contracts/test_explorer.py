@@ -99,3 +99,28 @@ class TestDetectorViews:
     def test_isolation_events_surface_forger(self, settled):
         _, explorer = settled
         assert "forger" in explorer.isolation_events()
+
+
+class TestIncrementalIndex:
+    def test_early_explorer_matches_a_fresh_one(self):
+        """An explorer made before the first event and read while the
+        log grows absorbs only the new events on each read, and ends
+        with the statements of one built on the finished log."""
+        platform = SmartCrowdPlatform(
+            PAPER_HASHPOWER_SHARES,
+            build_detector_fleet(seed=7),
+            PlatformConfig(seed=7),
+        )
+        early = Explorer(platform.runtime)
+        assert early.release_statements() == []
+        platform.announce_release(
+            "provider-1", build_system("camera-x", vulnerability_count=2)
+        )
+        platform.advance_for(300.0)
+        assert len(early.release_statements()) == 1
+        platform.advance_for(1200.0)
+        fresh = Explorer(platform.runtime)
+        (statement,) = early.release_statements()
+        assert statement.burned_wei is not None  # settled after the first read
+        assert early.release_statements() == fresh.release_statements()
+        assert early.top_detectors() == fresh.top_detectors()

@@ -1,32 +1,36 @@
 """Tests for the gas schedule calibration."""
 
 from repro.contracts.gas import (
-    DEFAULT_GAS_SCHEDULE,
-    GasSchedule,
+    GAS_PRICE_WEI,
+    OPERATION_GAS,
     PAPER_REPORT_COST_WEI,
     PAPER_SRA_COST_WEI,
+    fee_wei,
+    gas_for,
 )
-from repro.units import to_wei
+from repro.core.incentives import IncentiveParameters
+from repro.units import GWEI, to_wei
 
 
 class TestCalibration:
     def test_sra_deployment_matches_paper(self):
-        assert DEFAULT_GAS_SCHEDULE.sra_deployment_cost() == PAPER_SRA_COST_WEI
+        assert fee_wei("deploy_sra") == PAPER_SRA_COST_WEI
+        assert IncentiveParameters.deployment_cost_wei == PAPER_SRA_COST_WEI
         assert PAPER_SRA_COST_WEI == to_wei(0.095)
 
     def test_report_submission_matches_paper(self):
-        assert DEFAULT_GAS_SCHEDULE.report_submission_cost() == PAPER_REPORT_COST_WEI
+        assert IncentiveParameters.submission_cost_wei == PAPER_REPORT_COST_WEI
         assert PAPER_REPORT_COST_WEI == to_wei(0.011)
 
     def test_two_phase_split(self):
-        initial = DEFAULT_GAS_SCHEDULE.fee_wei("submit_initial_report")
-        detailed = DEFAULT_GAS_SCHEDULE.fee_wei("submit_detailed_report")
+        initial = fee_wei("submit_initial_report")
+        detailed = fee_wei("submit_detailed_report")
         assert initial + detailed == PAPER_REPORT_COST_WEI
 
     def test_unknown_operation_uses_default(self):
-        schedule = GasSchedule()
-        assert schedule.gas_for("no-such-op") == schedule.operation_gas["default"]
+        assert gas_for("no-such-op") == OPERATION_GAS["default"]
 
     def test_fee_is_gas_times_price(self):
-        schedule = GasSchedule(gas_price_wei=7)
-        assert schedule.fee_wei("transfer") == schedule.gas_for("transfer") * 7
+        assert GAS_PRICE_WEI == 100 * GWEI
+        assert fee_wei("transfer") == gas_for("transfer") * GAS_PRICE_WEI
+        assert fee_wei("transfer") == 21_000 * 100 * GWEI

@@ -26,7 +26,8 @@ FEE_COLLECTOR = KeyPair.from_seed(b"sc-collector").address
 def runtime() -> ContractRuntime:
     # Route gas to a dedicated collector so burn-sink assertions see
     # only forfeited insurance, not gas.
-    rt = ContractRuntime(fee_collector=FEE_COLLECTOR)
+    rt = ContractRuntime()
+    rt.fee_collector = FEE_COLLECTOR
     rt.state.mint(PROVIDER, to_wei(5000))
     rt.state.mint(AUTHORITY, to_wei(100))
     return rt

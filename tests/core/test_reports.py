@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.chain.block import ChainRecord, RecordKind
-from repro.contracts.vm import ContractRuntime
+from repro.contracts.gas import fee_wei
 from repro.core.reports import (
     DetailedReport,
     InitialReport,
@@ -144,7 +144,7 @@ class TestRecordCodec:
         payload = {"sra": sra, "initial": initial, "detailed": detailed}[name]
         extra = {}
         if fee is not None:
-            extra["fee"] = ContractRuntime().gas.fee_wei(fee) if fee else 0
+            extra["fee"] = fee_wei(fee) if fee else 0
         if sender is not None:
             extra["sender"] = {
                 "provider": provider_keys.address,

@@ -8,7 +8,6 @@ import pytest
 from repro.core.registry import IdentityRegistry
 from repro.core.reports import build_report_pair
 from repro.core.verification import ReportVerifier, VerdictCode
-from repro.detection.autoverif import AutoVerifEngine
 from repro.detection.descriptions import VulnerabilityDescription, describe
 from repro.detection.iot_system import build_system
 from repro.detection.vulnerability import Severity
@@ -28,7 +27,7 @@ def registry(detector_keys):
 
 @pytest.fixture
 def verifier(registry):
-    return ReportVerifier(registry, AutoVerifEngine())
+    return ReportVerifier(registry)
 
 
 @pytest.fixture

@@ -70,18 +70,6 @@ class TestSchedule:
         releases = corpus.schedule(3000.0)
         assert [r.time for r in releases] == [600.0, 1200.0, 1800.0, 2400.0, 3000.0]
 
-    def test_poisson_arrivals_random_gaps(self):
-        corpus = ReleaseCorpus(
-            ReleaseCorpusConfig(release_period=600.0, poisson_arrivals=True), seed=8
-        )
-        releases = corpus.schedule(60000.0)
-        gaps = [
-            second.time - first.time
-            for first, second in zip(releases, releases[1:])
-        ]
-        assert len(set(round(g, 3) for g in gaps)) > 1
-        assert sum(gaps) / len(gaps) == pytest.approx(600.0, rel=0.2)
-
     def test_expected_release_count(self):
         corpus = ReleaseCorpus(ReleaseCorpusConfig(release_period=600.0))
         assert corpus.expected_release_count(1800.0) == pytest.approx(3.0)

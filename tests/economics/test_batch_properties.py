@@ -23,12 +23,7 @@ from repro.economics import crosscheck_detectors, crosscheck_providers
 wei_amounts = st.integers(min_value=0, max_value=10**30)
 
 params_strategy = st.builds(
-    IncentiveParameters,
-    bounty_wei=wei_amounts,
-    block_reward_wei=wei_amounts,
-    report_fee_wei=wei_amounts,
-    submission_cost_wei=wei_amounts,
-    deployment_cost_wei=wei_amounts,
+    IncentiveParameters, bounty_wei=wei_amounts, insurance_wei=wei_amounts
 )
 
 # Rounding-edge-heavy ρ values: exact endpoints dominate the samples.

@@ -7,7 +7,7 @@ import pytest
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.stakeholders import DecentralizedDeployment
 from repro.detection import build_detector_fleet, build_system
-from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.faults.retry import BACKOFF_JITTER, BACKOFF_MULTIPLIER, RetryPolicy
 from repro.network.config import NetworkConfig
 from repro.network.latency import ConstantLatency
 from repro.shard import FleetSpec
@@ -15,17 +15,21 @@ from repro.shard import FleetSpec
 
 class TestRetryPolicy:
     def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(base_backoff=10.0, multiplier=2.0, jitter=0.0)
-        assert policy.backoff(0) == 10.0
-        assert policy.backoff(1) == 20.0
+        policy = RetryPolicy(base_backoff=10.0)
+        assert BACKOFF_MULTIPLIER == 2.0
+        for attempt in (0, 1, 3):
+            assert policy.backoff(attempt) == 10.0 * BACKOFF_MULTIPLIER**attempt
         assert policy.backoff(3) == 80.0
 
     def test_jitter_bounds(self):
-        policy = RetryPolicy(base_backoff=100.0, multiplier=1.0, jitter=0.25)
+        policy = RetryPolicy(base_backoff=100.0)
+        assert BACKOFF_JITTER == 0.25
+        low, high = 1.0 - BACKOFF_JITTER, 1.0 + BACKOFF_JITTER
         rng = random.Random(0)
-        for attempt in range(50):
-            delay = policy.backoff(0, rng)
-            assert 75.0 <= delay <= 125.0
+        for attempt in range(4):
+            nominal = policy.backoff(attempt)
+            for _ in range(50):
+                assert low * nominal <= policy.backoff(attempt, rng) <= high * nominal
 
     def test_exhaustion(self):
         policy = RetryPolicy(max_attempts=3)
@@ -34,16 +38,16 @@ class TestRetryPolicy:
         assert policy.exhausted(4)
 
     def test_default_policy_is_valid(self):
-        assert DEFAULT_RETRY_POLICY.deadline > 0
+        assert RetryPolicy().deadline > 0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"deadline": 0.0},
             {"base_backoff": -1.0},
-            {"multiplier": 0.5},
-            {"jitter": 1.0},
             {"max_attempts": -1},
+            {"base_backoff": 0.0},
+            {"deadline": -1.0},
         ],
     )
     def test_invalid_knobs_raise(self, kwargs):
@@ -61,9 +65,7 @@ class TestDetectorRetries:
         gossiped reports reach nobody.  After the heal, the deadline
         checks re-gossip them; they land on-chain exactly once and the
         contract pays each vulnerability at most once."""
-        policy = RetryPolicy(
-            deadline=60.0, base_backoff=30.0, jitter=0.0, max_attempts=8
-        )
+        policy = RetryPolicy(deadline=60.0, base_backoff=30.0, max_attempts=8)
         deployment = DecentralizedDeployment(
             PAPER_HASHPOWER_SHARES,
             build_detector_fleet(thread_counts=(8,), seed=17),
@@ -140,9 +142,7 @@ class TestDetectorRetries:
             build_detector_fleet(thread_counts=(8,), per_thread_hit=1.0, seed=20),
             latency=ConstantLatency(0.05),
             seed=20,
-            retry_policy=RetryPolicy(
-                deadline=60.0, base_backoff=30.0, jitter=0.0, max_attempts=8
-            ),
+            retry_policy=RetryPolicy(deadline=60.0, base_backoff=30.0, max_attempts=8),
         )
         deployment.announce(
             "provider-1",
@@ -172,9 +172,7 @@ class TestDetectorRetries:
             PAPER_HASHPOWER_SHARES,
             build_detector_fleet(per_thread_hit=1.0, seed=19),
             seed=19,
-            retry_policy=RetryPolicy(
-                deadline=60.0, base_backoff=30.0, jitter=0.0, max_attempts=8
-            ),
+            retry_policy=RetryPolicy(deadline=60.0, base_backoff=30.0, max_attempts=8),
             spec=FleetSpec(
                 full_nodes=5, network=NetworkConfig(topology="ring_random")
             ),

@@ -78,7 +78,7 @@ class TestForgingDetectorNeutralized:
 class TestDuplicateReportsPaidOnce:
     @pytest.fixture(scope="class")
     def platform(self):
-        spammer = DuplicatingDetector("spammer", copies=3, rng=random.Random(42))
+        spammer = DuplicatingDetector("spammer", rng=random.Random(42))
         honest = build_detector_fleet(thread_counts=(2, 4), seed=42)
         system = build_system("plug", vulnerability_count=2, rng=random.Random(2))
         return _run_platform(

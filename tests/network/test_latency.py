@@ -5,7 +5,12 @@ import statistics
 
 import pytest
 
-from repro.network.latency import ConstantLatency, LogNormalLatency, UniformLatency
+from repro.network.latency import (
+    LOGNORMAL_SIGMA,
+    ConstantLatency,
+    LogNormalLatency,
+    UniformLatency,
+)
 
 
 class TestConstant:
@@ -36,13 +41,14 @@ class TestLogNormal:
         assert all(model.sample("a", "b", rng) > 0 for _ in range(200))
 
     def test_median_matches_parameter(self):
-        model = LogNormalLatency(median=0.08, sigma=0.6)
+        model = LogNormalLatency(median=0.08)
         rng = random.Random(4)
         samples = sorted(model.sample("a", "b", rng) for _ in range(4001))
         assert samples[2000] == pytest.approx(0.08, rel=0.15)
 
     def test_heavy_tail(self):
-        model = LogNormalLatency(median=0.08, sigma=0.6)
+        model = LogNormalLatency(median=0.08)
+        assert LOGNORMAL_SIGMA == 0.6
         rng = random.Random(5)
         samples = [model.sample("a", "b", rng) for _ in range(4000)]
         assert statistics.fmean(samples) > 0.08  # mean above median

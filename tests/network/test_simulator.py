@@ -100,7 +100,8 @@ class TestControl:
         assert sim.advance() == 0
 
     def test_schedule_at_absolute_time(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.advance_until(10.0)
         seen = []
         sim.schedule_at(12.0, lambda: seen.append(sim.now))
         sim.advance()
@@ -127,7 +128,8 @@ class TestExactSurface:
         assert seen[0][1] is payload and seen[2][0] is option
 
     def test_ties_fire_in_insertion_order_across_both_schedule_verbs(self):
-        sim = Simulator(start_time=1.0)
+        sim = Simulator()
+        sim.advance_until(1.0)
         fired = []
         for tag in range(6):
             if tag % 2:
@@ -140,7 +142,9 @@ class TestExactSurface:
     def test_schedule_at_fires_at_exactly_the_time_given(self):
         now, when = 0.7, 2.9
         assert now + (when - now) != when  # the round trip this must not take
-        sim = Simulator(start_time=now)
+        sim = Simulator()
+        sim.advance_until(now)
+        assert sim.now == now
         seen = []
         sim.schedule_at(when, lambda: seen.append(sim.now))
         assert sim.next_time() == when
@@ -189,7 +193,8 @@ class TestNonFiniteTimes:
             Simulator().schedule_at(time, lambda: None)
 
     def test_schedule_at_the_past_still_rejected(self):
-        sim = Simulator(start_time=5.0)
+        sim = Simulator()
+        sim.advance_until(5.0)
         with pytest.raises(ValueError, match="past"):
             sim.schedule_at(4.0, lambda: None)
 

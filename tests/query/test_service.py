@@ -315,32 +315,3 @@ class TestBinding:
         # between submission and the end of the advance.
         served = pending.responses[0].result["number"]
         assert height_at_submit <= served <= platform.chain.head.height
-
-
-class TestExplorerOnEventIndex:
-    def _platform_with_history(self):
-        from repro.core import PlatformConfig, SmartCrowdPlatform
-        from repro.chain import PAPER_HASHPOWER_SHARES
-        from repro.detection import build_detector_fleet, build_system
-
-        platform = SmartCrowdPlatform(
-            PAPER_HASHPOWER_SHARES,
-            build_detector_fleet(),
-            PlatformConfig(seed=7),
-        )
-        system = build_system("camera-x", vulnerability_count=2)
-        platform.announce_release("provider-1", system)
-        platform.advance_for(1500.0)
-        return platform
-
-    def test_explorer_shares_service_event_index(self):
-        from repro.contracts.explorer import Explorer
-
-        platform = self._platform_with_history()
-        svc = platform.query_service("provider-1", runtime=platform.runtime)
-        explorer = Explorer(platform.runtime, query=svc)
-        assert explorer._events is svc.events
-        # Statements agree with a fresh, privately-indexed explorer.
-        private = Explorer(platform.runtime)
-        assert explorer.release_statements() == private.release_statements()
-        assert explorer.top_detectors() == private.top_detectors()

@@ -20,6 +20,31 @@ class TestParser:
         assert args.vp == pytest.approx(0.9)
         assert args.seed == 7
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--window", "0"),
+            ("--window", "nan"),
+            ("--window", "inf"),
+            ("--vp", "1.5"),
+            ("--vp", "-0.1"),
+            ("--insurance", "-5"),
+            ("--insurance", "0"),
+            ("--releases", "-1"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, flag, value, capsys):
+        """Refused at the parser: exit 2, the usage and one error line
+        naming the flag — no traceback, and no campaign run."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: python -m repro")
+        assert f"error: argument {flag}: must be" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestMain:
     def test_small_campaign_runs(self, capsys):

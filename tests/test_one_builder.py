@@ -12,11 +12,13 @@ out the contract side of the §IV-B workflow a second time, or reaching
 a node with a fault other than through the engine's own verbs,
 importing a numeric package the closed forms of Eq. 7–10 do not need,
 keeping a crypto cache that outlives the key it serves, stating a chaos
-run's verdict other than as an ``InvariantReport``, or reading a
-detector's private state from outside its module.
+run's verdict other than as an ``InvariantReport``, reading a
+detector's private state from outside its module, writing one of the
+paper's prices a second time, or growing a knob no caller sets.
 """
 
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -25,6 +27,9 @@ import sys
 from collections.abc import MutableMapping, MutableSequence, MutableSet
 
 import repro.crypto
+from repro.core.incentives import IncentiveParameters
+from repro.core.platform import PlatformConfig
+from repro.faults.retry import RetryPolicy
 from repro.network.simulator import Simulator
 
 #: callable (as written at the call site) -> modules allowed to call it.
@@ -76,6 +81,22 @@ VERDICT_OWNERS = {("faults/invariants.py", "InvariantReport")}
 
 #: The module that owns ``DetectorStakeholder``'s private state.
 DETECTOR_MODULE = "core/stakeholders.py"
+
+#: The paper's prices, each written once under ``src/``: ν (5 ether a
+#: block), ϑ (15.35 s a block) and the 100-gwei gas price.
+PAPER_LITERALS = {
+    "to_wei(5)": "chain/ledger.py",
+    "15.35": "chain/pow.py",
+    "100 * GWEI": "contracts/gas.py",
+}
+
+#: The init fields left on the configuration classes: each is a value
+#: some caller chooses.  A new one is a new knob, and shows up here.
+INIT_FIELDS = {
+    PlatformConfig: ("params", "detection_window", "seed"),
+    IncentiveParameters: ("bounty_wei", "insurance_wei", "sra_period"),
+    RetryPolicy: ("deadline", "base_backoff", "max_attempts"),
+}
 
 
 def _spellings(node: ast.Call) -> set:
@@ -387,3 +408,57 @@ def test_the_detector_walk_sees_what_it_guards(src_modules):
     ]
     kept = ast.parse("any(d.unsettled for d in deployment.detectors.values())\n")
     assert not _private_reads(ast.walk(kept), privates)
+
+
+def _paper_literal(node):
+    """Which of :data:`PAPER_LITERALS` ``node`` spells, if any."""
+    if isinstance(node, ast.Constant) and type(node.value) is float:
+        return "15.35" if node.value == 15.35 else None
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "to_wei":
+        (arg,) = node.args or (None,)
+        return "to_wei(5)" if getattr(arg, "value", None) == 5 else None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        operands = {ast.dump(node.left), ast.dump(node.right)}
+        gwei = {ast.dump(ast.Constant(100)), ast.dump(ast.Name("GWEI", ast.Load()))}
+        return "100 * GWEI" if operands == gwei else None
+    return None
+
+
+def _paper_literals(src_modules):
+    return sorted(
+        (spelling, source.module, node.lineno)
+        for source in src_modules
+        for node in source.nodes
+        for spelling in [_paper_literal(node)]
+        if spelling is not None
+    )
+
+
+def test_each_paper_price_is_written_once(src_modules):
+    found = _paper_literals(src_modules)
+    written = sorted((spelling, module) for spelling, module, _ in found)
+    assert written == sorted(PAPER_LITERALS.items()), (
+        "read the paper's prices from their one definition "
+        "(DEFAULT_BLOCK_REWARD_WEI, PAPER_MEAN_BLOCK_TIME, GAS_PRICE_WEI):\n  "
+        + "\n  ".join(
+            f"src/repro/{module}:{line} writes {spelling}"
+            for spelling, module, line in found
+        )
+    )
+
+
+def test_the_price_walk_sees_what_it_guards():
+    spelled = ast.parse("a = to_wei(5)\nb = 15.35\nc = 100 * GWEI\nd = to_wei(50)\n")
+    seen = [_paper_literal(node) for node in ast.walk(spelled)]
+    assert [spelling for spelling in seen if spelling] == [
+        "to_wei(5)", "15.35", "100 * GWEI"
+    ]
+
+
+def test_every_init_field_is_a_choice_a_caller_makes():
+    for cls, names in INIT_FIELDS.items():
+        fields = tuple(field.name for field in dataclasses.fields(cls) if field.init)
+        assert fields == names, (
+            f"{cls.__name__} takes {fields}: a value no caller sets is a "
+            "constant, not a field"
+        )

@@ -53,15 +53,12 @@ from repro.chain.block import (
 )
 from repro.chain.chain import Blockchain
 from repro.chain.consensus import make_genesis
-from repro.chain.ledger import LedgerStateMachine, apply_block
-from repro.chain.pow import difficulty_to_target, mine_block
-from repro.chain.transactions import make_transaction
+from repro.chain.pow import check_pow, mine_block
 from repro.core.distributed import DistributedChain
 from repro.core.reports import DetailedReport
 from repro.core.sra import SRA, SignedSRA
 from repro.crypto.ecdsa import Signature
-from repro.crypto.hashing import field_frame, fields_midstate, hash_fields
-from repro.crypto.hashpool import search_nonce
+from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import Address, KeyPair
 from repro.detection.descriptions import VulnerabilityDescription
 from repro.detection.vulnerability import Severity
@@ -88,24 +85,6 @@ class Run(NamedTuple):
 # -- the slow oracles the gates compare against ------------------------------
 
 
-def naive_mine_block(
-    block: Block, max_attempts: int = 1_000_000, start_nonce: int = 0
-) -> Optional[Block]:
-    """The pre-midstate reference miner, pinned for speedup comparisons.
-
-    Byte-for-byte the algorithm `mine_block` used before the midstate
-    rewrite: allocate a header per nonce and re-hash all seven fields
-    through :meth:`BlockHeader.header_hash`.
-    """
-    header = block.header
-    target = difficulty_to_target(header.difficulty)
-    for nonce in range(start_nonce, start_nonce + max_attempts):
-        candidate = header.with_nonce(nonce)
-        if int.from_bytes(candidate.header_hash(), "big") < target:
-            return Block(header=candidate, records=block.records)
-    return None
-
-
 def pretelemetry_mine_block(
     block: Block, max_attempts: int = 1_000_000, start_nonce: int = 0
 ) -> Optional[Block]:
@@ -117,26 +96,14 @@ def pretelemetry_mine_block(
     something.  Re-copy it whenever the live search loop changes.
     """
     header = block.header
-    target = difficulty_to_target(header.difficulty)
-    midstate = fields_midstate(
-        header.prev_block_id,
-        header.merkle_root,
-        repr(float(header.timestamp)),
-    )
-    suffix = (
-        field_frame(header.height)
-        + field_frame(header.difficulty)
-        + field_frame(header.miner.value)
-    )
     found: Optional[Block] = None
     attempts = max_attempts
-    hit = search_nonce(midstate, suffix, target, start_nonce, max_attempts)
-    if hit is not None:
-        nonce, digest = hit
-        winner = header.with_nonce(nonce)
-        object.__setattr__(winner, "_hash", digest)  # pre-warm the id cache
-        found = Block(header=winner, records=block.records)
-        attempts = nonce - start_nonce + 1
+    for nonce in range(start_nonce, start_nonce + max_attempts):
+        candidate = header.with_nonce(nonce)
+        if check_pow(candidate):
+            found = Block(header=candidate, records=block.records)
+            attempts = nonce - start_nonce + 1
+            break
     return found
 
 
@@ -194,17 +161,6 @@ def _fresh_headers(count: int) -> List[BlockHeader]:
     ]
 
 
-def _transfer_record(sender: KeyPair, recipient: Address, nonce: int) -> ChainRecord:
-    tx = make_transaction(sender, recipient, 10**15, nonce)
-    return ChainRecord(
-        kind=RecordKind.TRANSACTION,
-        record_id=tx.tx_id(),
-        payload=tx.to_payload(),
-        fee=tx.fee_wei,
-        sender=tx.sender,
-    )
-
-
 def _extend(chain: Blockchain, records: Sequence[ChainRecord]) -> Block:
     """Assemble a block of ``records`` on the head (not yet added)."""
     head = chain.head
@@ -212,25 +168,6 @@ def _extend(chain: Blockchain, records: Sequence[ChainRecord]) -> Block:
         head.block_id, head.height + 1, tuple(records),
         head.header.timestamp + 10.0, 100, _MINER,
     )
-
-
-def _ledger_workload(blocks: int):
-    """A chain of transaction-bearing blocks plus a valid candidate.
-
-    Returns (chain, machine, candidate) where ``candidate`` extends the
-    head — the workload :meth:`LedgerStateMachine.validate_block` sees
-    when miners screen incoming records.
-    """
-    alice = KeyPair.from_seed(b"bench-ledger-alice")
-    bob = KeyPair.from_seed(b"bench-ledger-bob").address
-    chain = Blockchain(make_genesis(difficulty=100))
-    machine = LedgerStateMachine(genesis_allocations={alice.address: 10**24})
-    nonces = iter(range(3 * blocks + 1))
-    for _ in range(blocks):
-        records = [_transfer_record(alice, bob, next(nonces)) for _ in range(3)]
-        chain.add_block(_extend(chain, records))
-    candidate = _extend(chain, [_transfer_record(alice, bob, next(nonces))])
-    return chain, machine, candidate
 
 
 #: Signatures are never verified when chain payloads are re-parsed, so
@@ -380,35 +317,6 @@ def header_hash_cached(run: Run) -> Dict[str, Any]:
     }
 
 
-def nonce_search(run: Run) -> Dict[str, Any]:
-    easy = _bench_block(difficulty=64)
-    naive_found = naive_mine_block(easy, max_attempts=100_000)
-    midstate_found = mine_block(easy, max_attempts=100_000)
-    assert naive_found is not None and midstate_found is not None
-    if naive_found.header.nonce != midstate_found.header.nonce:
-        raise AssertionError(
-            "midstate miner disagrees with the naive loop: "
-            f"{midstate_found.header.nonce} != {naive_found.header.nonce}"
-        )
-    attempts = 20_000
-    unwinnable = _bench_block()
-    naive_seconds = _best_of(
-        run.repeats, lambda: naive_mine_block(unwinnable, max_attempts=attempts)
-    )
-    midstate_seconds = _best_of(
-        run.repeats, lambda: mine_block(unwinnable, max_attempts=attempts)
-    )
-    return {
-        "attempts": attempts,
-        "naive_seconds": naive_seconds,
-        "midstate_seconds": midstate_seconds,
-        "naive_hashes_per_sec": attempts / naive_seconds,
-        "midstate_hashes_per_sec": attempts / midstate_seconds,
-        "speedup": naive_seconds / midstate_seconds,
-        "same_nonce_as_naive": True,
-    }
-
-
 def telemetry_overhead(run: Run) -> Dict[str, Any]:
     easy = _bench_block(difficulty=64)
     if (
@@ -420,7 +328,7 @@ def telemetry_overhead(run: Run) -> Dict[str, Any]:
     # hits both sides equally.  Many short searches rather than a few
     # long ones: on a shared host a quiet 6 ms turns up far more often
     # than a quiet 30 ms, and the minimum only needs one.
-    pairs, attempts = 20 * run.repeats, 4_000
+    pairs, attempts = 20 * run.repeats, 1_000
     unwinnable = _bench_block()
     sides = (pretelemetry_mine_block, mine_block)
     best = dict.fromkeys(sides, float("inf"))
@@ -438,33 +346,6 @@ def telemetry_overhead(run: Run) -> Dict[str, Any]:
         "disabled_seconds": best[mine_block],
         "disabled_ratio": best[mine_block] / best[pretelemetry_mine_block],
         "same_nonce_as_pinned": True,
-    }
-
-
-def ledger_validate(run: Run) -> Dict[str, Any]:
-    blocks, validations = (20, 10) if run.quick else (60, 30)
-    chain, machine, candidate = _ledger_workload(blocks)
-
-    def _validate_cached() -> None:
-        for _ in range(validations):
-            if machine.validate_block(chain, candidate) is not None:
-                raise AssertionError("bench candidate must validate")
-
-    def _validate_replay() -> None:
-        for _ in range(validations):
-            state, nonces = machine.replay(chain)
-            apply_block(state, nonces, candidate)
-
-    machine.invalidate()
-    replay_seconds = _best_of(run.repeats, _validate_replay)
-    machine.invalidate()
-    cached_seconds = _best_of(run.repeats, _validate_cached)
-    return {
-        "chain_blocks": blocks,
-        "validations": validations,
-        "replay_seconds": replay_seconds,
-        "cached_seconds": cached_seconds,
-        "speedup": replay_seconds / cached_seconds,
     }
 
 
@@ -687,15 +568,6 @@ PROBES: Tuple[Probe, ...] = (
         headline="memoized identity read vs recomputing the digest",
     ),
     Probe(
-        run=nonce_search,
-        oracle="`naive_mine_block` (re-hash seven fields per nonce)",
-        parity=("same_nonce_as_naive",),
-        bounds=(Bound("speedup", ">=", 3.0),),
-        watched_by="none — literal PoW search is on no workload's path "
-        "(`MiningModel` draws instead)",
-        headline="midstate + pooled nonce tails vs the naive loop",
-    ),
-    Probe(
         run=telemetry_overhead,
         oracle="`pretelemetry_mine_block` (`mine_block` minus its telemetry block)",
         parity=("same_nonce_as_pinned",),
@@ -703,13 +575,6 @@ PROBES: Tuple[Probe, ...] = (
         watched_by="`throughput` on `fleet_gossip` (the per-event disabled "
         "path of gossip/simulator)",
         headline="mining with telemetry off vs the telemetry-free copy",
-    ),
-    Probe(
-        run=ledger_validate,
-        oracle="`LedgerStateMachine.replay` from genesis per candidate",
-        bounds=(Bound("speedup", ">=", 3.0),),
-        watched_by="`chain.ledger.apply.self_s` on `settle_replay`",
-        headline="head-state-cached block validation vs full-chain replay",
     ),
     Probe(
         run=query_serving,
@@ -787,6 +652,15 @@ RETIRED: Tuple[Tuple[str, str], ...] = (
         "`economics_batch` (numpy Eq. 7/10 settlement vs the scalar loop)",
         "retired with the numpy engine; Eq. 7–10 are the scalar forms alone, "
         "`economics.batch.self_s` on `settle_replay`",
+    ),
+    (
+        "`nonce_search` (midstate + pooled nonce tails vs the naive loop)",
+        "its subject was deleted, and no workload runs it",
+    ),
+    (
+        "`ledger_validate` (head-state-cached block validation vs "
+        "full-chain replay)",
+        "its subject was deleted, and no workload runs it",
     ),
 )
 

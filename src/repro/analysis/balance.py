@@ -29,15 +29,19 @@ def detector_balance_ether(
     xi_i: float,
     rho_i: float,
     window: float,
+    sra_period: float,
 ) -> float:
     """Eq. 13: bd_i = N·ξ_i·t·[ρ_i·(μ−ψ) − c] / θ.
 
     ``mean_vulnerabilities`` — N, average flaws detected per SRA;
     ``xi_i`` — the detector's capability proportion; ``rho_i`` — the
-    proportion of its findings finally recorded; ``window`` — t.
+    proportion of its findings finally recorded; ``window`` — t;
+    ``sra_period`` — θ, the deployment's detection window.
     """
     if window < 0:
         raise ValueError("window cannot be negative")
+    if not sra_period > 0:
+        raise ValueError("SRA period must be positive")
     mu = from_wei(params.bounty_wei)
     psi = from_wei(params.report_fee_wei)
     c = from_wei(params.submission_cost_wei)
@@ -46,7 +50,7 @@ def detector_balance_ether(
         * xi_i
         * window
         * (rho_i * (mu - psi) - c)
-        / params.sra_period
+        / sra_period
     )
 
 

@@ -32,7 +32,7 @@ from repro.chain.pow import (
     mine_block,
     network_hashrate_for_block_time,
 )
-from repro.chain.ledger import LedgerError, LedgerStateMachine, apply_block
+from repro.chain.ledger import LedgerError, apply_block, replay_chain
 from repro.chain.transactions import SignedTransaction, make_transaction
 from repro.chain.serialization import (
     decode_block,
@@ -52,7 +52,6 @@ __all__ = [
     "DEFAULT_CONFIRMATION_DEPTH",
     "GENESIS_PARENT",
     "LedgerError",
-    "LedgerStateMachine",
     "Mempool",
     "MerkleProof",
     "MerkleTree",
@@ -76,4 +75,5 @@ __all__ = [
     "make_transaction",
     "mine_block",
     "network_hashrate_for_block_time",
+    "replay_chain",
 ]

@@ -7,8 +7,9 @@ mean block time of 15.35 s over 2000 blocks (Fig. 3(b)).
 Two layers are provided:
 
 * **Literal PoW** (:func:`check_pow`, :func:`mine_block`) — actually
-  search nonces until the header hash meets the target.  Used in unit
-  tests and small examples with low difficulty, and to validate blocks.
+  search nonces, one header hash per nonce, until the hash meets the
+  target.  Used in unit tests and small examples with low difficulty,
+  and to validate blocks; no experiment or workload runs it.
 * **Stochastic model** (:class:`MiningModel`) — for experiments, the
   time for a miner with hashrate *h* to find a block at difficulty *D*
   is exponential with rate ``h / D`` (hash trials are Bernoulli with
@@ -28,8 +29,6 @@ from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.chain.block import Block, BlockHeader
-from repro.crypto.hashing import field_frame, fields_midstate
-from repro.crypto.hashpool import search_nonce
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
@@ -74,42 +73,25 @@ def mine_block(
 ) -> Optional[Block]:
     """Literally search nonces until the block meets its PoW target.
 
-    Returns the mined block, or None if ``max_attempts`` nonces were
-    exhausted.  Only sensible at low difficulty (tests, demos); the
-    experiments use :class:`MiningModel` instead.
-
-    The header fields before the nonce are hashed once into a SHA3-256
-    midstate; the pooled searcher (:func:`repro.crypto.hashpool.search_nonce`)
-    precomputes each chunk's nonce-frame+suffix tails so every attempt
-    is one midstate copy and a single ``update``.  The digest is
-    byte-for-byte what :meth:`BlockHeader.header_hash` computes, so
-    :func:`check_pow` accepts exactly the same nonces as the naive loop.
+    Tries ``header.with_nonce(n)`` for ``n`` from ``start_nonce`` and
+    returns the block with the first header :func:`check_pow` accepts,
+    or None if ``max_attempts`` nonces were exhausted.  Only sensible at
+    low difficulty (tests, demos); the experiments use
+    :class:`MiningModel` instead.
 
     Telemetry (attempt counts, per-search histogram) is recorded after
     the search loop, never inside it, so the disabled path is the bare
-    hot loop (gated ≤5% overhead in ``benchmarks/``).
+    loop (gated ≤5% overhead in ``benchmarks/``).
     """
     header = block.header
-    target = difficulty_to_target(header.difficulty)
-    midstate = fields_midstate(
-        header.prev_block_id,
-        header.merkle_root,
-        repr(float(header.timestamp)),
-    )
-    suffix = (
-        field_frame(header.height)
-        + field_frame(header.difficulty)
-        + field_frame(header.miner.value)
-    )
     found: Optional[Block] = None
     attempts = max_attempts
-    hit = search_nonce(midstate, suffix, target, start_nonce, max_attempts)
-    if hit is not None:
-        nonce, digest = hit
-        winner = header.with_nonce(nonce)
-        object.__setattr__(winner, "_hash", digest)  # pre-warm the id cache
-        found = Block(header=winner, records=block.records)
-        attempts = nonce - start_nonce + 1
+    for nonce in range(start_nonce, start_nonce + max_attempts):
+        candidate = header.with_nonce(nonce)
+        if check_pow(candidate):
+            found = Block(header=candidate, records=block.records)
+            attempts = nonce - start_nonce + 1
+            break
     if telemetry is not None and telemetry.enabled:
         telemetry.counter("pow.nonce_attempts").inc(attempts)
         telemetry.counter(

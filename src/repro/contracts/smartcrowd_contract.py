@@ -31,6 +31,7 @@ depth — same trigger condition, explicit caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -72,7 +73,8 @@ class SmartCrowdContract(Contract):
     bounty_per_vulnerability_wei:
         μ — the preset incentive per detected vulnerability (§V-D).
     detection_window:
-        Seconds after deployment during which reports are payable.
+        Seconds after deployment during which reports are payable;
+        positive and finite, or the contract could never close.
     trigger_authority:
         The only address allowed to fire confirmation triggers; wired
         to the platform's consensus engine.
@@ -90,8 +92,8 @@ class SmartCrowdContract(Contract):
         super().__init__()
         if bounty_per_vulnerability_wei <= 0:
             raise ValueError("bounty must be positive")
-        if detection_window <= 0:
-            raise ValueError("detection window must be positive")
+        if not (math.isfinite(detection_window) and detection_window > 0):
+            raise ValueError("detection window must be positive and finite")
         self.sra_id = sra_id
         self.provider = provider
         self.bounty_wei = bounty_per_vulnerability_wei

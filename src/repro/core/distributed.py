@@ -747,8 +747,8 @@ class FleetControlPlane:
 
     def export_canonical(self) -> bytes:
         """The heaviest alive replica's canonical chain, serialized —
-        feed to :func:`repro.chain.serialization.import_chain` or a
-        :class:`~repro.chain.ledger.LedgerStateMachine` replay."""
+        feed to :func:`repro.chain.serialization.import_chain`, then
+        :func:`~repro.chain.ledger.replay_chain`."""
         best = self._heaviest()
         if best is None:
             raise RuntimeError("no alive replica to export from")

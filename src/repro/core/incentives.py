@@ -34,20 +34,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IncentiveParameters:
-    """All the Greek letters of §V-D/§VI-B in one place.
+    """The Greek letters of §V-D/§VI-B but θ, in one place.
 
-    Defaults reproduce the paper's prototype configuration.  μ, I and θ
+    Defaults reproduce the paper's prototype configuration.  μ and I
     are a release's terms; ν, ψ, c, cp and ϑ are the chain's, read from
     the one definition the ledger mints and the contracts charge, so
-    Eq. 8–10 cannot disagree with the fees a run collects.
+    Eq. 8–10 cannot disagree with the fees a run collects.  θ, the SRA
+    period, is the deployment's detection window
+    (``PlatformConfig.detection_window``), declared there alone.
     """
 
     #: μ — preset incentive per detected vulnerability, wei.
     bounty_wei: int = to_wei(250)
     #: I_i — default insurance escrowed with each SRA, wei.
     insurance_wei: int = to_wei(1000)
-    #: θ — mean SRA period, seconds.
-    sra_period: float = 600.0
 
     #: ν — value of one mining reward, wei (5 ether per block, §VII).
     block_reward_wei: ClassVar[int] = DEFAULT_BLOCK_REWARD_WEI

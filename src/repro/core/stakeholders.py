@@ -40,7 +40,6 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 from repro.chain.block import Block, RecordKind
 from repro.chain.chain import DEFAULT_CONFIRMATION_DEPTH
 from repro.chain.mempool import Mempool
-from repro.chain.pow import PAPER_MEAN_BLOCK_TIME
 from repro.core.consumer import ConsumerClient, SecurityReference
 from repro.core.distributed import ReplicaNode, heaviest_alive_neighbour
 from repro.core.registry import IdentityRegistry
@@ -470,8 +469,6 @@ class DecentralizedDeployment(WorkflowChain):
         provider_shares: Mapping[str, float],
         detectors: List[Detector],
         consumers: Tuple[str, ...] = ("consumer-1",),
-        difficulty: int = 1000,
-        mean_block_time: float = PAPER_MEAN_BLOCK_TIME,
         confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH,
         detection_window: float = 600.0,
         latency: LatencyModel = DEFAULT_LATENCY,
@@ -493,8 +490,6 @@ class DecentralizedDeployment(WorkflowChain):
             authority_funding_wei=to_wei(1_000_000),
             detection_window=detection_window,
             telemetry=telemetry,
-            difficulty=difficulty,
-            mean_block_time=mean_block_time,
             latency=latency,
             confirmation_depth=confirmation_depth,
             seed=seed,

@@ -20,6 +20,7 @@ so it lives here, between the one-world fleet engine and the two:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping, Optional, Set, Tuple, Union
 
 from repro.chain.block import ChainRecord, RecordKind
@@ -54,6 +55,12 @@ class WorkflowChain(DistributedChain):
         telemetry: Optional[Telemetry] = None,
         **fleet,
     ) -> None:
+        # Every release's contract closes on this window: refuse one the
+        # contract would, before anything is built on it.
+        if not (math.isfinite(detection_window) and detection_window > 0):
+            raise ValueError(
+                f"detection window must be positive and finite, got {detection_window}"
+            )
         self.detection_window = detection_window
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # On-chain world state (contracts + balances), shared by design:

@@ -68,26 +68,11 @@ def hash_fields(*fields: HashInput) -> bytes:
 def field_frame(field: HashInput) -> bytes:
     """The exact byte frame :func:`hash_fields` feeds for one field.
 
-    Exposed so hot loops (PoW nonce search) can hash incrementally:
-    feeding the frames of ``a, b, c`` into one SHA3-256 hasher yields
+    Feeding the frames of ``a, b, c`` into one SHA3-256 hasher yields
     the same digest as ``hash_fields(a, b, c)``.
     """
     encoded = _encode_field(field)
     return len(encoded).to_bytes(4, "big") + encoded
-
-
-def fields_midstate(*fields: HashInput) -> "hashlib._Hash":
-    """A SHA3-256 hasher pre-fed with the frames of ``fields``.
-
-    ``copy()`` the returned hasher, feed the remaining fields' frames
-    (:func:`field_frame`), and the digest equals :func:`hash_fields`
-    over the full sequence — the shared prefix is hashed exactly once
-    no matter how many suffixes are tried.
-    """
-    hasher = hashlib.sha3_256()
-    for field in fields:
-        hasher.update(field_frame(field))
-    return hasher
 
 
 def hexdigest_fields(*fields: HashInput) -> str:

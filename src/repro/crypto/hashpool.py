@@ -1,12 +1,11 @@
 """Pooled SHA3-256 hashing for per-block batch work.
 
 The chain's hot paths hash in bulk — every record becomes a Merkle
-leaf, every tree level hashes pairs, and the PoW miner hashes one
-candidate header per nonce.  Doing each digest through the generic
-helpers pays Python call overhead per hash; this module batches the
-loops into tight local-variable forms and precomputes the per-attempt
-byte tails for nonce search so each PoW attempt is a midstate copy plus
-a *single* ``update``.
+leaf and every tree level hashes pairs — and the header fast path
+(:mod:`repro.chain.fastpath`) frames integers without the generic
+dispatch.  Doing each digest through the generic helpers pays Python
+call overhead per hash; this module batches the loops into tight
+local-variable forms.
 
 All digests are byte-identical to the generic helpers
 (:func:`repro.crypto.hashing.merkle_leaf_hash` /
@@ -18,15 +17,12 @@ changes.
 from __future__ import annotations
 
 import hashlib
-import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = [
-    "int_field_frame",
     "int_frame_parts",
     "leaf_hashes",
     "pair_hashes",
-    "search_nonce",
 ]
 
 
@@ -41,18 +37,6 @@ def int_frame_parts(value: int) -> Tuple[int, bytes]:
     sign = 0x01 if value >= 0 else 0xFF
     magnitude = abs(value)
     return sign, magnitude.to_bytes(max(1, (magnitude.bit_length() + 7) // 8), "big")
-
-
-def int_field_frame(value: int) -> bytes:
-    """``field_frame(value)`` for an int, without the generic dispatch.
-
-    4-byte length prefix, tag ``0x02``, sign byte, minimal magnitude —
-    byte-identical to :func:`repro.crypto.hashing.field_frame`.
-    """
-    sign, magnitude = int_frame_parts(value)
-    return struct.pack(
-        ">IBB%ds" % len(magnitude), len(magnitude) + 2, 0x02, sign, magnitude
-    )
 
 
 def leaf_hashes(payloads: Sequence[bytes]) -> List[bytes]:
@@ -77,76 +61,3 @@ def pair_hashes(nodes: Sequence[bytes]) -> List[bytes]:
         sha3(b"\x01" + nodes[i] + nodes[i + 1]).digest()
         for i in range(0, len(nodes), 2)
     ]
-
-
-def _nonce_tails(start: int, stop: int, suffix: bytes) -> List[bytes]:
-    """Per-attempt tail bytes (nonce frame + suffix) for ``[start, stop)``.
-
-    Non-negative runs share the frame prefix (length, tag, sign) within
-    each magnitude width, so it is packed once per width and only the
-    big-endian nonce bytes vary — byte-identical to
-    ``int_field_frame(n) + suffix`` at a fraction of the cost.  Negative
-    starts fall back to the generic frame.
-    """
-    if start < 0:
-        frame = int_field_frame
-        return [frame(n) + suffix for n in range(start, stop)]
-    tails: List[bytes] = []
-    nonce = start
-    while nonce < stop:
-        width = max(1, (nonce.bit_length() + 7) // 8)
-        bound = min(stop, 1 << (8 * width))
-        prefix = struct.pack(">IBB", width + 2, 0x02, 0x01)
-        tails.extend(
-            prefix + n.to_bytes(width, "big") + suffix
-            for n in range(nonce, bound)
-        )
-        nonce = bound
-    return tails
-
-
-def search_nonce(
-    midstate: "hashlib._Hash",
-    suffix: bytes,
-    target: int,
-    start_nonce: int,
-    max_attempts: int,
-    chunk_size: int = 1024,
-) -> Optional[Tuple[int, bytes]]:
-    """Find the first nonce whose header digest is below ``target``.
-
-    ``midstate`` is a SHA3-256 hasher pre-fed with the header frames
-    before the nonce (:func:`repro.crypto.hashing.fields_midstate`);
-    ``suffix`` is the constant frame bytes after it.  For each chunk of
-    ``chunk_size`` nonces the per-attempt tails (nonce frame + suffix)
-    are precomputed (:func:`_nonce_tails`), so the search loop is
-    exactly one midstate copy and one ``update`` per attempt — no
-    per-nonce frame assembly or double update.  The digest test
-    compares 32-byte big-endian strings, which orders exactly like the
-    integers they encode.  Returns ``(nonce, digest)`` for the first
-    hit, or ``None`` after ``max_attempts``; digests equal
-    ``hash_fields`` over the full header field sequence, so winners
-    match the naive search exactly.
-    """
-    if max_attempts <= 0 or target <= 0:
-        return None
-    copy = midstate.copy
-    if target >= 1 << 256:
-        # Every 32-byte digest is below the target: first nonce wins.
-        hasher = copy()
-        hasher.update(int_field_frame(start_nonce) + suffix)
-        return start_nonce, hasher.digest()
-    target_bytes = target.to_bytes(32, "big")
-    end = start_nonce + max_attempts
-    nonce = start_nonce
-    while nonce < end:
-        stop = min(nonce + chunk_size, end)
-        tails = _nonce_tails(nonce, stop, suffix)
-        for offset, tail in enumerate(tails):
-            hasher = copy()
-            hasher.update(tail)
-            digest = hasher.digest()
-            if digest < target_bytes:
-                return nonce + offset, digest
-        nonce = stop
-    return None

@@ -151,7 +151,6 @@ def paper_setup(
     params = IncentiveParameters(
         bounty_wei=to_wei(bounty_ether),
         insurance_wei=to_wei(insurance_ether),
-        sra_period=detection_window,
     )
     config = PlatformConfig(
         params=params,

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.chain.chain import Blockchain
-from repro.chain.ledger import LedgerStateMachine
+from repro.chain.ledger import replay_chain
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.distributed import DistributedChain
 from repro.core.stakeholders import DecentralizedDeployment
@@ -364,7 +364,7 @@ def run_disk_fault_gauntlet(
 
             victim_chain = fleet.replicas[victim].chain
             reference_chain = fleet.replicas[reference].chain
-            state, nonces = LedgerStateMachine().replay(victim_chain)
+            state, nonces = replay_chain(victim_chain)
             replay = victim_node.store.replay_ledger()
             kinds = {issue.kind for report in probe for issue in report.issues}
             detected = ", ".join(sorted(kinds)) or "none"

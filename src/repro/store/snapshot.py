@@ -1,11 +1,10 @@
 """Ledger-state snapshots on disk — bounded-RAM replay for long chains.
 
-PR 3's head-state cache (:class:`~repro.chain.ledger.LedgerStateMachine`)
-memoizes derived (balances, nonces) per canonical head *in RAM*; this
-module generalizes it to disk.  A :class:`LedgerSnapshot` pins the
-derived account state at one (height, block id) point, so recovering a
-million-block store replays only the delta above the newest good
-snapshot instead of the whole chain.
+Derived account state is a function of the chain
+(:func:`~repro.chain.ledger.replay_chain` folds it from genesis).  A
+:class:`LedgerSnapshot` pins that state at one (height, block id)
+point on disk, so recovering a million-block store replays only the
+delta above the newest good snapshot instead of the whole chain.
 
 Snapshots are single checksummed frames (:mod:`repro.store.frames`),
 one file per snapshot under ``snapshots/``.  A corrupt, stale, or

@@ -16,27 +16,39 @@ PARAMS = IncentiveParameters()
 class TestEq13DetectorBalance:
     def test_positive_for_confirmed_findings(self):
         balance = detector_balance_ether(
-            PARAMS, mean_vulnerabilities=4, xi_i=8 / 36, rho_i=0.9, window=3600
+            PARAMS, mean_vulnerabilities=4, xi_i=8 / 36, rho_i=0.9, window=3600,
+            sra_period=600,
         )
         assert balance > 0
 
     def test_scales_linearly_with_window(self):
-        short = detector_balance_ether(PARAMS, 4, 0.2, 0.9, 600)
-        long = detector_balance_ether(PARAMS, 4, 0.2, 0.9, 1800)
+        short = detector_balance_ether(PARAMS, 4, 0.2, 0.9, 600, 600)
+        long = detector_balance_ether(PARAMS, 4, 0.2, 0.9, 1800, 600)
         assert long == pytest.approx(3 * short)
 
     def test_scales_with_capability_share(self):
-        low = detector_balance_ether(PARAMS, 4, 1 / 36, 0.9, 600)
-        high = detector_balance_ether(PARAMS, 4, 8 / 36, 0.9, 600)
+        low = detector_balance_ether(PARAMS, 4, 1 / 36, 0.9, 600, 600)
+        high = detector_balance_ether(PARAMS, 4, 8 / 36, 0.9, 600, 600)
         assert high == pytest.approx(8 * low)
 
     def test_zero_rho_is_pure_cost(self):
-        balance = detector_balance_ether(PARAMS, 4, 0.2, 0.0, 600)
+        balance = detector_balance_ether(PARAMS, 4, 0.2, 0.0, 600, 600)
         assert balance < 0
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
-            detector_balance_ether(PARAMS, 4, 0.2, 0.5, -1)
+            detector_balance_ether(PARAMS, 4, 0.2, 0.5, -1, 600)
+
+    def test_scales_inversely_with_sra_period(self):
+        """θ is the caller's detection window, not a parameter field."""
+        short = detector_balance_ether(PARAMS, 4, 0.2, 0.9, 3600, 400)
+        long = detector_balance_ether(PARAMS, 4, 0.2, 0.9, 3600, 1200)
+        assert short == pytest.approx(3 * long)
+
+    @pytest.mark.parametrize("period", [0.0, -600.0, float("nan")])
+    def test_nonpositive_sra_period_rejected(self, period):
+        with pytest.raises(ValueError, match="period"):
+            detector_balance_ether(PARAMS, 4, 0.2, 0.5, 600, period)
 
 
 class TestEq8Rate:

@@ -1,11 +1,13 @@
-"""Tests for the ledger state machine (chain → balances)."""
+"""Tests for the ledger: a chain replayed from genesis into balances."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.chain import Blockchain
 from repro.chain.consensus import make_genesis
-from repro.chain.ledger import LedgerError, LedgerStateMachine, apply_block
+from repro.chain.ledger import LedgerError, replay_chain
 from repro.chain.transactions import make_transaction
 from repro.crypto.keys import KeyPair
 from repro.units import to_wei
@@ -39,56 +41,66 @@ def _extend(chain, records=(), miner=MINER):
     return block
 
 
-@pytest.fixture
-def machine() -> LedgerStateMachine:
-    return LedgerStateMachine(
-        genesis_allocations={ALICE.address: to_wei(100)}
-    )
+def _funded_chain() -> Blockchain:
+    """A chain whose first block pays ALICE the 5-ether block reward."""
+    chain = _chain()
+    _extend(chain, miner=ALICE.address)
+    return chain
 
 
 class TestReplay:
-    def test_genesis_allocations_seeded(self, machine):
-        chain = _chain()
-        state, _ = machine.replay(chain)
-        assert state.balance(ALICE.address) == to_wei(100)
+    def test_genesis_mints_nothing(self):
+        state, nonces = replay_chain(_chain())
+        assert state.total_supply() == 0
+        assert nonces == {}
 
-    def test_block_rewards_minted(self, machine):
+    def test_block_rewards_minted(self):
         chain = _chain()
         _extend(chain)
         _extend(chain)
-        state, _ = machine.replay(chain)
+        state, _ = replay_chain(chain)
         assert state.balance(MINER) == 2 * to_wei(5)
 
-    def test_transfer_executed(self, machine):
-        chain = _chain()
-        tx = make_transaction(ALICE, BOB.address, to_wei(30), nonce=0, fee_wei=to_wei(1))
+    def test_transfer_executed(self):
+        chain = _funded_chain()
+        tx = make_transaction(ALICE, BOB.address, to_wei(3), nonce=0, fee_wei=to_wei(1))
         _extend(chain, [_tx_record(tx)])
-        state, nonces = machine.replay(chain)
-        assert state.balance(BOB.address) == to_wei(30)
-        assert state.balance(ALICE.address) == to_wei(69)
+        state, nonces = replay_chain(chain)
+        assert state.balance(BOB.address) == to_wei(3)
+        assert state.balance(ALICE.address) == to_wei(1)
         assert state.balance(MINER) == to_wei(5) + to_wei(1)  # reward + fee
         assert nonces[ALICE.address] == 1
 
-    def test_replay_deterministic(self, machine):
-        chain = _chain()
-        tx = make_transaction(ALICE, BOB.address, to_wei(10), nonce=0)
+    def test_each_replay_returns_fresh_state(self):
+        """Editing one replay's result reaches no later replay."""
+        chain = _funded_chain()
+        state, nonces = replay_chain(chain)
+        state.mint(BOB.address, to_wei(999))
+        nonces[BOB.address] = 42
+        fresh_state, fresh_nonces = replay_chain(chain)
+        assert fresh_state.balance(BOB.address) == 0
+        assert BOB.address not in fresh_nonces
+
+    def test_replay_deterministic(self):
+        chain = _funded_chain()
+        tx = make_transaction(ALICE, BOB.address, to_wei(2), nonce=0)
         _extend(chain, [_tx_record(tx)])
-        first, _ = machine.replay(chain)
-        second, _ = machine.replay(chain)
+        first, _ = replay_chain(chain)
+        second, _ = replay_chain(chain)
         assert dict(first.accounts()) == dict(second.accounts())
 
-    def test_supply_conserved(self, machine):
-        chain = _chain()
-        tx = make_transaction(ALICE, BOB.address, to_wei(10), nonce=0, fee_wei=5)
+    def test_supply_conserved(self):
+        chain = _funded_chain()
+        tx = make_transaction(ALICE, BOB.address, to_wei(2), nonce=0, fee_wei=5)
         _extend(chain, [_tx_record(tx)])
-        state, _ = machine.replay(chain)
+        state, _ = replay_chain(chain)
         assert state.total_supply() == state.total_minted
 
 
 class TestExecutionRules:
-    def test_replayed_transaction_rejected(self, machine):
-        chain = _chain()
-        tx = make_transaction(ALICE, BOB.address, to_wei(10), nonce=0)
+    def test_replayed_transaction_rejected(self):
+        chain = _funded_chain()
+        tx = make_transaction(ALICE, BOB.address, to_wei(1), nonce=0)
         _extend(chain, [_tx_record(tx)])
         # The same signed transaction appears again in the next block.
         block = Block.assemble(
@@ -102,147 +114,116 @@ class TestExecutionRules:
         )
         chain.add_block(block)
         with pytest.raises(LedgerError, match="nonce"):
-            machine.replay(chain)
+            replay_chain(chain)
 
-    def test_out_of_order_nonce_rejected(self, machine):
-        chain = _chain()
-        tx = make_transaction(ALICE, BOB.address, to_wei(10), nonce=5)
+    def test_out_of_order_nonce_rejected(self):
+        chain = _funded_chain()
+        tx = make_transaction(ALICE, BOB.address, to_wei(1), nonce=5)
         _extend(chain, [_tx_record(tx)])
         with pytest.raises(LedgerError, match="nonce"):
-            machine.replay(chain)
+            replay_chain(chain)
 
-    def test_unfunded_transaction_rejected(self, machine):
-        chain = _chain()
-        tx = make_transaction(ALICE, BOB.address, to_wei(1000), nonce=0)
+    def test_unfunded_transaction_rejected(self):
+        chain = _funded_chain()
+        tx = make_transaction(ALICE, BOB.address, to_wei(6), nonce=0)
         _extend(chain, [_tx_record(tx)])
         with pytest.raises(LedgerError, match="unfunded"):
-            machine.replay(chain)
+            replay_chain(chain)
 
-    def test_forged_signature_rejected(self, machine):
+    def test_forged_signature_rejected(self):
         from dataclasses import replace
 
-        chain = _chain()
-        tx = make_transaction(ALICE, BOB.address, to_wei(10), nonce=0)
-        forged = replace(tx, value_wei=to_wei(90))
+        chain = _funded_chain()
+        tx = make_transaction(ALICE, BOB.address, to_wei(1), nonce=0)
+        forged = replace(tx, value_wei=to_wei(4))
         _extend(chain, [_tx_record(forged)])
         with pytest.raises(LedgerError, match="forged"):
-            machine.replay(chain)
-
-    def test_validate_block_reports_reason(self, machine):
-        chain = _chain()
-        tx = make_transaction(ALICE, BOB.address, to_wei(1000), nonce=0)
-        candidate = Block.assemble(
-            chain.head.block_id, 1, (_tx_record(tx),), 10.0, DIFFICULTY, MINER
-        )
-        reason = machine.validate_block(chain, candidate)
-        assert reason is not None and "unfunded" in reason
-
-    def test_validate_block_accepts_good_block(self, machine):
-        chain = _chain()
-        tx = make_transaction(ALICE, BOB.address, to_wei(10), nonce=0)
-        candidate = Block.assemble(
-            chain.head.block_id, 1, (_tx_record(tx),), 10.0, DIFFICULTY, MINER
-        )
-        assert machine.validate_block(chain, candidate) is None
+            replay_chain(chain)
 
 
 class TestReorgRederivation:
-    def test_balances_follow_the_canonical_branch(self, machine):
-        chain = _chain()
-        # Main branch: Alice pays Bob 40.
-        tx_main = make_transaction(ALICE, BOB.address, to_wei(40), nonce=0)
+    def test_balances_follow_the_canonical_branch(self):
+        chain = _funded_chain()
+        funded = chain.head
+        # Main branch: Alice pays Bob 4.
+        tx_main = make_transaction(ALICE, BOB.address, to_wei(4), nonce=0)
         _extend(chain, [_tx_record(tx_main)])
-        assert machine.balance_at_head(chain, BOB.address) == to_wei(40)
+        state, _ = replay_chain(chain)
+        assert state.balance(BOB.address) == to_wei(4)
 
-        # A heavier side branch where Alice paid only 5 reorgs the chain.
-        tx_side = make_transaction(ALICE, BOB.address, to_wei(5), nonce=0)
-        side1 = Block.assemble(
-            chain.genesis.block_id, 1, (_tx_record(tx_side),), 5.0,
-            DIFFICULTY, MINER,
-        )
-        chain.add_block(side1)
+        # A heavier side branch where Alice paid only 1 reorgs the chain.
+        tx_side = make_transaction(ALICE, BOB.address, to_wei(1), nonce=0)
         side2 = Block.assemble(
-            side1.block_id, 2, (), 15.0, DIFFICULTY, MINER
+            funded.block_id, 2, (_tx_record(tx_side),), 25.0,
+            DIFFICULTY, MINER,
         )
         chain.add_block(side2)
-        # History rewrote: Bob's balance re-derives to 5, not 40.
-        assert machine.balance_at_head(chain, BOB.address) == to_wei(5)
-        assert machine.balance_at_head(chain, ALICE.address) == to_wei(95)
+        chain.add_block(Block.assemble(
+            side2.block_id, 3, (), 35.0, DIFFICULTY, MINER
+        ))
+        assert chain.head.block_id != funded.block_id
+        # History rewrote: Bob's balance re-derives to 1, not 4.
+        state, nonces = replay_chain(chain)
+        assert state.balance(BOB.address) == to_wei(1)
+        assert state.balance(ALICE.address) == to_wei(4)
+        assert nonces == {ALICE.address: 1}
 
-
-class TestHeadStateCache:
-    """Regression: validate_block replayed the whole chain per candidate.
-
-    ``head_state`` memoizes the derived (state, nonces) per head id;
-    content-addressed block ids make the head id a sound cache key.
-    """
-
-    def _telemetry_machine(self):
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry()
-        machine = LedgerStateMachine(
-            genesis_allocations={ALICE.address: to_wei(100)},
-            telemetry=telemetry,
+    def test_reorg_back_restores_the_first_history(self):
+        chain = _funded_chain()
+        funded = chain.head
+        tx_main = make_transaction(ALICE, BOB.address, to_wei(4), nonce=0)
+        main2 = _extend(chain, [_tx_record(tx_main)])
+        before = dict(replay_chain(chain)[0].accounts())
+        # A side branch takes the head, then the main branch outgrows it.
+        tx_side = make_transaction(ALICE, BOB.address, to_wei(1), nonce=0)
+        side2 = Block.assemble(
+            funded.block_id, 2, (_tx_record(tx_side),), 25.0, DIFFICULTY, MINER
         )
-        return machine, telemetry
+        chain.add_block(side2)
+        chain.add_block(Block.assemble(side2.block_id, 3, (), 35.0, DIFFICULTY, MINER))
+        assert replay_chain(chain)[0].balance(BOB.address) == to_wei(1)
+        main3 = Block.assemble(main2.block_id, 3, (), 30.0, DIFFICULTY, MINER)
+        chain.add_block(main3)
+        chain.add_block(Block.assemble(main3.block_id, 4, (), 40.0, DIFFICULTY, MINER))
+        state, _ = replay_chain(chain)
+        assert state.balance(BOB.address) == to_wei(4)
+        assert state.balance(ALICE.address) == before[ALICE.address]
 
-    def test_second_validation_hits_the_cache(self):
-        machine, telemetry = self._telemetry_machine()
-        chain = _chain()
-        tx = make_transaction(ALICE, BOB.address, to_wei(10), nonce=0)
-        candidate = Block.assemble(
-            chain.head.block_id, 1, (_tx_record(tx),), 10.0, DIFFICULTY, MINER
+
+class TestGeneratedTransfers:
+    @given(
+        transfers=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=12)),
+            max_size=6,
         )
-        assert machine.validate_block(chain, candidate) is None
-        assert machine.validate_block(chain, candidate) is None
-        hits = telemetry.counter("ledger.head_state", outcome="hit").value
-        misses = telemetry.counter("ledger.head_state", outcome="miss").value
-        assert misses == 1 and hits == 1
-
-    def test_cached_state_copies_are_private(self, machine):
-        chain = _chain()
-        state, nonces = machine.head_state(chain)
-        state.mint(BOB.address, to_wei(999))
-        nonces[BOB.address] = 42
-        fresh_state, fresh_nonces = machine.head_state(chain)
-        assert fresh_state.balance(BOB.address) == 0
-        assert BOB.address not in fresh_nonces
-
-    def test_reorg_switches_to_the_new_head(self):
-        machine, telemetry = self._telemetry_machine()
-        chain = _chain()
-        tx_main = make_transaction(ALICE, BOB.address, to_wei(40), nonce=0)
-        _extend(chain, [_tx_record(tx_main)])
-        assert machine.balance_at_head(chain, BOB.address) == to_wei(40)
-        # Reorg to a heavier branch where Alice paid only 5.
-        tx_side = make_transaction(ALICE, BOB.address, to_wei(5), nonce=0)
-        side1 = Block.assemble(
-            chain.genesis.block_id, 1, (_tx_record(tx_side),), 5.0,
-            DIFFICULTY, MINER,
-        )
-        chain.add_block(side1)
-        chain.add_block(Block.assemble(side1.block_id, 2, (), 15.0,
-                                       DIFFICULTY, MINER))
-        # New head id -> cache miss -> re-derived balances.
-        assert machine.balance_at_head(chain, BOB.address) == to_wei(5)
-        assert telemetry.counter(
-            "ledger.head_state", outcome="miss"
-        ).value == 2
-
-    def test_invalidate_picks_up_allocation_changes(self, machine):
-        chain = _chain()
-        assert machine.balance_at_head(chain, BOB.address) == 0
-        machine.genesis_allocations[BOB.address] = to_wei(7)
-        # Without invalidation the stale cached head would answer.
-        machine.invalidate()
-        assert machine.balance_at_head(chain, BOB.address) == to_wei(7)
-
-    def test_cache_is_bounded(self, machine):
-        from repro.chain.ledger import _MAX_CACHED_HEADS
-
-        chain = _chain()
-        for _ in range(_MAX_CACHED_HEADS + 4):
-            machine.head_state(chain)
-            _extend(chain)
-        assert len(machine._head_cache) <= _MAX_CACHED_HEADS
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_replay_matches_a_balance_model(self, transfers):
+        """One transfer per block, ALICE→BOB or back: the fold raises
+        exactly at the first unfunded one, else ends at the model's
+        balances and nonces."""
+        chain = _funded_chain()
+        balances = {ALICE.address: to_wei(5), BOB.address: 0, MINER: 0}
+        nonces = {}
+        unfunded = False
+        for alice_pays, ether in transfers:
+            sender, recipient = (ALICE, BOB) if alice_pays else (BOB, ALICE)
+            nonce = nonces.get(sender.address, 0)
+            tx = make_transaction(sender, recipient.address, to_wei(ether), nonce=nonce)
+            _extend(chain, [_tx_record(tx)])
+            balances[MINER] += to_wei(5)
+            if unfunded:
+                continue
+            if balances[sender.address] < to_wei(ether):
+                unfunded = True
+                continue
+            balances[sender.address] -= to_wei(ether)
+            balances[recipient.address] += to_wei(ether)
+            nonces[sender.address] = nonce + 1
+        if unfunded:
+            with pytest.raises(LedgerError, match="unfunded"):
+                replay_chain(chain)
+            return
+        state, replayed_nonces = replay_chain(chain)
+        assert replayed_nonces == nonces
+        assert {a: state.balance(a) for a in balances} == balances

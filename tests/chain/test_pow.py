@@ -4,6 +4,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.chain.block import Block, BlockHeader, GENESIS_PARENT
 from repro.chain.pow import (
@@ -62,15 +64,16 @@ class TestLiteralMining:
         assert not check_pow(block.header)
 
 
-class TestMidstateCompatibility:
-    """The midstate miner must accept exactly the nonces the naive loop did."""
+class TestWhichNonceIsFound:
+    """``mine_block`` returns the first nonce ≥ ``start_nonce`` that
+    :func:`check_pow` accepts, and nothing else."""
 
     def _block(self, difficulty: int, records=()) -> Block:
         return Block.assemble(GENESIS_PARENT, 1, tuple(records), 2.5, difficulty, MINER)
 
     @staticmethod
     def _naive_mine(block: Block, max_attempts: int, start_nonce: int = 0):
-        """The pre-midstate reference loop: full re-hash per nonce."""
+        """The reference loop: full re-hash per nonce."""
         header = block.header
         for nonce in range(start_nonce, start_nonce + max_attempts):
             candidate = header.with_nonce(nonce)
@@ -82,10 +85,18 @@ class TestMidstateCompatibility:
     def test_same_nonce_as_naive_loop(self, difficulty):
         block = self._block(difficulty)
         naive = self._naive_mine(block, 100_000)
-        midstate = mine_block(block, 100_000)
-        assert naive is not None and midstate is not None
-        assert midstate.header.nonce == naive.header.nonce
-        assert midstate.header == naive.header
+        mined = mine_block(block, 100_000)
+        assert naive is not None and mined is not None
+        assert mined.header.nonce == naive.header.nonce
+        assert mined.header == naive.header
+
+    @pytest.mark.parametrize(
+        "difficulty,nonce", [(2, 2), (8, 7), (64, 71), (300, 95), (4096, 830)]
+    )
+    def test_nonce_pinned(self, difficulty, nonce):
+        """The nonces the midstate + pooled-tail search found for these
+        blocks before it was replaced by the plain loop."""
+        assert mine_block(self._block(difficulty), 100_000).header.nonce == nonce
 
     def test_mined_hash_matches_header_hash_byte_for_byte(self):
         mined = mine_block(self._block(16), 100_000)
@@ -109,14 +120,31 @@ class TestMidstateCompatibility:
         assert mined.header.nonce >= 17
         assert mined.header.nonce == self._naive_mine(block, 100_000, 17).header.nonce
 
-    def test_midstate_helpers_match_hash_fields(self):
-        from repro.crypto.hashing import field_frame, fields_midstate, hash_fields
-
-        hasher = fields_midstate(b"prefix", 42)
-        for suffix in ("a", "b"):
-            trial = hasher.copy()
-            trial.update(field_frame(suffix))
-            assert trial.digest() == hash_fields(b"prefix", 42, suffix)
+    @given(
+        difficulty=st.integers(min_value=1, max_value=64),
+        timestamp=st.floats(min_value=0.0, max_value=1e6),
+        start_nonce=st.integers(min_value=-300, max_value=2**40),
+        max_attempts=st.integers(min_value=0, max_value=300),
+    )
+    @example(difficulty=8, timestamp=2.5, start_nonce=-40, max_attempts=300)
+    @example(difficulty=1, timestamp=2.5, start_nonce=42, max_attempts=100)
+    @example(difficulty=1, timestamp=2.5, start_nonce=0, max_attempts=0)
+    @settings(max_examples=60, deadline=None)
+    def test_first_accepted_nonce_or_none(
+        self, difficulty, timestamp, start_nonce, max_attempts
+    ):
+        block = Block.assemble(GENESIS_PARENT, 1, (), timestamp, difficulty, MINER)
+        mined = mine_block(block, max_attempts, start_nonce=start_nonce)
+        winners = [
+            nonce
+            for nonce in range(start_nonce, start_nonce + max_attempts)
+            if check_pow(block.header.with_nonce(nonce))
+        ]
+        if not winners:
+            assert mined is None
+        else:
+            assert mined.header == block.header.with_nonce(winners[0])
+            assert mined.records == block.records
 
 
 class TestWinnerIndex:

@@ -84,6 +84,12 @@ class TestDeployment:
         with pytest.raises(ValueError):
             SmartCrowdContract(SRA_ID, PROVIDER, 1, 0.0, AUTHORITY)
 
+    @pytest.mark.parametrize("window", [float("nan"), float("inf")])
+    def test_unclosable_window_rejected(self, window):
+        """A window ``close`` could never pass would escrow forever."""
+        with pytest.raises(ValueError, match="finite"):
+            SmartCrowdContract(SRA_ID, PROVIDER, 1, window, AUTHORITY)
+
 
 class TestCommitments:
     def test_first_commit_registers(self, runtime):

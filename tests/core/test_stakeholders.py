@@ -6,7 +6,7 @@ import pytest
 
 from repro.adversary.attacks import spoof_sra
 from repro.chain.block import ChainRecord, RecordKind
-from repro.chain.pow import PAPER_HASHPOWER_SHARES
+from repro.chain.pow import PAPER_HASHPOWER_SHARES, PAPER_MEAN_BLOCK_TIME
 from repro.core.stakeholders import DecentralizedDeployment
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import KeyPair
@@ -81,6 +81,19 @@ class TestWorkflowOverMessages:
         reference = consumer.latest_reference
         assert reference is not None
         assert reference.vulnerability_count > 0
+
+
+class TestChainParameters:
+    def test_chain_runs_at_the_fleet_engines_defaults(self):
+        """Difficulty and block time are not the deployment's to choose:
+        its chain runs at ``DistributedChain``'s."""
+        deployment = DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES, build_detector_fleet(thread_counts=(2,), seed=4)
+        )
+        assert deployment.model.difficulty == 1000
+        assert deployment.model.mean_block_time == pytest.approx(PAPER_MEAN_BLOCK_TIME)
+        with pytest.raises(TypeError):
+            DecentralizedDeployment(PAPER_HASHPOWER_SHARES, [], difficulty=1000)
 
 
 class TestConsumerQueryReadPath:

@@ -1,12 +1,10 @@
 """Tests for the pooled SHA3 helpers: identical digests, fewer dispatches.
 
 Every helper shadows a generic function in :mod:`repro.crypto.hashing`;
-the tests pin byte equality, then exercise the nonce-search pooling
-(chunk boundaries, start offsets, unwinnable targets, and the
-magnitude-width runs of the tail precomputation).
+the tests pin byte equality.
 """
 
-import hashlib
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -14,30 +12,29 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashing import (
     field_frame,
-    fields_midstate,
     hash_fields,
     merkle_leaf_hash,
     merkle_pair_hash,
 )
-from repro.crypto.hashpool import (
-    _nonce_tails,
-    int_field_frame,
-    int_frame_parts,
-    leaf_hashes,
-    pair_hashes,
-    search_nonce,
-)
+from repro.crypto.hashpool import int_frame_parts, leaf_hashes, pair_hashes
+
+
+def _int_frame(value: int) -> bytes:
+    """``field_frame(value)`` rebuilt from :func:`int_frame_parts`, the way
+    :mod:`repro.chain.fastpath` packs a header's integer fields."""
+    sign, magnitude = int_frame_parts(value)
+    return struct.pack(">IBB", len(magnitude) + 2, 0x02, sign) + magnitude
 
 
 class TestIntFrames:
     @given(value=st.integers(min_value=-(2**200), max_value=2**200))
     @settings(max_examples=200, deadline=None)
     def test_frame_matches_generic_codec(self, value):
-        assert int_field_frame(value) == field_frame(value)
+        assert _int_frame(value) == field_frame(value)
 
     @pytest.mark.parametrize("value", [0, 1, -1, 255, 256, 2**64, -(2**70), 2**130])
     def test_known_edges(self, value):
-        assert int_field_frame(value) == field_frame(value)
+        assert _int_frame(value) == field_frame(value)
 
     def test_frame_parts_zero_is_one_zero_byte(self):
         sign, magnitude = int_frame_parts(0)
@@ -62,86 +59,3 @@ class TestBatchMerkleHashes:
         assert pair_hashes(nodes) == [
             merkle_pair_hash(nodes[i], nodes[i + 1]) for i in range(0, 6, 2)
         ]
-
-
-class TestNonceTails:
-    @pytest.mark.parametrize(
-        "start,stop",
-        [
-            (0, 300),          # crosses the 1->2 byte width boundary
-            (65530, 65545),    # crosses 2->3 bytes
-            (2**24 - 2, 2**24 + 2),
-            (2**64 - 1, 2**64 + 1),
-            (-4, 4),           # negative run takes the generic path
-            (10, 10),          # empty range
-        ],
-    )
-    def test_tails_equal_generic_frames(self, start, stop):
-        assert _nonce_tails(start, stop, b"SUFFIX") == [
-            int_field_frame(n) + b"SUFFIX" for n in range(start, stop)
-        ]
-
-
-class TestSearchNonce:
-    def _search_setup(self, timestamp=1.0):
-        midstate = fields_midstate(b"\x00" * 32, b"\x11" * 32, repr(timestamp))
-        suffix = field_frame(1) + field_frame(100) + field_frame(b"\x22" * 20)
-        return midstate, suffix
-
-    def _reference(self, midstate, suffix, target, start, attempts):
-        for nonce in range(start, start + attempts):
-            hasher = midstate.copy()
-            hasher.update(field_frame(nonce))
-            hasher.update(suffix)
-            digest = hasher.digest()
-            if int.from_bytes(digest, "big") < target:
-                return nonce, digest
-        return None
-
-    @pytest.mark.parametrize("difficulty_bits", [4, 8, 12])
-    def test_finds_first_winner_like_sequential_scan(self, difficulty_bits):
-        midstate, suffix = self._search_setup()
-        target = 1 << (256 - difficulty_bits)
-        expected = self._reference(midstate, suffix, target, 0, 100_000)
-        assert expected is not None
-        assert search_nonce(midstate, suffix, target, 0, 100_000) == expected
-
-    def test_start_nonce_offset_respected(self):
-        midstate, suffix = self._search_setup()
-        target = 1 << 250
-        expected = self._reference(midstate, suffix, target, 5000, 50_000)
-        assert search_nonce(midstate, suffix, target, 5000, 50_000) == expected
-
-    def test_chunk_boundary_does_not_skip_nonces(self):
-        midstate, suffix = self._search_setup()
-        target = 1 << 252
-        for chunk_size in (1, 7, 1024):
-            assert search_nonce(
-                midstate, suffix, target, 0, 20_000, chunk_size=chunk_size
-            ) == self._reference(midstate, suffix, target, 0, 20_000)
-
-    def test_unwinnable_returns_none(self):
-        midstate, suffix = self._search_setup()
-        assert search_nonce(midstate, suffix, 1, 0, 2000) is None
-
-    def test_zero_target_and_zero_attempts(self):
-        midstate, suffix = self._search_setup()
-        assert search_nonce(midstate, suffix, 0, 0, 100) is None
-        assert search_nonce(midstate, suffix, 1 << 255, 0, 0) is None
-
-    def test_everything_wins_above_digest_range(self):
-        midstate, suffix = self._search_setup()
-        result = search_nonce(midstate, suffix, 1 << 256, 42, 100)
-        assert result is not None
-        nonce, digest = result
-        assert nonce == 42
-        assert digest == self._reference(midstate, suffix, 1 << 256, 42, 1)[1]
-
-    def test_digest_matches_hash_fields(self):
-        midstate, suffix = self._search_setup()
-        result = search_nonce(midstate, suffix, 1 << 252, 0, 100_000)
-        assert result is not None
-        nonce, digest = result
-        assert digest == hash_fields(
-            b"\x00" * 32, b"\x11" * 32, repr(1.0), nonce, 1, 100, b"\x22" * 20
-        )

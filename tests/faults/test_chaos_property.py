@@ -36,7 +36,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import ChainRecord, RecordKind
-from repro.chain.ledger import LedgerStateMachine
+from repro.chain.ledger import replay_chain
 from repro.chain.serialization import import_chain
 from repro.core.distributed import DistributedChain
 from repro.crypto.hashing import hash_fields
@@ -119,7 +119,7 @@ def _record(seed, index):
 
 
 def _ledger(chain):
-    state, nonces = LedgerStateMachine().replay(chain)
+    state, nonces = replay_chain(chain)
     return state.snapshot(), nonces
 
 

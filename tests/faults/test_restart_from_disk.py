@@ -17,7 +17,7 @@ from contextlib import closing
 import pytest
 
 from repro.chain.block import ChainRecord, RecordKind
-from repro.chain.ledger import LedgerStateMachine
+from repro.chain.ledger import replay_chain
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.distributed import DistributedChain
 from repro.core.stakeholders import DecentralizedDeployment
@@ -98,8 +98,8 @@ class TestFullNodeEquivalence:
 
             # Ledger state: replay both victims from genesis — and the
             # durable one additionally from its own store.
-            state_d, nonces_d = LedgerStateMachine().replay(victim.chain)
-            state_v, nonces_v = LedgerStateMachine().replay(
+            state_d, nonces_d = replay_chain(victim.chain)
+            state_v, nonces_v = replay_chain(
                 volatile.replicas[VICTIM].chain
             )
             assert state_d.snapshot() == state_v.snapshot()

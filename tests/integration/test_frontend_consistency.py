@@ -11,15 +11,20 @@ reference converges to the same confirmed-flaw set semantics.  With
 detectors that miss nothing, the awards themselves agree.
 """
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.balance import detector_balance_ether
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core import ConsumerClient, PlatformConfig, SmartCrowdPlatform
+from repro.core.incentives import IncentiveParameters
 from repro.core.stakeholders import DecentralizedDeployment
 from repro.detection import build_detector_fleet, build_system
-from repro.units import to_wei
+from repro.units import from_wei, to_wei
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +130,63 @@ class TestSameReleaseSameAwards:
         truth = {flaw.key for flaw in system.ground_truth}
         assert ours.awarded_vulnerabilities() == theirs.awarded_vulnerabilities() == truth
         assert ours.total_paid_wei() == theirs.total_paid_wei() == 3 * to_wei(250)
+
+
+#: Each front-end, built on a detection window θ.
+FRONT_ENDS = {
+    "platform": lambda window: SmartCrowdPlatform(
+        PAPER_HASHPOWER_SHARES,
+        build_detector_fleet(thread_counts=(2,), seed=3),
+        PlatformConfig(detection_window=window),
+    ),
+    "deployment": lambda window: DecentralizedDeployment(
+        PAPER_HASHPOWER_SHARES,
+        build_detector_fleet(thread_counts=(2,), seed=3),
+        detection_window=window,
+    ),
+}
+
+
+def _contract_announced_at(front_end, when: float):
+    """Announce one release from provider-1 at ``when``; its contract."""
+    system = build_system("theta-sys", vulnerability_count=1, rng=random.Random(1))
+    if isinstance(front_end, SmartCrowdPlatform):
+        sra = front_end.announce_release(
+            "provider-1", system, insurance_wei=to_wei(10), at_time=when
+        )
+        front_end.advance_until(when + 1.0)
+    else:
+        front_end.advance_until(when)
+        sra = front_end.announce("provider-1", system, insurance_ether=10)
+    return front_end.contracts[sra.sra_id]
+
+
+class TestOneDetectionWindow:
+    """θ is the front-end's detection window alone: the window each
+    release's contract closes on, and the period Eq. 13 divides by."""
+
+    @pytest.mark.parametrize(
+        "window", [math.nan, math.inf, 0.0, -5.0], ids=["nan", "inf", "0", "-5"]
+    )
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_unclosable_window_refused(self, front_end, window):
+        with pytest.raises(ValueError, match="detection window"):
+            FRONT_ENDS[front_end](window)
+
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    @given(window=st.floats(min_value=1.0, max_value=1e5))
+    @settings(max_examples=10, deadline=None)
+    def test_close_time_and_eq13_theta_are_one_value(self, front_end, window):
+        built = FRONT_ENDS[front_end](window)
+        contract = _contract_announced_at(built, 100.0)
+        theta = built.detection_window
+        assert theta == window
+        assert contract.deployed_at + contract.detection_window == 100.0 + theta
+        # Over one period (t = θ) Eq. 13 is one SRA's expected balance.
+        params = IncentiveParameters()
+        mu = from_wei(params.bounty_wei)
+        psi = from_wei(params.report_fee_wei)
+        c = from_wei(params.submission_cost_wei)
+        assert detector_balance_ether(params, 3.0, 0.2, 0.9, window, theta) == (
+            pytest.approx(3.0 * 0.2 * (0.9 * (mu - psi) - c))
+        )

@@ -15,7 +15,7 @@ Three tiers, each asserted at the bit level:
 
 import pytest
 
-from repro.chain.ledger import LedgerStateMachine
+from repro.chain.ledger import replay_chain
 from repro.chain.serialization import export_chain, import_chain
 from repro.core.distributed import DistributedChain
 from repro.faults.invariants import confirmed_chain_bytes
@@ -71,7 +71,7 @@ def _single_run(spec, seed):
 
 def _ledger_state(canonical_blob):
     """Replay a serialized canonical chain into world state + nonces."""
-    state, nonces = LedgerStateMachine().replay(import_chain(canonical_blob))
+    state, nonces = replay_chain(import_chain(canonical_blob))
     return state.snapshot(), nonces
 
 

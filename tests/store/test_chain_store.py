@@ -7,7 +7,7 @@ import pytest
 import repro.store.store as store_module
 from repro.chain.chain import Blockchain
 from repro.chain.consensus import make_genesis
-from repro.chain.ledger import LedgerStateMachine
+from repro.chain.ledger import replay_chain
 from repro.chain.serialization import encode_block
 from repro.store import (
     ChainStore,
@@ -326,7 +326,7 @@ class TestSnapshotsAndLedgerReplay:
 
         reopened = opened(ChainStore(tmp_path / "replica", snapshot_interval=4))
         replay = reopened.replay_ledger()
-        state, nonces = LedgerStateMachine().replay(chain)
+        state, nonces = replay_chain(chain)
         assert replay.snapshot_hit
         assert replay.snapshot_height == 16
         assert replay.height == chain.height
@@ -346,7 +346,7 @@ class TestSnapshotsAndLedgerReplay:
         recovery = store.reopen()
         assert recovery.snapshot_heights_healed == 1  # manifest healed
         replay = store.replay_ledger()
-        state, _ = LedgerStateMachine().replay(chain)
+        state, _ = replay_chain(chain)
         assert not replay.snapshot_hit
         assert replay.frames_replayed == chain.height + 1
         assert replay.state.snapshot() == state.snapshot()
@@ -363,7 +363,7 @@ class TestSnapshotsAndLedgerReplay:
         drop_snapshots(store, keep_oldest=1)
         store.reopen()
         replay = store.replay_ledger()
-        state, _ = LedgerStateMachine().replay(chain)
+        state, _ = replay_chain(chain)
         assert replay.snapshot_hit
         assert replay.snapshot_height < 16  # the older survivor
         assert replay.state.snapshot() == state.snapshot()
@@ -371,7 +371,7 @@ class TestSnapshotsAndLedgerReplay:
     def test_forky_log_replays_the_canonical_path(self, tmp_path):
         store, fork = _forky_store(tmp_path, snapshot_interval=4)
         replay = store.replay_ledger()
-        state, _ = LedgerStateMachine().replay(fork)
+        state, _ = replay_chain(fork)
         assert replay.height == fork.height
         assert replay.state.snapshot() == state.snapshot()
 

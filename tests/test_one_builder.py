@@ -94,7 +94,7 @@ PAPER_LITERALS = {
 #: some caller chooses.  A new one is a new knob, and shows up here.
 INIT_FIELDS = {
     PlatformConfig: ("params", "detection_window", "seed"),
-    IncentiveParameters: ("bounty_wei", "insurance_wei", "sra_period"),
+    IncentiveParameters: ("bounty_wei", "insurance_wei"),
     RetryPolicy: ("deadline", "base_backoff", "max_attempts"),
 }
 

@@ -1,30 +1,33 @@
 #!/usr/bin/env bash
 # Alternating benchmark pairs: this checkout (the change) against another
-# checkout of the code it changes (the parent), one workload, one seed.
+# checkout of the code it changes (the parent), on one or more workloads
+# (comma-separated), one seed.
 #
-# Each pair is one `python -m bench run --workload W --seed S --output ...`
-# in the parent, then one in this checkout.  Both sides append to files
-# under this checkout's git-ignored bench/out/; the script ends with
-# `python -m bench compare` on them, then prints in how many pairs the
-# change's throughput was ahead of the parent's run just before it, and
-# each side's throughput quartiles.
+# Each round runs, per workload, one `python -m bench run --workload W
+# --seed S --output ...` in the parent, then one in this checkout.  Both
+# sides append to per-workload files under this checkout's git-ignored
+# bench/out/; the script ends, per workload, with `python -m bench
+# compare` on them, then prints in how many pairs the change's
+# throughput was ahead of the parent's run just before it, and each
+# side's throughput quartiles.  One command thus shows whether the
+# claimed workload moved and the others did not.
 #
 # This checkout's bench/out/nominal.json (the host's reference-chunk
 # time, calibrated once per checkout on a host bench/reference.py does
 # not list) is copied into the parent first, so both sides scale their
 # numbers alike — two calibrations read as a speed-up everywhere.
 #
-# Usage:  scripts/bench_pairs.sh <parent-checkout> <workload> [pairs] [seed]
+# Usage:  scripts/bench_pairs.sh <parent-checkout> <workload>[,<workload>...] [pairs] [seed]
 #         (defaults: 10 pairs, seed 4)
 
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    echo "usage: $0 <parent-checkout> <workload> [pairs] [seed]" >&2
+    echo "usage: $0 <parent-checkout> <workload>[,<workload>...] [pairs] [seed]" >&2
     exit 2
 fi
 PARENT="$(cd "$1" && pwd)"
-WORKLOAD="$2"
+IFS=, read -r -a WORKLOADS <<< "$2"
 PAIRS="${3:-10}"
 SEED="${4:-4}"
 cd "$(dirname "$0")/.."
@@ -39,22 +42,28 @@ if [ -f "$OUT/nominal.json" ]; then
     cp "$OUT/nominal.json" "$PARENT/bench/out/nominal.json"
 fi
 
-STAMP="$WORKLOAD-s$SEED-$(date +%Y%m%d%H%M%S)"
-PARENT_RUNS="$OUT/pairs-$STAMP-parent.jsonl"
-CHANGE_RUNS="$OUT/pairs-$STAMP-change.jsonl"
+STAMP="s$SEED-$(date +%Y%m%d%H%M%S)"
+runs() {  # runs <workload> <side>: the file one side's runs append to
+    echo "$OUT/pairs-$1-$STAMP-$2.jsonl"
+}
 
 for pair in $(seq 1 "$PAIRS"); do
-    for side in parent change; do
-        if [ "$side" = parent ]; then dir="$PARENT" runs="$PARENT_RUNS"
-        else dir="$CHANGE" runs="$CHANGE_RUNS"; fi
-        (cd "$dir" && PYTHONPATH=src python -m bench run \
-            --workload "$WORKLOAD" --seed "$SEED" --output "$runs" > /dev/null)
+    for workload in "${WORKLOADS[@]}"; do
+        for side in parent change; do
+            if [ "$side" = parent ]; then dir="$PARENT"; else dir="$CHANGE"; fi
+            (cd "$dir" && PYTHONPATH=src python -m bench run --workload "$workload" \
+                --seed "$SEED" --output "$(runs "$workload" "$side")" > /dev/null)
+        done
     done
     echo "pair $pair/$PAIRS done"
 done
 
-PYTHONPATH=src python -m bench compare "$PARENT_RUNS" "$CHANGE_RUNS"
-PYTHONPATH=src python - "$WORKLOAD" "$PARENT_RUNS" "$CHANGE_RUNS" <<'PY'
+for workload in "${WORKLOADS[@]}"; do
+    echo "== $workload"
+    PARENT_RUNS="$(runs "$workload" parent)"
+    CHANGE_RUNS="$(runs "$workload" change)"
+    PYTHONPATH=src python -m bench compare "$PARENT_RUNS" "$CHANGE_RUNS"
+    PYTHONPATH=src python - "$workload" "$PARENT_RUNS" "$CHANGE_RUNS" <<'PY'
 import json
 import statistics
 import sys
@@ -84,3 +93,4 @@ print(f"median ratio change/parent "
       f"{statistics.median(change) / statistics.median(parent):.3f}")
 print(f"runs: {parent_path}  {change_path}")
 PY
+done

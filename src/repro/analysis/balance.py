@@ -11,6 +11,7 @@ entries — the ledger itself stays integer wei).
 
 from __future__ import annotations
 
+import math
 
 from repro.core.incentives import IncentiveParameters
 from repro.units import from_wei
@@ -21,6 +22,13 @@ __all__ = [
     "provider_incentive_rate_ether",
     "provider_punishment_ether",
 ]
+
+
+def _check_window(window: float) -> float:
+    """``window`` (t) if it is a finite time ≥ 0, else ``ValueError``."""
+    if not 0.0 <= window < math.inf:  # false for NaN too
+        raise ValueError(f"window must be a finite time >= 0, not {window!r}")
+    return window
 
 
 def detector_balance_ether(
@@ -38,8 +46,7 @@ def detector_balance_ether(
     proportion of its findings finally recorded; ``window`` — t;
     ``sra_period`` — θ, the deployment's detection window.
     """
-    if window < 0:
-        raise ValueError("window cannot be negative")
+    _check_window(window)
     if not sra_period > 0:
         raise ValueError("SRA period must be positive")
     mu = from_wei(params.bounty_wei)
@@ -65,7 +72,7 @@ def provider_incentive_rate_ether(
     The provider wins ζ_i of the t/ϑ blocks; each won block carries the
     reward ν plus fees for its ω̄ records.
     """
-    blocks = window / params.block_time
+    blocks = _check_window(window) / params.block_time
     nu = from_wei(params.block_reward_wei)
     psi = from_wei(params.report_fee_wei)
     return zeta_i * blocks * (nu + psi * omega_per_block)
@@ -86,6 +93,8 @@ def provider_punishment_ether(
     """
     if not 0.0 <= vulnerability_proportion <= 1.0:
         raise ValueError("VP must be in [0, 1]")
+    if not releases >= 0:  # false for NaN too
+        raise ValueError(f"releases must be >= 0, not {releases!r}")
     cp = from_wei(params.deployment_cost_wei)
     return releases * (vulnerability_proportion * insurance_ether + cp)
 

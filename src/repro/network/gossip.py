@@ -38,6 +38,7 @@ long-lived 1000-node fleet does not grow dedup state without bound.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
@@ -48,12 +49,34 @@ from repro.network.messages import CONTROL_WIRE_BYTES, Message, wire_size
 from repro.network.node import GossipNetworkApi, Node
 from repro.network.simulator import Simulator
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.telemetry.metrics import Counter, TeeCounter
 
 __all__ = ["GossipNetwork", "SeenLRU", "build_topology"]
 
 #: Relay predicate: (relaying node, message) -> forward it or not.
 RelayFilter = Callable[[Node, Message], bool]
+
+#: Each transport counter: (overlay attribute, sink series, labels).
+_SERIES = (
+    ("_sent", "gossip.messages", {"status": "sent"}),
+    ("_dropped", "gossip.messages", {"status": "dropped"}),
+    ("_duplicated", "gossip.messages", {"status": "duplicate_suppressed"}),
+    ("_lost_to_crashes", "gossip.messages", {"status": "lost_to_crash"}),
+    ("_broadcasts", "gossip.broadcasts", {}),
+    ("_bytes_sent", "gossip.bytes", {"status": "sent"}),
+    ("_inv_frames", "gossip.frames", {"frame": "inv"}),
+    ("_getdata_frames", "gossip.frames", {"frame": "getdata"}),
+    ("_payload_frames", "gossip.frames", {"frame": "payload"}),
+)
+
+
+def _header_form(message: Message) -> Message:
+    """``message.with_payload(message.payload.header)``, built once per
+    message: memoised on it, as :func:`wire_size` memoises its size."""
+    reduced = getattr(message, "_header_form", None)
+    if reduced is None:
+        reduced = message.with_payload(message.payload.header)
+        object.__setattr__(message, "_header_form", reduced)  # frozen-safe memo
+    return reduced
 
 
 def build_topology(
@@ -192,38 +215,30 @@ class GossipNetwork(GossipNetworkApi):
         self._relay_filters: List[RelayFilter] = []
         self._cut_links: Set[Tuple[str, str]] = set()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # Transport counters are this overlay's own, so the attribute
-        # views below read its counts even when several overlays (the
-        # shards of one fleet) share a sink; an armed sink also gets
-        # every increment.
-        sink = self.telemetry.metrics if self.telemetry.enabled else None
-
-        def counter(name: str, **labels: str) -> Counter:
-            if sink is None:
-                return Counter(name, labels)
-            return TeeCounter(sink.counter(name, **labels))
-
-        self._sent = counter("gossip.messages", status="sent")
-        self._dropped = counter("gossip.messages", status="dropped")
-        self._duplicated = counter("gossip.messages", status="duplicate_suppressed")
-        self._lost_to_crashes = counter("gossip.messages", status="lost_to_crash")
-        self._broadcasts = counter("gossip.broadcasts")
-        self._bytes_sent = counter("gossip.bytes", status="sent")
-        self._inv_frames = counter("gossip.frames", frame="inv")
-        self._getdata_frames = counter("gossip.frames", frame="getdata")
-        self._payload_frames = counter("gossip.frames", frame="payload")
+        # Transport counters are this overlay's own plain ints, so the
+        # attribute views below read its counts even when several
+        # overlays (the shards of one fleet) share a sink; an armed
+        # sink folds them into its series whenever it is read (a
+        # disarmed one ignores the sources).
+        self._sent = self._dropped = self._duplicated = self._lost_to_crashes = 0
+        self._broadcasts = self._bytes_sent = 0
+        self._inv_frames = self._getdata_frames = self._payload_frames = 0
+        for attribute, name, labels in _SERIES:
+            self.telemetry.counter(name, **labels).add_source(
+                partial(getattr, self, attribute)
+            )
 
     # -- transport counters (compatibility views) --------------------------
 
     @property
     def messages_sent(self) -> int:
         """Physical copies put on a link (echoes from duplication included)."""
-        return self._sent.value
+        return self._sent
 
     @property
     def messages_dropped(self) -> int:
         """Copies lost to the ``loss_rate`` roll."""
-        return self._dropped.value
+        return self._dropped
 
     @property
     def messages_duplicated(self) -> int:
@@ -234,17 +249,17 @@ class GossipNetwork(GossipNetworkApi):
         the key is counted here when it is sent, even if the receiver
         crashes before it would have landed (a copy that would then
         have been lost to the crash)."""
-        return self._duplicated.value
+        return self._duplicated
 
     @property
     def messages_lost_to_crashes(self) -> int:
         """Deliveries lost because the receiving node was crashed."""
-        return self._lost_to_crashes.value
+        return self._lost_to_crashes
 
     @property
     def bytes_sent(self) -> int:
         """Estimated bytes put on the wire (payloads + control frames)."""
-        return self._bytes_sent.value
+        return self._bytes_sent
 
     # -- membership --------------------------------------------------------
 
@@ -304,8 +319,9 @@ class GossipNetwork(GossipNetworkApi):
         return [name for name, node in self._nodes.items() if not node.crashed]
 
     def _is_cut(self, a: str, b: str) -> bool:
-        cuts = self._cut_links  # empty on every run that injects no partition
-        return bool(cuts) and (min(a, b), max(a, b)) in cuts
+        # Hot paths call this only when a cut exists: ``_cut_links`` is
+        # empty on every run that injects no partition.
+        return (min(a, b), max(a, b)) in self._cut_links
 
     # -- transport -----------------------------------------------------------
 
@@ -314,8 +330,8 @@ class GossipNetwork(GossipNetworkApi):
         if origin not in self._nodes:
             raise ValueError(f"unknown origin {origin}")
         self._seen[origin].add(message.dedup_key)
+        self._broadcasts += 1
         if self.telemetry.enabled:
-            self._broadcasts.inc()
             self.telemetry.event(
                 "gossip.broadcast",
                 origin=origin,
@@ -407,18 +423,19 @@ class GossipNetwork(GossipNetworkApi):
                     gateway.send_payload(src, dst, message, now + arrival)
                 else:
                     schedule(arrival, receive, dst, message, relay)
-        self._sent.inc(sent)
-        self._payload_frames.inc(sent)
-        self._bytes_sent.inc(sent * wire_size(message))
-        self._dropped.inc(dropped)
-        self._duplicated.inc(suppressed)
+        self._sent += sent
+        self._payload_frames += sent
+        self._bytes_sent += sent * wire_size(message)
+        self._dropped += dropped
+        self._duplicated += suppressed
 
     # -- inv-pull path ---------------------------------------------------------
 
     def _link_delay(self, src: str, dst: str) -> float:
-        delay = self.latency.sample(src, dst, self._rng)
-        if self.extra_delay is not None:
-            delay += max(0.0, self.extra_delay(src, dst, self._rng))
+        rng, extra_delay = self._rng, self.extra_delay
+        delay = self.latency.sample(src, dst, rng)
+        if extra_delay is not None:
+            delay += max(0.0, extra_delay(src, dst, rng))
         return delay
 
     def _send_invs(self, src: str, dsts: Iterable[str], message: Message) -> None:
@@ -431,30 +448,28 @@ class GossipNetwork(GossipNetworkApi):
         """
         rng, now = self._rng, self.simulator.now
         schedule, receive = self.simulator.schedule, self._receive_inv
-        gateway = self.remote_gateway
+        nodes, cuts, gateway = self._nodes, self._cut_links, self.remote_gateway
+        sample, extra_delay = self.latency.sample, self.extra_delay
+        loss_rate = self.loss_rate
         sent = dropped = 0
         for dst in dsts:
-            if self._is_cut(src, dst):
+            if cuts and self._is_cut(src, dst):
                 continue
             sent += 1
-            if self.loss_rate > 0 and rng.random() < self.loss_rate:
+            if loss_rate > 0 and rng.random() < loss_rate:
                 dropped += 1
                 continue
-            delay = self.latency.sample(src, dst, rng)
-            if self.extra_delay is not None:
-                delay += max(0.0, self.extra_delay(src, dst, rng))
-            if (
-                dst not in self._nodes
-                and gateway is not None
-                and gateway.is_remote(dst)
-            ):
+            delay = sample(src, dst, rng)
+            if extra_delay is not None:
+                delay += max(0.0, extra_delay(src, dst, rng))
+            if dst not in nodes and gateway is not None and gateway.is_remote(dst):
                 gateway.send_inv(src, dst, message, now + delay)
             else:
                 schedule(delay, receive, dst, src, message)
-        self._sent.inc(sent)
-        self._inv_frames.inc(sent)
-        self._bytes_sent.inc(sent * CONTROL_WIRE_BYTES)
-        self._dropped.inc(dropped)
+        self._sent += sent
+        self._inv_frames += sent
+        self._bytes_sent += sent * CONTROL_WIRE_BYTES
+        self._dropped += dropped
 
     def _announcer_gone(self, name: str, announcer: str) -> bool:
         """Is a pending pull from ``announcer`` doomed (peer or link dead)?
@@ -467,67 +482,68 @@ class GossipNetwork(GossipNetworkApi):
         node = self._nodes.get(announcer)
         if node is None:
             gateway = self.remote_gateway
-            if gateway is not None and gateway.is_remote(announcer):
-                return self._is_cut(name, announcer)
+            if gateway is None or not gateway.is_remote(announcer):
+                return True
+        elif node.crashed:
             return True
-        return node.crashed or self._is_cut(name, announcer)
+        return bool(self._cut_links) and self._is_cut(name, announcer)
 
     def _receive_inv(self, name: str, announcer: str, message: Message) -> None:
         node = self._nodes.get(name)
         if node is None:
             return
         if node.crashed:
-            self._lost_to_crashes.inc()
+            self._lost_to_crashes += 1
             return
         key = message.dedup_key
-        if key in self._seen[name]:
-            self._duplicated.inc()
+        if key in self._seen[name]._entries:
+            self._duplicated += 1
             return
         pending = self._pending[name]
         prior = pending.get(key)
-        if prior is not None:
-            # Already pulling this digest; re-request from the new
-            # announcer only if the first request died with its peer
-            # (crash) or its link (partition) — otherwise the duplicate
-            # inventory is suppressed like any redundant copy.
-            if not self._announcer_gone(name, prior):
-                self._duplicated.inc()
-                return
+        # Already pulling this digest?  Re-request from the new announcer
+        # only if the first request died with its peer (crash) or its
+        # link (partition) — otherwise the duplicate inventory is
+        # suppressed like any redundant copy.
+        if prior is not None and not self._announcer_gone(name, prior):
+            self._duplicated += 1
+            return
         pending[key] = announcer
         self._send_getdata(name, announcer, message)
 
     def _send_getdata(self, src: str, dst: str, message: Message) -> None:
         """Pull a payload from an announcer (connection-oriented)."""
-        if self._is_cut(src, dst):
+        if self._cut_links and self._is_cut(src, dst):
             return
-        self._sent.inc()
-        self._getdata_frames.inc()
-        self._bytes_sent.inc(CONTROL_WIRE_BYTES)
+        self._sent += 1
+        self._getdata_frames += 1
+        self._bytes_sent += CONTROL_WIRE_BYTES
         self.simulator.schedule(
             self._link_delay(src, dst), self._receive_getdata, dst, src, message
         )
 
     def _receive_getdata(self, name: str, requester: str, message: Message) -> None:
-        node = self._nodes.get(name)
+        nodes = self._nodes
+        node = nodes.get(name)
         if node is None or node.crashed:
             # The request dies with the responder; a later inventory
             # from a live announcer re-triggers the pull.
-            self._lost_to_crashes.inc()
+            self._lost_to_crashes += 1
             return
-        if self._is_cut(name, requester):
+        if self._cut_links and self._is_cut(name, requester):
             return
         reduced = message
-        target = self._nodes.get(requester)
+        target = nodes.get(requester)
         if (
             target is not None
-            and getattr(target, "wants_headers_only", False)
+            and target.wants_headers_only
             and hasattr(message.payload, "header")
         ):
             # Light clients pull the 120-byte header, not the body.
-            reduced = message.with_payload(message.payload.header)
-        self._sent.inc()
-        self._payload_frames.inc()
-        self._bytes_sent.inc(wire_size(reduced))
+            reduced = _header_form(message)
+        self._sent += 1
+        self._payload_frames += 1
+        self._bytes_sent += wire_size(reduced)
         self.simulator.schedule(
             self._link_delay(name, requester),
             self._receive,
@@ -564,23 +580,22 @@ class GossipNetwork(GossipNetworkApi):
         if node is None:
             return
         if node.crashed:
-            self._lost_to_crashes.inc()
+            self._lost_to_crashes += 1
             return
-        if dedup_key in self._seen[name]:
-            self._duplicated.inc()
+        if dedup_key in self._seen[name]._entries:
+            self._duplicated += 1
             return
         pending = self._pending[name]
         prior = pending.get(dedup_key)
-        if prior is not None:
-            if not self._announcer_gone(name, prior):
-                self._duplicated.inc()
-                return
-        pending[dedup_key] = announcer
-        if self._is_cut(name, announcer):
+        if prior is not None and not self._announcer_gone(name, prior):
+            self._duplicated += 1
             return
-        self._sent.inc()
-        self._getdata_frames.inc()
-        self._bytes_sent.inc(CONTROL_WIRE_BYTES)
+        pending[dedup_key] = announcer
+        if self._cut_links and self._is_cut(name, announcer):
+            return
+        self._sent += 1
+        self._getdata_frames += 1
+        self._bytes_sent += CONTROL_WIRE_BYTES
         self.remote_gateway.send_getdata(
             name,
             announcer,
@@ -605,16 +620,16 @@ class GossipNetwork(GossipNetworkApi):
         """
         node = self._nodes.get(name)
         if node is None or node.crashed:
-            self._lost_to_crashes.inc()
+            self._lost_to_crashes += 1
             return
-        if self._is_cut(name, requester):
+        if self._cut_links and self._is_cut(name, requester):
             return
         reduced = message
         if wants_headers and hasattr(message.payload, "header"):
-            reduced = message.with_payload(message.payload.header)
-        self._sent.inc()
-        self._payload_frames.inc()
-        self._bytes_sent.inc(wire_size(reduced))
+            reduced = _header_form(message)
+        self._sent += 1
+        self._payload_frames += 1
+        self._bytes_sent += wire_size(reduced)
         self.remote_gateway.send_payload(
             name,
             requester,
@@ -633,7 +648,7 @@ class GossipNetwork(GossipNetworkApi):
         header while the full content keeps relaying downstream.
         """
         if reduce_for_delivery and hasattr(message.payload, "header"):
-            self._receive(name, message.with_payload(message.payload.header), True, message)
+            self._receive(name, _header_form(message), True, message)
         else:
             self._receive(name, message)
 
@@ -659,19 +674,22 @@ class GossipNetwork(GossipNetworkApi):
         if node.crashed:
             # Lost on a dead process; NOT marked seen, so a later
             # retransmission can still reach the node after restart.
-            self._lost_to_crashes.inc()
+            self._lost_to_crashes += 1
             return
-        if message.dedup_key in self._seen[name]:
-            self._duplicated.inc()
+        key, seen = message.dedup_key, self._seen[name]
+        if key in seen._entries:
+            self._duplicated += 1
             return
-        self._seen[name].add(message.dedup_key)
-        self._pending[name].pop(message.dedup_key, None)
+        seen.add(key)
+        self._pending[name].pop(key, None)
         node.deliver(message)
         # Relay unless unicast or a filter vetoes (failed SRA verification).
-        if relay and all(
-            predicate(node, message) for predicate in self._relay_filters
-        ):
-            self._forward(name, relay_message if relay_message is not None else message)
+        if not relay:
+            return
+        filters = self._relay_filters
+        if filters and not all(predicate(node, message) for predicate in filters):
+            return
+        self._forward(name, relay_message if relay_message is not None else message)
 
     def reach(self, dedup_key: bytes) -> int:
         """How many nodes have seen a message with this key."""
@@ -696,7 +714,7 @@ class GossipNetwork(GossipNetworkApi):
             "messages_duplicated": self.messages_duplicated,
             "messages_lost_to_crashes": self.messages_lost_to_crashes,
             "bytes_sent": self.bytes_sent,
-            "inv_frames": self._inv_frames.value,
-            "getdata_frames": self._getdata_frames.value,
-            "payload_frames": self._payload_frames.value,
+            "inv_frames": self._inv_frames,
+            "getdata_frames": self._getdata_frames,
+            "payload_frames": self._payload_frames,
         }

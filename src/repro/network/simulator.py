@@ -53,7 +53,7 @@ class Simulator:
         self._seq = itertools.count()
         self._processed = 0
         #: Observability hook; mutable so a deployment can arm it after
-        #: construction.  Disabled dispatch pays one truthiness check.
+        #: construction.  Each drain reads it once, when it starts.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
 
     @property
@@ -97,15 +97,17 @@ class Simulator:
         """Fire queued events due by ``deadline``, at most ``limit`` of them.
 
         The one dispatch loop behind every verb below: pop in (time,
-        seq) order, set ``now``, call, count.
+        seq) order, set ``now``, call, count.  Telemetry is read once
+        per drain: one armed mid-drain records from the next drain on.
         """
         queue = self._queue
+        telemetry = self.telemetry
+        armed = telemetry.enabled
         fired = 0
         while queue and fired != limit and queue[0][0] <= deadline:
             time, _, callback, args = heappop(queue)
             self._now = time
-            telemetry = self.telemetry
-            if telemetry.enabled:
+            if armed:
                 started = perf_counter()
                 callback(*args)
                 telemetry.histogram("sim.dispatch_seconds").observe(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -35,7 +35,6 @@ __all__ = [
     "NullGauge",
     "NullHistogram",
     "NullMetricsRegistry",
-    "TeeCounter",
 ]
 
 #: A label set, normalized to a sorted tuple so it can key a dict.
@@ -46,19 +45,37 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-@dataclass
 class Counter:
-    """A monotonically increasing count (messages sent, faults applied)."""
+    """A monotonically increasing count (messages sent, faults applied).
 
-    name: str
-    labels: Dict[str, str]
-    value: int = 0
+    It reads as what :meth:`inc` and merges added, plus the current
+    reading of every *source*: a component that keeps its own plain
+    int on a hot path registers it with :meth:`add_source`, and the
+    series folds it in whenever it is read.
+    """
+
+    __slots__ = ("name", "labels", "_base", "_sources")
+
+    def __init__(self, name: str, labels: Dict[str, str], value: int = 0) -> None:
+        self.name = name
+        self.labels = labels
+        self._base = value
+        self._sources: List[Callable[[], int]] = []
+
+    @property
+    def value(self) -> int:
+        """The count: the merged base plus every source's reading."""
+        return self._base + sum(read() for read in self._sources)
 
     def inc(self, amount: int = 1) -> None:
         """Add ``amount`` (must be non-negative) to the count."""
         if amount < 0:
             raise ValueError("counters only go up")
-        self.value += amount
+        self._base += amount
+
+    def add_source(self, read: Callable[[], int]) -> None:
+        """Fold ``read()`` — a count that only goes up — into every read."""
+        self._sources.append(read)
 
     def merge_row(self, row: Dict[str, Any]) -> None:
         """Fold a worker-process snapshot row into this counter."""
@@ -72,21 +89,6 @@ class Counter:
             "labels": dict(self.labels),
             "value": self.value,
         }
-
-
-class TeeCounter(Counter):
-    """A component's own count that also adds every increment to a
-    shared series, so several components writing to one sink each keep
-    a count of their own (per-shard overlays under one telemetry)."""
-
-    def __init__(self, shared: Counter) -> None:
-        super().__init__(name=shared.name, labels=dict(shared.labels))
-        self.shared = shared
-
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` here and to the shared series."""
-        super().inc(amount)
-        self.shared.inc(amount)
 
 
 @dataclass
@@ -274,6 +276,9 @@ class NullCounter(Counter):
         super().__init__(name="", labels={})
 
     def inc(self, amount: int = 1) -> None:  # noqa: D102 - no-op override
+        pass
+
+    def add_source(self, read: Callable[[], int]) -> None:  # noqa: D102
         pass
 
 

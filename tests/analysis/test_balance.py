@@ -12,6 +12,9 @@ from repro.core.incentives import IncentiveParameters
 
 PARAMS = IncentiveParameters()
 
+#: A window t that is negative, NaN or infinite is no time span.
+BAD_WINDOWS = [-600.0, float("nan"), float("inf")]
+
 
 class TestEq13DetectorBalance:
     def test_positive_for_confirmed_findings(self):
@@ -39,6 +42,11 @@ class TestEq13DetectorBalance:
         with pytest.raises(ValueError):
             detector_balance_ether(PARAMS, 4, 0.2, 0.5, -1, 600)
 
+    @pytest.mark.parametrize("window", BAD_WINDOWS)
+    def test_window_must_be_finite_and_nonnegative(self, window):
+        with pytest.raises(ValueError, match="window must be a finite time"):
+            detector_balance_ether(PARAMS, 4, 0.2, 0.5, window, 600)
+
     def test_scales_inversely_with_sra_period(self):
         """θ is the caller's detection window, not a parameter field."""
         short = detector_balance_ether(PARAMS, 4, 0.2, 0.9, 3600, 400)
@@ -63,6 +71,11 @@ class TestEq8Rate:
         with_fees = provider_incentive_rate_ether(PARAMS, 0.2, 5.0, 600)
         assert with_fees > without
 
+    @pytest.mark.parametrize("window", BAD_WINDOWS)
+    def test_window_must_be_finite_and_nonnegative(self, window):
+        with pytest.raises(ValueError, match="window must be a finite time"):
+            provider_incentive_rate_ether(PARAMS, 0.2, 0.0, window)
+
 
 class TestPunishment:
     def test_punishment_linear_in_vp(self):
@@ -84,6 +97,10 @@ class TestPunishment:
         with pytest.raises(ValueError):
             provider_punishment_ether(PARAMS, 1.2, 1000.0, 1)
 
+    def test_negative_releases_rejected(self):
+        with pytest.raises(ValueError, match="releases"):
+            provider_punishment_ether(PARAMS, 0.2, 1000.0, -2)
+
 
 class TestEq14ProviderBalance:
     def test_balance_is_income_minus_punishment(self):
@@ -99,3 +116,12 @@ class TestEq14ProviderBalance:
         at_low = provider_balance_ether(PARAMS, 0.17, 0.03, 1000.0, 600)
         at_high = provider_balance_ether(PARAMS, 0.17, 0.04, 1000.0, 600)
         assert at_low - at_high == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("window", BAD_WINDOWS)
+    def test_window_must_be_finite_and_nonnegative(self, window):
+        with pytest.raises(ValueError, match="window must be a finite time"):
+            provider_balance_ether(PARAMS, 0.2, 0.0, 100.0, window)
+
+    def test_negative_releases_rejected(self):
+        with pytest.raises(ValueError, match="releases"):
+            provider_balance_ether(PARAMS, 0.2, 0.0, 100.0, 600, releases=-2)

@@ -414,11 +414,11 @@ class PerCopyGossip(GossipNetwork):
             copies = 2
         arrival = 0.0
         for _ in range(copies):
-            self._sent.inc()
-            self._payload_frames.inc()
-            self._bytes_sent.inc(wire_size(message))
+            self._sent += 1
+            self._payload_frames += 1
+            self._bytes_sent += wire_size(message)
             if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
-                self._dropped.inc()
+                self._dropped += 1
                 continue
             delay = self.latency.sample(src, dst, self._rng)
             if self.extra_delay is not None:
@@ -441,11 +441,11 @@ class PerPeerInvGossip(GossipNetwork):
     def _send_inv(self, src, dst, message):
         if self._is_cut(src, dst):
             return
-        self._sent.inc()
-        self._inv_frames.inc()
-        self._bytes_sent.inc(CONTROL_WIRE_BYTES)
+        self._sent += 1
+        self._inv_frames += 1
+        self._bytes_sent += CONTROL_WIRE_BYTES
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
-            self._dropped.inc()
+            self._dropped += 1
             return
         delay = self._link_delay(src, dst)
         gateway = self.remote_gateway

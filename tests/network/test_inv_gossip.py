@@ -260,6 +260,40 @@ class TestHeaderOnlyPull:
         simulator.advance()
         assert got["b"].payload == block  # body survived the light hop
 
+    def test_every_light_member_gets_one_header_envelope(self, monkeypatch):
+        # One full node announces to six light ones: each is delivered
+        # the message's header form, and that envelope is built once.
+        config = NetworkConfig(topology="complete", mode="inv")
+        simulator = Simulator()
+        names = ["full"] + [f"light-{i}" for i in range(6)]
+        network = GossipNetwork(
+            simulator, build_topology(names, "complete"), rng=random.Random(8),
+            config=config,
+        )
+        nodes = [Node(name) for name in names]
+        received = {}
+        for light in nodes[1:]:
+            light.wants_headers_only = True
+            light.on(
+                MessageKind.BLOCK_ANNOUNCE,
+                lambda n, m: received.setdefault(n.name, []).append(m),
+            )
+        network.attach_all(nodes)
+        block = self._block()
+        message = Message.wrap(MessageKind.BLOCK_ANNOUNCE, block, origin="full")
+        expected = message.with_payload(block.header)
+        built = []
+        with_payload = Message.with_payload
+        monkeypatch.setattr(
+            Message,
+            "with_payload",
+            lambda self, payload: built.append(payload) or with_payload(self, payload),
+        )
+        network.broadcast("full", message)
+        simulator.advance()
+        assert received == {name: [expected] for name in names[1:]}
+        assert built == [block.header]
+
 
 class TestWireAccounting:
     def test_wire_size_block_counts_header_and_records(self):

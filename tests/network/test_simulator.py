@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.simulator import Simulator
+from repro.telemetry import Telemetry
 
 
 class TestScheduling:
@@ -246,6 +247,31 @@ class TestAdvanceLimits:
             sim.schedule(1.0, lambda: None)
         assert sim.advance(0) == 0 and sim.pending == 3
         assert sim.advance(None) == 3 and sim.pending == 0
+
+
+class TestCountsInsideACallback:
+    """The drain reads telemetry once, but still counts every event
+    before the next one fires."""
+
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize("limits", [(None,), (2, 0, 1, None), (5,)])
+    def test_a_callback_sees_the_events_fired_before_it(self, armed, limits):
+        telemetry = Telemetry() if armed else None
+        sim = Simulator(telemetry=telemetry)
+        seen = []
+
+        def read():
+            seen.append(sim.events_processed)
+            if armed:
+                assert telemetry.counter("sim.events_processed").value == seen[-1]
+
+        for index in range(5):
+            sim.schedule(0.1 * index, read)
+        fired = [sim.advance(limit) for limit in limits]
+        assert seen == [0, 1, 2, 3, 4] and sum(fired) == sim.events_processed == 5
+        if armed:
+            assert telemetry.counter("sim.events_processed").value == 5
+            assert telemetry.histogram("sim.dispatch_seconds").count == 5
 
 
 # -- the slow oracle ---------------------------------------------------------

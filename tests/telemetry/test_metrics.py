@@ -23,6 +23,19 @@ class TestCounter:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
+    def test_a_source_is_folded_in_on_every_read(self):
+        owned = [3]
+        counter = Counter("x", {})
+        counter.inc(2)
+        counter.add_source(lambda: owned[0])
+        owned[0] = 5
+        assert counter.value == counter.to_dict()["value"] == 7
+
+    def test_a_disarmed_counter_ignores_sources(self):
+        counter = NullMetricsRegistry().counter("x")
+        counter.add_source(lambda: 9)
+        assert counter.value == 0
+
 
 class TestGauge:
     def test_set_and_add(self):

@@ -14,7 +14,8 @@ importing a numeric package the closed forms of Eq. 7–10 do not need,
 keeping a crypto cache that outlives the key it serves, stating a chaos
 run's verdict other than as an ``InvariantReport``, reading a
 detector's private state from outside its module, writing one of the
-paper's prices a second time, or growing a knob no caller sets.
+paper's prices a second time, growing a knob no caller sets, or
+counting the overlay's traffic in a telemetry instrument.
 """
 
 import ast
@@ -25,12 +26,14 @@ import pkgutil
 import subprocess
 import sys
 from collections.abc import MutableMapping, MutableSequence, MutableSet
+from types import SimpleNamespace
 
 import repro.crypto
 from repro.core.incentives import IncentiveParameters
 from repro.core.platform import PlatformConfig
 from repro.faults.retry import RetryPolicy
 from repro.network.simulator import Simulator
+from repro.telemetry import metrics
 
 #: callable (as written at the call site) -> modules allowed to call it.
 BUILDERS = {
@@ -89,6 +92,11 @@ PAPER_LITERALS = {
     "15.35": "chain/pow.py",
     "100 * GWEI": "contracts/gas.py",
 }
+
+#: The overlay counts its traffic in plain ints that an armed sink
+#: folds in on read: nothing under ``repro/network`` holds a counter.
+COUNTER_CLASSES = {"Counter", "TeeCounter"}
+OVERLAY_MODULE = "network/gossip.py"
 
 #: The init fields left on the configuration classes: each is a value
 #: some caller chooses.  A new one is a new knob, and shows up here.
@@ -462,3 +470,39 @@ def test_every_init_field_is_a_choice_a_caller_makes():
             f"{cls.__name__} takes {fields}: a value no caller sets is a "
             "constant, not a field"
         )
+
+
+def _counter_uses(src_modules):
+    """Each import of a counter class under ``repro/network`` and each
+    ``.inc(`` call in the overlay module."""
+    for module, node in _nodes(src_modules):
+        if module.startswith("network/") and isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in COUNTER_CLASSES:
+                    yield f"src/repro/{module}:{node.lineno} imports {alias.name}"
+        elif (
+            module == OVERLAY_MODULE
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "inc"
+        ):
+            yield f"src/repro/{module}:{node.lineno} calls .inc("
+
+
+def test_the_overlay_counts_in_plain_ints(src_modules):
+    strays = sorted(_counter_uses(src_modules))
+    assert not strays, (
+        "a transport counter is a plain int on GossipNetwork, registered "
+        "with an armed sink by Counter.add_source:\n  " + "\n  ".join(strays)
+    )
+    assert "TeeCounter" not in metrics.__all__ and not hasattr(metrics, "TeeCounter")
+
+
+def test_the_counter_walk_sees_what_it_guards(src_modules):
+    overlay = next(source for source in src_modules if source.module == OVERLAY_MODULE)
+    assert "add_source(" in overlay.text
+    spelled = ast.parse(
+        "from repro.telemetry.metrics import Counter\nself._sent.inc()\n"
+    )
+    stray = [SimpleNamespace(module=OVERLAY_MODULE, nodes=tuple(ast.walk(spelled)))]
+    assert len(list(_counter_uses(stray))) == 2

@@ -1,10 +1,8 @@
 """Benchmark lanes outside tier-1.
 
-``test_bench_*`` files regenerate one paper table/figure each, print
-the paper-vs-measured rows and assert the reproduction's shape criteria
-(DESIGN.md §4); timings reported by pytest-benchmark measure the cost
-of regenerating the result.  ``substrate.py`` is the probe registry
-behind ``scripts/run_bench.sh`` and ``test_bench_gates.py`` — fast
-paths against their slow oracles.  End-to-end performance lives in the
-top-level ``bench/`` package.
+``test_bench_shapes.py`` regenerates each paper table/figure, prints
+the paper-vs-measured rows and asserts the reproduction's shape
+criteria (DESIGN.md §4).  ``substrate.py`` records the 10k/100k-node
+sharded fleet points behind ``scripts/run_bench.sh``.  End-to-end
+performance lives in the top-level ``bench/`` package.
 """

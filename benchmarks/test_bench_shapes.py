@@ -5,8 +5,8 @@ but each result's *shape* (who wins, by what factor, where crossovers
 fall) is asserted here, keyed by the row's name in
 ``repro.experiments.EXPERIMENTS``.  A row without an entry — or an entry
 without a row — is a collection error, so a new experiment cannot land
-ungated.  The two rows another lane already gates name that lane
-instead of a check.  Marked ``bench`` (``pytest benchmarks -q -m
+ungated.  The one row another lane already gates (``chaos``) names that
+lane instead of a check.  Marked ``bench`` (``pytest benchmarks -q -m
 bench``); timings are not recorded here — ``bench/`` is the benchmark
 of record.
 """
@@ -22,7 +22,6 @@ pytestmark = pytest.mark.bench
 #: registry name -> (runner kwargs, check(result)), or the lane that
 #: gates the row.
 SHAPES = {
-    "fleet_scale": "the fleet_scale substrate probe (test_bench_gates.py)",
     "chaos": "the chaos lane (pytest -m chaos, scripts/run_chaos.sh)",
 }
 
@@ -204,6 +203,14 @@ def _forks(result):
     # Negligible at the paper's operating point, rising with delay.
     assert rates[0] < 0.03
     assert rates[-1] > rates[0]
+
+
+@shape("fleet_scale")
+def _fleet_scale(result):
+    # Inventory announce + pull reaches the same converged state as
+    # complete-mesh flooding, with at least 5x fewer messages at 200 nodes.
+    assert result.all_converged()
+    assert result.flood_to_inv_message_ratio(200) >= 5.0
 
 
 @shape("participation")

@@ -4,11 +4,13 @@
 # (comma-separated), one seed.
 #
 # Each round runs, per workload, one `python -m bench run --workload W
-# --seed S --output ...` in the parent, then one in this checkout.  Both
+# --seed S --output ...` in each checkout: odd pairs run the parent
+# first, even pairs the change first, so an order effect (a warm page
+# cache, a CPU frequency step) does not always land on one side.  Both
 # sides append to per-workload files under this checkout's git-ignored
 # bench/out/; the script ends, per workload, with `python -m bench
 # compare` on them, then prints in how many pairs the change's
-# throughput was ahead of the parent's run just before it, and each
+# throughput was ahead of the parent's run of the same pair, and each
 # side's throughput quartiles.  One command thus shows whether the
 # claimed workload moved and the others did not.
 #
@@ -48,8 +50,9 @@ runs() {  # runs <workload> <side>: the file one side's runs append to
 }
 
 for pair in $(seq 1 "$PAIRS"); do
+    if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
     for workload in "${WORKLOADS[@]}"; do
-        for side in parent change; do
+        for side in $order; do
             if [ "$side" = parent ]; then dir="$PARENT"; else dir="$CHANGE"; fi
             (cd "$dir" && PYTHONPATH=src python -m bench run --workload "$workload" \
                 --seed "$SEED" --output "$(runs "$workload" "$side")" > /dev/null)

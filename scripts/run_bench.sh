@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Substrate probe lane: run every probe in benchmarks/substrate.py
-# (parity against its oracle first, then the timing), write
-# BENCH_substrate.json, print every red gate and exit non-zero if any.
-# What each probe measures and its bound: the generated table in
-# docs/PERFORMANCE.md ("The substrate gate table").
+# Record the sharded fleet points (benchmarks/substrate.py): a one-shard
+# anchor run checked bit-identical to DistributedChain, then the 10k and
+# 100k-node points, written to BENCH_substrate.json.  Nothing is gated;
+# the end-to-end benchmark is `python -m bench` (bench/README.md).
 #
-# Usage:  scripts/run_bench.sh [--quick] [--repeats N] [--output FILE]
+# Usage:  scripts/run_bench.sh [--quick] [--output FILE]
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -81,7 +81,7 @@ def mine_block(
 
     Telemetry (attempt counts, per-search histogram) is recorded after
     the search loop, never inside it, so the disabled path is the bare
-    loop (gated ≤5% overhead in ``benchmarks/``).
+    loop (``tests/telemetry/test_disabled_path.py``).
     """
     header = block.header
     found: Optional[Block] = None

@@ -173,7 +173,7 @@ def run_fleet_scale(
 
     Each point is an independent seed-pure trial, so any ``jobs`` value
     produces identical points.  The defaults are suite-friendly sizes;
-    the bench lane runs the 1000-node and sharded 10k/100k points
+    ``benchmarks/substrate.py`` records the sharded 10k/100k points
     through :func:`_fleet_trial` directly.  ``flood_baseline=False``
     skips the quadratic complete-mesh baseline (it dominates the
     sweep's wall-clock at 1000 nodes).  An armed ``telemetry`` gets one

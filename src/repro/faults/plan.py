@@ -12,6 +12,7 @@ and replayed deterministically by the
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -89,10 +90,14 @@ class ChaosPlan:
 
     # -- fluent builders ---------------------------------------------------
 
-    def _add(self, event: FaultEvent) -> "ChaosPlan":
-        if event.at < 0:
-            raise ValueError("fault time cannot be negative")
-        self.events.append(event)
+    def _add(self, *events: FaultEvent) -> "ChaosPlan":
+        """Append ``events`` once every one of them has a finite time ≥ 0."""
+        for event in events:
+            if not 0 <= event.at < math.inf:  # false for NaN too
+                raise ValueError(
+                    f"fault time must be finite and >= 0, not {event.at!r}"
+                )
+        self.events.extend(events)
         return self
 
     def crash(self, node: str, at: float) -> "ChaosPlan":
@@ -105,9 +110,12 @@ class ChaosPlan:
 
     def crash_for(self, node: str, at: float, downtime: float) -> "ChaosPlan":
         """Crash ``node`` at ``at`` and restart it ``downtime`` later."""
-        if downtime <= 0:
+        if not downtime > 0:
             raise ValueError("downtime must be positive")
-        return self.crash(node, at).restart(node, at + downtime)
+        return self._add(
+            FaultEvent(at=at, kind=FaultKind.CRASH, targets=((node,),)),
+            FaultEvent(at=at + downtime, kind=FaultKind.RESTART, targets=((node,),)),
+        )
 
     def disk_fault(self, kind: str, node: str, at: float, **params: int) -> "ChaosPlan":
         """Corrupt ``node``'s durable store while it is down.
@@ -139,14 +147,14 @@ class ChaosPlan:
     ) -> "ChaosPlan":
         """Cut every link between two groups; optionally heal later."""
         groups = (tuple(side_a), tuple(side_b))
-        self._add(FaultEvent(at=at, kind=FaultKind.PARTITION, targets=groups))
+        events = [FaultEvent(at=at, kind=FaultKind.PARTITION, targets=groups)]
         if heal_at is not None:
-            if heal_at <= at:
+            if not heal_at > at:
                 raise ValueError("heal must come after the partition")
-            self._add(
+            events.append(
                 FaultEvent(at=heal_at, kind=FaultKind.HEAL_PARTITION, targets=groups)
             )
-        return self
+        return self._add(*events)
 
     def set_loss(self, rate: float, at: float) -> "ChaosPlan":
         """Set the network-wide message loss rate at time ``at``."""
@@ -170,12 +178,12 @@ class ChaosPlan:
         """
         if max_extra <= 0:
             raise ValueError("delay spike must be positive")
-        self._add(FaultEvent(at=at, kind=FaultKind.DELAY_SPIKE, value=max_extra))
+        events = [FaultEvent(at=at, kind=FaultKind.DELAY_SPIKE, value=max_extra)]
         if until is not None:
-            if until <= at:
+            if not until > at:
                 raise ValueError("spike end must come after its start")
-            self._add(FaultEvent(at=until, kind=FaultKind.CLEAR_DELAY_SPIKE))
-        return self
+            events.append(FaultEvent(at=until, kind=FaultKind.CLEAR_DELAY_SPIKE))
+        return self._add(*events)
 
     # -- random generation --------------------------------------------------
 

@@ -15,6 +15,7 @@ reward.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -42,10 +43,14 @@ class RetryPolicy:
     max_attempts: int = 5
 
     def __post_init__(self) -> None:
-        if self.deadline <= 0:
-            raise ValueError("deadline must be positive")
-        if self.base_backoff <= 0:
-            raise ValueError("base backoff must be positive")
+        if not 0 < self.deadline < math.inf:  # false for NaN too
+            raise ValueError(
+                f"deadline must be finite and positive, not {self.deadline!r}"
+            )
+        if not 0 < self.base_backoff < math.inf:
+            raise ValueError(
+                f"base backoff must be finite and positive, not {self.base_backoff!r}"
+            )
         if self.max_attempts < 0:
             raise ValueError("max_attempts cannot be negative")
 

@@ -99,10 +99,14 @@ class Simulator:
         The one dispatch loop behind every verb below: pop in (time,
         seq) order, set ``now``, call, count.  Telemetry is read once
         per drain: one armed mid-drain records from the next drain on.
+        Its three ``sim.*`` series are bound after the first callback
+        returns, so the registry creates them in that order, after any
+        series the callback made.
         """
         queue = self._queue
         telemetry = self.telemetry
         armed = telemetry.enabled
+        dispatch = None
         fired = 0
         while queue and fired != limit and queue[0][0] <= deadline:
             time, _, callback, args = heappop(queue)
@@ -110,11 +114,14 @@ class Simulator:
             if armed:
                 started = perf_counter()
                 callback(*args)
-                telemetry.histogram("sim.dispatch_seconds").observe(
-                    perf_counter() - started
-                )
-                telemetry.counter("sim.events_processed").inc()
-                telemetry.gauge("sim.queue_depth").set(len(queue))
+                elapsed = perf_counter() - started
+                if dispatch is None:
+                    dispatch = telemetry.histogram("sim.dispatch_seconds")
+                    events = telemetry.counter("sim.events_processed")
+                    depth = telemetry.gauge("sim.queue_depth")
+                dispatch.observe(elapsed)
+                events.inc()
+                depth.set(len(queue))
             else:
                 callback(*args)
             self._processed += 1

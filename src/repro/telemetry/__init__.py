@@ -20,7 +20,8 @@ Usage::
 Telemetry is strictly opt-in: every instrumented component defaults to
 :data:`NULL_TELEMETRY`, whose instruments ignore writes, and hot loops
 gate on ``telemetry.enabled`` so the disabled path costs one attribute
-check (enforced at ≤5% on the nonce-search bench in ``benchmarks/``).
+check (the nonce search and the event drain keep their loops free of it,
+pinned by ``tests/telemetry/test_disabled_path.py``).
 Instrumentation never draws randomness or wall-clock time into
 simulation logic, so enabling it cannot change a seeded trajectory.
 """

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.chain import block as block_module
 from repro.chain.block import Block, BlockHeader, ChainRecord, GENESIS_PARENT, RecordKind
 from repro.crypto.keys import KeyPair
 
@@ -73,6 +74,28 @@ class TestBlockHeader:
     )
     def test_hash_depends_on_every_field(self, field, value):
         assert self._header().header_hash() != self._header(**{field: value}).header_hash()
+
+    def test_repeated_identity_reads_hash_each_header_once(self, monkeypatch):
+        digests = []
+
+        def counting_sha3(data):
+            digests.append(data)
+            return real_sha3(data)
+
+        real_sha3 = block_module.sha3_256
+        monkeypatch.setattr(block_module, "sha3_256", counting_sha3)
+        blocks = [
+            Block(header=self._header(nonce=nonce), records=()) for nonce in range(3)
+        ]
+        first = [block.block_id for block in blocks]
+        for _ in range(5):
+            assert [block.header.header_hash() for block in blocks] == first
+            assert [block.block_id for block in blocks] == first
+        assert len(digests) == len(blocks)
+        # A new header (``with_nonce``) starts cold and is hashed once too.
+        bumped = blocks[0].header.with_nonce(99)
+        assert bumped.header_hash() == bumped.header_hash() != first[0]
+        assert len(digests) == len(blocks) + 1
 
     def test_with_nonce_only_changes_nonce(self):
         header = self._header()

@@ -1,5 +1,6 @@
 """Chaos plan DSL: builders, validation, and random generation."""
 
+import math
 import random
 
 import pytest
@@ -59,11 +60,24 @@ class TestBuilders:
             lambda p: p.set_duplication(-0.1, at=0.0),
             lambda p: p.delay_spike(0.0, at=0.0),
             lambda p: p.delay_spike(1.0, at=10.0, until=10.0),
+            lambda p: p.partition(("a",), ("b",), at=5.0, heal_at=4.0),
+            lambda p: p.partition(("a",), ("b",), at=5.0, heal_at=math.nan),
+            lambda p: p.delay_spike(1.0, at=10.0, until=math.nan),
+            lambda p: p.crash_for("x", at=0.0, downtime=math.inf),
+            lambda p: p.crash_for("x", at=0.0, downtime=math.nan),
+            lambda p: p.crash("x", at=math.nan),
+            lambda p: p.crash("x", at=math.inf),
+            lambda p: p.set_loss(0.1, at=math.nan),
+            lambda p: p.disk_fault("bit_flip", "x", at=math.inf),
         ],
     )
     def test_invalid_builder_arguments_raise(self, build):
+        # A refused call leaves the plan as it was: no half of a pair lands.
+        plan = ChaosPlan().crash_for("n1", at=1.0, downtime=2.0)
+        before = list(plan.events)
         with pytest.raises(ValueError):
-            build(ChaosPlan())
+            build(plan)
+        assert plan.events == before
 
 
 class TestRandomPlans:

@@ -1,5 +1,6 @@
 """Retry policy math and the detector's retrying two-phase submission."""
 
+import math
 import random
 
 import pytest
@@ -48,6 +49,10 @@ class TestRetryPolicy:
             {"max_attempts": -1},
             {"base_backoff": 0.0},
             {"deadline": -1.0},
+            {"deadline": math.nan},
+            {"deadline": math.inf},
+            {"base_backoff": math.nan},
+            {"base_backoff": math.inf},
         ],
     )
     def test_invalid_knobs_raise(self, kwargs):

@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulator."""
 
 import math
+from heapq import heappop
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -380,4 +382,60 @@ def test_simulator_matches_the_sorted_list_oracle(program):
     values (``None`` from both schedule verbs) as the sorted list."""
     assert _run_program(Simulator(), program) == _run_program(
         SortedListQueue(), program
+    )
+
+
+class PerEventLookupSimulator(Simulator):
+    """The armed drain with every event looking its three ``sim.*``
+    series up in the registry after its callback returns — the order
+    and values the once-per-drain binding must keep."""
+
+    def _drain(self, deadline, limit):
+        queue = self._queue
+        telemetry = self.telemetry
+        armed = telemetry.enabled
+        fired = 0
+        while queue and fired != limit and queue[0][0] <= deadline:
+            time, _, callback, args = heappop(queue)
+            self._now = time
+            if armed:
+                started = perf_counter()
+                callback(*args)
+                telemetry.histogram("sim.dispatch_seconds").observe(
+                    perf_counter() - started
+                )
+                telemetry.counter("sim.events_processed").inc()
+                telemetry.gauge("sim.queue_depth").set(len(queue))
+            else:
+                callback(*args)
+            self._processed += 1
+            fired += 1
+        return fired
+
+
+def _armed_run(simulator_class, program):
+    """Run ``program`` armed, behind a first event that makes a series of
+    its own; return the run and the snapshot rows, histograms by count
+    (their sums are wall-clock)."""
+    telemetry = Telemetry()
+    queue = simulator_class(telemetry=telemetry)
+    queue.schedule_at(0.0, lambda: telemetry.counter("app.first_event").inc())
+    observed = _run_program(queue, program)
+    rows = [
+        {key: row[key] for key in ("type", "name", "labels", "count")}
+        if row["type"] == "histogram"
+        else row
+        for row in telemetry.metrics.snapshot()
+    ]
+    return observed, rows
+
+
+@given(program=st.lists(_OPS, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_an_armed_run_records_what_per_event_lookups_recorded(program):
+    """Binding the ``sim.*`` series once per drain leaves the snapshot's
+    row order (the callback's series first) and every counter, gauge and
+    histogram count as the per-event lookups left them."""
+    assert _armed_run(Simulator, program) == _armed_run(
+        PerEventLookupSimulator, program
     )

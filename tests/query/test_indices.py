@@ -81,6 +81,25 @@ class TestCanonicalIndices:
             assert_full_parity(chain, index)
         assert index.rebuilds == 0  # pure extensions never rebuild
 
+    def test_a_refreshed_index_answers_without_walking_the_chain(
+        self, indexed, monkeypatch
+    ):
+        chain, _, index = indexed
+        filters = ({}, {"system": "camera"}, {"provider": "vendor-b"})
+        counts = [full_scan_sender_count(chain, sender) for sender in SENDERS]
+        reports = [full_scan_reports(chain, **one) for one in filters]
+        sras = [full_scan_sras(chain, **one) for one in filters]
+        assert reports[0] and sras[0]
+        index.refresh()
+
+        def walk(*args, **kwargs):
+            raise AssertionError("an index read walked the chain")
+
+        monkeypatch.setattr(chain, "iter_canonical", walk)
+        assert [index.sender_count(sender) for sender in SENDERS] == counts
+        assert [report_identities(index.reports(**one)) for one in filters] == reports
+        assert [sra_identities(index.sras(**one)) for one in filters] == sras
+
     def test_unknown_record_and_sender(self, indexed):
         chain, _, index = indexed
         assert chain.locate_record(b"\x00" * 32) is None

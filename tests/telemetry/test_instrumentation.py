@@ -7,14 +7,27 @@ the RNGs or the wall clock inside simulation logic.
 
 import random
 
+from repro.chain.block import GENESIS_PARENT, Block, ChainRecord, RecordKind
 from repro.chain.pow import MiningModel, mine_block
 from repro.contracts.contract import Contract, ContractError
 from repro.contracts.vm import ContractRuntime
 from repro.contracts.state import BURN_ADDRESS
+from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import KeyPair
 from repro.network.simulator import Simulator
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.units import to_wei
+
+
+def _unmined_block(difficulty: int = 1 << 255) -> Block:
+    """An unmined one-record block at (by default) unwinnable difficulty."""
+    record = ChainRecord(
+        kind=RecordKind.TRANSACTION,
+        record_id=hash_fields("instrumentation-record"),
+        payload=b"x" * 64,
+    )
+    miner = KeyPair.from_seed(b"instrumentation-miner").address
+    return Block.assemble(GENESIS_PARENT, 1, (record,), 1.0, difficulty, miner)
 
 
 class TestSimulator:
@@ -61,19 +74,15 @@ class TestMining:
             assert plain.next_block() == instrumented.next_block()
 
     def test_exhausted_search_counted(self):
-        from benchmarks.substrate import _bench_block
-
         telemetry = Telemetry()
-        assert mine_block(_bench_block(), max_attempts=50,
+        assert mine_block(_unmined_block(), max_attempts=50,
                           telemetry=telemetry) is None
         assert telemetry.counter("pow.searches", outcome="exhausted").value == 1
         assert telemetry.counter("pow.nonce_attempts").value == 50
 
     def test_found_search_records_attempts_and_outcome(self):
-        from benchmarks.substrate import _bench_block
-
         telemetry = Telemetry()
-        mined = mine_block(_bench_block(difficulty=64), max_attempts=100_000,
+        mined = mine_block(_unmined_block(difficulty=64), max_attempts=100_000,
                            telemetry=telemetry)
         assert mined is not None
         attempts = telemetry.counter("pow.nonce_attempts").value

@@ -1,45 +1,27 @@
-"""Tier-1 smoke of the substrate probe registry.
+"""Tier-1 smoke of the fleet-point recorder (``benchmarks/substrate.py``).
 
-``scripts/run_bench.sh`` runs outside the normal test flow, so a probe
-broken by a refactor used to surface only when someone refreshed the
-baseline.  This smoke runs every registered probe once at ``--quick``
-size inside tier-1: each parity assertion fires (the probe raises
-before it times anything), so a wrong-answer regression fails the
-ordinary test run.  The *bounds* are evaluated only in ``benchmarks/``,
-where timings are not subject to tier-1's parallel load.
+``scripts/run_bench.sh`` runs outside the normal test flow, so this
+runs the recorder once at ``--quick`` size: the one-shard anchor's
+parity assertion fires (the recorder raises before it times anything)
+and the one 1k-node point is written as the full run writes its two.
 """
 
-import pytest
+import json
 
-from benchmarks.substrate import PROBES, gates, run_suite, to_table
-
-
-@pytest.fixture(scope="module")
-def suite():
-    return run_suite(quick=True, repeats=1)
+from benchmarks.substrate import _POINT_KEYS, main
 
 
-@pytest.mark.parametrize("probe", PROBES, ids=lambda probe: probe.name)
-def test_probe_ran_and_parity_fired(suite, probe):
-    entry = suite["benchmarks"][probe.name]
-    assert all(entry[flag] is True for flag in probe.parity)
-    # Every declared bound found its value (armed or not).
-    assert [bound for _, bound, _, _ in gates(suite, [probe])] == list(probe.bounds)
-
-
-def test_sharded_scale_point_ran(suite):
-    assert suite["benchmarks"]["fleet_shard"]["points"]
-
-
-def test_query_warm_start_probe_shape(suite):
-    # Tier-1 only checks the probe replayed a real delta and timed both
-    # builds; the ratio is the bench lane's business.
-    entry = suite["benchmarks"]["query_serving"]
-    assert entry["warm_start_delta_blocks"] > 0
-    assert entry["warm_start_seconds"] > 0
-    assert entry["cold_rebuild_seconds"] > 0
-
-
-def test_quick_suite_renders(suite):
-    rendered = to_table(suite).render()
-    assert all(probe.name in rendered for probe in PROBES)
+def test_quick_run_writes_the_anchor_and_one_point(tmp_path, capsys):
+    output = tmp_path / "BENCH_substrate.json"
+    assert main(["--quick", "--output", str(output)]) == 0
+    payload = json.loads(output.read_text())
+    assert payload["suite"] == "substrate" and payload["quick"] is True
+    assert list(payload["benchmarks"]) == ["fleet_shard"]
+    entry = payload["benchmarks"]["fleet_shard"]
+    assert entry["identical_to_single_process"] is True
+    assert list(entry["points"]) == ["1000"]
+    point = entry["points"]["1000"]
+    assert set(point) == set(_POINT_KEYS)
+    assert point["shards"] == 2 and point["full_nodes"] + point["light_nodes"] == 1000
+    assert point["messages_sent"] > 0 and point["seconds"] > 0
+    assert "1000 nodes, 2 shards" in capsys.readouterr().out
